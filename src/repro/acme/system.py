@@ -38,6 +38,9 @@ class ArchSystem:
         self._components: Dict[str, Component] = {}
         self._connectors: Dict[str, Connector] = {}
         self._attachments: Dict[tuple, Attachment] = {}
+        #: role -> its attachment; kept in step with ``_attachments`` by
+        #: ``_bind``/``_unbind`` so ``attach`` checks a role in O(1)
+        self._role_attachment: Dict[Role, Attachment] = {}
         self._mutation_listeners: List[MutationListener] = []
         self._property_listeners: List[Callable[[Element, str, Any, Any], None]] = []
         self.invariant_sources: List[Tuple[str, str]] = []  # (name, expression text)
@@ -121,6 +124,8 @@ class ArchSystem:
             self._touch(_elem if owner is _elem else owner)
             for listener in self._property_listeners:
                 listener(_elem if owner is _elem else owner, name, old, new)
+            if not self._mutation_listeners:
+                return  # nobody can undo: skip building the record
             # Property change undo: restore the previous value; a created
             # property is removed again (not left behind as None), and a
             # removed one is re-declared with its last value.
@@ -170,7 +175,7 @@ class ArchSystem:
         def undo() -> None:
             self._components[name] = comp
             for att in dropped:
-                self._attachments[att.key] = att
+                self._bind(att)
             self._touch_structure()
 
         self._mutated(f"remove component {name}", undo)
@@ -180,9 +185,9 @@ class ArchSystem:
         comp = self._components.pop(name, None)
         if comp is None:
             return
-        for key, att in list(self._attachments.items()):
+        for att in list(self._attachments.values()):
             if att.port.component is comp:
-                del self._attachments[key]
+                self._unbind(att)
         self._touch_structure()
 
     def add_connector(self, connector: Connector) -> Connector:
@@ -211,7 +216,7 @@ class ArchSystem:
         def undo() -> None:
             self._connectors[name] = conn
             for att in dropped:
-                self._attachments[att.key] = att
+                self._bind(att)
             self._touch_structure()
 
         self._mutated(f"remove connector {name}", undo)
@@ -221,30 +226,40 @@ class ArchSystem:
         conn = self._connectors.pop(name, None)
         if conn is None:
             return
-        for key, att in list(self._attachments.items()):
+        for att in list(self._attachments.values()):
             if att.role.connector is conn:
-                del self._attachments[key]
+                self._unbind(att)
         self._touch_structure()
 
     # ------------------------------------------------------------------
     # Attachments
     # ------------------------------------------------------------------
+    def _bind(self, att: Attachment) -> None:
+        self._attachments[att.key] = att
+        self._role_attachment[att.role] = att
+
+    def _unbind(self, att: Attachment) -> None:
+        del self._attachments[att.key]
+        self._role_attachment.pop(att.role, None)
+
     def attach(self, port: Port, role: Role) -> Attachment:
         """Bind ``port`` to ``role``; each role holds at most one port."""
         if port.component.name not in self._components:
             raise AttachmentError(f"{port.qualified_name}: component not in system")
         if role.connector.name not in self._connectors:
             raise AttachmentError(f"{role.qualified_name}: connector not in system")
-        if any(a.role is role for a in self._attachments.values()):
+        if role in self._role_attachment:
             raise AttachmentError(f"role {role.qualified_name} is already attached")
         att = Attachment(port, role)
         if att.key in self._attachments:
             raise AttachmentError(f"duplicate attachment {att}")
-        self._attachments[att.key] = att
+        self._bind(att)
         self._touch_structure()
 
         def undo() -> None:
-            self._attachments.pop(att.key, None)
+            current = self._attachments.get(att.key)
+            if current is not None:
+                self._unbind(current)
             self._touch_structure()
 
         self._mutated(f"attach {att}", undo)
@@ -252,15 +267,16 @@ class ArchSystem:
 
     def detach(self, port: Port, role: Role) -> None:
         key = (port.qualified_name, role.qualified_name)
-        att = self._attachments.pop(key, None)
+        att = self._attachments.get(key)
         if att is None:
             raise AttachmentError(
                 f"no attachment {port.qualified_name} to {role.qualified_name}"
             )
+        self._unbind(att)
         self._touch_structure()
 
         def undo() -> None:
-            self._attachments[att.key] = att
+            self._bind(att)
             self._touch_structure()
 
         self._mutated(f"detach {att}", undo)
@@ -314,10 +330,8 @@ class ArchSystem:
         return None
 
     def attached_port(self, role: Role) -> Optional[Port]:
-        for att in self._attachments.values():
-            if att.role is role:
-                return att.port
-        return None
+        att = self._role_attachment.get(role)
+        return att.port if att is not None else None
 
     def is_attached(self, a: Element, b: Element) -> bool:
         """True when (port, role) in either order form an attachment."""

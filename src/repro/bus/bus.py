@@ -181,8 +181,11 @@ class EventBus:
         (never delivered, never counted as transit) — the queued
         analogue of the unbatched unsubscribe-while-in-flight rule.
         """
+        if self._subs.get(sub.sid) is not sub:
+            return  # already forgotten, or another bus's subscription
         sub.active = False
-        if self._subs.pop(sub.sid, None) is not None and self._index is not None:
+        del self._subs[sub.sid]
+        if self._index is not None:
             self._index.remove(sub)
         sq = self._queues.pop(sub.sid, None)
         if sq is not None:
@@ -197,9 +200,21 @@ class EventBus:
     def publish(self, message: Message) -> int:
         """Route ``message`` to matching subscribers; returns match count.
 
-        The message timestamp is normalized to the current simulation time.
+        The caller keeps its message: what is delivered is a copy whose
+        timestamp is normalized to the current simulation time.
         """
-        msg = message.with_time(self.sim.now)
+        return self._dispatch(message.with_time(self.sim.now))
+
+    def publish_subject(self, subject: str, sender: str = "", **attributes) -> int:
+        """Build and publish a message in one call, without the copy.
+
+        The message is stamped ``sim.now`` at construction and nobody
+        else holds it or its attribute dict, so it is routed as is.
+        """
+        return self._dispatch(Message(subject, attributes, self.sim.now, sender))
+
+    def _dispatch(self, msg: Message) -> int:
+        """Match, fault-check and enqueue/schedule one bus-owned message."""
         self.published += 1
         matched = 0
         queues = self._queues
@@ -222,10 +237,6 @@ class EventBus:
                 delay = 0.0
             self.sim.schedule(delay, self._deliver, sub, msg, delay)
         return matched
-
-    def publish_subject(self, subject: str, sender: str = "", **attributes) -> int:
-        """Convenience: build and publish a message in one call."""
-        return self.publish(Message(subject, attributes, self.sim.now, sender))
 
     def _matches(self, msg: Message) -> List[Subscription]:
         """Subscriptions that want ``msg``, in subscription order.

@@ -13,15 +13,24 @@ Matches are returned in subscription order (the order ``subscribe`` was
 called), which is exactly the iteration order of the linear scan — the
 bus relies on this to keep delivery order and statistics bit-for-bit
 identical between the two paths.
+
+A plane publishes the same few thousand literal subjects forever, so
+``match`` memoises ``subject -> candidates``: the steady state is one
+dict hit per publish.  Any ``add`` or ``remove`` clears the memo, and it
+is cleared rather than grown past :data:`ROUTE_MEMO_CAP` subjects, so a
+service fed ever-new subjects stays bounded.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.bus.filters import validate_pattern
 
 __all__ = ["SubjectTrie"]
+
+#: most subjects one trie remembers the route of (about 200 bytes each)
+ROUTE_MEMO_CAP = 32768
 
 
 class _Node:
@@ -45,6 +54,7 @@ class SubjectTrie:
     def __init__(self) -> None:
         self._root = _Node()
         self._size = 0
+        self._memo: Dict[str, Tuple[object, ...]] = {}
 
     def __len__(self) -> int:
         return self._size
@@ -57,6 +67,7 @@ class SubjectTrie:
         (the subscription sequence number :meth:`match` sorts by).
         """
         segments = validate_pattern(sub.pattern).split(".")
+        self._memo.clear()
         node = self._root
         for segment in segments:
             if segment == ">":
@@ -74,8 +85,8 @@ class SubjectTrie:
 
     def remove(self, sub) -> None:
         """Drop ``sub`` from the index (no-op if absent), pruning dead nodes."""
-        segments = sub.pattern.split(".")
-        self._remove(self._root, segments, 0, sub.sid)
+        self._memo.clear()
+        self._remove(self._root, sub.pattern.split("."), 0, sub.sid)
 
     def _remove(self, node: _Node, segments: List[str], i: int, sid: str) -> bool:
         """Recursive removal; returns True when ``node`` became empty."""
@@ -99,16 +110,23 @@ class SubjectTrie:
         return node.is_empty()
 
     # -- lookup ------------------------------------------------------------
-    def match(self, subject: str) -> List[object]:
+    def match(self, subject: str) -> Tuple[object, ...]:
         """All indexed subscriptions whose pattern matches ``subject``.
 
         Returned in subscription order (ascending ``seq``).
         """
+        memo = self._memo
+        hit = memo.get(subject)
+        if hit is not None:
+            return hit
         out: List[object] = []
         self._collect(self._root, subject.split("."), 0, out)
         if len(out) > 1:
             out.sort(key=lambda s: s.seq)
-        return out
+        if len(memo) >= ROUTE_MEMO_CAP:
+            memo.clear()
+        hit = memo[subject] = tuple(out)
+        return hit
 
     def _collect(
         self, node: _Node, segments: List[str], i: int, out: List[object]

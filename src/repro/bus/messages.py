@@ -26,7 +26,7 @@ class Message:
     def __post_init__(self) -> None:
         if not self.subject:
             raise ValueError("message subject must be non-empty")
-        if any(not part for part in self.subject.split(".")):
+        if "" in self.subject.split("."):
             raise ValueError(f"malformed subject {self.subject!r} (empty segment)")
 
     def get(self, key: str, default: Any = None) -> Any:

@@ -33,11 +33,19 @@ __all__ = ["ShardedEventBus", "ShardedSubscription"]
 
 
 class ShardedSubscription:
-    """Handle over one logical subscription's per-shard registrations."""
+    """Handle over one logical subscription's per-shard registrations.
 
-    def __init__(self, pattern: str, parts: List[Subscription]):
+    ``owners[i]`` is the child bus ``parts[i]`` is registered on: child
+    buses number their subscriptions independently, so a ``sid`` alone
+    does not say which child a part belongs to.
+    """
+
+    def __init__(
+        self, pattern: str, parts: List[Subscription], owners: List[EventBus]
+    ):
         self.pattern = pattern
         self.parts = parts
+        self.owners = owners
 
     @property
     def active(self) -> bool:
@@ -128,16 +136,18 @@ class ShardedEventBus:
             )
             for bus in buses
         ]
-        return ShardedSubscription(pattern, parts)
+        return ShardedSubscription(pattern, parts, list(buses))
 
     def unsubscribe(self, sub) -> None:
         """Unsubscribe a facade handle or a raw child subscription."""
-        parts = sub.parts if isinstance(sub, ShardedSubscription) else [sub]
-        # unsubscribe is idempotent, so asking every child is safe even
-        # though each part lives on exactly one of them
-        for part in parts:
-            for bus in self._buses:
+        if isinstance(sub, ShardedSubscription):
+            for bus, part in zip(sub.owners, sub.parts):
                 bus.unsubscribe(part)
+            return
+        # a raw part does not say where it lives; a child ignores a
+        # subscription that is not its own, so asking each is safe
+        for bus in self._buses:
+            bus.unsubscribe(sub)
 
     @property
     def subscriptions(self) -> List[Subscription]:

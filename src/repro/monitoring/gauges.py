@@ -23,7 +23,6 @@ from typing import Optional
 from repro.bus.bus import EventBus, Subscription
 from repro.bus.messages import Message
 from repro.sim.kernel import Simulator
-from repro.sim.process import Process
 from repro.util.windows import EWMA, ColumnarWindow, SlidingWindow
 
 __all__ = [
@@ -43,7 +42,7 @@ class Gauge:
     """Base gauge: consumes one probe subject, reports one model property.
 
     Subclasses define ``_consume(message)`` and ``_value()``; the base
-    runs the report loop and handles activation state.  A gauge reports
+    runs the report tick and handles activation state.  A gauge reports
     ``gauge.<kind>.<target>`` messages with a ``value`` attribute plus
     ``mapping`` hints for the model updater.  Subclasses that pair with
     batching probes additionally implement ``_consume_batch(times,
@@ -74,7 +73,10 @@ class Gauge:
         self._sub: Optional[Subscription] = probe_bus.subscribe(
             probe_subject, self._on_probe
         )
-        self._process: Optional[Process] = None
+        #: identity of the live tick chain (None: not ticking); a pending
+        #: tick that carries another token belongs to a disposed chain
+        self._ticker: Optional[object] = None
+        self._subject: Optional[str] = None
 
     @property
     def name(self) -> str:
@@ -85,8 +87,13 @@ class Gauge:
         if self.active:
             return
         self.active = True
-        if self._process is None:
-            self._process = Process(self.sim, self._run(), name=self.name)
+        if self._ticker is None:
+            # ``kind`` is final only after the subclass constructors ran
+            self._subject = self.name
+            self._ticker = ticker = object()
+            # start hop: the first wait begins via the scheduler, never
+            # synchronously inside activate()
+            self.sim.schedule(0.0, self._arm, ticker)
 
     def deactivate(self, clear: bool = True) -> None:
         """Stop reporting; optionally drop accumulated window state.
@@ -103,26 +110,30 @@ class Gauge:
         if self._sub is not None:
             self.probe_bus.unsubscribe(self._sub)
             self._sub = None
-        if self._process is not None:
-            self._process.kill()
-            self._process = None
+        self._ticker = None
 
     # -- machinery ------------------------------------------------------------
-    def _run(self):
-        while True:
-            yield self.sim.timeout(self.period)
-            if not self.active:
-                continue
+    def _arm(self, ticker: object) -> None:
+        if ticker is self._ticker:
+            self.sim.schedule(self.period, self._tick, ticker)
+
+    def _tick(self, ticker: object) -> None:
+        """One period: report (when active and there is a value), re-arm.
+
+        An inactive gauge keeps ticking silently, so re-activation stays
+        on the original report grid.
+        """
+        if ticker is not self._ticker:
+            return
+        if self.active:
             value = self._value()
-            if value is None:
-                continue
-            self.reports += 1
-            self.gauge_bus.publish_subject(
-                f"gauge.{self.kind}.{self.target}",
-                sender=self.name,
-                target=self.target,
-                value=value,
-            )
+            if value is not None:
+                self.reports += 1
+                subject = self._subject
+                self.gauge_bus.publish_subject(
+                    subject, sender=subject, target=self.target, value=value
+                )
+        self.sim.schedule(self.period, self._tick, ticker)
 
     def _on_probe(self, message: Message) -> None:
         if not self.active:

@@ -31,7 +31,6 @@ from repro.app.system import GridApplication
 from repro.bus.bus import EventBus
 from repro.net.remos import RemosService
 from repro.sim.kernel import Simulator
-from repro.sim.process import Process
 
 __all__ = [
     "ClientLatencyProbe",
@@ -115,22 +114,25 @@ class _PeriodicProbe(_Probe):
         if period <= 0:
             raise ValueError(f"probe period must be positive, got {period}")
         self.period = float(period)
-        self._process: Optional[Process] = None
+        #: identity of the live tick chain (None: stopped); a pending
+        #: tick that carries another token belongs to a stopped chain
+        self._ticker: Optional[object] = None
 
     def start(self) -> None:
-        if self._process is not None:
+        if self._ticker is not None:
             raise RuntimeError(f"probe {self.name} already started")
-        self._process = Process(self.sim, self._run(), name=self.name)
+        self._ticker = ticker = object()
+        # the first sample runs via the scheduler, never inside start()
+        self.sim.schedule(0.0, self._tick, ticker)
 
     def stop(self) -> None:
-        if self._process is not None:
-            self._process.kill()
-            self._process = None
+        self._ticker = None
 
-    def _run(self):
-        while True:
-            self.sample()
-            yield self.sim.timeout(self.period)
+    def _tick(self, ticker: object) -> None:
+        if ticker is not self._ticker:
+            return
+        self.sample()
+        self.sim.schedule(self.period, self._tick, ticker)
 
     def sample(self) -> None:  # pragma: no cover - interface
         raise NotImplementedError

@@ -19,6 +19,7 @@ from repro.bus import (
     validate_pattern,
 )
 from repro.bus.bus import Subscription
+from repro.bus.messages import Message
 from repro.sim import Simulator
 
 
@@ -66,19 +67,19 @@ class TestSubjectTrie:
         tail = _sub(3, "a.>")
         for s in (exact, star, tail):
             trie.add(s)
-        assert trie.match("a.b.c") == [exact, star, tail]
-        assert trie.match("a.x.c") == [star, tail]
-        assert trie.match("a.b") == [tail]
-        assert trie.match("a") == []
-        assert trie.match("b.b.c") == []
+        assert list(trie.match("a.b.c")) == [exact, star, tail]
+        assert list(trie.match("a.x.c")) == [star, tail]
+        assert list(trie.match("a.b")) == [tail]
+        assert list(trie.match("a")) == []
+        assert list(trie.match("b.b.c")) == []
 
     def test_tail_requires_at_least_one_more_segment(self):
         trie = SubjectTrie()
         tail = _sub(1, "probe.>")
         trie.add(tail)
-        assert trie.match("probe") == []
-        assert trie.match("probe.x") == [tail]
-        assert trie.match("probe.x.y.z") == [tail]
+        assert list(trie.match("probe")) == []
+        assert list(trie.match("probe.x")) == [tail]
+        assert list(trie.match("probe.x.y.z")) == [tail]
 
     def test_match_order_is_subscription_order(self):
         trie = SubjectTrie()
@@ -86,7 +87,7 @@ class TestSubjectTrie:
         early_star = _sub(1, "a.*")
         trie.add(late_exact)
         trie.add(early_star)
-        assert trie.match("a.b") == [early_star, late_exact]
+        assert list(trie.match("a.b")) == [early_star, late_exact]
 
     def test_remove_prunes(self):
         trie = SubjectTrie()
@@ -96,12 +97,12 @@ class TestSubjectTrie:
         assert len(trie) == 2
         trie.remove(s1)
         assert len(trie) == 1
-        assert trie.match("a.b.c") == []
-        assert trie.match("a.b") == [s2]
+        assert list(trie.match("a.b.c")) == []
+        assert list(trie.match("a.b")) == [s2]
         trie.remove(s1)  # idempotent
         assert len(trie) == 1
         trie.remove(s2)
-        assert trie.match("a.b") == []
+        assert list(trie.match("a.b")) == []
         assert trie._root.is_empty()
 
     def test_rejects_malformed_pattern(self):
@@ -134,6 +135,10 @@ def _random_subject(rng: random.Random) -> str:
     return ".".join(rng.choice(_ALPHABET) for _ in range(rng.randint(1, 4)))
 
 
+def _recorder(log: list, k: int):
+    return lambda m: log.append((k, m.subject))
+
+
 class TestTrieLinearEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_match_sets_agree_with_subject_matches(self, seed):
@@ -145,7 +150,7 @@ class TestTrieLinearEquivalence:
         for _ in range(300):
             subject = _random_subject(rng)
             expected = [s for s in subs if subject_matches(s.pattern, subject)]
-            assert trie.match(subject) == expected
+            assert list(trie.match(subject)) == expected
 
     @pytest.mark.parametrize("seed", range(4))
     def test_buses_deliver_identically(self, seed):
@@ -158,15 +163,10 @@ class TestTrieLinearEquivalence:
         subs_indexed, subs_linear = [], []
         for k in range(60):
             pattern = _random_pattern(rng)
-            attr = (
-                AttributeFilter([("v", ">", 0.5)]) if rng.random() < 0.3 else None
-            )
-            subs_indexed.append(indexed.subscribe(
-                pattern, lambda m, k=k: got_indexed.append((k, m.subject)), attr
-            ))
-            subs_linear.append(linear.subscribe(
-                pattern, lambda m, k=k: got_linear.append((k, m.subject)), attr
-            ))
+            attr = AttributeFilter([("v", ">", 0.5)]) if rng.random() < 0.3 else None
+            on_indexed, on_linear = _recorder(got_indexed, k), _recorder(got_linear, k)
+            subs_indexed.append(indexed.subscribe(pattern, on_indexed, attr))
+            subs_linear.append(linear.subscribe(pattern, on_linear, attr))
         for idx in rng.sample(range(60), 12):
             indexed.unsubscribe(subs_indexed[idx])
             linear.unsubscribe(subs_linear[idx])
@@ -181,6 +181,68 @@ class TestTrieLinearEquivalence:
         assert indexed.published == linear.published
         assert indexed.delivered == linear.delivered
         assert indexed.total_transit == linear.total_transit
+
+    @pytest.mark.parametrize("seed,cap", [(0, None), (1, None), (2, None), (3, 8)])
+    def test_buses_agree_under_churn(self, seed, cap, monkeypatch):
+        """subscribe / unsubscribe / publish / deliver in random order.
+
+        Subjects come from a small pool, so the route memo is hot when a
+        subscription change must invalidate it; unsubscribes land between
+        a publish and its delivery.  ``cap`` shrinks the memo bound so the
+        clear-on-overflow path runs too.
+        """
+        if cap is not None:
+            monkeypatch.setattr("repro.bus.index.ROUTE_MEMO_CAP", cap)
+        rng = random.Random(2000 + seed)
+        sim = Simulator()
+        buses = [
+            EventBus(sim, delivery=FixedDelay(0.01), indexed=True),
+            EventBus(sim, delivery=FixedDelay(0.01), indexed=False),
+        ]
+        got = [[], []]
+        live = [[], []]
+        subjects = [_random_subject(rng) for _ in range(6 if cap is None else 40)]
+        serial = 0
+        for _ in range(600):
+            roll = rng.random()
+            if roll < 0.15:
+                pattern = rng.choice([_random_pattern(rng), rng.choice(subjects)])
+                attr = (
+                    AttributeFilter([("v", ">", 0.5)]) if rng.random() < 0.3 else None
+                )
+                serial += 1
+                for side, bus in enumerate(buses):
+                    sub = bus.subscribe(pattern, _recorder(got[side], serial), attr)
+                    live[side].append(sub)
+            elif roll < 0.25 and live[0]:
+                idx = rng.randrange(len(live[0]))
+                for side, bus in enumerate(buses):
+                    bus.unsubscribe(live[side].pop(idx))
+            elif roll < 0.90:
+                subject, value = rng.choice(subjects), rng.random()
+                probe = Message(subject, {"v": value})
+                seqs = [[s.seq for s in bus._matches(probe)] for bus in buses]
+                assert seqs[0] == seqs[1]
+                counts = [bus.publish_subject(subject, v=value) for bus in buses]
+                assert counts[0] == counts[1]
+            else:
+                sim.run(until=sim.now + rng.choice([0.005, 0.02]))
+            assert len(buses[0]._index._memo) <= (cap or len(subjects))
+        sim.run()
+        assert got[0] == got[1]
+        assert got[0]  # not vacuous
+        assert buses[0].stats() == buses[1].stats()
+
+    def test_route_memo_is_dropped_on_every_subscription_change(self):
+        trie = SubjectTrie()
+        first = _sub(1, "a.b")
+        trie.add(first)
+        assert trie.match("a.b") is trie.match("a.b")  # second call: memo hit
+        late = _sub(2, "a.*")
+        trie.add(late)
+        assert list(trie.match("a.b")) == [first, late]
+        trie.remove(first)
+        assert list(trie.match("a.b")) == [late]
 
     def test_mid_run_subscribe_matches_linear_semantics(self):
         sim = Simulator()

@@ -272,6 +272,40 @@ class TestShardedBus:
         sim.run(until=2.0)
         assert len(got) == 1
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_unsubscribe_leaves_sibling_shards_alone(self, batched):
+        """Child buses number subscriptions independently, so both
+        literals below are ``sub-1`` on their own shard: dropping one
+        must not touch the other's registration or queue."""
+        sim = Simulator()
+        bus = ShardedEventBus(sim, 2, {"T0": 0, "T1": 1}.get, batched=batched)
+        got0, got1 = [], []
+        sub0 = bus.subscribe("probe.x.T0", got0.append)
+        sub1 = bus.subscribe("probe.x.T1", got1.append)
+        assert sub0.parts[0].sid == sub1.parts[0].sid
+        bus.publish_subject("probe.x.T1", value=1.0)  # in flight / queued
+        bus.unsubscribe(sub0)
+        assert not sub0.active and sub1.active
+        assert bus.subscriptions == sub1.parts
+        if batched:
+            assert bus.stats()["batched_subscriptions"] == 1
+        bus.publish_subject("probe.x.T0", value=2.0)
+        bus.publish_subject("probe.x.T1", value=3.0)
+        sim.run(until=1.0)
+        assert got0 == []
+        assert [m["value"] for m in got1] == [1.0, 3.0]
+        bus.unsubscribe(sub1)
+        assert bus.subscriptions == []
+        assert len(bus.shard(1)._index) == 0  # no ghost left in the trie
+        assert bus.publish_subject("probe.x.T1", value=4.0) == 0
+
+    def test_raw_part_unsubscribe_only_reaches_its_owner(self):
+        sim, bus = make_bus()
+        sub0 = bus.subscribe("probe.x.T0", lambda m: None)
+        sub1 = bus.subscribe("probe.x.T1", lambda m: None)
+        bus.unsubscribe(sub0.parts[0])
+        assert bus.subscriptions == sub1.parts
+
     def test_stats_rollup(self):
         sim, bus = make_bus()
         bus.subscribe("gauge.>", lambda m: None)

@@ -15,6 +15,8 @@ import random
 import pytest
 
 from repro.acme.elements import Component, Connector
+from repro.acme.system import ArchSystem
+from repro.errors import AttachmentError
 from repro.repair.transactions import ModelTransaction
 from repro.styles import build_client_server_model
 
@@ -59,6 +61,14 @@ def snapshot(system):
             (a.port.qualified_name, a.role.qualified_name)
             for a in system.attachments
         ),
+        # what attach()'s "already attached" check sees, role by role:
+        # an undo that restored the attachment but not the role index
+        # (or the reverse) shows as a difference here
+        "attached_roles": {
+            r.qualified_name: getattr(system.attached_port(r), "qualified_name", None)
+            for k in system.connectors
+            for r in k.roles
+        },
     }
 
 
@@ -267,3 +277,62 @@ def test_removed_property_is_restored_on_abort():
     assert not comp.has_property("extra")
     txn.abort()
     assert comp.get_property("extra") == 7.0
+
+
+# ---------------------------------------------------------------------------
+# attach()'s role check: indexed, and in step with every undo closure
+# ---------------------------------------------------------------------------
+def _pair(system, i):
+    comp = system.new_component(f"c{i}")
+    conn = system.new_connector(f"k{i}")
+    return comp.add_port("p"), conn.add_role("r")
+
+
+def test_role_check_follows_attach_detach_and_abort():
+    system = ArchSystem("S")
+    port, role = _pair(system, 0)
+    other, _ = _pair(system, 1)
+    system.attach(port, role)
+    with pytest.raises(AttachmentError, match="role k0.r is already attached"):
+        system.attach(other, role)
+
+    txn = ModelTransaction(system).begin()
+    system.detach(port, role)
+    system.attach(other, role)  # free again inside the transaction
+    txn.abort()
+    assert system.attached_port(role) is port
+    with pytest.raises(AttachmentError, match="already attached"):
+        system.attach(other, role)
+
+    txn = ModelTransaction(system).begin()
+    system.remove_connector("k0")  # drops the attachment with it
+    assert system.attached_port(role) is None
+    txn.abort()
+    assert system.attached_port(role) is port
+
+    system.detach(port, role)
+    txn = ModelTransaction(system).begin()
+    system.attach(other, role)
+    txn.abort()  # the aborted attach must free the role again
+    assert system.attached_port(role) is None
+    system.attach(port, role)
+    assert system.is_attached(port, role)
+
+
+def test_attach_checks_the_role_without_scanning_attachments():
+    """2000 attachments, and no attach() may walk the ones before it."""
+
+    class NoScan(dict):
+        def _scan(self, *args):
+            raise AssertionError("attach() scanned the attachment table")
+
+        __iter__ = keys = values = items = _scan
+
+    system = ArchSystem("S")
+    pairs = [_pair(system, i) for i in range(2000)]
+    system._attachments = NoScan()
+    for port, role in pairs:
+        system.attach(port, role)
+    assert len(system._attachments) == 2000
+    with pytest.raises(AttachmentError, match="already attached"):
+        system.attach(pairs[0][0], pairs[-1][1])

@@ -70,6 +70,8 @@ RATCHETED = [
     "tests/test_grid_site_scenario.py",
     "tests/test_transaction_crash_safety.py",
     "tests/test_probe_flush_on_abort.py",
+    "tests/test_bus_index.py",
+    "tests/test_tick_lifecycle.py",
 ]
 
 OPEN = {"(": ")", "[": "]", "{": "}"}
