@@ -42,6 +42,31 @@ PINNED = {
         "525bb6eb96bf9ae1be7219ba716dc689a3d27ec0c440a2dcd0e174a671e2a2f3",
 }
 
+# Captured on the commit before the six ``*Experiment`` classes were
+# folded onto one base: a control run builds no runtime, so only the
+# start-hook order (sources -> extras -> sampler) can move these.
+PINNED_CONTROL = {
+    "client_server":
+        "70a6902b7b645a8efc843e3caea1dbd90432dcabd701842846fcde80e128fa0c",
+    "pipeline":
+        "0403eae1d903c4ea985087ec95a468f0007211e0f045e84002daa4fda441284f",
+    "master_worker":
+        "72e9ea3d96a11d655e61e04bd2f7e70f5be29a346554ccc84419066a03701128",
+    "multi_tenant":
+        "2f54ff71d024f52efb47990563572751bab84c4137811977457b14043ad61f57",
+    "map_reduce":
+        "7312c53b920891674168302c43b5ae1e31ea35c542be10869d52e0a997cef410",
+    # the outages-only FaultPlane of the control run feeds this one
+    "grid_site":
+        "6fdf22a8c77b86ae7dd07cc091fd29bbb6fea480c1526b04d2484f9099567e24",
+}
+
+# Same capture point; the only pin that goes through the sharded build
+# branch of AdaptationRuntime.
+PINNED_SHARDED = (
+    "29ff43ce4ab60e5d19edda91983ea1249f7bb41efbb5f8d652b61d73bce9e990"
+)
+
 
 def fingerprint(result) -> str:
     """A platform-stable digest of everything a run produced.
@@ -87,6 +112,19 @@ def test_adapted_run_fingerprint_unchanged(scenario):
         f"{scenario}: the serial adapted run is no longer bit-for-bit "
         f"identical to the pre-concurrency engine"
     )
+
+
+@pytest.mark.parametrize("scenario", sorted(PINNED_CONTROL))
+def test_control_run_fingerprint_unchanged(scenario):
+    result = api.run(api.RunConfig.control(scenario))
+    assert fingerprint(result) == PINNED_CONTROL[scenario], (
+        f"{scenario}: the control run drifted — a start hook moved"
+    )
+
+
+def test_sharded_adapted_run_fingerprint_unchanged():
+    result = api.run(api.RunConfig.adapted("multi_tenant_sharded"))
+    assert fingerprint(result) == PINNED_SHARDED
 
 
 def test_serial_is_the_default_everywhere_but_multi_tenant():
