@@ -6,7 +6,7 @@ delete gauges.  Improving this time by caching gauges or relocating them
 speed improve dramatically."
 """
 
-from repro.experiment import ScenarioConfig, run_scenario
+from repro import api
 from repro.experiment.metrics import extract_claims
 from repro.util.tables import render_table
 
@@ -14,11 +14,11 @@ HORIZON = 700.0  # phase A suffices: both headline repairs fire before 700 s
 
 
 def run_pair():
-    base = run_scenario(
-        ScenarioConfig.adapted().but(horizon=HORIZON, name="adapted-nocache")
+    base = api.run(
+        api.RunConfig.adapted().but(horizon=HORIZON, name="adapted-nocache")
     )
-    cached = run_scenario(
-        ScenarioConfig.adapted().but(
+    cached = api.run(
+        api.RunConfig.adapted().but(
             horizon=HORIZON, gauge_caching=True, name="adapted-cached"
         )
     )

@@ -7,7 +7,7 @@ to use network Quality of Service (QoS) techniques to prioritize
 monitoring traffic."
 """
 
-from repro.experiment import ScenarioConfig, run_scenario
+from repro import api
 from repro.util.tables import render_table
 
 HORIZON = 700.0
@@ -19,11 +19,11 @@ def first_repair_start(result):
 
 
 def run_pair():
-    inband = run_scenario(
-        ScenarioConfig.adapted().but(horizon=HORIZON, name="adapted-inband")
+    inband = api.run(
+        api.RunConfig.adapted().but(horizon=HORIZON, name="adapted-inband")
     )
-    qos = run_scenario(
-        ScenarioConfig.adapted().but(
+    qos = api.run(
+        api.RunConfig.adapted().but(
             horizon=HORIZON, monitoring_qos=True, name="adapted-qos"
         )
     )

@@ -6,18 +6,18 @@ collect and analyze data.  After this initial delay, the query is quite
 fast.  To reduce this effect, we pre-queried Remos."
 """
 
-from repro.experiment import ScenarioConfig, run_scenario
+from repro import api
 from repro.util.tables import render_table
 
 HORIZON = 500.0
 
 
 def run_pair():
-    prewarmed = run_scenario(
-        ScenarioConfig.adapted().but(horizon=HORIZON, name="adapted-prewarm")
+    prewarmed = api.run(
+        api.RunConfig.adapted().but(horizon=HORIZON, name="adapted-prewarm")
     )
-    cold = run_scenario(
-        ScenarioConfig.adapted().but(
+    cold = api.run(
+        api.RunConfig.adapted().but(
             horizon=HORIZON, remos_prewarm=False, name="adapted-cold"
         )
     )

@@ -10,7 +10,7 @@ repair before re-evaluating constraints) and measures repair counts and
 client-move oscillation across the full run including the stress phase.
 """
 
-from repro.experiment import ScenarioConfig, run_scenario
+from repro import api
 from repro.experiment.metrics import extract_claims
 from repro.util.tables import render_table
 
@@ -21,10 +21,10 @@ SETTLES = (5.0, 20.0, 60.0)
 def run_sweep():
     results = {}
     for settle in SETTLES:
-        cfg = ScenarioConfig.adapted().but(
+        cfg = api.RunConfig.adapted().but(
             horizon=HORIZON, settle_time=settle, name=f"adapted-settle{settle:.0f}",
         )
-        results[settle] = run_scenario(cfg)
+        results[settle] = api.run(cfg)
     return results
 
 
@@ -71,9 +71,9 @@ def test_a4_worst_first_selection(benchmark, artifact):
     """The paper's §7 proposal: fix the worst-latency client first."""
 
     def run_pair():
-        first = run_scenario(ScenarioConfig.adapted().but(
+        first = api.run(api.RunConfig.adapted().but(
             horizon=700.0, name="adapted-first"))
-        worst = run_scenario(ScenarioConfig.adapted().but(
+        worst = api.run(api.RunConfig.adapted().but(
             horizon=700.0, violation_policy="worst", name="adapted-worst"))
         return first, worst
 

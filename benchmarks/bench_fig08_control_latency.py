@@ -5,13 +5,13 @@ above two seconds... it never falls below this required threshold" and
 recovery only begins toward the end of the run.
 """
 
-from repro.experiment import ScenarioConfig, run_scenario
+from repro import api
 from repro.experiment.reporting import render_latency_figure
 
 
 def test_figure8_control_latency(benchmark, artifact, control_result):
     result = benchmark.pedantic(
-        lambda: run_scenario(ScenarioConfig.control()), rounds=1, iterations=1
+        lambda: api.run(api.RunConfig.control()), rounds=1, iterations=1
     )
     text = render_latency_figure(result, "Figure 8: Average Latency for Control")
     print(text)

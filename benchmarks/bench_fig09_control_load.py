@@ -4,13 +4,13 @@ Paper: "the server load increases dramatically as the experiment
 progresses" (log axis to 10000; dashed overload line at 6).
 """
 
-from repro.experiment import ScenarioConfig, run_scenario
+from repro import api
 from repro.experiment.reporting import render_load_figure
 
 
 def test_figure9_control_load(benchmark, artifact, control_result):
     result = benchmark.pedantic(
-        lambda: run_scenario(ScenarioConfig.control()), rounds=1, iterations=1
+        lambda: api.run(api.RunConfig.control()), rounds=1, iterations=1
     )
     text = render_load_figure(result, "Figure 9: Server Load for Control")
     print(text)
@@ -23,18 +23,18 @@ def test_figure9_control_load(benchmark, artifact, control_result):
     assert sg1.max() > 1000.0
 
     # The queue blows through the overload line for the whole stress phase.
-    assert sg1.fraction_above(cfg.max_server_load,
-                              start=700, end=cfg.stress_end) == 1.0
+    assert sg1.fraction_above(cfg.params.max_server_load,
+                              start=700, end=cfg.params.stress_end) == 1.0
 
     # Monotone growth while stressed ("increases dramatically as the
     # experiment progresses"): each stress checkpoint dwarfs the last.
-    assert sg1.value_at(cfg.stress_start) < 10.0
+    assert sg1.value_at(cfg.params.stress_start) < 10.0
     assert sg1.value_at(700.0) > 100.0
     assert sg1.value_at(900.0) > 1.5 * sg1.value_at(700.0)
-    assert sg1.value_at(cfg.stress_end) > 1.5 * sg1.value_at(900.0)
+    assert sg1.value_at(cfg.params.stress_end) > 1.5 * sg1.value_at(900.0)
 
     # Drain begins only after the stress ends ("begins to recover").
-    assert sg1.value_at(cfg.horizon) < sg1.value_at(cfg.stress_end) / 2
+    assert sg1.value_at(cfg.horizon) < sg1.value_at(cfg.params.stress_end) / 2
 
     # SG2 never explodes: the control never moves anyone onto it.
     assert result.s("load.SG2").max() < 50.0

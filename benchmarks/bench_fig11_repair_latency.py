@@ -6,7 +6,7 @@ seconds, a repair is invoked (either to move a client or add a server)" —
 with repair intervals marked along the top of the figure.
 """
 
-from repro.experiment import ScenarioConfig, run_scenario
+from repro import api
 from repro.experiment.reporting import (
     render_latency_figure,
     render_repair_intervals,
@@ -16,7 +16,7 @@ from repro.experiment.reporting import (
 def test_figure11_repair_latency(benchmark, artifact, adapted_result,
                                  control_result):
     result = benchmark.pedantic(
-        lambda: run_scenario(ScenarioConfig.adapted()), rounds=1, iterations=1
+        lambda: api.run(api.RunConfig.adapted()), rounds=1, iterations=1
     )
     text = (
         render_latency_figure(result, "Figure 11: Average Latency under Repair")
@@ -36,10 +36,10 @@ def test_figure11_repair_latency(benchmark, artifact, adapted_result,
     # dramatically better than the control.
     for client in result.clients:
         adapted_frac = result.s(f"latency.{client}").fraction_above(
-            2.0, start=cfg.quiescent_end
+            2.0, start=cfg.params.quiescent_end
         )
         control_frac = control_result.s(f"latency.{client}").fraction_above(
-            2.0, start=cfg.quiescent_end
+            2.0, start=cfg.params.quiescent_end
         )
         assert adapted_frac < 0.45, (client, adapted_frac)
         assert adapted_frac < control_frac / 2, (client, adapted_frac, control_frac)
@@ -54,7 +54,7 @@ def test_figure11_repair_latency(benchmark, artifact, adapted_result,
     # again well before the stress phase begins.
     for client in ("C3", "C4"):
         assert result.s(f"latency.{client}").fraction_above(
-            2.0, start=350, end=cfg.stress_start
+            2.0, start=350, end=cfg.params.stress_start
         ) == 0.0
 
     # Repair intervals exist and are tens of seconds (the paper's ~30 s).

@@ -5,14 +5,14 @@ because we are taking better advantage of different network links in our
 system after a repair."
 """
 
-from repro.experiment import ScenarioConfig, run_scenario
+from repro import api
 from repro.experiment.reporting import render_bandwidth_figure
 
 
 def test_figure12_repair_bandwidth(benchmark, artifact, adapted_result,
                                    control_result):
     result = benchmark.pedantic(
-        lambda: run_scenario(ScenarioConfig.adapted()), rounds=1, iterations=1
+        lambda: api.run(api.RunConfig.adapted()), rounds=1, iterations=1
     )
     text = render_bandwidth_figure(
         result, "Figure 12: Available Bandwidth under Repair"
@@ -26,17 +26,17 @@ def test_figure12_repair_bandwidth(benchmark, artifact, adapted_result,
         control_bw = control_result.s(f"bandwidth.{client}")
 
         # Dips below threshold happen (that's what triggers the repair)...
-        assert adapted_bw.min(start=cfg.quiescent_end,
-                              end=cfg.stress_start) < 10e3
+        assert adapted_bw.min(start=cfg.params.quiescent_end,
+                              end=cfg.params.stress_start) < 10e3
         # ...but after the phase-A moves, the client sits on a good path
         # for the rest of the competition phase, while the control stays
         # starved for essentially all of it.
-        assert adapted_bw.value_at(cfg.stress_start - 10) > 1e6
+        assert adapted_bw.value_at(cfg.params.stress_start - 10) > 1e6
         a_phase = adapted_bw.fraction_above(
-            10e3, start=300, end=cfg.stress_start
+            10e3, start=300, end=cfg.params.stress_start
         )
         c_phase = control_bw.fraction_above(
-            10e3, start=300, end=cfg.stress_start
+            10e3, start=300, end=cfg.params.stress_start
         )
         assert a_phase > 0.9, (client, a_phase)
         assert c_phase < 0.1, (client, c_phase)
@@ -44,6 +44,6 @@ def test_figure12_repair_bandwidth(benchmark, artifact, adapted_result,
         # Over the whole run the repaired system spends no less time above
         # threshold (moves chase the competition during stress, so the
         # advantage concentrates in the competition phase).
-        a = adapted_bw.fraction_above(10e3, start=cfg.quiescent_end)
-        c = control_bw.fraction_above(10e3, start=cfg.quiescent_end)
+        a = adapted_bw.fraction_above(10e3, start=cfg.params.quiescent_end)
+        c = control_bw.fraction_above(10e3, start=cfg.params.quiescent_end)
         assert a > c, (client, a, c)

@@ -5,14 +5,14 @@ time above threshold, the ~30 s mean repair duration, spare-server
 activation times, and the client-move oscillation during stress.
 """
 
-from repro.experiment import ScenarioConfig, run_scenario
+from repro import api
 from repro.experiment.metrics import extract_claims
 from repro.experiment.reporting import render_comparison
 
 
 def both_claims():
-    control = extract_claims(run_scenario(ScenarioConfig.control()))
-    adapted = extract_claims(run_scenario(ScenarioConfig.adapted()))
+    control = extract_claims(api.run(api.RunConfig.control()))
+    adapted = extract_claims(api.run(api.RunConfig.adapted()))
     return control, adapted
 
 

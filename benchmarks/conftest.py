@@ -23,9 +23,8 @@ OUT_DIR = pathlib.Path(__file__).parent / "out"
 def control_result():
     """The paper's control run (no adaptation), full 1800 s.
 
-    Built through the scenario-neutral front door; individual benches
-    that still construct legacy ``ScenarioConfig`` ablations share the
-    same cache entries (both shapes resolve to one cache key).
+    Built through the scenario-neutral front door; benches that ask for
+    the same ``api.RunConfig.control()`` share this cache entry.
     """
     return api.run(api.RunConfig.control())
 

@@ -11,10 +11,13 @@ application you write four small pieces:
 4. an ``AdaptationSpec`` naming the thresholds and probe/gauge bindings.
 
 Step 5 then plugs the whole thing into the scenario-neutral experiment
-API: a typed frozen params block + ``register_scenario`` make the app
-drivable through ``repro.api.run(RunConfig(...))``, the shared result
-cache, and the ``python -m repro`` CLI — exactly how the built-in
-``master_worker`` scenario is registered.
+API: a typed frozen params block + ``register_scenario`` on a
+``ScenarioExperiment`` subclass make the app drivable through
+``repro.api.run(RunConfig(...))``, the shared result cache, and the
+``python -m repro`` CLI — exactly how the built-in scenarios are
+registered.  The shared skeleton owns the simulator, the "build a
+runtime iff adaptation" rule, the run order, result assembly and
+``runtime.stop()``; you supply hooks.
 
 Everything here is self-contained: a toy job queue whose worker pool is
 grown whenever its depth gauge crosses the threshold.
@@ -29,25 +32,23 @@ from repro.acme.family import Family
 from repro.acme.system import ArchSystem
 from repro.errors import TacticFailure
 from repro.experiment import (
+    CostedIntentExecutor,
+    PeriodicSampler,
     RunConfig,
-    RunResult,
+    ScenarioExperiment,
     ScenarioParams,
-    TimeSeries,
     register_scenario,
 )
 from repro.monitoring.gauges import BacklogGauge
 from repro.monitoring.probes import StageBacklogProbe
-from repro.repair.history import RepairHistory
 from repro.runtime import (
     AdaptationRuntime,
     AdaptationSpec,
     GaugeBinding,
-    IntentExecutor,
     ManagedApplication,
     ProbeBinding,
 )
-from repro.sim import Process, Simulator
-from repro.sim.trace import Trace
+from repro.sim import Process
 
 # ---------------------------------------------------------------------------
 # 0. The application being adapted: a job queue with a worker pool
@@ -134,11 +135,27 @@ def queue_operators(worker_cap=8):
 # ---------------------------------------------------------------------------
 
 
+class GrowExecutor(CostedIntentExecutor):
+    """Cost-then-apply: charge the spin-up, then grow the real pool."""
+
+    INTENT_OPS = frozenset({"addWorker"})
+    SPIN_UP = 3.0  # seconds to provision one worker
+
+    def cost(self, intent) -> float:
+        return self.SPIN_UP
+
+    def apply(self, intent) -> None:
+        self.app.grow(intent.args["workers"])
+        # the pool's gauges are blind for 2 s while they redeploy
+        self.gauge_manager.redeploy_for(intent.args["pool"], 2.0)
+
+
 class ManagedJobQueue(ManagedApplication):
     name = "job-queue"
 
-    def __init__(self, app: JobQueueApp):
+    def __init__(self, app: JobQueueApp, params: "JobQueueParams"):
         self.app = app
+        self.params = params
 
     def architecture(self) -> ArchSystem:
         fam = Family("QueueFam")
@@ -153,26 +170,11 @@ class ManagedJobQueue(ManagedApplication):
         pool.set_property("workers", self.app.workers)
         return model
 
-    def intent_executor(self, runtime: AdaptationRuntime) -> IntentExecutor:
-        app, sim = self.app, runtime.sim
-
-        class GrowExecutor(IntentExecutor):
-            INTENT_OPS = frozenset({"addWorker"})
-            SPIN_UP = 3.0  # seconds to provision one worker
-
-            def execute(self, intents, on_done=None):
-                def apply():
-                    for intent in intents:
-                        app.grow(intent.args["workers"])
-                        runtime.gauge_manager.redeploy_for(
-                            intent.args["pool"], 2.0
-                        )
-                    if on_done is not None:
-                        on_done()
-
-                sim.schedule(self.SPIN_UP, apply)
-
-        return GrowExecutor()
+    def intent_executor(self, runtime: AdaptationRuntime) -> GrowExecutor:
+        return GrowExecutor(
+            self.app, self.params,
+            gauge_manager=runtime.gauge_manager, trace=runtime.trace,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -221,59 +223,45 @@ class JobQueueParams(ScenarioParams):
     worker_cap: int = 8
 
 
-class JobQueueExperiment:
-    """One wired job-queue run — the Scenario protocol, minimally."""
+class DepthSampler(PeriodicSampler):
+    """Ground truth the adaptation loop never sees: the real queue depth."""
 
-    def __init__(self, config: RunConfig):
-        self.config = config
-        params: JobQueueParams = config.params
-        self.sim = Simulator()
+    def series_table(self):
+        return [("depth", "jobs")]
+
+    def sample(self) -> None:
+        self.record("depth", float(self.experiment.app.depth))
+
+
+@register_scenario(
+    "job_queue", params=JobQueueParams,
+    description="toy job queue (examples/adapt_your_own_app.py)",
+)
+class JobQueueExperiment(ScenarioExperiment):
+    """One wired job-queue run: four hooks over the shared skeleton."""
+
+    SAMPLER = DepthSampler
+
+    def setup(self) -> None:
+        params = self.params
         self.app = JobQueueApp(
             self.sim, workers=params.workers,
             service_time=params.service_time,
             arrival_interval=params.arrival_interval,
         )
-        self.runtime = None
-        if config.adaptation:
-            self.runtime = AdaptationRuntime(
-                self.sim, ManagedJobQueue(self.app), queue_spec(self.app, params)
-            )
 
-    def build(self):
-        return self.runtime
+    def managed_application(self) -> ManagedJobQueue:
+        return ManagedJobQueue(self.app, self.params)
 
-    def run(self) -> RunResult:
-        if self.runtime is not None:
-            self.runtime.start()
-        depth = TimeSeries("depth", "jobs")
+    def _adaptation_spec(self) -> AdaptationSpec:
+        return queue_spec(self.app, self.params)
 
-        def sampler():
-            while True:
-                depth.append(self.sim.now, float(self.app.depth))
-                yield self.sim.timeout(self.config.sample_period)
-
-        Process(self.sim, sampler(), name="sampler")
-        self.sim.run(until=self.config.horizon)
-        rt = self.runtime
-        stats = rt.stats() if rt is not None else None
-        return RunResult(
-            config=self.config,
-            series={"depth": depth},
-            trace=rt.trace if rt is not None else Trace(),
-            history=rt.history if rt is not None else RepairHistory(),
-            issued=self.app.completed + self.app.depth + self.app.busy,
-            completed=self.app.completed,
-            bus_stats=dict(stats.bus) if stats is not None else {},
-            gauge_stats=dict(stats.gauges) if stats is not None else {},
-            constraint_stats=dict(stats.constraints) if stats is not None else {},
-            stats=stats,
-        )
-
-
-register_scenario(
-    "job_queue", params=JobQueueParams,
-    description="toy job queue (examples/adapt_your_own_app.py)",
-)(JobQueueExperiment)
+    def outcome(self, stats):
+        app = self.app
+        return {
+            "issued": app.completed + app.depth + app.busy,
+            "completed": app.completed,
+        }
 
 
 def main() -> None:

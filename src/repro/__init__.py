@@ -30,7 +30,6 @@ from repro.errors import ReproError
 from repro.experiment import (
     RunConfig,
     RunResult,
-    ScenarioConfig,
     ScenarioParams,
     register_scenario,
     run_scenario,
@@ -107,7 +106,6 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "ScenarioParams",
-    "ScenarioConfig",
     "run_scenario",
     "register_scenario",
     "scenario_names",

@@ -15,14 +15,13 @@ whole experiment surface::
     print(pair["adapted"].completed - pair["control"].completed)
 
 Everything dispatches through the scenario registry and shares the
-bounded LRU result cache, so mixing this facade with the legacy
-``run_scenario(ScenarioConfig(...))`` shim never duplicates a
-30-minute simulation.
+bounded LRU result cache, so equal configs never duplicate a 30-minute
+simulation.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 from repro.experiment.config import RunConfig, as_run_config
 from repro.experiment.params import (
@@ -36,7 +35,6 @@ from repro.experiment.runner import (
     run_scenario,
     set_cache_capacity,
 )
-from repro.experiment.scenario import ScenarioConfig
 from repro.experiment.scenarios import (
     Scenario,
     ScenarioEntry,
@@ -63,7 +61,6 @@ __all__ = [
     "PipelineParams",
     "Scenario",
     "ScenarioEntry",
-    "ScenarioConfig",
     "run",
     "make_config",
     "list_scenarios",
@@ -82,7 +79,7 @@ __all__ = [
 FAST_HORIZON = 300.0
 
 
-def run(config: Union[RunConfig, ScenarioConfig], fresh: bool = False) -> RunResult:
+def run(config: RunConfig, fresh: bool = False) -> RunResult:
     """Run (or fetch the cached result of) one configured scenario."""
     return run_scenario(config, fresh=fresh)
 
@@ -171,7 +168,7 @@ def compare(
     }
 
 
-def report(config: Union[RunConfig, ScenarioConfig], fresh: bool = False) -> str:
+def report(config: RunConfig, fresh: bool = False) -> str:
     """Run one config and render a text report.
 
     Client/server runs get the paper's §5 claims table; every scenario

@@ -6,29 +6,30 @@
   bandwidth competition and request load;
 * :mod:`repro.experiment.config` / :mod:`repro.experiment.params` — the
   scenario-neutral :class:`RunConfig` plus typed per-scenario parameter
-  blocks (:class:`ClientServerParams`, :class:`PipelineParams`,
-  :class:`MasterWorkerParams`, :class:`MultiTenantParams`);
-* :mod:`repro.experiment.scenario` — the legacy :class:`ScenarioConfig`
-  deprecation shim (converts into RunConfig + params on entry);
+  blocks (one frozen :class:`ScenarioParams` subclass per scenario);
 * :mod:`repro.experiment.result` — the scenario-neutral
   :class:`RunResult` and its per-scenario subclasses;
-* :mod:`repro.experiment.scenarios` — the scenario registry
-  (``client_server``, ``pipeline``, ``master_worker``,
-  ``multi_tenant``, and user-registered builders with their params
-  types);
-* :mod:`repro.experiment.runner` — wires the client/server experiment
-  and owns the caching ``run_scenario`` front door (bounded LRU shared
-  by the benchmark harness and the :mod:`repro.api` facade);
-* :mod:`repro.experiment.pipeline_scenario` — the batch-pipeline
-  scenario driven through the reusable adaptation runtime;
-* :mod:`repro.experiment.master_worker_scenario` — the task-farm
-  scenario (straggler re-dispatch + pool grow/shrink), registered purely
-  through the public API;
+* :mod:`repro.experiment.base` — the one scenario skeleton
+  (:class:`ScenarioExperiment`, :class:`PeriodicSampler`,
+  :class:`CostedIntentExecutor`) every scenario below is a small set of
+  hooks over;
+* :mod:`repro.experiment.scenarios` — the scenario registry (the
+  built-ins plus user-registered builders with their params types);
+* :mod:`repro.experiment.runner` — the paper's ``client_server``
+  experiment and the caching ``run_scenario`` front door (bounded LRU
+  shared by the benchmark harness and the :mod:`repro.api` facade);
+* :mod:`repro.experiment.pipeline_scenario` — the batch pipeline
+  (widen on backlog, narrow when idle);
+* :mod:`repro.experiment.master_worker_scenario` — the task farm
+  (straggler re-dispatch + pool grow/shrink);
 * :mod:`repro.experiment.multi_tenant_scenario` — N tenant farms with
   per-tenant fairness invariants, the concurrent-repair showcase
-  (``concurrency="disjoint"`` by default), registered purely through
-  the public API;
-* :mod:`repro.experiment.metrics` — time-series sampling and the §5
+  (``concurrency="disjoint"`` by default), plus its sharded variant;
+* :mod:`repro.experiment.map_reduce_scenario` — shuffle skew (split
+  partitions, steal work), the batched-bus / columnar-telemetry showcase;
+* :mod:`repro.experiment.grid_site_scenario` — failing grid sites under
+  the fault plane, the resilient-repair showcase;
+* :mod:`repro.experiment.metrics` — the client/server sampler and the §5
   scalar claims;
 * :mod:`repro.experiment.reporting` — text rendering of each figure.
 """
@@ -46,11 +47,14 @@ from repro.experiment.result import (
     PipelineResult,
     RunResult,
 )
-from repro.experiment.scenario import ScenarioConfig
 from repro.experiment.series import TimeSeries
+from repro.experiment.base import (
+    CostedIntentExecutor,
+    PeriodicSampler,
+    ScenarioExperiment,
+)
 from repro.experiment.runner import (
     Experiment,
-    ExperimentResult,
     clear_cache,
     run_scenario,
     set_cache_capacity,
@@ -96,10 +100,11 @@ __all__ = [
     "PipelineResult",
     "MasterWorkerResult",
     "MultiTenantResult",
-    "ScenarioConfig",
     "TimeSeries",
+    "ScenarioExperiment",
+    "PeriodicSampler",
+    "CostedIntentExecutor",
     "Experiment",
-    "ExperimentResult",
     "PipelineExperiment",
     "MasterWorkerExperiment",
     "MultiTenantExperiment",

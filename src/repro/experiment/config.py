@@ -10,15 +10,11 @@ with the scenario (``register_scenario(name, params=...)``); leaving
 
 Both config and params are frozen and hashable, and the result cache is
 keyed by their composition (:meth:`cache_key`), so equal configurations
-share one simulated run no matter which front door built them — the
-legacy ``ScenarioConfig`` shim converts into this type before running.
+share one simulated run no matter who built them.
 
-Convenience affordances for migration:
-
-* attribute reads fall through to the params block
-  (``config.settle_time`` == ``config.params.settle_time``);
-* :meth:`but` routes unknown field names into the params block, so
-  ablation one-liners keep working (``cfg.but(gauge_caching=True)``).
+Scenario knobs are read from the block (``config.params.settle_time``);
+:meth:`but` routes scenario field names into it, so ablation one-liners
+stay short (``cfg.but(gauge_caching=True)``).
 """
 
 from __future__ import annotations
@@ -131,41 +127,12 @@ class RunConfig:
             config.sample_period,
         ) + config.params.cache_key()
 
-    # -- migration affordance ------------------------------------------------
-    def __getattr__(self, name: str) -> Any:
-        # Only reached for names that are NOT dataclass fields; fall
-        # through to the params block so legacy-style reads keep working
-        # (resolving the scenario's defaults when no block is set yet).
-        if name.startswith("_"):
-            raise AttributeError(name)
-        params = object.__getattribute__(self, "params")
-        if params is None:
-            try:
-                params = self._params_or_default()
-            except ReproError:
-                params = None  # unknown scenario: plain AttributeError below
-        if params is not None and hasattr(params, name):
-            return getattr(params, name)
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r} "
-            f"(params block: {type(params).__name__ if params else None})"
-        )
-
 
 _FIELD_NAMES = frozenset(f.name for f in fields(RunConfig))
 
 
 def as_run_config(config: Any) -> RunConfig:
-    """Normalize any accepted config shape into a resolved RunConfig.
-
-    Accepts a :class:`RunConfig` or anything exposing ``to_run_config()``
-    (the legacy :class:`~repro.experiment.scenario.ScenarioConfig` shim).
-    """
+    """``config`` resolved, or a :class:`ReproError` if it is no RunConfig."""
     if isinstance(config, RunConfig):
         return config.resolved()
-    converter = getattr(config, "to_run_config", None)
-    if converter is not None:
-        return converter().resolved()
-    raise ReproError(
-        f"expected RunConfig or ScenarioConfig, got {type(config).__name__}"
-    )
+    raise ReproError(f"expected RunConfig, got {type(config).__name__}")

@@ -26,17 +26,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, ClassVar, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.app.grid_site_app import GridSiteApplication
 from repro.bus.bus import FixedDelay
-from repro.errors import TranslationError
-from repro.experiment.config import RunConfig, as_run_config
+from repro.experiment.base import (
+    CostedIntentExecutor,
+    PeriodicSampler,
+    ScenarioExperiment,
+)
+from repro.experiment.config import RunConfig
 from repro.experiment.params import ScenarioParams
 from repro.experiment.result import RunResult
-from repro.experiment.scenario import ScenarioConfig
 from repro.experiment.scenarios import register_scenario
-from repro.experiment.series import TimeSeries
 from repro.faults import (
     BusFaultSpec,
     EffectorFaultSpec,
@@ -47,26 +49,22 @@ from repro.faults import (
 )
 from repro.monitoring.gauges import LatestValueGauge
 from repro.monitoring.probes import CallbackProbe
-from repro.repair.history import RepairHistory
 from repro.repair.resilience import BreakerPolicy, QuarantinePolicy, RetryPolicy
 from repro.runtime import (
     AdaptationRuntime,
     AdaptationSpec,
     GaugeBinding,
-    IntentExecutor,
     ManagedApplication,
     ProbeBinding,
 )
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
-from repro.sim.trace import Trace
 from repro.styles.grid_site import (
     GRID_SITE_DSL,
     build_grid_site_family,
     build_grid_site_model,
     grid_site_operators,
 )
-from repro.util.rng import SeedSequenceFactory
 
 __all__ = [
     "GridSiteParams",
@@ -80,13 +78,6 @@ __all__ = [
 @dataclass(frozen=True)
 class GridSiteParams(ScenarioParams):
     """The grid-site scenario's typed knob block."""
-
-    LEGACY_FIELDS: ClassVar[Tuple[str, ...]] = (
-        "gauge_period",
-        "settle_time",
-        "failed_repair_cost",
-        "violation_policy",
-    )
 
     # grid shape: site i gets pools_per_site pools of
     # slots_per_pool + (i % slot_spread) slots — deterministic
@@ -222,6 +213,21 @@ class GridSiteParams(ScenarioParams):
         )
 
 
+#: the repair engine's counters GridSiteResult.resilience carries
+RESILIENCE_COUNTERS: Tuple[str, ...] = (
+    "timeouts",
+    "retries",
+    "effector_failures",
+    "quarantines",
+    "quarantine_skips",
+    "human_alerts",
+    "breaker_opened",
+    "breaker_recoveries",
+    "breaker_rejections",
+    "breakers_open",
+)
+
+
 @dataclass
 class GridSiteResult(RunResult):
     """The grid-site run, plus its resilience-machinery views."""
@@ -267,61 +273,27 @@ class PoissonArrivals:
             self._submit()
 
 
-class GridSiteTranslator(IntentExecutor):
+class GridSiteTranslator(CostedIntentExecutor):
     """Replays committed drain/resubmit intents onto the running grid.
 
-    Each committed repair gets its own translation process charging the
-    effector cost before the runtime operation lands.  When the scenario
-    runs with faults, the fault plane wraps this translator — so what
-    the engine actually calls may raise, silently no-op, or hang.
+    Each committed repair charges the effector cost before the runtime
+    operation lands.  When the scenario runs with faults, the fault
+    plane wraps this translator — so what the engine actually calls may
+    raise, silently no-op, or hang.
     """
 
     INTENT_OPS = frozenset({"drainSite", "resubmitPilots"})
 
-    def __init__(
-        self,
-        app: GridSiteApplication,
-        params: GridSiteParams,
-        trace: Optional[Trace] = None,
-    ):
-        self.app = app
-        self.params = params
-        self.sim = app.sim
-        self.trace = trace if trace is not None else app.trace
-        self.executed: List = []
+    def cost(self, intent) -> float:
+        if intent.op == "drainSite":
+            return self.params.drain_cost
+        return self.params.resubmit_cost
 
-    def execute(self, intents, on_done=None) -> Process:
-        return Process(
-            self.sim,
-            self._run(list(intents), on_done),
-            name="grid-site-translator",
-        )
-
-    def _run(self, intents, on_done):
-        params = self.params
-        for intent in intents:
-            if intent.op == "drainSite":
-                cost = params.drain_cost
-            elif intent.op == "resubmitPilots":
-                cost = params.resubmit_cost
-            else:
-                raise TranslationError(
-                    f"no grid-site mapping for intent {intent.op!r}"
-                )
-            self.trace.emit(
-                self.sim.now, "translate.begin",
-                op=intent.op, cost=cost, **intent.args,
-            )
-            if cost > 0:
-                yield self.sim.timeout(cost)
-            site = intent.args["site"]
-            if intent.op == "drainSite":
-                self.app.drain_site(site)
-            else:
-                self.app.resubmit_pilots(site)
-            self.executed.append(intent)
-        if on_done is not None:
-            on_done()
+    def apply(self, intent) -> None:
+        if intent.op == "drainSite":
+            self.app.drain_site(intent.args["site"])
+        else:
+            self.app.resubmit_pilots(intent.args["site"])
 
 
 class GridSiteManagedApplication(ManagedApplication):
@@ -352,42 +324,33 @@ class GridSiteManagedApplication(ManagedApplication):
             )
 
 
-class GridSiteMetricsSampler:
+class GridSiteMetricsSampler(PeriodicSampler):
     """Ground-truth sampling: throughput, backlog, site states."""
 
-    def __init__(self, experiment: "GridSiteExperiment"):
-        self.experiment = experiment
-        self.period = experiment.config.sample_period
-        self.series: Dict[str, TimeSeries] = {
-            "completed.total": TimeSeries("completed.total", "tasks"),
-            "backlog.total": TimeSeries("backlog.total", "tasks"),
-            "sites.down": TimeSeries("sites.down", "sites"),
-            "sites.drained": TimeSeries("sites.drained", "sites"),
-        }
-        for name in experiment.app.sites:
-            self.series[f"queue.{name}"] = TimeSeries(f"queue.{name}", "tasks")
-
-    def start(self) -> Process:
-        return Process(self.experiment.sim, self._run(), name="grid-site-metrics")
-
-    def _run(self):
-        sim = self.experiment.sim
-        while True:
-            self.sample()
-            yield sim.timeout(self.period)
+    def series_table(self):
+        yield "completed.total", "tasks"
+        yield "backlog.total", "tasks"
+        yield "sites.down", "sites"
+        yield "sites.drained", "sites"
+        for name in self.experiment.app.sites:
+            yield f"queue.{name}", "tasks"
 
     def sample(self) -> None:
         app = self.experiment.app
-        now = self.experiment.sim.now
-        self.series["completed.total"].append(now, float(app.completed))
-        self.series["backlog.total"].append(now, float(app.backlog()))
-        self.series["sites.down"].append(now, float(app.sites_down()))
-        self.series["sites.drained"].append(now, float(app.sites_drained()))
+        self.record("completed.total", float(app.completed))
+        self.record("backlog.total", float(app.backlog()))
+        self.record("sites.down", float(app.sites_down()))
+        self.record("sites.drained", float(app.sites_drained()))
         for name in app.sites:
-            self.series[f"queue.{name}"].append(now, float(app.queue_length(name)))
+            self.record(f"queue.{name}", float(app.queue_length(name)))
 
 
-class GridSiteExperiment:
+@register_scenario(
+    "grid_site",
+    params=GridSiteParams,
+    description="N failing grid sites: fault plane + resilient repairs",
+)
+class GridSiteExperiment(ScenarioExperiment):
     """One wired grid-site run (control or adapted), ready to run.
 
     Control runs get an **outages-only** fault plane built from the same
@@ -397,14 +360,12 @@ class GridSiteExperiment:
     owns the plane, wraps the translator and binds probes and buses.
     """
 
-    def __init__(self, config: Union[RunConfig, ScenarioConfig]):
-        config = as_run_config(config)
-        self.config = config
-        self.params: GridSiteParams = config.params
+    RESULT = GridSiteResult
+    SAMPLER = GridSiteMetricsSampler
+    params: GridSiteParams
+
+    def setup(self) -> None:
         params = self.params
-        self.sim = Simulator()
-        self.trace = Trace()
-        self.seeds = SeedSequenceFactory(config.seed)
         self.app = GridSiteApplication(
             self.sim,
             sites=params.site_specs(),
@@ -412,36 +373,31 @@ class GridSiteExperiment:
             rng=self.seeds.rng("grid_site.service"),
             trace=self.trace,
         )
-        self.arrivals = PoissonArrivals(
-            self.sim,
-            rate=params.arrival_rate,
-            rng=self.seeds.rng("grid_site.arrivals"),
-            submit=self.app.submit,
-        )
-        self.runtime: Optional[AdaptationRuntime] = None
-        self.control_plane: Optional[FaultPlane] = None
-        if config.adaptation:
-            self.runtime = AdaptationRuntime(
+        self.sources.append(
+            PoissonArrivals(
                 self.sim,
-                GridSiteManagedApplication(self.app, params),
-                self._adaptation_spec(),
-                trace=self.trace,
+                rate=params.arrival_rate,
+                rng=self.seeds.rng("grid_site.arrivals"),
+                submit=self.app.submit,
             )
-        elif params.faults_enabled:
+        )
+
+    def managed_application(self) -> GridSiteManagedApplication:
+        return GridSiteManagedApplication(self.app, self.params)
+
+    def _build_runtime(self) -> Optional[AdaptationRuntime]:
+        runtime = super()._build_runtime()
+        self.control_plane: Optional[FaultPlane] = None
+        if runtime is None and self.params.faults_enabled:
             self.control_plane = FaultPlane(
                 self.sim, self._fault_spec(outages_only=True), trace=self.trace
             )
-            for name in self.app.sites:
-                self.control_plane.bind_component(
-                    name,
-                    on_fail=partial(self.app.fail, name),
-                    on_recover=partial(self.app.recover, name),
-                )
-        self.metrics = GridSiteMetricsSampler(self)
+            self.managed_application().bind_faults(self.control_plane)
+        return runtime
 
-    def build(self) -> Optional[AdaptationRuntime]:
-        """The control plane bound to this config (Scenario protocol)."""
-        return self.runtime
+    def start_extras(self) -> None:
+        if self.control_plane is not None:
+            self.control_plane.start()
 
     # -- spec assembly -----------------------------------------------------
     def _fault_spec(self, outages_only: bool = False) -> Optional[FaultSpec]:
@@ -571,61 +527,18 @@ class GridSiteExperiment:
             history_capacity=params.history_capacity or None,
         )
 
-    # -- execution ---------------------------------------------------------
-    def run(self) -> GridSiteResult:
-        cfg = self.config
-        self.arrivals.start()
-        if self.runtime is not None:
-            self.runtime.start()
-        elif self.control_plane is not None:
-            self.control_plane.start()
-        self.metrics.start()
-        self.sim.run(until=cfg.horizon)
-        rt = self.runtime
-        stats = rt.stats() if rt is not None else None
-        fault_stats: Dict[str, Any] = (
-            dict(stats.faults) if stats is not None and stats.faults else {}
-        )
-        if rt is None and self.control_plane is not None:
-            fault_stats = self.control_plane.stats()
-        repair_stats = dict(stats.repairs) if stats is not None else {}
-        resilience = {
-            key: repair_stats[key]
-            for key in (
-                "timeouts", "retries", "effector_failures", "quarantines",
-                "quarantine_skips", "human_alerts", "breaker_opened",
-                "breaker_recoveries", "breaker_rejections", "breakers_open",
-            )
-            if key in repair_stats
+    def outcome(self, stats) -> Dict[str, Any]:
+        fields: Dict[str, Any] = {
+            **super().outcome(stats),
+            "stranded": self.app.stranded,
+            "resilience": {
+                key: stats.repairs[key]
+                for key in RESILIENCE_COUNTERS
+                if key in stats.repairs
+            },
         }
-        breaker_states: Dict[str, str] = {}
-        if rt is not None and rt.manager.breakers is not None:
-            breaker_states = rt.manager.breakers.states()
-        return GridSiteResult(
-            config=cfg,
-            series=self.metrics.series,
-            trace=self.trace,
-            history=rt.history if rt is not None else RepairHistory(),
-            issued=self.app.issued,
-            completed=self.app.completed,
-            dropped=0,
-            bus_stats=dict(stats.bus) if stats is not None else {},
-            gauge_stats=dict(stats.gauges) if stats is not None else {},
-            constraint_stats=dict(stats.constraints) if stats is not None else {},
-            telemetry_stats=dict(stats.telemetry) if stats is not None else {},
-            fault_stats=fault_stats,
-            stats=stats,
-            stranded=self.app.stranded,
-            resilience=resilience,
-            breaker_states=breaker_states,
-        )
-
-
-@register_scenario(
-    "grid_site",
-    params=GridSiteParams,
-    description="N failing grid sites: fault plane + resilient repairs",
-)
-def _build_grid_site(config: RunConfig) -> GridSiteExperiment:
-    """The failing-sites grid (robustness PR showcase)."""
-    return GridSiteExperiment(config)
+        if self.control_plane is not None:
+            fields["fault_stats"] = self.control_plane.stats()
+        if self.runtime is not None and self.manager.breakers is not None:
+            fields["breaker_states"] = self.manager.breakers.states()
+        return fields

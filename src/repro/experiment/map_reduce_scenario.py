@@ -38,41 +38,37 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List
 
 from repro.app.map_reduce_app import MapReduceApplication
 from repro.bus.bus import FixedDelay
 from repro.bus.queues import QUEUE_MODES
-from repro.errors import TranslationError
-from repro.experiment.config import RunConfig, as_run_config
+from repro.experiment.base import (
+    CostedIntentExecutor,
+    PeriodicSampler,
+    ScenarioExperiment,
+)
+from repro.experiment.config import RunConfig
 from repro.experiment.params import ScenarioParams
 from repro.experiment.result import RunResult
-from repro.experiment.scenario import ScenarioConfig
 from repro.experiment.scenarios import register_scenario
-from repro.experiment.series import TimeSeries
 from repro.experiment.workload import BurstArrivals
 from repro.monitoring.gauges import LatestValueGauge, WindowedMeanGauge
 from repro.monitoring.manager import WakeThreshold
 from repro.monitoring.probes import CallbackProbe
-from repro.repair.history import RepairHistory
 from repro.runtime import (
     AdaptationRuntime,
     AdaptationSpec,
     GaugeBinding,
-    IntentExecutor,
     ManagedApplication,
     ProbeBinding,
 )
-from repro.sim.kernel import Simulator
-from repro.sim.process import Process
-from repro.sim.trace import Trace
 from repro.styles.map_reduce import (
     MAP_REDUCE_DSL,
     build_map_reduce_family,
     build_map_reduce_model,
     map_reduce_operators,
 )
-from repro.util.rng import SeedSequenceFactory
 
 __all__ = [
     "MapReduceParams",
@@ -86,14 +82,6 @@ __all__ = [
 @dataclass(frozen=True)
 class MapReduceParams(ScenarioParams):
     """The shuffle-skew scenario's typed knob block."""
-
-    LEGACY_FIELDS: ClassVar[Tuple[str, ...]] = (
-        "gauge_period",
-        "gauge_caching",
-        "settle_time",
-        "failed_repair_cost",
-        "violation_policy",
-    )
 
     # job shape
     mappers: int = 2          # mapper pool width
@@ -214,7 +202,7 @@ class MapReduceResult(RunResult):
         }
 
 
-class MapReduceTranslator(IntentExecutor):
+class MapReduceTranslator(CostedIntentExecutor):
     """Replays committed keyspace splits and work steals on the job.
 
     Both operations pause for a coordination cost (re-partitioning the
@@ -225,58 +213,19 @@ class MapReduceTranslator(IntentExecutor):
 
     INTENT_OPS = frozenset({"splitPartition", "stealWork"})
 
-    def __init__(
-        self,
-        app: MapReduceApplication,
-        params: MapReduceParams,
-        gauge_manager=None,
-        trace: Optional[Trace] = None,
-    ):
-        self.app = app
-        self.params = params
-        self.sim = app.sim
-        self.gauge_manager = gauge_manager
-        self.trace = trace if trace is not None else app.trace
-        self.executed: List = []
+    def cost(self, intent) -> float:
+        if intent.op == "splitPartition":
+            return self.params.split_cost
+        return self.params.steal_cost
 
-    def execute(self, intents, on_done=None) -> Process:
-        return Process(
-            self.sim,
-            self._run(list(intents), on_done),
-            name="map-reduce-translator",
-        )
-
-    def _run(self, intents, on_done):
-        params = self.params
-        for intent in intents:
-            if intent.op == "splitPartition":
-                cost = params.split_cost
-            elif intent.op == "stealWork":
-                cost = params.steal_cost
-            else:
-                raise TranslationError(
-                    f"no map/reduce mapping for intent {intent.op!r}"
-                )
-            self.trace.emit(
-                self.sim.now,
-                "translate.begin",
-                op=intent.op,
-                cost=cost,
-                **intent.args,
-            )
-            if cost > 0:
-                yield self.sim.timeout(cost)
-            hot, dest = intent.args["reducer"], intent.args["dest"]
-            if intent.op == "splitPartition":
-                self.app.split_keys(hot, dest)
-                if self.gauge_manager is not None:
-                    for entity in (hot, dest):
-                        self.gauge_manager.redeploy_for(entity, params.redeploy_window)
-            else:
-                self.app.steal_queued(hot, dest)
-            self.executed.append(intent)
-        if on_done is not None:
-            on_done()
+    def apply(self, intent) -> None:
+        hot, dest = intent.args["reducer"], intent.args["dest"]
+        if intent.op == "splitPartition":
+            self.app.split_keys(hot, dest)
+            self.redeploy(hot)
+            self.redeploy(dest)
+        else:
+            self.app.steal_queued(hot, dest)
 
 
 class MapReduceManagedApplication(ManagedApplication):
@@ -306,59 +255,41 @@ class MapReduceManagedApplication(ManagedApplication):
         )
 
 
-class MapReduceMetricsSampler:
+class MapReduceMetricsSampler(PeriodicSampler):
     """Ground truth: per-reducer backlog, max share, mapper queue."""
 
-    def __init__(self, experiment: "MapReduceExperiment"):
-        self.experiment = experiment
-        self.period = experiment.config.sample_period
-        self.series: Dict[str, TimeSeries] = {
-            "mapper.backlog": TimeSeries("mapper.backlog", "records"),
-            "share.max": TimeSeries("share.max", ""),
-            "completed.total": TimeSeries("completed.total", "records"),
-            "repair.active": TimeSeries("repair.active", ""),
-        }
-        for reducer in experiment.app.reducer_names:
-            self.series[f"backlog.{reducer}"] = TimeSeries(
-                f"backlog.{reducer}", "records"
-            )
-
-    def start(self) -> Process:
-        return Process(self.experiment.sim, self._run(), name="map-reduce-metrics")
-
-    def _run(self):
-        sim = self.experiment.sim
-        while True:
-            self.sample()
-            yield sim.timeout(self.period)
+    def series_table(self):
+        yield "mapper.backlog", "records"
+        yield "share.max", ""
+        yield "completed.total", "records"
+        yield "repair.active", ""
+        for reducer in self.experiment.app.reducer_names:
+            yield f"backlog.{reducer}", "records"
 
     def sample(self) -> None:
-        exp = self.experiment
-        app = exp.app
-        now = exp.sim.now
+        app = self.experiment.app
         for reducer in app.reducer_names:
-            self.series[f"backlog.{reducer}"].append(now, float(app.backlog(reducer)))
-        self.series["mapper.backlog"].append(now, float(app.mapper_backlog()))
-        self.series["share.max"].append(
-            now, max(app.share(r) for r in app.reducer_names)
-        )
-        self.series["completed.total"].append(now, float(app.completed))
-        manager = exp.runtime.manager if exp.runtime is not None else None
-        busy = 1.0 if (manager is not None and manager.busy) else 0.0
-        self.series["repair.active"].append(now, busy)
+            self.record(f"backlog.{reducer}", float(app.backlog(reducer)))
+        self.record("mapper.backlog", float(app.mapper_backlog()))
+        self.record("share.max", max(app.share(r) for r in app.reducer_names))
+        self.record("completed.total", float(app.completed))
+        self.record("repair.active", self.repair_active())
 
 
-class MapReduceExperiment:
+@register_scenario(
+    "map_reduce",
+    params=MapReduceParams,
+    description="map/reduce shuffle skew: split partitions, steal work",
+)
+class MapReduceExperiment(ScenarioExperiment):
     """One wired shuffle-skew run (control or adapted), ready to run."""
 
-    def __init__(self, config: Union[RunConfig, ScenarioConfig]):
-        config = as_run_config(config)
-        self.config = config
-        self.params: MapReduceParams = config.params
+    RESULT = MapReduceResult
+    SAMPLER = MapReduceMetricsSampler
+    params: MapReduceParams
+
+    def setup(self) -> None:
         params = self.params
-        self.sim = Simulator()
-        self.trace = Trace()
-        self.seeds = SeedSequenceFactory(config.seed)
         self.app = MapReduceApplication(
             self.sim,
             mappers=params.mappers,
@@ -371,30 +302,20 @@ class MapReduceExperiment:
             record_rng=self.seeds.rng("map_reduce.records"),
             trace=self.trace,
         )
-        self.workload = BurstArrivals(
-            self.sim,
-            horizon=config.horizon,
-            baseline_rate=params.baseline_rate,
-            burst_rate=params.burst_rate,
-            rng=self.seeds.rng("map_reduce.source"),
-            submit=self.app.submit,
-            name="map-reduce-source",
-        )
-        self.burst_start = self.workload.burst_start
-        self.burst_end = self.workload.burst_end
-        self.runtime: Optional[AdaptationRuntime] = None
-        if config.adaptation:
-            self.runtime = AdaptationRuntime(
+        self.sources.append(
+            BurstArrivals(
                 self.sim,
-                MapReduceManagedApplication(self.app, params),
-                self._adaptation_spec(),
-                trace=self.trace,
+                horizon=self.config.horizon,
+                baseline_rate=params.baseline_rate,
+                burst_rate=params.burst_rate,
+                rng=self.seeds.rng("map_reduce.source"),
+                submit=self.app.submit,
+                name="map-reduce-source",
             )
-        self.metrics = MapReduceMetricsSampler(self)
+        )
 
-    def build(self) -> Optional[AdaptationRuntime]:
-        """The control plane bound to this config (Scenario protocol)."""
-        return self.runtime
+    def managed_application(self) -> MapReduceManagedApplication:
+        return MapReduceManagedApplication(self.app, self.params)
 
     def _adaptation_spec(self) -> AdaptationSpec:
         params = self.params
@@ -518,41 +439,11 @@ class MapReduceExperiment:
             wake_thresholds=wake_thresholds,
         )
 
-    # -- execution ---------------------------------------------------------
-    def run(self) -> MapReduceResult:
-        cfg = self.config
-        self.workload.start()
-        if self.runtime is not None:
-            self.runtime.start()
-        self.metrics.start()
-        self.sim.run(until=cfg.horizon)
-        rt = self.runtime
-        stats = rt.stats() if rt is not None else None
-        return MapReduceResult(
-            config=cfg,
-            series=self.metrics.series,
-            trace=self.trace,
-            history=rt.history if rt is not None else RepairHistory(),
-            issued=self.app.issued,
-            completed=self.app.completed,
-            dropped=0,
-            bus_stats=dict(stats.bus) if stats is not None else {},
-            gauge_stats=dict(stats.gauges) if stats is not None else {},
-            constraint_stats=dict(stats.constraints) if stats is not None else {},
-            telemetry_stats=dict(stats.telemetry) if stats is not None else {},
-            stats=stats,
-            splits=self.app.splits,
-            steals=self.app.steals,
-            moved_keys=self.app.moved_keys,
-            stolen_records=self.app.stolen_records,
-        )
-
-
-@register_scenario(
-    "map_reduce",
-    params=MapReduceParams,
-    description="map/reduce shuffle skew: split partitions, steal work",
-)
-def _build_map_reduce(config: RunConfig) -> MapReduceExperiment:
-    """The shuffle-skew scenario (ROADMAP open item)."""
-    return MapReduceExperiment(config)
+    def outcome(self, stats) -> Dict[str, Any]:
+        return {
+            **super().outcome(stats),
+            "splits": self.app.splits,
+            "steals": self.app.steals,
+            "moved_keys": self.app.moved_keys,
+            "stolen_records": self.app.stolen_records,
+        }

@@ -31,39 +31,35 @@ more work and ends back at its designed pool size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List
 
 from repro.app.master_worker_app import MasterWorkerApplication
 from repro.bus.bus import FixedDelay
-from repro.errors import TranslationError
-from repro.experiment.config import RunConfig, as_run_config
+from repro.experiment.base import (
+    CostedIntentExecutor,
+    PeriodicSampler,
+    ScenarioExperiment,
+)
+from repro.experiment.config import RunConfig
 from repro.experiment.params import ScenarioParams
 from repro.experiment.result import RunResult
-from repro.experiment.scenario import ScenarioConfig
 from repro.experiment.scenarios import register_scenario
-from repro.experiment.series import TimeSeries
 from repro.experiment.workload import BurstArrivals
 from repro.monitoring.gauges import EwmaGauge, LatestValueGauge, WindowedMeanGauge
 from repro.monitoring.probes import CallbackProbe
-from repro.repair.history import RepairHistory
 from repro.runtime import (
     AdaptationRuntime,
     AdaptationSpec,
     GaugeBinding,
-    IntentExecutor,
     ManagedApplication,
     ProbeBinding,
 )
-from repro.sim.kernel import Simulator
-from repro.sim.process import Process
-from repro.sim.trace import Trace
 from repro.styles.master_worker import (
     MASTER_WORKER_DSL,
     build_master_worker_family,
     build_master_worker_model,
     master_worker_operators,
 )
-from repro.util.rng import SeedSequenceFactory
 
 __all__ = [
     "MasterWorkerParams",
@@ -77,15 +73,6 @@ __all__ = [
 @dataclass(frozen=True)
 class MasterWorkerParams(ScenarioParams):
     """The task-farm scenario's typed knob block."""
-
-    LEGACY_FIELDS: ClassVar[Tuple[str, ...]] = (
-        "gauge_period",
-        "load_horizon",
-        "gauge_caching",
-        "settle_time",
-        "failed_repair_cost",
-        "violation_policy",
-    )
 
     # pool shape
     workers: int = 4          # initial (and designed minimum) pool size
@@ -168,7 +155,7 @@ class MasterWorkerResult(RunResult):
         }
 
 
-class MasterWorkerTranslator(IntentExecutor):
+class MasterWorkerTranslator(CostedIntentExecutor):
     """Replays committed pool-resize and re-dispatch intents.
 
     Pool resizes charge a per-step provisioning cost and blank the
@@ -179,58 +166,19 @@ class MasterWorkerTranslator(IntentExecutor):
 
     INTENT_OPS = frozenset({"addWorkers", "removeWorkers", "redispatchOldest"})
 
-    def __init__(
-        self,
-        app: MasterWorkerApplication,
-        params: MasterWorkerParams,
-        gauge_manager=None,
-        trace: Optional[Trace] = None,
-    ):
-        self.app = app
-        self.params = params
-        self.sim = app.sim
-        self.gauge_manager = gauge_manager
-        self.trace = trace if trace is not None else app.trace
-        self.executed: List = []
+    def cost(self, intent) -> float:
+        if intent.op == "addWorkers":
+            return self.params.spin_up_cost
+        if intent.op == "redispatchOldest":
+            return self.params.redispatch_cost
+        return 0.0  # removeWorkers: releasing a worker is free
 
-    def execute(self, intents, on_done=None) -> Process:
-        return Process(
-            self.sim,
-            self._run(list(intents), on_done),
-            name="master-worker-translator",
-        )
-
-    def _run(self, intents, on_done):
-        params = self.params
-        for intent in intents:
-            if intent.op in ("addWorkers", "removeWorkers"):
-                cost = params.spin_up_cost if intent.op == "addWorkers" else 0.0
-                self.trace.emit(
-                    self.sim.now, "translate.begin",
-                    op=intent.op, cost=cost, **intent.args,
-                )
-                if cost > 0:
-                    yield self.sim.timeout(cost)
-                self.app.set_pool_size(intent.args["size"])
-                if self.gauge_manager is not None:
-                    self.gauge_manager.redeploy_for(
-                        intent.args["pool"], params.redeploy_window
-                    )
-            elif intent.op == "redispatchOldest":
-                self.trace.emit(
-                    self.sim.now, "translate.begin",
-                    op=intent.op, cost=params.redispatch_cost, **intent.args,
-                )
-                if params.redispatch_cost > 0:
-                    yield self.sim.timeout(params.redispatch_cost)
-                self.app.redispatch_oldest()
-            else:
-                raise TranslationError(
-                    f"no master/worker mapping for intent {intent.op!r}"
-                )
-            self.executed.append(intent)
-        if on_done is not None:
-            on_done()
+    def apply(self, intent) -> None:
+        if intent.op == "redispatchOldest":
+            self.app.redispatch_oldest()
+        else:
+            self.app.set_pool_size(intent.args["size"])
+            self.redeploy(intent.args["pool"])
 
 
 class MasterWorkerManagedApplication(ManagedApplication):
@@ -259,55 +207,41 @@ class MasterWorkerManagedApplication(ManagedApplication):
         )
 
 
-class MasterWorkerMetricsSampler:
+class MasterWorkerMetricsSampler(PeriodicSampler):
     """Ground-truth sampling: queue depth, pool size, occupancy, age."""
 
-    def __init__(self, experiment: "MasterWorkerExperiment"):
-        self.experiment = experiment
-        self.period = experiment.config.sample_period
-        self.series: Dict[str, TimeSeries] = {
-            "queue.length": TimeSeries("queue.length", "tasks"),
-            "pool.size": TimeSeries("pool.size", "workers"),
-            "pool.utilization": TimeSeries("pool.utilization", ""),
-            "oldest.age": TimeSeries("oldest.age", "s"),
-            "repair.active": TimeSeries("repair.active", ""),
-        }
-
-    def start(self) -> Process:
-        return Process(
-            self.experiment.sim, self._run(), name="master-worker-metrics"
+    def series_table(self):
+        return (
+            ("queue.length", "tasks"),
+            ("pool.size", "workers"),
+            ("pool.utilization", ""),
+            ("oldest.age", "s"),
+            ("repair.active", ""),
         )
 
-    def _run(self):
-        sim = self.experiment.sim
-        while True:
-            self.sample()
-            yield sim.timeout(self.period)
-
     def sample(self) -> None:
-        exp = self.experiment
-        app = exp.app
-        now = exp.sim.now
-        self.series["queue.length"].append(now, float(app.queue_length))
-        self.series["pool.size"].append(now, float(app.pool_size))
-        self.series["pool.utilization"].append(now, app.utilization())
-        self.series["oldest.age"].append(now, app.oldest_age(now))
-        manager = exp.runtime.manager if exp.runtime is not None else None
-        busy = 1.0 if (manager is not None and manager.busy) else 0.0
-        self.series["repair.active"].append(now, busy)
+        app = self.experiment.app
+        self.record("queue.length", float(app.queue_length))
+        self.record("pool.size", float(app.pool_size))
+        self.record("pool.utilization", app.utilization())
+        self.record("oldest.age", app.oldest_age(self.experiment.sim.now))
+        self.record("repair.active", self.repair_active())
 
 
-class MasterWorkerExperiment:
+@register_scenario(
+    "master_worker",
+    params=MasterWorkerParams,
+    description="task farm: straggler re-dispatch, pool grow/shrink",
+)
+class MasterWorkerExperiment(ScenarioExperiment):
     """One wired task-farm run (control or adapted), ready to run."""
 
-    def __init__(self, config: Union[RunConfig, ScenarioConfig]):
-        config = as_run_config(config)
-        self.config = config
-        self.params: MasterWorkerParams = config.params
+    RESULT = MasterWorkerResult
+    SAMPLER = MasterWorkerMetricsSampler
+    params: MasterWorkerParams
+
+    def setup(self) -> None:
         params = self.params
-        self.sim = Simulator()
-        self.trace = Trace()
-        self.seeds = SeedSequenceFactory(config.seed)
         self.app = MasterWorkerApplication(
             self.sim,
             workers=params.workers,
@@ -318,30 +252,20 @@ class MasterWorkerExperiment:
             rescue_rng=self.seeds.rng("master_worker.rescue"),
             trace=self.trace,
         )
-        self.workload = BurstArrivals(
-            self.sim,
-            horizon=config.horizon,
-            baseline_rate=params.baseline_rate,
-            burst_rate=params.burst_rate,
-            rng=self.seeds.rng("master_worker.source"),
-            submit=self.app.submit,
-            name="master-worker-source",
-        )
-        self.burst_start = self.workload.burst_start
-        self.burst_end = self.workload.burst_end
-        self.runtime: Optional[AdaptationRuntime] = None
-        if config.adaptation:
-            self.runtime = AdaptationRuntime(
+        self.sources.append(
+            BurstArrivals(
                 self.sim,
-                MasterWorkerManagedApplication(self.app, params),
-                self._adaptation_spec(),
-                trace=self.trace,
+                horizon=self.config.horizon,
+                baseline_rate=params.baseline_rate,
+                burst_rate=params.burst_rate,
+                rng=self.seeds.rng("master_worker.source"),
+                submit=self.app.submit,
+                name="master-worker-source",
             )
-        self.metrics = MasterWorkerMetricsSampler(self)
+        )
 
-    def build(self) -> Optional[AdaptationRuntime]:
-        """The control plane bound to this config (Scenario protocol)."""
-        return self.runtime
+    def managed_application(self) -> MasterWorkerManagedApplication:
+        return MasterWorkerManagedApplication(self.app, self.params)
 
     def _adaptation_spec(self) -> AdaptationSpec:
         params = self.params
@@ -420,38 +344,9 @@ class MasterWorkerExperiment:
             violation_policy=params.violation_policy,
         )
 
-    # -- execution ---------------------------------------------------------
-    def run(self) -> MasterWorkerResult:
-        cfg = self.config
-        self.workload.start()
-        if self.runtime is not None:
-            self.runtime.start()
-        self.metrics.start()
-        self.sim.run(until=cfg.horizon)
-        rt = self.runtime
-        stats = rt.stats() if rt is not None else None
-        return MasterWorkerResult(
-            config=cfg,
-            series=self.metrics.series,
-            trace=self.trace,
-            history=rt.history if rt is not None else RepairHistory(),
-            issued=self.app.issued,
-            completed=self.app.completed,
-            dropped=0,
-            bus_stats=dict(stats.bus) if stats is not None else {},
-            gauge_stats=dict(stats.gauges) if stats is not None else {},
-            constraint_stats=dict(stats.constraints) if stats is not None else {},
-            stats=stats,
-            rescues=self.app.rescues,
-            straggler_tasks=self.app.straggler_tasks,
-        )
-
-
-@register_scenario(
-    "master_worker",
-    params=MasterWorkerParams,
-    description="task farm: straggler re-dispatch, pool grow/shrink",
-)
-def _build_master_worker(config: RunConfig) -> MasterWorkerExperiment:
-    """The grid task-farm scenario (ROADMAP open item)."""
-    return MasterWorkerExperiment(config)
+    def outcome(self, stats) -> Dict[str, Any]:
+        return {
+            **super().outcome(stats),
+            "rescues": self.app.rescues,
+            "straggler_tasks": self.app.straggler_tasks,
+        }

@@ -10,20 +10,18 @@ their delays and windows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.experiment.series import TimeSeries
-from repro.sim.process import Process
+from repro.experiment.base import PeriodicSampler
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiment.result import ClientServerResult
-    from repro.experiment.runner import Experiment
 
 __all__ = ["MetricsSampler", "ClaimReport", "extract_claims"]
 
 
-class MetricsSampler:
-    """Samples the running experiment into named time series.
+class MetricsSampler(PeriodicSampler):
+    """Samples the running client/server experiment into named series.
 
     Series:
 
@@ -39,55 +37,33 @@ class MetricsSampler:
 
     BANDWIDTH_CLIENTS = ("C3", "C4")
 
-    def __init__(self, experiment: "Experiment"):
-        self.experiment = experiment
-        self.period = experiment.config.sample_period
-        self.series: Dict[str, TimeSeries] = {}
-        for client in experiment.testbed.clients:
-            self._new(f"latency.{client}", "s")
-        for group in experiment.testbed.initial_groups:
-            self._new(f"load.{group}", "requests")
-            self._new(f"replication.{group}", "servers")
-            self._new(f"utilization.{group}", "")
+    def series_table(self):
+        testbed = self.experiment.testbed
+        for client in testbed.clients:
+            yield f"latency.{client}", "s"
+        for group in testbed.initial_groups:
+            yield f"load.{group}", "requests"
+            yield f"replication.{group}", "servers"
+            yield f"utilization.{group}", ""
         for client in self.BANDWIDTH_CLIENTS:
-            self._new(f"bandwidth.{client}", "bps")
-        self._new("repair.active", "")
-
-    def _new(self, name: str, unit: str) -> TimeSeries:
-        ts = TimeSeries(name, unit)
-        self.series[name] = ts
-        return ts
-
-    def start(self) -> Process:
-        return Process(
-            self.experiment.sim, self._run(), name="metrics-sampler"
-        )
-
-    def _run(self):
-        exp = self.experiment
-        sim = exp.sim
-        while True:
-            self.sample()
-            yield sim.timeout(self.period)
+            yield f"bandwidth.{client}", "bps"
+        yield "repair.active", ""
 
     def sample(self) -> None:
-        exp = self.experiment
-        now = exp.sim.now
-        for name, client in sorted(exp.app.clients.items()):
-            self.series[f"latency.{name}"].append(
-                now, client.latency_window.mean(now)
-            )
-        for name, group in sorted(exp.app.groups.items()):
-            self.series[f"load.{name}"].append(now, float(group.load))
-            self.series[f"replication.{name}"].append(now, float(group.replication))
-            self.series[f"utilization.{name}"].append(now, group.utilization(now))
+        app = self.experiment.app
+        now = self.experiment.sim.now
+        for name, client in sorted(app.clients.items()):
+            self.record(f"latency.{name}", client.latency_window.mean(now))
+        for name, group in sorted(app.groups.items()):
+            self.record(f"load.{name}", float(group.load))
+            self.record(f"replication.{name}", float(group.replication))
+            self.record(f"utilization.{name}", group.utilization(now))
         for client in self.BANDWIDTH_CLIENTS:
-            group = exp.app.rq.assignment_of(client)
-            self.series[f"bandwidth.{client}"].append(
-                now, exp.app.bandwidth_between(client, group)
+            group = app.rq.assignment_of(client)
+            self.record(
+                f"bandwidth.{client}", app.bandwidth_between(client, group)
             )
-        busy = 1.0 if (exp.manager is not None and exp.manager.busy) else 0.0
-        self.series["repair.active"].append(now, busy)
+        self.record("repair.active", self.repair_active())
 
 
 # ---------------------------------------------------------------------------

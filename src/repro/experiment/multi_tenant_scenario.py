@@ -23,40 +23,38 @@ latency violates its bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Optional, Tuple, Union
+from typing import Any, ClassVar, Dict, List, Optional
 
 from repro.app.multi_tenant_app import MultiTenantApplication
 from repro.bus.bus import FixedDelay
-from repro.errors import TranslationError
-from repro.experiment.config import RunConfig, as_run_config
+from repro.experiment.base import (
+    CostedIntentExecutor,
+    PeriodicSampler,
+    ScenarioExperiment,
+)
+from repro.experiment.config import RunConfig
 from repro.experiment.params import ScenarioParams
 from repro.experiment.result import RunResult
-from repro.experiment.scenario import ScenarioConfig
 from repro.experiment.scenarios import register_scenario
-from repro.experiment.series import TimeSeries
 from repro.monitoring.gauges import EwmaGauge, LatestValueGauge
 from repro.monitoring.manager import WakeThreshold
 from repro.monitoring.probes import CallbackProbe
-from repro.repair.history import RepairHistory
 from repro.runtime import (
     AdaptationRuntime,
     AdaptationSpec,
     GaugeBinding,
-    IntentExecutor,
     ManagedApplication,
     ProbeBinding,
 )
 from repro.runtime.sharding import ShardingSpec, shard_key_names
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
-from repro.sim.trace import Trace
 from repro.styles.multi_tenant import (
     MULTI_TENANT_DSL,
     build_multi_tenant_family,
     build_multi_tenant_model,
     multi_tenant_operators,
 )
-from repro.util.rng import SeedSequenceFactory
 from repro.util.windows import StepFunction
 
 __all__ = [
@@ -73,14 +71,6 @@ __all__ = [
 @dataclass(frozen=True)
 class MultiTenantParams(ScenarioParams):
     """The multi-tenant scenario's typed knob block."""
-
-    LEGACY_FIELDS: ClassVar[Tuple[str, ...]] = (
-        "gauge_period",
-        "gauge_caching",
-        "settle_time",
-        "failed_repair_cost",
-        "violation_policy",
-    )
 
     # tenancy shape
     tenants: int = 6            # tenant count (pools are named T0..T{n-1})
@@ -187,6 +177,23 @@ class MultiTenantParams(ScenarioParams):
             )
 
 
+@dataclass(frozen=True)
+class MultiTenantShardedParams(MultiTenantParams):
+    """The sharded multi-tenant variant's defaults.
+
+    Per-shard repair loops are serial — the paper's engine, one repair
+    at a time *per shard* — so all observed concurrency comes from the
+    sharding itself.  Tenants map to shards by their numeric suffix
+    (``T7`` -> ``7 % shards``), keeping each shard's pool set stable as
+    the tenant count grows.
+    """
+
+    concurrency: str = "serial"
+    sharding: Optional[ShardingSpec] = ShardingSpec(
+        shards=3, key="numeric_suffix"
+    )
+
+
 @dataclass
 class MultiTenantResult(RunResult):
     """The multi-tenant run, plus its per-tenant and scheduling views."""
@@ -283,60 +290,24 @@ class SurgeArrivals:
             self._submit(self.tenant)
 
 
-class MultiTenantTranslator(IntentExecutor):
+class MultiTenantTranslator(CostedIntentExecutor):
     """Replays committed per-tenant pool resizes onto the running farms.
 
     Growing charges the provisioning cost and blanks that tenant's gauges
     for the redeployment window; shrinking releases workers immediately
-    (they retire lazily as their current tasks finish).  Each committed
-    repair gets its own translation process, so concurrent repairs'
-    translations genuinely overlap in simulated time.
+    (they retire lazily as their current tasks finish).
     """
 
     INTENT_OPS = frozenset({"resizeTenant"})
 
-    def __init__(
-        self,
-        app: MultiTenantApplication,
-        params: MultiTenantParams,
-        gauge_manager=None,
-        trace: Optional[Trace] = None,
-    ):
-        self.app = app
-        self.params = params
-        self.sim = app.sim
-        self.gauge_manager = gauge_manager
-        self.trace = trace if trace is not None else app.trace
-        self.executed: List = []
+    def cost(self, intent) -> float:
+        return self.params.spin_up_cost if intent.args.get("grew") else 0.0
 
-    def execute(self, intents, on_done=None) -> Process:
-        return Process(
-            self.sim,
-            self._run(list(intents), on_done),
-            name="multi-tenant-translator",
-        )
-
-    def _run(self, intents, on_done):
-        params = self.params
-        for intent in intents:
-            if intent.op != "resizeTenant":
-                raise TranslationError(
-                    f"no multi-tenant mapping for intent {intent.op!r}"
-                )
-            cost = params.spin_up_cost if intent.args.get("grew") else 0.0
-            self.trace.emit(
-                self.sim.now, "translate.begin",
-                op=intent.op, cost=cost, **intent.args,
-            )
-            if cost > 0:
-                yield self.sim.timeout(cost)
-            tenant = intent.args["tenant"]
-            self.app.set_pool_size(tenant, intent.args["size"])
-            if self.gauge_manager is not None and intent.args.get("grew"):
-                self.gauge_manager.redeploy_for(tenant, params.redeploy_window)
-            self.executed.append(intent)
-        if on_done is not None:
-            on_done()
+    def apply(self, intent) -> None:
+        tenant = intent.args["tenant"]
+        self.app.set_pool_size(tenant, intent.args["size"])
+        if intent.args.get("grew"):
+            self.redeploy(tenant)
 
 
 class MultiTenantManagedApplication(ManagedApplication):
@@ -366,67 +337,53 @@ class MultiTenantManagedApplication(ManagedApplication):
         )
 
 
-class MultiTenantMetricsSampler:
+class MultiTenantMetricsSampler(PeriodicSampler):
     """Ground-truth sampling: per-tenant latency/size, violation count."""
 
-    def __init__(self, experiment: "MultiTenantExperiment"):
-        self.experiment = experiment
-        self.period = experiment.config.sample_period
-        self.series: Dict[str, TimeSeries] = {
-            "violating.count": TimeSeries("violating.count", "tenants"),
-            "repairs.inflight": TimeSeries("repairs.inflight", ""),
-        }
-        for tenant in experiment.app.tenants:
-            self.series[f"latency.{tenant}"] = TimeSeries(
-                f"latency.{tenant}", "s"
-            )
-            self.series[f"size.{tenant}"] = TimeSeries(
-                f"size.{tenant}", "workers"
-            )
-
-    def start(self) -> Process:
-        return Process(
-            self.experiment.sim, self._run(), name="multi-tenant-metrics"
-        )
-
-    def _run(self):
-        sim = self.experiment.sim
-        while True:
-            self.sample()
-            yield sim.timeout(self.period)
+    def series_table(self):
+        yield "violating.count", "tenants"
+        yield "repairs.inflight", ""
+        for tenant in self.experiment.app.tenants:
+            yield f"latency.{tenant}", "s"
+            yield f"size.{tenant}", "workers"
 
     def sample(self) -> None:
         exp = self.experiment
         app = exp.app
-        now = exp.sim.now
         violating = 0
         for tenant in app.tenants:
             latency = app.latency(tenant)
             if latency > exp.params.max_latency:
                 violating += 1
-            self.series[f"latency.{tenant}"].append(now, latency)
-            self.series[f"size.{tenant}"].append(
-                now, float(app.pool_size(tenant))
-            )
-        self.series["violating.count"].append(now, float(violating))
-        manager = exp.runtime.manager if exp.runtime is not None else None
+            self.record(f"latency.{tenant}", latency)
+            self.record(f"size.{tenant}", float(app.pool_size(tenant)))
+        self.record("violating.count", float(violating))
+        manager = exp.manager
         inflight = 0.0
         if manager is not None:
-            inflight = float(manager.inflight) or (1.0 if manager.busy else 0.0)
-        self.series["repairs.inflight"].append(now, inflight)
+            inflight = float(manager.inflight) or self.repair_active()
+        self.record("repairs.inflight", inflight)
 
 
-class MultiTenantExperiment:
+@register_scenario(
+    "multi_tenant",
+    params=MultiTenantParams,
+    description="N tenant farms: per-tenant fairness, concurrent repairs",
+)
+@register_scenario(
+    "multi_tenant_sharded",
+    params=MultiTenantShardedParams,
+    description="tenant farms on a sharded control plane: per-shard loops",
+)
+class MultiTenantExperiment(ScenarioExperiment):
     """One wired multi-tenant run (control or adapted), ready to run."""
 
-    def __init__(self, config: Union[RunConfig, ScenarioConfig]):
-        config = as_run_config(config)
-        self.config = config
-        self.params: MultiTenantParams = config.params
+    RESULT = MultiTenantResult
+    SAMPLER = MultiTenantMetricsSampler
+    params: MultiTenantParams
+
+    def setup(self) -> None:
         params = self.params
-        self.sim = Simulator()
-        self.trace = Trace()
-        self.seeds = SeedSequenceFactory(config.seed)
         self.app = MultiTenantApplication(
             self.sim,
             tenants=params.tenant_names(),
@@ -436,7 +393,7 @@ class MultiTenantExperiment:
             trace=self.trace,
         )
         surged = set(params.surged())
-        self.arrivals = [
+        self.sources = [
             SurgeArrivals(
                 self.sim,
                 tenant,
@@ -452,19 +409,9 @@ class MultiTenantExperiment:
             )
             for tenant in params.tenant_names()
         ]
-        self.runtime: Optional[AdaptationRuntime] = None
-        if config.adaptation:
-            self.runtime = AdaptationRuntime(
-                self.sim,
-                MultiTenantManagedApplication(self.app, params),
-                self._adaptation_spec(),
-                trace=self.trace,
-            )
-        self.metrics = MultiTenantMetricsSampler(self)
 
-    def build(self) -> Optional[AdaptationRuntime]:
-        """The control plane bound to this config (Scenario protocol)."""
-        return self.runtime
+    def managed_application(self) -> MultiTenantManagedApplication:
+        return MultiTenantManagedApplication(self.app, self.params)
 
     def _adaptation_spec(self) -> AdaptationSpec:
         params = self.params
@@ -562,68 +509,9 @@ class MultiTenantExperiment:
             sharding=params.sharding,
         )
 
-    # -- execution ---------------------------------------------------------
-    def run(self) -> MultiTenantResult:
-        cfg = self.config
-        for stream in self.arrivals:
-            stream.start()
-        if self.runtime is not None:
-            self.runtime.start()
-        self.metrics.start()
-        self.sim.run(until=cfg.horizon)
-        rt = self.runtime
-        stats = rt.stats() if rt is not None else None
-        repair_stats = dict(stats.repairs) if stats is not None else {}
-        return MultiTenantResult(
-            config=cfg,
-            series=self.metrics.series,
-            trace=self.trace,
-            history=rt.history if rt is not None else RepairHistory(),
-            issued=self.app.issued,
-            completed=self.app.completed,
-            dropped=0,
-            bus_stats=dict(stats.bus) if stats is not None else {},
-            gauge_stats=dict(stats.gauges) if stats is not None else {},
-            constraint_stats=dict(stats.constraints) if stats is not None else {},
-            telemetry_stats=dict(stats.telemetry) if stats is not None else {},
-            stats=stats,
-            conflicts=repair_stats.get("conflicts", 0),
-            peak_inflight=repair_stats.get("peak_inflight", 0),
-        )
-
-
-@register_scenario(
-    "multi_tenant",
-    params=MultiTenantParams,
-    description="N tenant farms: per-tenant fairness, concurrent repairs",
-)
-def _build_multi_tenant(config: RunConfig) -> MultiTenantExperiment:
-    """The multi-tenant grid service (ROADMAP open item)."""
-    return MultiTenantExperiment(config)
-
-
-@dataclass(frozen=True)
-class MultiTenantShardedParams(MultiTenantParams):
-    """The sharded multi-tenant variant's defaults.
-
-    Per-shard repair loops are serial — the paper's engine, one repair
-    at a time *per shard* — so all observed concurrency comes from the
-    sharding itself.  Tenants map to shards by their numeric suffix
-    (``T7`` -> ``7 % shards``), keeping each shard's pool set stable as
-    the tenant count grows.
-    """
-
-    concurrency: str = "serial"
-    sharding: Optional[ShardingSpec] = ShardingSpec(
-        shards=3, key="numeric_suffix"
-    )
-
-
-@register_scenario(
-    "multi_tenant_sharded",
-    params=MultiTenantShardedParams,
-    description="tenant farms on a sharded control plane: per-shard loops",
-)
-def _build_multi_tenant_sharded(config: RunConfig) -> MultiTenantExperiment:
-    """The multi-tenant service on a sharded control plane."""
-    return MultiTenantExperiment(config)
+    def outcome(self, stats) -> Dict[str, Any]:
+        return {
+            **super().outcome(stats),
+            "conflicts": stats.repairs.get("conflicts", 0),
+            "peak_inflight": stats.repairs.get("peak_inflight", 0),
+        }

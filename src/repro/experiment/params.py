@@ -11,18 +11,12 @@ alongside the scenario's builder::
 Param blocks are frozen dataclasses, so they hash and compose into the
 result cache's key; :meth:`ScenarioParams.validate` runs when a config is
 resolved, before any simulation is built.
-
-``LEGACY_FIELDS`` names the :class:`~repro.experiment.scenario.ScenarioConfig`
-knobs a block adopts when a legacy config is converted through the
-deprecation shim — the fields the old god-config actually fed this
-scenario.  The default (every field the block declares) is right for
-:class:`ClientServerParams`, whose fields *are* the old config's fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass, replace
-from typing import TYPE_CHECKING, Any, ClassVar, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, ClassVar, Dict, Tuple
 
 from repro.errors import ReproError
 
@@ -41,10 +35,6 @@ __all__ = [
 class ScenarioParams:
     """Base class (and the no-knob default) for scenario param blocks."""
 
-    #: ScenarioConfig field names the deprecation shim copies into this
-    #: block; ``None`` means "every field this block declares".
-    LEGACY_FIELDS: ClassVar[Optional[Tuple[str, ...]]] = None
-
     #: nested frozen config blocks reachable through dotted ``but`` keys
     #: (``sharding.shards=4``): field name -> block type, used to build a
     #: default instance when the field is currently ``None``
@@ -53,10 +43,6 @@ class ScenarioParams:
     @classmethod
     def field_names(cls) -> Tuple[str, ...]:
         return tuple(f.name for f in fields(cls))
-
-    @classmethod
-    def legacy_fields(cls) -> Tuple[str, ...]:
-        return cls.LEGACY_FIELDS if cls.LEGACY_FIELDS is not None else cls.field_names()
 
     def but(self, **changes: Any) -> "ScenarioParams":
         """A modified copy; rejects names the block does not declare.
@@ -150,12 +136,7 @@ class ScenarioParams:
 
 @dataclass(frozen=True)
 class ClientServerParams(ScenarioParams):
-    """The paper's Figure 6/7 client/server testbed knobs.
-
-    Field names and defaults mirror the legacy ``ScenarioConfig`` exactly,
-    so legacy configs convert value-for-value (and the adapted-run
-    fingerprint stays bit-for-bit identical through both front doors).
-    """
+    """The paper's Figure 6/7 client/server testbed knobs."""
 
     # adaptation stack
     underutilization_repair: bool = True
@@ -225,23 +206,7 @@ PIPELINE_STAGES: Tuple[Tuple[str, int, float], ...] = (
 
 @dataclass(frozen=True)
 class PipelineParams(ScenarioParams):
-    """The batch-pipeline scenario's knobs (stages, burst, budgets).
-
-    Only the adaptation-machinery fields are adopted from legacy configs
-    (``LEGACY_FIELDS``): the legacy god-config never carried pipeline
-    workload knobs — those were module constants — and its client/server
-    thresholds (e.g. ``min_utilization``) must not leak in.
-    """
-
-    LEGACY_FIELDS: ClassVar[Tuple[str, ...]] = (
-        "gauge_period",
-        "load_probe_period",
-        "load_horizon",
-        "gauge_caching",
-        "settle_time",
-        "failed_repair_cost",
-        "violation_policy",
-    )
+    """The batch-pipeline scenario's knobs (stages, burst, budgets)."""
 
     #: (name, initial width, service seconds/item) per stage, in order
     stages: Tuple[Tuple[str, int, float], ...] = PIPELINE_STAGES

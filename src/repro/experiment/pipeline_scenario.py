@@ -23,11 +23,10 @@ translator, but zero new control-plane machinery:
   redeployment window.
 
 Every knob lives in the typed
-:class:`~repro.experiment.params.PipelineParams` block (the module-level
-constants are kept as aliases of its defaults for compatibility); the
-scenario consumes a scenario-neutral
-:class:`~repro.experiment.config.RunConfig` and returns a
-:class:`~repro.experiment.result.PipelineResult`.
+:class:`~repro.experiment.params.PipelineParams` block; the scenario
+consumes a scenario-neutral :class:`~repro.experiment.config.RunConfig`
+through the shared :class:`~repro.experiment.base.ScenarioExperiment`
+skeleton and returns a :class:`~repro.experiment.result.PipelineResult`.
 
 The control run injects the identical seeded workload with no adaptation:
 the bottleneck backlog grows throughout the burst and never drains inside
@@ -36,38 +35,34 @@ the horizon, while the adapted run widens the stage and recovers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import List, Optional
 
 from repro.app.pipeline_app import PipelineApplication
 from repro.bus.bus import FixedDelay
-from repro.errors import TranslationError
-from repro.experiment.config import RunConfig, as_run_config
-from repro.experiment.params import PIPELINE_STAGES, PipelineParams
+from repro.experiment.base import (
+    CostedIntentExecutor,
+    PeriodicSampler,
+    ScenarioExperiment,
+)
+from repro.experiment.params import PipelineParams
 from repro.experiment.result import PipelineResult
-from repro.experiment.scenario import ScenarioConfig
-from repro.experiment.series import TimeSeries
+from repro.experiment.scenarios import register_scenario
 from repro.experiment.workload import BurstArrivals
 from repro.monitoring.gauges import BacklogGauge, UtilizationGauge
 from repro.monitoring.probes import StageBacklogProbe, StageUtilizationProbe
-from repro.repair.history import RepairHistory
 from repro.runtime import (
     AdaptationRuntime,
     AdaptationSpec,
     GaugeBinding,
-    IntentExecutor,
     ManagedApplication,
     ProbeBinding,
 )
-from repro.sim.kernel import Simulator
-from repro.sim.process import Process
-from repro.sim.trace import Trace
 from repro.styles.pipeline import (
     PIPELINE_DSL,
     build_pipeline_family,
     build_pipeline_model,
     pipeline_operators,
 )
-from repro.util.rng import SeedSequenceFactory
 
 __all__ = [
     "PipelineExperiment",
@@ -75,70 +70,24 @@ __all__ = [
     "PipelineTranslator",
 ]
 
-#: compatibility aliases for the typed defaults in PipelineParams
-_DEFAULTS = PipelineParams()
-STAGES = PIPELINE_STAGES
-BASELINE_RATE = _DEFAULTS.baseline_rate
-BURST_RATE = _DEFAULTS.burst_rate
-MAX_BACKLOG = _DEFAULTS.max_backlog
-LOW_WATER = _DEFAULTS.low_water
-MIN_UTILIZATION = _DEFAULTS.min_utilization
-WORKER_BUDGET = _DEFAULTS.worker_budget
-WIDEN_COST = _DEFAULTS.widen_cost
-REDEPLOY_WINDOW = _DEFAULTS.redeploy_window
 
-
-class PipelineTranslator(IntentExecutor):
+class PipelineTranslator(CostedIntentExecutor):
     """Replays committed ``widenStage``/``narrowStage`` intents.
 
     The pipeline analogue of :class:`~repro.translation.translator.Translator`:
-    each intent charges its cost *before* taking effect, then triggers a
-    gauge redeployment for the affected stage (the monitoring blind spot).
+    each intent charges the worker spin-up cost *before* taking effect,
+    then triggers a gauge redeployment for the affected stage (the
+    monitoring blind spot).
     """
 
     INTENT_OPS = frozenset({"widenStage", "narrowStage"})
 
-    def __init__(
-        self,
-        app: PipelineApplication,
-        gauge_manager=None,
-        trace: Optional[Trace] = None,
-        widen_cost: float = WIDEN_COST,
-        redeploy_window: float = REDEPLOY_WINDOW,
-    ):
-        self.app = app
-        self.sim = app.sim
-        self.gauge_manager = gauge_manager
-        self.trace = trace if trace is not None else app.trace
-        self.widen_cost = float(widen_cost)
-        self.redeploy_window = float(redeploy_window)
-        self.executed: List = []
+    def cost(self, intent) -> float:
+        return self.params.widen_cost
 
-    def execute(self, intents, on_done=None) -> Process:
-        return Process(
-            self.sim, self._run(list(intents), on_done), name="pipeline-translator"
-        )
-
-    def _run(self, intents, on_done):
-        for intent in intents:
-            if intent.op not in ("widenStage", "narrowStage"):
-                raise TranslationError(
-                    f"no pipeline mapping for intent {intent.op!r}"
-                )
-            self.trace.emit(
-                self.sim.now, "translate.begin",
-                op=intent.op, cost=self.widen_cost, **intent.args,
-            )
-            if self.widen_cost > 0:
-                yield self.sim.timeout(self.widen_cost)
-            self.app.set_width(intent.args["stage"], intent.args["width"])
-            self.executed.append(intent)
-            if self.gauge_manager is not None:
-                self.gauge_manager.redeploy_for(
-                    intent.args["stage"], self.redeploy_window
-                )
-        if on_done is not None:
-            on_done()
+    def apply(self, intent) -> None:
+        self.app.set_width(intent.args["stage"], intent.args["width"])
+        self.redeploy(intent.args["stage"])
 
 
 class PipelineManagedApplication(ManagedApplication):
@@ -167,14 +116,13 @@ class PipelineManagedApplication(ManagedApplication):
     def intent_executor(self, runtime: AdaptationRuntime) -> PipelineTranslator:
         return PipelineTranslator(
             self.app,
+            self.params,
             gauge_manager=runtime.gauge_manager,
             trace=runtime.trace,
-            widen_cost=self.params.widen_cost,
-            redeploy_window=self.params.redeploy_window,
         )
 
 
-class PipelineMetricsSampler:
+class PipelineMetricsSampler(PeriodicSampler):
     """Out-of-band ground-truth sampling for the pipeline scenario.
 
     Series: ``backlog.<stage>``, ``width.<stage>``, and ``repair.active``
@@ -182,73 +130,48 @@ class PipelineMetricsSampler:
     result consumers work unchanged).
     """
 
-    def __init__(self, experiment: "PipelineExperiment"):
-        self.experiment = experiment
-        self.period = experiment.config.sample_period
-        self.series: Dict[str, TimeSeries] = {}
-        for stage in experiment.app.stage_order:
-            self.series[f"backlog.{stage}"] = TimeSeries(f"backlog.{stage}", "items")
-            self.series[f"width.{stage}"] = TimeSeries(f"width.{stage}", "workers")
-        self.series["repair.active"] = TimeSeries("repair.active", "")
-
-    def start(self) -> Process:
-        return Process(
-            self.experiment.sim, self._run(), name="pipeline-metrics-sampler"
-        )
-
-    def _run(self):
-        sim = self.experiment.sim
-        while True:
-            self.sample()
-            yield sim.timeout(self.period)
+    def series_table(self):
+        for stage in self.experiment.app.stage_order:
+            yield f"backlog.{stage}", "items"
+            yield f"width.{stage}", "workers"
+        yield "repair.active", ""
 
     def sample(self) -> None:
-        exp = self.experiment
-        now = exp.sim.now
-        for stage in exp.app.stages:
-            self.series[f"backlog.{stage.name}"].append(now, float(stage.backlog))
-            self.series[f"width.{stage.name}"].append(now, float(stage.width))
-        manager = exp.runtime.manager if exp.runtime is not None else None
-        busy = 1.0 if (manager is not None and manager.busy) else 0.0
-        self.series["repair.active"].append(now, busy)
+        for stage in self.experiment.app.stages:
+            self.record(f"backlog.{stage.name}", float(stage.backlog))
+            self.record(f"width.{stage.name}", float(stage.width))
+        self.record("repair.active", self.repair_active())
 
 
-class PipelineExperiment:
+@register_scenario(
+    "pipeline",
+    params=PipelineParams,
+    description="batch pipeline: widen on backlog, narrow when idle",
+)
+class PipelineExperiment(ScenarioExperiment):
     """One wired pipeline run (control or adapted), ready to run."""
 
-    def __init__(self, config: Union[RunConfig, ScenarioConfig]):
-        config = as_run_config(config)
-        self.config = config
-        self.params: PipelineParams = config.params
-        params = self.params
-        self.sim = Simulator()
-        self.trace = Trace()
-        self.seeds = SeedSequenceFactory(config.seed)
-        self.app = PipelineApplication(self.sim, params.stages, trace=self.trace)
-        self.workload = BurstArrivals(
-            self.sim,
-            horizon=config.horizon,
-            baseline_rate=params.baseline_rate,
-            burst_rate=params.burst_rate,
-            rng=self.seeds.rng("pipeline.source"),
-            submit=self.app.submit,
-            name="pipeline-source",
-        )
-        self.burst_start = self.workload.burst_start
-        self.burst_end = self.workload.burst_end
-        self.runtime: Optional[AdaptationRuntime] = None
-        if config.adaptation:
-            self.runtime = AdaptationRuntime(
-                self.sim,
-                PipelineManagedApplication(self.app, params),
-                self._adaptation_spec(),
-                trace=self.trace,
-            )
-        self.metrics = PipelineMetricsSampler(self)
+    RESULT = PipelineResult
+    SAMPLER = PipelineMetricsSampler
+    params: PipelineParams
 
-    def build(self) -> Optional[AdaptationRuntime]:
-        """The control plane bound to this config (Scenario protocol)."""
-        return self.runtime
+    def setup(self) -> None:
+        params = self.params
+        self.app = PipelineApplication(self.sim, params.stages, trace=self.trace)
+        self.sources.append(
+            BurstArrivals(
+                self.sim,
+                horizon=self.config.horizon,
+                baseline_rate=params.baseline_rate,
+                burst_rate=params.burst_rate,
+                rng=self.seeds.rng("pipeline.source"),
+                submit=self.app.submit,
+                name="pipeline-source",
+            )
+        )
+
+    def managed_application(self) -> PipelineManagedApplication:
+        return PipelineManagedApplication(self.app, self.params)
 
     def _adaptation_spec(self) -> AdaptationSpec:
         params = self.params
@@ -300,28 +223,4 @@ class PipelineExperiment:
             settle_time=params.settle_time,
             failed_repair_cost=params.failed_repair_cost,
             violation_policy=params.violation_policy,
-        )
-
-    # -- execution ---------------------------------------------------------
-    def run(self) -> PipelineResult:
-        cfg = self.config
-        self.workload.start()
-        if self.runtime is not None:
-            self.runtime.start()
-        self.metrics.start()
-        self.sim.run(until=cfg.horizon)
-        rt = self.runtime
-        stats = rt.stats() if rt is not None else None
-        return PipelineResult(
-            config=cfg,
-            series=self.metrics.series,
-            trace=self.trace,
-            history=rt.history if rt is not None else RepairHistory(),
-            issued=self.app.issued,
-            completed=self.app.completed,
-            dropped=0,
-            bus_stats=dict(stats.bus) if stats is not None else {},
-            gauge_stats=dict(stats.gauges) if stats is not None else {},
-            constraint_stats=dict(stats.constraints) if stats is not None else {},
-            stats=stats,
         )

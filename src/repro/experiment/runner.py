@@ -11,30 +11,29 @@ spec entirely — the same application under the same seeded workload with
 no adaptation.
 
 The module also owns the shared execution front door:
-:func:`run_scenario` normalizes any accepted config shape (the
-scenario-neutral :class:`~repro.experiment.config.RunConfig` or the
-legacy :class:`~repro.experiment.scenario.ScenarioConfig` shim, which
-converts bit-for-bit), dispatches through the scenario registry, and
-caches results in a bounded LRU keyed by the resolved config — so equal
-configurations share one 30-minute simulation regardless of which front
-door requested it.
+:func:`run_scenario` resolves the scenario-neutral
+:class:`~repro.experiment.config.RunConfig`, dispatches through the
+scenario registry, and caches results in a bounded LRU keyed by the
+resolved config — so equal configurations share one 30-minute simulation
+no matter who asked for it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.app.client import Client
 from repro.app.env_manager import EnvironmentManager
 from repro.app.server import Server
 from repro.app.system import GridApplication
-from repro.bus.bus import CallableDelay, EventBus, FixedDelay
+from repro.bus.bus import CallableDelay, FixedDelay
+from repro.experiment.base import ScenarioExperiment
 from repro.experiment.config import RunConfig, as_run_config
 from repro.experiment.metrics import MetricsSampler
 from repro.experiment.params import ClientServerParams
 from repro.experiment.result import ClientServerResult, RunResult
-from repro.experiment.scenario import ScenarioConfig
+from repro.experiment.scenarios import register_scenario, scenario_entry
 from repro.experiment.testbed import Testbed, build_testbed
 from repro.experiment.workload import Workload, build_workload
 from repro.monitoring.consumers import ModelUpdater
@@ -54,7 +53,6 @@ from repro.net.flows import FlowNetwork
 from repro.net.remos import RemosService
 from repro.net.traffic import CrossTrafficGenerator
 from repro.repair.context import AppRuntimeView, RuntimeView
-from repro.repair.history import RepairHistory
 from repro.runtime import (
     AdaptationRuntime,
     AdaptationSpec,
@@ -62,8 +60,6 @@ from repro.runtime import (
     ManagedApplication,
     ProbeBinding,
 )
-from repro.sim.kernel import Simulator
-from repro.sim.trace import Trace
 from repro.styles.client_server import (
     FIGURE5_DSL,
     UNDERUTILIZATION_DSL,
@@ -75,20 +71,14 @@ from repro.task.manager import TaskManager
 from repro.task.profiles import PerformanceProfile
 from repro.translation.costs import TranslationCosts
 from repro.translation.translator import Translator
-from repro.util.rng import SeedSequenceFactory
 
 __all__ = [
     "Experiment",
-    "ExperimentResult",
     "ClientServerApplication",
     "run_scenario",
     "clear_cache",
     "set_cache_capacity",
 ]
-
-#: deprecated alias — the client/server result type (import RunResult /
-#: ClientServerResult from repro.experiment.result in new code)
-ExperimentResult = ClientServerResult
 
 #: invariant name (from the DSL) -> scope element type
 _INVARIANT_SCOPES = {"r": "ClientRoleT", "u": "ServerGroupT"}
@@ -124,25 +114,25 @@ class ClientServerApplication(ManagedApplication):
         return AppRuntimeView(self.env)
 
 
-class Experiment:
+@register_scenario(
+    "client_server",
+    params=ClientServerParams,
+    description="the paper's Figure 6/7 grid experiment",
+)
+class Experiment(ScenarioExperiment):
     """One wired client/server experiment, ready to run.
 
-    Accepts a :class:`RunConfig` (with :class:`ClientServerParams`) or a
-    legacy :class:`ScenarioConfig`, which is converted on entry.  The
-    runtime layer (network, application, workload) is built here; the
-    adaptation stack is delegated to :class:`AdaptationRuntime` when the
-    config asks for it.  ``manager``/``model``/``probe_bus``/... remain
-    available as properties for harness compatibility.
+    The runtime layer (network, application, workload) is built here; the
+    adaptation stack is the shared skeleton's
+    :class:`AdaptationRuntime`, built when the config asks for it.
     """
 
-    def __init__(self, config: Union[RunConfig, ScenarioConfig]):
-        config = as_run_config(config)
-        self.config = config
-        self.params: ClientServerParams = config.params
+    RESULT = ClientServerResult
+    SAMPLER = MetricsSampler
+    params: ClientServerParams
+
+    def setup(self) -> None:
         params = self.params
-        self.sim = Simulator()
-        self.trace = Trace()
-        self.seeds = SeedSequenceFactory(config.seed)
         self.testbed: Testbed = build_testbed()
         self.network = FlowNetwork(self.sim, self.testbed.topology)
         self.remos = RemosService(
@@ -151,7 +141,7 @@ class Experiment:
             warm_delay=params.remos_warm_delay,
         )
         self.workload: Workload = build_workload(
-            horizon=config.horizon,
+            horizon=self.config.horizon,
             baseline_rate=params.baseline_rate,
             stress_rate=params.stress_rate,
             quiescent_end=params.quiescent_end,
@@ -160,47 +150,15 @@ class Experiment:
         )
         self._build_application()
         self._build_competition()
-        # adaptation stack (model layer + monitoring), via the control plane
-        self.runtime: Optional[AdaptationRuntime] = None
-        if config.adaptation:
-            self.runtime = AdaptationRuntime(
-                self.sim,
-                ClientServerApplication(self.env, self.testbed, params),
-                self._adaptation_spec(),
-                trace=self.trace,
-            )
-            if params.remos_prewarm:
-                self.remos.prewarm_all_hosts()
-        self.metrics = MetricsSampler(self)
 
-    # -- control-plane views (None on control runs) ------------------------
-    def build(self) -> Optional[AdaptationRuntime]:
-        """The control plane bound to this config (Scenario protocol)."""
-        return self.runtime
+    def managed_application(self) -> ClientServerApplication:
+        return ClientServerApplication(self.env, self.testbed, self.params)
 
-    @property
-    def manager(self):
-        return self.runtime.manager if self.runtime is not None else None
-
-    @property
-    def model(self):
-        return self.runtime.model if self.runtime is not None else None
-
-    @property
-    def gauge_manager(self):
-        return self.runtime.gauge_manager if self.runtime is not None else None
-
-    @property
-    def probe_bus(self) -> Optional[EventBus]:
-        return self.runtime.probe_bus if self.runtime is not None else None
-
-    @property
-    def gauge_bus(self) -> Optional[EventBus]:
-        return self.runtime.gauge_bus if self.runtime is not None else None
-
-    @property
-    def updater(self):
-        return self.runtime.updater if self.runtime is not None else None
+    def _build_runtime(self) -> Optional[AdaptationRuntime]:
+        runtime = super()._build_runtime()
+        if runtime is not None and self.params.remos_prewarm:
+            self.remos.prewarm_all_hosts()
+        return runtime
 
     # ------------------------------------------------------------------
     # Runtime layer
@@ -248,7 +206,7 @@ class Experiment:
 
     def _build_competition(self) -> None:
         tb, wl = self.testbed, self.workload
-        self.generators = [
+        self.sources = [
             CrossTrafficGenerator(
                 self.sim, self.network, "comp_A",
                 tb.competition_a[0], tb.competition_a[1],
@@ -391,35 +349,18 @@ class Experiment:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self) -> ClientServerResult:
-        cfg = self.config
-        for generator in self.generators:
-            generator.start()
-        if self.runtime is not None:
-            self.runtime.start()
-        self.app.start_clients(cfg.horizon)
-        self.metrics.start()
-        self.sim.run(until=cfg.horizon)
-        return self._result()
+    def start_extras(self) -> None:
+        # clients start after the control plane's probes (ties break in
+        # scheduling order; the fingerprints pin this)
+        self.app.start_clients(self.config.horizon)
 
-    def _result(self) -> ClientServerResult:
-        dropped = sum(s.dropped for s in self.app.servers.values())
-        rt = self.runtime
-        stats = rt.stats() if rt is not None else None
-        return ClientServerResult(
-            config=self.config,
-            series=self.metrics.series,
-            trace=self.trace,
-            history=rt.history if rt is not None else RepairHistory(),
-            issued=self.app.total_issued,
-            completed=self.app.total_completed,
-            dropped=dropped,
-            remos_stats=self.remos.stats,
-            bus_stats=dict(stats.bus) if stats is not None else {},
-            gauge_stats=dict(stats.gauges) if stats is not None else {},
-            constraint_stats=dict(stats.constraints) if stats is not None else {},
-            stats=stats,
-        )
+    def outcome(self, stats) -> Dict[str, Any]:
+        return {
+            "issued": self.app.total_issued,
+            "completed": self.app.total_completed,
+            "dropped": sum(s.dropped for s in self.app.servers.values()),
+            "remos_stats": self.remos.stats,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -473,14 +414,10 @@ class _ResultCache:
 _CACHE = _ResultCache()
 
 
-def run_scenario(
-    config: Union[RunConfig, ScenarioConfig], fresh: bool = False
-) -> RunResult:
+def run_scenario(config: RunConfig, fresh: bool = False) -> RunResult:
     """Run (or fetch the cached result of) one scenario.
 
-    Accepts the scenario-neutral :class:`RunConfig` or a legacy
-    :class:`ScenarioConfig` (converted bit-for-bit on entry; both map to
-    the same cache key).  Dispatches through the scenario registry
+    Dispatches through the scenario registry
     (:mod:`repro.experiment.scenarios`) on ``config.scenario``, so any
     registered scenario — built-in or user-registered — runs through the
     same caching front door.  ``fresh=True`` forces a re-run; the fresh
@@ -492,20 +429,15 @@ def run_scenario(
         cached = _CACHE.get(key)
         if cached is not None:
             return cached
-    from repro.experiment.scenarios import scenario_entry
-
     experiment = scenario_entry(config.scenario).builder(config)
     try:
         result = experiment.run()
     finally:
-        # Stop the control plane on success *and* error/abort paths:
-        # batched probes flush their buffered tail instead of silently
-        # dropping it when a run dies mid-burst.
-        runtime = getattr(experiment, "runtime", None)
+        # ScenarioExperiment.run() stops its own control plane; a
+        # hand-rolled Scenario may not, and stop() is idempotent.
+        runtime = experiment.build()
         if runtime is not None:
-            stop = getattr(runtime, "stop", None)
-            if stop is not None:
-                stop()
+            runtime.stop()
     _CACHE.put(key, result)
     return result
 

@@ -5,12 +5,14 @@ that adapts it.  Registering one names three things together::
 
     @register_scenario("pipeline", params=PipelineParams,
                        description="batch pipeline, widen/narrow repairs")
-    def build(config: RunConfig) -> Scenario:
-        return PipelineExperiment(config)
+    class PipelineExperiment(ScenarioExperiment):
+        ...
 
-* the **builder** — takes a resolved
-  :class:`~repro.experiment.config.RunConfig` and returns something
-  satisfying the :class:`Scenario` protocol;
+* the **builder** — any callable taking a
+  :class:`~repro.experiment.config.RunConfig` and returning something
+  satisfying the :class:`Scenario` protocol; the built-ins register
+  their :class:`~repro.experiment.base.ScenarioExperiment` subclass
+  itself;
 * the **params type** — the frozen
   :class:`~repro.experiment.params.ScenarioParams` subclass holding the
   scenario's knobs; ``RunConfig(params=None)`` resolves to its defaults,
@@ -23,10 +25,10 @@ dispatches through this registry on ``config.scenario``, so every
 scenario shares the same caching front door and the scenario-neutral
 :class:`~repro.experiment.result.RunResult` shape.
 
-Built-ins: ``client_server`` (the paper's Figure 6/7 grid experiment),
-``pipeline`` (batch pipeline, same control plane), and ``master_worker``
-(task farm with straggler re-dispatch and pool grow/shrink — registered
-from its own module purely through this public API).
+Built-ins, each registered from its own module purely through this
+public API: ``client_server`` (the paper's Figure 6/7 grid experiment),
+``pipeline``, ``master_worker``, ``multi_tenant`` (+ ``_sharded``),
+``map_reduce`` and ``grid_site``.
 """
 
 from __future__ import annotations
@@ -45,11 +47,7 @@ from typing import (
 
 from repro.errors import ReproError
 from repro.experiment.config import RunConfig
-from repro.experiment.params import (
-    ClientServerParams,
-    PipelineParams,
-    ScenarioParams,
-)
+from repro.experiment.params import ScenarioParams
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiment.result import RunResult
@@ -169,33 +167,11 @@ def scenario_names() -> List[str]:
 # ---------------------------------------------------------------------------
 
 # Imported here (not at top) so the registry API above is fully defined
-# by the time scenario modules — which import it back — are loaded.
-from repro.experiment.pipeline_scenario import PipelineExperiment  # noqa: E402
-from repro.experiment.runner import Experiment  # noqa: E402
-
-
-@register_scenario(
-    "client_server",
-    params=ClientServerParams,
-    description="the paper's Figure 6/7 grid experiment",
-)
-def _build_client_server(config: RunConfig) -> Experiment:
-    """The paper's client/server grid experiment."""
-    return Experiment(config)
-
-
-@register_scenario(
-    "pipeline",
-    params=PipelineParams,
-    description="batch pipeline: widen on backlog, narrow when idle",
-)
-def _build_pipeline(config: RunConfig) -> PipelineExperiment:
-    """The batch-pipeline scenario (style generality, end to end)."""
-    return PipelineExperiment(config)
-
-
-# Register themselves through the public API above (the redesign's proof).
+# by the time the scenario modules — which import it back and register
+# themselves through it — are loaded.
 from repro.experiment import grid_site_scenario as _grid_site  # noqa: E402,F401
 from repro.experiment import map_reduce_scenario as _map_reduce  # noqa: E402,F401
 from repro.experiment import master_worker_scenario as _master_worker  # noqa: E402,F401
 from repro.experiment import multi_tenant_scenario as _multi_tenant  # noqa: E402,F401
+from repro.experiment import pipeline_scenario as _pipeline  # noqa: E402,F401
+from repro.experiment import runner as _client_server  # noqa: E402,F401

@@ -29,7 +29,6 @@ else is event-driven from there.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.acme.sharding import ShardedArchSystem
@@ -88,36 +87,31 @@ class AdaptationRuntime:
 
         # 1-3: model layer.  Sharded: partition the model by the spec's
         # shard key, then give every shard its own checker so invariant
-        # evaluation fans out over shard-local elements only.
+        # evaluation fans out over shard-local elements only.  The
+        # unsharded plane is the one-model, one-checker case of the same
+        # build: ``checker`` / ``updater`` name the single instance there
+        # and are None on a sharded plane.
         document = parse_repair_dsl(spec.dsl_source)
+        self.model = app.architecture()
         if self.sharded:
             self.model = ShardedArchSystem.partition(
-                app.architecture(), sharding.shards,
-                resolve_shard_key(sharding.key),
+                self.model, sharding.shards, resolve_shard_key(sharding.key)
             )
-            self.checkers: List[ConstraintChecker] = []
-            for _ in range(sharding.shards):
-                checker = ConstraintChecker()
-                checker.bindings.update(spec.bindings)
-                for decl in document.invariants:
-                    checker.add_source(
-                        decl.name, decl.expression,
-                        scope_type=spec.invariant_scopes.get(decl.name),
-                        repair=decl.strategy,
-                    )
-                self.checkers.append(checker)
-            self.checker = None
+            models = [self.model.shard(k) for k in range(sharding.shards)]
         else:
-            self.model = app.architecture()
-            self.checker = ConstraintChecker()
-            self.checker.bindings.update(spec.bindings)
+            models = [self.model]
+        self.checkers: List[ConstraintChecker] = []
+        for _ in models:
+            checker = ConstraintChecker()
+            checker.bindings.update(spec.bindings)
             for decl in document.invariants:
-                self.checker.add_source(
+                checker.add_source(
                     decl.name, decl.expression,
                     scope_type=spec.invariant_scopes.get(decl.name),
                     repair=decl.strategy,
                 )
-            self.checkers = [self.checker]
+            self.checkers.append(checker)
+        self.checker = None if self.sharded else self.checkers[0]
 
         # 4-6: gauge lifecycle, translation, repair engine.  The fault
         # plane (when the spec carries an active FaultSpec) wraps the
@@ -133,51 +127,17 @@ class AdaptationRuntime:
         self.translator = app.intent_executor(self)
         if self.fault_plane is not None:
             self.translator = self.fault_plane.wrap_translator(self.translator)
-        if self.sharded:
-            runtime_view = app.runtime_view()
-            operators = spec.operators(self)
-            self.managers: List[ArchitectureManager] = []
-            for k in range(sharding.shards):
-                manager = ArchitectureManager(
-                    sim,
-                    self.model.shard(k),
-                    self.checkers[k],
-                    translator=self.translator,
-                    runtime=runtime_view,
-                    operators=operators,
-                    trace=self.trace,
-                    settle_time=spec.settle_time,
-                    failed_repair_cost=spec.failed_repair_cost,
-                    violation_policy=spec.violation_policy,
-                    concurrency=spec.concurrency,
-                    max_concurrent_repairs=spec.max_concurrent_repairs,
-                    repair_timeout=spec.repair_timeout,
-                    retry_policy=spec.retry_policy,
-                    breaker_policy=spec.breaker_policy,
-                    quarantine_policy=spec.quarantine_policy,
-                    history_capacity=spec.history_capacity,
-                )
-                # strategies hold per-engine interpreter state: rebuild
-                # a fresh set for each shard rather than sharing
-                for strategy in build_strategies(document).values():
-                    manager.register_strategy(strategy)
-                self.managers.append(manager)
-            self.manager = ShardCoordinator(
+        runtime_view = app.runtime_view()
+        operators = spec.operators(self)
+        self.managers: List[ArchitectureManager] = []
+        for model, checker in zip(models, self.checkers):
+            manager = ArchitectureManager(
                 sim,
-                self.model,
-                self.managers,
-                trace=self.trace,
-                settle_time=spec.settle_time,
-                max_lock_shards=sharding.max_lock_shards,
-            )
-        else:
-            self.manager = ArchitectureManager(
-                sim,
-                self.model,
-                self.checker,
+                model,
+                checker,
                 translator=self.translator,
-                runtime=app.runtime_view(),
-                operators=spec.operators(self),
+                runtime=runtime_view,
+                operators=operators,
                 trace=self.trace,
                 settle_time=spec.settle_time,
                 failed_repair_cost=spec.failed_repair_cost,
@@ -190,9 +150,22 @@ class AdaptationRuntime:
                 quarantine_policy=spec.quarantine_policy,
                 history_capacity=spec.history_capacity,
             )
+            # strategies hold per-engine interpreter state: every engine
+            # gets a fresh set rather than sharing one
             for strategy in build_strategies(document).values():
-                self.manager.register_strategy(strategy)
-            self.managers = [self.manager]
+                manager.register_strategy(strategy)
+            self.managers.append(manager)
+        if self.sharded:
+            self.manager = ShardCoordinator(
+                sim,
+                self.model,
+                self.managers,
+                trace=self.trace,
+                settle_time=spec.settle_time,
+                max_lock_shards=sharding.max_lock_shards,
+            )
+        else:
+            self.manager = self.managers[0]
 
         # 7-8: monitoring infrastructure
         queue_policy = None
@@ -368,12 +341,6 @@ class AdaptationRuntime:
             stats["suppressed_reports"] = 0
         return stats
 
-    def _fault_section(self) -> Dict[str, Any]:
-        """The fault plane's injection counters ({} without a plane)."""
-        if self.fault_plane is None:
-            return {}
-        return self.fault_plane.stats()
-
     def _shard_sections(self) -> Tuple[ShardStats, ...]:
         """Per-shard counter sections (empty on the unsharded path)."""
         if not self.sharded:
@@ -414,39 +381,6 @@ class AdaptationRuntime:
             constraints=self._constraint_section(),
             repairs=self.manager.repair_stats(),
             telemetry=self._telemetry_section(),
-            faults=self._fault_section() if self.fault_plane is not None else None,
+            faults=self.fault_plane.stats() if self.fault_plane is not None else None,
             shards=self._shard_sections(),
         )
-
-    # -- deprecated per-section accessors ----------------------------------
-    def _deprecated(self, old: str, new: str):
-        warnings.warn(
-            f"AdaptationRuntime.{old}() is deprecated; use {new}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def bus_stats(self) -> Dict[str, float]:
-        """Deprecated: use :meth:`stats` (``.bus``)."""
-        self._deprecated("bus_stats", "stats().bus")
-        return self._bus_section()
-
-    def gauge_stats(self) -> Dict[str, int]:
-        """Deprecated: use :meth:`stats` (``.gauges``)."""
-        self._deprecated("gauge_stats", "stats().gauges")
-        return self._gauge_section()
-
-    def constraint_stats(self) -> Dict[str, int]:
-        """Deprecated: use :meth:`stats` (``.constraints``)."""
-        self._deprecated("constraint_stats", "stats().constraints")
-        return self._constraint_section()
-
-    def telemetry_stats(self) -> Dict[str, int]:
-        """Deprecated: use :meth:`stats` (``.telemetry``)."""
-        self._deprecated("telemetry_stats", "stats().telemetry")
-        return self._telemetry_section()
-
-    def fault_stats(self) -> Dict[str, Any]:
-        """Deprecated: use :meth:`stats` (``.faults``)."""
-        self._deprecated("fault_stats", "stats().faults")
-        return self._fault_section()

@@ -1,20 +1,17 @@
 """The unified runtime statistics surface.
 
-:class:`RuntimeStats` replaces the ``bus_stats()`` / ``gauge_stats()``
-/ ``constraint_stats()`` / ``telemetry_stats()`` / ``fault_stats()``
-method sprawl on :class:`~repro.runtime.core.AdaptationRuntime` with
-one typed, frozen snapshot: the five counter sections the old methods
-returned, the ``faults`` section when a fault plane exists, and — on a
-sharded runtime — one :class:`ShardStats` per shard next to the
+:class:`RuntimeStats` is the one typed, frozen snapshot
+:meth:`AdaptationRuntime.stats() <repro.runtime.core.AdaptationRuntime.stats>`
+returns: the five counter sections (bus / gauges / constraints / repairs
+/ telemetry), the ``faults`` section when a fault plane exists, and — on
+a sharded runtime — one :class:`ShardStats` per shard next to the
 aggregate rollup.
 
-Shape discipline: :meth:`RuntimeStats.to_dict` is **value-identical**
-to the dict the old ``AdaptationRuntime.stats()`` returned (regression
-tests pin this), with ``faults`` present only when a plane exists and
-``shards`` present only when sharding is active — so every historical
-consumer of the dict shape keeps working through the deprecation
-window.  :meth:`to_json` is strict JSON (``allow_nan=False``): a
-snapshot that cannot round-trip is a bug, not a serialization quirk.
+Shape discipline: :meth:`RuntimeStats.to_dict` keeps the historical
+dict shape (regression tests pin this), with ``faults`` present only
+when a plane exists and ``shards`` present only when sharding is active.
+:meth:`to_json` is strict JSON (``allow_nan=False``): a snapshot that
+cannot round-trip is a bug, not a serialization quirk.
 """
 
 from __future__ import annotations

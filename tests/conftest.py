@@ -1,6 +1,6 @@
 """Shared test fixtures.
 
-The experiment runner caches full :class:`ExperimentResult` objects per
+The experiment runner caches full :class:`RunResult` objects per
 scenario config (benches share the 30-minute headline runs).  Tests must
 not inherit results from a previous pytest session or leak their own into
 the next one, so the cache is cleared at session boundaries; within one

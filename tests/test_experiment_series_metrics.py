@@ -64,15 +64,15 @@ class TestShortRuns:
 
     @pytest.fixture(scope="class")
     def control(self):
-        from repro.experiment import ScenarioConfig, run_scenario
+        from repro.experiment import RunConfig, run_scenario
 
-        return run_scenario(ScenarioConfig.control().but(horizon=300.0))
+        return run_scenario(RunConfig.control().but(horizon=300.0))
 
     @pytest.fixture(scope="class")
     def adapted(self):
-        from repro.experiment import ScenarioConfig, run_scenario
+        from repro.experiment import RunConfig, run_scenario
 
-        return run_scenario(ScenarioConfig.adapted().but(horizon=300.0))
+        return run_scenario(RunConfig.adapted().but(horizon=300.0))
 
     def test_control_c3_collapses(self, control):
         assert control.s("latency.C3").first_crossing(2.0, after=120) is not None
@@ -111,10 +111,10 @@ class TestShortRuns:
             assert b > a
 
     def test_determinism_same_seed(self, control):
-        from repro.experiment import ScenarioConfig, run_scenario
+        from repro.experiment import RunConfig, run_scenario
 
         again = run_scenario(
-            ScenarioConfig.control().but(horizon=300.0), fresh=True
+            RunConfig.control().but(horizon=300.0), fresh=True
         )
         t1, v1 = control.s("latency.C3").window()
         t2, v2 = again.s("latency.C3").window()

@@ -12,24 +12,22 @@ its designed width — the style's underutilization scale-down.
 
 import pytest
 
-from repro.experiment import ScenarioConfig, run_scenario
-from repro.experiment.pipeline_scenario import (
-    BURST_RATE,
-    MAX_BACKLOG,
-    PipelineExperiment,
-    STAGES,
-    WORKER_BUDGET,
-)
+from repro.experiment import PipelineParams, RunConfig, run_scenario
+from repro.experiment.pipeline_scenario import PipelineExperiment
+
+_DEFAULTS = PipelineParams()
+STAGES = _DEFAULTS.stages
+BURST_RATE = _DEFAULTS.burst_rate
+MAX_BACKLOG = _DEFAULTS.max_backlog
+WORKER_BUDGET = _DEFAULTS.worker_budget
 
 
 def _adapted():
-    return run_scenario(ScenarioConfig(name="adapted", scenario="pipeline"))
+    return run_scenario(RunConfig.adapted("pipeline"))
 
 
 def _control():
-    return run_scenario(
-        ScenarioConfig(name="control", scenario="pipeline", adaptation=False)
-    )
+    return run_scenario(RunConfig.control("pipeline"))
 
 
 class TestPipelineScenarioEndToEnd:
@@ -114,23 +112,17 @@ class TestPipelineScenarioEndToEnd:
             assert 0.0 < start < end <= adapted.config.horizon
 
     def test_control_has_no_control_plane(self):
-        exp = PipelineExperiment(
-            ScenarioConfig(name="control", scenario="pipeline", adaptation=False)
-        )
+        exp = PipelineExperiment(RunConfig.control("pipeline"))
         assert exp.runtime is None
 
     def test_cache_key_distinguishes_scenarios(self):
-        client_server = ScenarioConfig(name="adapted")
-        pipeline = ScenarioConfig(name="adapted", scenario="pipeline")
+        client_server = RunConfig.adapted()
+        pipeline = RunConfig.adapted("pipeline")
         assert client_server.cache_key() != pipeline.cache_key()
 
     def test_results_reproducible_for_same_seed(self):
-        first = run_scenario(
-            ScenarioConfig(name="adapted", scenario="pipeline"), fresh=True
-        )
-        second = run_scenario(
-            ScenarioConfig(name="adapted", scenario="pipeline"), fresh=True
-        )
+        first = run_scenario(RunConfig.adapted("pipeline"), fresh=True)
+        second = run_scenario(RunConfig.adapted("pipeline"), fresh=True)
         assert first.issued == second.issued
         assert first.completed == second.completed
         assert len(first.history) == len(second.history)

@@ -1,10 +1,16 @@
-"""Regression: batched probes flush their tail on the runner's error path.
+"""Regression: batched probes flush their tail on every exit path.
 
 A ``CallbackProbe(batch=N)`` buffers observations between publishes; if
-a run dies mid-burst, the buffered tail must still reach the bus — the
-runner's ``finally`` stops the runtime, and ``AdaptationRuntime.stop``
-flushes every periodic probe.  Before that wiring, an aborted run
-silently dropped up to N-1 observations.
+a run dies mid-burst, the buffered tail must still reach the bus —
+``AdaptationRuntime.stop`` flushes every periodic probe, and something
+has to call it.  Two doors are covered:
+
+* ``Scenario.run()`` itself: every registered scenario sits on
+  :class:`~repro.experiment.base.ScenarioExperiment`, whose ``run()``
+  stops the control plane in ``finally`` (the contract tests at the
+  bottom drive ``scenario_entry(name).builder(cfg).run()`` directly);
+* ``run_scenario``: its fallback stops whatever ``Scenario.build()``
+  returns, so a hand-rolled scenario that forgets is still flushed.
 """
 
 import pytest
@@ -14,7 +20,12 @@ from repro.app.pipeline_app import PipelineApplication
 from repro.bus.bus import FixedDelay
 from repro.experiment.pipeline_scenario import PipelineManagedApplication
 from repro.experiment.runner import clear_cache, run_scenario
-from repro.experiment.scenarios import register_scenario, unregister_scenario
+from repro.experiment.scenarios import (
+    register_scenario,
+    scenario_entry,
+    scenario_names,
+    unregister_scenario,
+)
 from repro.monitoring.probes import CallbackProbe
 from repro.runtime import AdaptationRuntime, AdaptationSpec, ProbeBinding
 from repro.sim import Simulator
@@ -111,3 +122,58 @@ def test_failed_run_is_not_cached(exploding):
     with pytest.raises(MidRunExplosion):
         run_scenario(RunConfig.adapted(SCENARIO, horizon=100.0))
     assert len(exploding) == 2  # both calls actually ran
+
+
+# -- the Scenario.run() contract, over every registered scenario ------------
+
+
+def _spied(name, variant):
+    """A built (never run) experiment whose runtime.stop calls are logged.
+
+    Each call records the counters as they stood just before the stop.
+    """
+    config = getattr(RunConfig, variant)(name, horizon=30.0)
+    experiment = scenario_entry(name).builder(config)
+    runtime = experiment.build()
+    stops = []
+    if runtime is not None:
+        real_stop = runtime.stop
+
+        def stop():
+            stops.append(runtime.stats())
+            real_stop()
+
+        runtime.stop = stop
+    return experiment, runtime, stops
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_run_stops_the_control_plane_on_success(name):
+    experiment, runtime, stops = _spied(name, "adapted")
+    assert runtime is experiment.runtime is not None
+    result = experiment.run()  # the protocol's door, not run_scenario
+    # stopped once, after the snapshot: the flush did not move the counters
+    assert stops == [result.stats]
+    assert experiment.sim.now == 30.0
+    for probe in runtime.periodic_probes:
+        assert not getattr(probe, "_pending_values", [])
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_run_stops_the_control_plane_when_the_simulation_raises(name):
+    experiment, runtime, stops = _spied(name, "adapted")
+
+    def explode(until=None):
+        raise MidRunExplosion("injected mid-run failure")
+
+    experiment.sim.run = explode
+    with pytest.raises(MidRunExplosion):
+        experiment.run()
+    assert len(stops) == 1
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_control_run_builds_no_runtime_and_no_snapshot(name):
+    experiment, runtime, _ = _spied(name, "control")
+    assert runtime is None and experiment.runtime is None
+    assert experiment.run().stats is None

@@ -1,11 +1,10 @@
 """Tests for the scenario-neutral experiment API.
 
-Covers the typed RunConfig + params redesign: field routing, named
-variants, registry entries (params types, error paths), the legacy
-ScenarioConfig shim's conversion, and the headline acceptance criterion —
-the client/server adapted run is bit-for-bit identical (series + trace
-schedule) through the legacy ``run_scenario(ScenarioConfig(...))`` path
-and the new ``repro.api.run(RunConfig(...))`` path.
+Covers the typed RunConfig + params design: field routing, named
+variants, registry entries (params types, error paths), and the headline
+acceptance criterion — the client/server adapted run is bit-for-bit
+identical (series + trace schedule) through the experiment package's
+``run_scenario`` and the ``repro.api.run`` facade.
 """
 
 import pytest
@@ -17,7 +16,6 @@ from repro.experiment import (
     MasterWorkerParams,
     PipelineParams,
     RunConfig,
-    ScenarioConfig,
     ScenarioParams,
     as_run_config,
     run_scenario,
@@ -60,17 +58,13 @@ class TestRunConfig:
         assert moved.params is None
         assert moved.resolved().params == ClientServerParams()
 
-    def test_getattr_falls_through_to_params(self):
+    def test_scenario_knobs_live_on_the_params_block_only(self):
+        """The PR-3 attribute fall-through is gone: one door per knob."""
         cfg = RunConfig().resolved()
-        assert cfg.max_latency == cfg.params.max_latency
+        assert "__getattr__" not in vars(RunConfig)
+        assert cfg.params.max_latency == 2.0
         with pytest.raises(AttributeError):
-            cfg.not_a_field
-
-    def test_getattr_resolves_defaults_when_params_unset(self):
-        assert RunConfig.adapted().settle_time == 20.0
-        assert RunConfig(scenario="pipeline").burst_rate == 3.0
-        with pytest.raises(AttributeError):
-            RunConfig(scenario="warehouse").settle_time  # unknown scenario
+            cfg.max_latency
 
     def test_resolved_fills_registered_defaults(self):
         cfg = RunConfig(scenario="pipeline").resolved()
@@ -93,13 +87,10 @@ class TestRunConfig:
         assert a.cache_key() != a.but(gauge_caching=True).cache_key()
         assert a.cache_key() != RunConfig.adapted("pipeline").cache_key()
 
-    def test_cache_key_matches_legacy_conversion(self):
-        """Equal configs share one cache entry through both front doors."""
-        legacy = ScenarioConfig(name="adapted").to_run_config()
-        assert legacy.cache_key() == RunConfig.adapted().cache_key()
-        legacy_p = ScenarioConfig(name="adapted", scenario="pipeline")
-        assert (legacy_p.to_run_config().cache_key()
-                == RunConfig.adapted("pipeline").cache_key())
+    def test_as_run_config_resolves_or_rejects(self):
+        assert as_run_config(RunConfig()).params is not None
+        with pytest.raises(ReproError, match="expected RunConfig"):
+            as_run_config(object())
 
 
 class TestScenarioParams:
@@ -125,50 +116,6 @@ class TestScenarioParams:
         )
         with pytest.raises(ReproError, match="pool sizes"):
             bad.resolved()
-
-    def test_legacy_fields_subset_for_non_client_server(self):
-        # pipeline adopts only the machinery knobs from the old god-config
-        assert "min_utilization" not in PipelineParams.legacy_fields()
-        assert "settle_time" in PipelineParams.legacy_fields()
-        # client/server adopts every field it declares
-        assert set(ClientServerParams.legacy_fields()) == set(
-            ClientServerParams.field_names()
-        )
-
-
-class TestLegacyShim:
-    def test_control_adapted_propagate_scenario(self):
-        """Regression: named variants used to drop the scenario field."""
-        assert ScenarioConfig.control(scenario="pipeline").scenario == "pipeline"
-        assert ScenarioConfig.adapted(scenario="pipeline").scenario == "pipeline"
-        assert ScenarioConfig.control().scenario == "client_server"
-
-    def test_to_run_config_copies_values(self):
-        legacy = ScenarioConfig.adapted().but(
-            settle_time=33.0, gauge_caching=True, horizon=123.0
-        )
-        cfg = legacy.to_run_config()
-        assert cfg.scenario == "client_server"
-        assert cfg.horizon == 123.0
-        assert cfg.params.settle_time == 33.0
-        assert cfg.params.gauge_caching is True
-
-    def test_pipeline_conversion_keeps_pipeline_defaults(self):
-        # client/server-only knobs must not leak into the pipeline block
-        legacy = ScenarioConfig.adapted(scenario="pipeline").but(
-            min_utilization=0.95, settle_time=44.0
-        )
-        cfg = legacy.to_run_config()
-        assert cfg.params.min_utilization == PipelineParams().min_utilization
-        assert cfg.params.settle_time == 44.0
-
-    def test_as_run_config_accepts_both(self):
-        assert as_run_config(RunConfig()).params is not None
-        assert isinstance(
-            as_run_config(ScenarioConfig()).params, ClientServerParams
-        )
-        with pytest.raises(ReproError):
-            as_run_config(object())
 
 
 class TestRegistry:
@@ -269,7 +216,7 @@ class TestFingerprintEquivalence:
     """Acceptance: both front doors produce the identical simulation."""
 
     def test_adapted_run_bit_for_bit_through_both_paths(self):
-        legacy = run_scenario(ScenarioConfig(name="adapted"))
+        legacy = run_scenario(RunConfig.adapted())
         modern = api.run(
             RunConfig(scenario="client_server", name="adapted"), fresh=True
         )
@@ -289,4 +236,4 @@ class TestFingerprintEquivalence:
         assert len(modern.trace) == len(legacy.trace)
         assert modern.trace.records == legacy.trace.records
         # the fresh run replaced the shared cache entry
-        assert run_scenario(ScenarioConfig(name="adapted")) is modern
+        assert run_scenario(RunConfig.adapted()) is modern

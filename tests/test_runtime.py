@@ -11,7 +11,12 @@ import pytest
 from repro.app.pipeline_app import PipelineApplication
 from repro.bus.bus import FixedDelay
 from repro.errors import EnvironmentError_, RepairError, ReproError
-from repro.experiment import ScenarioConfig, scenario_builder, scenario_names
+from repro.experiment import (
+    PipelineParams,
+    RunConfig,
+    scenario_builder,
+    scenario_names,
+)
 from repro.experiment.pipeline_scenario import (
     PipelineManagedApplication,
     PipelineTranslator,
@@ -172,7 +177,7 @@ class TestPipelineTranslator:
 
         sim = Simulator()
         app = PipelineApplication(sim, STAGES)
-        translator = PipelineTranslator(app, widen_cost=0.0)
+        translator = PipelineTranslator(app, PipelineParams(widen_cost=0.0))
         translator.execute([RuntimeIntent("teleport", {"stage": "extract"})])
         with pytest.raises(ReproError):
             sim.run()
@@ -182,7 +187,7 @@ class TestPipelineTranslator:
 
         sim = Simulator()
         app = PipelineApplication(sim, STAGES)
-        translator = PipelineTranslator(app, widen_cost=2.0)
+        translator = PipelineTranslator(app, PipelineParams(widen_cost=2.0))
         done = []
         translator.execute(
             [RuntimeIntent("widenStage", {"stage": "load", "width": 3})],
@@ -234,14 +239,14 @@ class TestScenarioRegistry:
 
     def test_builder_dispatch(self):
         builder = scenario_builder("client_server")
-        exp = builder(ScenarioConfig.control().but(horizon=5.0))
+        exp = builder(RunConfig.control().but(horizon=5.0))
         assert isinstance(exp, Experiment)
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ReproError):
             scenario_builder("warehouse")
         with pytest.raises(ReproError):
-            run_scenario(ScenarioConfig(scenario="warehouse"))
+            run_scenario(RunConfig(scenario="warehouse"))
 
     def test_duplicate_registration_rejected(self):
         from repro.experiment.scenarios import register_scenario
@@ -260,7 +265,7 @@ class TestSeedCompatibility:
     """
 
     def test_adapted_run_matches_seed_scalars(self):
-        result = run_scenario(ScenarioConfig(name="adapted"))
+        result = run_scenario(RunConfig.adapted())
         assert result.issued == 17930
         assert result.completed == 15729
         assert result.dropped == 2199
@@ -269,7 +274,7 @@ class TestSeedCompatibility:
         assert len(result.history.aborted) == 5
 
     def test_control_run_matches_seed_scalars(self):
-        result = run_scenario(ScenarioConfig.control())
+        result = run_scenario(RunConfig.control())
         assert result.issued == 17930
         assert result.completed == 17928
         assert result.dropped == 0
@@ -309,8 +314,8 @@ class TestResultCacheLRU:
         clear_cache()
         set_cache_capacity(1)
         try:
-            cfg_a = ScenarioConfig.control().but(horizon=5.0)
-            cfg_b = ScenarioConfig.control().but(horizon=6.0)
+            cfg_a = RunConfig.control().but(horizon=5.0)
+            cfg_b = RunConfig.control().but(horizon=6.0)
             r_a = run_scenario(cfg_a)
             r_b = run_scenario(cfg_b)           # evicts cfg_a
             assert run_scenario(cfg_b) is r_b   # still cached

@@ -1,11 +1,10 @@
-"""The unified RuntimeStats surface and the stats-method deprecation.
+"""The unified RuntimeStats surface.
 
-Pins the migration contract: ``AdaptationRuntime.stats()`` returns one
-frozen :class:`RuntimeStats`; the five legacy methods still return
-value-identical dicts (under a DeprecationWarning); ``RunResult.stats``
-carries the snapshot and round-trips through strict JSON; and the
-``sharding.*`` config block reaches the runtime through ``--set``-style
-dotted overrides.
+Pins the contract: ``AdaptationRuntime.stats()`` returns one frozen
+:class:`RuntimeStats` (the five per-section ``*_stats()`` methods it
+replaced are gone); ``RunResult.stats`` carries the snapshot and
+round-trips through strict JSON; and the ``sharding.*`` config block
+reaches the runtime through ``--set``-style dotted overrides.
 """
 
 import json
@@ -33,14 +32,6 @@ from repro.sim.trace import Trace
 from repro.styles.pipeline import PIPELINE_DSL, pipeline_operators
 
 STAGES = (("extract", 1, 0.5), ("load", 1, 0.25))
-
-DEPRECATED = {
-    "bus_stats": "bus",
-    "gauge_stats": "gauges",
-    "constraint_stats": "constraints",
-    "telemetry_stats": "telemetry",
-    "fault_stats": "faults",
-}
 
 
 def busy_runtime():
@@ -108,6 +99,13 @@ class TestRuntimeStatsObject:
             == "RuntimeStats"
         )
 
+    def test_stats_is_the_only_counter_accessor(self):
+        leftovers = [
+            name for name in vars(AdaptationRuntime)
+            if name.endswith("_stats") and not name.startswith("_")
+        ]
+        assert leftovers == []
+
     def test_to_dict_has_historical_shape(self, rt):
         data = rt.stats().to_dict()
         assert set(data) == {
@@ -138,25 +136,6 @@ class TestRuntimeStatsObject:
         rebuilt = RuntimeStats.from_dict(json.loads(stats.to_json()))
         assert rebuilt == stats
         assert rebuilt.shards[0].shard == 0
-
-
-class TestDeprecatedShims:
-    @pytest.mark.parametrize("old", sorted(DEPRECATED))
-    def test_old_methods_warn(self, rt, old):
-        with pytest.deprecated_call(match=f"AdaptationRuntime.{old}"):
-            getattr(rt, old)()
-
-    @pytest.mark.parametrize("old,section", sorted(DEPRECATED.items()))
-    def test_old_methods_return_value_identical_dicts(self, rt, old, section):
-        with pytest.deprecated_call():
-            legacy = getattr(rt, old)()
-        stats = rt.stats()
-        if section == "faults":
-            expected = dict(stats.faults) if stats.faults is not None else {}
-        else:
-            expected = dict(getattr(stats, section))
-        assert legacy == expected
-        assert legacy == rt.stats().to_dict().get(section, {})
 
 
 class TestRunResultStats:

@@ -54,6 +54,7 @@ RATCHETED = [
     "src/repro/app/grid_site_app.py",
     "src/repro/experiment/map_reduce_scenario.py",
     "src/repro/experiment/grid_site_scenario.py",
+    "src/repro/experiment/base.py",
     "src/repro/util/windows.py",
     "benchmarks/bench_x6_bus_batching.py",
     "benchmarks/bench_x8_telemetry.py",
