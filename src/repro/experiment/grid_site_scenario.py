@@ -110,7 +110,6 @@ class GridSiteParams(ScenarioParams):
     # monitoring
     probe_period: float = 1.0
     gauge_period: float = 2.0
-    telemetry: str = "scalar"
 
     # translation costs (what the sabotaged effectors charge)
     drain_cost: float = 3.0
@@ -201,10 +200,6 @@ class GridSiteParams(ScenarioParams):
         self._require(self.quarantine_after >= 0, "quarantine_after must be >= 0")
         self._require(self.quarantine_period > 0, "quarantine_period must be positive")
         self._require(self.history_capacity >= 0, "history_capacity must be >= 0")
-        self._require(
-            self.telemetry in ("scalar", "columnar"),
-            "telemetry must be 'scalar' or 'columnar'",
-        )
         self._check_policy(self.violation_policy)
         self._require(
             self.concurrency in ("serial", "disjoint"),
@@ -494,7 +489,6 @@ class GridSiteExperiment(ScenarioExperiment):
             failed_repair_cost=params.failed_repair_cost,
             violation_policy=params.violation_policy,
             concurrency=params.concurrency,
-            telemetry=params.telemetry,
             faults=self._fault_spec(),
             repair_timeout=params.repair_timeout or None,
             retry_policy=(

@@ -78,10 +78,14 @@ class RunResult:
             ) from None
 
     def repair_intervals(self) -> List[Tuple[float, float]]:
-        """(start, end) of every repair (the marks atop Figures 11-13)."""
-        return [
-            (a, b) for a, b, _ in self.trace.intervals("repair.start", "repair.end")
-        ]
+        """(start, end) of every repair (the marks atop Figures 11-13).
+
+        One interval per ended history record — each retry attempt and
+        each of several overlapping repairs is its own — sorted by start.
+        """
+        return sorted(
+            (r.started, r.ended) for r in self.history if r.ended is not None
+        )
 
     def history_dicts(self) -> List[Dict[str, Any]]:
         """The repair history as JSON-ready dicts (``/repair-history``)."""

@@ -7,10 +7,9 @@ handler.  Repairs are propagated down to the running system."
 
 Operational details mirroring the paper's experiment:
 
-* repairs are serialized — one repair in flight at a time;
-* after a repair finishes, a **settle time** elapses before constraints
-  are re-evaluated ("the effects of a repair on a system will take time",
-  §5.3), which bounds the repair rate and damps oscillation;
+* after a repair finishes, a **settle time** elapses before what it
+  touched is re-checked ("the effects of a repair on a system will take
+  time", §5.3), which bounds the repair rate and damps oscillation;
 * the *first* violated constraint with a registered strategy is repaired
   ("our experiment simply chose to repair the first client that reported
   an error", §7) — or, with ``violation_policy="worst"``, the client
@@ -26,20 +25,40 @@ Operational details mirroring the paper's experiment:
   and ``human_alerts_by_scope``), so one noisy scope cannot mask
   another's trouble when several repairs interleave.
 
-**Concurrency.**  ``concurrency="serial"`` (the default) is the paper's
-exact scheduling, bit for bit.  ``concurrency="disjoint"`` lets multiple
-repairs run at once when their footprints are provably disjoint (see
-:mod:`repro.repair.footprint`):
+**One lifecycle.**  In either concurrency mode a repair holds an
+in-flight *token* that reserves a footprint
+(:mod:`repro.repair.footprint`) from admission to its settle window:
 
-* a violation is **admitted** only when its invariant's read scope
-  overlaps no in-flight repair's footprint and no footprint still inside
-  its own settle window (settle timers are per footprint, not global);
-* after the strategy runs, its actual write set (from the transaction's
-  touched elements) is re-checked against the other in-flight
-  footprints; a late overlap **conflict-aborts** the repair at commit
-  (``repair.conflict`` trace event, ``FootprintConflict`` abort reason)
-  and rolls the model back — conflicts are scheduling artifacts, so they
-  do not count toward human alerts.
+1. **admit** — a violation starts repairing only when a slot is free and
+   its admission footprint overlaps no in-flight repair's footprint and
+   no footprint still inside its settle window (settle timers are per
+   footprint); otherwise it stays pending for the next evaluation;
+2. **attempt, then conflict check** — the strategy runs inside a fresh
+   model transaction; the admission footprint, widened by its actual
+   write set, is re-checked against the other in-flight and settling
+   footprints; a late overlap **conflict-aborts** the repair
+   (``repair.conflict`` trace event, ``FootprintConflict`` abort reason)
+   and rolls the model back — conflicts are scheduling artifacts, so
+   they do not count toward human alerts;
+3. **translate**, under an optional deadline, then **retry or finish**:
+   the token stays reserved across a retry backoff, and finishing
+   releases it into a settle window over the footprint it held.
+
+``concurrency`` only picks a policy over that lifecycle:
+
+====================  ========================  ==========================
+policy point          ``"serial"`` (default)    ``"disjoint"``
+====================  ========================  ==========================
+capacity              1                         ``max_concurrent_repairs``
+admission footprint   ``Footprint.UNIVERSAL``   the invariant's read scope
+taken or settling     ``evaluate`` is a no-op   other scopes still admitted
+``record.footprint``  the write set             read scope ∪ write set
+``inflight`` / peak   reported as 0             live count / high-water
+====================  ========================  ==========================
+
+So the paper's exact scheduling — one repair at a time, then a settle
+time before anything is re-checked (§5.3, §7) — is the capacity-1,
+whole-model case, bit for bit: a universal settle entry blocks everything.
 
 **Resilient execution.**  With the fault plane able to make effectors
 raise, no-op, or hang, the engine optionally runs repairs *two-phase*:
@@ -52,7 +71,7 @@ translation, same trace events, same event times):
 
 * ``repair_timeout`` — a sim-time deadline per attempt; expiry aborts
   the open transaction (undo log restores the model) and frees the
-  repair slot, the only escape from a hung effector;
+  repair's token, the only escape from a hung effector;
 * ``retry_policy`` — a failed attempt (effector error or timeout) is
   re-tried after seeded exponential backoff, re-checking first that the
   violation still holds; each attempt is its own history record with
@@ -69,7 +88,6 @@ translation, same trace events, same event times):
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.acme.system import ArchSystem
@@ -94,7 +112,7 @@ __all__ = ["ArchitectureManager", "RepairRecord"]
 
 
 class _InflightRepair:
-    """Bookkeeping for one admitted (not yet finished) concurrent repair."""
+    """Bookkeeping for one admitted (not yet finished) repair."""
 
     __slots__ = ("record", "footprint")
 
@@ -155,6 +173,10 @@ class ArchitectureManager:
         self.alert_after_aborts = int(alert_after_aborts)
         self.concurrency = concurrency
         self.max_concurrent_repairs = int(max_concurrent_repairs)
+        #: the policy over the one lifecycle (module doc); ``_serial`` is
+        #: read at the listed policy points and nowhere else
+        self._serial = concurrency == "serial"
+        self._capacity = 1 if self._serial else self.max_concurrent_repairs
         if repair_timeout is not None and repair_timeout <= 0:
             raise RepairError(
                 f"repair_timeout must be positive, got {repair_timeout}"
@@ -185,8 +207,6 @@ class ArchitectureManager:
         )
 
         self._strategies: Dict[str, RepairStrategy] = {}
-        self._busy = False
-        self._cooldown_until = -math.inf
         self._consecutive_aborts: Dict[str, int] = {}
         self.human_alerts = 0
         #: per-scope alert counts — scope-keyed so one noisy scope's
@@ -203,7 +223,8 @@ class ArchitectureManager:
         self._quarantined: Dict[str, float] = {}
         self._quarantine_rounds: Dict[str, int] = {}
 
-        # disjoint-mode state: in-flight repairs and settling footprints
+        # scheduler state: in-flight repairs by token, and the footprints
+        # still inside their settle window as (until, footprint)
         self._inflight: Dict[int, _InflightRepair] = {}
         self._settling: List[Tuple[float, Footprint]] = []
         self._next_token = 0
@@ -222,13 +243,14 @@ class ArchitectureManager:
 
     @property
     def busy(self) -> bool:
-        """True while any repair is in flight (serial or concurrent)."""
-        return self._busy or bool(self._inflight)
+        """True while any repair is in flight (across retry backoff too)."""
+        return bool(self._inflight)
 
     @property
     def inflight(self) -> int:
-        """Number of concurrently in-flight repairs (disjoint mode)."""
-        return len(self._inflight)
+        """Concurrently in-flight repairs; like ``peak_inflight`` it stays
+        0 on a serial engine (use :attr:`busy` there)."""
+        return 0 if self._serial else len(self._inflight)
 
     @property
     def constraint_stats(self) -> Dict[str, int]:
@@ -272,25 +294,44 @@ class ArchitectureManager:
         scopes, not O(model).  ``full=True`` forces one full re-check
         (the escape hatch for out-of-band model surgery).
 
-        In ``concurrency="disjoint"`` mode one call may admit *several*
-        repairs (every violation whose footprint overlaps nothing in
-        flight); the first record started is returned.
+        One call admits every actionable violation that passes the
+        admission rule (module doc), up to the capacity, and returns the
+        first record started.  At capacity — and, under the serial policy,
+        while settling — the call returns None uncounted.
         """
-        if self.concurrency == "disjoint":
-            return self._evaluate_disjoint(full)
-        if self._busy or self.sim.now < self._cooldown_until:
+        if len(self._inflight) >= self._capacity:
+            return None
+        self._expire_settles()
+        if self._serial and self._settling:
             return None
         self.evaluations += 1
+        # A whole-model admission takes everything, so under "first" the
+        # scan can stop at the violation it is about to admit.
         actionable = self._actionable(
-            full, stop_after_first=self.violation_policy == "first"
+            full,
+            stop_after_first=self._serial and self.violation_policy == "first",
         )
-        if not actionable:
-            return None
-        chosen = actionable[0]
         if self.violation_policy == "worst":
-            chosen = max(actionable, key=self._severity)
-        invariant = self.checker.invariant(chosen.invariant)
-        return self._start_repair(chosen, self._strategies[invariant.repair])
+            actionable.sort(key=self._severity, reverse=True)
+        started: List[RepairRecord] = []
+        for violation in actionable:
+            if len(self._inflight) >= self._capacity:
+                break
+            admission = self._admission_footprint(violation)
+            if self._find_conflict(admission) is not None:
+                continue
+            invariant = self.checker.invariant(violation.invariant)
+            strategy = self._strategies[invariant.repair]
+            started.append(self._start_repair(violation, strategy, admission))
+        return started[0] if started else None
+
+    def _admission_footprint(self, violation: ConstraintResult) -> Footprint:
+        """What a violation must find free to be admitted: the whole model
+        under the serial policy, else its invariant's read scope."""
+        if self._serial:
+            return Footprint.UNIVERSAL
+        invariant = self.checker.invariant(violation.invariant)
+        return invariant.read_footprint(violation.element)
 
     def _actionable(
         self, full: bool, stop_after_first: bool
@@ -299,7 +340,7 @@ class ArchitectureManager:
 
         Errors and unhandled violations are traced and skipped; with
         ``stop_after_first`` the scan stops at the first actionable one
-        (the serial engine's ``violation_policy="first"`` short-circuit).
+        (the serial policy's ``violation_policy="first"`` short-circuit).
         """
         actionable: List[ConstraintResult] = []
         for result in self.checker.check_all(self.system, full=full):
@@ -359,11 +400,11 @@ class ArchitectureManager:
         strategy: RepairStrategy,
         attempt: int = 1,
     ):
-        """Run one strategy inside a fresh transaction (both schedulers).
+        """Run one strategy inside a fresh transaction.
 
         Returns ``(record, txn, ctx, outcome)``; ``outcome`` is None when
         the strategy aborted (transaction already rolled back, abort
-        traced and counted) — the caller owns mode-specific scheduling.
+        traced and counted) — the caller owns the scheduling.
         """
         record = RepairRecord(
             started=self.sim.now,
@@ -406,7 +447,7 @@ class ArchitectureManager:
         return record, txn, ctx, outcome
 
     def _commit(self, record, txn, ctx, outcome, violation, footprint) -> None:
-        """Commit bookkeeping shared by both schedulers."""
+        """Commit the transaction and fill in the record."""
         self._consecutive_aborts.pop(violation.scope or "", None)
         record.footprint = footprint
         record.tactic_footprints = list(ctx.tactic_footprints)
@@ -425,9 +466,12 @@ class ArchitectureManager:
         self,
         violation: ConstraintResult,
         strategy: RepairStrategy,
+        admission: Footprint,
         attempt: int = 1,
     ) -> RepairRecord:
-        self._busy = True
+        """Run one attempt of an admitted repair.  ``admission``, the
+        footprint it was admitted under, stays reserved when the attempt
+        aborts and is widened by the transaction's write set otherwise."""
         record, txn, ctx, outcome = self._attempt(
             violation, strategy, attempt=attempt
         )
@@ -435,75 +479,81 @@ class ArchitectureManager:
             # Strategy-stage abort: no tactic ran, so there is nothing to
             # retry — only the quarantine ledger advances (no-op when off).
             self._scope_failure(violation)
-            self.sim.schedule(self.failed_repair_cost, self._finish, record)
+            self._launch(record, admission, delay=self.failed_repair_cost)
             return record
+
+        # The actual write set, read *before* any abort replays undos
+        # (and while the transaction is still open).
+        touched = txn.touched()
+        footprint = admission.union(touched)
+        conflict = self._find_conflict(footprint)
+        if conflict is not None:
+            txn.abort()
+            self.conflicts += 1
+            record.abort_reason = "FootprintConflict"
+            with_strategy, with_scope = conflict
+            self.trace.emit(
+                self.sim.now, "repair.conflict",
+                strategy=strategy.name, scope=violation.scope,
+                with_strategy=with_strategy, with_scope=str(with_scope),
+            )
+            self.trace.emit(
+                self.sim.now, "repair.abort",
+                strategy=strategy.name, reason="FootprintConflict",
+            )
+            # NOT _note_abort: a conflict is a scheduling artifact, not a
+            # failed repair of this scope — it must not trip human alerts.
+            self._launch(record, admission, delay=self.failed_repair_cost)
+            return record
+
+        # The footprint stays reserved until the repair finishes.  What
+        # the record reports is the write set under the serial policy
+        # (its reservation is always the whole model) and the reserved
+        # read ∪ write footprint otherwise.
+        token = self._launch(record, footprint)
+        reported = touched if self._serial else footprint
         if not self._two_phase:
-            self._commit(record, txn, ctx, outcome, violation, txn.touched())
-            if self.translator is not None and ctx.intents:
-
-                def done(error=None):
-                    if error is not None:
-                        self._translation_error(record, str(error))
-                    self._finish(record)
-
-                self.translator.execute(ctx.intents, on_done=done)
-            else:
-                self.sim.schedule(0.0, self._finish, record)
-            return record
-
-        # Two-phase: translate first, commit only on completion.  The
-        # touched set must be read while the transaction is still open.
-        footprint = txn.touched()
+            self._commit(record, txn, ctx, outcome, violation, reported)
         state = {"settled": False}
 
-        def translated(error=None):
+        def completed(error=None):
             if state["settled"]:
                 return
             state["settled"] = True
-            if error is None:
-                self._commit(record, txn, ctx, outcome, violation, footprint)
-                self._repair_succeeded(violation, outcome)
-                self._finish(record)
-            else:
+            if error is not None and self._two_phase:
                 self._runtime_failure(
-                    record, txn, ctx, outcome, violation, strategy,
+                    token, record, txn, ctx, outcome, violation, strategy,
                     str(error), attempt,
                 )
-
-        self._arm_deadline(
-            state, record, txn, ctx, outcome, violation, strategy, attempt
-        )
-        if self.translator is not None and ctx.intents:
-            self.translator.execute(ctx.intents, on_done=translated)
-        else:
-            self.sim.schedule(0.0, translated)
-        return record
-
-    def _arm_deadline(
-        self, state, record, txn, ctx, outcome, violation, strategy,
-        attempt, token=None,
-    ) -> None:
-        """Schedule the per-attempt timeout (two-phase modes only)."""
-        if self.repair_timeout is None:
-            return
-
-        def deadline():
-            if state["settled"]:
                 return
-            state["settled"] = True
-            record.timed_out = True
-            self.timeouts += 1
-            self.trace.emit(
-                self.sim.now, "repair.timeout",
-                strategy=strategy.name, scope=violation.scope,
-                attempt=attempt,
-            )
-            self._runtime_failure(
-                record, txn, ctx, outcome, violation, strategy,
-                "Timeout", attempt, token=token,
-            )
+            if error is not None:
+                self._translation_error(record, str(error))
+            elif self._two_phase:
+                # commit happens only now that translation completed
+                self._commit(record, txn, ctx, outcome, violation, reported)
+                self._repair_succeeded(violation, outcome)
+            self._finish(token)
 
-        self.sim.schedule(self.repair_timeout, deadline)
+        if self.repair_timeout is not None:
+
+            def deadline():
+                if state["settled"]:
+                    return
+                record.timed_out = True
+                self.timeouts += 1
+                self.trace.emit(
+                    self.sim.now, "repair.timeout",
+                    strategy=strategy.name, scope=violation.scope,
+                    attempt=attempt,
+                )
+                completed("Timeout")
+
+            self.sim.schedule(self.repair_timeout, deadline)
+        if self.translator is not None and ctx.intents:
+            self.translator.execute(ctx.intents, on_done=completed)
+        else:
+            self.sim.schedule(0.0, completed)
+        return record
 
     def _translation_error(self, record: RepairRecord, reason: str) -> None:
         """A fault-wrapped translator failed after a one-phase commit.
@@ -527,15 +577,15 @@ class ArchitectureManager:
             self.breakers.record_success(outcome.tactic_applied, scope)
 
     def _runtime_failure(
-        self, record, txn, ctx, outcome, violation, strategy, reason,
-        attempt, token=None,
+        self, token, record, txn, ctx, outcome, violation, strategy, reason,
+        attempt,
     ) -> None:
         """An applied repair failed at runtime (effector error or timeout).
 
         Aborts the open transaction (undo log restores the model), feeds
         the breaker and alert ledgers, then either schedules a retry
-        (holding the serial slot / the concurrent footprint across the
-        backoff) or concludes the repair with quarantine accounting.
+        (the token keeps its footprint reserved across the backoff) or
+        concludes the repair with quarantine accounting.
         """
         txn.abort()
         record.abort_reason = reason
@@ -562,22 +612,12 @@ class ArchitectureManager:
                 attempt=attempt + 1, backoff=backoff,
             )
             self.history.append(record)
-            if token is None:
-                self.sim.schedule(
-                    backoff, self._retry_serial, violation, strategy,
-                    attempt + 1,
-                )
-            else:
-                self.sim.schedule(
-                    backoff, self._retry_concurrent, token, violation,
-                    strategy, attempt + 1,
-                )
+            self.sim.schedule(
+                backoff, self._retry, token, violation, strategy, attempt + 1
+            )
             return
         self._scope_failure(violation)
-        if token is None:
-            self._finish(record)
-        else:
-            self._finish_concurrent(token)
+        self._finish(token)
 
     def _violation_still_active(
         self, violation: ConstraintResult
@@ -593,27 +633,15 @@ class ArchitectureManager:
                 return result
         return None
 
-    def _retry_serial(
-        self, violation: ConstraintResult, strategy: RepairStrategy,
-        attempt: int,
-    ) -> None:
-        fresh = self._violation_still_active(violation)
-        if fresh is None:
-            self.trace.emit(
-                self.sim.now, "repair.retry_skip",
-                invariant=violation.invariant, scope=violation.scope,
-            )
-            self._busy = False
-            return
-        self._start_repair(fresh, strategy, attempt=attempt)
-
-    def _retry_concurrent(
+    def _retry(
         self, token: int, violation: ConstraintResult,
         strategy: RepairStrategy, attempt: int,
     ) -> None:
-        # Release the reserved footprint first; re-admission conflict
-        # checks run against whatever is in flight *now*.
+        # Release the reserved footprint first; the new attempt's conflict
+        # check runs against whatever is in flight or still settling *now*
+        # (this call comes from the scheduler, not through ``evaluate``).
         self._inflight.pop(token, None)
+        self._expire_settles()
         fresh = self._violation_still_active(violation)
         if fresh is None:
             self.trace.emit(
@@ -621,10 +649,8 @@ class ArchitectureManager:
                 invariant=violation.invariant, scope=violation.scope,
             )
             return
-        invariant = self.checker.invariant(fresh.invariant)
-        read_scope = invariant.read_footprint(fresh.element)
-        self._start_concurrent_repair(
-            fresh, strategy, read_scope, attempt=attempt
+        self._start_repair(
+            fresh, strategy, self._admission_footprint(fresh), attempt=attempt
         )
 
     def _scope_failure(self, violation: ConstraintResult) -> None:
@@ -647,46 +673,7 @@ class ArchitectureManager:
                 scope=scope, until=self.sim.now + period, round=rounds + 1,
             )
 
-    # -- disjoint-concurrency scheduling ---------------------------------------
-    def _evaluate_disjoint(self, full: bool = False) -> Optional[RepairRecord]:
-        """Admit every actionable violation whose footprint is free.
-
-        The admission rule: a violation may start repairing only when its
-        invariant's read scope overlaps (a) no in-flight repair's
-        footprint and (b) no footprint still inside its per-footprint
-        settle window.  Violations that fail the rule stay pending — the
-        next evaluation reconsiders them — so overlapping work degrades
-        to the serial schedule instead of racing.
-        """
-        self._expire_settles()
-        if len(self._inflight) >= self.max_concurrent_repairs:
-            return None
-        self.evaluations += 1
-        actionable = self._actionable(full, stop_after_first=False)
-        if self.violation_policy == "worst":
-            actionable.sort(key=self._severity, reverse=True)
-        started: Optional[RepairRecord] = None
-        for violation in actionable:
-            if len(self._inflight) >= self.max_concurrent_repairs:
-                break
-            invariant = self.checker.invariant(violation.invariant)
-            read_scope = invariant.read_footprint(violation.element)
-            if self._blocked(read_scope):
-                continue
-            record = self._start_concurrent_repair(
-                violation, self._strategies[invariant.repair], read_scope
-            )
-            if started is None:
-                started = record
-        return started
-
-    def _blocked(self, footprint: Footprint) -> bool:
-        """True when ``footprint`` overlaps in-flight or settling work."""
-        for entry in self._inflight.values():
-            if footprint.overlaps(entry.footprint):
-                return True
-        return any(footprint.overlaps(fp) for _, fp in self._settling)
-
+    # -- footprint scheduling ---------------------------------------------------
     def _expire_settles(self) -> None:
         now = self.sim.now
         if self._settling:
@@ -694,104 +681,23 @@ class ArchitectureManager:
                 (until, fp) for until, fp in self._settling if until > now
             ]
 
-    def _start_concurrent_repair(
-        self,
-        violation: ConstraintResult,
-        strategy: RepairStrategy,
-        read_scope: Footprint,
-        attempt: int = 1,
-    ) -> RepairRecord:
-        record, txn, ctx, outcome = self._attempt(
-            violation, strategy, attempt=attempt
-        )
-        if outcome is None:
-            self._scope_failure(violation)
-            self._launch(record, read_scope, delay=self.failed_repair_cost)
-            return record
-
-        # The actual write set, read *before* any abort replays undos.
-        footprint = read_scope.union(txn.touched())
-        conflict = self._find_conflict(footprint)
-        if conflict is not None:
-            txn.abort()
-            self.conflicts += 1
-            record.abort_reason = "FootprintConflict"
-            with_strategy, with_scope = conflict
-            self.trace.emit(
-                self.sim.now, "repair.conflict",
-                strategy=strategy.name, scope=violation.scope,
-                with_strategy=with_strategy, with_scope=with_scope,
-            )
-            self.trace.emit(
-                self.sim.now, "repair.abort",
-                strategy=strategy.name, reason="FootprintConflict",
-            )
-            # NOT _note_abort: a conflict is a scheduling artifact, not a
-            # failed repair of this scope — it must not trip human alerts.
-            self._launch(record, read_scope, delay=self.failed_repair_cost)
-            return record
-
-        if not self._two_phase:
-            self._commit(record, txn, ctx, outcome, violation, footprint)
-            token = self._launch(record, footprint)
-            if self.translator is not None and ctx.intents:
-
-                def done(error=None):
-                    if error is not None:
-                        self._translation_error(record, str(error))
-                    self._finish_concurrent(token)
-
-                self.translator.execute(ctx.intents, on_done=done)
-            else:
-                self.sim.schedule(0.0, self._finish_concurrent, token)
-            return record
-
-        # Two-phase: the footprint is reserved while the transaction
-        # stays open; commit happens only when translation completes.
-        token = self._launch(record, footprint)
-        state = {"settled": False}
-
-        def translated(error=None):
-            if state["settled"]:
-                return
-            state["settled"] = True
-            if error is None:
-                self._commit(record, txn, ctx, outcome, violation, footprint)
-                self._repair_succeeded(violation, outcome)
-                self._finish_concurrent(token)
-            else:
-                self._runtime_failure(
-                    record, txn, ctx, outcome, violation, strategy,
-                    str(error), attempt, token=token,
-                )
-
-        self._arm_deadline(
-            state, record, txn, ctx, outcome, violation, strategy, attempt,
-            token=token,
-        )
-        if self.translator is not None and ctx.intents:
-            self.translator.execute(ctx.intents, on_done=translated)
-        else:
-            self.sim.schedule(0.0, translated)
-        return record
-
     def _find_conflict(self, footprint: Footprint):
-        """Who a write set collides with: an in-flight repair, a footprint
+        """Who a footprint collides with: an in-flight repair, a footprint
         still settling, or nobody.
 
-        Admission only checked the invariant's *read* scope; a strategy
-        whose writes escaped that scope must not commit into an element
-        another repair is still executing against — or one still inside a
-        settle window, whose gauges are blind/stale by definition.
-        Returns ``(strategy, scope)`` of the collision (``"settling"``
-        marks a settle-window hit) or None.
+        Asked at admission and again once the write set is known: a
+        strategy whose writes escaped its admission footprint must not
+        commit into an element another repair is executing against — or
+        one inside a settle window, whose gauges are blind/stale by
+        definition.  Returns the collision's ``(strategy, scope)``, or
+        ``("settling", footprint)`` for a settle-window hit, or None.
         """
         for entry in self._inflight.values():
             if footprint.overlaps(entry.footprint):
                 return entry.record.strategy, entry.record.scope
         for _, settling in self._settling:
             if footprint.overlaps(settling):
-                return "settling", str(settling)
+                return "settling", settling
         return None
 
     def _launch(
@@ -806,12 +712,14 @@ class ArchitectureManager:
         self._next_token += 1
         token = self._next_token
         self._inflight[token] = _InflightRepair(record, footprint)
-        self.peak_inflight = max(self.peak_inflight, len(self._inflight))
+        if not self._serial:
+            self.peak_inflight = max(self.peak_inflight, len(self._inflight))
         if delay is not None:
-            self.sim.schedule(delay, self._finish_concurrent, token)
+            self.sim.schedule(delay, self._finish, token)
         return token
 
-    def _finish_concurrent(self, token: int) -> None:
+    def _finish(self, token: int) -> None:
+        """Close a repair: release its token into a settle window."""
         entry = self._inflight.pop(token)
         record = entry.record
         record.ended = self.sim.now
@@ -845,14 +753,3 @@ class ArchitectureManager:
                 consecutive_aborts=count,
             )
             self._consecutive_aborts[key] = 0
-
-    def _finish(self, record: RepairRecord) -> None:
-        record.ended = self.sim.now
-        self.history.append(record)
-        self._busy = False
-        self._cooldown_until = self.sim.now + self.settle_time
-        self.trace.emit(
-            self.sim.now, "repair.end",
-            strategy=record.strategy, committed=record.committed,
-            duration=record.duration,
-        )

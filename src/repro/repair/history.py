@@ -30,8 +30,8 @@ class RepairRecord:
     tactics_tried: List[str] = field(default_factory=list)
     abort_reason: Optional[str] = None
     intents: List[RuntimeIntent] = field(default_factory=list)
-    #: elements the repair wrote (serial engine: the transaction's
-    #: touched set; disjoint engine: additionally unioned with the
+    #: elements the repair wrote (serial policy: the transaction's
+    #: touched set; disjoint policy: additionally unioned with the
     #: triggering invariant's read scope, as used for conflict checks)
     footprint: Optional[Footprint] = None
     #: (tactic name, touched elements) per applied tactic

@@ -79,21 +79,5 @@ class Trace:
             out.append(r)
         return out
 
-    def intervals(self, start_cat: str, end_cat: str) -> List[tuple]:
-        """Pair up start/end records into ``(t_start, t_end, start_record)``.
-
-        Matches greedily in time order (sufficient because the repair engine
-        serializes repairs).  Unmatched starts are dropped.
-        """
-        out = []
-        pending: Optional[TraceRecord] = None
-        for r in self._records:
-            if r.category == start_cat:
-                pending = r
-            elif r.category == end_cat and pending is not None:
-                out.append((pending.time, r.time, pending))
-                pending = None
-        return out
-
     def dump(self, prefix: str = "") -> str:
         return "\n".join(str(r) for r in self.select(prefix))

@@ -7,6 +7,8 @@ routing, registry listing, per-tenant repairs, and the headline
 adapted-concurrent vs adapted-serial comparison.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro import api
@@ -125,6 +127,21 @@ class TestEndToEnd:
     def test_repairs_actually_overlap(self, adapted):
         assert adapted.peak_inflight >= 2
         assert float(adapted.s("repairs.inflight").values.max()) >= 2
+
+    def test_repair_intervals_are_the_history_records(self, adapted):
+        """Regression: pairing ``repair.start``/``repair.end`` trace events
+        greedily mis-paired overlapping repairs and dropped most of them."""
+        intervals = adapted.repair_intervals()
+        assert len(intervals) == len(adapted.history)
+        assert intervals == sorted(intervals)
+        assert Counter(intervals) == Counter(
+            (r.started, r.ended) for r in adapted.history
+        )
+        # the run really overlaps: some repair starts before the last ends
+        assert any(b[0] < a[1] for a, b in zip(intervals, intervals[1:]))
+        assert adapted.summary()["repairs"]["intervals"] == [
+            [a, b] for a, b in intervals
+        ]
 
     def test_disjoint_beats_serial_on_time_to_all_repaired(
         self, adapted, serial

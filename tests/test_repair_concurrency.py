@@ -287,6 +287,58 @@ class TestConflictAbort:
         assert system.component("n1").get_property("latency") == 1.0
         assert shared.get_property("touched") == 2
 
+    def test_retry_ignores_a_lapsed_settle_window(self):
+        """Regression: a retry fires from the scheduler, not through
+        ``evaluate``, so nothing had pruned the settling list — its write
+        into a neighbour whose window had already lapsed conflict-aborted
+        against the dead window."""
+        from repro.repair.resilience import RetryPolicy
+
+        system = build_nodes(2)
+        checker = make_checker()
+        sim = Simulator()
+        attempts = []
+
+        def heal(ctx):
+            target = ctx.bindings["__strategy_args__"][0]
+            attempts.append(target.name)
+            target.set_property("latency", 1.0)
+            if attempts.count("n0") == 2:  # the retry also writes n1
+                ctx.system.component("n1").set_property("touched", 1)
+            ctx.intend("heal", target=target.name)
+            return True
+
+        class FailsFirstN0:
+            """One sim-second per repair; n0's first translation errors."""
+
+            failed = False
+
+            def execute(self, intents, on_done=None):
+                error = None
+                if intents[0].args["target"] == "n0" and not self.failed:
+                    self.failed = True
+                    error = "EffectorRaise:heal"
+                sim.schedule(1.0, on_done, error)
+
+        _, manager = make_manager(
+            system, checker, sim=sim, concurrency="disjoint",
+            settle_time=30.0, translator=FailsFirstN0(),
+            retry_policy=RetryPolicy(max_attempts=2, backoff=40.0, jitter=0.0),
+        )
+        manager.register_strategy(
+            FirstSuccessStrategy("fix", [PythonTactic("heal", heal)])
+        )
+        # n0 and n1 admitted together at t=0; n1 finishes at t=1 and
+        # settles until t=31; n0 fails at t=1 and retries at t=41
+        manager.evaluate()
+        assert manager.inflight == 2
+        sim.run(until=50.0)
+        retry = [r for r in manager.history if r.scope == "n0"][-1]
+        assert (retry.started, retry.attempt) == (41.0, 2)
+        assert retry.abort_reason is None and retry.committed
+        assert manager.conflicts == 0
+        assert system.component("n1").get_property("touched") == 1
+
     def test_structural_write_serializes_everything(self):
         """A repair that mutates structure gets a universal footprint:
         later admissions in the same window are blocked, not raced."""

@@ -90,7 +90,23 @@ class FlakyTranslator:
             self.sim.schedule(self.delay, on_done, error)
 
 
+#: the scheduling policy ``make_engine`` builds.  Every engine test below
+#: runs twice: as written (serial) and again from the ``*Disjoint``
+#: subclasses at the bottom, which take the same failure paths through
+#: the disjoint policy.  Assertions therefore stay mode-independent
+#: (``busy``, history, model state — never ``inflight``).
+CONCURRENCY = "serial"
+
+
+@pytest.fixture(autouse=True)
+def engine_concurrency(request, monkeypatch):
+    """Point ``make_engine`` at the running test class's policy."""
+    mode = getattr(request.cls, "concurrency", "serial")
+    monkeypatch.setitem(globals(), "CONCURRENCY", mode)
+
+
 def make_engine(system, sim, translator=None, settle=0.0, **opts):
+    opts.setdefault("concurrency", CONCURRENCY)
     return ArchitectureManager(
         sim, system, make_checker(), translator=translator,
         settle_time=settle, **opts,
@@ -106,6 +122,10 @@ def load_of(system):
 # ---------------------------------------------------------------------------
 
 class TestTwoPhase:
+    def test_make_engine_builds_the_class_policy(self):
+        mgr = make_engine(make_system(), Simulator())
+        assert mgr.concurrency == getattr(self, "concurrency", "serial")
+
     def test_legacy_path_commits_before_translation(self):
         sim = Simulator()
         system = make_system()
@@ -498,3 +518,37 @@ class TestValidation:
                 make_system(), Simulator(),
                 quarantine_policy=QuarantinePolicy(after_failures=0),
             )
+
+
+# ---------------------------------------------------------------------------
+# the same suite through the disjoint policy
+# ---------------------------------------------------------------------------
+# Subclasses, not a parametrised fixture, so the serial ids keep their names.
+
+
+class TestTwoPhaseDisjoint(TestTwoPhase):
+    concurrency = "disjoint"
+
+
+class TestTimeoutDisjoint(TestTimeout):
+    concurrency = "disjoint"
+
+
+class TestRetryDisjoint(TestRetry):
+    concurrency = "disjoint"
+
+
+class TestBreakerDisjoint(TestBreaker):
+    concurrency = "disjoint"
+
+
+class TestQuarantineDisjoint(TestQuarantine):
+    concurrency = "disjoint"
+
+
+class TestHistoryCapacityDisjoint(TestHistoryCapacity):
+    concurrency = "disjoint"
+
+
+class TestValidationDisjoint(TestValidation):
+    concurrency = "disjoint"

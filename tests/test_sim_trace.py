@@ -20,23 +20,6 @@ def test_select_time_window():
     assert [r.time for r in recs] == [1.0, 2.0, 3.0]
 
 
-def test_intervals_pairing():
-    t = Trace()
-    t.emit(10.0, "repair.start", id=1)
-    t.emit(40.0, "repair.end", id=1)
-    t.emit(50.0, "repair.start", id=2)
-    t.emit(55.0, "repair.end", id=2)
-    pairs = t.intervals("repair.start", "repair.end")
-    assert [(a, b) for a, b, _ in pairs] == [(10.0, 40.0), (50.0, 55.0)]
-
-
-def test_intervals_unmatched_start_dropped():
-    t = Trace()
-    t.emit(1.0, "repair.start")
-    pairs = t.intervals("repair.start", "repair.end")
-    assert pairs == []
-
-
 def test_subscription():
     t = Trace()
     seen = []
