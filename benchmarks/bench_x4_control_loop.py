@@ -18,6 +18,16 @@ rounds/sec and per-check latency for:
 * ``compiled-full``     — closure compiler, no caching (ablation);
 * ``compiled-incremental`` — the default fast path.
 
+A second column shows the *shape* of one control-loop wake-up rather
+than a ratio: ``violations()`` per call with a **fixed** number of dirty
+and of violated scopes while only the model size varies.  The
+compiled-incremental checker answers from its live violation set, so
+that cost must stay flat (within 2x from the smallest to the largest
+size); the full variants grow with the model.  It is measured with the
+two scope-local invariants only — the quantified one reads every
+component by definition, so its single re-evaluation is O(model)
+whatever the checker does.
+
 Output: a rendered table artifact plus machine-readable
 ``out/BENCH_control_loop.json``.  The acceptance gate asserts >= 5x for
 compiled-incremental over interpreted-full at 300 components with 1%
@@ -39,6 +49,9 @@ SIZES = (30, 60) if FAST else (100, 300, 1000)
 DIRTY_FRACTION = 0.01
 GATE_SIZE = 300          # the acceptance-criterion size
 GATE_SPEEDUP = 5.0
+SHAPE_DIRTY = 4          # scopes re-dirtied before each violations() call
+SHAPE_VIOLATED = 4       # scopes kept violated throughout
+SHAPE_FLATNESS = 2.0     # largest / smallest size, compiled-incremental
 
 BINDINGS = {"maxLatency": 2.0, "maxLoad": 6.0, "minUtilization": 0.35}
 
@@ -61,7 +74,9 @@ def build_model(n_components: int) -> ArchSystem:
     return system
 
 
-def build_checker(compiled: bool, incremental: bool) -> ConstraintChecker:
+def build_checker(
+    compiled: bool, incremental: bool, quantified: bool = True
+) -> ConstraintChecker:
     checker = ConstraintChecker(
         bindings=dict(BINDINGS), compiled=compiled, incremental=incremental
     )
@@ -70,9 +85,10 @@ def build_checker(compiled: bool, incremental: bool) -> ConstraintChecker:
         "u", "load <= maxLoad or utilization >= minUtilization",
         scope_type="NodeT",
     )
-    checker.add_source(
-        "g", "forall n : NodeT in system.components | n.latency >= 0"
-    )
+    if quantified:
+        checker.add_source(
+            "g", "forall n : NodeT in system.components | n.latency >= 0"
+        )
     return checker
 
 
@@ -93,6 +109,28 @@ def run_variant(checker: ConstraintChecker, system: ArchSystem,
         results = checker.check_all(system)
     elapsed = time.perf_counter() - start
     return elapsed, results
+
+
+def violations_per_call_us(checker: ConstraintChecker, system: ArchSystem,
+                           rounds: int) -> float:
+    """Mean microseconds per ``violations()`` call while SHAPE_VIOLATED
+    scopes stay violated and SHAPE_DIRTY healthy ones are rewritten
+    before every call; only the calls themselves are timed."""
+    components = system.components
+    for comp in components[:SHAPE_VIOLATED]:
+        comp.set_property("latency", 9.0)
+    healthy = len(components) - SHAPE_VIOLATED
+    found = checker.violations(system)  # warm: compile + populate the cache
+    spent = 0.0
+    for round_no in range(rounds):
+        for k in range(SHAPE_DIRTY):
+            comp = components[SHAPE_VIOLATED + (round_no * SHAPE_DIRTY + k) % healthy]
+            comp.set_property("latency", 1.0 + ((round_no + k) % 9) * 0.1)
+        start = time.perf_counter()
+        found = checker.violations(system)
+        spent += time.perf_counter() - start
+    assert [r.scope for r in found] == [c.name for c in components[:SHAPE_VIOLATED]]
+    return 1e6 * spent / rounds
 
 
 def run_comparison():
@@ -123,6 +161,15 @@ def run_comparison():
                 "per_check_ms": 1000.0 * elapsed / rounds,
                 "scopes_evaluated": checker.stats["scopes_evaluated"],
                 "scopes_reused": checker.stats["scopes_reused"],
+                # best of three: the flatness gate compares two of these
+                "violations_per_call_us": min(
+                    violations_per_call_us(
+                        build_checker(compiled, incremental, quantified=False),
+                        build_model(size),
+                        rounds * 20 if incremental else rounds,
+                    )
+                    for _ in range(3)
+                ),
             }
         base = per_size["interpreted-full"]["per_check_ms"]
         for label in per_size:
@@ -143,10 +190,12 @@ def test_x4_control_loop(artifact):
                 int(stats["checks_per_second"]),
                 stats["scopes_evaluated"],
                 round(stats["speedup"], 1),
+                round(stats["violations_per_call_us"], 1),
             ])
     text = render_table(
         ["components", "variant", "per-check (ms)", "checks/s",
-         "scopes evaluated", "speedup (x)"],
+         "scopes evaluated", "speedup (x)",
+         f"violations() us @ {SHAPE_DIRTY} dirty / {SHAPE_VIOLATED} violated"],
         rows,
         title=(
             f"X4: check_all with {DIRTY_FRACTION:.0%} dirty elements "
@@ -155,6 +204,11 @@ def test_x4_control_loop(artifact):
     )
     print(text)
     artifact("x4_control_loop", text)
+    smallest, largest = (
+        report[size]["compiled-incremental"]["violations_per_call_us"]
+        for size in (min(report), max(report))
+    )
+    flatness = largest / smallest
     OUT_DIR.mkdir(exist_ok=True)
     (OUT_DIR / "BENCH_control_loop.json").write_text(
         json.dumps(
@@ -163,6 +217,11 @@ def test_x4_control_loop(artifact):
                 "fast": FAST,
                 "dirty_fraction": DIRTY_FRACTION,
                 "sizes": list(SIZES),
+                "violations_shape": {
+                    "dirty": SHAPE_DIRTY,
+                    "violated": SHAPE_VIOLATED,
+                    "flatness": flatness,
+                },
                 "results": {str(k): v for k, v in report.items()},
             },
             indent=2,
@@ -181,3 +240,8 @@ def test_x4_control_loop(artifact):
         assert speedup >= GATE_SPEEDUP, (
             f"compiled-incremental only {speedup:.1f}x at {GATE_SIZE} components"
         )
+    # One wake-up costs O(dirty + violated): model size must not show.
+    assert flatness <= SHAPE_FLATNESS, (
+        f"violations() per call grew {flatness:.2f}x from {min(report)} to "
+        f"{max(report)} components at fixed dirty/violated counts"
+    )

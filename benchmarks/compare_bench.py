@@ -95,6 +95,12 @@ GATES: Dict[str, List[Gate]] = {
             higher_is_better=True,
             margin=TIMING_MARGIN,
         ),
+        Gate(
+            "violations_flatness",
+            lambda r: r["violations_shape"]["flatness"],
+            higher_is_better=False,
+            margin=TIMING_MARGIN,
+        ),
     ],
     "BENCH_bus_batching.json": [
         Gate(

@@ -25,7 +25,15 @@ it re-evaluates O(k) scopes instead of O(model):
   conservatively re-runs whenever *anything* changed;
 * structural mutations, binding changes, a new/different system object,
   or an overflowed dirty log fall back to a full pass (as does the
-  ``check_all(system, full=True)`` escape hatch).
+  ``full=True`` escape hatch of ``check_all`` / ``violations``).
+
+The cache also keeps the **live violation set**: which (invariant, scope)
+slots are violated right now, updated only where a re-evaluation moved a
+verdict.  :meth:`ConstraintChecker.violations` answers from it, so one
+control-loop wake-up costs O(dirty scopes + violated scopes);
+:meth:`ConstraintChecker.check_all` returns every result and is the one
+remaining O(model) read (a list copy).  A re-evaluated scope whose
+verdict did not move keeps its cached :class:`ConstraintResult` object.
 
 The tree-walking interpreter remains available (``compiled=False``) as
 the reference implementation, and ``incremental=False`` restores the
@@ -36,7 +44,7 @@ equivalence suite for both axes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.acme.elements import Element
 from repro.acme.system import ArchSystem
@@ -173,16 +181,23 @@ class Invariant:
         return results
 
 
-#: result-cache key: (invariant name, scope element or None)
-_Key = Tuple[str, Optional[Element]]
-
-
 class _CheckSession:
-    """Cached state of the last check against one system object."""
+    """Cached state of the last check against one system object.
+
+    A *slot* is a position in the full-check output order; it identifies
+    one (invariant, scope element) pair for the session's lifetime.
+    """
 
     __slots__ = (
-        "system", "epoch", "structure_epoch", "bindings", "functions",
-        "order", "results", "scope_index", "global_keys",
+        "system",
+        "epoch",
+        "structure_epoch",
+        "bindings",
+        "functions",
+        "results",
+        "violated",
+        "scope_index",
+        "global_slots",
     )
 
     def __init__(self, system: ArchSystem):
@@ -191,13 +206,15 @@ class _CheckSession:
         self.structure_epoch = 0
         self.bindings: Dict[str, Any] = {}
         self.functions: Dict[str, Callable[..., Any]] = {}
-        #: full-check output order (stable across incremental updates)
-        self.order: List[_Key] = []
-        self.results: Dict[_Key, ConstraintResult] = {}
-        #: dirty element -> result keys to re-evaluate (scope-local lane)
-        self.scope_index: Dict[Element, List[_Key]] = {}
-        #: keys re-evaluated whenever anything changed (conservative lane)
-        self.global_keys: List[_Key] = []
+        #: slot -> its latest result, in full-check output order (the
+        #: result names its invariant and carries its scope element)
+        self.results: List[ConstraintResult] = []
+        #: slots whose latest result is violated (the live violation set)
+        self.violated: Set[int] = set()
+        #: dirty element -> slots to re-evaluate (scope-local lane)
+        self.scope_index: Dict[Element, List[int]] = {}
+        #: slots re-evaluated whenever anything changed (conservative lane)
+        self.global_slots: List[int] = []
 
 
 class ConstraintChecker:
@@ -264,11 +281,30 @@ class ConstraintChecker:
         self, system: ArchSystem, full: bool = False
     ) -> List[ConstraintResult]:
         """Evaluate every invariant; identical results to the reference
-        interpreter, but O(changed scopes) when the cache applies.
+        interpreter, but O(changed scopes) evaluations when the cache
+        applies (plus one copy of the result list).
 
         ``full=True`` is the escape hatch: one unconditional full pass
         (the cache is rebuilt, so later calls stay incremental).
         """
+        return list(self._refresh(system, full).results)
+
+    def violations(
+        self, system: ArchSystem, full: bool = False
+    ) -> List[ConstraintResult]:
+        """The violated results of :meth:`check_all`, in its order, after
+        the same refresh — read from the live violation set, so the cost
+        is O(changed scopes + violated scopes), not O(model)."""
+        sess = self._refresh(system, full)
+        results = sess.results
+        return [results[slot] for slot in sorted(sess.violated)]
+
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+    def _refresh(self, system: ArchSystem, full: bool) -> _CheckSession:
+        """Bring the cached session up to date with ``system`` (or build
+        a new one) and return it."""
         self._ensure_programs()
         sess = self._session
         if (
@@ -288,16 +324,9 @@ class ConstraintChecker:
             self._incremental_check(sess, system, dirty)
         else:
             self.stats["incremental_checks"] += 1
-            self.stats["scopes_reused"] += len(sess.order)
-        results = sess.results
-        return [results[key] for key in sess.order]
+            self.stats["scopes_reused"] += len(sess.results)
+        return sess
 
-    def violations(self, system: ArchSystem) -> List[ConstraintResult]:
-        return [r for r in self.check_all(system) if r.violated]
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
     def _merged_functions(self) -> Dict[str, Callable[..., Any]]:
         merged = dict(STDLIB)
         merged.update(self.functions)
@@ -323,15 +352,15 @@ class ConstraintChecker:
             system, scope=None, bindings=self.bindings, functions=self.functions
         )
 
-    def _eval_one(
+    def _verdict(
         self,
         invariant: Invariant,
         scope: Optional[Element],
         ctx: EvalContext,
         evaluator: Optional[Evaluator],
-    ) -> ConstraintResult:
+    ) -> Tuple[bool, Optional[str]]:
+        """Evaluate one invariant on one scope: ``(ok, error)``."""
         ctx.scope = scope
-        scope_name = scope.qualified_name if scope is not None else None
         self.stats["scopes_evaluated"] += 1
         try:
             if evaluator is None:
@@ -339,15 +368,12 @@ class ConstraintChecker:
             else:
                 value = evaluator.evaluate(invariant.ast, ctx)
         except EvaluationError as exc:
-            return ConstraintResult(invariant.name, False, scope_name, scope, str(exc))
+            return False, str(exc)
         if not isinstance(value, bool):
-            return ConstraintResult(
-                invariant.name, False, scope_name, scope,
-                f"invariant must be boolean, got {value!r}",
-            )
-        return ConstraintResult(invariant.name, value, scope_name, scope)
+            return False, f"invariant must be boolean, got {value!r}"
+        return value, None
 
-    def _full_check(self, system: ArchSystem) -> List[ConstraintResult]:
+    def _full_check(self, system: ArchSystem) -> _CheckSession:
         self.stats["full_checks"] += 1
         # capture epochs *before* evaluating so mutations racing the check
         # (from exotic custom functions) surface as dirty next time
@@ -358,32 +384,35 @@ class ConstraintChecker:
         sess.functions = dict(self.functions)
         ctx = self._make_ctx(system)
         evaluator = None if self.compiled else Evaluator()
-        out: List[ConstraintResult] = []
+        results = sess.results
         for inv in self.invariants:
             fast_lane = inv.scope_local and inv.scope_type is not None
             for scope in inv._scopes(system):
-                key: _Key = (inv.name, scope)
-                result = self._eval_one(inv, scope, ctx, evaluator)
-                sess.order.append(key)
-                sess.results[key] = result
-                out.append(result)
+                slot = len(results)
+                ok, error = self._verdict(inv, scope, ctx, evaluator)
+                scope_name = scope.qualified_name if scope is not None else None
+                results.append(
+                    ConstraintResult(inv.name, ok, scope_name, scope, error)
+                )
+                if not ok:
+                    sess.violated.add(slot)
                 if fast_lane:
-                    sess.scope_index.setdefault(scope, []).append(key)
+                    sess.scope_index.setdefault(scope, []).append(slot)
                 elif not inv.scope_local:
-                    sess.global_keys.append(key)
+                    sess.global_slots.append(slot)
                 # scope-local + system-scoped: only bindings can move it,
                 # and binding changes force a full pass anyway
         self._session = sess if self.incremental else None
-        return out
+        return sess
 
     def _incremental_check(
         self, sess: _CheckSession, system: ArchSystem, dirty: List[Element]
     ) -> None:
         self.stats["incremental_checks"] += 1
         epoch = system.epoch
-        redo: List[_Key] = []
+        redo: List[int] = []
         if dirty:
-            redo.extend(sess.global_keys)
+            redo.extend(sess.global_slots)
             scope_index = sess.scope_index
             for element in dirty:
                 redo.extend(scope_index.get(element, ()))
@@ -391,9 +420,21 @@ class ConstraintChecker:
             ctx = self._make_ctx(system)
             evaluator = None if self.compiled else Evaluator()
             results = sess.results
-            for key in redo:
-                results[key] = self._eval_one(
-                    self._invariants[key[0]], key[1], ctx, evaluator
+            invariants = self._invariants
+            violated = sess.violated
+            for slot in redo:
+                prior = results[slot]
+                ok, error = self._verdict(
+                    invariants[prior.invariant], prior.element, ctx, evaluator
                 )
-        self.stats["scopes_reused"] += len(sess.order) - len(redo)
+                if ok == prior.ok and error == prior.error:
+                    continue  # same verdict: the frozen result stands
+                results[slot] = ConstraintResult(
+                    prior.invariant, ok, prior.scope, prior.element, error
+                )
+                if ok:
+                    violated.discard(slot)
+                else:
+                    violated.add(slot)
+        self.stats["scopes_reused"] += len(sess.results) - len(redo)
         sess.epoch = epoch

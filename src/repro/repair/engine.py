@@ -60,6 +60,21 @@ So the paper's exact scheduling — one repair at a time, then a settle
 time before anything is re-checked (§5.3, §7) — is the capacity-1,
 whole-model case, bit for bit: a universal settle entry blocks everything.
 
+**What one evaluation costs.**  ``evaluate`` reads the checker's live
+violation set (:meth:`ConstraintChecker.violations`), so it visits the
+scopes that changed and the scopes that are violated, never the whole
+model.  Every reservation — in flight or settling — is also entered in a
+ledger (element name → live reservations, plus a count of universal
+ones), kept at the four places a reservation moves: launch, the release
+before a retry, finish (in flight → settling, or dropped when
+``settle_time`` is 0) and settle expiry.  Admission and the post-attempt
+conflict check ask the ledger in O(|footprint|); the scan over the
+reservations runs only after a hit, to name the collision in the
+``repair.conflict`` trace.  Settle windows expire from the head of a
+deque: one ``settle_time`` per engine and a monotonic clock put entries
+in expiry order (asserted on append).  Under the serial policy the same
+ledger simply holds universal entries.
+
 **Resilient execution.**  With the fault plane able to make effectors
 raise, no-op, or hang, the engine optionally runs repairs *two-phase*:
 the model transaction stays open while the translator executes the
@@ -88,7 +103,8 @@ translation, same trace events, same event times):
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.acme.system import ArchSystem
 from repro.constraints.invariants import ConstraintChecker, ConstraintResult
@@ -119,6 +135,55 @@ class _InflightRepair:
     def __init__(self, record: RepairRecord, footprint: Footprint):
         self.record = record
         self.footprint = footprint
+
+
+class _ReservationLedger:
+    """The footprints reserved right now, indexed by element name.
+
+    ``is_free`` answers "does this footprint overlap any reservation?"
+    in O(|footprint|) with :meth:`Footprint.overlaps` semantics: a
+    universal footprint on either side overlaps everything (an empty
+    reservation included), an empty footprint overlaps only universal
+    reservations.
+    """
+
+    __slots__ = ("by_element", "universal", "total")
+
+    def __init__(self) -> None:
+        #: element name -> live reservations naming it
+        self.by_element: Dict[str, int] = {}
+        #: live universal reservations / live reservations of any kind
+        self.universal = 0
+        self.total = 0
+
+    def add(self, footprint: Footprint) -> None:
+        self.total += 1
+        if footprint.universal:
+            self.universal += 1
+            return
+        by_element = self.by_element
+        for name in footprint.elements:
+            by_element[name] = by_element.get(name, 0) + 1
+
+    def remove(self, footprint: Footprint) -> None:
+        self.total -= 1
+        if footprint.universal:
+            self.universal -= 1
+            return
+        by_element = self.by_element
+        for name in footprint.elements:
+            left = by_element[name] - 1
+            if left:
+                by_element[name] = left
+            else:
+                del by_element[name]
+
+    def is_free(self, footprint: Footprint) -> bool:
+        if self.universal:
+            return False
+        if footprint.universal:
+            return not self.total
+        return self.by_element.keys().isdisjoint(footprint.elements)
 
 
 class ArchitectureManager:
@@ -223,10 +288,12 @@ class ArchitectureManager:
         self._quarantined: Dict[str, float] = {}
         self._quarantine_rounds: Dict[str, int] = {}
 
-        # scheduler state: in-flight repairs by token, and the footprints
-        # still inside their settle window as (until, footprint)
+        # scheduler state: in-flight repairs by token, the footprints still
+        # inside their settle window as (until, footprint) in expiry order,
+        # and the ledger over the footprints of both
         self._inflight: Dict[int, _InflightRepair] = {}
-        self._settling: List[Tuple[float, Footprint]] = []
+        self._settling: Deque[Tuple[float, Footprint]] = deque()
+        self._reserved = _ReservationLedger()
         self._next_token = 0
         self.conflicts = 0
         self.peak_inflight = 0
@@ -270,7 +337,7 @@ class ArchitectureManager:
             "effector_failures": self.effector_failures,
             "quarantines": self.quarantines,
             "quarantine_skips": self.quarantine_skips,
-            "quarantined_now": len(self._quarantined),
+            "quarantined_now": len(self._live_quarantines()),
             "history_evicted": self.history.evicted,
         }
         if self.breakers is not None:
@@ -279,7 +346,14 @@ class ArchitectureManager:
 
     def quarantined_scopes(self) -> Dict[str, float]:
         """Scopes currently quarantined → sim time their period lapses."""
-        return dict(self._quarantined)
+        return dict(self._live_quarantines())
+
+    def _live_quarantines(self) -> Dict[str, float]:
+        """Drop the entries whose period lapsed; the rest are in force."""
+        now = self.sim.now
+        for scope in [s for s, until in self._quarantined.items() if until <= now]:
+            del self._quarantined[scope]
+        return self._quarantined
 
     # -- the adaptation loop entry point ------------------------------------------
     def evaluate(self, full: bool = False) -> Optional[RepairRecord]:
@@ -291,8 +365,9 @@ class ArchitectureManager:
         Constraint evaluation rides the checker's compiled-incremental
         fast path: gauge updates between evaluations dirty only the
         elements they touch, so the periodic check re-evaluates O(changed)
-        scopes, not O(model).  ``full=True`` forces one full re-check
-        (the escape hatch for out-of-band model surgery).
+        scopes and reads O(violated) results, not O(model).  ``full=True``
+        forces one full re-check (the escape hatch for out-of-band model
+        surgery).
 
         One call admits every actionable violation that passes the
         admission rule (module doc), up to the capacity, and returns the
@@ -318,7 +393,7 @@ class ArchitectureManager:
             if len(self._inflight) >= self._capacity:
                 break
             admission = self._admission_footprint(violation)
-            if self._find_conflict(admission) is not None:
+            if not self._reserved.is_free(admission):
                 continue
             invariant = self.checker.invariant(violation.invariant)
             strategy = self._strategies[invariant.repair]
@@ -343,9 +418,8 @@ class ArchitectureManager:
         (the serial policy's ``violation_policy="first"`` short-circuit).
         """
         actionable: List[ConstraintResult] = []
-        for result in self.checker.check_all(self.system, full=full):
-            if not result.violated:
-                continue
+        quarantined = self._live_quarantines()
+        for result in self.checker.violations(self.system, full=full):
             if result.error is not None:
                 self.trace.emit(
                     self.sim.now, "constraint.error",
@@ -353,14 +427,9 @@ class ArchitectureManager:
                     error=result.error,
                 )
                 continue
-            if self._quarantined:
-                scope_key = result.scope or ""
-                until = self._quarantined.get(scope_key)
-                if until is not None:
-                    if self.sim.now < until:
-                        self.quarantine_skips += 1
-                        continue
-                    del self._quarantined[scope_key]
+            if quarantined and (result.scope or "") in quarantined:
+                self.quarantine_skips += 1
+                continue
             invariant = self.checker.invariant(result.invariant)
             if invariant.repair is None or invariant.repair not in self._strategies:
                 self.trace.emit(
@@ -623,10 +692,9 @@ class ArchitectureManager:
         self, violation: ConstraintResult
     ) -> Optional[ConstraintResult]:
         """Re-check one (invariant, scope) before a retry attempt runs."""
-        for result in self.checker.check_all(self.system, full=True):
+        for result in self.checker.violations(self.system, full=True):
             if (
-                result.violated
-                and result.error is None
+                result.error is None
                 and result.invariant == violation.invariant
                 and result.scope == violation.scope
             ):
@@ -640,7 +708,7 @@ class ArchitectureManager:
         # Release the reserved footprint first; the new attempt's conflict
         # check runs against whatever is in flight or still settling *now*
         # (this call comes from the scheduler, not through ``evaluate``).
-        self._inflight.pop(token, None)
+        self._reserved.remove(self._inflight.pop(token).footprint)
         self._expire_settles()
         fresh = self._violation_still_active(violation)
         if fresh is None:
@@ -676,10 +744,9 @@ class ArchitectureManager:
     # -- footprint scheduling ---------------------------------------------------
     def _expire_settles(self) -> None:
         now = self.sim.now
-        if self._settling:
-            self._settling = [
-                (until, fp) for until, fp in self._settling if until > now
-            ]
+        settling = self._settling
+        while settling and settling[0][0] <= now:
+            self._reserved.remove(settling.popleft()[1])
 
     def _find_conflict(self, footprint: Footprint):
         """Who a footprint collides with: an in-flight repair, a footprint
@@ -691,14 +758,18 @@ class ArchitectureManager:
         one inside a settle window, whose gauges are blind/stale by
         definition.  Returns the collision's ``(strategy, scope)``, or
         ``("settling", footprint)`` for a settle-window hit, or None.
+        The ledger answers "nobody" in O(|footprint|); only a hit pays
+        for the scan that names the collision.
         """
+        if self._reserved.is_free(footprint):
+            return None
         for entry in self._inflight.values():
             if footprint.overlaps(entry.footprint):
                 return entry.record.strategy, entry.record.scope
         for _, settling in self._settling:
             if footprint.overlaps(settling):
                 return "settling", settling
-        return None
+        raise AssertionError(f"ledger reserves {footprint} but no entry holds it")
 
     def _launch(
         self,
@@ -712,6 +783,7 @@ class ArchitectureManager:
         self._next_token += 1
         token = self._next_token
         self._inflight[token] = _InflightRepair(record, footprint)
+        self._reserved.add(footprint)
         if not self._serial:
             self.peak_inflight = max(self.peak_inflight, len(self._inflight))
         if delay is not None:
@@ -725,9 +797,13 @@ class ArchitectureManager:
         record.ended = self.sim.now
         self.history.append(record)
         if self.settle_time > 0:
-            self._settling.append(
-                (self.sim.now + self.settle_time, entry.footprint)
-            )
+            # the reservation carries over from in flight to settling;
+            # one settle_time per engine keeps the deque in expiry order
+            until = self.sim.now + self.settle_time
+            assert not self._settling or self._settling[-1][0] <= until
+            self._settling.append((until, entry.footprint))
+        else:
+            self._reserved.remove(entry.footprint)
         self.trace.emit(
             self.sim.now, "repair.end",
             strategy=record.strategy, committed=record.committed,

@@ -83,32 +83,80 @@ BINDINGS = {"maxLatency": 2.0, "threshold": 0.0, "limit": 7, "tag": "red"}
 # Randomized expression generator (ASTs, including error-producing ones)
 # ---------------------------------------------------------------------------
 
-_NAMES = PROPS + ("maxLatency", "threshold", "limit", "tag",
-                  "self", "system", "noSuchName")
-_ATTRS = PROPS + ("name", "type", "ports", "roles", "components",
-                  "connectors", "noSuchProp")
-_FUNCS = (("size", 1), ("isEmpty", 1), ("contains", 2), ("sum", 1),
-          ("avg", 1), ("max", 1), ("min", 1), ("abs", 1), ("sqrt", 1),
-          ("declaresType", 2), ("hasProperty", 2), ("union", 2),
-          ("intersection", 2), ("connected", 2), ("attached", 2),
-          ("noSuchFn", 1))
-_BIN_OPS = ("and", "or", "->", "==", "!=", "in",
-            "<", "<=", ">", ">=", "+", "-", "*", "/", "%")
+_NAMES = PROPS + (
+    "maxLatency",
+    "threshold",
+    "limit",
+    "tag",
+    "self",
+    "system",
+    "noSuchName",
+)
+_ATTRS = PROPS + (
+    "name",
+    "type",
+    "ports",
+    "roles",
+    "components",
+    "connectors",
+    "noSuchProp",
+)
+_FUNCS = (
+    ("size", 1),
+    ("isEmpty", 1),
+    ("contains", 2),
+    ("sum", 1),
+    ("avg", 1),
+    ("max", 1),
+    ("min", 1),
+    ("abs", 1),
+    ("sqrt", 1),
+    ("declaresType", 2),
+    ("hasProperty", 2),
+    ("union", 2),
+    ("intersection", 2),
+    ("connected", 2),
+    ("attached", 2),
+    ("noSuchFn", 1),
+)
+_BIN_OPS = (
+    "and",
+    "or",
+    "->",
+    "==",
+    "!=",
+    "in",
+    "<",
+    "<=",
+    ">",
+    ">=",
+    "+",
+    "-",
+    "*",
+    "/",
+    "%",
+)
 
 
 def gen_expr(rng: random.Random, depth: int, locals_: tuple = ()) -> object:
     """A random expression AST; shallow recursion keeps evaluation fast."""
     choices = ["literal", "name"]
     if depth > 0:
-        choices += ["binary", "binary", "unary", "property", "call",
-                    "quantifier", "select", "set"]
+        choices += [
+            "binary",
+            "binary",
+            "unary",
+            "property",
+            "call",
+            "quantifier",
+            "select",
+            "set",
+        ]
     kind = rng.choice(choices)
     line, column = rng.randrange(1, 9), rng.randrange(1, 40)
 
     if kind == "literal":
-        value = rng.choice(
-            [0, 1, -3, 2.5, 0.0, True, False, None, "red", "x"]
-        )
+        value = rng.choice([0, 1, -3, 2.5, 0.0, True, False, None, "red", "x"])
         return Literal(value).at(line, column)
     if kind == "name":
         pool = _NAMES + locals_ if locals_ else _NAMES
@@ -124,11 +172,13 @@ def gen_expr(rng: random.Random, depth: int, locals_: tuple = ()) -> object:
             gen_expr(rng, depth - 1, locals_),
         ).at(line, column)
     if kind == "property":
-        obj = rng.choice([
-            Name("self").at(line, column),
-            Name("system").at(line, column),
-            gen_expr(rng, depth - 1, locals_),
-        ])
+        obj = rng.choice(
+            [
+                Name("self").at(line, column),
+                Name("system").at(line, column),
+                gen_expr(rng, depth - 1, locals_),
+            ]
+        )
         return PropertyAccess(obj, rng.choice(_ATTRS)).at(line, column)
     if kind == "call":
         func, arity = rng.choice(_FUNCS)
@@ -139,12 +189,14 @@ def gen_expr(rng: random.Random, depth: int, locals_: tuple = ()) -> object:
         return Call(func, args, receiver=receiver).at(line, column)
     if kind in ("quantifier", "select"):
         var = rng.choice(["x", "y"])
-        domain = rng.choice([
-            PropertyAccess(Name("system").at(line, column), "components"),
-            PropertyAccess(Name("self").at(line, column), "ports"),
-            SetLiteral([gen_expr(rng, 0, locals_) for _ in range(3)]),
-            gen_expr(rng, depth - 1, locals_),
-        ])
+        domain = rng.choice(
+            [
+                PropertyAccess(Name("system").at(line, column), "components"),
+                PropertyAccess(Name("self").at(line, column), "ports"),
+                SetLiteral([gen_expr(rng, 0, locals_) for _ in range(3)]),
+                gen_expr(rng, depth - 1, locals_),
+            ]
+        )
         if isinstance(domain, PropertyAccess):
             domain.at(line, column)
         type_name = rng.choice([None, "ClientT", "ServerT"])
@@ -152,9 +204,9 @@ def gen_expr(rng: random.Random, depth: int, locals_: tuple = ()) -> object:
         if kind == "quantifier":
             qkind = rng.choice(["forall", "exists", "exists_unique"])
             return Quantifier(qkind, var, type_name, domain, body).at(line, column)
-        return Select(
-            var, type_name, domain, body, one=rng.random() < 0.5
-        ).at(line, column)
+        return Select(var, type_name, domain, body, one=rng.random() < 0.5).at(
+            line, column
+        )
     return SetLiteral(
         [gen_expr(rng, depth - 1, locals_) for _ in range(rng.randrange(0, 4))]
     ).at(line, column)
@@ -172,6 +224,7 @@ def outcome(fn):
 # 1. Expression-level equivalence
 # ---------------------------------------------------------------------------
 
+
 class TestCompiledExpressionEquivalence:
     def test_randomized_asts_match_interpreter(self):
         rng = random.Random(4242)
@@ -186,6 +239,7 @@ class TestCompiledExpressionEquivalence:
             if role_conns:
                 scopes.append(role_conns[0].roles[0])
             for scope in scopes:
+
                 def interp():
                     ctx = EvalContext(system, scope=scope, bindings=BINDINGS)
                     return evaluator.evaluate(node, ctx)
@@ -219,7 +273,7 @@ class TestCompiledExpressionEquivalence:
             "!(1 > 2) and (nil == nil)",
             "self.noSuchProp > 1",
             "1 / 0 == 1",
-            "1 + 0 == 1",       # regression: eager-dict ZeroDivisionError
+            "1 + 0 == 1",  # regression: eager-dict ZeroDivisionError
             "5 % 0 == 1",
             "-latency <= 0 -> true",
             "'red' in {label, 'blue'}",
@@ -256,9 +310,7 @@ class TestCompiledExpressionEquivalence:
         from repro.errors import ParseError
         from repro.repair.dsl.parser import parse_repair_dsl
 
-        corpus = sorted(
-            (Path(__file__).parent / "fixtures" / "lint").glob("*.dsl")
-        )
+        corpus = sorted((Path(__file__).parent / "fixtures" / "lint").glob("*.dsl"))
         assert corpus, "lint fixture corpus missing"
         expressions = []
         for path in corpus:
@@ -289,28 +341,34 @@ class TestCompiledExpressionEquivalence:
 
 
 class TestScopeLocality:
-    @pytest.mark.parametrize("source", [
-        "averageLatency <= maxLatency",
-        "width <= minWidth or utilization >= minUtilization",
-        "replication <= minServers or utilization >= minUtilization",
-        "backlog <= maxBacklog",
-        "self.load + 1 < limit and !flag",
-        "abs(self.load) <= sqrt(4)",
-        "self.name == 'c0'",
-    ])
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "averageLatency <= maxLatency",
+            "width <= minWidth or utilization >= minUtilization",
+            "replication <= minServers or utilization >= minUtilization",
+            "backlog <= maxBacklog",
+            "self.load + 1 < limit and !flag",
+            "abs(self.load) <= sqrt(4)",
+            "self.name == 'c0'",
+        ],
+    )
     def test_local(self, source):
         assert is_scope_local(parse_expression(source))
 
-    @pytest.mark.parametrize("source", [
-        "size(system.components) > 0",
-        "forall c in system.components | c.load < 1",
-        "select one p in self.ports | true != nil",
-        "size(self.ports) == 2",
-        "connected(self, self)",
-        "self.component.load > 1",
-        # a binding may hold an element: reaching *through* one is non-local
-        "other.load > 1 or other.flag",
-    ])
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "size(system.components) > 0",
+            "forall c in system.components | c.load < 1",
+            "select one p in self.ports | true != nil",
+            "size(self.ports) == 2",
+            "connected(self, self)",
+            "self.component.load > 1",
+            # a binding may hold an element: reaching *through* one is non-local
+            "other.load > 1 or other.flag",
+        ],
+    )
     def test_not_local(self, source):
         assert not is_scope_local(parse_expression(source))
 
@@ -324,8 +382,11 @@ INVARIANT_SOURCES = [
     ("load_bound", "load < 9.5", "ServerT"),
     ("count_mod", "count % limit != 3", "GroupT"),
     ("has_components", "size(system.components) > 0", None),
-    ("connected_pairs",
-     "forall c : ClientT in system.components | c.latency >= -100", None),
+    (
+        "connected_pairs",
+        "forall c : ClientT in system.components | c.latency >= -100",
+        None,
+    ),
     ("role_latency", "latency <= maxLatency", "RoleT"),
     ("broken", "noSuchName < 1", "ClientT"),
 ]
@@ -342,7 +403,10 @@ def assert_same_results(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert (g.invariant, g.scope, g.ok, g.error) == (
-            w.invariant, w.scope, w.ok, w.error
+            w.invariant,
+            w.scope,
+            w.ok,
+            w.error,
         )
         assert g.element is w.element
 
@@ -353,9 +417,7 @@ class TestCheckerEquivalence:
             system = build_system(random.Random(seed))
             reference = make_checker(compiled=False, incremental=False)
             fast = make_checker(compiled=True, incremental=False)
-            assert_same_results(
-                fast.check_all(system), reference.check_all(system)
-            )
+            assert_same_results(fast.check_all(system), reference.check_all(system))
 
     def test_error_results_identical(self):
         system = build_system(random.Random(99))
@@ -370,6 +432,7 @@ class TestCheckerEquivalence:
 # 3. Incremental equivalence under arbitrary mutation sequences
 # ---------------------------------------------------------------------------
 
+
 def mutate(rng: random.Random, system: ArchSystem, counter: list) -> None:
     """One random model mutation, weighted toward the property hot path."""
     roll = rng.random()
@@ -383,9 +446,7 @@ def mutate(rng: random.Random, system: ArchSystem, counter: list) -> None:
         element.set_property(prop, _random_value(rng, prop))
     elif roll < 0.80:
         counter[0] += 1
-        comp = system.new_component(
-            f"n{counter[0]}", rng.sample(TYPES, 1)
-        )
+        comp = system.new_component(f"n{counter[0]}", rng.sample(TYPES, 1))
         comp.set_property("latency", rng.uniform(0, 5))
         comp.set_property("load", rng.uniform(0, 12))
     elif roll < 0.88 and len(system.components) > 2:
@@ -409,7 +470,7 @@ class TestIncrementalEquivalence:
         for seed in range(8):
             rng = random.Random(1000 + seed)
             system = build_system(rng)
-            incremental = make_checker()          # compiled + incremental
+            incremental = make_checker()  # compiled + incremental
             reference = make_checker(compiled=False, incremental=False)
             counter = [0]
             assert_same_results(
@@ -455,9 +516,7 @@ class TestIncrementalEquivalence:
         checker.bindings["maxLatency"] = -100.0
         reference = make_checker(compiled=False, incremental=False)
         reference.bindings["maxLatency"] = -100.0
-        assert_same_results(
-            checker.check_all(system), reference.check_all(system)
-        )
+        assert_same_results(checker.check_all(system), reference.check_all(system))
 
     def test_fresh_system_object_is_not_served_from_cache(self):
         checker = make_checker()
@@ -480,3 +539,90 @@ class TestIncrementalEquivalence:
         assert [r.ok for r in checker.check_all(system)] == [True]
         checker.functions["boost"] = lambda ctx, x: x * 3
         assert [r.ok for r in checker.check_all(system)] == [False]
+
+
+# ---------------------------------------------------------------------------
+# 4. The live violation set: violations() vs filtering check_all()
+# ---------------------------------------------------------------------------
+
+
+class TestViolationSet:
+    """``violations()`` answers from the set the incremental checker keeps
+    as verdicts move; it must always equal the violated results of
+    ``check_all()`` — same fields, same elements, same order."""
+
+    #: INVARIANT_SOURCES covers scope-local (latency_bound, role_latency),
+    #: system-scoped (has_components), graph-reading (connected_pairs) and
+    #: raising (broken) invariants; this one evaluates to a number
+    NON_BOOLEAN = ("not_boolean", "load + 1", "ServerT")
+
+    def make(self, **kwargs) -> ConstraintChecker:
+        checker = make_checker(**kwargs)
+        name, source, scope_type = self.NON_BOOLEAN
+        checker.add_source(name, source, scope_type=scope_type)
+        return checker
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_violations_equal_filtered_check_all(self, seed):
+        rng = random.Random(4000 + seed)
+        system = build_system(rng)
+        checkers = [
+            self.make(compiled=compiled, incremental=incremental)
+            for compiled in (True, False)
+            for incremental in (True, False)
+        ]
+        counter = [0]
+        seen_violation_counts = set()
+        for step in range(50):
+            roll = rng.random()
+            if step == 20:
+                # overflow the dirty log between two checks
+                comp = rng.choice(system.components)
+                for k in range(4200):
+                    comp.set_property("load", float(k % 13))
+            elif roll < 0.15:
+                value = rng.choice([-100.0, 0.5, 2.0, 100.0])
+                for checker in checkers:
+                    checker.bindings["maxLatency"] = value
+            else:
+                for _ in range(rng.randrange(0, 4)):
+                    mutate(rng, system, counter)
+            full = step % 11 == 0
+            fresh = self.make(compiled=False, incremental=False)
+            fresh.bindings.update(checkers[0].bindings)
+            want = [r for r in fresh.check_all(system) if r.violated]
+            seen_violation_counts.add(len(want))
+            full_passes = checkers[0].stats["full_checks"]
+            for checker in checkers:
+                # alternate which call pays for the refresh
+                if step % 2:
+                    everything = checker.check_all(system, full=full)
+                    got = checker.violations(system)
+                else:
+                    got = checker.violations(system, full=full)
+                    everything = checker.check_all(system)
+                assert_same_results(got, [r for r in everything if r.violated])
+                assert_same_results(got, want)
+            if step == 20:  # the overflow really cost a full pass
+                assert checkers[0].stats["full_checks"] == full_passes + 1
+        # the walk must visit healthy-ish and violated-heavy states alike
+        assert len(seen_violation_counts) > 3
+
+    def test_unchanged_verdict_keeps_its_result_object(self):
+        system = ArchSystem("S")
+        for i in range(4):
+            comp = system.new_component(f"c{i}", ["ClientT"])
+            comp.set_property("latency", 1.0 if i else 5.0)
+        checker = ConstraintChecker(bindings={"maxLatency": 2.0})
+        checker.add_source("r", "latency <= maxLatency", scope_type="ClientT")
+        before = checker.check_all(system)
+        system.component("c0").set_property("latency", 6.0)  # still violated
+        system.component("c1").set_property("latency", 1.5)  # still fine
+        system.component("c2").set_property("latency", 9.0)  # flips
+        evaluated = checker.stats["scopes_evaluated"]
+        after = checker.check_all(system)
+        assert checker.stats["scopes_evaluated"] == evaluated + 3
+        assert after[0] is before[0] and after[1] is before[1]
+        assert after[3] is before[3]
+        assert after[2] is not before[2] and after[2].violated
+        assert checker.violations(system) == [after[0], after[2]]

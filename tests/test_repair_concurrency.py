@@ -12,8 +12,12 @@ Covers the tentpole's contract from every side:
   mask another's aborts — and conflict aborts never count.
 """
 
+import random
+from collections import Counter
+
 import pytest
 
+from repro import api
 from repro.acme.system import ArchSystem
 from repro.constraints import ConstraintChecker
 from repro.errors import RepairAborted, RepairError
@@ -25,6 +29,8 @@ from repro.repair import (
     PythonTactic,
     RepairOutcome,
 )
+from repro.experiment.scenarios import scenario_builder
+from repro.repair.resilience import QuarantinePolicy, RetryPolicy
 from repro.sim import Simulator
 
 
@@ -39,9 +45,7 @@ def build_nodes(n=4, latency=5.0):
 
 def make_checker(repair="fix"):
     checker = ConstraintChecker(bindings={"maxLatency": 2.0})
-    checker.add_source(
-        "r", "latency <= maxLatency", scope_type="NodeT", repair=repair
-    )
+    checker.add_source("r", "latency <= maxLatency", scope_type="NodeT", repair=repair)
     return checker
 
 
@@ -123,9 +127,7 @@ class TestFootprint:
         system = build_nodes(1)
         checker = make_checker()
         sim, manager = make_manager(system, checker, concurrency="disjoint")
-        manager.register_strategy(
-            FirstSuccessStrategy("fix", [heal_tactic()])
-        )
+        manager.register_strategy(FirstSuccessStrategy("fix", [heal_tactic()]))
         record = manager.evaluate()
         sim.run(until=15.0)
         assert record.committed
@@ -140,9 +142,7 @@ class TestDisjointScheduling:
         system = build_nodes(4)
         checker = make_checker()
         sim, manager = make_manager(system, checker, concurrency="disjoint")
-        manager.register_strategy(
-            FirstSuccessStrategy("fix", [heal_tactic()])
-        )
+        manager.register_strategy(FirstSuccessStrategy("fix", [heal_tactic()]))
         manager.evaluate()
         assert manager.inflight == 4
         assert manager.busy
@@ -158,9 +158,7 @@ class TestDisjointScheduling:
         sim, manager = make_manager(
             system, checker, concurrency="disjoint", max_concurrent_repairs=2
         )
-        manager.register_strategy(
-            FirstSuccessStrategy("fix", [heal_tactic()])
-        )
+        manager.register_strategy(FirstSuccessStrategy("fix", [heal_tactic()]))
         manager.evaluate()
         assert manager.inflight == 2
         drive(sim, manager, until=120.0)
@@ -173,9 +171,7 @@ class TestDisjointScheduling:
         sim, manager = make_manager(
             system, checker, concurrency="disjoint", settle_time=30.0
         )
-        manager.register_strategy(
-            FirstSuccessStrategy("fix", [heal_tactic()])
-        )
+        manager.register_strategy(FirstSuccessStrategy("fix", [heal_tactic()]))
         # repair n0 and n1 together; both finish at t=10, settling to t=40
         manager.evaluate()
         sim.run(until=15.0)
@@ -196,9 +192,7 @@ class TestDisjointScheduling:
         system = build_nodes(2)
         checker = make_checker()
         sim, manager = make_manager(system, checker, concurrency="disjoint")
-        manager.register_strategy(
-            FirstSuccessStrategy("fix", [heal_tactic()])
-        )
+        manager.register_strategy(FirstSuccessStrategy("fix", [heal_tactic()]))
         # admit n0 only (n1 healthy at first evaluation)
         system.component("n1").set_property("latency", 1.0)
         manager.evaluate()
@@ -235,7 +229,7 @@ class TestConflictAbort:
         manager.evaluate()
         # n0 won the shared element; n1's repair hit the late overlap
         assert manager.conflicts == 1
-        records = {r.scope: r for r in [manager._inflight[t].record for t in manager._inflight]}
+        records = {e.record.scope: e.record for e in manager._inflight.values()}
         assert records["n0"].abort_reason is None
         assert records["n1"].abort_reason == "FootprintConflict"
         assert manager.trace.select("repair.conflict")
@@ -292,8 +286,6 @@ class TestConflictAbort:
         ``evaluate``, so nothing had pruned the settling list — its write
         into a neighbour whose window had already lapsed conflict-aborted
         against the dead window."""
-        from repro.repair.resilience import RetryPolicy
-
         system = build_nodes(2)
         checker = make_checker()
         sim = Simulator()
@@ -321,8 +313,12 @@ class TestConflictAbort:
                 sim.schedule(1.0, on_done, error)
 
         _, manager = make_manager(
-            system, checker, sim=sim, concurrency="disjoint",
-            settle_time=30.0, translator=FailsFirstN0(),
+            system,
+            checker,
+            sim=sim,
+            concurrency="disjoint",
+            settle_time=30.0,
+            translator=FailsFirstN0(),
             retry_policy=RetryPolicy(max_attempts=2, backoff=40.0, jitter=0.0),
         )
         manager.register_strategy(
@@ -400,25 +396,29 @@ class TestSerialDegeneration:
     @staticmethod
     def schedule_of(manager):
         return [
-            (r.started, r.ended, r.strategy, r.invariant, r.scope,
-             r.committed, r.tactic_applied, r.abort_reason,
-             [str(i) for i in r.intents])
+            (
+                r.started,
+                r.ended,
+                r.strategy,
+                r.invariant,
+                r.scope,
+                r.committed,
+                r.tactic_applied,
+                r.abort_reason,
+                [str(i) for i in r.intents],
+            )
             for r in manager.history
         ]
 
     @staticmethod
     def model_state(system):
-        return [
-            (c.name, c.get_property("latency", None)) for c in system.components
-        ]
+        return [(c.name, c.get_property("latency", None)) for c in system.components]
 
     def test_full_overlap_degenerates_to_serial_schedule(self):
         serial_system, serial = self.run_engine("serial")
         disjoint_system, disjoint = self.run_engine("disjoint")
         assert self.schedule_of(serial) == self.schedule_of(disjoint)
-        assert self.model_state(serial_system) == self.model_state(
-            disjoint_system
-        )
+        assert self.model_state(serial_system) == self.model_state(disjoint_system)
         # one admission per settle window, exactly like serial, with the
         # overlap caught at admission (never as a commit-time conflict)
         assert disjoint.peak_inflight == 1
@@ -428,14 +428,10 @@ class TestSerialDegeneration:
     def test_degeneration_holds_across_abort_paths(self):
         """Aborts pace the schedule identically in both modes."""
         _, serial = self.run_engine("serial", flaky_scope="n1", until=300.0)
-        _, disjoint = self.run_engine(
-            "disjoint", flaky_scope="n1", until=300.0
-        )
+        _, disjoint = self.run_engine("disjoint", flaky_scope="n1", until=300.0)
         assert self.schedule_of(serial) == self.schedule_of(disjoint)
         assert serial.history.aborted and disjoint.history.aborted
-        assert (
-            disjoint.human_alerts_by_scope == serial.human_alerts_by_scope
-        )
+        assert disjoint.human_alerts_by_scope == serial.human_alerts_by_scope
 
     def test_universal_read_scope_serializes(self):
         """A non-scope-local invariant conservatively blocks concurrency."""
@@ -478,9 +474,7 @@ class TestHumanAlertAccounting:
         def always_abort(ctx):
             raise RepairAborted("NoServerGroupFound")
 
-        manager.register_strategy(
-            PythonStrategy("fix", always_abort)
-        )
+        manager.register_strategy(PythonStrategy("fix", always_abort))
         return sim, manager
 
     def test_alerts_keyed_per_scope_not_per_engine(self):
@@ -503,9 +497,7 @@ class TestHumanAlertAccounting:
         # every scope crossed the threshold on its own count
         assert manager.human_alerts_by_scope["n0"] >= 1
         assert manager.human_alerts_by_scope["n1"] >= 1
-        assert manager.human_alerts == sum(
-            manager.human_alerts_by_scope.values()
-        )
+        assert manager.human_alerts == sum(manager.human_alerts_by_scope.values())
         alerts = manager.trace.select("repair.human_alert")
         assert {rec.data["scope"] for rec in alerts} == {"n0", "n1"}
 
@@ -534,7 +526,10 @@ class TestStrategyOutcomes:
         system = build_nodes(2)
         checker = make_checker()
         sim, manager = make_manager(
-            system, checker, concurrency="disjoint", settle_time=20.0,
+            system,
+            checker,
+            concurrency="disjoint",
+            settle_time=20.0,
             failed_repair_cost=2.0,
         )
         calls = []
@@ -556,3 +551,122 @@ class TestStrategyOutcomes:
         history = {r.scope: r for r in manager.history}
         assert not history["n0"].committed
         assert history["n1"].committed
+
+
+# ---------------------------------------------------------------------------
+# the reservation ledger
+# ---------------------------------------------------------------------------
+
+
+def assert_ledger_consistent(manager):
+    """The ledger is the multiset of footprints held by ``_inflight`` and
+    ``_settling``, and answers "free?" like the linear overlap scan.
+    Returns the number of reservations held."""
+    held = [entry.footprint for entry in manager._inflight.values()]
+    held += [footprint for _, footprint in manager._settling]
+    ledger = manager._reserved
+    assert ledger.total == len(held)
+    assert ledger.universal == sum(fp.universal for fp in held)
+    assert ledger.by_element == Counter(
+        name for fp in held if not fp.universal for name in fp.elements
+    )
+    expiries = [until for until, _ in manager._settling]
+    assert expiries == sorted(expiries)
+    probes = held + [Footprint.EMPTY, Footprint.UNIVERSAL, Footprint.of(["<nobody>"])]
+    probes += [Footprint.of([name]) for name in ledger.by_element]
+    for probe in probes:
+        taken = any(probe.overlaps(fp) for fp in held)
+        assert ledger.is_free(probe) != taken, str(probe)
+    return len(held)
+
+
+#: adapted runs whose engines between them take every lifecycle path but the
+#: conflict abort (the seeded mix below covers that one)
+LEDGER_SCENARIOS = ["multi_tenant", "multi_tenant_sharded", "grid_site"]
+
+
+class TestReservationLedger:
+    @pytest.mark.parametrize("name", LEDGER_SCENARIOS)
+    def test_ledger_matches_reservations_after_every_step(self, name, monkeypatch):
+        experiment = scenario_builder(name)(api.RunConfig.adapted(name))
+        managers = experiment.build().managers
+        step = Simulator.step
+        peak = [0]
+
+        def checked_step(sim):
+            alive = step(sim)
+            for manager in managers:
+                peak[0] = max(peak[0], assert_ledger_consistent(manager))
+            return alive
+
+        monkeypatch.setattr(Simulator, "step", checked_step)
+        experiment.run()
+        # per engine: the shards' and grid_site's engines are serial
+        assert peak[0] >= (2 if name == "multi_tenant" else 1)
+        if name == "grid_site":  # the resilience paths release and re-reserve
+            stats = managers[0].repair_stats()
+            assert stats["timeouts"] and stats["retries"] and stats["quarantines"]
+
+    @pytest.mark.parametrize("settle_time", [20.0, 0.0])
+    @pytest.mark.parametrize("concurrency", ["disjoint", "serial"])
+    def test_ledger_survives_a_seeded_lifecycle_mix(self, concurrency, settle_time):
+        rng = random.Random(15)
+        nodes = 10
+        system = build_nodes(nodes, latency=1.0)
+        sim = Simulator()
+
+        class MoodyTranslator:
+            """Completes, fails or hangs, as the seed decides."""
+
+            def execute(self, intents, on_done=None):
+                roll = rng.random()
+                if roll < 0.15:
+                    return  # hung effector: only the deadline ends it
+                error = "EffectorRaise:heal" if roll < 0.40 else None
+                sim.schedule(rng.uniform(0.5, 8.0), on_done, error)
+
+        def script(ctx):
+            target = ctx.bindings["__strategy_args__"][0]
+            if rng.random() < 0.10:
+                return False  # strategy-stage abort
+            target.set_property("latency", 1.0)
+            if rng.random() < 0.35:  # a write outside the admission footprint
+                other = ctx.system.component(f"n{rng.randrange(nodes)}")
+                other.set_property("touched", True)
+            ctx.intend("heal", target=target.name)
+            return True
+
+        _, manager = make_manager(
+            system,
+            make_checker(),
+            sim=sim,
+            translator=MoodyTranslator(),
+            concurrency=concurrency,
+            settle_time=settle_time,
+            max_concurrent_repairs=4,
+            repair_timeout=12.0,
+            retry_policy=RetryPolicy(max_attempts=3, backoff=2.0, seed=15),
+            quarantine_policy=QuarantinePolicy(after_failures=1, period=10.0),
+        )
+        manager.register_strategy(
+            FirstSuccessStrategy("fix", [PythonTactic("heal", script)])
+        )
+
+        def tick():
+            for _ in range(rng.randrange(0, 3)):
+                victim = system.component(f"n{rng.randrange(nodes)}")
+                victim.set_property("latency", 5.0)
+            manager.evaluate()
+            if sim.now < 600.0:
+                sim.schedule(1.0, tick)
+
+        sim.schedule(0.0, tick)
+        peak = 0
+        while sim.step():
+            peak = max(peak, assert_ledger_consistent(manager))
+        assert not manager.busy
+        stats = manager.repair_stats()
+        assert stats["timeouts"] and stats["retries"] and stats["quarantines"]
+        assert len(manager.history.committed) > 10
+        if concurrency == "disjoint":
+            assert peak > 1 and stats["conflicts"]

@@ -440,6 +440,26 @@ class TestQuarantine:
         assert mgr.repair_stats()["quarantines"] == 0
         assert mgr.quarantined_scopes() == {}
 
+    def test_lapsed_quarantine_of_a_healed_scope_is_not_reported(self):
+        sim = Simulator()
+        system = make_system()
+        mgr = make_engine(
+            system, sim, FlakyTranslator(sim, delay=1.0, failures=99),
+            quarantine_policy=QuarantinePolicy(after_failures=1, period=50.0),
+        )
+        mgr.register_strategy(FirstSuccessStrategy("fix", [touching_tactic()]))
+        mgr.evaluate()  # failure at t=1 -> quarantined until 51
+        sim.run(until=2.0)
+        assert mgr.repair_stats()["quarantined_now"] == 1
+        # the scope heals by itself, so it never violates again and no
+        # later evaluation walks over its entry
+        role = system.connector("link_C1").role("client")
+        role.set_property("averageLatency", 1.0)
+        sim.run(until=51.0)  # the period lapses exactly now
+        assert mgr.evaluate() is None
+        assert mgr.quarantined_scopes() == {}
+        assert mgr.repair_stats()["quarantined_now"] == 0
+
 
 # ---------------------------------------------------------------------------
 # history capacity

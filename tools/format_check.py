@@ -73,6 +73,8 @@ RATCHETED = [
     "tests/test_probe_flush_on_abort.py",
     "tests/test_bus_index.py",
     "tests/test_tick_lifecycle.py",
+    "tests/test_constraints_compile.py",
+    "tests/test_repair_concurrency.py",
 ]
 
 OPEN = {"(": ")", "[": "]", "{": "}"}
