@@ -15,7 +15,18 @@ measures **publish-to-drain** throughput: messages published *and*
 delivered per wall-clock second, timed from the first publish of a
 round to the drain of its last handler burst.  Both paths must deliver
 the identical per-subscriber message counts; the batched path must be
->= 3x faster at 500 subscriptions.
+>= 3x faster at 500 subscriptions (full mode; see ``SPEEDUP_FLOOR`` for
+the trimmed fast mode).
+
+The speedup is a ratio over the *per-message* path, and PR 17 made that
+path cheaper: a burst published at one sim instant lands as deliveries
+at one instant, and the kernel now keeps those 500 x burst same-instant
+events in one FIFO behind one heap entry instead of pushing and popping
+each through the heap.  The batched path had little of that cost to
+lose, so both absolute rates rose and the ratio between them fell (fast
+mode: from 4.8-5.9x to about 3x; full mode: 6.6x to 4.2x).  Read the
+two ``delivered_per_s`` figures, which ``compare_bench.py`` prints under
+the gated ratio, before reading a lower ratio as a slower batched path.
 
 Output: the usual text artifact plus ``out/BENCH_bus_batching.json``.
 ``BENCH_FAST=1`` trims rounds so the CI smoke job exercises the emitter
@@ -36,6 +47,10 @@ SUBSCRIPTIONS = 500
 ENTITIES = 25
 ROUNDS = 6 if FAST else 40
 BURST = 4 if FAST else 40  # reports per entity per round
+#: fast mode: 24 runs on PR 17 gave 2.42-3.68x (median 2.8x; the six
+#: trimmed rounds amortize less of the batched path's setup), so the floor
+#: is the lowest seen less a sixth; full mode measured 4.2x and keeps 3x
+SPEEDUP_FLOOR = 2.0 if FAST else 3.0
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
@@ -166,5 +181,5 @@ def test_x6_bus_batching(benchmark, artifact):
     assert per_sub["batched"] == per_sub["unbatched"]
     # The batched path coalesces bursts into far fewer simulator events...
     assert batched["drain_batches"] < unbatched["delivered"] / 4
-    # ...and is >= 3x faster publish-to-drain at 500 subscriptions.
-    assert speedup >= 3.0, f"batched speedup only {speedup:.1f}x"
+    # ...and clears the publish-to-drain floor at 500 subscriptions.
+    assert speedup >= SPEEDUP_FLOOR, f"batched speedup only {speedup:.1f}x"

@@ -19,6 +19,13 @@ update).  Both paths must land bit-for-bit identical window means; the
 columnar path must be >= 10x faster in full mode (>= 3x in trimmed fast
 mode, where the batch is too small to amortize fully).
 
+The speedup divides by the scalar path, whose cost is one publish and
+one delivery event per sample.  PR 17 cut both (no second subject
+validation per publish; same-instant deliveries share one heap entry),
+so the scalar ``samples_per_s`` rose more than the columnar one and the
+ratio came down toward its floors without either path getting slower;
+``compare_bench.py`` prints both absolute rates under the gated ratio.
+
 Output: the usual text artifact plus ``out/BENCH_telemetry.json``.
 ``BENCH_FAST=1`` trims gauges/rounds/batch so the CI smoke job exercises
 the gate cheaply.

@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.bus.filters import AttributeFilter, subject_matches, validate_pattern
 from repro.bus.index import SubjectTrie
-from repro.bus.messages import Message
+from repro.bus.messages import Message, routed_message, subject_segments
 from repro.bus.queues import QueuePolicy, SubscriberQueue
 from repro.sim.kernel import Simulator
 from repro.util.ids import IdGenerator
@@ -86,17 +86,6 @@ class Subscription:
     attr_filter: Optional[AttributeFilter] = None
     active: bool = True
     seq: int = 0
-
-    def wants(self, message: Message) -> bool:
-        if not self.active:
-            return False
-        if not subject_matches(self.pattern, message.subject):
-            return False
-        if self.attr_filter is not None and not self.attr_filter.matches(
-            message.attributes
-        ):
-            return False
-        return True
 
 
 class EventBus:
@@ -209,17 +198,42 @@ class EventBus:
         """Build and publish a message in one call, without the copy.
 
         The message is stamped ``sim.now`` at construction and nobody
-        else holds it or its attribute dict, so it is routed as is.
+        else holds it or its attribute dict, so it is routed as is — and
+        built unchecked, because the route lookup it goes to next is
+        what rejects a malformed subject.
         """
-        return self._dispatch(Message(subject, attributes, self.sim.now, sender))
+        return self._dispatch(routed_message(subject, attributes, self.sim.now, sender))
 
     def _dispatch(self, msg: Message) -> int:
-        """Match, fault-check and enqueue/schedule one bus-owned message."""
+        """Route, filter, fault-check and enqueue/schedule one bus-owned
+        message; ``ValueError`` (nothing published) for a malformed subject.
+
+        Trie candidates and the linear reference scan are the same
+        subscriptions in the same order, and handlers never run
+        synchronously, so the candidate set is a snapshot either way.
+        """
+        subject = msg.subject
+        index = self._index
+        if index is not None:
+            candidates = index.match(subject)
+        else:
+            subject_segments(subject)
+            candidates = [
+                sub
+                for sub in self._subs.values()
+                if subject_matches(sub.pattern, subject)
+            ]
         self.published += 1
         matched = 0
+        attributes = msg.attributes
         queues = self._queues
         inject = self.fault_injector
-        for sub in self._matches(msg):
+        for sub in candidates:
+            if not sub.active:
+                continue
+            attr_filter = sub.attr_filter
+            if attr_filter is not None and not attr_filter.matches(attributes):
+                continue
             matched += 1
             if inject is not None and inject(sub, msg):
                 self.dead_letters += 1
@@ -237,24 +251,6 @@ class EventBus:
                 delay = 0.0
             self.sim.schedule(delay, self._deliver, sub, msg, delay)
         return matched
-
-    def _matches(self, msg: Message) -> List[Subscription]:
-        """Subscriptions that want ``msg``, in subscription order.
-
-        With the trie index, candidates already match the subject, so only
-        the activity and attribute-filter checks remain; the linear path
-        re-tests everything.  Both return the same subscriptions in the
-        same order (handlers never run synchronously, so the candidate set
-        is a snapshot either way).
-        """
-        if self._index is not None:
-            return [
-                sub
-                for sub in self._index.match(msg.subject)
-                if sub.active
-                and (sub.attr_filter is None or sub.attr_filter.matches(msg.attributes))
-            ]
-        return [sub for sub in list(self._subs.values()) if sub.wants(msg)]
 
     # -- unbatched delivery ----------------------------------------------------
     def _deliver(self, sub: Subscription, msg: Message, delay: float = 0.0) -> None:

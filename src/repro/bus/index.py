@@ -18,7 +18,9 @@ A plane publishes the same few thousand literal subjects forever, so
 ``match`` memoises ``subject -> candidates``: the steady state is one
 dict hit per publish.  Any ``add`` or ``remove`` clears the memo, and it
 is cleared rather than grown past :data:`ROUTE_MEMO_CAP` subjects, so a
-service fed ever-new subjects stays bounded.
+service fed ever-new subjects stays bounded.  A subject is validated
+when its route is built, so the bus takes a memo hit as proof that the
+subject is well-formed and does not check it a second time.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.bus.filters import validate_pattern
+from repro.bus.messages import subject_segments
 
 __all__ = ["SubjectTrie"]
 
@@ -113,14 +116,16 @@ class SubjectTrie:
     def match(self, subject: str) -> Tuple[object, ...]:
         """All indexed subscriptions whose pattern matches ``subject``.
 
-        Returned in subscription order (ascending ``seq``).
+        Returned in subscription order (ascending ``seq``).  A malformed
+        subject raises the :class:`ValueError` a ``Message`` would and is
+        never memoised, so a memo hit vouches for a well-formed subject.
         """
         memo = self._memo
         hit = memo.get(subject)
         if hit is not None:
             return hit
         out: List[object] = []
-        self._collect(self._root, subject.split("."), 0, out)
+        self._collect(self._root, subject_segments(subject), 0, out)
         if len(out) > 1:
             out.sort(key=lambda s: s.seq)
         if len(memo) >= ROUTE_MEMO_CAP:

@@ -10,7 +10,8 @@ application:
   ambient randomness may enter;
 * :mod:`repro.realtime.scheduler` — :class:`RealtimeScheduler`, a
   drop-in :class:`~repro.sim.kernel.Simulator` whose run loop paces
-  event execution against a clock instead of draining the heap;
+  the kernel's agenda against a clock, one due instant per pass,
+  instead of draining it;
 * :mod:`repro.realtime.driver` — :class:`RealtimeDriver`, which owns a
   scheduler thread, an :class:`~repro.runtime.core.AdaptationRuntime`
   over a live :class:`~repro.runtime.app.ManagedApplication`, and the

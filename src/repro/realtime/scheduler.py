@@ -1,8 +1,8 @@
 """A wall-clock pacemaker behind the simulator's scheduling interface.
 
 :class:`RealtimeScheduler` is a :class:`~repro.sim.kernel.Simulator`
-whose run loop *paces* the event heap against a
-:class:`~repro.realtime.clock.Clock` instead of draining it: an event
+whose run loop *paces* the agenda against a
+:class:`~repro.realtime.clock.Clock` instead of draining it: an action
 scheduled for logical time ``t`` executes once ``clock.elapsed() >= t``.
 Everything built on the simulator interface — processes, the event bus,
 gauges, the repair engine, the whole
@@ -11,26 +11,43 @@ either plane; the logical timeline (``now``, timeout delays, trace
 timestamps) is identical in kind, it just advances in step with the
 clock.
 
+The loop's unit of work is the kernel's: one *instant* — every action
+sharing the earliest pending time, in scheduling order.  Per instant it
+takes in injected work once, decides once whether to wait, and samples
+the lag behind the clock once (after the instant's last action, which
+is where the lag is largest); only the check for :meth:`stop` happens
+between actions.  A thousand gauge ticks due together, or a thousand
+samples injected together, cost one pass.
+
 Two additions over the simulated kernel:
 
 * :meth:`call_soon_threadsafe` — the *only* sanctioned way to hand work
   to the scheduler from another thread (an HTTP handler, an asyncio
-  loop).  Injected callbacks are stamped at the clock's current elapsed
-  time and run in injection order; the sleeping loop wakes immediately.
+  loop).  Injected callbacks run in injection order; the sleeping loop
+  wakes immediately.  They are stamped with the clock's elapsed time
+  when the loop next takes them in, which is between two instants, not
+  between two actions: under a wall clock that is later than "on
+  arrival" by at most the run time of the instant in progress, and
+  everything taken in together shares one stamp.  The hand-over takes
+  no lock (see the method): what an injection costs must not depend on
+  how the producer and the loop happen to interleave.
 * :meth:`stop` — ends :meth:`run` from any thread.  A realtime run with
-  no horizon is a service: an empty heap means *idle*, not *done*.
+  no horizon is a service: an empty agenda means *idle*, not *done*.
 
 Determinism: with a :class:`~repro.realtime.clock.FakeClock` the waits
-advance logical time instantly, so a scripted schedule executes the
-exact event sequence a wall clock would — repeatably.  The realtime
-test suite pins this (same seed + same injected telemetry => identical
-repair history).
+advance logical time instantly and running an action takes no time, so
+a scripted schedule executes the exact event sequence, with the exact
+stamps, a wall clock would — repeatably.  The realtime test suite pins
+this (same seed + same injected telemetry => identical repair history),
+and ``tests/test_kernel_order_oracle.py`` pins the loop against a plain
+statement of this contract.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Optional, Tuple
 
 from repro.realtime.clock import Clock, WallClock
 from repro.sim.kernel import Simulator
@@ -49,24 +66,35 @@ class RealtimeScheduler(Simulator):
         self.clock: Clock = clock if clock is not None else WallClock()
         self._wakeup = threading.Event()
         self._stop_requested = False
-        self._injected: List[Tuple[Callable[..., Any], Tuple[Any, ...]]] = []
-        self._inject_lock = threading.Lock()
+        # crossed without a lock, see call_soon_threadsafe
+        self._injected: Deque[Tuple[Callable[..., Any], Tuple[Any, ...]]] = deque()
         #: events executed / worst observed lateness behind the clock
         self.executed = 0
         self.max_lag = 0.0
 
     # -- cross-thread seam -------------------------------------------------
     def call_soon_threadsafe(self, fn: Callable[..., Any], *args: Any) -> None:
-        """Run ``fn(*args)`` on the scheduler thread, stamped at "now".
+        """Run ``fn(*args)`` on the scheduler thread, stamped when taken in.
 
         Safe from any thread; injection order is execution order.  This
         is how external telemetry enters the plane: an ingest endpoint
         or asyncio callback pushes ``probe.ingest`` work here instead of
         touching the (single-threaded) bus directly.
+
+        No lock is held or waited for, as in asyncio's method of the
+        same name: ``deque.append`` and ``popleft`` are atomic, any
+        number of producers append and only the loop pops.  A lock
+        taken here per call and by the loop per pass would let the two
+        threads fall into step on it — one hand-over of the interpreter
+        lock per sample, the loop's passes shrunk to a sample or two —
+        in some runs and not in others.  For the same reason the wakeup
+        event (a lock of its own) is set only when it is not: the loop
+        clears it *before* it drains, so a set flag means a drain is
+        still to come that will find this entry.
         """
-        with self._inject_lock:
-            self._injected.append((fn, args))
-        self._wakeup.set()
+        self._injected.append((fn, args))
+        if not self._wakeup.is_set():
+            self._wakeup.set()
 
     def stop(self) -> None:
         """Ask a running :meth:`run` loop to return (thread-safe)."""
@@ -79,15 +107,23 @@ class RealtimeScheduler(Simulator):
 
     # -- paced execution ---------------------------------------------------
     def _drain_injected(self) -> int:
-        with self._inject_lock:
-            pending, self._injected = self._injected, []
-        arrival = max(self._now, self.clock.elapsed())
-        for fn, args in pending:
-            self.schedule_at(arrival, fn, *args)
-        return len(pending)
+        injected = self._injected
+        count = len(injected)  # later arrivals wait for the next drain's stamp
+        if count:
+            take = injected.popleft
+            # one arrival stamp for the lot: they join one instant's line
+            self._fifo(max(self._now, self.clock.elapsed())).extend(
+                [take() for _ in range(count)]
+            )
+        return count
 
     def run(self, until: Optional[float] = None) -> None:
-        """Pace the heap against the clock until ``until`` or :meth:`stop`.
+        """Pace the agenda against the clock until ``until`` or :meth:`stop`.
+
+        Each pass of the loop takes in what other threads injected,
+        decides whether to wait, and then runs one due *instant* — every
+        action sharing the earliest pending time, in scheduling order —
+        checking for :meth:`stop` between actions.
 
         With ``until`` given, the loop returns once logical time reaches
         it (events scheduled at exactly ``until`` still execute) and
@@ -97,8 +133,10 @@ class RealtimeScheduler(Simulator):
         if self._running:
             raise RuntimeError("RealtimeScheduler.run is not reentrant")
         self._running = True
+        times = self._times
         try:
             while not self._stop_requested:
+                # clear, then drain: call_soon_threadsafe relies on the order
                 self._wakeup.clear()
                 if self._drain_injected():
                     continue  # re-evaluate the head with injections queued
@@ -118,8 +156,13 @@ class RealtimeScheduler(Simulator):
                 if wait > 0:
                     self.clock.wait(wait, self._wakeup)
                     continue  # re-check: an injection may precede the head
-                self.step()
-                self.executed += 1
+                while True:
+                    self.step()
+                    self.executed += 1
+                    if self._stop_requested or not times or times[0] != due:
+                        break
+                # ``now`` held still and the clock only moves forward, so
+                # this is the largest lag any action of the instant saw
                 lag = self.clock.elapsed() - self._now
                 if lag > self.max_lag:
                     self.max_lag = lag

@@ -1,13 +1,17 @@
-"""The event loop: simulation clock, event heap, and waitable events."""
+"""The event loop: simulation clock, agenda of instants, and waitable events."""
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, List, Optional, Sequence
+from collections import deque
+from heapq import heappop, heappush
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 
 __all__ = ["Simulator", "Event", "Timeout", "AnyOf", "AllOf"]
+
+#: one instant's line of pending actions: ``(fn, args)`` in scheduling order
+_Fifo = Deque[Tuple[Callable[..., Any], tuple]]
 
 
 class Event:
@@ -146,15 +150,23 @@ class Simulator:
     """Deterministic discrete-event scheduler.
 
     * ``schedule(delay, fn, *args)`` runs ``fn`` at ``now + delay``;
-    * ties break in scheduling order (a monotone sequence number);
+    * ties break in scheduling order: the agenda is a heap of the
+      *distinct* pending instants plus one FIFO of actions per instant,
+      so a thousand actions due at one time cost one heap entry, and an
+      action scheduled for ``now`` while ``now`` is running joins the
+      back of the line;
     * ``run(until)`` executes all work up to and including ``until`` and
       leaves ``now == until``.
+
+    Every FIFO in the agenda is non-empty: an instant is forgotten the
+    moment its last action is taken off, so a long-running service
+    retains nothing for the instants it has passed.
     """
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._seq = 0
-        self._heap: List[Any] = []
+        self._times: List[float] = []
+        self._agenda: Dict[float, _Fifo] = {}
         self._running = False
 
     @property
@@ -164,18 +176,31 @@ class Simulator:
     # -- scheduling -------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` seconds of simulated time."""
-        if delay < 0:
+        if not delay >= 0:  # negative, or NaN (which no comparison admits)
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self.schedule_at(self._now + delay, fn, *args)
+        time = float(self._now + delay)
+        # the plane's most-called method: a crowded instant's line is
+        # found with one dict hit and no call
+        fifo = self._agenda.get(time)
+        if fifo is None:
+            fifo = self._fifo(time)
+        fifo.append((fn, args))
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
+        if not time >= self._now:  # earlier, or NaN: a key no lookup finds again
             raise SimulationError(
                 f"cannot schedule into the past (time={time}, now={self._now})"
             )
-        self._seq += 1
-        heapq.heappush(self._heap, (float(time), self._seq, fn, args))
+        self._fifo(float(time)).append((fn, args))
+
+    def _fifo(self, time: float) -> _Fifo:
+        """The line of actions due at ``time``, opened if there is none."""
+        fifo = self._agenda.get(time)
+        if fifo is None:
+            fifo = self._agenda[time] = deque()
+            heappush(self._times, time)
+        return fifo
 
     # -- waitable factories ------------------------------------------------
     def event(self) -> Event:
@@ -187,16 +212,22 @@ class Simulator:
     # -- execution ----------------------------------------------------------
     def step(self) -> bool:
         """Execute the earliest pending action; False when queue is empty."""
-        if not self._heap:
+        times = self._times
+        if not times:
             return False
-        time, _, fn, args = heapq.heappop(self._heap)
+        time = times[0]
+        fifo = self._agenda[time]
+        fn, args = fifo.popleft()
+        if not fifo:
+            heappop(times)
+            del self._agenda[time]
         self._now = time
         fn(*args)
         return True
 
     def peek(self) -> Optional[float]:
         """Time of the next pending action, or None."""
-        return self._heap[0][0] if self._heap else None
+        return self._times[0] if self._times else None
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or simulated time would pass ``until``.
@@ -213,11 +244,12 @@ class Simulator:
                 while self.step():
                     pass
                 return
-            if until < self._now:
+            if not until >= self._now:  # earlier, or NaN
                 raise SimulationError(
                     f"run(until={until}) is in the past (now={self._now})"
                 )
-            while self._heap and self._heap[0][0] <= until:
+            times = self._times
+            while times and times[0] <= until:
                 self.step()
             self._now = float(until)
         finally:

@@ -14,6 +14,7 @@ from repro.bus import (
     AttributeFilter,
     EventBus,
     FixedDelay,
+    QueuePolicy,
     SubjectTrie,
     subject_matches,
     validate_pattern,
@@ -109,6 +110,22 @@ class TestSubjectTrie:
         with pytest.raises(ValueError):
             SubjectTrie().add(_sub(1, "a..b"))
 
+    @pytest.mark.parametrize(
+        "subject",
+        ["", "a..b", ".a", "a."],
+        ids=["empty", "inner", "leading", "trailing"],
+    )
+    def test_malformed_subject_is_rejected_and_never_memoised(self, subject):
+        trie = SubjectTrie()
+        trie.add(_sub(1, "a.>"))
+        for _ in range(2):  # a second attempt must not find a memoised route
+            with pytest.raises(ValueError) as raised:
+                trie.match(subject)
+            with pytest.raises(ValueError) as wanted:
+                Message(subject)
+            assert str(raised.value) == str(wanted.value)
+            assert trie._memo == {}
+
 
 # ---------------------------------------------------------------------------
 # Property-style equivalence: trie vs linear scan, and vs subject_matches
@@ -182,6 +199,112 @@ class TestTrieLinearEquivalence:
         assert indexed.delivered == linear.delivered
         assert indexed.total_transit == linear.total_transit
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_buses_deliver_identically_through_faults_and_queues(self, seed):
+        """The rest of the delivery loop: a subscription switched off but
+        still indexed, attribute filters, a fault injector that draws from
+        an RNG once per wanted delivery, bounded batched subscribers and a
+        subject two literal subscribers share."""
+        rng = random.Random(3000 + seed)
+        sim = Simulator()
+        buses = [
+            EventBus(sim, delivery=FixedDelay(0.01), indexed=True),
+            EventBus(sim, delivery=FixedDelay(0.01), indexed=False),
+        ]
+        got = [[], []]
+        fault_rngs = [random.Random(seed), random.Random(seed)]
+        draws = [0, 0]
+        shared = "alpha.beta"
+
+        def injector(side):
+            def inject(sub, msg):
+                draws[side] += 1
+                return fault_rngs[side].random() < 0.2
+
+            return inject
+
+        for side, bus in enumerate(buses):
+            bus.fault_injector = injector(side)
+        policies = [
+            None,
+            None,
+            QueuePolicy(),
+            QueuePolicy("drop-oldest", 2),
+            QueuePolicy("block", 1),
+        ]
+        for k in range(40):
+            pattern = shared if k < 2 else _random_pattern(rng)
+            attr = AttributeFilter([("v", ">", 0.5)]) if rng.random() < 0.3 else None
+            policy = rng.choice(policies)
+            switched_off = k >= 2 and rng.random() < 0.15
+            for side, bus in enumerate(buses):
+                sub = bus.subscribe(
+                    pattern, _recorder(got[side], k), attr, queue_policy=policy
+                )
+                if switched_off:
+                    sub.active = False
+        for _ in range(300):
+            subject = shared if rng.random() < 0.2 else _random_subject(rng)
+            value = rng.random()
+            counts = [bus.publish_subject(subject, v=value) for bus in buses]
+            assert counts[0] == counts[1]
+            if subject == shared:
+                assert counts[0] >= 2  # two-way fan-out of one message
+            if rng.random() < 0.03:  # rarely, so that bounded queues fill
+                sim.run(until=sim.now + 0.01)
+        sim.run()
+        assert got[0] == got[1]
+        assert got[0]
+        assert draws[0] == draws[1] > 300
+        assert fault_rngs[0].getstate() == fault_rngs[1].getstate()
+        for key in ("published", "delivered", "dead_letters", "dropped", "stalled"):
+            assert buses[0].stats()[key] == buses[1].stats()[key]
+        assert buses[0].stats() == buses[1].stats()
+        assert buses[0].dead_letters_by_sid == buses[1].dead_letters_by_sid
+        assert buses[0].dead_letters and buses[0].dropped and buses[0].stalled
+
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_malformed_subject_never_gets_through_the_publish_door(self, indexed):
+        sim = Simulator()
+        bus = EventBus(sim, indexed=indexed)
+        got = []
+        bus.subscribe("a.>", got.append)
+        for attempt in range(3):
+            for subject in ("a..b", "", "a."):
+                with pytest.raises(ValueError) as raised:
+                    bus.publish_subject(subject, v=1)
+                with pytest.raises(ValueError) as wanted:
+                    Message(subject)
+                assert str(raised.value) == str(wanted.value)
+            if attempt == 1 and indexed:
+                with pytest.raises(ValueError):
+                    bus._index.match("a..b")
+            assert bus.publish_subject("a.b", v=attempt) == 1  # memo stays usable
+        sim.run()
+        assert bus.published == 3 and [m["v"] for m in got] == [0, 1, 2]
+
+    def test_message_built_on_a_memo_hit_is_an_ordinary_message(self):
+        sim = Simulator()
+        bus = EventBus(sim, delivery=FixedDelay(0.0))
+        got = []
+        bus.subscribe("a.*", got.append)
+        assert bus._index._memo == {}
+        bus.publish_subject("a.b", sender="s", v=1)  # route built: a miss
+        assert "a.b" in bus._index._memo
+        bus.publish_subject("a.b", sender="s", v=1)  # routed from the memo
+        bus.publish(Message("a.b", {"v": 1}, sender="s"))  # the validating door
+        sim.run()
+        on_miss, on_hit, validated = got
+        assert on_miss == on_hit == validated == Message("a.b", {"v": 1}, 0.0, "s")
+        assert repr(on_hit) == repr(validated)
+        with pytest.raises(AttributeError):  # dataclasses.FrozenInstanceError
+            on_hit.subject = "x.y"
+        with pytest.raises(AttributeError):
+            del on_hit.time
+        later = on_hit.with_time(2.5)
+        assert later == Message("a.b", {"v": 1}, 2.5, "s")
+        assert later.attributes is not on_hit.attributes and on_hit.time == 0.0
+
     @pytest.mark.parametrize("seed,cap", [(0, None), (1, None), (2, None), (3, 8)])
     def test_buses_agree_under_churn(self, seed, cap, monkeypatch):
         """subscribe / unsubscribe / publish / deliver in random order.
@@ -220,9 +343,6 @@ class TestTrieLinearEquivalence:
                     bus.unsubscribe(live[side].pop(idx))
             elif roll < 0.90:
                 subject, value = rng.choice(subjects), rng.random()
-                probe = Message(subject, {"v": value})
-                seqs = [[s.seq for s in bus._matches(probe)] for bus in buses]
-                assert seqs[0] == seqs[1]
                 counts = [bus.publish_subject(subject, v=value) for bus in buses]
                 assert counts[0] == counts[1]
             else:

@@ -1,0 +1,364 @@
+"""The kernel's order, checked against the heap it replaced.
+
+``Simulator`` keeps a heap of distinct instants and one FIFO per
+instant.  The contract it must keep is the old one — actions run in
+``(time, scheduling order)`` — so the oracle here is the old kernel
+itself: a ``(time, seq)`` heap in a dozen lines.  Seeded random
+programs are run on both; the ``(now, label)`` logs and every
+``peek()`` answer must be identical.
+
+The same programs then run on ``RealtimeScheduler(FakeClock())`` with a
+share of the actions entering through ``call_soon_threadsafe``, against
+the same heap under a loop that states the pacing contract (take
+injections in between instants, stamp them at the clock, sample the lag
+after every action).
+
+All times are multiples of 1/8, so every sum below is exact and the
+float comparisons are equalities.
+"""
+
+import heapq
+import itertools
+import random
+from collections import Counter
+
+import pytest
+
+from repro.errors import SimulationError
+from repro.realtime import FakeClock, RealtimeScheduler
+from repro.sim import Simulator
+
+#: few distinct delays, so most actions tie with others; 0 is a cascade
+DELAYS = (0.0, 0.0, 0.25, 0.5, 0.5, 1.0)
+SEEDS_PER_BLOCK = 32
+BLOCKS = 8  # 256 programs per plane
+
+
+class HeapKernel:
+    """The ``(time, seq)`` event heap: the order oracle."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._seq = 0
+        self._heap = []
+
+    def schedule(self, delay, fn, *args):
+        self.schedule_at(self.now + delay, fn, *args)
+
+    def schedule_at(self, time, fn, *args):
+        self._seq += 1
+        heapq.heappush(self._heap, (float(time), self._seq, fn, args))
+
+    def step(self):
+        if not self._heap:
+            return False
+        self.now, _, fn, args = heapq.heappop(self._heap)
+        fn(*args)
+        return True
+
+    def peek(self):
+        return self._heap[0][0] if self._heap else None
+
+    def run(self, until=None):
+        while self._heap and (until is None or self._heap[0][0] <= until):
+            self.step()
+        if until is not None:
+            self.now = float(until)
+
+
+class PacedHeapKernel(HeapKernel):
+    """The pacing contract over the oracle heap.
+
+    Between two instants: take what was injected, stamped at the clock.
+    Then wait for the head, run every action sharing its time, and look
+    for ``stop()`` and sample the lag after each one.
+    """
+
+    def __init__(self, clock):
+        super().__init__()
+        self.clock = clock
+        self.injected = []
+        self.stopped = False
+        self.executed = 0
+        self.max_lag = 0.0
+
+    def call_soon_threadsafe(self, fn, *args):
+        self.injected.append((fn, args))
+
+    def stop(self):
+        self.stopped = True
+
+    def run(self, until):
+        clock = self.clock
+        while not self.stopped:
+            if self.injected:
+                arrival = max(self.now, clock.elapsed())
+                pending, self.injected = self.injected, []
+                for fn, args in pending:
+                    self.schedule_at(arrival, fn, *args)
+                continue
+            due = self.peek()
+            if due is None or due > until:
+                if clock.elapsed() >= until:
+                    break
+                clock.wait(until - clock.elapsed(), None)
+                continue
+            if due > clock.elapsed():
+                clock.wait(due - clock.elapsed(), None)
+                continue
+            while True:
+                self.step()
+                self.executed += 1
+                self.max_lag = max(self.max_lag, clock.elapsed() - self.now)
+                if self.stopped or self.peek() != due:
+                    break
+        if not self.stopped:
+            self.now = float(until)
+
+
+class Boom(Exception):
+    pass
+
+
+class Program:
+    """One seeded scheduling program, run against one kernel.
+
+    Every random draw is made in execution order from the program's own
+    generator, so two kernels that order actions alike see the same
+    program, and the first disagreement shows in the logs.
+    """
+
+    MAX_ACTIONS = 150
+    MAX_DEPTH = 4
+
+    def __init__(self, kernel, seed, inject_share=0.0, clock=None):
+        self.k = kernel
+        self.rng = random.Random(seed)
+        self.inject_share = inject_share
+        self.clock = clock
+        self.labels = itertools.count()
+        self.scheduled = 0
+        self.log = []
+        self.peeks = []
+        self.lags = []
+        # drawn for every program so the draws that follow line up
+        self.bomb = self.rng.randrange(3, 30)
+        self.stopper = self.rng.randrange(20, 60)
+        #: how often each shape the docstring promises actually occurred
+        self.seen = Counter()
+
+    # -- scheduling --------------------------------------------------------
+    def spawn(self, depth):
+        if self.scheduled >= self.MAX_ACTIONS:
+            return
+        self.scheduled += 1
+        label = next(self.labels)
+        delay = self.rng.choice(DELAYS)
+        route = self.rng.random()
+        if route < self.inject_share:
+            self.seen["injected"] += 1
+            self.seen["injected from a callback"] += depth > 0
+            self.k.call_soon_threadsafe(self.act, label, depth)
+        elif route < self.inject_share + 0.2:
+            self.seen["schedule_at(now)"] += delay == 0.0
+            self.k.schedule_at(self.k.now + delay, self.act, label, depth)
+        else:
+            self.seen["delay-0 from a callback"] += delay == 0.0 and depth > 0
+            self.k.schedule(delay, self.act, label, depth)
+
+    def act(self, label, depth):
+        self.log.append((self.k.now, label))
+        if self.clock is None:
+            if label == self.bomb:
+                raise Boom(label)
+        else:
+            if self.rng.random() < 0.3:  # the action takes wall time
+                self.clock.advance(self.rng.choice((0.125, 0.25)))
+            if label == self.stopper:
+                self.k.stop()
+                self.seen["stop() mid-instant"] += self.k.peek() == self.k.now
+        if depth < self.MAX_DEPTH:
+            for _ in range(self.rng.choice((0, 0, 1, 1, 2, 3))):
+                self.spawn(depth + 1)
+        if self.clock is not None:
+            self.lags.append(self.clock.elapsed() - self.k.now)
+
+    # -- drivers -----------------------------------------------------------
+    def _guard(self, call, *args, **kwargs):
+        try:
+            return call(*args, **kwargs)
+        except Boom:
+            self.seen["raised"] += 1
+            return True
+
+    def drive_sim(self):
+        """Interleave step / peek / run(until) / outside scheduling."""
+        k, rng = self.k, self.rng
+        for _ in range(rng.randint(4, 12)):
+            self.spawn(0)
+        for _ in range(400):
+            op = rng.random()
+            if op < 0.35:
+                if not self._guard(k.step) and self.scheduled >= self.MAX_ACTIONS:
+                    break
+            elif op < 0.55:
+                self.peeks.append(k.peek())
+            elif op < 0.75:
+                ahead = rng.choice((0.0, 0.0, 0.25, 1.0))
+                self.seen["run(until == now)"] += ahead == 0.0
+                self._guard(k.run, until=k.now + ahead)
+            elif op < 0.85:
+                # the kernel forgot this instant if it ran its last action
+                self.seen["exhausted instant re-opened"] += k.peek() != k.now
+                self.scheduled += 1
+                k.schedule(0.0, self.act, next(self.labels), self.MAX_DEPTH)
+            else:
+                self.spawn(0)
+            self.peeks.append(k.peek())
+        while k.peek() is not None:  # a Boom ends run(); the rest must still go
+            self._guard(k.run)
+
+    def drive_realtime(self):
+        """run(until) in slices, scheduling and injecting in between."""
+        k, rng = self.k, self.rng
+        for _ in range(rng.randint(4, 12)):
+            self.spawn(0)
+        horizon = 0.0
+        while not k.stopped and horizon < 40.0:
+            horizon = max(horizon, k.now) + rng.choice((0.25, 0.5, 1.0, 2.0))
+            k.run(until=horizon)
+            self.peeks.append(k.peek())
+            for _ in range(rng.choice((0, 1, 2))):
+                self.spawn(0)
+
+
+def _seeds(block):
+    return range(block * SEEDS_PER_BLOCK, (block + 1) * SEEDS_PER_BLOCK)
+
+
+@pytest.mark.parametrize("block", range(BLOCKS))
+def test_simulator_orders_like_the_time_seq_heap(block):
+    seen = Counter()
+    for seed in _seeds(block):
+        real = Program(Simulator(), seed)
+        real.drive_sim()
+        want = Program(HeapKernel(), seed)
+        want.drive_sim()
+        assert real.log == want.log, f"seed {seed}"
+        assert real.peeks == want.peeks, f"seed {seed}"
+        assert real.k.now == want.k.now, f"seed {seed}"
+        # the raising action cost nobody else their turn
+        ran = sorted(label for _, label in real.log)
+        assert ran == list(range(real.scheduled)), f"seed {seed}"
+        assert real.k._agenda == {} and real.k._times == [], f"seed {seed}"
+        seen += real.seen
+        times = [time for time, _ in real.log]
+        seen["ties"] += len(times) - len(set(times))
+    # the programs are what the docstring says they are
+    assert seen["ties"] > 20 * SEEDS_PER_BLOCK
+    for shape in (
+        "delay-0 from a callback",
+        "schedule_at(now)",
+        "run(until == now)",
+        "exhausted instant re-opened",
+    ):
+        assert seen[shape] > SEEDS_PER_BLOCK, shape
+    assert seen["raised"] > SEEDS_PER_BLOCK // 2
+
+
+@pytest.mark.parametrize("block", range(BLOCKS))
+def test_realtime_scheduler_paces_like_the_contract_loop(block):
+    seen = Counter()
+    for seed in _seeds(block):
+        clock = FakeClock()
+        real = Program(RealtimeScheduler(clock), seed, inject_share=0.3, clock=clock)
+        real.drive_realtime()
+        clock = FakeClock()
+        want = Program(PacedHeapKernel(clock), seed, inject_share=0.3, clock=clock)
+        want.drive_realtime()
+        assert real.log == want.log, f"seed {seed}"
+        assert real.peeks == want.peeks, f"seed {seed}"
+        assert real.k.now == want.k.now, f"seed {seed}"
+        assert real.k.executed == len(real.log) == want.k.executed, f"seed {seed}"
+        # one lag sample per instant loses nothing against one per action
+        assert real.k.max_lag == max(real.lags) == want.k.max_lag, f"seed {seed}"
+        seen += real.seen
+        seen["lagged"] += real.k.max_lag > 0
+    assert seen["injected"] > 5 * SEEDS_PER_BLOCK
+    assert seen["injected from a callback"] > SEEDS_PER_BLOCK
+    assert seen["stop() mid-instant"] >= 2
+    assert seen["lagged"] > SEEDS_PER_BLOCK // 2
+
+
+class TestAgendaShape:
+    """Count-based: what the agenda holds, not how long anything takes."""
+
+    def test_same_instant_schedules_share_one_heap_entry(self):
+        sim = Simulator()
+        seen = []
+        for i in range(2000):
+            sim.schedule(1.0, seen.append, i)
+        assert len(sim._times) == 1 and len(sim._agenda) == 1
+        assert sim.peek() == 1.0
+        sim.run()
+        assert seen == list(range(2000))
+        assert sim._times == [] and sim._agenda == {}
+
+    def test_a_service_retains_nothing_for_the_instants_it_passed(self):
+        sched = RealtimeScheduler(FakeClock())
+        live = [True]
+        ticks = [0]
+
+        def tick(period):
+            ticks[0] += 1
+            if live[0]:
+                sched.schedule(period, tick, period)
+
+        for period in (0.25, 0.5, 1.0):
+            for _ in range(50):
+                sched.schedule(period, tick, period)
+        sched.run(until=500.0)
+        # 150 tickers, three period classes: at most three pending instants
+        assert len(sched._agenda) <= 3 and len(sched._times) == len(sched._agenda)
+        assert all(sched._agenda.values())  # no exhausted line left behind
+        live[0] = False
+        sched.run(until=502.0)
+        assert sched._times == [] and sched._agenda == {}
+        assert sched.executed == ticks[0] > 150 * 500
+
+    def test_injections_of_one_drain_join_one_instant(self):
+        clock = FakeClock(3.0)
+        sched = RealtimeScheduler(clock)
+        seen = []
+        for i in range(500):
+            sched.call_soon_threadsafe(seen.append, i)
+        sched.run(until=3.0)
+        assert seen == list(range(500))
+        assert sched.executed == 500 and sched.max_lag == 0.0
+
+
+class TestNanTimes:
+    """NaN compares false with everything: ``nan < now`` let it through."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [Simulator, lambda: RealtimeScheduler(FakeClock())],
+        ids=["sim", "realtime"],
+    )
+    def test_nan_is_rejected_and_inf_is_legal(self, make):
+        sim = make()
+        nan = float("nan")
+        with pytest.raises(SimulationError):
+            sim.schedule(nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(nan, lambda: None)
+        assert sim.peek() is None
+        sim.schedule(float("inf"), lambda: None)
+        sim.schedule_at(float("inf"), lambda: None)
+        assert sim.peek() == float("inf")
+
+    def test_run_until_nan_is_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.run(until=float("nan"))
+        assert sim.now == 0.0

@@ -128,6 +128,64 @@ class TestRealtimeScheduler:
         with pytest.raises(RuntimeError):
             sched.run(until=1.0)
 
+    def test_a_flood_signals_the_loop_once_per_drain(self):
+        # count-based: what an injection costs the producer must not
+        # depend on how the two threads happen to interleave, so it
+        # touches the wakeup event's lock only when the loop may be
+        # asleep — once per drain, not once per sample
+        class CountingEvent(threading.Event):
+            sets = 0
+
+            def set(self):
+                self.sets += 1
+                super().set()
+
+        sched = RealtimeScheduler(FakeClock())
+        sched._wakeup = CountingEvent()
+        seen = []
+        for i in range(1000):
+            sched.call_soon_threadsafe(seen.append, i)
+        assert sched._wakeup.sets == 1
+        sched.run(until=1.0)
+        assert seen == list(range(1000))
+        sched.call_soon_threadsafe(seen.append, 1000)
+        sched.call_soon_threadsafe(seen.append, 1001)
+        assert sched._wakeup.sets == 2
+        sched.run(until=2.0)
+        assert seen == list(range(1002))
+
+    def test_concurrent_producers_lose_and_reorder_nothing(self):
+        # four threads inject into a running wall-clock service: every
+        # callback runs exactly once, each producer's in its own order,
+        # and the loop is never left asleep with work queued
+        producers, each = 4, 5000
+        sched = RealtimeScheduler(WallClock())
+        seen = []
+        loop = threading.Thread(target=sched.run)
+        loop.start()
+
+        def produce(p):
+            for i in range(each):
+                sched.call_soon_threadsafe(seen.append, (p, i))
+
+        threads = [
+            threading.Thread(target=produce, args=(p,)) for p in range(producers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        drained = threading.Event()
+        sched.call_soon_threadsafe(drained.set)
+        assert drained.wait(timeout=10.0)
+        sched.stop()
+        loop.join(timeout=5.0)
+        assert not loop.is_alive()
+        assert len(seen) == producers * each
+        for p in range(producers):
+            assert [i for q, i in seen if q == p] == list(range(each))
+        assert sched.executed == producers * each + 1
+
 
 # ---------------------------------------------------------------------------
 # the ingest probe (the bus-ingested telemetry path)

@@ -75,6 +75,7 @@ RATCHETED = [
     "tests/test_tick_lifecycle.py",
     "tests/test_constraints_compile.py",
     "tests/test_repair_concurrency.py",
+    "tests/test_kernel_order_oracle.py",
 ]
 
 OPEN = {"(": ")", "[": "]", "{": "}"}
