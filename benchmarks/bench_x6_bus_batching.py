@@ -14,9 +14,10 @@ gauge-tick-shaped bursts (many reports at the same instant), and
 measures **publish-to-drain** throughput: messages published *and*
 delivered per wall-clock second, timed from the first publish of a
 round to the drain of its last handler burst.  Both paths must deliver
-the identical per-subscriber message counts; the batched path must be
->= 3x faster at 500 subscriptions (full mode; see ``SPEEDUP_FLOOR`` for
-the trimmed fast mode).
+the identical per-subscriber message counts; the batched path must
+stay faster at 500 subscriptions by the margin ``SPEEDUP_FLOOR`` sets
+(1.5x in full mode; in the trimmed fast mode, not slower; it began as
+3x — the next two paragraphs say where the rest went).
 
 The speedup is a ratio over the *per-message* path, and PR 17 made that
 path cheaper: a burst published at one sim instant lands as deliveries
@@ -27,6 +28,24 @@ lose, so both absolute rates rose and the ratio between them fell (fast
 mode: from 4.8-5.9x to about 3x; full mode: 6.6x to 4.2x).  Read the
 two ``delivered_per_s`` figures, which ``compare_bench.py`` prints under
 the gated ratio, before reading a lower ratio as a slower batched path.
+
+PR 18 did it again, from the other end of the same path: a delivery in
+flight now holds one collector-counted object of its own (its ``args``
+tuple) where it held three (a bound ``_deliver`` made per ``schedule``
+and the agenda's ``(fn, args)`` pair are gone), and this bench keeps
+500 x burst of them in flight at once.  Per-message deliveries/s rose
+75-90 % (fast mode 440-620k -> 870k-1.14M over 8 + 12 runs; full mode
+330-370k -> 610-680k) while the batched path, which never made those
+objects, stayed where it was (1.3-2.0M fast, 1.25-1.54M full) — so the
+ratio fell to a median 1.75x in fast mode (parent 2.41-4.42x over 8
+runs) and 1.85-2.47x in full mode (3 runs; parent 4.03-4.35x over 2).
+A ratio this close to 1 shows what the trimmed legs' noise always was:
+62 single-leg fast runs spread 0.58-2.13x (one host hiccup in a 0.15 s
+leg), so fast mode now keeps the fastest of three legs per path — 25
+such runs gave 1.10-2.10x, 23 of them 1.55x or more — and asks only
+that batching not lose; full mode's floor is its lowest seen less a
+sixth, the rule PR 17 used.  The baseline was rewritten from a
+near-median fast run (1.79x).
 
 Output: the usual text artifact plus ``out/BENCH_bus_batching.json``.
 ``BENCH_FAST=1`` trims rounds so the CI smoke job exercises the emitter
@@ -47,10 +66,11 @@ SUBSCRIPTIONS = 500
 ENTITIES = 25
 ROUNDS = 6 if FAST else 40
 BURST = 4 if FAST else 40  # reports per entity per round
-#: fast mode: 24 runs on PR 17 gave 2.42-3.68x (median 2.8x; the six
-#: trimmed rounds amortize less of the batched path's setup), so the floor
-#: is the lowest seen less a sixth; full mode measured 4.2x and keeps 3x
-SPEEDUP_FLOOR = 2.0 if FAST else 3.0
+LEGS = 3 if FAST else 1  # timed repetitions per path; the fastest counts
+#: module doc: fast mode (six trimmed rounds amortize less of the batched
+#: path's setup) saw 1.10x at worst over 25 runs on PR 18, full mode 1.85x
+#: over 3 — less a sixth
+SPEEDUP_FLOOR = 1.0 if FAST else 1.5
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
@@ -110,11 +130,21 @@ def burst_loop(sim, bus):
     return time.perf_counter() - start, published
 
 
+def timed_leg(batched: bool):
+    """One fresh bus through the burst loop: (seconds, published, bus, counts)."""
+    sim, bus, counts = build_bus(batched)
+    seconds, published = burst_loop(sim, bus)
+    return seconds, published, bus, counts
+
+
 def run_comparison():
     results = {}
     for label, batched in (("unbatched", False), ("batched", True)):
-        sim, bus, counts = build_bus(batched)
-        seconds, published = burst_loop(sim, bus)
+        # a trimmed leg lasts 0.15-0.3 s, short enough for one host hiccup
+        # to halve its rate: keep the fastest of LEGS fresh buses
+        seconds, published, bus, counts = min(
+            (timed_leg(batched) for _ in range(LEGS)), key=lambda leg: leg[0]
+        )
         results[label] = {
             "batched": batched,
             "seconds": seconds,

@@ -115,6 +115,14 @@ GATES: Dict[str, List[Gate]] = {
             higher_is_better=False,
             margin=TIMING_MARGIN,
         ),
+        # a count: scopes re-evaluated after 1 000 writes that moved no
+        # value and 4 that did — one more than the baseline's 8 fails
+        Gate(
+            "unmoved_writes_scopes_evaluated",
+            lambda r: r.get("unmoved_writes", {}).get("scopes_evaluated"),
+            higher_is_better=False,
+            margin=EXACT_MARGIN,
+        ),
     ],
     "BENCH_bus_batching.json": [
         Gate(

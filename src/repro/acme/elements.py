@@ -45,9 +45,8 @@ class Element(PropertyBag):
         self.name = _check_name(name)
         self.types: Set[str] = set(types or ())
         self.system: Optional["ArchSystem"] = None
-        #: owning system's epoch at this element's last property change;
-        #: maintained by :meth:`ArchSystem._touch` for incremental
-        #: constraint checking (see repro.constraints.invariants)
+        #: owning system's epoch at this element's last property write;
+        #: maintained by :meth:`ArchSystem._touch`
         self.dirty_epoch: int = 0
 
     def declares_type(self, type_name: str) -> bool:

@@ -28,6 +28,22 @@ MutationListener = Callable[[str, Callable[[], None]], None]
 #: consumers that fell too far behind get a ``None`` ("do a full pass")
 _DIRTY_LOG_CAP = 4096
 
+#: value types whose ``==`` says whether a write changed anything
+_SCALARS = (float, int, bool, str)
+
+
+def _moved(old: Any, new: Any) -> bool:
+    """Did a property write change what a reader of the value can see?
+
+    Only a scalar rewritten with an equal scalar of the *same* type has
+    not moved.  Everything else has: ``1`` over ``1.0`` or ``True``
+    (equal, but ``/`` and ``isinstance`` tell them apart), NaN (never
+    equal to itself), a container (it may have been edited in place, or
+    compare by a user's ``__eq__``), declaring and removing a property.
+    """
+    kind = type(new)
+    return not (type(old) is kind and kind in _SCALARS and old == new)
+
 
 class ArchSystem:
     """A named architecture instance, optionally conforming to a family."""
@@ -52,37 +68,51 @@ class ArchSystem:
         #: add/remove, port/role add/remove, attach/detach) — structural
         #: changes invalidate cached invariant scope lists wholesale
         self.structure_epoch: int = 0
-        self._dirty_log: Deque[Tuple[int, Element]] = deque()
+        #: the change log: ``(epoch, element, moved)`` per property write.
+        #: Every write is logged (repair footprints are made of what was
+        #: *written*); ``moved`` is False for a write that put back the
+        #: value already there, which the constraint checker may skip
+        self._dirty_log: Deque[Tuple[int, Element, bool]] = deque()
         self._dirty_floor: int = 0  # epochs <= floor fell off the log
 
     # ------------------------------------------------------------------
     # Change epochs (incremental constraint evaluation)
     # ------------------------------------------------------------------
-    def _touch(self, element: Element) -> None:
-        """Record a property change on ``element`` at a fresh epoch."""
+    def _touch(self, element: Element, moved: bool) -> None:
+        """Record a property write on ``element`` at a fresh epoch;
+        ``moved`` says whether it changed the value (see :func:`_moved`)."""
         self.epoch += 1
         element.dirty_epoch = self.epoch
         log = self._dirty_log
         if len(log) >= _DIRTY_LOG_CAP:
             self._dirty_floor = log.popleft()[0]
-        log.append((self.epoch, element))
+        log.append((self.epoch, element, moved))
 
     def _touch_structure(self) -> None:
         """Record a structural mutation (scope sets may have changed)."""
         self.epoch += 1
         self.structure_epoch = self.epoch
 
-    def dirty_elements_since(self, epoch: int) -> Optional[List[Element]]:
-        """Elements whose properties changed after ``epoch`` (deduplicated,
-        most recent first), or None when the log no longer reaches back
-        that far and the caller must fall back to a full pass."""
+    def dirty_elements_since(
+        self, epoch: int, moved_only: bool = False
+    ) -> Optional[List[Element]]:
+        """Elements whose properties were written after ``epoch``
+        (deduplicated, most recent first), or None when the log no longer
+        reaches back that far and the caller must fall back to a full pass.
+
+        ``moved_only`` leaves out writes that put back the value already
+        there: what a reader of *values* (the constraint checker) has to
+        look at again, where the default is what a reader of *writes*
+        (a repair's footprint) has to account for."""
         if epoch < self._dirty_floor:
             return None
         out: List[Element] = []
         seen: Set[int] = set()
-        for logged_epoch, element in reversed(self._dirty_log):
+        for logged_epoch, element, moved in reversed(self._dirty_log):
             if logged_epoch <= epoch:
                 break
+            if moved_only and not moved:
+                continue
             marker = id(element)
             if marker not in seen:
                 seen.add(marker)
@@ -121,7 +151,7 @@ class ArchSystem:
         element.system = self
 
         def forward(owner, name, old, new, _elem=element):
-            self._touch(_elem if owner is _elem else owner)
+            self._touch(_elem if owner is _elem else owner, _moved(old, new))
             for listener in self._property_listeners:
                 listener(_elem if owner is _elem else owner, name, old, new)
             if not self._mutation_listeners:

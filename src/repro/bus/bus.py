@@ -132,6 +132,9 @@ class EventBus:
         self.fault_injector: Optional[Callable[[Subscription, Message], bool]] = None
         self.dead_letters = 0
         self.dead_letters_by_sid: Dict[str, int] = {}
+        #: ``self._deliver``, bound once: looked up per ``schedule`` it is a
+        #: new method object for every message in flight
+        self._deliver_action = self._deliver
 
     # -- subscription management -------------------------------------------
     def subscribe(
@@ -249,7 +252,7 @@ class EventBus:
             delay = float(self.delivery.delay(msg))
             if delay < 0:
                 delay = 0.0
-            self.sim.schedule(delay, self._deliver, sub, msg, delay)
+            self.sim.schedule(delay, self._deliver_action, sub, msg, delay)
         return matched
 
     # -- unbatched delivery ----------------------------------------------------

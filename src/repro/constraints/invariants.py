@@ -14,15 +14,19 @@ The checker is **incremental** by default: expressions are compiled once
 to closure trees (:mod:`repro.constraints.compile`), and results are
 cached per (invariant, scope element) keyed on the system's change epoch
 (:attr:`~repro.acme.system.ArchSystem.epoch`).  A periodic check after a
-quiet interval reuses every cached result; after ``k`` property changes
-it re-evaluates O(k) scopes instead of O(model):
+quiet interval reuses every cached result; after writes that *moved*
+``k`` property values it re-evaluates O(k) scopes instead of O(model).
+The system's change log says of each write whether it moved the value
+(:meth:`~repro.acme.system.ArchSystem.dirty_elements_since`); a gauge
+re-reporting the value the model already holds is a write that moved
+nothing, and costs no evaluation:
 
 * *scope-local* invariants (proven by
   :func:`~repro.constraints.compile.is_scope_local` to read only their
   scope element's properties and the global bindings) re-run only for
-  scope elements whose :attr:`dirty_epoch` advanced;
+  scope elements one of whose values moved;
 * every other invariant — system-scoped, graph-reading, quantified —
-  conservatively re-runs whenever *anything* changed;
+  conservatively re-runs whenever *any* value moved;
 * structural mutations, binding changes, a new/different system object,
   or an overflowed dirty log fall back to a full pass (as does the
   ``full=True`` escape hatch of ``check_all`` / ``violations``).
@@ -30,7 +34,7 @@ it re-evaluates O(k) scopes instead of O(model):
 The cache also keeps the **live violation set**: which (invariant, scope)
 slots are violated right now, updated only where a re-evaluation moved a
 verdict.  :meth:`ConstraintChecker.violations` answers from it, so one
-control-loop wake-up costs O(dirty scopes + violated scopes);
+control-loop wake-up costs O(moved scopes + violated scopes);
 :meth:`ConstraintChecker.check_all` returns every result and is the one
 remaining O(model) read (a list copy).  A re-evaluated scope whose
 verdict did not move keeps its cached :class:`ConstraintResult` object.
@@ -294,7 +298,7 @@ class ConstraintChecker:
     ) -> List[ConstraintResult]:
         """The violated results of :meth:`check_all`, in its order, after
         the same refresh — read from the live violation set, so the cost
-        is O(changed scopes + violated scopes), not O(model)."""
+        is O(moved scopes + violated scopes), not O(model)."""
         sess = self._refresh(system, full)
         results = sess.results
         return [results[slot] for slot in sorted(sess.violated)]
@@ -318,7 +322,9 @@ class ConstraintChecker:
         ):
             return self._full_check(system)
         if sess.epoch != system.epoch:
-            dirty = system.dirty_elements_since(sess.epoch)
+            # a write that put back the value already there moved no
+            # verdict: only elements whose value moved are looked at again
+            dirty = system.dirty_elements_since(sess.epoch, moved_only=True)
             if dirty is None:
                 return self._full_check(system)
             self._incremental_check(sess, system, dirty)

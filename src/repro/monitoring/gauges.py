@@ -77,6 +77,9 @@ class Gauge:
         #: tick that carries another token belongs to a disposed chain
         self._ticker: Optional[object] = None
         self._subject: Optional[str] = None
+        #: ``self._tick``, bound once: looked up per ``schedule`` it is a
+        #: new method object for every pending tick
+        self._tick_action = self._tick
 
     @property
     def name(self) -> str:
@@ -115,7 +118,7 @@ class Gauge:
     # -- machinery ------------------------------------------------------------
     def _arm(self, ticker: object) -> None:
         if ticker is self._ticker:
-            self.sim.schedule(self.period, self._tick, ticker)
+            self.sim.schedule(self.period, self._tick_action, ticker)
 
     def _tick(self, ticker: object) -> None:
         """One period: report (when active and there is a value), re-arm.
@@ -133,7 +136,7 @@ class Gauge:
                 self.gauge_bus.publish_subject(
                     subject, sender=subject, target=self.target, value=value
                 )
-        self.sim.schedule(self.period, self._tick, ticker)
+        self.sim.schedule(self.period, self._tick_action, ticker)
 
     def _on_probe(self, message: Message) -> None:
         if not self.active:
@@ -373,10 +376,11 @@ class EwmaGauge(_ValueGauge):
 
     def _consume_batch(self, times, values) -> None:
         # The EWMA fold is inherently sequential; batching still saves
-        # the per-sample bus/message overhead upstream.
+        # the per-sample bus/message overhead upstream.  ``tolist`` turns
+        # each float64 column into python floats in one call.
         add = self._ewma.add
-        for time, value in zip(times, values):
-            add(float(time), float(value))
+        for time, value in zip(times.tolist(), values.tolist()):
+            add(time, value)
 
     def _value(self) -> Optional[float]:
         return self._ewma.value

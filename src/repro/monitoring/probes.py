@@ -22,6 +22,7 @@ plane's emission mode (X8), which the generic gauges consume through
 
 from __future__ import annotations
 
+from math import isfinite
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -51,16 +52,28 @@ class _Probe:
     they carried (equal unless the probe batches), and ``batches`` the
     array-carrying messages among them — the inputs to
     :meth:`~repro.runtime.core.AdaptationRuntime.telemetry_stats`.
+
+    The two ``value`` probes (:class:`CallbackProbe`,
+    :class:`IngestProbe`) share the columnar emission mode kept here:
+    with ``batch > 1`` they buffer each observation with its capture
+    time, and :meth:`flush` publishes the buffer as one ``times`` /
+    ``values`` array message about ``self.target``.
     """
 
-    def __init__(self, sim: Simulator, bus: EventBus, name: str):
+    def __init__(self, sim: Simulator, bus: EventBus, name: str, batch: int = 1):
+        if batch < 1:
+            raise ValueError(f"probe batch must be >= 1, got {batch}")
         self.sim = sim
         self.bus = bus
         self.name = name
+        self.batch = int(batch)
         self.enabled = True
         self.reports = 0
         self.samples = 0
         self.batches = 0
+        # refilled in place: a flush copies them into arrays, then clears
+        self._pending_times: List[float] = []
+        self._pending_values: List[float] = []
 
     def publish(self, subject: str, **attributes) -> None:
         if not self.enabled:
@@ -87,6 +100,18 @@ class _Probe:
             **attributes,
         )
 
+    def flush(self) -> None:
+        """Publish any buffered observations as one array message."""
+        values = self._pending_values
+        if not values:
+            return
+        times = self._pending_times
+        try:
+            self.publish_batch(self.name, times, values, target=self.target)
+        finally:  # published, disabled or refused: the buffer starts over
+            times.clear()
+            values.clear()
+
 
 class ClientLatencyProbe(_Probe):
     """Event probe on a client's response path (AIDE-style instrumentation)."""
@@ -109,8 +134,10 @@ class ClientLatencyProbe(_Probe):
 class _PeriodicProbe(_Probe):
     """A probe that samples every ``period`` seconds once started."""
 
-    def __init__(self, sim: Simulator, bus: EventBus, name: str, period: float):
-        super().__init__(sim, bus, name)
+    def __init__(
+        self, sim: Simulator, bus: EventBus, name: str, period: float, batch: int = 1
+    ):
+        super().__init__(sim, bus, name, batch)
         if period <= 0:
             raise ValueError(f"probe period must be positive, got {period}")
         self.period = float(period)
@@ -294,41 +321,19 @@ class CallbackProbe(_PeriodicProbe):
         period: float = 1.0,
         batch: int = 1,
     ):
-        super().__init__(sim, bus, f"probe.{kind}.{target}", period)
-        if batch < 1:
-            raise ValueError(f"probe batch must be >= 1, got {batch}")
+        super().__init__(sim, bus, f"probe.{kind}.{target}", period, batch)
         self.kind = kind
         self.target = target
         self.fn = fn
-        self.batch = int(batch)
-        self._pending_times: List[float] = []
-        self._pending_values: List[float] = []
 
     def sample(self) -> None:
         if self.batch == 1:
-            self.publish(
-                f"probe.{self.kind}.{self.target}",
-                target=self.target,
-                value=float(self.fn()),
-            )
+            self.publish(self.name, target=self.target, value=float(self.fn()))
             return
         self._pending_times.append(self.sim.now)
         self._pending_values.append(float(self.fn()))
         if len(self._pending_values) >= self.batch:
             self.flush()
-
-    def flush(self) -> None:
-        """Publish any buffered observations as one array message."""
-        if not self._pending_values:
-            return
-        times, self._pending_times = self._pending_times, []
-        values, self._pending_values = self._pending_values, []
-        self.publish_batch(
-            f"probe.{self.kind}.{self.target}",
-            times,
-            values,
-            target=self.target,
-        )
 
     def stop(self) -> None:
         self.flush()
@@ -363,14 +368,9 @@ class IngestProbe(_Probe):
         target: str,
         batch: int = 1,
     ):
-        super().__init__(sim, bus, f"probe.{kind}.{target}")
-        if batch < 1:
-            raise ValueError(f"probe batch must be >= 1, got {batch}")
+        super().__init__(sim, bus, f"probe.{kind}.{target}", batch)
         self.kind = kind
         self.target = target
-        self.batch = int(batch)
-        self._pending_times: List[float] = []
-        self._pending_values: List[float] = []
 
     def ingest(self, value: float, time: Optional[float] = None) -> None:
         """Publish (or buffer) one externally captured observation.
@@ -378,33 +378,21 @@ class IngestProbe(_Probe):
         ``time`` is the capture time on the scheduler's logical
         timeline; it defaults to the current instant, which is also the
         arrival stamp ``call_soon_threadsafe`` injection gives pushed
-        samples.
+        samples.  A non-finite ``value`` is refused with ``ValueError``
+        here, at the door: past it, a NaN would raise inside a gauge's
+        bus delivery on the scheduler's thread (:class:`EwmaGauge`) or
+        sit in the model where no threshold comparison ever sees it.
         """
-        capture = self.sim.now if time is None else float(time)
+        value = float(value)
+        if not isfinite(value):
+            raise ValueError(f"{self.name}: sample value must be finite, got {value}")
         if self.batch == 1:
-            self.publish(
-                f"probe.{self.kind}.{self.target}",
-                target=self.target,
-                value=float(value),
-            )
+            self.publish(self.name, target=self.target, value=value)
             return
-        self._pending_times.append(capture)
-        self._pending_values.append(float(value))
+        self._pending_times.append(self.sim.now if time is None else float(time))
+        self._pending_values.append(value)
         if len(self._pending_values) >= self.batch:
             self.flush()
-
-    def flush(self) -> None:
-        """Publish any buffered observations as one array message."""
-        if not self._pending_values:
-            return
-        times, self._pending_times = self._pending_times, []
-        values, self._pending_values = self._pending_values, []
-        self.publish_batch(
-            f"probe.{self.kind}.{self.target}",
-            times,
-            values,
-            target=self.target,
-        )
 
     def stop(self) -> None:
         """Flush the buffered tail (the driver calls this on shutdown)."""

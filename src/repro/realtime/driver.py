@@ -33,6 +33,7 @@ deterministic mode the realtime test suite pins.
 from __future__ import annotations
 
 import threading
+from math import isfinite
 from typing import Dict, Optional, Tuple
 
 from repro.monitoring.probes import IngestProbe
@@ -83,7 +84,10 @@ class RealtimeDriver:
 
         Thread-safe: the sample crosses onto the scheduler thread and is
         published there.  Unknown (kind, target) pairs raise ``KeyError``
-        — the wiring audit's WIR402 is the static half of that check.
+        — the wiring audit's WIR402 is the static half of that check —
+        and a non-finite ``value`` raises ``ValueError``: both here, on
+        the caller's thread, because past the hop there is nobody to
+        raise to but the loop every other sample depends on.
         """
         probe = self._ingest_probes.get((kind, target))
         if probe is None:
@@ -91,8 +95,13 @@ class RealtimeDriver:
                 f"no IngestProbe for ({kind!r}, {target!r}); "
                 f"declared: {self.ingest_targets()}"
             )
+        value = float(value)
+        if not isfinite(value):
+            raise ValueError(
+                f"sample value for ({kind!r}, {target!r}) must be finite, got {value}"
+            )
         self.ingested += 1
-        self.scheduler.call_soon_threadsafe(probe.ingest, float(value), time)
+        self.scheduler.call_soon_threadsafe(probe.ingest, value, time)
 
     # -- lifecycle ---------------------------------------------------------
     def _start_runtime_once(self) -> None:

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from itertools import chain
 from typing import Any, Callable, Deque, Optional, Tuple
 
 from repro.realtime.clock import Clock, WallClock
@@ -111,9 +112,12 @@ class RealtimeScheduler(Simulator):
         count = len(injected)  # later arrivals wait for the next drain's stamp
         if count:
             take = injected.popleft
-            # one arrival stamp for the lot: they join one instant's line
+            # one arrival stamp for the lot: they join one instant's line,
+            # flattened to the line's layout (fn, args, fn, args, ...).  A
+            # producer's append has to stay one atomic (fn, args) pair —
+            # two appends from two threads could interleave
             self._fifo(max(self._now, self.clock.elapsed())).extend(
-                [take() for _ in range(count)]
+                chain.from_iterable([take() for _ in range(count)])
             )
         return count
 

@@ -144,6 +144,6 @@ class ServeApp:
             return 400, {"error": "/ingest needs a numeric value"}
         try:
             self.driver.ingest(kind, target, value)
-        except KeyError as exc:
+        except (KeyError, ValueError) as exc:  # unknown probe / "nan", 1e999
             return 400, {"error": str(exc)}
         return 200, {"ingested": True, "total": self.driver.ingested}

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.errors import SimulationError
 
 __all__ = ["Simulator", "Event", "Timeout", "AnyOf", "AllOf"]
 
-#: one instant's line of pending actions: ``(fn, args)`` in scheduling order
-_Fifo = Deque[Tuple[Callable[..., Any], tuple]]
+#: one instant's line of pending actions, in scheduling order.  An action
+#: is two consecutive items — ``fn``, then its ``args`` tuple — not a pair
+#: object: a pair is one more allocation the cyclic collector counts and
+#: tracks for every message in flight.
+_Fifo = Deque[Any]
 
 
 class Event:
@@ -184,7 +187,8 @@ class Simulator:
         fifo = self._agenda.get(time)
         if fifo is None:
             fifo = self._fifo(time)
-        fifo.append((fn, args))
+        fifo.append(fn)
+        fifo.append(args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` at absolute simulated ``time``."""
@@ -192,7 +196,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule into the past (time={time}, now={self._now})"
             )
-        self._fifo(float(time)).append((fn, args))
+        fifo = self._fifo(float(time))
+        fifo.append(fn)
+        fifo.append(args)
 
     def _fifo(self, time: float) -> _Fifo:
         """The line of actions due at ``time``, opened if there is none."""
@@ -217,7 +223,8 @@ class Simulator:
             return False
         time = times[0]
         fifo = self._agenda[time]
-        fn, args = fifo.popleft()
+        fn = fifo.popleft()
+        args = fifo.popleft()
         if not fifo:
             heappop(times)
             del self._agenda[time]

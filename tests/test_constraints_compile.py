@@ -626,3 +626,128 @@ class TestViolationSet:
         assert after[3] is before[3]
         assert after[2] is not before[2] and after[2].violated
         assert checker.violations(system) == [after[0], after[2]]
+
+    #: for the unmoved-write walk: every component has exactly one type, so
+    #: a ClientT element owns 2 fast-lane slots and a ServerT element 4;
+    #: ``pairs`` (system-scoped, quantified) and ``sz`` (a call: not
+    #: provably scope-local, one slot per ServerT) ride the conservative lane
+    MOVED_SOURCES = [
+        ("lat", "latency <= maxLatency", "ClientT"),
+        ("cnt", "count % limit != 3", "ClientT"),
+        ("lbl", "flag or label == tag", "ServerT"),
+        ("items", '!("bad" in items)', "ServerT"),
+        ("extra", "extra > 0", "ServerT"),
+        ("load", "load < 9.5", "ServerT"),
+        ("pairs", "forall c : ClientT in system.components | c.latency > -9", None),
+        ("sz", "size(items) < 3", "ServerT"),
+    ]
+    FAST_SLOTS = {"ClientT": 2, "ServerT": 4}
+    POOL = 5  # components per type
+    #: (component prefix, scalar property) pairs a "gauge" may re-report
+    REPEATABLE = [("c", "latency"), ("c", "count"), ("s", "flag"), ("s", "label")]
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "interp"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_write_that_moves_nothing_costs_no_evaluation(self, seed, compiled):
+        """More than half the writes of this walk put back the value that
+        is already there.  They must change no answer (``violations()``
+        equals a sibling checker's ``violations(full=True)`` after every
+        step) and cost nothing: ``scopes_evaluated`` rises by exactly the
+        slots of the elements some write *moved* — plus the conservative
+        lane, once, if anything moved at all.  Moved is decided here by
+        construction, not by asking the model: equal value, same scalar
+        type; everything else (``1`` over ``1.0`` over ``True``, NaN over
+        NaN, a list edited in place, declare/remove, an undo that
+        restores a different value) moved."""
+        rng = random.Random(7000 + seed)
+        system = ArchSystem("Walk")
+        for i in range(self.POOL):
+            client = system.new_component(f"c{i}", ["ClientT"])
+            client.set_property("latency", round(rng.uniform(0, 4), 2))
+            client.set_property("count", rng.randrange(0, 10))
+            server = system.new_component(f"s{i}", ["ServerT"])
+            server.set_property("flag", rng.random() < 0.5)
+            server.set_property("label", rng.choice(["red", "green"]))
+            server.set_property("items", ["a"])
+            server.set_property("load", round(rng.uniform(0, 12), 2))
+        bindings = {"maxLatency": 2.0, "limit": 7, "tag": "red"}
+
+        def make(incremental):
+            checker = ConstraintChecker(
+                bindings=dict(bindings), compiled=compiled, incremental=incremental
+            )
+            for name, source, scope_type in self.MOVED_SOURCES:
+                checker.add_source(name, source, scope_type=scope_type)
+            return checker
+
+        live, reference = make(True), make(False)
+        assert_same_results(
+            live.violations(system), reference.violations(system, full=True)
+        )
+        conservative = 1 + self.POOL  # pairs + one sz slot per server
+        operations = repeats = moved_steps = quiet_steps = 0
+        for step in range(120):
+            moved = set()  # elements some write of this step moved
+            for _ in range(rng.randrange(1, 6)):
+                client = system.component(f"c{rng.randrange(self.POOL)}")
+                server = system.component(f"s{rng.randrange(self.POOL)}")
+                roll = rng.random()
+                operations += 1
+                if roll < 0.60:  # the gauge that re-reports its last value
+                    prefix, prop = rng.choice(self.REPEATABLE)
+                    element = client if prefix == "c" else server
+                    value = element.get_property(prop)
+                    element.set_property(prop, value)
+                    if value != value:
+                        moved.add(element)  # NaN over NaN is never "the same"
+                    else:
+                        repeats += 1
+                elif roll < 0.70:  # a float that moves
+                    old = client.get_property("latency")
+                    client.set_property("latency", (old if old == old else 0.0) + 1.5)
+                    moved.add(client)
+                elif roll < 0.78:  # equal numbers of another type: 1, 1.0, True
+                    old = client.get_property("count")
+                    kinds = [k for k in (int, float, bool) if k is not type(old)]
+                    client.set_property("count", rng.choice(kinds)(1))
+                    moved.add(client)
+                elif roll < 0.82:  # NaN: a later repeat writes NaN over NaN
+                    client.set_property("latency", float("nan"))
+                    moved.add(client)
+                elif roll < 0.88:  # a bool and a string that move
+                    red = server.get_property("label") == "red"
+                    server.set_property("flag", not server.get_property("flag"))
+                    server.set_property("label", "green" if red else "red")
+                    moved.add(server)
+                elif roll < 0.93:  # the same list object, edited in place
+                    items = server.get_property("items")
+                    if len(items) > 3:
+                        del items[:]
+                    items.append(rng.choice(["a", "bad"]))
+                    server.set_property("items", items)
+                    moved.add(server)
+                elif roll < 0.96:  # declare / remove
+                    if server.has_property("extra"):
+                        server.remove_property("extra")
+                    else:
+                        server.declare_property("extra", 1.0, "float")
+                    moved.add(server)
+                else:  # transaction undo: the server moved twice, the client never
+                    txn = ModelTransaction(system).begin()
+                    server.set_property("load", server.get_property("load") + 50.0)
+                    client.set_property("count", client.get_property("count"))
+                    txn.abort()
+                    moved.add(server)
+            expected = conservative if moved else 0
+            for element in moved:
+                expected += self.FAST_SLOTS[next(iter(element.types))]
+            before = live.stats["scopes_evaluated"]
+            got = live.violations(system)
+            assert live.stats["scopes_evaluated"] - before == expected, f"step {step}"
+            assert_same_results(got, reference.violations(system, full=True))
+            assert_same_results(got, [r for r in live.check_all(system) if r.violated])
+            moved_steps += bool(moved)
+            quiet_steps += not moved
+        assert live.stats["full_checks"] == 1  # the walk never left the fast path
+        assert repeats * 2 >= operations  # at least half only repeat a value
+        assert moved_steps > 20 and quiet_steps > 10

@@ -244,6 +244,54 @@ class TestConflictAbort:
         assert system.component("n1").get_property("latency") == 1.0
         assert len(manager.history.committed) == 2
 
+    def test_a_write_that_moves_nothing_is_still_a_write(self):
+        """The change log marks a write that put back the value already
+        there so the *checker* can skip it; a repair's footprint is made
+        of what was written, moved or not.  A tactic that re-writes a
+        shared element with its current value claims that element:
+        ``txn.touched()``, the per-tactic footprint and the commit-time
+        conflict verdict are what they were before the log knew the
+        difference."""
+        from repro.repair.transactions import ModelTransaction
+
+        def rewrite_shared(ctx):
+            target = ctx.bindings["__strategy_args__"][0]
+            target.set_property("latency", 1.0)
+            shared = ctx.system.component("shared")
+            shared.set_property("budget", shared.get_property("budget"))
+            ctx.intend("heal", target=target.name)
+            return True
+
+        system = build_nodes(2)
+        shared = system.new_component("shared", ["BudgetT"])
+        shared.set_property("budget", 7)
+        txn = ModelTransaction(system).begin()
+        shared.set_property("budget", 7)
+        system.component("n0").set_property("latency", 5.0)
+        assert txn.touched() == Footprint(frozenset({"n0", "shared"}))
+        txn.abort()
+
+        checker = make_checker()
+        sim, manager = make_manager(system, checker, concurrency="disjoint")
+        manager.register_strategy(
+            FirstSuccessStrategy("fix", [PythonTactic("heal", rewrite_shared)])
+        )
+        manager.evaluate()
+        records = {e.record.scope: e.record for e in manager._inflight.values()}
+        assert records["n0"].abort_reason is None
+        assert records["n0"].footprint == Footprint(frozenset({"n0", "shared"}))
+        assert records["n0"].tactic_footprints == [
+            ("heal", Footprint(frozenset({"n0", "shared"})))
+        ]
+        # n1's repair wrote the same unchanged value into the element n0
+        # holds: a late overlap, conflict-aborted and rolled back
+        assert manager.conflicts == 1
+        assert records["n1"].abort_reason == "FootprintConflict"
+        assert system.component("n1").get_property("latency") == 5.0
+        assert shared.get_property("budget") == 7
+        drive(sim, manager, until=80.0)
+        assert len(manager.history.committed) == 2
+
     def test_write_into_settling_footprint_conflict_aborts(self):
         """Regression: the commit-time check also guards settle windows.
 

@@ -120,16 +120,19 @@ class TestServeRunAndIngest:
         assert status == 200
         assert history["count"] == len(history["records"])
 
-    def test_ingest_reaches_an_attached_driver(self):
+    @staticmethod
+    def _pool_driver():
         from tests.test_realtime import ScriptedPoolApp
 
         pool = ScriptedPoolApp()
-        driver = RealtimeDriver(
+        return RealtimeDriver(
             LivePoolManagedApplication(pool, min_workers=2),
             build_live_pool_spec(pool),
             clock=FakeClock(),
         )
-        app = ServeApp(driver=driver, clock=FakeClock())
+
+    def test_ingest_reaches_an_attached_driver(self):
+        app = ServeApp(driver=self._pool_driver(), clock=FakeClock())
         body = {"kind": "latency", "target": "pool", "value": 0.25}
         status, payload = app.handle("POST", "/ingest", body)
         assert status == 200
@@ -137,6 +140,19 @@ class TestServeRunAndIngest:
         bad = {"kind": "nope", "target": "pool", "value": 1.0}
         assert app.handle("POST", "/ingest", bad)[0] == 400
         assert app.handle("POST", "/ingest", {"kind": "latency"})[0] == 400
+
+    @pytest.mark.parametrize("value", ["nan", "NaN", "-inf", float("inf"), 1e999])
+    def test_ingest_answers_400_to_a_non_finite_value(self, value):
+        """``float()`` takes all of these; the daemon loop must never see
+        them — it would die behind a 200 ``/health``."""
+        driver = self._pool_driver()
+        app = ServeApp(driver=driver, clock=FakeClock())
+        body = {"kind": "latency", "target": "pool", "value": value}
+        status, payload = app.handle("POST", "/ingest", body)
+        assert status == 400
+        assert "finite" in _strict_json_roundtrip(payload)["error"]
+        assert driver.ingested == 0
+        driver.run_until(2.0)  # nothing crossed the seam
 
     def test_run_rejects_bad_override_types(self):
         app = ServeApp(clock=FakeClock())

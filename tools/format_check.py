@@ -76,6 +76,7 @@ RATCHETED = [
     "tests/test_constraints_compile.py",
     "tests/test_repair_concurrency.py",
     "tests/test_kernel_order_oracle.py",
+    "tests/test_report_path.py",
 ]
 
 OPEN = {"(": ")", "[": "]", "{": "}"}
