@@ -15,11 +15,19 @@ Between recomputations rates are constant, so completion times are exact and
 the whole simulation stays deterministic.  This reproduces what the paper's
 testbed provides to the adaptation loop: path transfer times and available
 bandwidth under competition.
+
+A re-solve costs what changed.  The engine keeps a standing index — link
+key -> the flows crossing it, in the order they joined — through one
+``_add`` and one ``_remove``; the fill counts the flows still filling on
+each link instead of scanning for them; and each solve projects *one*
+completion, the earliest, because completing it re-solves and re-projects
+every other flow anyway.
 """
 
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError
@@ -55,6 +63,8 @@ class Flow:
         "done",
         "started_at",
         "_last_advance",
+        "_crossings",
+        "_headroom",
     )
 
     def __init__(
@@ -83,6 +93,8 @@ class Flow:
         self.done = done
         self.started_at = now
         self._last_advance = now
+        self._crossings: Tuple[_Crossing, ...] = ()  # set while in a network
+        self._headroom = math.inf  # solve scratch: cap not yet used
 
     def advance(self, now: float) -> None:
         """Account for bits moved since the last advance at current rate."""
@@ -103,6 +115,26 @@ class Flow:
         )
 
 
+class _Crossing:
+    """One link's entry in the standing index.
+
+    ``flows`` holds every flow crossing the link, in the order they joined
+    the network (the order ``link_load`` sums in); ``elastic`` counts the
+    ones that are not priority.  ``residual`` and ``filling`` are the link's
+    scratch during a solve: capacity not yet handed out, and how many of
+    its elastic flows are still filling.
+    """
+
+    __slots__ = ("link", "flows", "elastic", "residual", "filling")
+
+    def __init__(self, link: Link):
+        self.link = link
+        self.flows: Dict[str, Flow] = {}
+        self.elastic = 0
+        self.residual = 0.0
+        self.filling = 0
+
+
 class FlowNetwork:
     """Manages flows over a topology and keeps allocations max-min fair."""
 
@@ -118,6 +150,11 @@ class FlowNetwork:
         self.local_bps = float(local_bps)  # co-located endpoints (same machine)
         self._flows: Dict[str, Flow] = {}
         self._xtraffic: Dict[str, Flow] = {}  # name -> persistent flow
+        # The standing index, kept by _add / _remove alone: the links that
+        # carry a flow (an entry is never empty), and the priority flows in
+        # fid order — the order tier 1 serves them in.
+        self._index: Dict[Tuple[str, str], _Crossing] = {}
+        self._priority: List[Flow] = []
         self._ids = IdGenerator()
         self._epoch = 0
         self.completed_transfers = 0
@@ -143,8 +180,8 @@ class FlowNetwork:
         pending responses are purged); it is None for co-located endpoints
         and zero-byte transfers, which cannot be cancelled.
         """
-        if nbytes < 0:
-            raise NetworkError(f"negative transfer size {nbytes}")
+        if not 0 <= nbytes < math.inf:  # negative, infinite, or NaN
+            raise NetworkError(f"transfer size must be finite and >= 0, got {nbytes}")
         done = Event(self.sim)
         links = self.routing.links_on_path(src, dst)
         fid = self._ids.next("flow")
@@ -158,7 +195,7 @@ class FlowNetwork:
         if nbytes == 0:
             self.sim.schedule(0.0, self._complete, flow)
             return done, None
-        self._flows[fid] = flow
+        self._add(flow)
         self.recompute()
         return done, flow
 
@@ -167,20 +204,59 @@ class FlowNetwork:
 
         Returns False if the flow already completed or was cancelled.
         """
-        if flow.fid not in self._flows:
+        if self._flows.get(flow.fid) is not flow:
             return False
-        del self._flows[flow.fid]
+        self._remove(flow)
         if flow.done is not None and not flow.done.triggered:
             flow.done.fail(NetworkError(f"transfer {flow.fid} cancelled"))
         self.recompute()
         return True
+
+    def _add(self, flow: Flow) -> None:
+        """Put ``flow`` into the flow set and the link index."""
+        self._flows[flow.fid] = flow
+        crossings = []
+        for link in flow.links:
+            crossing = self._index.get(link.key)
+            if crossing is None:
+                crossing = self._index[link.key] = _Crossing(link)
+            crossing.flows[flow.fid] = flow
+            if not flow.priority:
+                crossing.elastic += 1
+            crossings.append(crossing)
+        flow._crossings = tuple(crossings)
+        if flow.priority:
+            self._priority.append(flow)
+            self._priority.sort(key=attrgetter("fid"))
+
+    def _remove(self, flow: Flow) -> None:
+        """Take ``flow`` out of the flow set, the link index and — a
+        competitor — the name table, so the name can be used again."""
+        del self._flows[flow.fid]
+        for crossing in flow._crossings:
+            del crossing.flows[flow.fid]
+            if not flow.priority:
+                crossing.elastic -= 1
+            if not crossing.flows:
+                del self._index[crossing.link.key]
+        flow._crossings = ()
+        if flow.priority:
+            self._priority.remove(flow)
+            for name, competitor in self._xtraffic.items():
+                if competitor is flow:
+                    del self._xtraffic[name]
+                    break
 
     def _complete_local(self, flow: Flow) -> None:
         flow.remaining_bits = 0.0
         self._finish(flow)
 
     def _complete(self, flow: Flow) -> None:
-        self._flows.pop(flow.fid, None)
+        # Two solves on purpose, one inside the done callbacks (they start
+        # the next transfer) and one here: the callbacks also publish
+        # messages whose delivery delay reads link_utilization in between.
+        if flow.fid in self._flows:  # a zero-byte transfer never joined
+            self._remove(flow)
         self._finish(flow)
         self.recompute()
 
@@ -200,15 +276,15 @@ class FlowNetwork:
         A rate of 0 removes the competitor.  Competition is *unresponsive*
         (priority tier): it takes its full demand before elastic application
         flows share what remains — matching the paper's competition program,
-        which could drive residual path bandwidth down to ~10 Kbps.
+        which could drive residual path bandwidth down to ~10 Kbps.  An
+        infinite demand is legal: the competitor takes the whole path.
         """
-        if rate_bps < 0:
-            raise NetworkError(f"negative cross-traffic rate {rate_bps}")
+        if not rate_bps >= 0:  # negative, or NaN
+            raise NetworkError(f"cross-traffic rate must be >= 0, got {rate_bps}")
         existing = self._xtraffic.get(name)
         if rate_bps == 0:
             if existing is not None:
-                del self._xtraffic[name]
-                self._flows.pop(existing.fid, None)
+                self._remove(existing)
                 self.recompute()
             return
         if existing is not None:
@@ -223,11 +299,18 @@ class FlowNetwork:
                 raise NetworkError("cross traffic requires distinct endpoints")
             fid = self._ids.next("xtraffic")
             flow = Flow(
-                fid, src, dst, links, math.inf, None,
-                cap=float(rate_bps), persistent=True, priority=True,
+                fid,
+                src,
+                dst,
+                links,
+                math.inf,
+                None,
+                cap=float(rate_bps),
+                persistent=True,
+                priority=True,
                 now=self.sim.now,
             )
-            self._flows[fid] = flow
+            self._add(flow)
             self._xtraffic[name] = flow
         self.recompute()
 
@@ -239,7 +322,7 @@ class FlowNetwork:
     # Allocation
     # ------------------------------------------------------------------
     def recompute(self) -> None:
-        """Re-solve the max-min allocation and reschedule completions."""
+        """Re-solve the max-min allocation and re-project the next completion."""
         now = self.sim.now
         finished: List[Flow] = []
         for flow in self._flows.values():
@@ -247,18 +330,34 @@ class FlowNetwork:
             if flow.finished:
                 finished.append(flow)
         for flow in finished:
-            self._flows.pop(flow.fid, None)
-        self._waterfill()
-        self._epoch += 1
-        epoch = self._epoch
-        for flow in self._flows.values():
-            if flow.persistent or flow.rate <= _EPS_BW:
-                continue
-            eta = flow.remaining_bits / flow.rate
-            self.sim.schedule(eta, self._maybe_complete, flow.fid, epoch)
+            self._remove(flow)
+        self._solve()
+        self._project()
         # Fire completions after rates settle (callbacks may add new flows).
         for flow in finished:
             self._finish(flow)
+
+    def _project(self) -> None:
+        """Schedule the one completion this allocation can still reach.
+
+        Completing a flow re-solves, which re-projects every other flow,
+        so only the earliest projection of an epoch can ever fire un-stale:
+        the smallest *instant* as the kernel computes it (two etas may round
+        onto one instant), first in ``_flows`` order on a tie — the action
+        the kernel's per-instant FIFO would have run first.
+        """
+        self._epoch += 1
+        now = self.sim.now
+        first: Optional[Flow] = None
+        earliest = math.inf
+        for flow in self._flows.values():
+            if flow.persistent or flow.rate <= _EPS_BW:
+                continue
+            due = now + flow.remaining_bits / flow.rate
+            if due < earliest:
+                first, earliest = flow, due
+        if first is not None:
+            self.sim.schedule_at(earliest, self._maybe_complete, first.fid, self._epoch)
 
     def _maybe_complete(self, fid: str, epoch: int) -> None:
         if epoch != self._epoch:
@@ -266,77 +365,83 @@ class FlowNetwork:
         flow = self._flows.get(fid)
         if flow is None:
             return
-        flow.advance(self.sim.now)
-        if flow.finished or flow.rate <= _EPS_BW:
+        now = self.sim.now
+        flow.advance(now)
+        # Float drift can leave a sliver behind.  One the clock can still
+        # resolve is projected again (with every other flow); one it cannot
+        # is as finished as this clock can say.
+        if flow.finished or now + flow.remaining_bits / flow.rate == now:
             self._complete(flow)
         else:
-            # float drift: reschedule the residual sliver
-            self.sim.schedule(flow.remaining_bits / flow.rate, self._maybe_complete,
-                              fid, epoch)
+            self.recompute()
 
-    def _waterfill(self) -> None:
-        """Two-tier allocation: priority demands first, then max-min fill."""
-        flows = [self._flows[k] for k in sorted(self._flows)]
-        if not flows:
-            return
-        residual: Dict[Tuple[str, str], float] = {}
-        on_link: Dict[Tuple[str, str], List[Flow]] = {}
-        for f in flows:
-            f.rate = 0.0
-            for link in f.links:
-                residual.setdefault(link.key, link.capacity)
-                on_link.setdefault(link.key, []).append(f)
+    def _solve(self) -> None:
+        """Two-tier allocation: priority demands first, then max-min fill.
+
+        Tier 1 depends on the order it serves flows in (fid order); tier 2
+        does not, so it walks the index as it stands.
+        """
+        links: List[_Crossing] = []  # the links tier 2 fills
+        for crossing in self._index.values():
+            crossing.residual = crossing.link.capacity
+            crossing.filling = crossing.elastic
+            if crossing.elastic:
+                links.append(crossing)
 
         # Tier 1: unresponsive competition takes its demand up front.
-        elastic: List[Flow] = []
-        for f in flows:
-            if not f.priority:
-                elastic.append(f)
-                continue
-            take = min(f.cap if f.cap is not None else math.inf,
-                       min(residual[link.key] for link in f.links))
+        for f in self._priority:
+            take = f.cap if f.cap is not None else math.inf
+            for crossing in f._crossings:
+                if crossing.residual < take:
+                    take = crossing.residual
             take = max(0.0, take)
             f.rate = take
-            for link in f.links:
-                residual[link.key] -= take
+            for crossing in f._crossings:
+                crossing.residual -= take
 
         # Tier 2: progressive filling of elastic flows over the residual.
-        unfrozen = {f.fid: f for f in elastic}
-        headroom = {f.fid: (f.cap if f.cap is not None else math.inf) for f in elastic}
+        filling = [f for f in self._flows.values() if not f.priority]
+        for f in filling:
+            f.rate = 0.0
+            f._headroom = f.cap if f.cap is not None else math.inf
 
-        while unfrozen:
-            # Largest uniform increment every unfrozen flow can take.
+        while filling:
+            # Largest uniform increment every filling flow can take.
             inc = math.inf
-            for key, members in on_link.items():
-                n = sum(1 for m in members if m.fid in unfrozen)
-                if n:
-                    inc = min(inc, residual[key] / n)
-            for fid in unfrozen:
-                inc = min(inc, headroom[fid])
+            for crossing in links:
+                if crossing.filling:
+                    share = crossing.residual / crossing.filling
+                    if share < inc:
+                        inc = share
+            for f in filling:
+                if f._headroom < inc:
+                    inc = f._headroom
             if not math.isfinite(inc):
                 break  # unconstrained (cannot happen: flows have links)
             if inc > _EPS_BW:
-                for fid, f in unfrozen.items():
+                for f in filling:
                     f.rate += inc
-                    headroom[fid] -= inc
-                for key, members in on_link.items():
-                    n = sum(1 for m in members if m.fid in unfrozen)
-                    residual[key] -= inc * n
+                    f._headroom -= inc
+                for crossing in links:
+                    crossing.residual -= inc * crossing.filling
 
             # Freeze exactly the flows whose constraint binds (a saturated
             # link or exhausted cap) and keep filling the others — a flow
             # pinned at zero must not stall its peers.
-            frozen_now: List[str] = []
-            for key, members in on_link.items():
-                if residual[key] <= _EPS_BW:
-                    frozen_now.extend(m.fid for m in members if m.fid in unfrozen)
-            for fid in list(unfrozen):
-                if headroom[fid] <= _EPS_BW:
-                    frozen_now.append(fid)
-            if not frozen_now:
+            still: List[Flow] = []
+            for f in filling:
+                if f._headroom > _EPS_BW:
+                    for crossing in f._crossings:
+                        if crossing.residual <= _EPS_BW:
+                            break
+                    else:
+                        still.append(f)
+                        continue
+                for crossing in f._crossings:
+                    crossing.filling -= 1
+            if len(still) == len(filling):
                 break  # numerically stuck; accept current allocation
-            for fid in frozen_now:
-                unfrozen.pop(fid, None)
+            filling = still
 
     # ------------------------------------------------------------------
     # Measurement (ground truth for Remos and the figures)
@@ -349,24 +454,26 @@ class FlowNetwork:
     def active_transfers(self) -> List[Flow]:
         return [f for f in self.flows if not f.persistent]
 
+    def _load(self, link: Link) -> float:
+        crossing = self._index.get(link.key)
+        if crossing is None:
+            return 0
+        return sum([f.rate for f in crossing.flows.values()])
+
     def link_load(self, a: str, b: str) -> float:
         """Sum of current flow rates crossing link (a, b), bits/s."""
-        link = self.topology.link(a, b)
-        return sum(f.rate for f in self._flows.values() if link in f.links)
+        return self._load(self.topology.link(a, b))
 
     def link_utilization(self, a: str, b: str) -> float:
         link = self.topology.link(a, b)
-        return self.link_load(a, b) / link.capacity
+        return self._load(link) / link.capacity
 
     def residual_bandwidth(self, src: str, dst: str) -> float:
         """Unused capacity along the path (min over links)."""
         links = self.routing.links_on_path(src, dst)
         if not links:
             return self.local_bps
-        return max(
-            0.0,
-            min(link.capacity - self.link_load(link.a, link.b) for link in links),
-        )
+        return max(0.0, min(link.capacity - self._load(link) for link in links))
 
     def predicted_bandwidth(self, src: str, dst: str) -> float:
         """Rate a *new* elastic flow would receive (hypothetical max-min).
@@ -378,15 +485,13 @@ class FlowNetwork:
         links = self.routing.links_on_path(src, dst)
         if not links:
             return self.local_bps
-        probe = Flow("__probe__", src, dst, links, math.inf, None,
-                     persistent=True, now=self.sim.now)
-        saved_rates = {f.fid: f.rate for f in self._flows.values()}
-        self._flows[probe.fid] = probe
+        probe = Flow("__probe__", src, dst, links, math.inf, None, persistent=True)
+        saved_rates = [(f, f.rate) for f in self._flows.values()]
+        self._add(probe)
         try:
-            self._waterfill()
+            self._solve()
             return probe.rate
         finally:
-            del self._flows[probe.fid]
-            for fid, r in saved_rates.items():
-                if fid in self._flows:
-                    self._flows[fid].rate = r
+            self._remove(probe)
+            for f, rate in saved_rates:
+                f.rate = rate

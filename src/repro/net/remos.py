@@ -121,5 +121,5 @@ class RemosService:
         """Prewarm every host pair in the topology."""
         hosts = [n.name for n in self.network.topology.hosts]
         return self.prewarm(
-            (a, b) for i, a in enumerate(hosts) for b in hosts[i + 1:]
+            (a, b) for i, a in enumerate(hosts) for b in hosts[i + 1 :]
         )

@@ -2,13 +2,15 @@
 
 Hop-count shortest paths with lexicographic tie-breaking, computed by BFS
 and cached per topology version.  The experiment's testbed is static, so
-routes are effectively computed once.
+routes are effectively computed once: the links of each queried pair are
+memoised the first time they are asked for and dropped with the BFS
+parents when the topology's version moves.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import NoRouteError
 from repro.net.topology import Link, Topology
@@ -23,11 +25,13 @@ class RoutingTable:
         self.topology = topology
         self._version = -1
         self._parent: Dict[str, Dict[str, Optional[str]]] = {}
+        self._links: Dict[Tuple[str, str], Tuple[Link, ...]] = {}
 
     def _refresh(self) -> None:
         if self._version == self.topology.version:
             return
         self._parent = {}
+        self._links = {}
         for node in self.topology.nodes:
             self._parent[node.name] = self._bfs(node.name)
         self._version = self.topology.version
@@ -71,8 +75,14 @@ class RoutingTable:
         return list(reversed(rev))
 
     def links_on_path(self, src: str, dst: str) -> List[Link]:
-        nodes = self.path(src, dst)
-        return [self.topology.link(a, b) for a, b in zip(nodes, nodes[1:])]
+        """The links of :meth:`path`, in order; a fresh list on every call."""
+        self._refresh()
+        links = self._links.get((src, dst))
+        if links is None:
+            nodes = self.path(src, dst)
+            links = tuple(self.topology.link(a, b) for a, b in zip(nodes, nodes[1:]))
+            self._links[src, dst] = links
+        return list(links)
 
     def hop_count(self, src: str, dst: str) -> int:
         return len(self.path(src, dst)) - 1

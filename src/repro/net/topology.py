@@ -25,7 +25,9 @@ class Node:
 
     def __post_init__(self) -> None:
         if self.kind not in ("host", "router"):
-            raise NetworkError(f"node kind must be 'host' or 'router', got {self.kind!r}")
+            raise NetworkError(
+                f"node kind must be 'host' or 'router', got {self.kind!r}"
+            )
         if not self.name:
             raise NetworkError("node name must be non-empty")
 
@@ -39,7 +41,8 @@ class Link:
     """Undirected link with capacity in bits/second.
 
     ``capacity`` may be changed at runtime (tests use this); the flow engine
-    must be told to recompute afterwards.
+    must be told to recompute afterwards.  ``key`` is the canonical endpoint
+    pair, built once: the flow engine and the topology index links by it.
     """
 
     a: str
@@ -51,11 +54,8 @@ class Link:
             raise NetworkError(f"self-link on {self.a!r}")
         if self.capacity <= 0:
             raise NetworkError(f"link capacity must be positive, got {self.capacity}")
-        self.a, self.b = _canon(self.a, self.b)
-
-    @property
-    def key(self) -> Tuple[str, str]:
-        return (self.a, self.b)
+        self.key = _canon(self.a, self.b)  # not a dataclass field: ==, repr unchanged
+        self.a, self.b = self.key
 
     def other(self, node: str) -> str:
         if node == self.a:

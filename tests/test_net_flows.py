@@ -109,6 +109,34 @@ class TestFairSharing:
         assert net.link_load("r1", "r2") == pytest.approx(10e6)
         assert net.link_utilization("r1", "r2") == pytest.approx(1.0)
 
+    def test_link_no_flow_crosses_carries_zero(self):
+        sim, net = make(10e6)
+        net.transfer("a1", "a2", 1e9)  # never leaves the a-side
+        for a, b in (("r1", "r2"), ("b1", "r2")):
+            assert net.link_load(a, b) == 0
+            assert net.link_utilization(a, b) == 0.0
+        assert net.residual_bandwidth("b1", "b2") == 100e6
+        with pytest.raises(NetworkError):
+            net.link_load("a1", "b1")  # not a link at all
+
+    def test_new_link_reroutes_new_flows_only(self):
+        # the remembered routes go when the topology's version moves; a flow
+        # in flight keeps the path it started on
+        sim, net = make(10e6)
+        _, old = net.start_transfer("a1", "b1", 1e9)
+        net.topology.add_link("a1", "b1", 4e6)  # a shortcut
+        _, new = net.start_transfer("a1", "b1", 1e9)
+        assert [link.key for link in old.links] == [
+            ("a1", "r1"),
+            ("r1", "r2"),
+            ("b1", "r2"),
+        ]
+        assert [link.key for link in new.links] == [("a1", "b1")]
+        assert (old.rate, new.rate) == (10e6, 4e6)
+        assert net.link_load("a1", "b1") == 4e6
+        assert net.link_load("r1", "r2") == 10e6
+        assert net.predicted_bandwidth("a1", "b1") == 2e6
+
 
 class TestCrossTraffic:
     def test_capped_competitor_leaves_residual(self):

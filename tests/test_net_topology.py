@@ -1,9 +1,11 @@
 """Unit tests for topology and routing."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import NetworkError, NoRouteError
-from repro.net import RoutingTable, Topology
+from repro.net import Link, RoutingTable, Topology
 
 
 def line_topology():
@@ -96,6 +98,34 @@ class TestTopology:
             t.node("nope")
 
 
+class TestLinkContract:
+    """What the flow engine's index leans on: ``key`` is stored, and nothing
+    else about ``Link`` moved when it stopped being a property."""
+
+    def test_constructor_canonicalises_endpoints(self):
+        link = Link("b", "a", 5e6)
+        assert (link.a, link.b, link.capacity) == ("a", "b", 5e6)
+        assert link.key == ("a", "b")
+        assert Link(a="a", b="b", capacity=5e6) == link
+
+    def test_key_is_not_a_field(self):
+        assert [f.name for f in dataclasses.fields(Link)] == ["a", "b", "capacity"]
+        with pytest.raises(TypeError):
+            Link("a", "b", 5e6, ("a", "b"))
+
+    def test_equality_includes_capacity_and_hash_does_not(self):
+        assert Link("a", "b", 1e6) == Link("b", "a", 1e6)
+        assert Link("a", "b", 1e6) != Link("a", "b", 2e6)
+        assert hash(Link("a", "b", 1e6)) == hash(Link("b", "a", 2e6))
+        assert hash(Link("a", "b", 1e6)) == hash(("a", "b"))
+        link = Link("a", "b", 1e6)
+        link.capacity = 2e6  # tests and experiments mutate it
+        assert link == Link("a", "b", 2e6) and link.key == ("a", "b")
+
+    def test_repr(self):
+        assert repr(Link("b", "a", 1e6)) == "Link(a--b @ 1000000bps)"
+
+
 class TestRouting:
     def test_shortest_path(self):
         t = line_topology()
@@ -114,6 +144,37 @@ class TestRouting:
         r = RoutingTable(t)
         links = r.links_on_path("h1", "h3")
         assert [link.key for link in links] == [("h1", "r1"), ("h3", "r1")]
+
+    def test_links_on_path_returns_a_list_the_caller_may_mutate(self):
+        t = line_topology()
+        r = RoutingTable(t)
+        links = r.links_on_path("h1", "h2")
+        assert type(links) is list and len(links) == 3
+        links.clear()
+        again = r.links_on_path("h1", "h2")
+        assert [link.key for link in again] == [
+            ("h1", "r1"),
+            ("r1", "r2"),
+            ("h2", "r2"),
+        ]
+        assert all(link is t.link(*link.key) for link in again)
+        local = r.links_on_path("h1", "h1")
+        local.append("scribble")
+        assert r.links_on_path("h1", "h1") == []
+
+    def test_remembered_links_are_dropped_when_a_link_is_added(self):
+        t = line_topology()
+        r = RoutingTable(t)
+        assert len(r.links_on_path("h1", "h2")) == 3
+        t.add_link("h1", "h2", 1e6)  # a shortcut
+        assert [link.key for link in r.links_on_path("h1", "h2")] == [("h1", "h2")]
+        assert r.hop_count("h1", "h2") == 1
+
+    def test_unknown_node_is_refused_every_time(self):
+        r = RoutingTable(line_topology())
+        for _ in range(2):
+            with pytest.raises(NetworkError):
+                r.links_on_path("h1", "nope")
 
     def test_no_route_raises(self):
         t = line_topology()

@@ -37,6 +37,7 @@ RATCHETED = [
     "src/repro/faults/",
     "src/repro/lint/",
     "src/repro/monitoring/",
+    "src/repro/net/",
     "src/repro/realtime/",
     "src/repro/serve/",
     "src/repro/sim/",
@@ -77,6 +78,7 @@ RATCHETED = [
     "tests/test_repair_concurrency.py",
     "tests/test_kernel_order_oracle.py",
     "tests/test_report_path.py",
+    "tests/test_net_solver_oracle.py",
 ]
 
 OPEN = {"(": ")", "[": "]", "{": "}"}
