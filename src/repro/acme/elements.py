@@ -11,9 +11,9 @@ paper draws a server group containing replicated servers (Figure 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, List, Optional
 
-from repro.acme.properties import PropertyBag
+from repro.acme.properties import PropertyBag, PropertyListener
 from repro.errors import AttachmentError, DuplicateElementError, UnknownElementError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -21,36 +21,74 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 __all__ = ["Element", "Port", "Role", "Component", "Connector", "Attachment"]
 
-_IDENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
-
 
 def _check_name(name: str) -> str:
-    if not name or name[0].isdigit() or any(ch not in _IDENT_OK for ch in name):
-        raise UnknownElementError(f"invalid element name {name!r} (identifier expected)")
+    """``[A-Za-z_][A-Za-z0-9_]*``: what ``isidentifier`` accepts of ASCII."""
+    if not (name and name.isascii() and name.isidentifier()):
+        raise UnknownElementError(
+            f"invalid element name {name!r} (identifier expected)"
+        )
     return name
+
+
+#: one frozenset per distinct type ascription, shared by every element
+#: that declares it (a thousand pools declare the same one).  Only ever
+#: grows by a family's worth of immutable values.
+_TYPE_SETS: Dict[FrozenSet[str], FrozenSet[str]] = {}
 
 
 class Element(PropertyBag):
     """Base: a named, typed, property-carrying model object.
 
-    ``types`` is the set of declared architectural types (e.g.
+    ``types`` is the (frozen) set of declared architectural types (e.g.
     ``{"ClientT"}``); an element may declare several (Acme allows multiple
     type ascription).
+
+    An element belongs to at most one :class:`ArchSystem`, named by
+    ``system``.  That back-pointer is the route a property write takes
+    to the system's change log, listeners and undo records
+    (:meth:`ArchSystem._property_written`); it is set by adoption and
+    survives removal, so an element a transaction's abort puts back is
+    still heard.
     """
+
+    __slots__ = ("name", "types", "system", "dirty_epoch")
 
     kind: str = "element"
 
-    def __init__(self, name: str, types: Optional[Set[str]] = None):
+    def __init__(self, name: str, types: Optional[Iterable[str]] = None):
         super().__init__()
         self.name = _check_name(name)
-        self.types: Set[str] = set(types or ())
+        declared = frozenset(types or ())
+        self.types: FrozenSet[str] = _TYPE_SETS.setdefault(declared, declared)
         self.system: Optional["ArchSystem"] = None
         #: owning system's epoch at this element's last property write;
-        #: maintained by :meth:`ArchSystem._touch`
+        #: maintained by :meth:`ArchSystem._property_written`
         self.dirty_epoch: int = 0
 
     def declares_type(self, type_name: str) -> bool:
         return type_name in self.types
+
+    # -- observation: the owning system hears through the back-pointer ----------
+    def on_property_change(self, listener: PropertyListener) -> None:
+        """Hear this element's property changes.
+
+        Once an element has listeners of its own, its list is the whole
+        hearing order and the owning system holds a place in it: first
+        when the element was adopted before anyone listened, else where
+        :meth:`ArchSystem._adopt` put it.
+        """
+        if self._prop_listeners is None and self.system is not None:
+            self._prop_listeners = [self.system._property_written]
+        super().on_property_change(listener)
+
+    def _notify(self, name: str, old: Any, new: Any) -> None:
+        heard = self._prop_listeners
+        if heard is not None:
+            for listener in heard:
+                listener(self, name, old, new)
+        elif self.system is not None:
+            self.system._property_written(self, name, old, new)
 
     @property
     def qualified_name(self) -> str:
@@ -64,9 +102,13 @@ class Element(PropertyBag):
 class Port(Element):
     """An interaction point on a component."""
 
+    __slots__ = ("component",)
+
     kind = "port"
 
-    def __init__(self, name: str, component: "Component", types: Optional[Set[str]] = None):
+    def __init__(
+        self, name: str, component: "Component", types: Optional[Iterable[str]] = None
+    ):
         super().__init__(name, types)
         self.component = component
 
@@ -78,9 +120,13 @@ class Port(Element):
 class Role(Element):
     """A participant slot on a connector (e.g. a client role)."""
 
+    __slots__ = ("connector",)
+
     kind = "role"
 
-    def __init__(self, name: str, connector: "Connector", types: Optional[Set[str]] = None):
+    def __init__(
+        self, name: str, connector: "Connector", types: Optional[Iterable[str]] = None
+    ):
         super().__init__(name, types)
         self.connector = connector
 
@@ -92,21 +138,23 @@ class Role(Element):
 class Component(Element):
     """A computational element or data store (client, server, group...)."""
 
+    __slots__ = ("_ports", "representation")
+
     kind = "component"
 
-    def __init__(self, name: str, types: Optional[Set[str]] = None):
+    def __init__(self, name: str, types: Optional[Iterable[str]] = None):
         super().__init__(name, types)
         self._ports: Dict[str, Port] = {}
         self.representation: Optional["ArchSystem"] = None
 
     # -- ports ------------------------------------------------------------------
-    def add_port(self, name: str, types: Optional[Set[str]] = None) -> Port:
+    def add_port(self, name: str, types: Optional[Iterable[str]] = None) -> Port:
         if name in self._ports:
             raise DuplicateElementError(f"port {name!r} already on {self.name!r}")
         port = Port(name, self, types)
         self._ports[name] = port
         if self.system is not None:
-            self.system._adopt(port)  # late port: wire change forwarding now
+            self.system._adopt(port)  # late port: owned from now on
             self.system._touch_structure()
         return port
 
@@ -135,20 +183,22 @@ class Component(Element):
 class Connector(Element):
     """An interaction pathway (request queue + network in the example)."""
 
+    __slots__ = ("_roles",)
+
     kind = "connector"
 
-    def __init__(self, name: str, types: Optional[Set[str]] = None):
+    def __init__(self, name: str, types: Optional[Iterable[str]] = None):
         super().__init__(name, types)
         self._roles: Dict[str, Role] = {}
 
     # -- roles ------------------------------------------------------------------
-    def add_role(self, name: str, types: Optional[Set[str]] = None) -> Role:
+    def add_role(self, name: str, types: Optional[Iterable[str]] = None) -> Role:
         if name in self._roles:
             raise DuplicateElementError(f"role {name!r} already on {self.name!r}")
         role = Role(name, self, types)
         self._roles[name] = role
         if self.system is not None:
-            self.system._adopt(role)  # late role: wire change forwarding now
+            self.system._adopt(role)  # late role: owned from now on
             self.system._touch_structure()
         return role
 
@@ -177,6 +227,10 @@ class Connector(Element):
 @dataclass(frozen=True)
 class Attachment:
     """A binding: component ``port`` participates as connector ``role``."""
+
+    # spelled out: ``slots=True`` on a frozen dataclass breaks the refusal of
+    # an undeclared attribute (TypeError from a stale ``super()``) before 3.12
+    __slots__ = ("port", "role")
 
     port: Port
     role: Role

@@ -9,13 +9,16 @@ and (b) repair transactions can journal undo information.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.errors import PropertyError
 
 __all__ = ["Property", "PropertyBag", "PROPERTY_ABSENT"]
 
 _MISSING = object()
+
+#: hears ``(owner, name, old_value, new_value)``
+PropertyListener = Callable[["PropertyBag", str, Any, Any], None]
 
 
 class _Absent:
@@ -34,7 +37,7 @@ class _Absent:
 PROPERTY_ABSENT = _Absent()
 
 
-@dataclass
+@dataclass(slots=True)
 class Property:
     """One named, typed value.
 
@@ -71,22 +74,40 @@ class Property:
             )
 
 
+#: per ``ptype``, the exact value types :meth:`Property.check` accepts:
+#: one C-level test that lets :meth:`PropertyBag.set_property` skip the
+#: call.  Anything else (``None``, a subclass such as ``numpy.float64``,
+#: an ``"any"`` property, a wrong type) goes through ``check``.
+_EXACT = {
+    "float": frozenset({float, int}),
+    "int": frozenset({int}),
+    "string": frozenset({str}),
+    "boolean": frozenset({bool}),
+    "any": frozenset(),
+}
+
+
 class PropertyBag:
     """Mixin: a mapping of :class:`Property` with change notification.
 
-    Subclasses may set ``_prop_listeners`` consumers via
-    :meth:`on_property_change`; listeners receive
+    Listeners registered through :meth:`on_property_change` receive
     ``(owner, name, old_value, new_value)`` where ``old_value`` is
     :data:`PROPERTY_ABSENT` for newly declared properties and
-    ``new_value`` is :data:`PROPERTY_ABSENT` for removals.
+    ``new_value`` is :data:`PROPERTY_ABSENT` for removals.  The listener
+    list is allocated by the first registration: a bag nobody listens to
+    holds none.
     """
+
+    __slots__ = ("_props", "_prop_listeners")
 
     def __init__(self) -> None:
         self._props: Dict[str, Property] = {}
-        self._prop_listeners: List[Callable[["PropertyBag", str, Any, Any], None]] = []
+        self._prop_listeners: Optional[List[PropertyListener]] = None
 
     # -- declaration & access ------------------------------------------------
-    def declare_property(self, name: str, value: Any = None, ptype: str = "any") -> Property:
+    def declare_property(
+        self, name: str, value: Any = None, ptype: str = "any"
+    ) -> Property:
         """Declare a property (idempotent re-declaration is an error)."""
         if name in self._props:
             raise PropertyError(f"property {name!r} already declared")
@@ -107,14 +128,15 @@ class PropertyBag:
 
     def set_property(self, name: str, value: Any) -> Any:
         """Set (declaring untyped if absent); returns the previous value."""
-        if name in self._props:
-            prop = self._props[name]
-            prop.check(value)
-            old = prop.value
-            prop.value = value
-        else:
+        prop = self._props.get(name)
+        if prop is None:
             old = PROPERTY_ABSENT
             self._props[name] = Property(name, value, "any")
+        else:
+            if type(value) not in _EXACT[prop.ptype]:
+                prop.check(value)
+            old = prop.value
+            prop.value = value
         self._notify(name, old, value)
         return None if old is PROPERTY_ABSENT else old
 
@@ -134,11 +156,12 @@ class PropertyBag:
             yield self._props[name]
 
     # -- observation ------------------------------------------------------------
-    def on_property_change(
-        self, listener: Callable[["PropertyBag", str, Any, Any], None]
-    ) -> None:
+    def on_property_change(self, listener: PropertyListener) -> None:
+        if self._prop_listeners is None:
+            self._prop_listeners = []
         self._prop_listeners.append(listener)
 
     def _notify(self, name: str, old: Any, new: Any) -> None:
-        for listener in self._prop_listeners:
-            listener(self, name, old, new)
+        if self._prop_listeners is not None:
+            for listener in self._prop_listeners:
+                listener(self, name, old, new)

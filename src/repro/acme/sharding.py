@@ -2,11 +2,12 @@
 
 :meth:`ShardedArchSystem.partition` splits one :class:`ArchSystem` into
 N independent per-shard systems.  Elements are **rebuilt**, not moved:
-:meth:`ArchSystem._adopt` wires property-change forwarding and undo
-closures to the *owning* system, so a component object cannot safely
-belong to two systems — each shard gets fresh ``Component`` /
-``Connector`` objects carrying copies of the originals' types, ports,
-roles, and properties.
+an element belongs to exactly one system (its ``system`` back-pointer is
+the route its property writes take), so adopting the originals would
+take them from the source, and partitioning leaves the source intact
+(``test_partition_rebuilds_elements``) — each shard gets fresh
+``Component`` / ``Connector`` objects carrying the originals' types and
+copies of their ports, roles, and properties.
 
 Assignment is deterministic: components are assigned by the shard-key
 function over their (sorted) names; a connector lands on the shard of
@@ -78,10 +79,10 @@ class ShardedArchSystem:
             key = key_fn(comp.name, shards)
             shard = 0 if key is None else int(key) % shards
             assignment[comp.name] = shard
-            clone = Component(comp.name, set(comp.types))
+            clone = Component(comp.name, comp.types)
             _copy_properties(comp, clone)
             for port in comp.ports:
-                cloned_port = clone.add_port(port.name, set(port.types))
+                cloned_port = clone.add_port(port.name, port.types)
                 _copy_properties(port, cloned_port)
             parts[shard].add_component(clone)
 
@@ -99,10 +100,10 @@ class ShardedArchSystem:
                 key = key_fn(conn.name, shards)
                 shard = 0 if key is None else int(key) % shards
             assignment[conn.name] = shard
-            clone = Connector(conn.name, set(conn.types))
+            clone = Connector(conn.name, conn.types)
             _copy_properties(conn, clone)
             for role in conn.roles:
-                cloned_role = clone.add_role(role.name, set(role.types))
+                cloned_role = clone.add_role(role.name, role.types)
                 _copy_properties(role, cloned_role)
             parts[shard].add_connector(clone)
 

@@ -3,7 +3,14 @@
 Every mutation (element add/remove, attach/detach, property set) is
 observable and reports an **undo closure**, which is what the repair
 engine's transactions stack to implement Figure 5's ``commit repair`` /
-``abort`` semantics (see :mod:`repro.repair.transactions`).
+``abort`` semantics (see :mod:`repro.repair.transactions`).  The record
+(closure and description) is built only while a mutation listener is
+registered: a model nobody is editing transactionally pays for neither.
+
+Ownership is a back-pointer: ``Element.system`` names the one system an
+element belongs to, and a property write reaches
+:meth:`ArchSystem._property_written` through it — no per-element
+forwarding object exists.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.acme.elements import Attachment, Component, Connector, Element, Port, Role
-from repro.acme.properties import PROPERTY_ABSENT
+from repro.acme.properties import PROPERTY_ABSENT, PropertyListener
 from repro.errors import (
     AttachmentError,
     DuplicateElementError,
@@ -32,19 +39,6 @@ _DIRTY_LOG_CAP = 4096
 _SCALARS = (float, int, bool, str)
 
 
-def _moved(old: Any, new: Any) -> bool:
-    """Did a property write change what a reader of the value can see?
-
-    Only a scalar rewritten with an equal scalar of the *same* type has
-    not moved.  Everything else has: ``1`` over ``1.0`` or ``True``
-    (equal, but ``/`` and ``isinstance`` tell them apart), NaN (never
-    equal to itself), a container (it may have been edited in place, or
-    compare by a user's ``__eq__``), declaring and removing a property.
-    """
-    kind = type(new)
-    return not (type(old) is kind and kind in _SCALARS and old == new)
-
-
 class ArchSystem:
     """A named architecture instance, optionally conforming to a family."""
 
@@ -58,7 +52,7 @@ class ArchSystem:
         #: ``_bind``/``_unbind`` so ``attach`` checks a role in O(1)
         self._role_attachment: Dict[Role, Attachment] = {}
         self._mutation_listeners: List[MutationListener] = []
-        self._property_listeners: List[Callable[[Element, str, Any, Any], None]] = []
+        self._property_listeners: List[PropertyListener] = []
         self.invariant_sources: List[Tuple[str, str]] = []  # (name, expression text)
         #: monotone change counter: bumped by every property/structural
         #: mutation (including transaction undo); the incremental
@@ -78,16 +72,6 @@ class ArchSystem:
     # ------------------------------------------------------------------
     # Change epochs (incremental constraint evaluation)
     # ------------------------------------------------------------------
-    def _touch(self, element: Element, moved: bool) -> None:
-        """Record a property write on ``element`` at a fresh epoch;
-        ``moved`` says whether it changed the value (see :func:`_moved`)."""
-        self.epoch += 1
-        element.dirty_epoch = self.epoch
-        log = self._dirty_log
-        if len(log) >= _DIRTY_LOG_CAP:
-            self._dirty_floor = log.popleft()[0]
-        log.append((self.epoch, element, moved))
-
     def _touch_structure(self) -> None:
         """Record a structural mutation (scope sets may have changed)."""
         self.epoch += 1
@@ -136,9 +120,7 @@ class ArchSystem:
         except ValueError:
             pass
 
-    def on_property_change(
-        self, listener: Callable[[Element, str, Any, Any], None]
-    ) -> None:
+    def on_property_change(self, listener: PropertyListener) -> None:
         """Hear property changes of all owned elements (incl. ports/roles)."""
         self._property_listeners.append(listener)
 
@@ -147,33 +129,53 @@ class ArchSystem:
             listener(description, undo)
 
     def _adopt(self, element: Element) -> None:
-        """Take ownership: forward property changes + undo records."""
+        """Take ownership of one element: its ``system`` back-pointer is
+        the route its writes take to :meth:`_property_written`.  Only an
+        element that already has listeners of its own needs more — the
+        system's place in their order (see ``Element.on_property_change``),
+        after those registered so far and instead of a previous owner's."""
+        heard = element._prop_listeners
+        if heard is not None and element.system is not self:
+            if element.system is not None:
+                heard.remove(element.system._property_written)
+            heard.append(self._property_written)
         element.system = self
 
-        def forward(owner, name, old, new, _elem=element):
-            self._touch(_elem if owner is _elem else owner, _moved(old, new))
-            for listener in self._property_listeners:
-                listener(_elem if owner is _elem else owner, name, old, new)
-            if not self._mutation_listeners:
-                return  # nobody can undo: skip building the record
-            # Property change undo: restore the previous value; a created
-            # property is removed again (not left behind as None), and a
-            # removed one is re-declared with its last value.
-            if old is PROPERTY_ABSENT:
-                undo = lambda o=owner, n=name: o.remove_property(n)  # noqa: E731
-            else:
-                undo = lambda o=owner, n=name, v=old: o.set_property(n, v)  # noqa: E731
-            self._mutated(
-                f"set {getattr(owner, 'qualified_name', '?')}.{name}", undo
-            )
+    def _property_written(self, owner: Element, name: str, old: Any, new: Any) -> None:
+        """Every property write of an owned element ends here
+        (:meth:`Element._notify`): a fresh epoch and a change-log entry,
+        the system's property listeners, and — only while a mutation
+        listener exists — the undo record.
 
-        element.on_property_change(forward)
-        if isinstance(element, Component):
-            for port in element.ports:
-                self._adopt(port)
-        if isinstance(element, Connector):
-            for role in element.roles:
-                self._adopt(role)
+        The log's ``moved`` flag says whether the write changed what a
+        reader of the value can see.  Only a scalar rewritten with an
+        equal scalar of the *same* type has not moved.  Everything else
+        has: ``1`` over ``1.0`` or ``True`` (equal, but ``/`` and
+        ``isinstance`` tell them apart), NaN (never equal to itself), a
+        container (it may have been edited in place, or compare by a
+        user's ``__eq__``), declaring and removing a property.
+        """
+        self.epoch = epoch = self.epoch + 1
+        owner.dirty_epoch = epoch
+        log = self._dirty_log
+        if len(log) >= _DIRTY_LOG_CAP:
+            self._dirty_floor = log.popleft()[0]
+        kind = type(new)
+        log.append(
+            (epoch, owner, not (type(old) is kind and kind in _SCALARS and old == new))
+        )
+        for listener in self._property_listeners:
+            listener(owner, name, old, new)
+        if not self._mutation_listeners:
+            return  # nobody can undo: skip building the record
+        # Property change undo: restore the previous value; a created
+        # property is removed again (not left behind as None), and a
+        # removed one is re-declared with its last value.
+        if old is PROPERTY_ABSENT:
+            undo = lambda o=owner, n=name: o.remove_property(n)  # noqa: E731
+        else:
+            undo = lambda o=owner, n=name, v=old: o.set_property(n, v)  # noqa: E731
+        self._mutated(f"set {owner.qualified_name}.{name}", undo)
 
     # ------------------------------------------------------------------
     # Components / connectors
@@ -183,15 +185,18 @@ class ArchSystem:
             raise DuplicateElementError(f"element {component.name!r} already in system")
         self._components[component.name] = component
         self._adopt(component)
+        for port in component.ports:
+            self._adopt(port)
         self._touch_structure()
-        self._mutated(
-            f"add component {component.name}",
-            lambda: self._silent_remove_component(component.name),
-        )
+        if self._mutation_listeners:
+            self._mutated(
+                f"add component {component.name}",
+                lambda: self._silent_remove_component(component.name),
+            )
         return component
 
     def new_component(self, name: str, types: Iterable[str] = ()) -> Component:
-        return self.add_component(Component(name, set(types)))
+        return self.add_component(Component(name, types))
 
     def remove_component(self, name: str) -> Component:
         """Remove a component and every attachment touching its ports."""
@@ -201,14 +206,15 @@ class ArchSystem:
             self.detach(att.port, att.role)
         del self._components[name]
         self._touch_structure()
+        if self._mutation_listeners:
 
-        def undo() -> None:
-            self._components[name] = comp
-            for att in dropped:
-                self._bind(att)
-            self._touch_structure()
+            def undo() -> None:
+                self._components[name] = comp
+                for att in dropped:
+                    self._bind(att)
+                self._touch_structure()
 
-        self._mutated(f"remove component {name}", undo)
+            self._mutated(f"remove component {name}", undo)
         return comp
 
     def _silent_remove_component(self, name: str) -> None:
@@ -225,15 +231,18 @@ class ArchSystem:
             raise DuplicateElementError(f"element {connector.name!r} already in system")
         self._connectors[connector.name] = connector
         self._adopt(connector)
+        for role in connector.roles:
+            self._adopt(role)
         self._touch_structure()
-        self._mutated(
-            f"add connector {connector.name}",
-            lambda: self._silent_remove_connector(connector.name),
-        )
+        if self._mutation_listeners:
+            self._mutated(
+                f"add connector {connector.name}",
+                lambda: self._silent_remove_connector(connector.name),
+            )
         return connector
 
     def new_connector(self, name: str, types: Iterable[str] = ()) -> Connector:
-        return self.add_connector(Connector(name, set(types)))
+        return self.add_connector(Connector(name, types))
 
     def remove_connector(self, name: str) -> Connector:
         conn = self.connector(name)
@@ -242,14 +251,15 @@ class ArchSystem:
             self.detach(att.port, att.role)
         del self._connectors[name]
         self._touch_structure()
+        if self._mutation_listeners:
 
-        def undo() -> None:
-            self._connectors[name] = conn
-            for att in dropped:
-                self._bind(att)
-            self._touch_structure()
+            def undo() -> None:
+                self._connectors[name] = conn
+                for att in dropped:
+                    self._bind(att)
+                self._touch_structure()
 
-        self._mutated(f"remove connector {name}", undo)
+            self._mutated(f"remove connector {name}", undo)
         return conn
 
     def _silent_remove_connector(self, name: str) -> None:
@@ -285,14 +295,15 @@ class ArchSystem:
             raise AttachmentError(f"duplicate attachment {att}")
         self._bind(att)
         self._touch_structure()
+        if self._mutation_listeners:
 
-        def undo() -> None:
-            current = self._attachments.get(att.key)
-            if current is not None:
-                self._unbind(current)
-            self._touch_structure()
+            def undo() -> None:
+                current = self._attachments.get(att.key)
+                if current is not None:
+                    self._unbind(current)
+                self._touch_structure()
 
-        self._mutated(f"attach {att}", undo)
+            self._mutated(f"attach {att}", undo)
         return att
 
     def detach(self, port: Port, role: Role) -> None:
@@ -304,12 +315,13 @@ class ArchSystem:
             )
         self._unbind(att)
         self._touch_structure()
+        if self._mutation_listeners:
 
-        def undo() -> None:
-            self._bind(att)
-            self._touch_structure()
+            def undo() -> None:
+                self._bind(att)
+                self._touch_structure()
 
-        self._mutated(f"detach {att}", undo)
+            self._mutated(f"detach {att}", undo)
 
     # ------------------------------------------------------------------
     # Lookup

@@ -163,7 +163,7 @@ class EventBus:
                 sub, queue_policy or self.queue_policy
             )
         if self._index is not None:
-            self._index.add(sub)
+            self._index.add_validated(sub)
         return sub
 
     def unsubscribe(self, sub: Subscription) -> None:

@@ -69,7 +69,13 @@ class SubjectTrie:
         Entries must have ``sid``, ``pattern``, and an orderable ``seq``
         (the subscription sequence number :meth:`match` sorts by).
         """
-        segments = validate_pattern(sub.pattern).split(".")
+        validate_pattern(sub.pattern)
+        self.add_validated(sub)
+
+    def add_validated(self, sub) -> None:
+        """:meth:`add` for a caller that validated ``sub.pattern`` itself
+        (``EventBus.subscribe`` does, before it registers anything)."""
+        segments = sub.pattern.split(".")
         self._memo.clear()
         node = self._root
         for segment in segments:

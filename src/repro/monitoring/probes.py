@@ -22,7 +22,7 @@ plane's emission mode (X8), which the generic gauges consume through
 
 from __future__ import annotations
 
-from math import isfinite
+from math import inf, isfinite
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -74,6 +74,8 @@ class _Probe:
         # refilled in place: a flush copies them into arrays, then clears
         self._pending_times: List[float] = []
         self._pending_values: List[float] = []
+        #: capture time of the newest observation a flush took
+        self._flushed_to = -inf
 
     def publish(self, subject: str, **attributes) -> None:
         if not self.enabled:
@@ -106,6 +108,7 @@ class _Probe:
         if not values:
             return
         times = self._pending_times
+        self._flushed_to = times[-1]
         try:
             self.publish_batch(self.name, times, values, target=self.target)
         finally:  # published, disabled or refused: the buffer starts over
@@ -371,6 +374,8 @@ class IngestProbe(_Probe):
         super().__init__(sim, bus, f"probe.{kind}.{target}", batch)
         self.kind = kind
         self.target = target
+        #: samples dropped for a capture time out of order or in the future
+        self.late = 0
 
     def ingest(self, value: float, time: Optional[float] = None) -> None:
         """Publish (or buffer) one externally captured observation.
@@ -378,21 +383,45 @@ class IngestProbe(_Probe):
         ``time`` is the capture time on the scheduler's logical
         timeline; it defaults to the current instant, which is also the
         arrival stamp ``call_soon_threadsafe`` injection gives pushed
-        samples.  A non-finite ``value`` is refused with ``ValueError``
-        here, at the door: past it, a NaN would raise inside a gauge's
-        bus delivery on the scheduler's thread (:class:`EwmaGauge`) or
-        sit in the model where no threshold comparison ever sees it.
+        samples.  A non-finite ``value`` or ``time`` is refused with
+        ``ValueError`` here, at the door: past it, a NaN would raise
+        inside a gauge's bus delivery on the scheduler's thread
+        (:class:`EwmaGauge`) or sit in the model where no threshold
+        comparison ever sees it.  A finite ``time`` that no gauge window
+        could take — later than the scheduler's ``now``, or earlier than
+        the newest capture time this probe has buffered or flushed — is
+        a late sample, not a caller to raise to (it arrives on the loop):
+        it is dropped and counted in :attr:`late`.  An unbatched probe's
+        message is stamped when published, so there ``time`` is only
+        checked for being a number.
         """
         value = float(value)
         if not isfinite(value):
             raise ValueError(f"{self.name}: sample value must be finite, got {value}")
         if self.batch == 1:
+            if time is not None:
+                self._capture_time(time)
             self.publish(self.name, target=self.target, value=value)
             return
-        self._pending_times.append(self.sim.now if time is None else float(time))
+        if time is None:
+            self._pending_times.append(self.sim.now)
+        else:
+            time = self._capture_time(time)
+            pending = self._pending_times
+            newest = pending[-1] if pending else self._flushed_to
+            if not newest <= time <= self.sim.now:
+                self.late += 1
+                return
+            pending.append(time)
         self._pending_values.append(value)
         if len(self._pending_values) >= self.batch:
             self.flush()
+
+    def _capture_time(self, time: float) -> float:
+        time = float(time)
+        if not isfinite(time):
+            raise ValueError(f"{self.name}: capture time must be finite, got {time}")
+        return time
 
     def stop(self) -> None:
         """Flush the buffered tail (the driver calls this on shutdown)."""

@@ -85,9 +85,12 @@ class RealtimeDriver:
         Thread-safe: the sample crosses onto the scheduler thread and is
         published there.  Unknown (kind, target) pairs raise ``KeyError``
         — the wiring audit's WIR402 is the static half of that check —
-        and a non-finite ``value`` raises ``ValueError``: both here, on
-        the caller's thread, because past the hop there is nobody to
-        raise to but the loop every other sample depends on.
+        and a non-finite ``value`` or ``time`` raises ``ValueError``:
+        both here, on the caller's thread, because past the hop there is
+        nobody to raise to but the loop every other sample depends on.
+        Whether a finite ``time`` is in order only the loop can tell: a
+        late sample is dropped and counted there
+        (:attr:`IngestProbe.late`, ``stats().telemetry["late"]``).
         """
         probe = self._ingest_probes.get((kind, target))
         if probe is None:
@@ -99,6 +102,10 @@ class RealtimeDriver:
         if not isfinite(value):
             raise ValueError(
                 f"sample value for ({kind!r}, {target!r}) must be finite, got {value}"
+            )
+        if time is not None and not isfinite(time):
+            raise ValueError(
+                f"capture time for ({kind!r}, {target!r}) must be finite, got {time}"
             )
         self.ingested += 1
         self.scheduler.call_soon_threadsafe(probe.ingest, value, time)

@@ -322,7 +322,9 @@ class AdaptationRuntime:
         """Columnar-plane counters (X8): volume and wakeup suppression.
 
         ``samples`` counts probe observations, ``batches`` the
-        array-carrying messages among the probe reports.  ``wakeups`` /
+        array-carrying messages among the probe reports, ``late`` (present
+        only when non-zero) the pushed samples an ``IngestProbe``
+        dropped for their capture time.  ``wakeups`` /
         ``suppressed_reports`` come from the wake gate when one is
         installed; ungated runs report every applied gauge report as a
         wakeup and zero suppressions, so the sum is comparable across
@@ -332,6 +334,9 @@ class AdaptationRuntime:
             "samples": sum(int(getattr(p, "samples", 0)) for p in self.probes),
             "batches": sum(int(getattr(p, "batches", 0)) for p in self.probes),
         }
+        late = sum(getattr(p, "late", 0) for p in self.probes)
+        if late:  # ingest probes only, and only once a sample came out of order
+            stats["late"] = late
         if self.wake_gate is not None:
             stats.update(self.wake_gate.stats())
         else:

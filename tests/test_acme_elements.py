@@ -142,3 +142,83 @@ class TestElements:
         c.add_port("z")
         c.add_port("a")
         assert [p.name for p in c.ports] == ["a", "z"]
+
+
+class TestWhatAnElementHolds:
+    """An element holds its slots and nothing per listener it does not have."""
+
+    def elements(self):
+        comp, conn = Component("c1", {"ServerT"}), Connector("link", ["LinkT"])
+        return [comp, comp.add_port("p"), conn, conn.add_role("r")]
+
+    def test_an_undeclared_attribute_is_refused(self):
+        for element in self.elements():
+            with pytest.raises(AttributeError):
+                element.colour = "red"
+            assert not hasattr(element, "__dict__")
+        comp, port, conn, role = self.elements()
+        prop = comp.declare_property("load", 1.0, "float")
+        for holder in (Attachment(port, role), prop):
+            with pytest.raises(AttributeError):
+                holder.colour = "red"
+
+    def test_no_listener_list_until_someone_listens(self):
+        for element in self.elements():
+            assert element._prop_listeners is None
+            element.set_property("x", 1)  # nobody to tell, nothing to allocate
+            assert element._prop_listeners is None
+            element.on_property_change(lambda *change: None)
+            assert len(element._prop_listeners) == 1
+
+    def test_equal_type_ascriptions_are_one_frozen_set(self):
+        first = Component("a", {"PoolT", "NodeT"})
+        second = Component("b", ["NodeT", "PoolT"])
+        assert first.types is second.types == frozenset({"PoolT", "NodeT"})
+        assert first.add_port("p").types is Connector("k").types == frozenset()
+        with pytest.raises(AttributeError):
+            first.types.add("Other")
+
+    def test_the_exact_type_test_decides_what_check_decides(self):
+        import numpy as np
+
+        values = [1, 1.5, True, "a", None, [1], float("nan")]
+        values += [np.float64(2.0), np.int64(3)]  # subclasses of float, of nothing
+        for ptype in ("float", "int", "string", "boolean", "any"):
+            for value in values:
+                bag = Component("c")
+                bag.declare_property("x", None, ptype)
+                try:
+                    Property("x", None, ptype).check(value)
+                except PropertyError:
+                    with pytest.raises(PropertyError):
+                        bag.set_property("x", value)
+                    assert bag.get_property("x") is None
+                else:
+                    bag.set_property("x", value)
+                    assert bag.get_property("x") is value
+
+
+class TestElementNames:
+    @staticmethod
+    def accepted_before(name):
+        """``_check_name``'s test at d45de41: a generator over the characters."""
+        ok = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+        return not (not name or name[0].isdigit() or any(ch not in ok for ch in name))
+
+    def accepted(self, name):
+        try:
+            return Component(name).name == name
+        except UnknownElementError:
+            return False
+
+    def test_same_accept_and_reject_set(self):
+        alphabet = [chr(code) for code in range(0x250)]
+        alphabet += ["٣", "²", "ª", "Ⅷ", "𝐚", "\ud800", "名"]
+        for first in alphabet:
+            assert self.accepted(first) == self.accepted_before(first), repr(first)
+            for rest in ("a", "_", "7", "é", " "):
+                for name in (first + rest, rest + first, "ab" + first + "cd"):
+                    assert self.accepted(name) == self.accepted_before(name), repr(name)
+        for name in ("T0", "route_T17", "_", "__init__", "class", "a" * 500):
+            assert self.accepted(name) and self.accepted_before(name)
+        assert not self.accepted("") and not self.accepted(None)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.acme import ArchSystem, Component
 from repro.errors import AttachmentError, DuplicateElementError, UnknownElementError
+from repro.repair.transactions import ModelTransaction
 
 
 def client_server_model():
@@ -175,3 +176,84 @@ class TestObservation:
         s.detach(c1.port("req"), link1.role("client"))
         undos[-1]()
         assert s.is_attached(c1.port("req"), link1.role("client"))
+
+
+class TestOwnership:
+    """What the per-element ``forward`` closure did implicitly, now that
+    the ``system`` back-pointer is the forwarding route."""
+
+    def test_a_component_restored_by_abort_still_dirties_its_system(self):
+        s = client_server_model()
+        grp = s.component("grp")
+        txn = ModelTransaction(s).begin()
+        s.remove_component("grp")
+        assert grp.system is s  # removal does not disown
+        txn.abort()  # puts it back without adopting it again
+        assert s.component("grp") is grp and len(s.attachments) == 4
+        before = s.epoch
+        grp.set_property("load", 7)
+        grp.port("serve").set_property("latency", 0.5)
+        assert s.epoch == before + 2 and grp.dirty_epoch == before + 1
+        assert s.dirty_elements_since(before) == [grp.port("serve"), grp]
+
+    def test_a_listener_registered_before_adoption_keeps_its_place(self):
+        s = ArchSystem("S")
+        early, late = Component("early"), Component("late")
+        heard = []
+
+        def listener(tag):
+            return lambda el, n, old, new: heard.append((tag, s.epoch))
+
+        early.on_property_change(listener("before"))
+        s.add_component(early)
+        s.add_component(late)
+        early.on_property_change(listener("after"))
+        late.on_property_change(listener("after"))
+        s.on_property_change(listener("system"))
+        base = s.epoch
+        early.set_property("load", 1)
+        assert heard == [("before", base), ("system", base + 1), ("after", base + 1)]
+        del heard[:]
+        late.set_property("load", 1)
+        assert heard == [("system", base + 2), ("after", base + 2)]
+
+    def test_adopting_again_does_not_double_the_forwarding(self):
+        # the closures doubled up: remove + add_component of the same
+        # object (client_server's removeServer undo) counted every later
+        # write twice
+        s = ArchSystem("S")
+        c = s.new_component("c")
+        c.add_port("p")
+        c.on_property_change(lambda *change: None)  # a listener list to double up in
+        seen = []
+        s.on_property_change(lambda el, n, old, new: seen.append(el.qualified_name))
+        s._silent_remove_component("c")
+        s.add_component(c)
+        before = s.epoch
+        c.set_property("load", 1)
+        c.port("p").set_property("load", 1)
+        assert s.epoch == before + 2 and seen == ["c", "c.p"]
+
+    def test_an_element_has_one_owner_the_latest(self):
+        a, b = ArchSystem("A"), ArchSystem("B")
+        bare, heard = a.new_component("bare"), a.new_component("heard")
+        heard.on_property_change(lambda *change: None)
+        for comp in (bare, heard):
+            a._silent_remove_component(comp.name)
+            b.add_component(comp)
+        before = a.epoch
+        bare.set_property("load", 1)
+        heard.set_property("load", 1)
+        assert a.epoch == before and b.dirty_elements_since(0) == [heard, bare]
+
+    def test_nobody_listening_no_undo_built(self):
+        s = client_server_model()
+        port, role = s.component("c1").port("req"), s.connector("link1").role("client")
+        s.detach(port, role)
+        att = s.attach(port, role)  # no listener: no description, no closure
+        undos = []
+        s.on_mutation(lambda desc, undo: undos.append((desc, undo)))
+        s.detach(port, role)
+        assert [desc for desc, _ in undos] == [f"detach {att}"]
+        undos[-1][1]()
+        assert s.is_attached(port, role)

@@ -55,6 +55,32 @@ class TestValidatePattern:
         with pytest.raises(ValueError):
             bus.subscribe("a.>.b", lambda m: None)
 
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_subscribe_validates_once_before_it_registers(self, indexed, monkeypatch):
+        import repro.bus.bus as bus_module
+        import repro.bus.index as index_module
+
+        seen = []
+
+        def counting(pattern):
+            seen.append(pattern)
+            return validate_pattern(pattern)
+
+        monkeypatch.setattr(bus_module, "validate_pattern", counting)
+        monkeypatch.setattr(index_module, "validate_pattern", counting)
+        bus = EventBus(Simulator(), indexed=indexed)
+        for bad in ("a..b", "a.>.b", "", None):
+            with pytest.raises(ValueError) as raised:
+                bus.subscribe(bad, lambda m: None)
+            with pytest.raises(ValueError) as wanted:
+                validate_pattern(bad)
+            assert str(raised.value) == str(wanted.value)
+        assert bus.subscriptions == [] and bus._seq == 0
+        seen.clear()
+        sub = bus.subscribe("a.*.>", lambda m: None)
+        assert seen == ["a.*.>"]  # the trie used to validate it a second time
+        assert sub.sid == "sub-1" and bus.publish_subject("a.b.c") == 1
+
 
 def _sub(seq: int, pattern: str) -> Subscription:
     return Subscription(f"sub-{seq}", pattern, lambda m: None, seq=seq)

@@ -236,9 +236,10 @@ class TestIngestProbe:
         sim = Simulator()
         bus, log = _bus_with_log(sim)
         probe = IngestProbe(sim, bus, "latency", "pool", batch=2)
+        sim.run(until=5.0)  # a capture time ahead of the clock would be dropped
         probe.ingest(0.1, time=3.0)
         probe.ingest(0.2, time=4.0)
-        sim.run(until=1.0)
+        sim.run(until=6.0)
         assert list(log[0]["times"]) == [3.0, 4.0]
 
     def test_rejects_bad_batch(self):

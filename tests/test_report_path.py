@@ -345,3 +345,73 @@ class TestNonFiniteSamples:
                 with pytest.raises(ValueError, match="finite"):
                     probe.ingest(bad)
             assert (probe.samples, probe._pending_values) == (0, [])
+
+
+# ---------------------------------------------------------------------------
+# the door: capture times
+
+
+@pytest.mark.parametrize("batch", [1, BATCH], ids=["scalar", "columnar"])
+class TestCaptureTimes:
+    """An explicit ``time=`` used to be taken on trust: a descending one
+    raised ``EWMA samples must be time-ordered`` inside ``run_until`` (or
+    on the daemon thread), and NaN turned a gauge's average into NaN."""
+
+    def driver(self, batch):
+        app = _PlaneApp(2)
+        spec = plane_spec(app.tenants, tuple(GAUGE_KINDS), batch)
+        return RealtimeDriver(app, spec, clock=FakeClock())
+
+    def test_a_non_finite_time_is_refused_at_both_doors(self, batch):
+        driver = self.driver(batch)
+        for bad in NON_FINITE:
+            with pytest.raises(ValueError, match="capture time .* must be finite"):
+                driver.ingest("utilization", "T0", 0.5, time=bad)
+            for probe in driver.runtime.probes:
+                with pytest.raises(ValueError, match="capture time must be finite"):
+                    probe.ingest(0.5, time=bad)
+                assert (probe.samples, probe.late, probe._pending_values) == (0, 0, [])
+        assert driver.ingested == 0
+        driver.run_until(GAUGE_PERIOD)
+        assert "late" not in driver.stats().telemetry
+
+    def test_out_of_order_and_future_times_are_dropped_and_counted(self, batch):
+        driver = self.driver(batch)
+        driver.run_until(10.0)
+        offered = 0
+        for kind in GAUGE_KINDS:
+            # in order, then descending, then ahead of the clock
+            for time in (4.0, 5.0, 5.0, 3.0, 2.0, 6.0, 1.0, 11.0, 1e9, 7.0):
+                driver.ingest(kind, "T0", 0.5, time=time)
+                offered += 1
+        driver.run_until(12.0)  # raised on the parent: EWMA.add out of order
+        for step in range(3 * BATCH):  # the buffer flushed: still no way back
+            for kind in GAUGE_KINDS:
+                driver.ingest(kind, "T0", 0.5, time=6.5)
+                driver.ingest(kind, "T0", 0.5)  # unstamped samples are never late
+                offered += 2
+            driver.run_until(13.0 + step)
+        driver.run_until(40.0)
+        driver.stop()
+        telemetry = driver.stats().telemetry
+        assert driver.ingested == offered
+        if batch == 1:  # stamped when published: the capture time is not used
+            assert "late" not in telemetry and telemetry["samples"] == offered
+        else:
+            late = len(GAUGE_KINDS) * (5 + 3 * BATCH)
+            assert telemetry["late"] == late
+            assert telemetry["samples"] == offered - late
+        pool = driver.runtime.model.component("T0")
+        for kind in GAUGE_KINDS:
+            assert pool.get_property(kind) == pytest.approx(0.5), kind
+
+    def test_the_newest_time_survives_a_flush(self, batch):
+        sim = Simulator()
+        probe = IngestProbe(sim, EventBus(sim), "latency", "pool", batch=batch)
+        sim.run(until=10.0)
+        for time in (1.0, 2.0, 3.0, 4.0, 5.0)[: max(batch, 1)]:
+            probe.ingest(0.5, time=time)
+        probe.flush()
+        probe.ingest(0.5, time=float(batch) - 0.5)  # older than what was flushed
+        probe.ingest(0.5, time=float(batch))  # the same instant is in order
+        assert probe.late == (0 if batch == 1 else 1)

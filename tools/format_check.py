@@ -41,7 +41,10 @@ RATCHETED = [
     "src/repro/realtime/",
     "src/repro/serve/",
     "src/repro/sim/",
+    "src/repro/acme/elements.py",
+    "src/repro/acme/properties.py",
     "src/repro/acme/sharding.py",
+    "src/repro/acme/system.py",
     "src/repro/repair/footprint.py",
     "src/repro/repair/history.py",
     "src/repro/repair/resilience.py",
@@ -79,6 +82,8 @@ RATCHETED = [
     "tests/test_kernel_order_oracle.py",
     "tests/test_report_path.py",
     "tests/test_net_solver_oracle.py",
+    "tests/test_model_forwarding_oracle.py",
+    "tests/test_model_budget.py",
 ]
 
 OPEN = {"(": ")", "[": "]", "{": "}"}
