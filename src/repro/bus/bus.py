@@ -28,9 +28,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.bus.filters import AttributeFilter, subject_matches, validate_pattern
+from repro.bus.filters import AttributeFilter, validate_pattern
 from repro.bus.index import SubjectTrie
-from repro.bus.messages import Message, routed_message, subject_segments
+from repro.bus.messages import Message, routed_message
 from repro.bus.queues import QueuePolicy, SubscriberQueue
 from repro.sim.kernel import Simulator
 from repro.util.ids import IdGenerator
@@ -106,7 +106,6 @@ class EventBus:
         sim: Simulator,
         delivery: Optional[DeliveryModel] = None,
         name: str = "bus",
-        indexed: bool = True,
         batched: bool = False,
         queue_policy: Optional[QueuePolicy] = None,
     ):
@@ -117,7 +116,7 @@ class EventBus:
         self.queue_policy = queue_policy or QueuePolicy()
         self._subs: Dict[str, Subscription] = {}
         self._queues: Dict[str, SubscriberQueue] = {}
-        self._index: Optional[SubjectTrie] = SubjectTrie() if indexed else None
+        self._index = SubjectTrie()
         self._ids = IdGenerator()
         self._seq = 0
         self.published = 0
@@ -162,8 +161,7 @@ class EventBus:
             self._queues[sub.sid] = SubscriberQueue(
                 sub, queue_policy or self.queue_policy
             )
-        if self._index is not None:
-            self._index.add_validated(sub)
+        self._index.add_validated(sub)
         return sub
 
     def unsubscribe(self, sub: Subscription) -> None:
@@ -177,8 +175,7 @@ class EventBus:
             return  # already forgotten, or another bus's subscription
         sub.active = False
         del self._subs[sub.sid]
-        if self._index is not None:
-            self._index.remove(sub)
+        self._index.remove(sub)
         sq = self._queues.pop(sub.sid, None)
         if sq is not None:
             sq.queue.clear()
@@ -211,21 +208,10 @@ class EventBus:
         """Route, filter, fault-check and enqueue/schedule one bus-owned
         message; ``ValueError`` (nothing published) for a malformed subject.
 
-        Trie candidates and the linear reference scan are the same
-        subscriptions in the same order, and handlers never run
-        synchronously, so the candidate set is a snapshot either way.
+        The index returns candidates in subscription order, and handlers
+        never run synchronously, so the candidate set is a snapshot.
         """
-        subject = msg.subject
-        index = self._index
-        if index is not None:
-            candidates = index.match(subject)
-        else:
-            subject_segments(subject)
-            candidates = [
-                sub
-                for sub in self._subs.values()
-                if subject_matches(sub.pattern, subject)
-            ]
+        candidates = self._index.match(msg.subject)
         self.published += 1
         matched = 0
         attributes = msg.attributes

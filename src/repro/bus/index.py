@@ -10,9 +10,9 @@ cost is proportional to subject depth times the number of wildcard
 branches along the way, not to the total number of subscriptions.
 
 Matches are returned in subscription order (the order ``subscribe`` was
-called), which is exactly the iteration order of the linear scan — the
-bus relies on this to keep delivery order and statistics bit-for-bit
-identical between the two paths.
+called), which is exactly the iteration order of the linear scan this
+index replaced (``tests/reference/bus.py``) — delivery order and
+statistics are pinned to that scan bit for bit.
 
 A plane publishes the same few thousand literal subjects forever, so
 ``match`` memoises ``subject -> candidates``: the steady state is one

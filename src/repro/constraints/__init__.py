@@ -27,7 +27,7 @@ from repro.constraints.compile import (
     compile_expression,
     is_scope_local,
 )
-from repro.constraints.evaluator import Evaluator, EvalContext
+from repro.constraints.evaluator import EvalContext
 from repro.constraints.stdlib import STDLIB
 from repro.constraints.invariants import (
     ConstraintChecker,
@@ -49,7 +49,6 @@ __all__ = [
     "CompiledExpression",
     "compile_expression",
     "is_scope_local",
-    "Evaluator",
     "EvalContext",
     "STDLIB",
     "Invariant",

@@ -1,32 +1,36 @@
-"""One-time AST -> closure compiler for constraint expressions.
+"""One-time AST -> closure compiler: the constraint language's evaluator.
 
-The tree-walking :class:`~repro.constraints.evaluator.Evaluator` re-walks
-every invariant AST on every check: per node it pays a ``getattr`` method
-dispatch, dict-driven operator selection, and local-scope frame searches.
-For the control loop — which re-evaluates the same handful of invariant
-shapes over hundreds of scope elements every period — that walk *is* the
-hot path.
+Invariants (checked every control-loop wake-up over hundreds of scope
+elements) and the repair DSL's guards, ``let`` values and calls are one
+expression language, and this module is the one thing that evaluates it.
+:func:`compile_expression` walks an AST **once** and emits a tree of
+plain Python closures:
 
-:func:`compile_expression` walks the AST **once** and emits a tree of
-plain Python closures mirroring the interpreter exactly:
-
-* **locals are positional** — quantifier/select variables resolve to a
-  fixed index into a flat frame list instead of a reversed dict-frame
-  scan;
+* **quantifier locals are positional** — quantifier/select variables
+  resolve to a fixed index into a flat frame list;
+* **every other name is looked up when it runs**: the context's dynamic
+  frames (innermost first), then ``self``/``system``, a property of the
+  scope element, the global bindings.  The dynamic frames are the repair
+  DSL's parameters, ``let`` bindings and ``foreach`` variables; they are
+  *dynamically scoped* — a tactic body sees those of the strategy that
+  called it.  The checker's contexts carry none and pay one truth test
+  per name;
 * **property access is pre-bound** — the attribute name, its lowered
   built-in form, and the error suffix are captured at compile time, and
   declared properties read the underlying property dict directly;
-* **calls are direct** — functions found in the table handed to
-  :func:`compile_expression` are captured as plain callables (stdlib
-  calls skip the per-call dict lookup); unknown names fall back to the
-  context table at runtime so the error behavior matches the
-  interpreter.
+* **calls are direct where a table is given** — functions found in the
+  table handed to :func:`compile_expression` are captured as plain
+  callables (stdlib calls skip the per-call dict lookup); every other
+  target is fetched from ``ctx.functions`` when the call runs (the
+  repair DSL: tactic callables are installed per run).
 
-The interpreter remains the *reference implementation*: compiled
-programs must produce identical values and raise identical
-:class:`~repro.errors.EvaluationError`\\s (message for message) — the
-equivalence suite in ``tests/test_constraints_compile.py`` enforces this
-over randomized systems and expressions.
+The tree-walking interpreter this replaced is the *reference
+implementation* in ``tests/reference/``: compiled programs must produce
+identical values and raise identical
+:class:`~repro.errors.EvaluationError`\\s (message for message) —
+``tests/test_constraints_compile.py`` and
+``tests/test_repair_dsl_differential.py`` enforce this over randomized
+systems, expressions and every registered scenario's repair script.
 
 :func:`is_scope_local` is the static analysis behind incremental
 checking (see :mod:`repro.constraints.invariants`): it proves that an
@@ -74,8 +78,8 @@ _NUMERIC_OPS = {
     "%": operator.mod,
 }
 
-#: attributes resolved structurally by ``_element_attr`` before declared
-#: properties (lowered, as the interpreter compares them)
+#: attributes resolved structurally, before declared properties
+#: (lowered: they are matched case-insensitively)
 _BUILTIN_ATTRS = frozenset(
     ("components", "connectors", "attachments", "name", "type",
      "ports", "roles", "component", "connector")
@@ -208,19 +212,45 @@ def _compile_literal(node: Literal) -> CompiledFn:
     return lambda ctx, frame: value
 
 
+#: "no dynamic frame binds this name" (``None`` is a legal DSL value)
+_UNBOUND = object()
+
+
+def _from_frames(frames: List[Dict[str, Any]], ident: str) -> Any:
+    """The innermost dynamic frame's value for ``ident``, or ``_UNBOUND``."""
+    for dynamic in reversed(frames):
+        if ident in dynamic:
+            return dynamic[ident]
+    return _UNBOUND
+
+
 def _compile_name(node: Name, locals_: Tuple[str, ...]) -> CompiledFn:
     ident = node.ident
     # Innermost quantifier binding wins; resolve to a frame slot now.
     for idx in range(len(locals_) - 1, -1, -1):
         if locals_[idx] == ident:
             return lambda ctx, frame, _i=idx: frame[_i]
-    if ident == "self":
-        return lambda ctx, frame: (ctx.scope if ctx.scope is not None else ctx.system)
-    if ident == "system":
-        return lambda ctx, frame: ctx.system
+    # Everything else waits for the context: a dynamic frame (the repair
+    # DSL's parameters, lets and foreach variables) shadows what follows.
+    if ident in ("self", "system"):
+
+        def run(ctx, frame):
+            if ctx._locals:
+                value = _from_frames(ctx._locals, ident)
+                if value is not _UNBOUND:
+                    return value
+            if ident == "system" or ctx.scope is None:
+                return ctx.system
+            return ctx.scope
+
+        return run
     message = f"unresolved name {ident!r} (line {node.line}, column {node.column})"
 
     def run(ctx, frame):
+        if ctx._locals:
+            value = _from_frames(ctx._locals, ident)
+            if value is not _UNBOUND:
+                return value
         scope = ctx.scope
         if scope is not None and scope.has_property(ident):
             return scope.get_property(ident)

@@ -1,39 +1,21 @@
-"""Tree-walking evaluator for constraint expressions.
+"""The evaluation environment of the constraint language.
 
-Name resolution order for a bare identifier:
-
-1. local quantifier/let variables (innermost scope first);
-2. properties of the scope element (``self``), so an invariant attached to
-   a role can say ``averageLatency`` instead of ``self.averageLatency``;
-3. global bindings (task-layer thresholds like ``maxLatency``);
-4. built-in functions (when used as a call target).
-
-Property access on elements resolves built-in attributes first (``name``,
-``type``, ``components``, ``ports``...), then declared properties.
+An :class:`EvalContext` is what a compiled expression
+(:mod:`repro.constraints.compile`, which documents how a bare name is
+resolved against it) runs against: the system, the scope element,
+global bindings, the function table, and the dynamic frames the repair
+DSL keeps its parameters, ``let`` bindings and ``foreach`` variables in.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.acme.elements import Component, Connector, Element, Port, Role
+from repro.acme.elements import Element
 from repro.acme.system import ArchSystem
-from repro.constraints.ast import (
-    Binary,
-    Call,
-    Literal,
-    Name,
-    Node,
-    PropertyAccess,
-    Quantifier,
-    Select,
-    SetLiteral,
-    Unary,
-)
 from repro.constraints.stdlib import STDLIB
-from repro.errors import EvaluationError
 
-__all__ = ["EvalContext", "Evaluator"]
+__all__ = ["EvalContext"]
 
 
 class EvalContext:
@@ -60,250 +42,14 @@ class EvalContext:
             self.functions.update(functions)
         self._locals: List[Dict[str, Any]] = []
 
-    # -- scope stack ---------------------------------------------------------
     def push(self, frame: Dict[str, Any]) -> None:
         self._locals.append(frame)
 
     def pop(self) -> None:
         self._locals.pop()
 
-    def lookup(self, ident: str) -> Any:
-        for frame in reversed(self._locals):
-            if ident in frame:
-                return frame[ident]
-        if ident == "self":
-            return self.scope if self.scope is not None else self.system
-        if ident == "system":
-            return self.system
-        if self.scope is not None and self.scope.has_property(ident):
-            return self.scope.get_property(ident)
-        if ident in self.bindings:
-            return self.bindings[ident]
-        raise EvaluationError(f"unresolved name {ident!r}")
-
     def set_local(self, ident: str, value: Any) -> None:
         """Bind in the innermost frame (used by the repair DSL's ``let``)."""
         if not self._locals:
             self._locals.append({})
         self._locals[-1][ident] = value
-
-
-def _truthy(value: Any, node: Node, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise EvaluationError(
-            f"{what} requires a boolean, got {value!r} "
-            f"(line {node.line}, column {node.column})"
-        )
-    return value
-
-
-def _element_attr(ctx: EvalContext, obj: Any, attr: str) -> Any:
-    """Built-in attributes, then declared properties."""
-    lowered = attr.lower()
-    if isinstance(obj, ArchSystem):
-        if lowered == "components":
-            return list(obj.components)
-        if lowered == "connectors":
-            return list(obj.connectors)
-        if lowered == "attachments":
-            return list(obj.attachments)
-        if lowered == "name":
-            return obj.name
-        raise EvaluationError(f"system has no attribute {attr!r}")
-    if isinstance(obj, Element):
-        if lowered == "name":
-            return obj.name
-        if lowered == "type":
-            return sorted(obj.types)
-        if isinstance(obj, Component) and lowered == "ports":
-            return list(obj.ports)
-        if isinstance(obj, Connector) and lowered == "roles":
-            return list(obj.roles)
-        if isinstance(obj, Port) and lowered == "component":
-            return obj.component
-        if isinstance(obj, Role) and lowered == "connector":
-            return obj.connector
-        if obj.has_property(attr):
-            return obj.get_property(attr)
-        raise EvaluationError(
-            f"{obj.qualified_name} has no property {attr!r} "
-            f"(declared: {obj.property_names()})"
-        )
-    raise EvaluationError(f"cannot access {attr!r} on {type(obj).__name__}")
-
-
-def _filter_domain(ctx: EvalContext, items: Any, type_name: Optional[str], node: Node):
-    seq = items
-    if not isinstance(seq, (list, tuple, set, frozenset)):
-        raise EvaluationError(
-            f"quantifier domain must be a collection "
-            f"(line {node.line}, column {node.column}), got {type(seq).__name__}"
-        )
-    out = list(seq)
-    if type_name is not None:
-        out = [x for x in out if isinstance(x, Element) and x.declares_type(type_name)]
-    return out
-
-
-class Evaluator:
-    """Evaluates AST nodes within an :class:`EvalContext`."""
-
-    def evaluate(self, node: Node, ctx: EvalContext) -> Any:
-        method = getattr(self, f"_eval_{type(node).__name__.lower()}", None)
-        if method is None:
-            raise EvaluationError(f"cannot evaluate node {type(node).__name__}")
-        return method(node, ctx)
-
-    # -- leaves ------------------------------------------------------------------
-    def _eval_literal(self, node: Literal, ctx: EvalContext) -> Any:
-        return node.value
-
-    def _eval_name(self, node: Name, ctx: EvalContext) -> Any:
-        try:
-            return ctx.lookup(node.ident)
-        except EvaluationError as exc:
-            raise EvaluationError(
-                f"{exc} (line {node.line}, column {node.column})"
-            ) from None
-
-    def _eval_setliteral(self, node: SetLiteral, ctx: EvalContext) -> List[Any]:
-        return [self.evaluate(item, ctx) for item in node.items]
-
-    # -- access & calls --------------------------------------------------------------
-    def _eval_propertyaccess(self, node: PropertyAccess, ctx: EvalContext) -> Any:
-        obj = self.evaluate(node.obj, ctx)
-        try:
-            return _element_attr(ctx, obj, node.attr)
-        except EvaluationError as exc:
-            raise EvaluationError(
-                f"{exc} (line {node.line}, column {node.column})"
-            ) from None
-
-    def _eval_call(self, node: Call, ctx: EvalContext) -> Any:
-        args = [self.evaluate(a, ctx) for a in node.args]
-        if node.receiver is not None:
-            receiver = self.evaluate(node.receiver, ctx)
-            args = [receiver] + args
-        fn = ctx.functions.get(node.func)
-        if fn is None:
-            raise EvaluationError(
-                f"unknown function {node.func!r} "
-                f"(line {node.line}, column {node.column})"
-            )
-        return fn(ctx, *args)
-
-    # -- operators ---------------------------------------------------------
-    def _eval_unary(self, node: Unary, ctx: EvalContext) -> Any:
-        value = self.evaluate(node.operand, ctx)
-        if node.op == "!":
-            return not _truthy(value, node, "'!'")
-        if node.op == "-":
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise EvaluationError(f"unary '-' requires a number, got {value!r}")
-            return -value
-        raise EvaluationError(f"unknown unary operator {node.op!r}")
-
-    def _eval_binary(self, node: Binary, ctx: EvalContext) -> Any:
-        op = node.op
-        # short-circuit forms
-        if op == "and":
-            left = self.evaluate(node.left, ctx)
-            if not _truthy(left, node, "'and'"):
-                return False
-            return _truthy(self.evaluate(node.right, ctx), node, "'and'")
-        if op == "or":
-            left = self.evaluate(node.left, ctx)
-            if _truthy(left, node, "'or'"):
-                return True
-            return _truthy(self.evaluate(node.right, ctx), node, "'or'")
-        if op == "->":
-            left = self.evaluate(node.left, ctx)
-            if not _truthy(left, node, "'->'"):
-                return True
-            return _truthy(self.evaluate(node.right, ctx), node, "'->'")
-
-        left = self.evaluate(node.left, ctx)
-        right = self.evaluate(node.right, ctx)
-        if op == "==":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "in":
-            if not isinstance(right, (list, tuple, set, frozenset)):
-                raise EvaluationError("'in' requires a collection on the right")
-            return left in right
-        if op in ("<", "<=", ">", ">="):
-            for v in (left, right):
-                if not isinstance(v, (int, float)) or isinstance(v, bool):
-                    raise EvaluationError(
-                        f"comparison {op!r} requires numbers, got {v!r} "
-                        f"(line {node.line}, column {node.column})"
-                    )
-            return {"<": left < right, "<=": left <= right,
-                    ">": left > right, ">=": left >= right}[op]
-        if op in ("+", "-", "*", "/", "%"):
-            for v in (left, right):
-                if not isinstance(v, (int, float)) or isinstance(v, bool):
-                    raise EvaluationError(
-                        f"arithmetic {op!r} requires numbers, got {v!r}"
-                    )
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if op == "/":
-                if right == 0:
-                    raise EvaluationError("division by zero")
-                return left / right
-            if right == 0:
-                raise EvaluationError("modulo by zero")
-            return left % right
-        raise EvaluationError(f"unknown operator {op!r}")
-
-    # -- quantifiers -------------------------------------------------------
-    def _eval_quantifier(self, node: Quantifier, ctx: EvalContext) -> bool:
-        domain = _filter_domain(
-            ctx, self.evaluate(node.domain, ctx), node.type_name, node
-        )
-        matches = 0
-        for item in domain:
-            ctx.push({node.var: item})
-            try:
-                ok = _truthy(
-                    self.evaluate(node.body, ctx), node, f"'{node.kind}' body"
-                )
-            finally:
-                ctx.pop()
-            if node.kind == "forall":
-                if not ok:
-                    return False
-            elif ok:
-                if node.kind == "exists":
-                    return True
-                matches += 1  # exists_unique keeps counting
-        if node.kind == "forall":
-            return True
-        if node.kind == "exists":
-            return False
-        return matches == 1
-
-    def _eval_select(self, node: Select, ctx: EvalContext) -> Any:
-        domain = _filter_domain(
-            ctx, self.evaluate(node.domain, ctx), node.type_name, node
-        )
-        out: List[Any] = []
-        for item in domain:
-            ctx.push({node.var: item})
-            try:
-                ok = _truthy(self.evaluate(node.body, ctx), node, "'select' body")
-            finally:
-                ctx.pop()
-            if ok:
-                if node.one:
-                    return item
-                out.append(item)
-        if node.one:
-            return None
-        return out

@@ -10,7 +10,7 @@ client roles, producing one violation per misbehaving client.
 structured results; the architecture manager reacts to violations by
 dispatching the associated repair strategy (Figure 5 line 2).
 
-The checker is **incremental** by default: expressions are compiled once
+The checker is **incremental**: expressions are compiled once
 to closure trees (:mod:`repro.constraints.compile`), and results are
 cached per (invariant, scope element) keyed on the system's change epoch
 (:attr:`~repro.acme.system.ArchSystem.epoch`).  A periodic check after a
@@ -39,10 +39,10 @@ control-loop wake-up costs O(moved scopes + violated scopes);
 remaining O(model) read (a list copy).  A re-evaluated scope whose
 verdict did not move keeps its cached :class:`ConstraintResult` object.
 
-The tree-walking interpreter remains available (``compiled=False``) as
-the reference implementation, and ``incremental=False`` restores the
-always-full behavior; ``tests/test_constraints_compile.py`` holds the
-equivalence suite for both axes.
+``tests/test_constraints_compile.py`` holds the equivalence suite for
+both axes: compiled programs against the tree-walking reference
+interpreter (``tests/reference/``), and incremental against
+``full=True``.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from repro.constraints.compile import (
     compile_expression,
     is_scope_local,
 )
-from repro.constraints.evaluator import EvalContext, Evaluator
+from repro.constraints.evaluator import EvalContext
 from repro.constraints.parser import parse_expression
 from repro.constraints.stdlib import STDLIB
 from repro.errors import ConstraintError, EvaluationError
@@ -148,42 +148,6 @@ class Invariant:
                     scopes.append(role)
         return scopes or []
 
-    def check(
-        self,
-        system: ArchSystem,
-        bindings: Optional[Dict[str, Any]] = None,
-        functions: Optional[Dict[str, Callable[..., Any]]] = None,
-    ) -> List[ConstraintResult]:
-        """Evaluate over every scope element; one result per scope.
-
-        This is the reference (tree-walking, always-full) path; the
-        checker's :meth:`ConstraintChecker.check_all` adds compilation
-        and incremental reuse on top of identical semantics.
-        """
-        results: List[ConstraintResult] = []
-        evaluator = Evaluator()
-        for scope in self._scopes(system):
-            ctx = EvalContext(system, scope=scope, bindings=bindings,
-                              functions=functions)
-            scope_name = scope.qualified_name if scope is not None else None
-            try:
-                value = evaluator.evaluate(self.ast, ctx)
-            except EvaluationError as exc:
-                results.append(
-                    ConstraintResult(self.name, False, scope_name, scope, str(exc))
-                )
-                continue
-            if not isinstance(value, bool):
-                results.append(
-                    ConstraintResult(
-                        self.name, False, scope_name, scope,
-                        f"invariant must be boolean, got {value!r}",
-                    )
-                )
-                continue
-            results.append(ConstraintResult(self.name, value, scope_name, scope))
-        return results
-
 
 class _CheckSession:
     """Cached state of the last check against one system object.
@@ -197,7 +161,6 @@ class _CheckSession:
         "epoch",
         "structure_epoch",
         "bindings",
-        "functions",
         "results",
         "violated",
         "scope_index",
@@ -209,7 +172,6 @@ class _CheckSession:
         self.epoch = 0
         self.structure_epoch = 0
         self.bindings: Dict[str, Any] = {}
-        self.functions: Dict[str, Callable[..., Any]] = {}
         #: slot -> its latest result, in full-check output order (the
         #: result names its invariant and carries its scope element)
         self.results: List[ConstraintResult] = []
@@ -224,7 +186,6 @@ class _CheckSession:
 class ConstraintChecker:
     """Holds invariants + global bindings; evaluates them on demand.
 
-    ``compiled``/``incremental`` select the fast path (both default on);
     ``check_all(system, full=True)`` forces one full re-evaluation
     without disabling the cache for later checks.
     """
@@ -233,13 +194,9 @@ class ConstraintChecker:
         self,
         bindings: Optional[Dict[str, Any]] = None,
         functions: Optional[Dict[str, Callable[..., Any]]] = None,
-        compiled: bool = True,
-        incremental: bool = True,
     ):
         self.bindings: Dict[str, Any] = dict(bindings or {})
         self.functions: Dict[str, Callable[..., Any]] = dict(functions or {})
-        self.compiled = bool(compiled)
-        self.incremental = bool(incremental)
         self._invariants: Dict[str, Invariant] = {}
         self._programs: Dict[str, CompiledExpression] = {}
         self._program_table: Optional[Dict[str, Callable[..., Any]]] = None
@@ -313,12 +270,10 @@ class ConstraintChecker:
         sess = self._session
         if (
             full
-            or not self.incremental
             or sess is None
             or sess.system is not system
             or sess.structure_epoch != system.structure_epoch
             or sess.bindings != self.bindings
-            or sess.functions != self.functions
         ):
             return self._full_check(system)
         if sess.epoch != system.epoch:
@@ -333,25 +288,18 @@ class ConstraintChecker:
             self.stats["scopes_reused"] += len(sess.results)
         return sess
 
-    def _merged_functions(self) -> Dict[str, Callable[..., Any]]:
-        merged = dict(STDLIB)
-        merged.update(self.functions)
-        return merged
-
     def _ensure_programs(self) -> None:
         """(Re)compile when first used or when the function table moved."""
-        if not self.compiled:
-            return
         if self._program_table != self.functions or not all(
             name in self._programs for name in self._invariants
         ):
-            table = self._merged_functions()
+            table = {**STDLIB, **self.functions}
             self._programs = {
                 name: compile_expression(inv.ast, table)
                 for name, inv in self._invariants.items()
             }
             self._program_table = dict(self.functions)
-            self._session = None  # results may depend on the functions
+            self._session = None  # cached results may depend on the functions
 
     def _make_ctx(self, system: ArchSystem) -> EvalContext:
         return EvalContext(
@@ -359,20 +307,13 @@ class ConstraintChecker:
         )
 
     def _verdict(
-        self,
-        invariant: Invariant,
-        scope: Optional[Element],
-        ctx: EvalContext,
-        evaluator: Optional[Evaluator],
+        self, invariant: Invariant, scope: Optional[Element], ctx: EvalContext
     ) -> Tuple[bool, Optional[str]]:
         """Evaluate one invariant on one scope: ``(ok, error)``."""
         ctx.scope = scope
         self.stats["scopes_evaluated"] += 1
         try:
-            if evaluator is None:
-                value = self._programs[invariant.name].evaluate(ctx)
-            else:
-                value = evaluator.evaluate(invariant.ast, ctx)
+            value = self._programs[invariant.name].evaluate(ctx)
         except EvaluationError as exc:
             return False, str(exc)
         if not isinstance(value, bool):
@@ -387,15 +328,13 @@ class ConstraintChecker:
         sess.epoch = system.epoch
         sess.structure_epoch = system.structure_epoch
         sess.bindings = dict(self.bindings)
-        sess.functions = dict(self.functions)
         ctx = self._make_ctx(system)
-        evaluator = None if self.compiled else Evaluator()
         results = sess.results
         for inv in self.invariants:
             fast_lane = inv.scope_local and inv.scope_type is not None
             for scope in inv._scopes(system):
                 slot = len(results)
-                ok, error = self._verdict(inv, scope, ctx, evaluator)
+                ok, error = self._verdict(inv, scope, ctx)
                 scope_name = scope.qualified_name if scope is not None else None
                 results.append(
                     ConstraintResult(inv.name, ok, scope_name, scope, error)
@@ -408,7 +347,7 @@ class ConstraintChecker:
                     sess.global_slots.append(slot)
                 # scope-local + system-scoped: only bindings can move it,
                 # and binding changes force a full pass anyway
-        self._session = sess if self.incremental else None
+        self._session = sess
         return sess
 
     def _incremental_check(
@@ -424,14 +363,13 @@ class ConstraintChecker:
                 redo.extend(scope_index.get(element, ()))
         if redo:
             ctx = self._make_ctx(system)
-            evaluator = None if self.compiled else Evaluator()
             results = sess.results
             invariants = self._invariants
             violated = sess.violated
             for slot in redo:
                 prior = results[slot]
                 ok, error = self._verdict(
-                    invariants[prior.invariant], prior.element, ctx, evaluator
+                    invariants[prior.invariant], prior.element, ctx
                 )
                 if ok == prior.ok and error == prior.error:
                     continue  # same verdict: the frozen result stands

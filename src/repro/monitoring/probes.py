@@ -50,8 +50,8 @@ class _Probe:
 
     ``reports`` counts published messages, ``samples`` the observations
     they carried (equal unless the probe batches), and ``batches`` the
-    array-carrying messages among them — the inputs to
-    :meth:`~repro.runtime.core.AdaptationRuntime.telemetry_stats`.
+    array-carrying messages among them — the inputs to the ``telemetry``
+    section of :meth:`~repro.runtime.core.AdaptationRuntime.stats`.
 
     The two ``value`` probes (:class:`CallbackProbe`,
     :class:`IngestProbe`) share the columnar emission mode kept here:

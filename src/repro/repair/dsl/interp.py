@@ -1,4 +1,4 @@
-"""Interpreter binding parsed repair-DSL declarations to the repair engine.
+"""Binds parsed repair-DSL declarations to the repair engine.
 
 A :class:`DslTactic` implements the :class:`~repro.repair.tactic.Tactic`
 interface (savepoint rollback on failure); a :class:`DslStrategy`
@@ -6,13 +6,27 @@ implements :class:`~repro.repair.strategy.RepairStrategy`.  Tactics are
 callable from strategy bodies by name; style operators are callable as
 element methods (``sgrp.addServer()``) through the context's function
 table.
+
+There is no interpreter here: when a tactic or strategy is built, every
+expression of its body is compiled once by
+:func:`~repro.constraints.compile.compile_expression` — the evaluator
+the constraint checker uses — and a run only calls the programs.  Call
+targets are not pre-bound: tactic callables are installed in
+``ctx.functions`` per run and operators may override the stdlib.
+
+Parameters, ``let`` bindings and ``foreach`` variables live in the
+context's dynamic frames and are **dynamically scoped**: a tactic body
+sees its calling strategy's.  The variable of a ``select`` / ``forall``
+/ ``exists`` *expression* is lexical: a tactic called from inside that
+expression's body cannot read it by bare name (pass it as an argument;
+``repro lint`` DSL101 flags the bare read).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.constraints.evaluator import Evaluator
+from repro.constraints.compile import compile_expression
 from repro.errors import EvaluationError, RepairAborted
 from repro.repair.context import RepairContext
 from repro.repair.dsl.ast import (
@@ -32,6 +46,9 @@ from repro.repair.tactic import Tactic
 
 __all__ = ["DslTactic", "DslStrategy", "build_strategies"]
 
+#: a lowered statement or block
+_Step = Callable[[RepairContext], None]
+
 
 class _Return(Exception):
     def __init__(self, value: Any):
@@ -43,51 +60,67 @@ class _Commit(Exception):
 
 
 class _Executor:
-    """Executes statement lists against a RepairContext."""
+    """One statement list, lowered once to closures over compiled
+    expressions; :meth:`run` executes it against a RepairContext."""
 
-    def __init__(self) -> None:
-        self.evaluator = Evaluator()
+    def __init__(self, stmts: Sequence[Stmt]):
+        self._steps: List[_Step] = [_lower(stmt) for stmt in stmts]
 
-    def run_block(self, stmts: Sequence[Stmt], ctx: RepairContext) -> None:
-        for stmt in stmts:
-            self.run_stmt(stmt, ctx)
+    def run(self, ctx: RepairContext) -> None:
+        for step in self._steps:
+            step(ctx)
 
-    def run_stmt(self, stmt: Stmt, ctx: RepairContext) -> None:
-        if isinstance(stmt, LetStmt):
-            value = self.evaluator.evaluate(stmt.value, ctx)
-            ctx.set_local(stmt.name, value)
-        elif isinstance(stmt, IfStmt):
-            cond = self.evaluator.evaluate(stmt.cond, ctx)
-            if not isinstance(cond, bool):
-                raise EvaluationError(f"if condition must be boolean, got {cond!r}")
-            if cond:
-                self.run_block(stmt.then_block, ctx)
-            elif stmt.else_block is not None:
-                self.run_block(stmt.else_block, ctx)
-        elif isinstance(stmt, ForeachStmt):
-            domain = self.evaluator.evaluate(stmt.domain, ctx)
-            if not isinstance(domain, (list, tuple, set, frozenset)):
+
+def _raise(exc: Exception) -> None:
+    raise exc
+
+
+def _lower(stmt: Stmt) -> _Step:
+    if isinstance(stmt, LetStmt):
+        name, value = stmt.name, compile_expression(stmt.value).evaluate
+        return lambda ctx: ctx.set_local(name, value(ctx))
+    if isinstance(stmt, ExprStmt):
+        return compile_expression(stmt.expr).evaluate
+    if isinstance(stmt, ReturnStmt):
+        if stmt.value is None:
+            return lambda ctx: _raise(_Return(None))
+        result = compile_expression(stmt.value).evaluate
+        return lambda ctx: _raise(_Return(result(ctx)))
+    if isinstance(stmt, CommitStmt):
+        return lambda ctx: _raise(_Commit())
+    if isinstance(stmt, AbortStmt):
+        reason = stmt.reason
+        return lambda ctx: _raise(RepairAborted(reason))
+    if isinstance(stmt, IfStmt):
+        cond = compile_expression(stmt.cond).evaluate
+        then_block = _Executor(stmt.then_block).run
+        else_block = _Executor(stmt.else_block or ()).run
+
+        def branch(ctx: RepairContext) -> None:
+            value = cond(ctx)
+            if not isinstance(value, bool):
+                raise EvaluationError(f"if condition must be boolean, got {value!r}")
+            (then_block if value else else_block)(ctx)
+
+        return branch
+    if isinstance(stmt, ForeachStmt):
+        var, domain = stmt.var, compile_expression(stmt.domain).evaluate
+        body = _Executor(stmt.body).run
+
+        def loop(ctx: RepairContext) -> None:
+            items = domain(ctx)
+            if not isinstance(items, (list, tuple, set, frozenset)):
                 raise EvaluationError("foreach requires a collection")
-            for item in list(domain):
-                ctx.push({stmt.var: item})
+            for item in list(items):
+                ctx.push({var: item})
                 try:
-                    self.run_block(stmt.body, ctx)
+                    body(ctx)
                 finally:
                     ctx.pop()
-        elif isinstance(stmt, ReturnStmt):
-            value = (
-                self.evaluator.evaluate(stmt.value, ctx)
-                if stmt.value is not None else None
-            )
-            raise _Return(value)
-        elif isinstance(stmt, CommitStmt):
-            raise _Commit()
-        elif isinstance(stmt, AbortStmt):
-            raise RepairAborted(stmt.reason)
-        elif isinstance(stmt, ExprStmt):
-            self.evaluator.evaluate(stmt.expr, ctx)
-        else:  # pragma: no cover - parser produces only the above
-            raise EvaluationError(f"unknown statement {type(stmt).__name__}")
+
+        return loop
+    # the parser produces only the above
+    raise EvaluationError(f"unknown statement {type(stmt).__name__}")
 
 
 class DslTactic(Tactic):
@@ -96,7 +129,7 @@ class DslTactic(Tactic):
     def __init__(self, decl: TacticDecl):
         self.decl = decl
         self.name = decl.name
-        self._executor = _Executor()
+        self._executor = _Executor(decl.body)
         self._pending_args: Optional[Sequence[Any]] = None
 
     def invoke(self, ctx: RepairContext, args: Sequence[Any]) -> bool:
@@ -117,7 +150,7 @@ class DslTactic(Tactic):
         frame = {p.name: a for p, a in zip(self.decl.params, args)}
         ctx.push(frame)
         try:
-            self._executor.run_block(self.decl.body, ctx)
+            self._executor.run(ctx)
         except _Return as ret:
             return bool(ret.value)
         finally:
@@ -139,7 +172,7 @@ class DslStrategy(RepairStrategy):
         self.decl = decl
         self.name = decl.name
         self.tactics = dict(tactics)
-        self._executor = _Executor()
+        self._executor = _Executor(decl.body)
 
     def run(self, ctx: RepairContext) -> RepairOutcome:
         outcome = RepairOutcome(False, self.name)
@@ -167,7 +200,7 @@ class DslStrategy(RepairStrategy):
         frame = {p.name: a for p, a in zip(self.decl.params, args)}
         ctx.push(frame)
         try:
-            self._executor.run_block(self.decl.body, ctx)
+            self._executor.run(ctx)
         except _Commit:
             outcome.committed = True
             return outcome

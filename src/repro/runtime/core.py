@@ -150,8 +150,8 @@ class AdaptationRuntime:
                 quarantine_policy=spec.quarantine_policy,
                 history_capacity=spec.history_capacity,
             )
-            # strategies hold per-engine interpreter state: every engine
-            # gets a fresh set rather than sharing one
+            # strategies hold per-run state (a tactic's pending arguments):
+            # every engine gets a fresh set rather than sharing one
             for strategy in build_strategies(document).values():
                 manager.register_strategy(strategy)
             self.managers.append(manager)

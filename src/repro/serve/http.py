@@ -21,6 +21,10 @@ from repro.serve.app import ServeApp
 
 __all__ = ["ReproHTTPServer", "run_server"]
 
+#: largest request body the handler reads; a ``/run`` config or an
+#: ``/ingest`` sample is a few hundred bytes
+MAX_BODY_BYTES = 1 << 20
+
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve"
@@ -32,7 +36,18 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self) -> None:
         app: ServeApp = self.server.serve_app  # type: ignore[attr-defined]
         body = None
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        # ASCII digits only: int() alone also takes a sign or "1_0".  A
+        # request refused unread leaves its body on the socket, so the
+        # connection cannot carry another one
+        if not (declared.isascii() and declared.isdigit()):
+            self._reply(400, {"error": "malformed Content-Length"}, close=True)
+            return
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            error = f"request body over {MAX_BODY_BYTES} bytes"
+            self._reply(413, {"error": error}, close=True)
+            return
         raw = self.rfile.read(length) if length > 0 else b""
         if raw:
             try:
@@ -46,11 +61,14 @@ class _Handler(BaseHTTPRequestHandler):
             status, payload = 500, {"error": f"internal error: {exc!r}"}
         self._reply(status, payload)
 
-    def _reply(self, status: int, payload: dict) -> None:
+    def _reply(self, status: int, payload: dict, close: bool = False) -> None:
         data = json.dumps(payload, allow_nan=False, sort_keys=True).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if close:
+            self.send_header("Connection", "close")
+            self.close_connection = True
         self.end_headers()
         self.wfile.write(data)
 

@@ -1,0 +1,30 @@
+"""Reference implementations: code replaced in place under ``src/``, kept
+as the oracle the production path is compared against (ROADMAP item 2).
+
+Residents:
+
+* :mod:`reference.evaluator` — the tree-walking constraint interpreter
+  (``Evaluator``), oracle of :mod:`repro.constraints.compile`;
+* :mod:`reference.bus` — the linear subscription scan (``LinearIndex``),
+  oracle of :class:`repro.bus.index.SubjectTrie`.
+
+``tests/`` is on ``sys.path`` under pytest, so tests import this package
+as ``reference``.
+"""
+
+from reference.bus import LinearIndex, linear_bus
+from reference.evaluator import (
+    Evaluator,
+    ReferenceProgram,
+    evaluate_agreed,
+    reference_check_all,
+)
+
+__all__ = [
+    "Evaluator",
+    "LinearIndex",
+    "ReferenceProgram",
+    "evaluate_agreed",
+    "linear_bus",
+    "reference_check_all",
+]

@@ -1,14 +1,16 @@
 """Trie-indexed publish path: validation, matching, and equivalence.
 
 The crucial property is that the subject-segment trie is *observationally
-identical* to the linear scan: same matched subscriptions, same delivery
-order, same statistics — the experiment results must not change by one
-bit when the index is on (which it is, by default).
+identical* to the linear scan it replaced: same matched subscriptions,
+same delivery order, same statistics.  The scan is the reference
+(``tests/reference/bus.py``): ``linear_bus`` builds an ``EventBus`` with
+``LinearIndex`` installed in place of the trie.
 """
 
 import random
 
 import pytest
+from reference import linear_bus
 
 from repro.bus import (
     AttributeFilter,
@@ -68,7 +70,7 @@ class TestValidatePattern:
 
         monkeypatch.setattr(bus_module, "validate_pattern", counting)
         monkeypatch.setattr(index_module, "validate_pattern", counting)
-        bus = EventBus(Simulator(), indexed=indexed)
+        bus = (EventBus if indexed else linear_bus)(Simulator())
         for bad in ("a..b", "a.>.b", "", None):
             with pytest.raises(ValueError) as raised:
                 bus.subscribe(bad, lambda m: None)
@@ -200,8 +202,8 @@ class TestTrieLinearEquivalence:
         """Same subs + same publishes -> identical deliveries and stats."""
         rng = random.Random(1000 + seed)
         sim = Simulator()
-        indexed = EventBus(sim, delivery=FixedDelay(0.01), indexed=True)
-        linear = EventBus(sim, delivery=FixedDelay(0.01), indexed=False)
+        indexed = EventBus(sim, delivery=FixedDelay(0.01))
+        linear = linear_bus(sim, delivery=FixedDelay(0.01))
         got_indexed, got_linear = [], []
         subs_indexed, subs_linear = [], []
         for k in range(60):
@@ -234,8 +236,8 @@ class TestTrieLinearEquivalence:
         rng = random.Random(3000 + seed)
         sim = Simulator()
         buses = [
-            EventBus(sim, delivery=FixedDelay(0.01), indexed=True),
-            EventBus(sim, delivery=FixedDelay(0.01), indexed=False),
+            EventBus(sim, delivery=FixedDelay(0.01)),
+            linear_bus(sim, delivery=FixedDelay(0.01)),
         ]
         got = [[], []]
         fault_rngs = [random.Random(seed), random.Random(seed)]
@@ -292,7 +294,7 @@ class TestTrieLinearEquivalence:
     @pytest.mark.parametrize("indexed", [True, False])
     def test_malformed_subject_never_gets_through_the_publish_door(self, indexed):
         sim = Simulator()
-        bus = EventBus(sim, indexed=indexed)
+        bus = (EventBus if indexed else linear_bus)(sim)
         got = []
         bus.subscribe("a.>", got.append)
         for attempt in range(3):
@@ -345,8 +347,8 @@ class TestTrieLinearEquivalence:
         rng = random.Random(2000 + seed)
         sim = Simulator()
         buses = [
-            EventBus(sim, delivery=FixedDelay(0.01), indexed=True),
-            EventBus(sim, delivery=FixedDelay(0.01), indexed=False),
+            EventBus(sim, delivery=FixedDelay(0.01)),
+            linear_bus(sim, delivery=FixedDelay(0.01)),
         ]
         got = [[], []]
         live = [[], []]
@@ -392,7 +394,7 @@ class TestTrieLinearEquivalence:
 
     def test_mid_run_subscribe_matches_linear_semantics(self):
         sim = Simulator()
-        indexed = EventBus(sim, delivery=FixedDelay(0.0), indexed=True)
+        indexed = EventBus(sim, delivery=FixedDelay(0.0))
         got = []
         indexed.publish_subject("a.b")  # nobody listening yet
         indexed.subscribe("a.>", lambda m: got.append(m.subject))

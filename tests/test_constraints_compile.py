@@ -1,22 +1,27 @@
 """Equivalence suite: compiled + incremental vs the reference interpreter.
 
-Three layers of defense, all over *randomized* inputs:
+The tree-walking interpreter the closure compiler replaced lives in
+``tests/reference/`` and is the oracle here.  Layers of defense, all
+over *randomized* inputs:
 
 1. expression equivalence — randomly generated ASTs (every node type,
    valid and error-producing) must evaluate to identical values or raise
    identical ``EvaluationError``s (message for message) under the
-   closure compiler and the tree-walking interpreter;
-2. checker equivalence — ``ConstraintChecker(compiled=True)`` must
-   produce ``ConstraintResult`` lists identical to the interpreter over
-   randomized systems and invariant sets;
+   closure compiler and the tree-walking interpreter — on plain contexts
+   and on contexts that carry the repair DSL's dynamic frames;
+2. checker equivalence — ``ConstraintChecker.check_all`` must produce
+   ``ConstraintResult`` lists identical to ``reference_check_all`` (the
+   interpreter, always full) over randomized systems and invariant sets;
 3. incremental equivalence — after arbitrary mutation sequences
    (property writes, structural surgery, transaction aborts), the
-   incremental ``check_all`` must equal a from-scratch full check.
+   incremental ``check_all`` must equal a ``full=True`` pass and the
+   reference.
 """
 
 import random
 
 import pytest
+from reference import Evaluator, reference_check_all
 
 from repro.acme.system import ArchSystem
 from repro.constraints.ast import (
@@ -31,7 +36,7 @@ from repro.constraints.ast import (
     Unary,
 )
 from repro.constraints.compile import compile_expression, is_scope_local
-from repro.constraints.evaluator import EvalContext, Evaluator
+from repro.constraints.evaluator import EvalContext
 from repro.constraints.invariants import ConstraintChecker
 from repro.constraints.parser import parse_expression
 from repro.constraints.stdlib import STDLIB
@@ -340,6 +345,109 @@ class TestCompiledExpressionEquivalence:
                 assert outcome(compiled) == outcome(interp), source
 
 
+class TestDynamicFrames:
+    """The repair DSL keeps parameters, ``let`` bindings and ``foreach``
+    variables in the context's dynamic frames (``push`` / ``set_local``),
+    and a compiled name must find them exactly where the interpreter's
+    lookup did: after the expression's own quantifier variables, before
+    ``self`` / ``system``, scope properties and bindings."""
+
+    @staticmethod
+    def agree(source, frames, scope_of=lambda system: None, set_locals=()):
+        """Evaluate ``source`` under both compile modes and the
+        interpreter, each on a fresh context carrying ``frames`` (pushed
+        in order) and ``set_locals`` (bound afterwards); the one outcome."""
+        node = parse_expression(source) if isinstance(source, str) else source
+        system = build_system(random.Random(5))
+
+        def make_ctx():
+            ctx = EvalContext(system, scope=scope_of(system), bindings=BINDINGS)
+            for frame in frames:
+                ctx.push(dict(frame))
+            for ident, value in set_locals:
+                ctx.set_local(ident, value)
+            return ctx
+
+        want = outcome(lambda: Evaluator().evaluate(node, make_ctx()))
+        for functions in ({**STDLIB}, None):
+            program = compile_expression(node, functions)
+            ctx = make_ctx()
+            depth = len(ctx._locals)
+            assert outcome(lambda: program.evaluate(ctx)) == want, source
+            assert len(ctx._locals) == depth  # evaluation leaves the frames alone
+        return want
+
+    def test_pushed_frame_is_read_innermost_first(self):
+        assert self.agree("x + 1", [{"x": 3}]) == ("ok", 4)
+        assert self.agree("x + y", [{"x": 3, "y": 1}, {"x": 10}]) == ("ok", 11)
+        assert self.agree("v == nil", [{"v": None}]) == ("ok", True)  # None is a value
+
+    def test_set_local_binds_in_the_innermost_frame(self):
+        assert self.agree("x * 2", [], set_locals=[("x", 21)]) == ("ok", 42)
+        got = self.agree("x + y", [{"x": 1, "y": 1}, {}], set_locals=[("x", 5)])
+        assert got == ("ok", 6)
+
+    def test_frame_shadows_self_system_scope_property_and_binding(self):
+        def first(system):
+            return system.components[0]
+
+        assert self.agree("load", [], first)[1] == first(
+            build_system(random.Random(5))
+        ).get_property("load")
+        assert self.agree("load", [{"load": 99}], first) == ("ok", 99)
+        assert self.agree("maxLatency", [{"maxLatency": -1}]) == ("ok", -1)
+        assert self.agree("self", [{"self": 7}], first) == ("ok", 7)
+        assert self.agree("system", [{"system": 8}]) == ("ok", 8)
+        assert self.agree("self.name", [{"unrelated": 1}], first) == ("ok", "c0")
+
+    def test_quantifier_variable_shadows_a_frame_variable_of_the_same_name(self):
+        frames = [{"x": 100}]
+        assert self.agree("forall x in {1, 2, 3} | x < 10", frames) == ("ok", True)
+        assert self.agree("select x in {1, 2, 300} | x < 100", frames) == ("ok", [1, 2])
+        assert self.agree("select one x in {1, 2} | x == 100", frames) == ("ok", None)
+        # ... in the body only: outside it the frame's x is back
+        got = self.agree("(exists x in {1} | x == 1) and x == 100", frames)
+        assert got == ("ok", True)
+        nested = "forall x in {1, 2} | exists y in {x} | x == y and z == 100"
+        assert self.agree(nested, [{"z": 100, "y": -1}]) == ("ok", True)
+
+    def test_frame_variable_is_read_inside_a_quantifier_body(self):
+        frames = [{"floor": 1}, {"skip": "c0"}]
+        assert self.agree("select y in {1, 2, 3} | y > floor", frames) == ("ok", [2, 3])
+        got = self.agree("forall y in {1, 2} | exists z in {y} | z > floor - 1", frames)
+        assert got == ("ok", True)
+        got = self.agree("size(select c in system.components | c.name != skip)", frames)
+        assert got == ("ok", 5)
+
+    def test_unresolved_name_keeps_its_message_and_position(self):
+        got = self.agree("1 +\n  nope", [{"x": 1}, {"y": 2}])
+        assert got[0] == "err"
+        assert got[2] == "unresolved name 'nope' (line 2, column 3)"
+        got = self.agree("forall x in {1} |\n x < nope", [{"y": 2}])
+        assert got[2] == "unresolved name 'nope' (line 2, column 6)"
+
+    def test_randomized_asts_under_random_frames_match_interpreter(self):
+        rng = random.Random(2323)
+        frame_names = _NAMES + ("x", "y")  # x, y: the generator's quantifier variables
+        errors = hits = 0
+        for round_no in range(300):
+            node = gen_expr(rng, depth=3)
+            frames = [
+                {
+                    name: rng.choice([0, 2.5, True, None, "red", [1, 2], -3])
+                    for name in rng.sample(frame_names, rng.randrange(0, 4))
+                }
+                for _ in range(rng.randrange(1, 4))
+            ]
+            scope_of = rng.choice(
+                [lambda system: None, lambda system: system.components[0]]
+            )
+            want = self.agree(node, frames, scope_of)
+            errors += want[0] == "err"
+            hits += any(frames)
+        assert 0 < errors < 300 and hits > 200
+
+
 class TestScopeLocality:
     @pytest.mark.parametrize(
         "source",
@@ -374,7 +482,7 @@ class TestScopeLocality:
 
 
 # ---------------------------------------------------------------------------
-# 2. Checker-level equivalence (compiled vs interpreter, both full)
+# 2. Checker-level equivalence (production vs the reference full pass)
 # ---------------------------------------------------------------------------
 
 INVARIANT_SOURCES = [
@@ -392,8 +500,8 @@ INVARIANT_SOURCES = [
 ]
 
 
-def make_checker(**kwargs) -> ConstraintChecker:
-    checker = ConstraintChecker(bindings=dict(BINDINGS), **kwargs)
+def make_checker() -> ConstraintChecker:
+    checker = ConstraintChecker(bindings=dict(BINDINGS))
     for name, source, scope_type in INVARIANT_SOURCES:
         checker.add_source(name, source, scope_type=scope_type)
     return checker
@@ -415,15 +523,15 @@ class TestCheckerEquivalence:
     def test_compiled_full_matches_interpreter_full(self):
         for seed in range(12):
             system = build_system(random.Random(seed))
-            reference = make_checker(compiled=False, incremental=False)
-            fast = make_checker(compiled=True, incremental=False)
-            assert_same_results(fast.check_all(system), reference.check_all(system))
+            fast = make_checker()
+            want = reference_check_all(fast, system)
+            assert_same_results(fast.check_all(system), want)
+            assert_same_results(fast.check_all(system, full=True), want)
 
     def test_error_results_identical(self):
         system = build_system(random.Random(99))
-        reference = make_checker(compiled=False, incremental=False)
         fast = make_checker()
-        ref_errors = [r for r in reference.check_all(system) if r.error]
+        ref_errors = [r for r in reference_check_all(fast, system) if r.error]
         fast_errors = [r for r in fast.check_all(system) if r.error]
         assert [r.error for r in fast_errors] == [r.error for r in ref_errors]
 
@@ -470,20 +578,19 @@ class TestIncrementalEquivalence:
         for seed in range(8):
             rng = random.Random(1000 + seed)
             system = build_system(rng)
-            incremental = make_checker()  # compiled + incremental
-            reference = make_checker(compiled=False, incremental=False)
+            incremental = make_checker()
+            always_full = make_checker()
             counter = [0]
             assert_same_results(
-                incremental.check_all(system), reference.check_all(system)
+                incremental.check_all(system), reference_check_all(incremental, system)
             )
             for step in range(60):
                 for _ in range(rng.randrange(0, 4)):
                     mutate(rng, system, counter)
                 full = step % 17 == 0  # exercise the escape hatch too
-                assert_same_results(
-                    incremental.check_all(system, full=full),
-                    reference.check_all(system),
-                )
+                got = incremental.check_all(system, full=full)
+                assert_same_results(got, always_full.check_all(system, full=True))
+                assert_same_results(got, reference_check_all(incremental, system))
 
     def test_quiet_check_reuses_everything(self):
         system = build_system(random.Random(3))
@@ -514,9 +621,9 @@ class TestIncrementalEquivalence:
         checker = make_checker()
         checker.check_all(system)
         checker.bindings["maxLatency"] = -100.0
-        reference = make_checker(compiled=False, incremental=False)
-        reference.bindings["maxLatency"] = -100.0
-        assert_same_results(checker.check_all(system), reference.check_all(system))
+        assert_same_results(
+            checker.check_all(system), reference_check_all(checker, system)
+        )
 
     def test_fresh_system_object_is_not_served_from_cache(self):
         checker = make_checker()
@@ -524,16 +631,14 @@ class TestIncrementalEquivalence:
         b = build_system(random.Random(2))
         checker.check_all(a)
         rb = checker.check_all(b)
-        reference = make_checker(compiled=False, incremental=False)
-        assert_same_results(rb, reference.check_all(b))
-        assert_same_results(checker.check_all(a), reference.check_all(a))
+        assert_same_results(rb, reference_check_all(checker, b))
+        assert_same_results(checker.check_all(a), reference_check_all(checker, a))
 
-    @pytest.mark.parametrize("compiled", [True, False])
-    def test_function_table_change_invalidates_cache(self, compiled):
+    def test_function_table_change_invalidates_cache(self):
         system = ArchSystem("S")
         comp = system.new_component("c0", ["ClientT"])
         comp.set_property("latency", 4.0)
-        checker = ConstraintChecker(bindings={"cap": 10.0}, compiled=compiled)
+        checker = ConstraintChecker(bindings={"cap": 10.0})
         checker.add_source("r", "boost(latency) <= cap", scope_type="ClientT")
         checker.functions["boost"] = lambda ctx, x: x * 2
         assert [r.ok for r in checker.check_all(system)] == [True]
@@ -556,8 +661,8 @@ class TestViolationSet:
     #: raising (broken) invariants; this one evaluates to a number
     NON_BOOLEAN = ("not_boolean", "load + 1", "ServerT")
 
-    def make(self, **kwargs) -> ConstraintChecker:
-        checker = make_checker(**kwargs)
+    def make(self) -> ConstraintChecker:
+        checker = make_checker()
         name, source, scope_type = self.NON_BOOLEAN
         checker.add_source(name, source, scope_type=scope_type)
         return checker
@@ -566,11 +671,8 @@ class TestViolationSet:
     def test_violations_equal_filtered_check_all(self, seed):
         rng = random.Random(4000 + seed)
         system = build_system(rng)
-        checkers = [
-            self.make(compiled=compiled, incremental=incremental)
-            for compiled in (True, False)
-            for incremental in (True, False)
-        ]
+        #: the second one is asked for a full pass at every call
+        checkers = [self.make(), self.make()]
         counter = [0]
         seen_violation_counts = set()
         for step in range(50):
@@ -587,13 +689,11 @@ class TestViolationSet:
             else:
                 for _ in range(rng.randrange(0, 4)):
                     mutate(rng, system, counter)
-            full = step % 11 == 0
-            fresh = self.make(compiled=False, incremental=False)
-            fresh.bindings.update(checkers[0].bindings)
-            want = [r for r in fresh.check_all(system) if r.violated]
+            want = [r for r in reference_check_all(checkers[0], system) if r.violated]
             seen_violation_counts.add(len(want))
             full_passes = checkers[0].stats["full_checks"]
             for checker in checkers:
+                full = checker is checkers[1] or step % 11 == 0
                 # alternate which call pays for the refresh
                 if step % 2:
                     everything = checker.check_all(system, full=full)
@@ -646,9 +746,8 @@ class TestViolationSet:
     #: (component prefix, scalar property) pairs a "gauge" may re-report
     REPEATABLE = [("c", "latency"), ("c", "count"), ("s", "flag"), ("s", "label")]
 
-    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "interp"])
     @pytest.mark.parametrize("seed", range(3))
-    def test_a_write_that_moves_nothing_costs_no_evaluation(self, seed, compiled):
+    def test_a_write_that_moves_nothing_costs_no_evaluation(self, seed):
         """More than half the writes of this walk put back the value that
         is already there.  They must change no answer (``violations()``
         equals a sibling checker's ``violations(full=True)`` after every
@@ -672,15 +771,13 @@ class TestViolationSet:
             server.set_property("load", round(rng.uniform(0, 12), 2))
         bindings = {"maxLatency": 2.0, "limit": 7, "tag": "red"}
 
-        def make(incremental):
-            checker = ConstraintChecker(
-                bindings=dict(bindings), compiled=compiled, incremental=incremental
-            )
+        def make():
+            checker = ConstraintChecker(bindings=dict(bindings))
             for name, source, scope_type in self.MOVED_SOURCES:
                 checker.add_source(name, source, scope_type=scope_type)
             return checker
 
-        live, reference = make(True), make(False)
+        live, reference = make(), make()  # the reference is always asked full=True
         assert_same_results(
             live.violations(system), reference.violations(system, full=True)
         )

@@ -1,12 +1,17 @@
-"""Unit tests for the constraint language: parsing and evaluation."""
+"""Unit tests for the constraint language: parsing and evaluation.
+
+``ev`` evaluates through the compiled program — production — and through
+the tree-walking reference interpreter, and fails unless the two agree,
+so every case here checks production semantics against the oracle.
+"""
 
 import pytest
+from reference import evaluate_agreed
 
 from repro.acme import ArchSystem
 from repro.constraints import (
     ConstraintChecker,
     EvalContext,
-    Evaluator,
     Invariant,
     parse_expression,
 )
@@ -36,8 +41,10 @@ def model():
 
 def ev(source, system=None, scope=None, bindings=None):
     system = system or model()
-    ctx = EvalContext(system, scope=scope, bindings=bindings)
-    return Evaluator().evaluate(parse_expression(source), ctx)
+    return evaluate_agreed(
+        parse_expression(source),
+        lambda: EvalContext(system, scope=scope, bindings=bindings),
+    )
 
 
 class TestBasics:
@@ -156,32 +163,13 @@ class TestQuantifiers:
         assert ev("size(select x : ServerGroupT in self.components | true) == 2")
 
     def test_select_returns_elements(self):
-        s = model()
-        ctx = EvalContext(s)
-        result = Evaluator().evaluate(
-            parse_expression(
-                "select g : ServerGroupT in self.components | g.load > 5.0"
-            ),
-            ctx,
-        )
+        result = ev("select g : ServerGroupT in self.components | g.load > 5.0")
         assert [g.name for g in result] == ["g2"]
 
     def test_select_one_semantics(self):
-        s = model()
-        ctx = EvalContext(s)
-        one = Evaluator().evaluate(
-            parse_expression(
-                "select one c : ClientT in self.components | c.averageLatency > 2.0"
-            ),
-            ctx,
-        )
+        one = ev("select one c : ClientT in self.components | c.averageLatency > 2.0")
         assert one.name == "c3"
-        none = Evaluator().evaluate(
-            parse_expression(
-                "select one c : ClientT in self.components | c.averageLatency > 99.0"
-            ),
-            ctx,
-        )
+        none = ev("select one c : ClientT in self.components | c.averageLatency > 99.0")
         assert none is None
 
     def test_nested_quantifiers(self):

@@ -1,17 +1,23 @@
-"""Coverage for the remaining constraint stdlib functions and DSL corners."""
+"""Coverage for the remaining constraint stdlib functions and DSL corners.
+
+``ev`` evaluates through the compiled program and through the reference
+interpreter and fails unless the two agree.
+"""
 
 import pytest
+from reference import evaluate_agreed
 
 from repro.acme import ArchSystem
-from repro.constraints import EvalContext, Evaluator, parse_expression
+from repro.constraints import EvalContext, parse_expression
 from repro.errors import EvaluationError
 from repro.repair.dsl import parse_repair_dsl
 
 
 def ev(source, system=None, bindings=None):
     system = system or ArchSystem("S")
-    ctx = EvalContext(system, bindings=bindings)
-    return Evaluator().evaluate(parse_expression(source), ctx)
+    return evaluate_agreed(
+        parse_expression(source), lambda: EvalContext(system, bindings=bindings)
+    )
 
 
 class TestStdlibFunctions:

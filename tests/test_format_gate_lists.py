@@ -1,0 +1,48 @@
+"""The format gate is written down twice and both copies must agree.
+
+``.github/workflows/ci.yml`` runs ``ruff format --check`` over a list of
+ratcheted paths; ``tools/format_check.py::RATCHETED`` mirrors it for
+machines without ruff.  The two were kept "identical" by hand; this
+parses both and fails when they differ, or when either names a path
+that no longer exists.
+"""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).parent.parent
+
+
+def ci_gate_paths():
+    """The arguments of ci.yml's ``ruff format --check`` folded scalar:
+    the more-indented lines that follow it."""
+    lines = (ROOT / ".github" / "workflows" / "ci.yml").read_text().splitlines()
+    starts = [i for i, line in enumerate(lines) if "ruff format --check" in line]
+    starts = [i for i in starts if lines[i].strip() == "ruff format --check"]
+    assert len(starts) == 1, "expected one `ruff format --check` command in ci.yml"
+    start = starts[0]
+    indent = len(lines[start]) - len(lines[start].lstrip())
+    paths = []
+    for line in lines[start + 1 :]:
+        if not line.strip() or len(line) - len(line.lstrip()) < indent:
+            break
+        paths.append(line.strip())
+    return paths
+
+
+def ratcheted_paths():
+    spec = importlib.util.spec_from_file_location(
+        "format_check", ROOT / "tools" / "format_check.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return list(module.RATCHETED)
+
+
+def test_ci_format_gate_and_local_mirror_list_the_same_paths():
+    ci, local = ci_gate_paths(), ratcheted_paths()
+    assert len(ci) > 40  # the parse found the list, not a fragment of it
+    assert ci == local
+    assert len(set(ci)) == len(ci)
+    missing = [path for path in ci if not (ROOT / path).exists()]
+    assert not missing, f"format gate names paths that do not exist: {missing}"

@@ -9,6 +9,7 @@ covers the HTTP wrapper end to end on a loopback port, including the
 strict-JSON guarantee and clean shutdown.
 """
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -24,7 +25,7 @@ from repro.realtime.demo import (
     build_live_pool_spec,
 )
 from repro.serve.app import ServeApp
-from repro.serve.http import ReproHTTPServer
+from repro.serve.http import MAX_BODY_BYTES, ReproHTTPServer
 
 
 def _strict_json_roundtrip(payload):
@@ -202,3 +203,42 @@ class TestServeHTTP:
             urllib.request.urlopen(request, timeout=10)
         assert err.value.code == 400
         assert "error" in json.loads(err.value.read())
+
+    def _post(self, server, content_length, body=b""):
+        """POST /run with the Content-Length header as given, whatever
+        the body sent; ``(status, payload)``."""
+        conn = http.client.HTTPConnection("127.0.0.1", server.bound_port, timeout=10)
+        try:
+            conn.putrequest("POST", "/run")
+            conn.putheader("Content-Length", content_length)
+            conn.endheaders()
+            conn.send(body)
+            response = conn.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("header", ["abc", "-1", "1_0", "+5"])
+    def test_malformed_content_length_is_a_400_and_the_server_lives(
+        self, server, header
+    ):
+        # int() on the handler thread used to raise ("abc": closed socket, no
+        # reply) or accept what is not a length ("1_0", "+5")
+        status, payload = self._post(server, header)
+        assert status == 400 and "Content-Length" in payload["error"]
+        assert self._get(server, "/health")[0] == 200
+
+    def test_oversized_content_length_is_a_413_without_reading_the_body(self, server):
+        # nothing is sent after the headers: a handler that tried to read
+        # 99 999 999 999 bytes would sit there until this client timed out
+        for declared in ("99999999999", str(MAX_BODY_BYTES + 1)):
+            status, payload = self._post(server, declared)
+            assert status == 413 and str(MAX_BODY_BYTES) in payload["error"]
+            assert self._get(server, "/health")[0] == 200
+
+    def test_a_body_exactly_at_the_cap_is_read_and_routed(self, server):
+        body = json.dumps({"scenario": "no_such_scenario"}).encode()
+        body += b" " * (MAX_BODY_BYTES - len(body))
+        status, payload = self._post(server, str(len(body)), body)
+        assert status == 400 and "no_such_scenario" in payload["error"]
+        assert self._get(server, "/health")[0] == 200

@@ -20,7 +20,8 @@ Usage: python tools/format_check.py [FILE_OR_DIR ...]
 With no arguments it checks RATCHETED — the same file list ci.yml's
 format gate runs ruff over.  Keep the two lists identical: when you
 ratchet a module in CI, add it here too, so `python tools/format_check.py`
-approximates the gate locally without ruff.
+approximates the gate locally without ruff
+(`tests/test_format_gate_lists.py` fails when they differ).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ RATCHETED = [
     "src/repro/repair/history.py",
     "src/repro/repair/resilience.py",
     "src/repro/repair/sharding.py",
+    "src/repro/repair/dsl/",
     "src/repro/runtime/sharding.py",
     "src/repro/runtime/stats.py",
     "src/repro/styles/map_reduce.py",
@@ -84,6 +86,9 @@ RATCHETED = [
     "tests/test_net_solver_oracle.py",
     "tests/test_model_forwarding_oracle.py",
     "tests/test_model_budget.py",
+    "tests/test_repair_dsl_differential.py",
+    "tests/test_format_gate_lists.py",
+    "tests/reference/",
 ]
 
 OPEN = {"(": ")", "[": "]", "{": "}"}
