@@ -1,13 +1,13 @@
 """Shard-aware view of an architectural model.
 
 :meth:`ShardedArchSystem.partition` splits one :class:`ArchSystem` into
-N independent per-shard systems.  Elements are **rebuilt**, not moved:
+N independent per-shard systems.  Elements are **moved**, not copied:
 an element belongs to exactly one system (its ``system`` back-pointer is
-the route its property writes take), so adopting the originals would
-take them from the source, and partitioning leaves the source intact
-(``test_partition_rebuilds_elements``) — each shard gets fresh
-``Component`` / ``Connector`` objects carrying the originals' types and
-copies of their ports, roles, and properties.
+the route its property writes take), so each shard adopts the source's
+own components and connectors, ports and roles with them, and binds the
+source's own ``Attachment`` objects.  The source is left empty
+(``test_partition_moves_elements``); the rebuilding partition this
+replaced is the oracle in ``tests/reference/sharding.py``.
 
 Assignment is deterministic: components are assigned by the shard-key
 function over their (sorted) names; a connector lands on the shard of
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.acme.elements import Component, Connector, Element
+from repro.acme.elements import Component, Connector
 from repro.acme.system import ArchSystem
 from repro.errors import UnknownElementError
 
@@ -35,11 +35,6 @@ __all__ = ["ShardedArchSystem"]
 
 #: ``(element_name, shards) -> shard index`` (None = no opinion -> shard 0)
 ShardKeyFn = Callable[[str, int], Optional[int]]
-
-
-def _copy_properties(source: Element, target: Element) -> None:
-    for prop in source.properties():
-        target.declare_property(prop.name, prop.value, prop.ptype)
 
 
 class ShardedArchSystem:
@@ -66,7 +61,9 @@ class ShardedArchSystem:
     def partition(
         cls, system: ArchSystem, shards: int, key_fn: ShardKeyFn
     ) -> "ShardedArchSystem":
-        """Split ``system`` into ``shards`` independent per-shard systems."""
+        """Move ``system``'s elements into ``shards`` per-shard systems and
+        leave ``system`` **empty**: no element or attachment, a fresh
+        structure epoch, and a change log that no longer reaches back."""
         if shards < 1:
             raise ValueError(f"shard count must be >= 1, got {shards}")
         parts = [
@@ -79,18 +76,14 @@ class ShardedArchSystem:
             key = key_fn(comp.name, shards)
             shard = 0 if key is None else int(key) % shards
             assignment[comp.name] = shard
-            clone = Component(comp.name, comp.types)
-            _copy_properties(comp, clone)
-            for port in comp.ports:
-                cloned_port = clone.add_port(port.name, port.types)
-                _copy_properties(port, cloned_port)
-            parts[shard].add_component(clone)
+            parts[shard].add_component(comp)
 
         # A connector's home shard is the shard of its first attached
         # component (sorted attachment order = deterministic); unattached
         # connectors fall back to the key function over their own name.
+        attachments = system.attachments
         home: Dict[str, int] = {}
-        for att in system.attachments:
+        for att in attachments:
             conn_name = att.role.connector.name
             if conn_name not in home:
                 home[conn_name] = assignment[att.port.component.name]
@@ -100,34 +93,28 @@ class ShardedArchSystem:
                 key = key_fn(conn.name, shards)
                 shard = 0 if key is None else int(key) % shards
             assignment[conn.name] = shard
-            clone = Connector(conn.name, conn.types)
-            _copy_properties(conn, clone)
-            for role in conn.roles:
-                cloned_role = clone.add_role(role.name, role.types)
-                _copy_properties(role, cloned_role)
-            parts[shard].add_connector(clone)
+            parts[shard].add_connector(conn)
 
         cross: List[Tuple[str, str, int, int]] = []
-        for att in system.attachments:
+        for att in attachments:
             port_shard = assignment[att.port.component.name]
             role_shard = assignment[att.role.connector.name]
             if port_shard == role_shard:
-                part = parts[port_shard]
-                part.attach(
-                    part.component(att.port.component.name).port(att.port.name),
-                    part.connector(att.role.connector.name).role(att.role.name),
-                )
+                parts[port_shard]._bind(att)
             else:
-                cross.append(
-                    (
-                        att.port.qualified_name,
-                        att.role.qualified_name,
-                        port_shard,
-                        role_shard,
-                    )
-                )
+                port_qname, role_qname = att.key
+                cross.append((port_qname, role_qname, port_shard, role_shard))
         for part in parts:
             part.invariant_sources = list(system.invariant_sources)
+            part._touch_structure()  # the attachments just bound
+
+        system._components.clear()
+        system._connectors.clear()
+        system._attachments.clear()
+        system._role_attachment.clear()
+        system._dirty_log.clear()
+        system._touch_structure()
+        system._dirty_floor = system.epoch
         return cls(system.name, parts, assignment, tuple(cross), family=system.family)
 
     # -- shard access ------------------------------------------------------

@@ -25,7 +25,8 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.bus.bus import DeliveryModel, EventBus, Subscription
 from repro.bus.filters import AttributeFilter
-from repro.bus.messages import Message
+from repro.bus.index import ROUTE_MEMO_CAP
+from repro.bus.messages import Message, subject_segments
 from repro.bus.queues import QueuePolicy
 from repro.sim.kernel import Simulator
 
@@ -60,10 +61,12 @@ class ShardedEventBus:
     """Facade over one :class:`EventBus` per shard.
 
     ``shard_of`` maps a model element name to its owning shard (``None``
-    for names the model does not know).  The facade exposes the same
-    publish/subscribe/stats surface as a single bus; per-child access is
-    available through :meth:`shard` for shard-scoped wiring (e.g. the
-    per-shard property updaters).
+    for names the model does not know); each subject's child is memoised
+    (cleared past :data:`~repro.bus.index.ROUTE_MEMO_CAP`), so its answer
+    must never change, as a partition's ``assignment`` never does.  The
+    facade exposes the same publish/subscribe/stats surface as a single
+    bus; per-child access is available through :meth:`shard` for
+    shard-scoped wiring (e.g. the per-shard property updaters).
     """
 
     def __init__(
@@ -81,6 +84,7 @@ class ShardedEventBus:
         self.sim = sim
         self.name = name
         self._shard_of = shard_of
+        self._routes: Dict[str, int] = {}  # subject -> child index
         self._buses = [
             EventBus(
                 sim,
@@ -94,11 +98,16 @@ class ShardedEventBus:
 
     # -- routing -----------------------------------------------------------
     def _route(self, subject: str) -> int:
-        target = subject.rsplit(".", 1)[-1]
-        shard = self._shard_of(target)
-        if shard is None:
-            return 0
-        return shard % len(self._buses)
+        """The child ``subject`` goes to, worked out once per subject; a
+        malformed one raises as a child bus would and is not remembered."""
+        index = self._routes.get(subject)
+        if index is None:
+            shard = self._shard_of(subject_segments(subject)[-1])
+            index = 0 if shard is None else shard % len(self._buses)
+            if len(self._routes) >= ROUTE_MEMO_CAP:
+                self._routes.clear()
+            self._routes[subject] = index
+        return index
 
     def shard(self, index: int) -> EventBus:
         return self._buses[index]

@@ -71,8 +71,8 @@ class _Executor:
             step(ctx)
 
 
-def _raise(exc: Exception) -> None:
-    raise exc
+def _raise(kind: type, *args: Any) -> None:
+    raise kind(*args)  # never a local of a frame its traceback holds: a cycle
 
 
 def _lower(stmt: Stmt) -> _Step:
@@ -83,14 +83,14 @@ def _lower(stmt: Stmt) -> _Step:
         return compile_expression(stmt.expr).evaluate
     if isinstance(stmt, ReturnStmt):
         if stmt.value is None:
-            return lambda ctx: _raise(_Return(None))
+            return lambda ctx: _raise(_Return, None)
         result = compile_expression(stmt.value).evaluate
-        return lambda ctx: _raise(_Return(result(ctx)))
+        return lambda ctx: _raise(_Return, result(ctx))
     if isinstance(stmt, CommitStmt):
-        return lambda ctx: _raise(_Commit())
+        return lambda ctx: _raise(_Commit)
     if isinstance(stmt, AbortStmt):
         reason = stmt.reason
-        return lambda ctx: _raise(RepairAborted(reason))
+        return lambda ctx: _raise(RepairAborted, reason)
     if isinstance(stmt, IfStmt):
         cond = compile_expression(stmt.cond).evaluate
         then_block = _Executor(stmt.then_block).run
@@ -177,11 +177,12 @@ class DslStrategy(RepairStrategy):
     def run(self, ctx: RepairContext) -> RepairOutcome:
         outcome = RepairOutcome(False, self.name)
 
-        # Expose tactics as callable functions inside this strategy.
+        # Expose tactics as callable functions inside this strategy, run on
+        # the context they are handed: capturing ``ctx`` would be a cycle.
         def make_callable(tactic: DslTactic):
-            def call(_ectx, *args: Any) -> bool:
+            def call(ectx: RepairContext, *args: Any) -> bool:
                 outcome.tactics_tried.append(tactic.name)
-                ok = tactic.invoke(ctx, args)
+                ok = tactic.invoke(ectx, args)
                 if ok:
                     outcome.tactic_applied = tactic.name
                 return ok

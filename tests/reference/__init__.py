@@ -6,7 +6,10 @@ Residents:
 * :mod:`reference.evaluator` — the tree-walking constraint interpreter
   (``Evaluator``), oracle of :mod:`repro.constraints.compile`;
 * :mod:`reference.bus` — the linear subscription scan (``LinearIndex``),
-  oracle of :class:`repro.bus.index.SubjectTrie`.
+  oracle of :class:`repro.bus.index.SubjectTrie`;
+* :mod:`reference.sharding` — the partition that rebuilt every element
+  (``rebuild_partition``), oracle of
+  :meth:`repro.acme.sharding.ShardedArchSystem.partition`.
 
 ``tests/`` is on ``sys.path`` under pytest, so tests import this package
 as ``reference``.
@@ -19,6 +22,7 @@ from reference.evaluator import (
     evaluate_agreed,
     reference_check_all,
 )
+from reference.sharding import rebuild_partition
 
 __all__ = [
     "Evaluator",
@@ -26,5 +30,6 @@ __all__ = [
     "ReferenceProgram",
     "evaluate_agreed",
     "linear_bus",
+    "rebuild_partition",
     "reference_check_all",
 ]

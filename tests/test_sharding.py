@@ -3,8 +3,10 @@ and the cross-shard coordinator's two-phase commit/abort paths."""
 
 import pytest
 
+import repro.bus.sharding as bus_sharding
 from repro.acme.sharding import ShardedArchSystem
 from repro.acme.system import ArchSystem
+from repro.bus.messages import Message
 from repro.bus.sharding import ShardedEventBus
 from repro.constraints.invariants import ConstraintChecker
 from repro.errors import UnknownElementError
@@ -168,14 +170,33 @@ class TestPartition:
             assert part.invariant_sources == source.invariant_sources
             assert part.family == source.family
 
-    def test_partition_rebuilds_elements(self):
+    def test_partition_moves_elements(self):
         source = tenancy_model()
+        pool = source.component("T1")
+        structure_before = source.structure_epoch
         model = ShardedArchSystem.partition(
             source, 2, resolve_shard_key("numeric_suffix")
         )
-        # fresh objects: writes to a shard slice never leak to the source
-        model.component("T0").set_property("size", 9)
-        assert source.component("T0").get_property("size") == 2
+        # the source's own objects, now owned by their shard ...
+        assert model.component("T1") is pool
+        for k, part in enumerate(model.shards):
+            for comp in part.components:
+                assert comp.system is part and model.shard_of(comp.name) == k
+                assert all(port.system is part for port in comp.ports)
+            for conn in part.connectors:
+                assert conn.system is part and model.shard_of(conn.name) == k
+                assert all(role.system is part for role in conn.roles)
+        # ... and the source is empty, not a stale graph
+        assert source.components == source.connectors == source.attachments == []
+        assert source.structure_epoch > structure_before
+        assert source.dirty_elements_since(structure_before) is None
+        # a write through a moved element lands in its shard's log only
+        source_epoch, part = source.epoch, model.shard(1)
+        part_epoch = part.epoch
+        pool.set_property("size", 9)
+        assert part.dirty_elements_since(part_epoch) == [pool]
+        assert source.epoch == source_epoch
+        assert source.dirty_elements_since(source_epoch) == []
 
     def test_facade_lookups(self):
         model = ShardedArchSystem.partition(
@@ -317,6 +338,29 @@ class TestShardedBus:
         assert stats["delivered"] == 2
         per_shard = bus.shard_stats()
         assert [s["published"] for s in per_shard] == [1, 1]
+
+    def test_each_subject_is_routed_once(self, monkeypatch):
+        asked = []
+
+        def shard_of(name):
+            asked.append(name)
+            return {"T0": 0, "T1": 1}.get(name)
+
+        bus = ShardedEventBus(Simulator(), 2, shard_of)
+        for value in range(3):
+            bus.publish_subject("gauge.latency.T1", value=value)
+            bus.publish(Message("gauge.latency.T0", {"value": value}))
+        assert asked == ["T1", "T0"]
+        assert [bus.shard(k).published for k in (0, 1)] == [3, 3]
+        # a subject the child buses refuse is refused here, and not kept
+        with pytest.raises(ValueError, match="malformed subject"):
+            bus.publish_subject("gauge..T1", value=1.0)
+        assert "gauge..T1" not in bus._routes
+        # cleared rather than grown past the cap
+        monkeypatch.setattr(bus_sharding, "ROUTE_MEMO_CAP", 2)
+        bus.publish_subject("probe.latency.T1", value=1.0)
+        assert bus._routes == {"probe.latency.T1": 1}
+        assert bus.shard(1).published == 4
 
     def test_invalid_shard_count(self):
         with pytest.raises(ValueError, match="shard count"):

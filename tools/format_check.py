@@ -87,6 +87,8 @@ RATCHETED = [
     "tests/test_model_forwarding_oracle.py",
     "tests/test_model_budget.py",
     "tests/test_repair_dsl_differential.py",
+    "tests/test_repair_dsl_cycles.py",
+    "tests/test_partition_oracle.py",
     "tests/test_format_gate_lists.py",
     "tests/reference/",
 ]
