@@ -1,21 +1,21 @@
 """Bench-regression gate: compare emitted ``BENCH_*.json`` vs baselines.
 
-CI's ``bench-smoke`` job runs the X4-X9 benches in fast mode, then
+CI's ``bench-smoke`` job runs the X4, X5, X7-X9 benches in fast mode, then
 runs this script to compare each emitted ``benchmarks/out/BENCH_*.json``
 against the committed baseline in ``benchmarks/baselines/``.  The build
 fails when any **gated metric** regresses beyond its margin.
 
 Margins are per metric, not global: metrics measured in *simulated* time
 (X5's time-to-quiesce) or deterministic counters are reproducible to the
-bit, so they gate tightly; wall-clock-derived speedups (X4/X6/X8) wobble
+bit, so they gate tightly; wall-clock-derived speedups (X4/X8) wobble
 with runner load, so they get the wide fast-mode noise margin.  Either
 way the headline tolerance is "fail if worse than baseline by more than
 the margin" — improvements never fail, and a per-metric delta table is
-always printed for the job log.  Under X6's and X8's gated ratios the
-table also shows both sides' absolute rates as ungated rows: a ratio
-falls when its slow side gets faster (PR 17 sped up the per-message
-path both ratios divide by), and only the rates tell that apart from
-the fast side getting slower.
+always printed for the job log.  Under X8's gated ratio the table also
+shows both sides' absolute rates as ungated rows: a ratio falls when
+its slow side gets faster (as when the per-message path it divides
+by got faster), and only the rates tell that apart from the fast side
+getting slower.
 
 Every committed baseline must have a freshly emitted counterpart: a
 bench that silently stopped running (collection error, renamed file,
@@ -115,16 +115,6 @@ GATES: Dict[str, List[Gate]] = {
             higher_is_better=False,
             margin=EXACT_MARGIN,
         ),
-    ],
-    "BENCH_bus_batching.json": [
-        Gate(
-            "batched_drain_speedup",
-            lambda r: r.get("speedup"),
-            higher_is_better=True,
-            margin=TIMING_MARGIN,
-        ),
-        _rate("unbatched", "delivered_per_s"),
-        _rate("batched", "delivered_per_s"),
     ],
     "BENCH_telemetry.json": [
         Gate(

@@ -3,12 +3,15 @@
 Delivery semantics: ``publish`` never invokes handlers synchronously.
 In the default (unbatched) configuration each matching subscription
 receives the message after a delay chosen by the bus's
-:class:`DeliveryModel` (default: a small fixed latency), one simulator
-event per (subscription, message) pair.  Because the underlying
-simulator breaks ties in scheduling order, delivery is deterministic.
+:class:`DeliveryModel` (default: a small fixed latency), as one item of
+a kernel run (:meth:`~repro.sim.kernel.Simulator.schedule_run`): the
+deliveries due at one instant, back to back, are one action, and each
+(subscription, message) pair is four fields in it.  Because the
+underlying simulator breaks ties in scheduling order, delivery is
+deterministic.
 
 The *batched* path (opt-in per bus or per subscription) replaces the
-per-pair events with per-subscriber queues: ``publish`` appends one
+per-pair deliveries with per-subscriber queues: ``publish`` appends one
 shared message reference to each matching subscriber's
 :class:`~repro.bus.queues.SubscriberQueue`, and a single drain event
 per busy period delivers everything pending in one handler burst.  A
@@ -72,6 +75,20 @@ class CallableDelay(DeliveryModel):
         return self._fn(message)
 
 
+def _deliver(bus: "EventBus", sub: "Subscription", msg: Message, delay: float) -> None:
+    """One unbatched delivery.  A module function, not a method, so every
+    bus's same-instant deliveries — the child buses of a sharded bus
+    alike — join one kernel run."""
+    if not sub.active:
+        return  # unsubscribed while in flight
+    bus.delivered += 1
+    # Transit accrues at delivery, not publish: the running mean is
+    # never skewed by scheduled-but-undelivered messages, and
+    # unsubscribe-cancelled deliveries contribute nothing.
+    bus.total_transit += delay
+    sub.handler(msg)
+
+
 @dataclass
 class Subscription:
     """A registered interest: subject pattern + optional attribute filter.
@@ -131,9 +148,6 @@ class EventBus:
         self.fault_injector: Optional[Callable[[Subscription, Message], bool]] = None
         self.dead_letters = 0
         self.dead_letters_by_sid: Dict[str, int] = {}
-        #: ``self._deliver``, bound once: looked up per ``schedule`` it is a
-        #: new method object for every message in flight
-        self._deliver_action = self._deliver
 
     # -- subscription management -------------------------------------------
     def subscribe(
@@ -238,19 +252,8 @@ class EventBus:
             delay = float(self.delivery.delay(msg))
             if delay < 0:
                 delay = 0.0
-            self.sim.schedule(delay, self._deliver_action, sub, msg, delay)
+            self.sim.schedule_run(delay, _deliver, self, sub, msg, delay)
         return matched
-
-    # -- unbatched delivery ----------------------------------------------------
-    def _deliver(self, sub: Subscription, msg: Message, delay: float = 0.0) -> None:
-        if not sub.active:
-            return  # unsubscribed while in flight
-        self.delivered += 1
-        # Transit accrues at delivery, not publish: the running mean is
-        # never skewed by scheduled-but-undelivered messages, and
-        # unsubscribe-cancelled deliveries contribute nothing.
-        self.total_transit += delay
-        sub.handler(msg)
 
     # -- batched delivery ------------------------------------------------------
     def _enqueue(self, sq: SubscriberQueue, msg: Message) -> None:

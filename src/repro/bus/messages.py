@@ -18,7 +18,7 @@ def subject_segments(subject: str) -> List[str]:
     return segments
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """An immutable notification.
 
@@ -48,7 +48,12 @@ class Message:
 
 
 _new = object.__new__
-_set = object.__setattr__
+#: the slots' member descriptors: a store through one skips the frozen
+#: ``__setattr__`` and the attribute lookup ``object.__setattr__`` makes
+_set_subject = Message.subject.__set__
+_set_attributes = Message.attributes.__set__
+_set_time = Message.time.__set__
+_set_sender = Message.sender.__set__
 
 
 def routed_message(
@@ -57,16 +62,15 @@ def routed_message(
     """A :class:`Message` whose subject the caller already validated.
 
     For the bus's publish door, whose next step is the route lookup that
-    rejects a malformed subject: the four fields are set the way the
-    frozen ``__init__`` sets them, minus its second validation pass.
-    The result is an ordinary message — same ``==``, ``repr``,
-    ``with_time`` and immutability.  (Filling ``msg.__dict__`` instead is
-    quicker still per call, but gives every message a dict object of its
-    own for the cyclic collector to track, and cost more than it saved.)
+    rejects a malformed subject: the four slots are filled as the frozen
+    ``__init__`` fills them, minus its second validation pass.  The
+    result is an ordinary message — same ``==``, ``repr``, ``with_time``
+    and immutability.  (A message has no ``__dict__``: a dict object per
+    message is one more for the cyclic collector to count and track.)
     """
     msg = _new(Message)
-    _set(msg, "subject", subject)
-    _set(msg, "attributes", attributes)
-    _set(msg, "time", time)
-    _set(msg, "sender", sender)
+    _set_subject(msg, subject)
+    _set_attributes(msg, attributes)
+    _set_time(msg, time)
+    _set_sender(msg, sender)
     return msg

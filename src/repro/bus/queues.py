@@ -1,13 +1,14 @@
 """Per-subscriber delivery queues for the batched bus path.
 
-The unbatched bus schedules one simulator event per (subscription,
-message) pair, so a publish fanning out to N subscribers costs N heap
-operations before a single handler runs.  The batched path replaces
-that with a :class:`SubscriberQueue` per subscription: ``publish``
-appends one *shared* message reference per matching subscriber (zero
-copies — :class:`~repro.bus.messages.Message` is frozen), and each
-subscriber drains its queue in a single scheduled drain event per busy
-period, delivering every pending message in one handler burst.
+The unbatched bus schedules one delivery per (subscription, message)
+pair — an item of a kernel run, so a publish fanning out to N
+subscribers appends N items and each handler runs in its own call.
+The batched path replaces that with a :class:`SubscriberQueue` per
+subscription: ``publish`` appends one *shared* message reference per
+matching subscriber (zero copies — :class:`~repro.bus.messages.Message`
+is frozen), and each subscriber drains its queue in a single scheduled
+drain event per busy period, delivering every pending message in one
+handler burst.
 
 A :class:`QueuePolicy` bounds the queue and decides what overflow does:
 

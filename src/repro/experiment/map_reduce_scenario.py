@@ -22,12 +22,11 @@ probe/gauge pairs per reducer (backlog, share, keys) produce the
 heaviest monitoring fan-in of any built-in scenario, so its
 :class:`~repro.runtime.spec.AdaptationSpec` defaults to
 ``bus_batching=True`` — publishes append to per-subscriber queues and
-each gauge drains its probe backlog in one burst per delivery period
-(see ``benchmarks/bench_x6_bus_batching.py`` for the isolated numbers).
+each gauge drains its probe backlog in one burst per delivery period.
 
 It likewise defaults to the **columnar telemetry plane** (X8,
 ``telemetry="columnar"``): probes buffer one gauge period's worth of
-samples and flush them as a single array message, the backlog gauges use
+samples and flush them as a single columnar message, the backlog gauges use
 the numpy :class:`~repro.util.windows.ColumnarWindow`, and gauge reports
 only wake the constraint checker when a share/backlog aggregate crosses
 its invariant threshold (hysteresis band ``wake_band``).  Pass

@@ -9,11 +9,12 @@ between cause and repair.
 
 Probe messages arrive in two shapes.  Per-sample messages carry one
 scalar attribute and are fed to ``_consume`` (the pinned scalar path);
-columnar messages carry parallel ``times``/``values`` float64 arrays
+columnar messages carry parallel ``times``/``values`` tuples of floats
 (one per :class:`~repro.monitoring.probes.CallbackProbe` flush) and are
-routed to ``_consume_batch``, which the generic value gauges implement
-as a single vectorized update — one gauge tick of work per burst instead
-of per sample (X8).
+routed to ``_consume_batch`` — one delivery per burst instead of per
+sample (X8).  Only a columnar :class:`WindowedMeanGauge` turns a batch
+into arrays (:meth:`~repro.util.windows.ColumnarWindow.add_many`); the
+other gauges read the floats as they came.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class Gauge:
     ``gauge.<kind>.<target>`` messages with a ``value`` attribute plus
     ``mapping`` hints for the model updater.  Subclasses that pair with
     batching probes additionally implement ``_consume_batch(times,
-    values)``; the base routes any message carrying a ``values`` array
+    values)``; the base routes any message carrying a ``values`` column
     there.
     """
 
@@ -77,9 +78,6 @@ class Gauge:
         #: tick that carries another token belongs to a disposed chain
         self._ticker: Optional[object] = None
         self._subject: Optional[str] = None
-        #: ``self._tick``, bound once: looked up per ``schedule`` it is a
-        #: new method object for every pending tick
-        self._tick_action = self._tick
 
     @property
     def name(self) -> str:
@@ -96,7 +94,7 @@ class Gauge:
             self._ticker = ticker = object()
             # start hop: the first wait begins via the scheduler, never
             # synchronously inside activate()
-            self.sim.schedule(0.0, self._arm, ticker)
+            self.sim.schedule_run(0.0, Gauge._arm, self, ticker)
 
     def deactivate(self, clear: bool = True) -> None:
         """Stop reporting; optionally drop accumulated window state.
@@ -116,9 +114,12 @@ class Gauge:
         self._ticker = None
 
     # -- machinery ------------------------------------------------------------
+    # Ticks are scheduled as ``Gauge._tick(gauge, ticker)`` kernel-run
+    # items: one function for every gauge, so the gauges due at one
+    # instant are one action and no method object is bound per tick.
     def _arm(self, ticker: object) -> None:
         if ticker is self._ticker:
-            self.sim.schedule(self.period, self._tick_action, ticker)
+            self.sim.schedule_run(self.period, Gauge._tick, self, ticker)
 
     def _tick(self, ticker: object) -> None:
         """One period: report (when active and there is a value), re-arm.
@@ -136,7 +137,7 @@ class Gauge:
                 self.gauge_bus.publish_subject(
                     subject, sender=subject, target=self.target, value=value
                 )
-        self.sim.schedule(self.period, self._tick_action, ticker)
+        self.sim.schedule_run(self.period, Gauge._tick, self, ticker)
 
     def _on_probe(self, message: Message) -> None:
         if not self.active:
@@ -298,7 +299,7 @@ class _ValueGauge(Gauge):
     attribute name; these generic ones pair with
     :class:`~repro.monitoring.probes.CallbackProbe`, which always
     publishes a ``value`` attribute on ``probe.<kind>.<target>`` (or
-    ``times``/``values`` arrays when batching).
+    ``times``/``values`` float tuples when batching).
     """
 
     def __init__(
@@ -376,10 +377,9 @@ class EwmaGauge(_ValueGauge):
 
     def _consume_batch(self, times, values) -> None:
         # The EWMA fold is inherently sequential; batching still saves
-        # the per-sample bus/message overhead upstream.  ``tolist`` turns
-        # each float64 column into python floats in one call.
+        # the per-sample bus/message overhead upstream.
         add = self._ewma.add
-        for time, value in zip(times.tolist(), values.tolist()):
+        for time, value in zip(times, values):
             add(time, value)
 
     def _value(self) -> Optional[float]:
@@ -402,7 +402,7 @@ class LatestValueGauge(_ValueGauge):
         self._last = float(message["value"])
 
     def _consume_batch(self, times, values) -> None:
-        self._last = float(values[-1])
+        self._last = values[-1]
 
     def _value(self) -> Optional[float]:
         return self._last

@@ -15,9 +15,12 @@ application code (method-call events) plus Remos; our equivalents:
 All probes publish ``probe.<kind>.<target>`` messages.  A probe normally
 publishes one message per observation; :class:`CallbackProbe` can instead
 buffer ``batch`` observations and publish them as **one** message carrying
-parallel ``times``/``values`` float64 arrays — the columnar telemetry
+parallel ``times``/``values`` tuples of floats — the columnar telemetry
 plane's emission mode (X8), which the generic gauges consume through
-``_consume_batch`` in a single vectorized update.
+``_consume_batch`` in one delivery.  A message carries the floats the
+probe buffered, not arrays: numpy enters only in the columnar gauge's
+:class:`~repro.util.windows.ColumnarWindow`, the one consumer that folds
+a batch in vectorized form.
 """
 
 from __future__ import annotations
@@ -50,14 +53,14 @@ class _Probe:
 
     ``reports`` counts published messages, ``samples`` the observations
     they carried (equal unless the probe batches), and ``batches`` the
-    array-carrying messages among them — the inputs to the ``telemetry``
+    column-carrying messages among them — the inputs to the ``telemetry``
     section of :meth:`~repro.runtime.core.AdaptationRuntime.stats`.
 
     The two ``value`` probes (:class:`CallbackProbe`,
     :class:`IngestProbe`) share the columnar emission mode kept here:
     with ``batch > 1`` they buffer each observation with its capture
     time, and :meth:`flush` publishes the buffer as one ``times`` /
-    ``values`` array message about ``self.target``.
+    ``values`` message about ``self.target``.
     """
 
     def __init__(self, sim: Simulator, bus: EventBus, name: str, batch: int = 1):
@@ -71,7 +74,7 @@ class _Probe:
         self.reports = 0
         self.samples = 0
         self.batches = 0
-        # refilled in place: a flush copies them into arrays, then clears
+        # refilled in place: a flush copies them into tuples, then clears
         self._pending_times: List[float] = []
         self._pending_values: List[float] = []
         #: capture time of the newest observation a flush took
@@ -85,32 +88,33 @@ class _Probe:
         self.bus.publish_subject(subject, sender=self.name, **attributes)
 
     def publish_batch(self, subject: str, times, values, **attributes) -> None:
-        """Publish one message carrying parallel times/values arrays."""
-        if not self.enabled:
-            return
-        values = np.asarray(values, dtype=np.float64)
-        if not values.size:
+        """Publish one message carrying parallel ``times``/``values``
+        columns, given as arrays or sequences of numbers: they travel as
+        tuples of floats (``ValueError`` for columns of unequal length)."""
+        times, values = np.asarray((times, values), dtype=np.float64).tolist()
+        self._publish_columns(subject, tuple(times), tuple(values), **attributes)
+
+    def _publish_columns(self, subject: str, times, values, **attributes) -> None:
+        if not self.enabled or not values:
             return
         self.reports += 1
-        self.samples += int(values.size)
+        self.samples += len(values)
         self.batches += 1
         self.bus.publish_subject(
-            subject,
-            sender=self.name,
-            times=np.asarray(times, dtype=np.float64),
-            values=values,
-            **attributes,
+            subject, sender=self.name, times=times, values=values, **attributes
         )
 
     def flush(self) -> None:
-        """Publish any buffered observations as one array message."""
+        """Publish any buffered observations as one columnar message."""
         values = self._pending_values
         if not values:
             return
         times = self._pending_times
         self._flushed_to = times[-1]
         try:
-            self.publish_batch(self.name, times, values, target=self.target)
+            self._publish_columns(
+                self.name, tuple(times), tuple(values), target=self.target
+            )
         finally:  # published, disabled or refused: the buffer starts over
             times.clear()
             values.clear()
@@ -307,10 +311,10 @@ class CallbackProbe(_PeriodicProbe):
 
     With ``batch > 1`` the probe runs in columnar emission mode: each
     observation is buffered with its capture time and every ``batch``-th
-    sample flushes the buffer as one ``times``/``values`` array message
-    (see :meth:`_Probe.publish_batch`).  The paired gauge then performs a
-    single vectorized window update per flush instead of one python-level
-    update per sample; capture times ride in the message, so windowed
+    sample flushes the buffer as one ``times``/``values`` message
+    (see :meth:`_Probe.flush`).  The paired gauge then takes one delivery
+    per flush instead of one per sample — a columnar window folds it in one
+    vectorized update; capture times ride in the message, so windowed
     aggregates see the observation times, not the delivery time.
     """
 
@@ -359,8 +363,8 @@ class IngestProbe(_Probe):
     :meth:`~repro.realtime.driver.RealtimeDriver.ingest`, which hops
     onto the scheduler via ``call_soon_threadsafe``.  With ``batch > 1``
     samples buffer (with capture times) and flush as one columnar
-    ``times``/``values`` array message — the PR 6 batched path — which
-    is the mode a high-rate external feed should run.
+    ``times``/``values`` message, which is the mode a high-rate external
+    feed should run.
     """
 
     def __init__(

@@ -71,6 +71,8 @@ class RealtimeDriver:
         self._started = False
         self._runtime_started = False
         self.ingested = 0
+        #: what ended the loop thread, if it raised (``/health`` reports it)
+        self.error: Optional[BaseException] = None
 
     # -- telemetry ingestion (any thread) ----------------------------------
     def ingest_targets(self) -> Tuple[Tuple[str, str], ...]:
@@ -123,9 +125,18 @@ class RealtimeDriver:
         self._started = True
         self._start_runtime_once()
         self._thread = threading.Thread(
-            target=self.scheduler.run, name="repro-realtime", daemon=True
+            target=self._serve, name="repro-realtime", daemon=True
         )
         self._thread.start()
+
+    def _serve(self) -> None:
+        """The loop thread: a raise ends it, so keep what raised for
+        :attr:`error` before the thread's excepthook reports it."""
+        try:
+            self.scheduler.run()
+        except BaseException as exc:
+            self.error = exc
+            raise
 
     def run_until(self, horizon: float) -> None:
         """Run the loop in the calling thread up to logical ``horizon``.

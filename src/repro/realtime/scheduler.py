@@ -16,7 +16,9 @@ sharing the earliest pending time, in scheduling order.  Per instant it
 takes in injected work once, decides once whether to wait, and samples
 the lag behind the clock once (after the instant's last action, which
 is where the lag is largest); only the check for :meth:`stop` happens
-between actions.  A thousand gauge ticks due together, or a thousand
+between actions, and a kernel run (a thousand same-instant deliveries
+or gauge ticks, see :meth:`~repro.sim.kernel.Simulator.schedule_run`)
+is one action.  A thousand gauge ticks due together, or a thousand
 samples injected together, cost one pass.
 
 Two additions over the simulated kernel:
@@ -69,7 +71,7 @@ class RealtimeScheduler(Simulator):
         self._stop_requested = False
         # crossed without a lock, see call_soon_threadsafe
         self._injected: Deque[Tuple[Callable[..., Any], Tuple[Any, ...]]] = deque()
-        #: events executed / worst observed lateness behind the clock
+        #: actions executed (a run is one) / worst lateness behind the clock
         self.executed = 0
         self.max_lag = 0.0
 

@@ -322,7 +322,7 @@ class AdaptationRuntime:
         """Columnar-plane counters (X8): volume and wakeup suppression.
 
         ``samples`` counts probe observations, ``batches`` the
-        array-carrying messages among the probe reports, ``late`` (present
+        column-carrying messages among the probe reports, ``late`` (present
         only when non-zero) the pushed samples an ``IngestProbe``
         dropped for their capture time.  ``wakeups`` /
         ``suppressed_reports`` come from the wake gate when one is

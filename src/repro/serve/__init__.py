@@ -4,7 +4,8 @@ A thin, dependency-free service layer (stdlib ``http.server`` only)
 exposing the repro over four endpoints:
 
 * ``GET /health`` — liveness: uptime, whether a runtime/driver is
-  attached, how many runs have completed;
+  attached, how many runs have completed; 503 ``degraded``, with the
+  exception, once an attached driver's loop thread has died of one;
 * ``GET /stats`` — the current
   :class:`~repro.runtime.stats.RuntimeStats` snapshot as strict JSON;
 * ``GET /repair-history`` — the repair records

@@ -78,13 +78,20 @@ class ServeApp:
 
     # -- endpoints ---------------------------------------------------------
     def _health(self) -> Response:
-        return 200, {
-            "status": "ok",
+        """200 ``ok``; 503 ``degraded`` with the exception once an attached
+        driver's loop thread has died of one."""
+        error = self.driver.error if self.driver is not None else None
+        payload: Dict[str, Any] = {
+            "status": "ok" if error is None else "degraded",
             "uptime_s": round(self.clock.elapsed(), 3),
             "driver_attached": self.driver is not None,
             "runtime_attached": self.runtime is not None,
             "runs": self.run_count,
         }
+        if error is None:
+            return 200, payload
+        payload["error"] = f"{type(error).__name__}: {error}"
+        return 503, payload
 
     def _current_stats(self) -> RuntimeStats:
         if self.driver is not None:

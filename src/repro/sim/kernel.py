@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
+from itertools import islice
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.errors import SimulationError
@@ -13,8 +14,12 @@ __all__ = ["Simulator", "Event", "Timeout", "AnyOf", "AllOf"]
 #: one instant's line of pending actions, in scheduling order.  An action
 #: is two consecutive items — ``fn``, then its ``args`` tuple — not a pair
 #: object: a pair is one more allocation the cyclic collector counts and
-#: tracks for every message in flight.
+#: tracks for every message in flight.  A *run* is the action ``_RUN``,
+#: then the list ``[fn, width, fields of item 1, fields of item 2, ...]``.
 _Fifo = Deque[Any]
+
+#: the kernel's own tag for a run: no caller's function is ever taken for one
+_RUN = object()
 
 
 class Event:
@@ -158,6 +163,14 @@ class Simulator:
       so a thousand actions due at one time cost one heap entry, and an
       action scheduled for ``now`` while ``now`` is running joins the
       back of the line;
+    * ``schedule_run(delay, fn, *item)`` runs ``fn(*item)`` at
+      ``now + delay`` in the same order, but an item joins the *run* of
+      ``fn`` when that run is the last action already queued at its
+      instant: a thousand same-instant deliveries are one action whose
+      items are stored flat, with no ``args`` tuple each.  One
+      :meth:`step` executes a whole run; a handler that raises mid-run
+      leaves the unrun tail at the head of the instant, where the next
+      step resumes it;
     * ``run(until)`` executes all work up to and including ``until`` and
       leaves ``now == until``.
 
@@ -190,6 +203,31 @@ class Simulator:
         fifo.append(fn)
         fifo.append(args)
 
+    def schedule_run(self, delay: float, fn: Callable[..., Any], *item: Any) -> None:
+        """Run ``fn(*item)`` after ``delay`` seconds, as :meth:`schedule`
+        would, joining the run of ``fn`` that ends its instant's line.
+
+        Only a run of the same ``fn`` and item width, queued last and
+        not yet started, is joined; anything else queued after it (or a
+        run already executing) starts a new one, so execution order is
+        exactly that of one :meth:`schedule` per item.
+        """
+        if not delay >= 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        if not item:
+            raise TypeError("schedule_run needs at least one item field")
+        time = float(self._now + delay)
+        fifo = self._agenda.get(time)
+        if fifo is None:
+            fifo = self._fifo(time)
+        elif fifo[-2] is _RUN:
+            run = fifo[-1]
+            if run[0] is fn and run[1] == len(item):
+                run.extend(item)
+                return
+        fifo.append(_RUN)
+        fifo.append([fn, len(item), *item])
+
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` at absolute simulated ``time``."""
         if not time >= self._now:  # earlier, or NaN: a key no lookup finds again
@@ -217,7 +255,8 @@ class Simulator:
 
     # -- execution ----------------------------------------------------------
     def step(self) -> bool:
-        """Execute the earliest pending action; False when queue is empty."""
+        """Execute the earliest pending action (a whole run counts as
+        one); False when queue is empty."""
         times = self._times
         if not times:
             return False
@@ -229,8 +268,33 @@ class Simulator:
             heappop(times)
             del self._agenda[time]
         self._now = time
-        fn(*args)
+        if fn is _RUN:
+            self._play(time, args)
+        else:
+            fn(*args)
         return True
+
+    def _play(self, time: float, run: List[Any]) -> None:
+        """Execute a run's items in order.  The run left the line when it
+        started, so nothing joins it now; if an item raises, the unrun
+        tail goes back to the head of the instant before the re-raise."""
+        fn = run[0]
+        width = run[1]
+        if len(run) == 2 + width:  # one item: no tail to put back
+            fn(*run[2:])
+            return
+        items = islice(run, 2, None)
+        try:
+            for item in zip(*(items,) * width):
+                fn(*item)
+        except BaseException:
+            tail = list(items)
+            if tail:
+                run[2:] = tail
+                fifo = self._fifo(time)
+                fifo.appendleft(run)
+                fifo.appendleft(_RUN)
+            raise
 
     def peek(self) -> Optional[float]:
         """Time of the next pending action, or None."""

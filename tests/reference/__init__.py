@@ -7,6 +7,10 @@ Residents:
   (``Evaluator``), oracle of :mod:`repro.constraints.compile`;
 * :mod:`reference.bus` — the linear subscription scan (``LinearIndex``),
   oracle of :class:`repro.bus.index.SubjectTrie`;
+* :mod:`reference.kernel` — the ``(time, seq)`` event heap
+  (``HeapKernel``) and the pacing loop over it (``PacedHeapKernel``),
+  oracles of :class:`repro.sim.kernel.Simulator` and
+  :class:`repro.realtime.scheduler.RealtimeScheduler`;
 * :mod:`reference.sharding` — the partition that rebuilt every element
   (``rebuild_partition``), oracle of
   :meth:`repro.acme.sharding.ShardedArchSystem.partition`.
@@ -22,11 +26,14 @@ from reference.evaluator import (
     evaluate_agreed,
     reference_check_all,
 )
+from reference.kernel import HeapKernel, PacedHeapKernel
 from reference.sharding import rebuild_partition
 
 __all__ = [
     "Evaluator",
+    "HeapKernel",
     "LinearIndex",
+    "PacedHeapKernel",
     "ReferenceProgram",
     "evaluate_agreed",
     "linear_bus",

@@ -21,6 +21,7 @@ reaches :class:`RunResult`.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro import api
@@ -161,8 +162,28 @@ class TestBatchedEmissionEquivalence:
         probe.stop()
         sim.run(until=4.0)
         assert len(seen) == 1
-        assert list(seen[0]["values"]) == [1.0, 1.0, 1.0, 1.0]
-        assert list(seen[0]["times"]) == [0.0, 1.0, 2.0, 3.0]
+        # the floats the probe buffered, as tuples: no array round trip
+        assert seen[0]["values"] == (1.0, 1.0, 1.0, 1.0)
+        assert seen[0]["times"] == (0.0, 1.0, 2.0, 3.0)
+
+    def test_publish_batch_takes_arrays_and_sends_float_tuples(self):
+        sim = Simulator()
+        bus = EventBus(sim, delivery=FixedDelay(0.0))
+        probe = CallbackProbe(sim, bus, "load", "E1", lambda: 1.0, batch=2)
+        seen = []
+        bus.subscribe("probe.>", seen.append)
+        probe.publish_batch(
+            "probe.load.E1", np.arange(3.0), np.array([1, 2, 3]), target="E1"
+        )
+        probe.publish_batch("probe.load.E1", [], [])  # nothing to send
+        with pytest.raises(ValueError):
+            probe.publish_batch("probe.load.E1", [0.0, 1.0], [1.0])
+        sim.run()
+        [message] = seen
+        assert message["times"] == (0.0, 1.0, 2.0)
+        assert message["values"] == (1.0, 2.0, 3.0)
+        assert all(type(v) is float for v in message["times"] + message["values"])
+        assert (probe.reports, probe.samples, probe.batches) == (1, 3, 1)
 
     def test_batch_must_be_positive(self):
         sim = Simulator()

@@ -1,28 +1,33 @@
 """The kernel's order, checked against the heap it replaced.
 
-``Simulator`` keeps a heap of distinct instants and one FIFO per
-instant.  The contract it must keep is the old one — actions run in
-``(time, scheduling order)`` — so the oracle here is the old kernel
-itself: a ``(time, seq)`` heap in a dozen lines.  Seeded random
-programs are run on both; the ``(now, label)`` logs and every
-``peek()`` answer must be identical.
+``Simulator`` keeps a heap of distinct instants, one FIFO per instant,
+and runs of same-instant items of one function.  The contract it must
+keep is the old one — actions run in ``(time, scheduling order)`` — so
+the oracle is the old kernel itself, ``reference.HeapKernel``: a
+``(time, seq)`` heap plus the rule for which items one ``step()``
+executes.  Seeded random programs are run on both, with ``schedule_run``
+items interleaved with plain ``schedule`` / ``schedule_at`` on the same
+instants and one action that raises — often an item in the middle of a
+run, which must resume where it stopped; the ``(now, label)`` logs and
+every ``peek()`` answer must be identical.
 
 The same programs then run on ``RealtimeScheduler(FakeClock())`` with a
 share of the actions entering through ``call_soon_threadsafe``, against
-the same heap under a loop that states the pacing contract (take
-injections in between instants, stamp them at the clock, sample the lag
-after every action).
+``reference.PacedHeapKernel``: the same heap under a loop that states
+the pacing contract (take injections in between instants, stamp them at
+the clock, check for ``stop()`` between actions, sample the lag after
+an instant).
 
 All times are multiples of 1/8, so every sum below is exact and the
 float comparisons are equalities.
 """
 
-import heapq
 import itertools
 import random
 from collections import Counter
 
 import pytest
+from reference import HeapKernel, PacedHeapKernel
 
 from repro.errors import SimulationError
 from repro.realtime import FakeClock, RealtimeScheduler
@@ -30,90 +35,10 @@ from repro.sim import Simulator
 
 #: few distinct delays, so most actions tie with others; 0 is a cascade
 DELAYS = (0.0, 0.0, 0.25, 0.5, 0.5, 1.0)
+#: run items carry (label, depth) plus one of these: widths 2, 3 and 4
+PADS = ((), (None,), (None, None))
 SEEDS_PER_BLOCK = 32
 BLOCKS = 8  # 256 programs per plane
-
-
-class HeapKernel:
-    """The ``(time, seq)`` event heap: the order oracle."""
-
-    def __init__(self):
-        self.now = 0.0
-        self._seq = 0
-        self._heap = []
-
-    def schedule(self, delay, fn, *args):
-        self.schedule_at(self.now + delay, fn, *args)
-
-    def schedule_at(self, time, fn, *args):
-        self._seq += 1
-        heapq.heappush(self._heap, (float(time), self._seq, fn, args))
-
-    def step(self):
-        if not self._heap:
-            return False
-        self.now, _, fn, args = heapq.heappop(self._heap)
-        fn(*args)
-        return True
-
-    def peek(self):
-        return self._heap[0][0] if self._heap else None
-
-    def run(self, until=None):
-        while self._heap and (until is None or self._heap[0][0] <= until):
-            self.step()
-        if until is not None:
-            self.now = float(until)
-
-
-class PacedHeapKernel(HeapKernel):
-    """The pacing contract over the oracle heap.
-
-    Between two instants: take what was injected, stamped at the clock.
-    Then wait for the head, run every action sharing its time, and look
-    for ``stop()`` and sample the lag after each one.
-    """
-
-    def __init__(self, clock):
-        super().__init__()
-        self.clock = clock
-        self.injected = []
-        self.stopped = False
-        self.executed = 0
-        self.max_lag = 0.0
-
-    def call_soon_threadsafe(self, fn, *args):
-        self.injected.append((fn, args))
-
-    def stop(self):
-        self.stopped = True
-
-    def run(self, until):
-        clock = self.clock
-        while not self.stopped:
-            if self.injected:
-                arrival = max(self.now, clock.elapsed())
-                pending, self.injected = self.injected, []
-                for fn, args in pending:
-                    self.schedule_at(arrival, fn, *args)
-                continue
-            due = self.peek()
-            if due is None or due > until:
-                if clock.elapsed() >= until:
-                    break
-                clock.wait(until - clock.elapsed(), None)
-                continue
-            if due > clock.elapsed():
-                clock.wait(due - clock.elapsed(), None)
-                continue
-            while True:
-                self.step()
-                self.executed += 1
-                self.max_lag = max(self.max_lag, clock.elapsed() - self.now)
-                if self.stopped or self.peek() != due:
-                    break
-        if not self.stopped:
-            self.now = float(until)
 
 
 class Boom(Exception):
@@ -128,10 +53,10 @@ class Program:
     program, and the first disagreement shows in the logs.
     """
 
-    MAX_ACTIONS = 150
+    MAX_ACTIONS = 250
     MAX_DEPTH = 4
 
-    def __init__(self, kernel, seed, inject_share=0.0, clock=None):
+    def __init__(self, kernel, seed, inject_share=0.0, clock=None, raises=True):
         self.k = kernel
         self.rng = random.Random(seed)
         self.inject_share = inject_share
@@ -142,8 +67,10 @@ class Program:
         self.peeks = []
         self.lags = []
         # drawn for every program so the draws that follow line up
-        self.bomb = self.rng.randrange(3, 30)
+        self.bomb = self.rng.randrange(3, 30) if raises else None
         self.stopper = self.rng.randrange(20, 60)
+        #: two run functions: each ``self.act`` is a bound method of its own
+        self.runners = (self.act, self.act)
         #: how often each shape the docstring promises actually occurred
         self.seen = Counter()
 
@@ -162,16 +89,26 @@ class Program:
         elif route < self.inject_share + 0.2:
             self.seen["schedule_at(now)"] += delay == 0.0
             self.k.schedule_at(self.k.now + delay, self.act, label, depth)
+        elif route < self.inject_share + 0.55:
+            # a burst, as a publish fanning out to its subscribers
+            fn = self.rng.choice(self.runners)
+            pad = self.rng.choice(PADS)
+            self.k.schedule_run(delay, fn, label, depth, *pad)
+            for _ in range(self.rng.choice((0, 1, 3))):
+                if self.scheduled < self.MAX_ACTIONS:
+                    self.scheduled += 1
+                    self.k.schedule_run(delay, fn, next(self.labels), depth, *pad)
         else:
             self.seen["delay-0 from a callback"] += delay == 0.0 and depth > 0
-            self.k.schedule(delay, self.act, label, depth)
+            # a run function scheduled plainly is a plain action
+            fn = self.rng.choice((self.act,) + self.runners)
+            self.k.schedule(delay, fn, label, depth)
 
-    def act(self, label, depth):
+    def act(self, label, depth, *pad):
         self.log.append((self.k.now, label))
-        if self.clock is None:
-            if label == self.bomb:
-                raise Boom(label)
-        else:
+        if label == self.bomb:
+            raise Boom(label)
+        if self.clock is not None:
             if self.rng.random() < 0.3:  # the action takes wall time
                 self.clock.advance(self.rng.choice((0.125, 0.25)))
             if label == self.stopper:
@@ -226,10 +163,17 @@ class Program:
         horizon = 0.0
         while not k.stopped and horizon < 40.0:
             horizon = max(horizon, k.now) + rng.choice((0.25, 0.5, 1.0, 2.0))
-            k.run(until=horizon)
+            self._guard(k.run, until=horizon)  # a Boom ends run() at its instant
             self.peeks.append(k.peek())
             for _ in range(rng.choice((0, 1, 2))):
                 self.spawn(0)
+
+
+def _runs_seen(seen, kernel):
+    """Count the run shapes the reference saw (the logs being equal)."""
+    seen["runs"] += kernel.runs
+    seen["joined a run"] += kernel.joined
+    seen["run resumed after a raise"] += kernel.reopened
 
 
 def _seeds(block):
@@ -252,6 +196,7 @@ def test_simulator_orders_like_the_time_seq_heap(block):
         assert ran == list(range(real.scheduled)), f"seed {seed}"
         assert real.k._agenda == {} and real.k._times == [], f"seed {seed}"
         seen += real.seen
+        _runs_seen(seen, want.k)
         times = [time for time, _ in real.log]
         seen["ties"] += len(times) - len(set(times))
     # the programs are what the docstring says they are
@@ -261,33 +206,47 @@ def test_simulator_orders_like_the_time_seq_heap(block):
         "schedule_at(now)",
         "run(until == now)",
         "exhausted instant re-opened",
+        "runs",
+        "joined a run",
     ):
         assert seen[shape] > SEEDS_PER_BLOCK, shape
     assert seen["raised"] > SEEDS_PER_BLOCK // 2
+    assert seen["run resumed after a raise"] >= 2
 
 
 @pytest.mark.parametrize("block", range(BLOCKS))
 def test_realtime_scheduler_paces_like_the_contract_loop(block):
     seen = Counter()
     for seed in _seeds(block):
-        clock = FakeClock()
-        real = Program(RealtimeScheduler(clock), seed, inject_share=0.3, clock=clock)
-        real.drive_realtime()
-        clock = FakeClock()
-        want = Program(PacedHeapKernel(clock), seed, inject_share=0.3, clock=clock)
-        want.drive_realtime()
+        raises = seed % 2 == 1
+        runs = []
+        for kernel in (RealtimeScheduler, PacedHeapKernel):
+            clock = FakeClock()
+            program = Program(
+                kernel(clock), seed, inject_share=0.3, clock=clock, raises=raises
+            )
+            program.drive_realtime()
+            runs.append(program)
+        real, want = runs
         assert real.log == want.log, f"seed {seed}"
         assert real.peeks == want.peeks, f"seed {seed}"
         assert real.k.now == want.k.now, f"seed {seed}"
-        assert real.k.executed == len(real.log) == want.k.executed, f"seed {seed}"
-        # one lag sample per instant loses nothing against one per action
-        assert real.k.max_lag == max(real.lags) == want.k.max_lag, f"seed {seed}"
+        assert real.k.executed == want.k.executed <= len(real.log), f"seed {seed}"
+        assert real.k.max_lag == want.k.max_lag, f"seed {seed}"
+        if not real.seen["raised"]:
+            # one lag sample per instant loses nothing against one per
+            # action; an instant a raise cut short is not sampled at all
+            assert real.k.max_lag == max(real.lags), f"seed {seed}"
         seen += real.seen
+        _runs_seen(seen, want.k)
         seen["lagged"] += real.k.max_lag > 0
     assert seen["injected"] > 5 * SEEDS_PER_BLOCK
     assert seen["injected from a callback"] > SEEDS_PER_BLOCK
     assert seen["stop() mid-instant"] >= 2
     assert seen["lagged"] > SEEDS_PER_BLOCK // 2
+    assert seen["joined a run"] > SEEDS_PER_BLOCK
+    assert seen["raised"] > SEEDS_PER_BLOCK // 4
+    assert seen["run resumed after a raise"] >= 1
 
 
 class TestAgendaShape:
@@ -303,6 +262,27 @@ class TestAgendaShape:
         sim.run()
         assert seen == list(range(2000))
         assert sim._times == [] and sim._agenda == {}
+
+    def test_same_instant_run_items_are_one_action_stored_flat(self):
+        sim = Simulator()
+        seen = []
+
+        def note(i, tag):
+            seen.append((i, tag))
+
+        for i in range(2000):
+            sim.schedule_run(1.0, note, i, "x")
+        [fifo] = sim._agenda.values()
+        assert len(fifo) == 2  # one action: the marker, then one flat list
+        assert len(fifo[1]) == 2 + 2 * 2000
+        assert sim.step() and sim.peek() is None
+        assert seen == [(i, "x") for i in range(2000)]
+
+    def test_a_run_item_needs_a_field(self):
+        sim = Simulator()
+        with pytest.raises(TypeError):
+            sim.schedule_run(0.0, print)
+        assert sim.peek() is None
 
     def test_a_service_retains_nothing_for_the_instants_it_passed(self):
         sched = RealtimeScheduler(FakeClock())
@@ -353,8 +333,12 @@ class TestNanTimes:
         with pytest.raises(SimulationError):
             sim.schedule_at(nan, lambda: None)
         assert sim.peek() is None
+        with pytest.raises(SimulationError):
+            sim.schedule_run(nan, print, "item")
+        assert sim.peek() is None
         sim.schedule(float("inf"), lambda: None)
         sim.schedule_at(float("inf"), lambda: None)
+        sim.schedule_run(float("inf"), print, "item")
         assert sim.peek() == float("inf")
 
     def test_run_until_nan_is_rejected(self):

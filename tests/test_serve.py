@@ -155,6 +155,28 @@ class TestServeRunAndIngest:
         assert driver.ingested == 0
         driver.run_until(2.0)  # nothing crossed the seam
 
+    def test_health_is_degraded_once_the_loop_thread_raised(self, monkeypatch):
+        reported = []  # the thread's excepthook still sees the traceback
+        monkeypatch.setattr(threading, "excepthook", reported.append)
+        driver = self._pool_driver()
+        app = ServeApp(driver=driver, clock=FakeClock())
+        assert app.handle("GET", "/health")[0] == 200
+
+        def boom():
+            raise RuntimeError("effector wiring broke")
+
+        driver.scheduler.call_soon_threadsafe(boom)
+        driver.start()
+        driver._thread.join(timeout=5.0)
+        assert not driver._thread.is_alive()
+        status, payload = app.handle("GET", "/health")
+        assert status == 503
+        body = _strict_json_roundtrip(payload)
+        assert body["status"] == "degraded"
+        assert body["error"] == "RuntimeError: effector wiring broke"
+        assert [args.exc_value for args in reported] == [driver.error]
+        driver.stop()
+
     def test_run_rejects_bad_override_types(self):
         app = ServeApp(clock=FakeClock())
         status, _ = app.handle(

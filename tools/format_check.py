@@ -62,7 +62,6 @@ RATCHETED = [
     "src/repro/experiment/grid_site_scenario.py",
     "src/repro/experiment/base.py",
     "src/repro/util/windows.py",
-    "benchmarks/bench_x6_bus_batching.py",
     "benchmarks/bench_x8_telemetry.py",
     "benchmarks/bench_x9_fault_resilience.py",
     "benchmarks/compare_bench.py",
@@ -82,6 +81,7 @@ RATCHETED = [
     "tests/test_constraints_compile.py",
     "tests/test_repair_concurrency.py",
     "tests/test_kernel_order_oracle.py",
+    "tests/test_kernel_runs.py",
     "tests/test_report_path.py",
     "tests/test_net_solver_oracle.py",
     "tests/test_model_forwarding_oracle.py",
