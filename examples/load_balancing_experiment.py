@@ -57,7 +57,8 @@ def main() -> None:
     from repro.acme import unparse_system
     from repro.experiment.runner import Experiment
 
-    model = Experiment(api.RunConfig.adapted(horizon=1.0)).model
+    # (the plane has one shard, and that shard is the whole model)
+    model = Experiment(api.RunConfig.adapted(horizon=1.0)).model.shard(0)
     print()
     print("initial architectural model (Acme):")
     print(unparse_system(model))

@@ -8,7 +8,7 @@ the system inventory.  Subpackages:
   simulated runtime layer (testbed, network, application, Table 1 ops);
 * ``repro.acme`` / ``repro.constraints`` / ``repro.styles`` — architectural
   models, the constraint language, and the client/server style;
-* ``repro.monitoring`` — probes, gauges, gauge consumers;
+* ``repro.monitoring`` — probes and gauges;
 * ``repro.repair`` — strategies, tactics, the Figure 5 DSL, the engine;
 * ``repro.translation`` / ``repro.task`` — model/runtime bridge, profiles;
 * ``repro.runtime`` — the reusable adaptation control plane
@@ -35,7 +35,7 @@ from repro.experiment import (
     run_scenario,
     scenario_names,
 )
-from repro.monitoring import GaugeManager, ModelUpdater
+from repro.monitoring import GaugeManager
 from repro.net import FlowNetwork, RemosService, Topology
 from repro.repair import ArchitectureManager, ModelTransaction, parse_repair_dsl
 from repro.runtime import (
@@ -44,6 +44,7 @@ from repro.runtime import (
     GaugeBinding,
     ManagedApplication,
     ProbeBinding,
+    PropertyUpdater,
 )
 from repro.sim import Process, Simulator
 from repro.styles import (
@@ -89,7 +90,7 @@ __all__ = [
     "EnvironmentManager",
     # bridging layers
     "GaugeManager",
-    "ModelUpdater",
+    "PropertyUpdater",
     "Translator",
     "TranslationCosts",
     "PerformanceProfile",

@@ -19,8 +19,9 @@ and dropped from the per-shard graphs.
 
 The facade keeps a global name -> shard :attr:`assignment` plus
 delegating lookups (``component`` / ``has_component`` / ...), which is
-what the sharded runtime's buses and the coordinator's footprint
-admission test consume.
+what the runtime's buses and the coordinator's footprint admission test
+consume; a name it does not know (added after the partition) is looked
+up on shard 0, where the buses route it.
 """
 
 from __future__ import annotations
@@ -63,9 +64,14 @@ class ShardedArchSystem:
     ) -> "ShardedArchSystem":
         """Move ``system``'s elements into ``shards`` per-shard systems and
         leave ``system`` **empty**: no element or attachment, a fresh
-        structure epoch, and a change log that no longer reaches back."""
+        structure epoch, and a change log that no longer reaches back.
+        One shard is ``system`` itself: nothing moves, nothing is renamed."""
         if shards < 1:
             raise ValueError(f"shard count must be >= 1, got {shards}")
+        if shards == 1:
+            assignment = dict.fromkeys(system._components, 0)
+            assignment.update(dict.fromkeys(system._connectors, 0))
+            return cls(system.name, [system], assignment, (), family=system.family)
         parts = [
             ArchSystem(f"{system.name}[{k}]", family=system.family)
             for k in range(shards)
@@ -150,25 +156,26 @@ class ShardedArchSystem:
         return out
 
     # -- delegating lookups ------------------------------------------------
+    def _home(self, name: str) -> ArchSystem:
+        return self._shards[self.assignment.get(name, 0)]
+
     def component(self, name: str) -> Component:
-        shard = self.assignment.get(name)
-        if shard is None or not self._shards[shard].has_component(name):
+        part = self._home(name)
+        if not part.has_component(name):
             raise UnknownElementError(f"no component {name!r} in {self.name}")
-        return self._shards[shard].component(name)
+        return part.component(name)
 
     def has_component(self, name: str) -> bool:
-        shard = self.assignment.get(name)
-        return shard is not None and self._shards[shard].has_component(name)
+        return self._home(name).has_component(name)
 
     def connector(self, name: str) -> Connector:
-        shard = self.assignment.get(name)
-        if shard is None or not self._shards[shard].has_connector(name):
+        part = self._home(name)
+        if not part.has_connector(name):
             raise UnknownElementError(f"no connector {name!r} in {self.name}")
-        return self._shards[shard].connector(name)
+        return part.connector(name)
 
     def has_connector(self, name: str) -> bool:
-        shard = self.assignment.get(name)
-        return shard is not None and self._shards[shard].has_connector(name)
+        return self._home(name).has_connector(name)
 
     @property
     def components(self) -> List[Component]:

@@ -1,7 +1,8 @@
 """Per-shard event buses behind one publish/subscribe facade.
 
-The sharded runtime gives every shard its own :class:`EventBus` so
-shard-local monitoring traffic never serializes through a global bus.
+The runtime gives every shard its own :class:`EventBus` so shard-local
+monitoring traffic never serializes through a global bus; a one-shard
+plane's facade has one child, and adds only the route lookup.
 :class:`ShardedEventBus` is the facade the existing probes, gauges, and
 updaters talk to unchanged: it routes each publish to exactly **one**
 child bus chosen from the message subject, and routes each subscribe to
@@ -21,12 +22,12 @@ message once, because the publish side never broadcasts.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.bus.bus import DeliveryModel, EventBus, Subscription
 from repro.bus.filters import AttributeFilter
 from repro.bus.index import ROUTE_MEMO_CAP
-from repro.bus.messages import Message, subject_segments
+from repro.bus.messages import Message, routed_message, subject_segments
 from repro.bus.queues import QueuePolicy
 from repro.sim.kernel import Simulator
 
@@ -83,8 +84,9 @@ class ShardedEventBus:
             raise ValueError(f"shard count must be >= 1, got {shards}")
         self.sim = sim
         self.name = name
+        self.batched = batched
         self._shard_of = shard_of
-        self._routes: Dict[str, int] = {}  # subject -> child index
+        self._routes: Dict[str, EventBus] = {}  # subject -> child bus
         self._buses = [
             EventBus(
                 sim,
@@ -97,17 +99,16 @@ class ShardedEventBus:
         ]
 
     # -- routing -----------------------------------------------------------
-    def _route(self, subject: str) -> int:
-        """The child ``subject`` goes to, worked out once per subject; a
-        malformed one raises as a child bus would and is not remembered."""
-        index = self._routes.get(subject)
-        if index is None:
-            shard = self._shard_of(subject_segments(subject)[-1])
-            index = 0 if shard is None else shard % len(self._buses)
-            if len(self._routes) >= ROUTE_MEMO_CAP:
-                self._routes.clear()
-            self._routes[subject] = index
-        return index
+    def _route(self, subject: str) -> EventBus:
+        """The child ``subject`` goes to, worked out once per subject
+        (callers read the memo first); a malformed one raises as a child
+        bus would and is not remembered."""
+        shard = self._shard_of(subject_segments(subject)[-1])
+        child = self._buses[0 if shard is None else shard % len(self._buses)]
+        if len(self._routes) >= ROUTE_MEMO_CAP:
+            self._routes.clear()
+        self._routes[subject] = child
+        return child
 
     def shard(self, index: int) -> EventBus:
         return self._buses[index]
@@ -124,17 +125,18 @@ class ShardedEventBus:
         attr_filter: Optional[AttributeFilter] = None,
         batched: Optional[bool] = None,
         queue_policy: Optional[QueuePolicy] = None,
-    ) -> ShardedSubscription:
+    ) -> Union[Subscription, ShardedSubscription]:
         """Register on the child bus(es) ``pattern`` can match.
 
         Wildcard patterns register everywhere; literal patterns register
         only on their target's home shard (unknown target -> shard 0,
-        mirroring publish routing).
+        mirroring publish routing).  A registration on one child returns
+        that child's own :class:`Subscription`; only a fan-out over
+        several gets a :class:`ShardedSubscription` handle.
         """
-        if _has_wildcard(pattern):
-            buses = self._buses
-        else:
-            buses = [self._buses[self._route(pattern)]]
+        buses = self._buses
+        if len(buses) > 1 and not _has_wildcard(pattern):
+            buses = [self._routes.get(pattern) or self._route(pattern)]
         parts = [
             bus.subscribe(
                 pattern,
@@ -145,6 +147,8 @@ class ShardedEventBus:
             )
             for bus in buses
         ]
+        if len(parts) == 1:
+            return parts[0]
         return ShardedSubscription(pattern, parts, list(buses))
 
     def unsubscribe(self, sub) -> None:
@@ -164,12 +168,16 @@ class ShardedEventBus:
 
     # -- publication -------------------------------------------------------
     def publish(self, message: Message) -> int:
-        return self._buses[self._route(message.subject)].publish(message)
+        subject = message.subject
+        child = self._routes.get(subject) or self._route(subject)
+        return child.publish(message)
 
     def publish_subject(self, subject: str, sender: str = "", **attributes) -> int:
-        return self._buses[self._route(subject)].publish_subject(
-            subject, sender=sender, **attributes
-        )
+        """As :meth:`EventBus.publish_subject`: the message is built once,
+        here, and handed to the child's dispatch."""
+        child = self._routes.get(subject) or self._route(subject)
+        message = routed_message(subject, attributes, self.sim.now, sender)
+        return child._dispatch(message)
 
     # -- fault plane -------------------------------------------------------
     @property
@@ -184,6 +192,19 @@ class ShardedEventBus:
     @property
     def dead_letters(self) -> int:
         return sum(bus.dead_letters for bus in self._buses)
+
+    @property
+    def dead_letters_by_sid(self) -> Dict[str, int]:
+        """The children's per-subscriber dead letters in one map: with
+        several children a sid carries its child's index (``sub-3[1]``),
+        because children number subscriptions independently."""
+        if len(self._buses) == 1:
+            return dict(self._buses[0].dead_letters_by_sid)
+        return {
+            f"{sid}[{k}]": count
+            for k, bus in enumerate(self._buses)
+            for sid, count in bus.dead_letters_by_sid.items()
+        }
 
     # -- reporting ---------------------------------------------------------
     @property

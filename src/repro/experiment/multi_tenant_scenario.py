@@ -118,8 +118,8 @@ class MultiTenantParams(ScenarioParams):
     concurrency: str = "disjoint"  # the scenario's raison d'etre
     max_concurrent_repairs: int = 16
 
-    # sharded control plane: None keeps the single-loop (pinned) path;
-    # reachable from the CLI as --set sharding.shards=N
+    # control-plane partition: None is one shard, the single (pinned)
+    # loop; reachable from the CLI as --set sharding.shards=N
     sharding: Optional[ShardingSpec] = None
 
     NESTED_BLOCKS: ClassVar[Dict[str, type]] = {"sharding": ShardingSpec}

@@ -36,7 +36,6 @@ from repro.experiment.result import ClientServerResult, RunResult
 from repro.experiment.scenarios import register_scenario, scenario_entry
 from repro.experiment.testbed import Testbed, build_testbed
 from repro.experiment.workload import Workload, build_workload
-from repro.monitoring.consumers import ModelUpdater
 from repro.monitoring.gauges import (
     AverageLatencyGauge,
     BandwidthGauge,
@@ -60,11 +59,14 @@ from repro.runtime import (
     ManagedApplication,
     ProbeBinding,
 )
+from repro.runtime.updater import component
 from repro.styles.client_server import (
     FIGURE5_DSL,
     UNDERUTILIZATION_DSL,
     build_client_server_family,
     build_client_server_model,
+    client_link,
+    client_role,
     style_operators,
 )
 from repro.task.manager import TaskManager
@@ -82,6 +84,17 @@ __all__ = [
 
 #: invariant name (from the DSL) -> scope element type
 _INVARIANT_SCOPES = {"r": "ClientRoleT", "u": "ServerGroupT"}
+
+#: gauge kind -> fan-out writes.  Latency and bandwidth are mirrored onto
+#: the client role of the client's link, where Figure 5's ``badRole``
+#: reads them; the role is written after the element, and only when the
+#: link and its role exist.
+GAUGE_PROPERTY_MAP = {
+    "latency": ((component, "averageLatency"), (client_role, "averageLatency")),
+    "bandwidth": ((client_link, "bandwidth"), (client_role, "bandwidth")),
+    "load": "load",
+    "utilization": "utilization",
+}
 
 
 class ClientServerApplication(ManagedApplication):
@@ -337,7 +350,7 @@ class Experiment(ScenarioExperiment):
             bindings=TaskManager(profile).profile.bindings(),
             operators=lambda rt: style_operators(lambda: rt.sim.now),
             instruments=instruments,
-            updater=lambda rt: ModelUpdater(rt.model, rt.gauge_bus, rt.manager),
+            gauge_property_map=GAUGE_PROPERTY_MAP,
             delivery=self._monitoring_delay(),
             gauge_create_delay=14.0,
             gauge_caching=params.gauge_caching,

@@ -1,4 +1,4 @@
-"""Monitoring infrastructure (substrate S12): probes, gauges, consumers.
+"""Monitoring infrastructure (substrate S12): probes and gauges.
 
 The paper's three-level scheme (Figure 4):
 
@@ -7,9 +7,10 @@ The paper's three-level scheme (Figure 4):
 * **gauges** consume probe reports, aggregate them into model-level
   properties over time windows, and publish on the gauge reporting bus
   (``gauge.*`` subjects);
-* **gauge consumers** — here the :class:`ModelUpdater` — apply gauge
-  reports to the architectural model and nudge the architecture manager
-  to re-check constraints.
+* the **gauge consumer** —
+  :class:`~repro.runtime.updater.PropertyUpdater`, one per shard of the
+  control plane — applies gauge reports to the architectural model and
+  nudges the architecture manager to re-check constraints.
 
 Gauge lifecycle (creation/deletion cost, redeployment on repair) is owned
 by the :class:`GaugeManager`; the translator calls ``redeploy_for`` during
@@ -37,7 +38,6 @@ from repro.monitoring.gauges import (
     LatestValueGauge,
 )
 from repro.monitoring.manager import GaugeManager, ThresholdGate, WakeThreshold
-from repro.monitoring.consumers import ModelUpdater
 
 __all__ = [
     "ClientLatencyProbe",
@@ -58,5 +58,4 @@ __all__ = [
     "GaugeManager",
     "ThresholdGate",
     "WakeThreshold",
-    "ModelUpdater",
 ]

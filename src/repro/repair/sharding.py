@@ -3,12 +3,14 @@
 Each shard runs its own :class:`ArchitectureManager` against its own
 slice of the model, so shard-local repairs proceed with **zero**
 coordination — the common case, and the whole point of sharding.  The
-:class:`ShardCoordinator` exists for the rest:
+:class:`ShardCoordinator` is every runtime's manager, one shard or
+many, and exists for the rest:
 
 * it presents the *aggregate* manager surface the runtime and the
   metrics samplers expect (``busy`` / ``inflight`` / ``evaluations`` /
-  ``repair_stats()`` / merged ``history``), summing or merging over the
-  per-shard engines; and
+  ``repair_stats()`` / merged ``history`` / ``breakers``), summing or
+  merging over the per-shard engines (over one engine: that engine's
+  own); and
 * it runs cross-shard repairs through a two-phase, footprint-locked
   path reusing the same undo-log transactions the engines use.
 
@@ -96,8 +98,6 @@ class ShardCoordinator:
         self.deferrals = 0
         #: peak *total* concurrent repairs across all shards
         self.peak_inflight = 0
-        # per-shard engines have no breakers view at the rollup level
-        self.breakers = None
 
     # -- aggregate manager surface -----------------------------------------
     @property
@@ -106,9 +106,16 @@ class ShardCoordinator:
 
     @property
     def busy(self) -> bool:
-        if any(m.busy for m in self.managers):
-            return True
-        return bool(self._active_locks())
+        for manager in self.managers:
+            if manager.busy:
+                return True
+        return bool(self._live_locks())
+
+    @property
+    def breakers(self):
+        """The engine's breaker bank on one shard; several engines' banks
+        have no rollup, so None."""
+        return self.managers[0].breakers if len(self.managers) == 1 else None
 
     @property
     def inflight(self) -> int:
@@ -132,7 +139,10 @@ class ShardCoordinator:
 
     @property
     def history(self) -> RepairHistory:
-        """Merged per-shard histories ordered by start time (stable)."""
+        """Merged per-shard histories ordered by start time (stable); one
+        shard's is the engine's own, in the order its repairs finished."""
+        if len(self.managers) == 1:
+            return self.managers[0].history
         merged = RepairHistory()
         records: List[Tuple[float, int, int, RepairRecord]] = []
         for shard, manager in enumerate(self.managers):
@@ -148,8 +158,11 @@ class ShardCoordinator:
 
         ``peak_inflight`` is the coordinator-level peak (total repairs in
         flight at once across shards), not the sum of per-shard peaks —
-        that is the number the throughput claim is about.
+        that is the number the throughput claim is about.  One shard has
+        nothing to roll up: its stats are the engine's own.
         """
+        if len(self.managers) == 1:
+            return self.managers[0].repair_stats()
         stats: Dict[str, int] = {}
         for manager in self.managers:
             for key, value in manager.repair_stats().items():
@@ -193,15 +206,18 @@ class ShardCoordinator:
             self.peak_inflight = now_inflight
 
     # -- cross-shard path --------------------------------------------------
-    def _active_locks(self) -> List[int]:
-        now = self.sim.now
-        expired = [k for k, until in self._locks.items() if until <= now]
-        for k in expired:
-            del self._locks[k]
-        return sorted(self._locks)
+    def _live_locks(self) -> Dict[int, float]:
+        """The locks still in force, expired ones dropped: a lock ends at
+        its ``until`` instant.  Without locks, nothing is allocated."""
+        locks = self._locks
+        if locks:
+            now = self.sim.now
+            for shard in [k for k, until in locks.items() if until <= now]:
+                del locks[shard]
+        return locks
 
     def _locked(self, shard: int) -> bool:
-        return shard in self._active_locks()
+        return shard in self._live_locks()
 
     def shards_of(self, footprint: Footprint) -> Tuple[int, ...]:
         """Shards a footprint's elements live on (universal -> all)."""
@@ -229,7 +245,7 @@ class ShardCoordinator:
         ``settle_time`` either way.
         """
         affected = self.shards_of(footprint)
-        locked = set(self._active_locks())
+        locked = self._live_locks()
         reason: Optional[str] = None
         if self.max_lock_shards and len(affected) > self.max_lock_shards:
             reason = (

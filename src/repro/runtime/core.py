@@ -9,19 +9,28 @@ about clients, servers, pipelines, or any other style: scenario builders
 (see :mod:`repro.experiment.scenarios`) provide the style-specific parts
 as data.
 
+There is one plane: the model is always partitioned by the spec's
+:class:`~repro.runtime.sharding.ShardingSpec` (one shard when it names
+none), and every per-model part is built once per shard under one
+:class:`~repro.repair.sharding.ShardCoordinator`.  One shard is the
+source model itself, and the coordinator's aggregate is its engine's own.
+
 Construction order is fixed and documented because the simulator breaks
 ties in scheduling order; building the same spec twice must produce the
 same event schedule:
 
-1. architectural model (from the managed application);
-2. constraint checker + threshold bindings;
-3. repair DSL parse, strategy build, invariant registration;
-4. gauge manager;
-5. intent executor (translator), which may capture the gauge manager;
-6. architecture manager + strategy registration;
-7. probe bus, then gauge bus (sharing the spec's delivery model);
-8. instruments, in spec order (gauge creation schedules activations);
-9. model updater.
+1. repair DSL parse; the application's model, partitioned;
+2. per shard: constraint checker, threshold bindings, invariants;
+3. gauge manager;
+4. intent executor (translator), which may capture the gauge manager,
+   wrapped by the fault plane when there is one;
+5. per shard: architecture manager + a fresh strategy set; then the
+   coordinator over them (the runtime's ``manager``);
+6. probe bus, then gauge bus (one child bus per shard each, sharing the
+   spec's delivery model);
+7. instruments, in spec order (gauge creation schedules activations);
+8. per shard: property updater on that shard's gauge-bus child;
+9. fault bindings (probes, application components).
 
 ``start`` launches the periodic probes (in instrument order); everything
 else is event-driven from there.
@@ -32,7 +41,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.acme.sharding import ShardedArchSystem
-from repro.bus.bus import EventBus, QueuePolicy
+from repro.bus.bus import QueuePolicy
 from repro.bus.sharding import ShardedEventBus
 from repro.constraints.invariants import ConstraintChecker
 from repro.faults.plane import FaultPlane
@@ -43,7 +52,7 @@ from repro.repair.dsl.interp import build_strategies
 from repro.repair.engine import ArchitectureManager
 from repro.repair.sharding import ShardCoordinator
 from repro.runtime.app import ManagedApplication
-from repro.runtime.sharding import resolve_shard_key
+from repro.runtime.sharding import ShardingSpec, resolve_shard_key
 from repro.runtime.spec import AdaptationSpec, GaugeBinding, ProbeBinding
 from repro.runtime.stats import RuntimeStats, ShardStats
 from repro.runtime.updater import PropertyUpdater
@@ -71,35 +80,21 @@ class AdaptationRuntime:
             raise ValueError(
                 f"telemetry must be 'scalar' or 'columnar', got {spec.telemetry!r}"
             )
-        sharding = spec.sharding
-        self.sharded = sharding is not None and sharding.active()
-        if self.sharded:
-            if spec.faults is not None and spec.faults.active():
-                raise ValueError(
-                    "sharding and fault injection cannot be combined "
-                    "(the fault plane is not shard-aware yet)"
-                )
-            if spec.updater is not None:
-                raise ValueError(
-                    "sharding builds one PropertyUpdater per shard; "
-                    "a custom spec.updater is unsupported"
-                )
-
-        # 1-3: model layer.  Sharded: partition the model by the spec's
-        # shard key, then give every shard its own checker so invariant
-        # evaluation fans out over shard-local elements only.  The
-        # unsharded plane is the one-model, one-checker case of the same
-        # build: ``checker`` / ``updater`` name the single instance there
-        # and are None on a sharded plane.
-        document = parse_repair_dsl(spec.dsl_source)
-        self.model = app.architecture()
-        if self.sharded:
-            self.model = ShardedArchSystem.partition(
-                self.model, sharding.shards, resolve_shard_key(sharding.key)
+        sharding = spec.sharding if spec.sharding is not None else ShardingSpec()
+        faulted = spec.faults is not None and spec.faults.active()
+        if faulted and sharding.shards > 1:
+            raise ValueError(
+                "sharding and fault injection cannot be combined "
+                "(the fault plane is not shard-aware yet)"
             )
-            models = [self.model.shard(k) for k in range(sharding.shards)]
-        else:
-            models = [self.model]
+
+        # 1-2: model layer.  Every shard gets its own checker, so
+        # invariant evaluation fans out over shard-local elements only.
+        document = parse_repair_dsl(spec.dsl_source)
+        self.model = ShardedArchSystem.partition(
+            app.architecture(), sharding.shards, resolve_shard_key(sharding.key)
+        )
+        models = self.model.shards
         self.checkers: List[ConstraintChecker] = []
         for _ in models:
             checker = ConstraintChecker()
@@ -111,14 +106,13 @@ class AdaptationRuntime:
                     repair=decl.strategy,
                 )
             self.checkers.append(checker)
-        self.checker = None if self.sharded else self.checkers[0]
 
-        # 4-6: gauge lifecycle, translation, repair engine.  The fault
+        # 3-5: gauge lifecycle, translation, repair engines.  The fault
         # plane (when the spec carries an active FaultSpec) wraps the
-        # translator before the engine captures it; building the plane
+        # translator before the engines capture it; building the plane
         # schedules nothing, so a spec without faults is unaffected.
         self.fault_plane: Optional[FaultPlane] = None
-        if spec.faults is not None and spec.faults.active():
+        if faulted:
             self.fault_plane = FaultPlane(sim, spec.faults, trace=self.trace)
         self.gauge_manager = GaugeManager(
             sim, self.trace,
@@ -155,44 +149,29 @@ class AdaptationRuntime:
             for strategy in build_strategies(document).values():
                 manager.register_strategy(strategy)
             self.managers.append(manager)
-        if self.sharded:
-            self.manager = ShardCoordinator(
-                sim,
-                self.model,
-                self.managers,
-                trace=self.trace,
-                settle_time=spec.settle_time,
-                max_lock_shards=sharding.max_lock_shards,
-            )
-        else:
-            self.manager = self.managers[0]
+        self.manager = ShardCoordinator(
+            sim,
+            self.model,
+            self.managers,
+            trace=self.trace,
+            settle_time=spec.settle_time,
+            max_lock_shards=sharding.max_lock_shards,
+        )
 
-        # 7-8: monitoring infrastructure
+        # 6-7: monitoring infrastructure
         queue_policy = None
         if spec.bus_batching:
             queue_policy = QueuePolicy(
                 mode=spec.bus_queue_policy, capacity=spec.bus_queue_capacity
             )
-        if self.sharded:
-            self.probe_bus = ShardedEventBus(
+        self.probe_bus, self.gauge_bus = (
+            ShardedEventBus(
                 sim, sharding.shards, self.model.shard_of,
-                delivery=spec.delivery, name="probe-bus",
+                delivery=spec.delivery, name=name,
                 batched=spec.bus_batching, queue_policy=queue_policy,
             )
-            self.gauge_bus = ShardedEventBus(
-                sim, sharding.shards, self.model.shard_of,
-                delivery=spec.delivery, name="gauge-bus",
-                batched=spec.bus_batching, queue_policy=queue_policy,
-            )
-        else:
-            self.probe_bus = EventBus(
-                sim, delivery=spec.delivery, name="probe-bus",
-                batched=spec.bus_batching, queue_policy=queue_policy,
-            )
-            self.gauge_bus = EventBus(
-                sim, delivery=spec.delivery, name="gauge-bus",
-                batched=spec.bus_batching, queue_policy=queue_policy,
-            )
+            for name in ("probe-bus", "gauge-bus")
+        )
         if self.fault_plane is not None:
             self.fault_plane.bind_bus(self.probe_bus)
             self.fault_plane.bind_bus(self.gauge_bus)
@@ -212,37 +191,23 @@ class AdaptationRuntime:
             else:  # pragma: no cover - spec typo guard
                 raise TypeError(f"unknown instrument binding {binding!r}")
 
-        # 9: close the monitoring half of the loop.  The wake gate only
-        # exists on the columnar plane — scalar runs keep every report
-        # waking the checker, which the serial fingerprints pin.
+        # 8: close the monitoring half of the loop, one updater per shard.
+        # The wake gate only exists on the columnar plane — scalar runs
+        # keep every report waking the checker, which the serial
+        # fingerprints pin.
         self.wake_gate: Optional[ThresholdGate] = None
         if spec.telemetry == "columnar" and spec.wake_thresholds:
             self.wake_gate = ThresholdGate(spec.wake_thresholds)
-        if self.sharded:
-            # one updater per shard, each wired to that shard's slice of
-            # the gauge bus and waking only that shard's repair loop
-            self.updater = None
-            self.updaters = [
-                PropertyUpdater(
-                    self.model.shard(k), self.gauge_bus.shard(k),
-                    self.manager.shard_proxy(k),
-                    property_map=spec.gauge_property_map,
-                    gate=self.wake_gate,
-                )
-                for k in range(sharding.shards)
-            ]
-        elif spec.updater is not None:
-            self.updater = spec.updater(self)
-            self.updaters = [self.updater]
-        else:
-            self.updater = PropertyUpdater(
-                self.model, self.gauge_bus, self.manager,
+        self.updaters = [
+            PropertyUpdater(
+                model, self.gauge_bus.shard(k), self.manager.shard_proxy(k),
                 property_map=spec.gauge_property_map,
                 gate=self.wake_gate,
             )
-            self.updaters = [self.updater]
+            for k, model in enumerate(models)
+        ]
 
-        # 10 (fault mode only): bind the remaining injection surfaces —
+        # 9 (fault mode only): bind the remaining injection surfaces —
         # probes for dropout windows, application components for outages.
         if self.fault_plane is not None:
             for probe in self.probes:
@@ -250,6 +215,12 @@ class AdaptationRuntime:
             app.bind_faults(self.fault_plane)
 
         self._stopped = False
+
+    @property
+    def sharded(self) -> bool:
+        """True: every plane's model is a partition, one shard included
+        (``model.shard(k)`` is shard ``k``'s system)."""
+        return True
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
@@ -340,15 +311,14 @@ class AdaptationRuntime:
         if self.wake_gate is not None:
             stats.update(self.wake_gate.stats())
         else:
-            stats["wakeups"] = sum(
-                int(getattr(u, "applied", 0)) for u in self.updaters
-            )
+            stats["wakeups"] = sum(updater.applied for updater in self.updaters)
             stats["suppressed_reports"] = 0
         return stats
 
     def _shard_sections(self) -> Tuple[ShardStats, ...]:
-        """Per-shard counter sections (empty on the unsharded path)."""
-        if not self.sharded:
+        """Per-shard counter sections (none for one shard: the rollup is
+        that shard)."""
+        if len(self.managers) == 1:
             return ()
         sections = []
         for k, manager in enumerate(self.managers):
@@ -378,8 +348,7 @@ class AdaptationRuntime:
 
         ``stats().to_dict()`` reproduces the historical dict shape
         exactly: ``faults`` appears only when a fault plane exists and
-        ``shards`` only when sharding is active, so no-fault unsharded
-        runs keep their historical stats shape."""
+        ``shards`` only on a plane of more than one shard."""
         return RuntimeStats(
             bus=self._bus_section(),
             gauges=self._gauge_section(),

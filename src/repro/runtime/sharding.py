@@ -48,18 +48,16 @@ def _require(condition: bool, message: str) -> None:
 class ShardingSpec:
     """How to partition one scenario's control plane.
 
-    ``shards`` is the partition count (1 = sharding machinery off, same
-    as ``enabled=False``); ``key`` names a registered shard-key function;
-    ``max_lock_shards`` caps how many shards a single cross-shard repair
-    may lock at once (0 = unlimited).  ``enabled`` is the kill switch
-    that leaves the spec in place but routes the runtime down the
-    unsharded (fingerprint-pinned) path.
+    ``shards`` is the partition count: 1, the default, is the off
+    position — one shard holds the whole model and runs the
+    fingerprint-pinned single loop.  ``key`` names a registered
+    shard-key function; ``max_lock_shards`` caps how many shards a
+    single cross-shard repair may lock at once (0 = unlimited).
     """
 
     shards: int = 1
     key: str = "hash"
     max_lock_shards: int = 0
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         self.validate()
@@ -75,10 +73,6 @@ class ShardingSpec:
             isinstance(self.max_lock_shards, int) and self.max_lock_shards >= 0,
             f"max_lock_shards must be >= 0, got {self.max_lock_shards}",
         )
-
-    def active(self) -> bool:
-        """True when the runtime should actually build the sharded path."""
-        return self.enabled and self.shards > 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 An :class:`AdaptationSpec` says *what* the control plane for one scenario
 looks like — style family, repair DSL source, monitoring instrumentation,
 thresholds, repair-engine policy — without wiring any of it.  The runtime
-consumes the spec in a fixed order (model, checker, DSL, gauge manager,
-translator, engine, buses, instruments, updater), so two runs built from
-equal specs produce identical event schedules.
+consumes the spec in a fixed order (DSL, model partition, checkers, gauge
+manager, translator, engines, buses, instruments, updaters), so two runs
+built from equal specs produce identical event schedules.
 
 Instrumentation is an ordered list of bindings rather than a free-form
 callback: each :class:`ProbeBinding`/:class:`GaugeBinding` contributes one
@@ -22,7 +22,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    Dict,
     List,
     Mapping,
     Optional,
@@ -43,6 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover
     )
     from repro.runtime.core import AdaptationRuntime
     from repro.runtime.sharding import ShardingSpec
+    from repro.runtime.updater import Fanout
 
 __all__ = ["ProbeBinding", "GaugeBinding", "InstrumentBinding", "AdaptationSpec"]
 
@@ -94,10 +94,10 @@ class AdaptationSpec:
 
     Optional knobs mirror the seed experiment's defaults: bus delivery
     model (shared by both buses when given), gauge lifecycle costs, and
-    the repair engine's pacing/selection policy.  ``updater`` builds the
-    gauge consumer that maps reports onto the model; when omitted the
-    generic :class:`~repro.runtime.updater.PropertyUpdater` is used with
-    ``gauge_property_map``.
+    the repair engine's pacing/selection policy.  ``gauge_property_map``
+    is how gauge reports reach the model: gauge kind -> a property name
+    of the target component, or the fan-out form ``((resolver,
+    property), ...)`` (see :mod:`repro.runtime.updater`).
     """
 
     style: str
@@ -107,8 +107,9 @@ class AdaptationSpec:
     operators: Callable[["AdaptationRuntime"], Mapping[str, Callable[..., Any]]]
     instruments: Sequence[InstrumentBinding] = ()
 
-    updater: Optional[Callable[["AdaptationRuntime"], Any]] = None
-    gauge_property_map: Dict[str, str] = field(default_factory=dict)
+    gauge_property_map: Mapping[str, Union[str, "Fanout"]] = field(
+        default_factory=dict
+    )
     delivery: Optional[DeliveryModel] = None
 
     # bus delivery path: per-subscriber queued batch delivery (opt-in;
@@ -156,8 +157,8 @@ class AdaptationSpec:
     quarantine_policy: Optional["QuarantinePolicy"] = None
     history_capacity: Optional[int] = None
 
-    # sharded control plane: a ShardingSpec with shards > 1 partitions
-    # the model, buses, and repair loops per shard with a footprint-locked
-    # cross-shard coordinator.  None — the pinned-fingerprint default —
-    # builds the single-loop plane exactly as before.
+    # partition of the control plane: the model, buses, checkers, repair
+    # loops and updaters are built per shard, under a footprint-locked
+    # cross-shard coordinator.  None is ``ShardingSpec()``: one shard,
+    # which holds the whole model and runs the pinned single loop.
     sharding: Optional["ShardingSpec"] = None

@@ -4,12 +4,12 @@
 :meth:`AdaptationRuntime.stats() <repro.runtime.core.AdaptationRuntime.stats>`
 returns: the five counter sections (bus / gauges / constraints / repairs
 / telemetry), the ``faults`` section when a fault plane exists, and — on
-a sharded runtime — one :class:`ShardStats` per shard next to the
+a plane of several shards — one :class:`ShardStats` per shard next to the
 aggregate rollup.
 
 Shape discipline: :meth:`RuntimeStats.to_dict` keeps the historical
 dict shape (regression tests pin this), with ``faults`` present only
-when a plane exists and ``shards`` present only when sharding is active.
+when a plane exists and ``shards`` present only for several shards.
 :meth:`to_json` is strict JSON (``allow_nan=False``): a snapshot that
 cannot round-trip is a bug, not a serialization quirk.
 """
@@ -57,14 +57,14 @@ class RuntimeStats:
     telemetry: Mapping[str, int] = field(default_factory=dict)
     #: None on runs without a fault plane (section absent from the dict)
     faults: Optional[Mapping[str, Any]] = None
-    #: per-shard sections; empty on the unsharded path
+    #: per-shard sections; empty on a one-shard plane
     shards: Tuple[ShardStats, ...] = ()
 
     def to_dict(self) -> Dict[str, Any]:
         """The historical ``AdaptationRuntime.stats()`` dict shape.
 
         ``faults`` appears only when a fault plane existed and
-        ``shards`` only when sharding was active, so unsharded no-fault
+        ``shards`` only for several shards, so one-shard no-fault
         runs keep their exact historical shape.
         """
         data: Dict[str, Any] = {

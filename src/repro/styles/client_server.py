@@ -14,7 +14,9 @@ Provides:
   number of servers in a server group if the server group is
   underutilized", §3.2);
 * :func:`style_operators` — the adaptation operators of §3.3 bound to a
-  model + runtime view.
+  model + runtime view;
+* :func:`client_link` / :func:`client_role` — the resolvers the gauge
+  property map fans latency and bandwidth reports out through.
 
 Model/runtime naming convention: model components carry the *same names*
 as their runtime counterparts (``C3``, ``SG1``, ``S4``), which is what lets
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple
 
-from repro.acme.elements import Component, Role
+from repro.acme.elements import Component, Connector, Role
 from repro.acme.family import Family
 from repro.acme.system import ArchSystem
 from repro.errors import EvaluationError, TacticFailure
@@ -37,6 +39,8 @@ __all__ = [
     "style_operators",
     "FIGURE5_DSL",
     "UNDERUTILIZATION_DSL",
+    "client_link",
+    "client_role",
     "link_name",
 ]
 
@@ -72,6 +76,17 @@ def build_client_server_family() -> Family:
 def link_name(client: str) -> str:
     """Connector name for a client's link (one LinkT per client)."""
     return f"link_{client}"
+
+
+def client_link(system: ArchSystem, client: str) -> Connector:
+    """Resolver: a client's link connector (UnknownElementError if absent)."""
+    return system.connector(link_name(client))
+
+
+def client_role(system: ArchSystem, client: str) -> Role:
+    """Resolver: the client role of a client's link, where Figure 5's
+    ``badRole`` reads latency and bandwidth."""
+    return system.connector(link_name(client)).role("client")
 
 
 # ---------------------------------------------------------------------------

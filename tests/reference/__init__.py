@@ -13,7 +13,10 @@ Residents:
   :class:`repro.realtime.scheduler.RealtimeScheduler`;
 * :mod:`reference.sharding` — the partition that rebuilt every element
   (``rebuild_partition``), oracle of
-  :meth:`repro.acme.sharding.ShardedArchSystem.partition`.
+  :meth:`repro.acme.sharding.ShardedArchSystem.partition`;
+* :mod:`reference.updater` — the client/server gauge consumer
+  (``ModelUpdater``), oracle of the fan-out map of
+  :class:`repro.runtime.updater.PropertyUpdater`.
 
 ``tests/`` is on ``sys.path`` under pytest, so tests import this package
 as ``reference``.
@@ -28,11 +31,13 @@ from reference.evaluator import (
 )
 from reference.kernel import HeapKernel, PacedHeapKernel
 from reference.sharding import rebuild_partition
+from reference.updater import ModelUpdater
 
 __all__ = [
     "Evaluator",
     "HeapKernel",
     "LinearIndex",
+    "ModelUpdater",
     "PacedHeapKernel",
     "ReferenceProgram",
     "evaluate_agreed",

@@ -1,9 +1,12 @@
-"""Gauge consumers: the top monitoring level (paper Figure 4).
+"""The client/server gauge consumer ``PropertyUpdater`` replaced.
 
-The :class:`ModelUpdater` consumes gauge reports and applies them to the
-architectural model ("such information can be used... to update an
-abstraction/model"), then nudges the architecture manager to re-evaluate
-constraints — closing the monitoring half of the adaptation loop.
+``ModelUpdater`` was the paper scenario's own updater beside the
+generic one: it split every subject, dispatched through
+``getattr(self, f"_apply_{kind}")`` and memoised nothing.  Its four
+appliers are now the fan-out table ``GAUGE_PROPERTY_MAP`` in
+:mod:`repro.experiment.runner`.  The class is kept here verbatim, so
+``tests/test_updater_fanout_oracle.py`` can drive both with the same
+report streams and compare every model write.
 """
 
 from __future__ import annotations

@@ -38,32 +38,34 @@ class TestExperimentWiring:
         exp = Experiment(RunConfig.adapted().but(horizon=10.0))
         assert exp.manager is not None
         assert exp.model.has_component("SG1")
-        assert sorted(exp.manager.strategies) == [
+        engine = exp.runtime.managers[0]
+        assert sorted(engine.strategies) == [
             "fixLatency", "fixUnderutilization",
         ]
-        assert [i.name for i in exp.manager.checker.invariants] == ["r", "u"]
+        assert [i.name for i in engine.checker.invariants] == ["r", "u"]
 
     def test_underutilization_repair_optional(self):
         exp = Experiment(RunConfig.adapted().but(
             horizon=10.0, underutilization_repair=False))
-        assert exp.manager.strategies == ["fixLatency"]
-        assert [i.name for i in exp.manager.checker.invariants] == ["r"]
+        engine = exp.runtime.managers[0]
+        assert engine.strategies == ["fixLatency"]
+        assert [i.name for i in engine.checker.invariants] == ["r"]
 
     def test_violation_policy_reaches_engine(self):
         exp = Experiment(RunConfig.adapted().but(
             horizon=10.0, violation_policy="worst"))
-        assert exp.manager.violation_policy == "worst"
+        assert exp.runtime.managers[0].violation_policy == "worst"
 
     def test_gauge_caching_reaches_costs_and_manager(self):
         exp = Experiment(RunConfig.adapted().but(
             horizon=10.0, gauge_caching=True))
         assert exp.runtime.gauge_manager.cached is True
-        assert exp.manager.translator.costs.cached_gauges is True
+        assert exp.runtime.translator.costs.cached_gauges is True
 
     def test_thresholds_reach_checker_bindings(self):
         exp = Experiment(RunConfig.adapted().but(
             horizon=10.0, max_latency=3.0, min_bandwidth=50e3))
-        b = exp.manager.checker.bindings
+        b = exp.runtime.checkers[0].bindings
         assert b["maxLatency"] == 3.0
         assert b["minBandwidth"] == 50e3
         assert b["minServers"] == 3

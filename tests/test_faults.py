@@ -4,6 +4,7 @@ import pytest
 
 from repro.bus.bus import EventBus, FixedDelay
 from repro.bus.messages import Message
+from repro.bus.sharding import ShardedEventBus
 from repro.errors import ReproError
 from repro.faults import (
     BusFaultSpec,
@@ -316,6 +317,52 @@ def test_bus_faults_drop_and_count_dead_letters():
     stats = plane.stats()
     assert stats["dead_letters"] == 10
     assert list(stats["dead_letters_by_subscriber"].values()) == [10]
+
+
+def test_bus_faults_on_a_sharded_bus_count_dead_letters_per_subscriber():
+    sim = Simulator()
+    bus = ShardedEventBus(
+        sim, 2, {"S0": 0, "S1": 1}.get, delivery=FixedDelay(0.0), name="probe-bus"
+    )
+    received = []
+    bus.subscribe("probe.>", received.append)  # "sub-1" on both children
+    bus.subscribe("probe.x.S1", received.append)  # "sub-2" on child 1
+    plane = FaultPlane(sim, FaultSpec(seed=5, bus=BusFaultSpec(drop_prob=1.0)))
+    plane.bind_bus(bus)
+    for target in ("S0", "S1", "S1"):
+        bus.publish(Message(f"probe.x.{target}", {"value": 1.0}, sim.now))
+    sim.run(until=1.0)
+    assert received == []
+    stats = plane.stats()
+    assert stats["dead_letters"] == 5
+    # children number subscriptions independently: each key names its child
+    assert stats["dead_letters_by_subscriber"] == {
+        "probe-bus:sub-1[0]": 1,
+        "probe-bus:sub-1[1]": 2,
+        "probe-bus:sub-2[1]": 2,
+    }
+
+
+def test_a_one_shard_bus_reports_dead_letters_as_a_plain_bus_does():
+    def run(bus):
+        sim = bus.sim
+        bus.subscribe("probe.>", lambda m: None)
+        plane = FaultPlane(sim, FaultSpec(seed=5, bus=BusFaultSpec(drop_prob=0.5)))
+        plane.bind_bus(bus)
+        for i in range(20):
+            bus.publish(Message("probe.x.S", {"value": float(i)}, sim.now))
+        sim.run(until=1.0)
+        return plane.stats(), bus.stats()
+
+    sim = Simulator()
+    plain = run(EventBus(sim, delivery=FixedDelay(0.0), name="probe-bus"))
+    sim = Simulator()
+    sharded = run(
+        ShardedEventBus(sim, 1, {}.get, delivery=FixedDelay(0.0), name="probe-bus")
+    )
+    assert sharded == plain
+    assert 0 < plain[0]["dead_letters"] < 20
+    assert list(plain[0]["dead_letters_by_subscriber"]) == ["probe-bus:sub-1"]
 
 
 def test_bus_faults_respect_bus_and_subject_filters():

@@ -64,11 +64,12 @@ class TestRegistration:
         # healthy + drained monitored per site — the drained gauge is what
         # re-detects a silently no-opped drain
         assert len(runtime.gauges) == 2 * exp.params.sites
-        mgr = runtime.manager
-        assert mgr.repair_timeout == exp.params.repair_timeout
-        assert mgr.retry_policy.max_attempts == exp.params.retry_attempts
-        assert mgr.breakers is not None
-        assert mgr.quarantine_policy is not None
+        [engine] = runtime.managers
+        assert engine.repair_timeout == exp.params.repair_timeout
+        assert engine.retry_policy.max_attempts == exp.params.retry_attempts
+        assert engine.quarantine_policy is not None
+        # one shard: the coordinator shows the engine's own breaker bank
+        assert runtime.manager.breakers is engine.breakers is not None
 
     def test_control_run_builds_outages_only_plane(self):
         exp = GridSiteExperiment(RunConfig.control("grid_site", horizon=60.0))

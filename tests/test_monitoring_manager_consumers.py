@@ -4,14 +4,22 @@ import pytest
 
 from repro.bus import EventBus, FixedDelay
 from repro.errors import GaugeError
-from repro.monitoring import GaugeManager, ModelUpdater
+from repro.experiment.runner import GAUGE_PROPERTY_MAP
+from repro.monitoring import GaugeManager
 from repro.monitoring.gauges import AverageLatencyGauge, LoadGauge
+from repro.runtime import PropertyUpdater
 from repro.sim import Simulator
 from repro.styles import build_client_server_model
 
 
 def buses(sim):
     return EventBus(sim, FixedDelay(0.0)), EventBus(sim, FixedDelay(0.0))
+
+
+def client_server_updater(model, gauge_bus, arch_manager=None):
+    return PropertyUpdater(
+        model, gauge_bus, arch_manager, property_map=GAUGE_PROPERTY_MAP
+    )
 
 
 def latency_gauge(sim, probe_bus, gauge_bus, client="C1"):
@@ -87,14 +95,16 @@ class TestGaugeManager:
         assert gauge._value() is not None  # state survived (cached mode)
 
 
-class TestModelUpdater:
+class TestClientServerUpdater:
+    """The paper scenario's gauge map through the one updater."""
+
     def _fixture(self):
         sim = Simulator()
         _, gauge_bus = buses(sim)
         model = build_client_server_model(
             "M", assignments={"C1": "SG1"}, groups={"SG1": ["S1"]},
         )
-        updater = ModelUpdater(model, gauge_bus)
+        updater = client_server_updater(model, gauge_bus)
         return sim, gauge_bus, model, updater
 
     def test_latency_applied_to_component_and_role(self):
@@ -141,7 +151,7 @@ class TestModelUpdater:
                 self.calls += 1
 
         mgr = FakeManager()
-        ModelUpdater(model, bus, arch_manager=mgr)
+        client_server_updater(model, bus, arch_manager=mgr)
         bus.publish_subject("gauge.latency.C1", value=9.0)
         sim.run()
         assert mgr.calls == 1

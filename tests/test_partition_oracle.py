@@ -11,7 +11,8 @@ values and types (ports and roles included), the ``invariant_sources``
 and the unparsed text.  Inputs are ``multi_tenant`` models of several
 sizes and hypothesis graphs with unattached connectors, ports on several
 roles and attachments that end up spanning shards, under both registered
-shard keys and one to five shards.
+shard keys and one to five shards.  One shard is the one deliberate
+difference: the source itself, not a system named ``<source>[0]``.
 """
 
 import pytest
@@ -76,10 +77,16 @@ def agree(build, shards, key):
     source = build()
     elements = element_ids(source)
     moved = ShardedArchSystem.partition(source, shards, key_fn)
-    assert observe(moved) == observe(rebuild_partition(build(), shards, key_fn))
-    # the very same objects, and nothing left behind
+    expected = observe(rebuild_partition(build(), shards, key_fn))
+    if shards == 1:
+        # one shard is the source itself: untouched, under its own name
+        assert moved.shard(0) is source
+        expected["shards"] = [shard_view(build())]
+    else:  # nothing left behind
+        assert source.components == source.connectors == source.attachments == []
+    assert observe(moved) == expected
+    # the very same objects
     assert element_ids(moved) == elements
-    assert source.components == source.connectors == source.attachments == []
     return moved
 
 

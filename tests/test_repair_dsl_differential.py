@@ -35,7 +35,8 @@ TRIALS = 60
 
 
 def build_plane(name):
-    """Scenario ``name``'s control plane, built and never run."""
+    """Scenario ``name``'s control plane, built and never run (one shard:
+    ``managers[0]`` is its engine, and that engine's ``system`` the model)."""
     return scenario_builder(name)(make_config(name, adaptation=True, fast=True)).build()
 
 
@@ -95,9 +96,10 @@ def perturb(system, rng, originals):
             element.set_property(name, rng.choice(choices))
 
 
-def attempt(manager, system, strategy, argument):
-    """One strategy run the way ``ArchitectureManager._attempt`` makes it,
-    observed and then rolled back."""
+def attempt(manager, strategy, argument):
+    """One strategy run on ``manager``'s model, the way
+    ``ArchitectureManager._attempt`` makes it, observed and then rolled back."""
+    system = manager.system
     txn = ModelTransaction(system).begin()
     ctx = RepairContext(
         system,
@@ -163,26 +165,25 @@ class TestScenarioDocuments:
         for evaluator in ("production", "reference"):
             plane = build_plane(scenario)  # one plane a side: operators keep state
             strategies = build_strategies(document, evaluator, monkeypatch)
-            sides.append((plane, strategies, random.Random(1), {}))
-        scope_types = sides[0][0].spec.invariant_scopes
+            sides.append((plane.managers[0], strategies, random.Random(1), {}))
+        scope_types = plane.spec.invariant_scopes
         applied, aborted, errors = set(), set(), 0
         for trial in range(TRIALS):
             if trial:  # trial 0 runs on the model as built
-                for plane, _, rng, originals in sides:
-                    perturb(plane.model, rng, originals)
+                for engine, _, rng, originals in sides:
+                    perturb(engine.system, rng, originals)
             for invariant in document.invariants:
                 scope_type = scope_types[invariant.name]
-                for target in list(elements(sides[0][0].model)):
+                for target in list(elements(sides[0][0].system)):
                     if trial > 2 and not target.declares_type(scope_type):
                         continue  # mistyped arguments: the first trials only
                     production, reference = (
                         attempt(
-                            plane.managers[0],
-                            plane.model,
+                            engine,
                             strategies[invariant.strategy],
-                            element_named(plane.model, target.qualified_name),
+                            element_named(engine.system, target.qualified_name),
                         )
-                        for plane, strategies, _, _ in sides
+                        for engine, strategies, _, _ in sides
                     )
                     assert production == reference, (invariant.strategy, target)
                     assert production["frames_left"] == 0
@@ -217,8 +218,8 @@ class TestScenarioDocuments:
         assert at_build == expression_count(document) > 0
         assert len({id(node) for node in compiled}) == at_build  # each node once
         for strategy in strategies.values():
-            for element in list(elements(plane.model)):
-                attempt(plane.managers[0], plane.model, strategy, element)
+            for element in list(elements(plane.managers[0].system)):
+                attempt(plane.managers[0], strategy, element)
         assert len(compiled) == at_build
 
 
@@ -292,7 +293,7 @@ class TestQuantifierVariableIsLexical:
             system.new_component(name, ["NodeT"]).set_property("load", load)
         manager = ArchitectureManager(Simulator(), system, ConstraintChecker())
         strategies = build_strategies(parse_repair_dsl(SCOPING), evaluator, monkeypatch)
-        observed = attempt(manager, system, strategies[strategy], system.component("a"))
+        observed = attempt(manager, strategies[strategy], system.component("a"))
         return observed["result"]
 
     @pytest.mark.parametrize("strategy", ["reach", "viaArgument"])

@@ -89,11 +89,14 @@ class TestAdaptationRuntimeBuild:
         _, app, rt = tiny_runtime()
         assert rt.model.has_component("extract")
         assert rt.model.component("load").get_property("width") == 1
-        assert rt.manager.strategies == ["fixBacklog", "shrinkStage"]
-        assert [i.name for i in rt.checker.invariants] == ["b", "u"]
-        assert rt.checker.bindings["maxBacklog"] == 4.0
+        (engine,) = rt.managers
+        assert engine.strategies == ["fixBacklog", "shrinkStage"]
+        (checker,) = rt.checkers
+        assert [i.name for i in checker.invariants] == ["b", "u"]
+        assert checker.bindings["maxBacklog"] == 4.0
         assert isinstance(rt.translator, PipelineTranslator)
-        assert isinstance(rt.updater, PropertyUpdater)
+        (updater,) = rt.updaters
+        assert isinstance(updater, PropertyUpdater)
         assert len(rt.gauges) == 2
         assert len(rt.periodic_probes) == 2
         assert rt.stats().gauges["created"] == 2
@@ -167,7 +170,7 @@ class TestAdaptationRuntimeLoop:
         for _ in range(12):
             app.submit()
         sim.run(until=3.0)
-        assert rt.updater.applied > 0
+        assert rt.updaters[0].applied > 0
         assert rt.model.component("extract").get_property("backlog") > 0.0
 
 

@@ -205,11 +205,24 @@ class TestShardingOverridePlumbing:
                 "multi_tenant", overrides={"sharding.shards": 0}
             )
 
-    def test_unknown_nested_field_rejected(self):
-        with pytest.raises(ReproError):
+    @pytest.mark.parametrize("field", ["bogus", "enabled"])
+    def test_unknown_nested_field_rejected(self, field):
+        # ``enabled`` was a kill switch beside ``shards``; one shard is
+        # the off position now, and the old field is just unknown
+        with pytest.raises(
+            ReproError, match=rf"ShardingSpec has no parameter\(s\) \['{field}'\]"
+        ):
             api.make_config(
-                "multi_tenant", overrides={"sharding.bogus": 1}
+                "multi_tenant", overrides={f"sharding.{field}": False}
             )
+
+    def test_cli_set_of_the_removed_kill_switch_exits_1(self, capsys):
+        from repro.cli import main
+
+        argv = ["run", "multi_tenant_sharded", "--set", "sharding.enabled=false"]
+        assert main(argv) == 1
+        error = capsys.readouterr().err
+        assert "ShardingSpec has no parameter(s) ['enabled']" in error
 
     def test_unknown_shard_key_rejected_by_params_validate(self):
         with pytest.raises(ReproError, match="not registered"):

@@ -1,6 +1,8 @@
 """Sharded control plane: spec validation, model partition, bus routing,
 and the cross-shard coordinator's two-phase commit/abort paths."""
 
+import tracemalloc
+
 import pytest
 
 import repro.bus.sharding as bus_sharding
@@ -37,16 +39,13 @@ SETTLE_TIME = 20.0
 # ShardingSpec + shard-key registry
 # ---------------------------------------------------------------------------
 class TestShardingSpec:
-    def test_defaults_are_inactive(self):
-        spec = ShardingSpec()
-        assert spec.shards == 1
-        assert spec.key == "hash"
-        assert not spec.active()
+    def test_defaults_are_one_shard(self):
+        assert ShardingSpec() == ShardingSpec(shards=1, key="hash", max_lock_shards=0)
 
-    def test_active_needs_shards_and_enabled(self):
-        assert ShardingSpec(shards=4).active()
-        assert not ShardingSpec(shards=4, enabled=False).active()
-        assert not ShardingSpec(shards=1).active()
+    def test_one_shard_is_the_off_position(self):
+        # no kill switch beside the count: shards=1 is how sharding is off
+        with pytest.raises(TypeError, match="enabled"):
+            ShardingSpec(shards=4, enabled=False)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -233,6 +232,28 @@ class TestPartition:
                 tenancy_model(), 0, resolve_shard_key("hash")
             )
 
+    def test_one_shard_is_the_source_itself(self):
+        source = tenancy_model()
+        epoch = source.structure_epoch
+        model = ShardedArchSystem.partition(source, 1, resolve_shard_key("hash"))
+        assert model.shards == [source] and model.name == source.name
+        assert source.structure_epoch == epoch  # nothing moved
+        assert set(model.assignment.values()) == {0}
+        assert len(model.assignment) == 9 and model.cross_links == ()
+
+    def test_names_added_after_the_partition_are_looked_up_on_shard_zero(self):
+        model = ShardedArchSystem.partition(
+            tenancy_model(), 2, resolve_shard_key("numeric_suffix")
+        )
+        model.shard(0).new_component("late0")
+        model.shard(1).new_component("late1")
+        assert model.has_component("late0") and model.component("late0")
+        assert model.shard_of("late0") is None  # the assignment never changes
+        # where the buses would route it, too: shard 0
+        assert not model.has_component("late1")
+        with pytest.raises(UnknownElementError):
+            model.component("late1")
+
 
 # ---------------------------------------------------------------------------
 # Sharded event bus
@@ -249,7 +270,8 @@ class TestShardedBus:
         sim, bus = make_bus()
         got = []
         sub = bus.subscribe("gauge.latency.T1", got.append)
-        assert len(sub.parts) == 1  # literal: home shard only
+        # literal: home shard only, under the child's own handle
+        assert bus.shard(1).subscriptions == [sub]
         bus.publish_subject("gauge.latency.T1", value=1.5)
         sim.run(until=1.0)
         assert len(got) == 1
@@ -303,11 +325,11 @@ class TestShardedBus:
         got0, got1 = [], []
         sub0 = bus.subscribe("probe.x.T0", got0.append)
         sub1 = bus.subscribe("probe.x.T1", got1.append)
-        assert sub0.parts[0].sid == sub1.parts[0].sid
+        assert sub0.sid == sub1.sid
         bus.publish_subject("probe.x.T1", value=1.0)  # in flight / queued
         bus.unsubscribe(sub0)
         assert not sub0.active and sub1.active
-        assert bus.subscriptions == sub1.parts
+        assert bus.subscriptions == [sub1]
         if batched:
             assert bus.stats()["batched_subscriptions"] == 1
         bus.publish_subject("probe.x.T0", value=2.0)
@@ -322,10 +344,11 @@ class TestShardedBus:
 
     def test_raw_part_unsubscribe_only_reaches_its_owner(self):
         sim, bus = make_bus()
-        sub0 = bus.subscribe("probe.x.T0", lambda m: None)
         sub1 = bus.subscribe("probe.x.T1", lambda m: None)
+        sub0 = bus.subscribe("probe.x.*", lambda m: None)
+        assert sub0.parts[0].sid == sub1.sid  # "sub-1" on shards 0 and 1
         bus.unsubscribe(sub0.parts[0])
-        assert bus.subscriptions == sub1.parts
+        assert bus.subscriptions == [sub1, sub0.parts[1]]
 
     def test_stats_rollup(self):
         sim, bus = make_bus()
@@ -359,7 +382,7 @@ class TestShardedBus:
         # cleared rather than grown past the cap
         monkeypatch.setattr(bus_sharding, "ROUTE_MEMO_CAP", 2)
         bus.publish_subject("probe.latency.T1", value=1.0)
-        assert bus._routes == {"probe.latency.T1": 1}
+        assert bus._routes == {"probe.latency.T1": bus.shard(1)}
         assert bus.shard(1).published == 4
 
     def test_invalid_shard_count(self):
@@ -493,6 +516,17 @@ class TestCoordinatorLocalRepairs:
         started = [record.started for record in coordinator.history]
         assert started == sorted(started)
 
+    def test_one_shard_aggregate_is_the_engines_own(self):
+        sim, model, checkers, coordinator = build_coordinator(shards=1)
+        run_to_quiesce(sim, model, checkers, coordinator)
+        [engine] = coordinator.managers
+        assert len(engine.history) == 2
+        assert coordinator.history is engine.history
+        assert coordinator.repair_stats() == engine.repair_stats()
+        assert coordinator.repair_stats()["peak_inflight"] == 0  # serial engine
+        assert coordinator.peak_inflight == 1  # the rollup's own count differs
+        assert coordinator.breakers is engine.breakers
+
 
 class TestCoordinatorCrossShard:
     def test_cross_shard_commit_matches_unsharded_serial_schedule(self):
@@ -599,6 +633,40 @@ class TestCoordinatorCrossShard:
             Footprint.of(["n1"]), lambda target: None
         )
         assert retried.committed
+
+    def test_a_lock_ends_exactly_at_its_until_instant(self):
+        sim, model, checkers, coordinator = build_coordinator(violated=False)
+        assert coordinator.submit_cross(Footprint.of(["n0"]), lambda t: None).committed
+        sim.run(until=SETTLE_TIME - 0.5)
+        assert coordinator.busy
+        coordinator.evaluate_shard(0)
+        assert coordinator.deferrals == 1
+        sim.run(until=SETTLE_TIME)  # the until instant itself: unlocked
+        assert not coordinator.busy
+        coordinator.evaluate_shard(0)
+        assert coordinator.deferrals == 1
+        assert coordinator.submit_cross(Footprint.of(["n0"]), lambda t: None).committed
+
+    def test_lock_checks_allocate_nothing_while_no_lock_is_held(self):
+        sim, model, checkers, coordinator = build_coordinator(violated=False)
+        coordinator.submit_cross(Footprint.of(["n0"]), lambda t: None)
+        sim.run(until=SETTLE_TIME + 1.0)
+        assert not coordinator.busy  # expired, and dropped
+
+        def peak(check):
+            """Peak traced bytes over 60 calls of ``check``."""
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                for _ in range(60):
+                    check()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        loop = peak(lambda: None)  # what the loop itself costs
+        assert peak(lambda: coordinator.busy) == loop
+        assert peak(lambda: coordinator._locked(1)) == loop
 
     def test_max_lock_shards_caps_admission(self):
         sim, model, checkers, coordinator = build_coordinator(

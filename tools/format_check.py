@@ -89,6 +89,8 @@ RATCHETED = [
     "tests/test_repair_dsl_differential.py",
     "tests/test_repair_dsl_cycles.py",
     "tests/test_partition_oracle.py",
+    "tests/test_updater_fanout_oracle.py",
+    "tests/test_one_plane.py",
     "tests/test_format_gate_lists.py",
     "tests/reference/",
 ]
