@@ -115,12 +115,9 @@ def run_engine_variant(concurrency: str) -> float:
 
 def run_scenario_variant(concurrency: str):
     """The multi_tenant scenario at 8 tenants, every tenant surged."""
-    # telemetry is pinned to scalar: this bench gates deterministic
-    # repair-scheduling numbers against a committed baseline, and the
-    # columnar default (X8) changes gauge report timing.
     config = api.RunConfig.adapted(
         "multi_tenant", horizon=SCENARIO_HORIZON
-    ).but(tenants=SCENARIO_TENANTS, concurrency=concurrency, telemetry="scalar")
+    ).but(tenants=SCENARIO_TENANTS, concurrency=concurrency)
     result = api.run(config)
     return result
 

@@ -1,21 +1,18 @@
 """Bench-regression gate: compare emitted ``BENCH_*.json`` vs baselines.
 
-CI's ``bench-smoke`` job runs the X4, X5, X7-X9 benches in fast mode, then
-runs this script to compare each emitted ``benchmarks/out/BENCH_*.json``
-against the committed baseline in ``benchmarks/baselines/``.  The build
-fails when any **gated metric** regresses beyond its margin.
+CI's ``bench-smoke`` job runs the X4, X5, X7 and X9 benches in fast mode,
+then runs this script to compare each emitted
+``benchmarks/out/BENCH_*.json`` against the committed baseline in
+``benchmarks/baselines/``.  The build fails when any **gated metric**
+regresses beyond its margin.
 
 Margins are per metric, not global: metrics measured in *simulated* time
 (X5's time-to-quiesce) or deterministic counters are reproducible to the
-bit, so they gate tightly; wall-clock-derived speedups (X4/X8) wobble
-with runner load, so they get the wide fast-mode noise margin.  Either
-way the headline tolerance is "fail if worse than baseline by more than
-the margin" — improvements never fail, and a per-metric delta table is
-always printed for the job log.  Under X8's gated ratio the table also
-shows both sides' absolute rates as ungated rows: a ratio falls when
-its slow side gets faster (as when the per-message path it divides
-by got faster), and only the rates tell that apart from the fast side
-getting slower.
+bit, so they gate tightly; wall-clock-derived speedups (X4) wobble with
+runner load, so they get the wide fast-mode noise margin.  Either way
+the headline tolerance is "fail if worse than baseline by more than the
+margin" — improvements never fail, and a per-metric delta table is
+always printed for the job log.
 
 Every committed baseline must have a freshly emitted counterpart: a
 bench that silently stopped running (collection error, renamed file,
@@ -65,10 +62,6 @@ class Gate:
     extract: Callable[[Dict[str, Any]], Optional[float]]
     higher_is_better: bool = True
     margin: float = TIMING_MARGIN
-    #: False: shown in the delta table, never failed on.  An absolute
-    #: wall-clock rate does not transfer between runners, but next to a
-    #: gated ratio it shows which side of the ratio moved.
-    gated: bool = True
 
 
 def _largest_size_speedup(report: Dict[str, Any]) -> Optional[float]:
@@ -78,11 +71,6 @@ def _largest_size_speedup(report: Dict[str, Any]) -> Optional[float]:
         return None
     size = max(results, key=int)
     return results[size]["incremental"]["speedup"]
-
-
-def _rate(path: str, key: str) -> Gate:
-    """Informational row: one side's absolute rate, ``results.<path>.<key>``."""
-    return Gate(f"{path}_{key}", lambda r: r["results"][path].get(key), gated=False)
 
 
 def _quiesce_at_4_shards(report: Dict[str, Any]) -> Optional[float]:
@@ -115,16 +103,6 @@ GATES: Dict[str, List[Gate]] = {
             higher_is_better=False,
             margin=EXACT_MARGIN,
         ),
-    ],
-    "BENCH_telemetry.json": [
-        Gate(
-            "columnar_speedup",
-            lambda r: r.get("speedup"),
-            higher_is_better=True,
-            margin=TIMING_MARGIN,
-        ),
-        _rate("scalar", "samples_per_s"),
-        _rate("columnar", "samples_per_s"),
     ],
     "BENCH_fault_resilience.json": [
         Gate(
@@ -250,10 +228,10 @@ def compare(
                 rows.append([filename, gate.name, "-", "-", "-", "metric missing"])
                 continue
             delta = (cur_value - base_value) / base_value if base_value else 0.0
-            bad = gate.gated and _regressed(gate, base_value, cur_value)
+            bad = _regressed(gate, base_value, cur_value)
             if bad:
                 failures += 1
-            status = "FAIL" if bad else "ok" if gate.gated else "info (ungated)"
+            status = "FAIL" if bad else "ok"
             rows.append(
                 [
                     filename,

@@ -24,13 +24,11 @@ heaviest monitoring fan-in of any built-in scenario, so its
 ``bus_batching=True`` — publishes append to per-subscriber queues and
 each gauge drains its probe backlog in one burst per delivery period.
 
-It likewise defaults to the **columnar telemetry plane** (X8,
-``telemetry="columnar"``): probes buffer one gauge period's worth of
-samples and flush them as a single columnar message, the backlog gauges use
-the numpy :class:`~repro.util.windows.ColumnarWindow`, and gauge reports
-only wake the constraint checker when a share/backlog aggregate crosses
-its invariant threshold (hysteresis band ``wake_band``).  Pass
-``telemetry="scalar"`` for the per-sample reference path.
+Its probes buffer one gauge period's worth of samples and flush them as
+a single batch message, which each backlog gauge folds into its sliding
+window in one call, and gauge reports only wake the constraint checker
+when a share/backlog aggregate crosses its invariant threshold
+(hysteresis band ``wake_band``).
 """
 
 from __future__ import annotations
@@ -106,11 +104,8 @@ class MapReduceParams(ScenarioParams):
     gauge_period: float = 5.0
     backlog_horizon: float = 15.0
 
-    # telemetry plane: "columnar" batches probe emission (one array
-    # message per gauge period) and gates checker wakeups on threshold
-    # crossings; "scalar" is the per-sample reference path.
-    telemetry: str = "columnar"
-    wake_band: float = 0.1  # hysteresis, as a fraction of each threshold
+    # checker wakeups are gated on threshold crossings, with hysteresis
+    wake_band: float = 0.1  # band, as a fraction of each threshold
 
     # translation costs
     split_cost: float = 3.0       # s to re-partition the keyspace
@@ -145,10 +140,6 @@ class MapReduceParams(ScenarioParams):
         self._require(self.low_backlog >= 0, "low_backlog must be >= 0")
         self._require(self.probe_period > 0, "probe_period must be positive")
         self._require(self.gauge_period > 0, "gauge_period must be positive")
-        self._require(
-            self.telemetry in ("scalar", "columnar"),
-            "telemetry must be 'scalar' or 'columnar'",
-        )
         self._require(self.wake_band >= 0, "wake_band must be >= 0")
         self._require(
             self.bus_queue_policy in QUEUE_MODES,
@@ -319,14 +310,9 @@ class MapReduceExperiment(ScenarioExperiment):
     def _adaptation_spec(self) -> AdaptationSpec:
         params = self.params
         app = self.app
-        columnar = params.telemetry == "columnar"
-        # One probe flush per gauge period: the gauge does one vectorized
-        # window update per report interval instead of one per sample.
-        batch = (
-            max(1, int(round(params.gauge_period / params.probe_period)))
-            if columnar
-            else 1
-        )
+        # One probe flush per gauge period: the gauge takes one delivery
+        # per report interval instead of one per sample.
+        batch = max(1, int(round(params.gauge_period / params.probe_period)))
         instruments: List = []
         for reducer in app.reducer_names:
             instruments.extend(
@@ -352,7 +338,6 @@ class MapReduceExperiment(ScenarioExperiment):
                             r,
                             period=params.gauge_period,
                             horizon=params.backlog_horizon,
-                            columnar=columnar,
                         ),
                         entities=[reducer],
                     ),
@@ -404,20 +389,18 @@ class MapReduceExperiment(ScenarioExperiment):
                     ),
                 ]
             )
-        # Wake the checker only on threshold crossings (columnar only).
-        # "keys" reports are informational — a math.inf threshold never
-        # crosses, so they update the model without waking the checker.
-        wake_thresholds = {}
-        if columnar:
-            wake_thresholds = {
-                "share": WakeThreshold(
-                    params.max_share, band=params.wake_band * params.max_share
-                ),
-                "backlog": WakeThreshold(
-                    params.low_backlog, band=params.wake_band * params.low_backlog
-                ),
-                "keys": WakeThreshold(math.inf),
-            }
+        # Wake the checker only on threshold crossings.  "keys" reports
+        # are informational — a math.inf threshold never crosses, so they
+        # update the model without waking the checker.
+        wake_thresholds = {
+            "share": WakeThreshold(
+                params.max_share, band=params.wake_band * params.max_share
+            ),
+            "backlog": WakeThreshold(
+                params.low_backlog, band=params.wake_band * params.low_backlog
+            ),
+            "keys": WakeThreshold(math.inf),
+        }
         return AdaptationSpec(
             style="MapReduceFam",
             dsl_source=MAP_REDUCE_DSL,
@@ -434,7 +417,6 @@ class MapReduceExperiment(ScenarioExperiment):
             settle_time=params.settle_time,
             failed_repair_cost=params.failed_repair_cost,
             violation_policy=params.violation_policy,
-            telemetry=params.telemetry,
             wake_thresholds=wake_thresholds,
         )
 

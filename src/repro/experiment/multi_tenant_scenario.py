@@ -18,6 +18,11 @@ footprints and are all admitted immediately.  The scenario's headline
 metric, :meth:`MultiTenantResult.time_to_all_repaired`, makes the
 difference visible: time from surge onset until no tenant's ground-truth
 latency violates its bound.
+
+Its telemetry is :mod:`~repro.experiment.map_reduce_scenario`'s: each
+probe flushes one batch message per gauge period, and a gauge report
+wakes the checker only when latency or utilization crosses its
+invariant threshold (hysteresis band ``wake_band``).
 """
 
 from __future__ import annotations
@@ -100,11 +105,8 @@ class MultiTenantParams(ScenarioParams):
     gauge_period: float = 5.0
     utilization_tau: float = 60.0
 
-    # telemetry plane: "columnar" batches probe emission (one array
-    # message per gauge period) and gates checker wakeups on threshold
-    # crossings; "scalar" is the per-sample reference path.
-    telemetry: str = "columnar"
-    wake_band: float = 0.1  # hysteresis, as a fraction of each threshold
+    # checker wakeups are gated on threshold crossings, with hysteresis
+    wake_band: float = 0.1  # band, as a fraction of each threshold
 
     # translation costs
     spin_up_cost: float = 6.0      # s to provision a pool resize
@@ -152,10 +154,6 @@ class MultiTenantParams(ScenarioParams):
         self._require(self.grow_step >= 1, "grow_step must be >= 1")
         self._require(self.probe_period > 0, "probe_period must be positive")
         self._require(self.gauge_period > 0, "gauge_period must be positive")
-        self._require(
-            self.telemetry in ("scalar", "columnar"),
-            "telemetry must be 'scalar' or 'columnar'",
-        )
         self._require(self.wake_band >= 0, "wake_band must be >= 0")
         self._require(
             self.max_concurrent_repairs >= 1,
@@ -416,13 +414,8 @@ class MultiTenantExperiment(ScenarioExperiment):
     def _adaptation_spec(self) -> AdaptationSpec:
         params = self.params
         app = self.app
-        columnar = params.telemetry == "columnar"
         # One probe flush per gauge period (see map_reduce_scenario).
-        batch = (
-            max(1, int(round(params.gauge_period / params.probe_period)))
-            if columnar
-            else 1
-        )
+        batch = max(1, int(round(params.gauge_period / params.probe_period)))
         instruments: List = []
         for tenant in app.tenants:
             instruments.extend(
@@ -463,22 +456,19 @@ class MultiTenantExperiment(ScenarioExperiment):
                     ),
                 ]
             )
-        # Wake the checker only on threshold crossings (columnar only):
-        # latency threatens fairLatency from above, utilization threatens
-        # idlePool from below.
-        wake_thresholds = {}
-        if columnar:
-            wake_thresholds = {
-                "latency": WakeThreshold(
-                    params.max_latency,
-                    band=params.wake_band * params.max_latency,
-                ),
-                "utilization": WakeThreshold(
-                    params.min_utilization,
-                    band=params.wake_band * params.min_utilization,
-                    direction="below",
-                ),
-            }
+        # Wake the checker only on threshold crossings: latency threatens
+        # fairLatency from above, utilization threatens idlePool from below.
+        wake_thresholds = {
+            "latency": WakeThreshold(
+                params.max_latency,
+                band=params.wake_band * params.max_latency,
+            ),
+            "utilization": WakeThreshold(
+                params.min_utilization,
+                band=params.wake_band * params.min_utilization,
+                direction="below",
+            ),
+        }
         return AdaptationSpec(
             style="MultiTenantFam",
             dsl_source=MULTI_TENANT_DSL,
@@ -504,7 +494,6 @@ class MultiTenantExperiment(ScenarioExperiment):
             violation_policy=params.violation_policy,
             concurrency=params.concurrency,
             max_concurrent_repairs=params.max_concurrent_repairs,
-            telemetry=params.telemetry,
             wake_thresholds=wake_thresholds,
             sharding=params.sharding,
         )

@@ -14,8 +14,8 @@ the *built* wiring of a runtime before any event executes:
   spec's intent executor does not declare (the repair commits on the
   model, then translation fails);
 * ``WIR404`` — a ``WakeThreshold`` names a gauge kind no gauge in the
-  spec reports (the threshold can never trip, so in columnar mode the
-  checker never wakes for it).
+  spec reports (the threshold can never trip, so the checker never
+  wakes for it).
 
 The audit runs against a :class:`WiringView` — a plain-data snapshot of
 the facts the rules need — so tests can also construct views directly

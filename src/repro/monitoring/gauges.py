@@ -8,13 +8,12 @@ the window mean over the threshold), matching the paper's observed delay
 between cause and repair.
 
 Probe messages arrive in two shapes.  Per-sample messages carry one
-scalar attribute and are fed to ``_consume`` (the pinned scalar path);
-columnar messages carry parallel ``times``/``values`` tuples of floats
-(one per :class:`~repro.monitoring.probes.CallbackProbe` flush) and are
-routed to ``_consume_batch`` — one delivery per burst instead of per
-sample (X8).  Only a columnar :class:`WindowedMeanGauge` turns a batch
-into arrays (:meth:`~repro.util.windows.ColumnarWindow.add_many`); the
-other gauges read the floats as they came.
+scalar attribute and are fed to ``_consume``; batch messages carry
+parallel ``times``/``values`` tuples of floats (one per probe flush,
+``batch > 1``) and are routed to ``_consume_batch`` — one delivery per
+burst instead of per sample.  Every gauge reads the floats as they came:
+a :class:`WindowedMeanGauge` folds a batch into its
+:class:`~repro.util.windows.SlidingWindow` with one ``add_many`` call.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Optional
 from repro.bus.bus import EventBus, Subscription
 from repro.bus.messages import Message
 from repro.sim.kernel import Simulator
-from repro.util.windows import EWMA, ColumnarWindow, SlidingWindow
+from repro.util.windows import EWMA, SlidingWindow
 
 __all__ = [
     "Gauge",
@@ -319,12 +318,9 @@ class _ValueGauge(Gauge):
 class WindowedMeanGauge(_ValueGauge):
     """Sliding-window mean of a CallbackProbe's reported values.
 
-    ``columnar=True`` swaps the python :class:`SlidingWindow` for the
-    numpy :class:`ColumnarWindow` — identical aggregates bit for bit,
-    but a batched probe flush becomes one vectorized ``add_many`` call.
-    Note the two paths timestamp differently: per-sample messages use
-    delivery time (the scalar reference), batched messages carry their
-    capture times.
+    A batched probe flush is one ``add_many`` call on the window.  The two
+    message shapes timestamp differently: a per-sample message is stamped
+    with its delivery time, a batch carries its samples' capture times.
     """
 
     def __init__(
@@ -336,11 +332,9 @@ class WindowedMeanGauge(_ValueGauge):
         target: str,
         period: float = 5.0,
         horizon: float = 30.0,
-        columnar: bool = False,
     ):
         super().__init__(sim, probe_bus, gauge_bus, kind, target, period=period)
-        self.columnar = bool(columnar)
-        self.window = ColumnarWindow(horizon) if columnar else SlidingWindow(horizon)
+        self.window = SlidingWindow(horizon)
 
     def _consume(self, message: Message) -> None:
         self.window.add(self.sim.now, float(message["value"]))

@@ -7,12 +7,14 @@ becomes active; repairs *redeploy* the gauges of affected entities, which
 blanks them for the redeployment window — the dominant component of the
 paper's 30 s repair time and a real monitoring blind spot.
 
-The columnar telemetry plane (X8) adds :class:`ThresholdGate`: gauge
-reports only wake the incremental constraint checker when the reported
-aggregate crosses (or un-crosses) an invariant threshold, with a
-hysteresis band so values hovering at the threshold do not flap the
-checker on and off.  Steady-state gauge ticks then cost zero model-query
-work — the model property is still updated, but no evaluation runs.
+Every runtime also has one :class:`ThresholdGate`: gauge reports only
+wake the incremental constraint checker when the reported aggregate
+crosses (or un-crosses) an invariant threshold, with a hysteresis band
+so values hovering at the threshold do not flap the checker on and off.
+Steady-state gauge ticks then cost zero model-query work — the model
+property is still updated, but no evaluation runs.  A kind without a
+threshold always wakes, so a gate over no thresholds wakes on every
+report.
 """
 
 from __future__ import annotations

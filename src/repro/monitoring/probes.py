@@ -13,22 +13,17 @@ application code (method-call events) plus Remos; our equivalents:
 * :class:`UtilizationProbe` — samples a group's mean compute utilization.
 
 All probes publish ``probe.<kind>.<target>`` messages.  A probe normally
-publishes one message per observation; :class:`CallbackProbe` can instead
-buffer ``batch`` observations and publish them as **one** message carrying
-parallel ``times``/``values`` tuples of floats — the columnar telemetry
-plane's emission mode (X8), which the generic gauges consume through
-``_consume_batch`` in one delivery.  A message carries the floats the
-probe buffered, not arrays: numpy enters only in the columnar gauge's
-:class:`~repro.util.windows.ColumnarWindow`, the one consumer that folds
-a batch in vectorized form.
+publishes one message per observation; the two ``value`` probes
+(:class:`CallbackProbe`, :class:`IngestProbe`) can instead buffer
+``batch`` observations and publish them as **one** message carrying
+parallel ``times``/``values`` tuples of the floats they buffered, which
+the generic gauges consume through ``_consume_batch`` in one delivery.
 """
 
 from __future__ import annotations
 
 from math import inf, isfinite
 from typing import Callable, List, Optional
-
-import numpy as np
 
 from repro.app.client import Client
 from repro.app.system import GridApplication
@@ -57,7 +52,7 @@ class _Probe:
     section of :meth:`~repro.runtime.core.AdaptationRuntime.stats`.
 
     The two ``value`` probes (:class:`CallbackProbe`,
-    :class:`IngestProbe`) share the columnar emission mode kept here:
+    :class:`IngestProbe`) share the batch emission mode kept here:
     with ``batch > 1`` they buffer each observation with its capture
     time, and :meth:`flush` publishes the buffer as one ``times`` /
     ``values`` message about ``self.target``.
@@ -87,34 +82,25 @@ class _Probe:
         self.samples += 1
         self.bus.publish_subject(subject, sender=self.name, **attributes)
 
-    def publish_batch(self, subject: str, times, values, **attributes) -> None:
-        """Publish one message carrying parallel ``times``/``values``
-        columns, given as arrays or sequences of numbers: they travel as
-        tuples of floats (``ValueError`` for columns of unequal length)."""
-        times, values = np.asarray((times, values), dtype=np.float64).tolist()
-        self._publish_columns(subject, tuple(times), tuple(values), **attributes)
-
-    def _publish_columns(self, subject: str, times, values, **attributes) -> None:
-        if not self.enabled or not values:
-            return
-        self.reports += 1
-        self.samples += len(values)
-        self.batches += 1
-        self.bus.publish_subject(
-            subject, sender=self.name, times=times, values=values, **attributes
-        )
-
     def flush(self) -> None:
-        """Publish any buffered observations as one columnar message."""
+        """Publish any buffered observations as one batch message."""
         values = self._pending_values
         if not values:
             return
         times = self._pending_times
         self._flushed_to = times[-1]
         try:
-            self._publish_columns(
-                self.name, tuple(times), tuple(values), target=self.target
-            )
+            if self.enabled:
+                self.reports += 1
+                self.samples += len(values)
+                self.batches += 1
+                self.bus.publish_subject(
+                    self.name,
+                    sender=self.name,
+                    times=tuple(times),
+                    values=tuple(values),
+                    target=self.target,
+                )
         finally:  # published, disabled or refused: the buffer starts over
             times.clear()
             values.clear()
@@ -309,13 +295,13 @@ class CallbackProbe(_PeriodicProbe):
     ``value`` attribute from ``probe.<kind>.<target>`` subjects.  The
     master/worker scenario is built entirely from these.
 
-    With ``batch > 1`` the probe runs in columnar emission mode: each
+    With ``batch > 1`` the probe runs in batch emission mode: each
     observation is buffered with its capture time and every ``batch``-th
     sample flushes the buffer as one ``times``/``values`` message
     (see :meth:`_Probe.flush`).  The paired gauge then takes one delivery
-    per flush instead of one per sample — a columnar window folds it in one
-    vectorized update; capture times ride in the message, so windowed
-    aggregates see the observation times, not the delivery time.
+    per flush instead of one per sample; capture times ride in the
+    message, so windowed aggregates see the observation times, not the
+    delivery time.
     """
 
     def __init__(
@@ -362,7 +348,7 @@ class IngestProbe(_Probe):
     callers go through
     :meth:`~repro.realtime.driver.RealtimeDriver.ingest`, which hops
     onto the scheduler via ``call_soon_threadsafe``.  With ``batch > 1``
-    samples buffer (with capture times) and flush as one columnar
+    samples buffer (with capture times) and flush as one
     ``times``/``values`` message, which is the mode a high-rate external
     feed should run.
     """

@@ -76,10 +76,6 @@ class AdaptationRuntime:
         self.app = app
         self.spec = spec
         self.trace = trace if trace is not None else Trace()
-        if spec.telemetry not in ("scalar", "columnar"):
-            raise ValueError(
-                f"telemetry must be 'scalar' or 'columnar', got {spec.telemetry!r}"
-            )
         sharding = spec.sharding if spec.sharding is not None else ShardingSpec()
         faulted = spec.faults is not None and spec.faults.active()
         if faulted and sharding.shards > 1:
@@ -191,13 +187,10 @@ class AdaptationRuntime:
             else:  # pragma: no cover - spec typo guard
                 raise TypeError(f"unknown instrument binding {binding!r}")
 
-        # 8: close the monitoring half of the loop, one updater per shard.
-        # The wake gate only exists on the columnar plane — scalar runs
-        # keep every report waking the checker, which the serial
-        # fingerprints pin.
-        self.wake_gate: Optional[ThresholdGate] = None
-        if spec.telemetry == "columnar" and spec.wake_thresholds:
-            self.wake_gate = ThresholdGate(spec.wake_thresholds)
+        # 8: close the monitoring half of the loop, one updater per shard,
+        # all behind one wake gate (over no thresholds it wakes on every
+        # report, which the serial fingerprints pin).
+        self.wake_gate = ThresholdGate(spec.wake_thresholds)
         self.updaters = [
             PropertyUpdater(
                 model, self.gauge_bus.shard(k), self.manager.shard_proxy(k),
@@ -290,16 +283,14 @@ class AdaptationRuntime:
                 **self.manager.constraint_stats}
 
     def _telemetry_section(self) -> Dict[str, int]:
-        """Columnar-plane counters (X8): volume and wakeup suppression.
+        """Telemetry counters: volume and wakeup suppression.
 
         ``samples`` counts probe observations, ``batches`` the
         column-carrying messages among the probe reports, ``late`` (present
         only when non-zero) the pushed samples an ``IngestProbe``
         dropped for their capture time.  ``wakeups`` /
-        ``suppressed_reports`` come from the wake gate when one is
-        installed; ungated runs report every applied gauge report as a
-        wakeup and zero suppressions, so the sum is comparable across
-        telemetry modes.
+        ``suppressed_reports`` are the wake gate's: with no thresholds
+        every applied gauge report is a wakeup and none is suppressed.
         """
         stats = {
             "samples": sum(int(getattr(p, "samples", 0)) for p in self.probes),
@@ -308,11 +299,7 @@ class AdaptationRuntime:
         late = sum(getattr(p, "late", 0) for p in self.probes)
         if late:  # ingest probes only, and only once a sample came out of order
             stats["late"] = late
-        if self.wake_gate is not None:
-            stats.update(self.wake_gate.stats())
-        else:
-            stats["wakeups"] = sum(updater.applied for updater in self.updaters)
-            stats["suppressed_reports"] = 0
+        stats.update(self.wake_gate.stats())
         return stats
 
     def _shard_sections(self) -> Tuple[ShardStats, ...]:

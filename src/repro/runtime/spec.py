@@ -133,12 +133,13 @@ class AdaptationSpec:
     concurrency: str = "serial"
     max_concurrent_repairs: int = 8
 
-    # telemetry plane: "scalar" (per-sample messages into python windows —
-    # the pinned-fingerprint default) or "columnar" (batched array
-    # messages into numpy ring buffers, X8).  ``wake_thresholds`` maps
-    # gauge kind -> WakeThreshold; with a columnar plane the generic
-    # updater only wakes the constraint checker on threshold crossings.
+    # inert: nothing reads it.  Kept only because the whole-plane
+    # benchmark (benchmarks/e2e/plane.py) still passes telemetry=; drop
+    # that argument there, then this field.
     telemetry: str = "scalar"
+    # checker wakeups: gauge kind -> WakeThreshold.  A report of a listed
+    # kind wakes the constraint checker only on a threshold crossing;
+    # every other report wakes it (so the empty default wakes on all).
     wake_thresholds: Mapping[str, "WakeThreshold"] = field(default_factory=dict)
 
     # fault plane: a frozen FaultSpec turns on deterministic failure

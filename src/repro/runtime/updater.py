@@ -18,6 +18,7 @@ from repro.bus.bus import EventBus
 from repro.bus.index import ROUTE_MEMO_CAP
 from repro.bus.messages import Message
 from repro.errors import UnknownElementError
+from repro.monitoring.manager import ThresholdGate
 
 __all__ = ["PropertyUpdater", "component"]
 
@@ -48,11 +49,12 @@ class PropertyUpdater:
     the bus trie's route memo, the table is cleared rather than grown
     past :data:`~repro.bus.index.ROUTE_MEMO_CAP` subjects.
 
-    With a ``gate`` (a :class:`~repro.monitoring.manager.ThresholdGate`),
-    every report still updates the model, but the architecture manager
-    is only woken when the gate says the value crossed (or un-crossed)
-    an invariant threshold — steady-state gauge ticks cost no
-    constraint-evaluation work.
+    Every report updates the model; the architecture manager is woken
+    only when the ``gate`` (a
+    :class:`~repro.monitoring.manager.ThresholdGate`) says the value
+    crossed (or un-crossed) an invariant threshold — steady-state gauge
+    ticks cost no constraint-evaluation work.  The default gate has no
+    thresholds and wakes on every report.
     """
 
     def __init__(
@@ -61,7 +63,7 @@ class PropertyUpdater:
         gauge_bus: EventBus,
         arch_manager=None,
         property_map: Optional[Mapping[str, Union[str, Fanout]]] = None,
-        gate=None,
+        gate: Optional[ThresholdGate] = None,
     ):
         self.system = system
         self.arch_manager = arch_manager
@@ -69,7 +71,7 @@ class PropertyUpdater:
             kind: tuple([(component, entry)] if isinstance(entry, str) else entry)
             for kind, entry in (property_map or {}).items()
         }
-        self.gate = gate
+        self.gate = gate or ThresholdGate({})
         self.applied = 0
         self.skipped = 0
         self._routes: Dict[str, Route] = {}
@@ -116,5 +118,5 @@ class PropertyUpdater:
         self.applied += 1
         if self.arch_manager is None:
             return
-        if self.gate is None or self.gate.should_wake(kind, target, value):
+        if self.gate.should_wake(kind, target, value):
             self.arch_manager.evaluate()

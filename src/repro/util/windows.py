@@ -1,12 +1,12 @@
 """Time-windowed statistics used by gauges and workload schedules.
 
-``SlidingWindow`` backs the latency/load gauges: the paper's gauges report
+``SlidingWindow`` backs every windowed gauge: the paper's gauges report
 *average* behaviour over a recent horizon, which is what introduces the
-detection lag visible in Figures 11-13.  ``ColumnarWindow`` is its
-vectorized twin — same aggregates, bit for bit, but fed whole probe
-batches at a time (the X8 columnar telemetry plane).  ``StepFunction``
-expresses the Figure 7 stepping schedules for bandwidth competition and
-request load.
+detection lag visible in Figures 11-13.  It takes samples one at a time
+or a probe batch at a time (``add_many``, all or nothing).  Its numpy
+twin below is unused and not exported (see its docstring).
+``StepFunction`` expresses the Figure 7 stepping schedules for bandwidth
+competition and request load.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Deque, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["SlidingWindow", "ColumnarWindow", "EWMA", "StepFunction"]
+__all__ = ["SlidingWindow", "EWMA", "StepFunction"]
 
 
 class SlidingWindow:
@@ -33,9 +33,8 @@ class SlidingWindow:
     popped at most once, so the amortized cost per ``add`` is constant even
     though gauges query these every report period.
 
-    This scalar implementation is the pinned bit-for-bit reference for the
-    serial fingerprints; :class:`ColumnarWindow` must agree with it exactly
-    (see ``tests/test_columnar_telemetry.py``).
+    This is the only window the gauges use, pinned bit for bit by the
+    serial fingerprints.
     """
 
     def __init__(self, horizon: float):
@@ -68,11 +67,37 @@ class SlidingWindow:
         maxq.append((time, value))
 
     def add_many(self, times: Sequence[float], values: Sequence[float]) -> None:
-        """Scalar fallback for the batched gauge path: a loop of ``add``."""
+        """Record a batch of samples, all or nothing.
+
+        The lengths, every value's finiteness and the time order (from
+        the newest sample already held) are checked before any sample is
+        folded in, so a refused batch leaves the window as it was.  The
+        fold is ``add``'s, sample by sample: the aggregates are the same
+        bit for bit.
+        """
         if len(times) != len(values):
             raise ValueError("times and values must have equal length")
-        for time, value in zip(times, values):
-            self.add(float(time), float(value))
+        batch = list(zip(times, map(float, values)))
+        last = self._last_time
+        for time, value in batch:
+            if last is not None and time < last:
+                raise ValueError(
+                    f"samples must be time-ordered: got {time} after {last}"
+                )
+            if not math.isfinite(value):
+                raise ValueError(f"sample value must be finite, got {value}")
+            last = time
+        self._last_time = last
+        self._samples.extend(batch)
+        maxq = self._maxq
+        total = self._sum
+        for sample in batch:
+            value = sample[1]
+            total += value
+            while maxq and maxq[-1][1] <= value:
+                maxq.pop()
+            maxq.append(sample)
+        self._sum = total
 
     def _expire(self, now: float) -> None:
         cutoff = now - self.horizon
@@ -136,12 +161,18 @@ def _accumulate_into(total: float, values: np.ndarray, ufunc) -> float:
 class ColumnarWindow:
     """Columnar twin of :class:`SlidingWindow`: numpy (time, value) columns.
 
+    No gauge uses it: at the probe batches the package ships (5 samples)
+    the scalar window folds a sample several times faster.  It stays only
+    because the whole-plane benchmark's tracer
+    (``benchmarks/e2e/trace.py``) resolves its methods by name and the
+    harness's smoke test wants every entry point found; drop those rows
+    there, then delete this class.
+
     Samples live in flat float64 arrays managed as a ring: expiry advances
     ``_start``, appends advance ``_end``, and the arrays are compacted (and
     doubled when genuinely full) once the tail runs out of room — amortized
-    O(1) per sample.  ``add_many`` ingests a whole probe batch in a handful
-    of vectorized operations, which is where the X8 telemetry speedup comes
-    from (see ``benchmarks/bench_x8_telemetry.py``).
+    O(1) per sample.  ``add_many`` ingests a whole batch in a handful of
+    vectorized operations.
 
     Aggregates are **bit-for-bit identical** to the scalar reference:
 

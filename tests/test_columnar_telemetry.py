@@ -1,31 +1,30 @@
-"""Columnar telemetry equivalence (X8): pinned against the scalar plane.
+"""Batched telemetry: equivalent to per-sample telemetry, and engaged.
 
-Two randomized property suites (plain ``random.Random`` with fixed
-seeds, mirroring ``tests/test_constraints_compile.py``):
+Two suites:
 
-* :class:`ColumnarWindow` mean/rate/max/count must equal the scalar
+* :class:`ColumnarWindow` mean/rate/max/count must equal
   :class:`SlidingWindow` **bit for bit** — not approximately — over
-  random time-ordered streams mixing scalar adds, batched ``add_many``,
-  interleaved queries at random horizon offsets, and clears.  The serial
-  fingerprints pin the scalar plane; this suite pins the columnar plane
-  *to* it.
+  random time-ordered streams (plain ``random.Random`` with fixed seeds)
+  mixing single adds, batched ``add_many``, interleaved queries at
+  random horizon offsets, and clears.  No gauge uses the numpy window
+  any more; the suite stays while the class does.
 * Batched probe emission must produce the identical gauge report series
   to per-sample emission when flushes land before gauge ticks: same
   report times, same values, for windowed-mean, EWMA, and latest-value
   gauges.
 
-Plus scenario-level checks that the columnar default actually engages
-(batches flow, wakeups are suppressed) and that ``telemetry_stats``
-reaches :class:`RunResult`.
+Plus scenario-level checks that the one telemetry plane actually batches
+and suppresses wakeups, and that ``telemetry_stats`` reaches
+:class:`RunResult`.
 """
 
 import random
 
-import numpy as np
 import pytest
 
 from repro import api
 from repro.bus.bus import EventBus, FixedDelay
+from repro.errors import ReproError
 from repro.monitoring.gauges import EwmaGauge, LatestValueGauge, WindowedMeanGauge
 from repro.monitoring.probes import CallbackProbe
 from repro.sim import Simulator
@@ -136,13 +135,8 @@ class TestBatchedEmissionEquivalence:
         ],
     )
     def test_report_series_identical(self, gauge_cls, kwargs):
-        reference_kwargs = dict(kwargs)
-        batched_kwargs = dict(kwargs)
-        if gauge_cls is WindowedMeanGauge:
-            reference_kwargs["columnar"] = False
-            batched_kwargs["columnar"] = True
-        _, reference = build_report_harness(gauge_cls, 1, **reference_kwargs)
-        probe, batched = build_report_harness(gauge_cls, 5, **batched_kwargs)
+        _, reference = build_report_harness(gauge_cls, 1, **kwargs)
+        probe, batched = build_report_harness(gauge_cls, 5, **kwargs)
         assert len(reference) >= 11  # ticks at 5, 10, ..., 60 (one skipped)
         assert batched == reference  # same times, bit-for-bit same values
         assert probe.batches > 0
@@ -166,25 +160,6 @@ class TestBatchedEmissionEquivalence:
         assert seen[0]["values"] == (1.0, 1.0, 1.0, 1.0)
         assert seen[0]["times"] == (0.0, 1.0, 2.0, 3.0)
 
-    def test_publish_batch_takes_arrays_and_sends_float_tuples(self):
-        sim = Simulator()
-        bus = EventBus(sim, delivery=FixedDelay(0.0))
-        probe = CallbackProbe(sim, bus, "load", "E1", lambda: 1.0, batch=2)
-        seen = []
-        bus.subscribe("probe.>", seen.append)
-        probe.publish_batch(
-            "probe.load.E1", np.arange(3.0), np.array([1, 2, 3]), target="E1"
-        )
-        probe.publish_batch("probe.load.E1", [], [])  # nothing to send
-        with pytest.raises(ValueError):
-            probe.publish_batch("probe.load.E1", [0.0, 1.0], [1.0])
-        sim.run()
-        [message] = seen
-        assert message["times"] == (0.0, 1.0, 2.0)
-        assert message["values"] == (1.0, 2.0, 3.0)
-        assert all(type(v) is float for v in message["times"] + message["values"])
-        assert (probe.reports, probe.samples, probe.batches) == (1, 3, 1)
-
     def test_batch_must_be_positive(self):
         sim = Simulator()
         bus = EventBus(sim)
@@ -193,26 +168,21 @@ class TestBatchedEmissionEquivalence:
 
 
 class TestScenarioTelemetryStats:
-    """The columnar default engages end to end and reaches RunResult."""
+    """The one telemetry plane engages end to end and reaches RunResult."""
 
-    def test_map_reduce_columnar_suppresses_wakeups(self):
-        config = api.RunConfig.adapted("map_reduce", horizon=400.0)
-        columnar = api.run(config)
-        scalar = api.run(config.but(telemetry="scalar"))
-        cstats, sstats = columnar.telemetry_stats, scalar.telemetry_stats
-        assert cstats["batches"] > 0
-        assert sstats["batches"] == 0
-        assert cstats["samples"] > 0
+    def test_map_reduce_batches_and_suppresses_wakeups(self):
+        result = api.run(api.RunConfig.adapted("map_reduce", horizon=400.0))
+        stats = result.telemetry_stats
+        # one flush per gauge period: five samples a batch message
+        assert stats["batches"] > 0
+        assert stats["samples"] == 5 * stats["batches"]
         # the gate suppressed most steady-state reports...
-        assert cstats["suppressed_reports"] > 0
-        assert cstats["wakeups"] < sstats["wakeups"]
+        assert stats["suppressed_reports"] > stats["wakeups"] > 0
         # ...and the counters reach the JSON summary
-        assert columnar.summary()["counters"]["telemetry"] == cstats
+        assert result.summary()["counters"]["telemetry"] == stats
 
     def test_invalid_telemetry_param_rejected(self):
-        with pytest.raises(Exception, match="telemetry"):
-            api.run(
-                api.RunConfig.adapted("map_reduce", horizon=50.0).but(
-                    telemetry="vectorized"
-                )
-            )
+        # there is no telemetry switch left to set, to any value
+        config = api.RunConfig.adapted("map_reduce", horizon=50.0)
+        with pytest.raises(ReproError, match=r"no parameter\(s\) \['telemetry'\]"):
+            config.but(telemetry="scalar")

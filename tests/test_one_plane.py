@@ -8,11 +8,14 @@ shard under one ``ShardCoordinator``.
 For every registered scenario's default adapted run, the four surfaces a
 caller reads — ``summary()``, ``history_dicts()``, ``stats().to_dict()``
 and ``fault_stats`` — are pinned to digests captured on the commit before
-the two build paths were merged: key for key, in key order.  One key was
-removed on purpose and is left out of the captured ``summary()`` of
-``multi_tenant_sharded``: ``params.sharding.enabled`` (``ShardingSpec``
-has no ``enabled`` field any more).  The tests after the digests name what
-a one-shard plane has to look like for them to hold.
+the two build paths were merged: key for key, in key order.  Two keys were
+removed on purpose and are left out of the captured ``summary()``:
+``params.sharding.enabled`` of ``multi_tenant_sharded`` (``ShardingSpec``
+has no ``enabled`` field any more), and ``params.telemetry`` of
+``map_reduce``, ``multi_tenant`` and ``multi_tenant_sharded`` (there is
+one telemetry plane, so their params have no switch for it).  The tests
+after the digests name what a one-shard plane has to look like for them
+to hold.
 """
 
 import dataclasses
@@ -41,7 +44,7 @@ CAPTURED = {
         "fault_stats": "4275034667c996e9",
     },
     "map_reduce": {
-        "summary": "9b39fdf2bc8e527b",
+        "summary": "0622dcfe5f205c4d",
         "history": "2c101643977d93a8",
         "stats": "ae5677784f6242a6",
         "fault_stats": "44136fa355b3678a",
@@ -53,13 +56,13 @@ CAPTURED = {
         "fault_stats": "44136fa355b3678a",
     },
     "multi_tenant": {
-        "summary": "74e1c97aa49993c1",
+        "summary": "5b90353c74cf8a61",
         "history": "aa5e179e444fcd10",
         "stats": "a15e0b6bea2796ec",
         "fault_stats": "44136fa355b3678a",
     },
     "multi_tenant_sharded": {
-        "summary": "597cd88800710717",
+        "summary": "49e5767e9702861a",
         "history": "8e143e94f88dd4af",
         "stats": "8d2e1a3b501c1b72",
         "fault_stats": "44136fa355b3678a",

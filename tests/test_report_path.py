@@ -10,8 +10,8 @@ stopwatch can pin on a host whose speed drifts:
   it, and a malformed report is counted, not raised through the loop.
 
 The plane is the whole-plane benchmark's in miniature (``multi_tenant``
-style, two ingest probes and two gauges per pool, columnar telemetry with
-wake thresholds), built through the public API.
+style, two ingest probes and two gauges per pool, wake thresholds), built
+through the public API.
 """
 
 import gc
@@ -59,13 +59,7 @@ GAUGE_KINDS = {
         rt.sim, rt.probe_bus, rt.gauge_bus, "backlog", t, period=GAUGE_PERIOD
     ),
     "share": lambda rt, t: WindowedMeanGauge(
-        rt.sim,
-        rt.probe_bus,
-        rt.gauge_bus,
-        "share",
-        t,
-        period=GAUGE_PERIOD,
-        columnar=True,
+        rt.sim, rt.probe_bus, rt.gauge_bus, "share", t, period=GAUGE_PERIOD
     ),
 }
 
@@ -134,7 +128,6 @@ def plane_spec(tenants, kinds, batch):
         settle_time=GAUGE_PERIOD,
         concurrency="disjoint",
         max_concurrent_repairs=2 * len(tenants),
-        telemetry="columnar",
         wake_thresholds={
             "latency": WakeThreshold(4.0, band=0.4),
             "utilization": WakeThreshold(0.35, band=0.035, direction="below"),

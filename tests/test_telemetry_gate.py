@@ -1,19 +1,22 @@
-"""Threshold-gated checker wakeups (the X8 telemetry plane's third leg).
+"""Threshold-gated checker wakeups.
 
 Covers the :class:`ThresholdGate` state machine — crossing, staying
 crossed, un-crossing, and the hysteresis band that stops
 boundary-hugging values from flapping — plus the ``telemetry_stats()``
 counter contract and the gate's integration with the generic
 :class:`PropertyUpdater` (suppressed reports still update the model;
-they just don't wake the architecture manager).
+they just don't wake the architecture manager).  Every runtime has a
+gate; one over no thresholds wakes on every report.
 """
 
 import math
 
 import pytest
 
+from repro import api
 from repro.acme.system import ArchSystem
 from repro.bus.bus import EventBus
+from repro.experiment.scenarios import scenario_builder
 from repro.monitoring.manager import ThresholdGate, WakeThreshold
 from repro.runtime.updater import PropertyUpdater
 from repro.sim import Simulator
@@ -173,3 +176,24 @@ class TestGatedPropertyUpdater:
         for value in (0.1, 0.2, 0.3):
             self.report(sim, bus, value)
         assert manager.evaluations == 3
+        # the default gate has no thresholds: it counts, never suppresses
+        assert updater.gate.stats() == {"wakeups": 3, "suppressed_reports": 0}
+
+
+class TestTheRuntimeGate:
+    """Every runtime has one wake gate, thresholds or not."""
+
+    def test_a_spec_without_thresholds_wakes_on_every_applied_report(self):
+        config = api.RunConfig.adapted("client_server", horizon=300.0)
+        experiment = scenario_builder("client_server")(config)
+        runtime = experiment.runtime
+        assert not runtime.spec.wake_thresholds
+        assert all(updater.gate is runtime.wake_gate for updater in runtime.updaters)
+        result = experiment.run()
+        applied = sum(updater.applied for updater in runtime.updaters)
+        assert applied > 0
+        assert runtime.wake_gate.stats() == {
+            "wakeups": applied,
+            "suppressed_reports": 0,
+        }
+        assert result.telemetry_stats["wakeups"] == applied

@@ -59,6 +59,54 @@ class TestSlidingWindow:
         assert w.mean(0.0) == 2.0
 
 
+class TestSlidingWindowAddMany:
+    """A probe batch is folded in whole or not at all."""
+
+    TIMES = [3.0, 4.0, 5.0, 6.0, 7.0]
+    VALUES = [1.0, 9.0, 4.0, 2.0, 8.0]
+
+    @staticmethod
+    def aggregates(w, now=8.0):
+        return w.count(now), w.mean(now), w.maximum(now)
+
+    def held(self):
+        w = SlidingWindow(10.0)
+        w.add(2.0, 5.0)
+        return w
+
+    def test_a_batch_equals_its_adds(self):
+        batched, looped = self.held(), self.held()
+        batched.add_many(self.TIMES, self.VALUES)
+        for time, value in zip(self.TIMES, self.VALUES):
+            looped.add(time, value)
+        assert self.aggregates(batched) == self.aggregates(looped) == (6, 29 / 6, 9.0)
+        assert batched.maximum(14.5) == looped.maximum(14.5) == 8.0  # 9.0 expired
+
+    @pytest.mark.parametrize(
+        "times,values,match",
+        [
+            (TIMES, [1.0, 9.0, math.nan, 2.0, 8.0], "finite"),
+            (TIMES, [1.0, 9.0, math.inf, 2.0, 8.0], "finite"),
+            ([3.0, 4.0, 5.0, 4.5, 7.0], VALUES, "time-ordered"),
+            ([1.0, 4.0, 5.0, 6.0, 7.0], VALUES, "time-ordered"),  # before held
+            (TIMES, VALUES[:4], "equal length"),
+        ],
+        ids=["nan-at-2", "inf-at-2", "step-back-at-3", "before-held", "lengths"],
+    )
+    def test_a_refused_batch_leaves_the_window_as_it_was(self, times, values, match):
+        w = self.held()
+        with pytest.raises(ValueError, match=match):
+            w.add_many(times, values)
+        assert self.aggregates(w) == (1, 5.0, 5.0)
+        w.add(2.0, 6.0)  # the newest time held is still the held sample's
+        assert self.aggregates(w) == (2, 5.5, 6.0)
+
+    def test_an_empty_batch_is_a_no_op(self):
+        w = self.held()
+        w.add_many([], [])
+        assert self.aggregates(w) == (1, 5.0, 5.0)
+
+
 class TestSlidingWindowMonotonicMax:
     """The O(1) max-deque must agree with a naive rescan under expiry."""
 

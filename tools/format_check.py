@@ -62,7 +62,6 @@ RATCHETED = [
     "src/repro/experiment/grid_site_scenario.py",
     "src/repro/experiment/base.py",
     "src/repro/util/windows.py",
-    "benchmarks/bench_x8_telemetry.py",
     "benchmarks/bench_x9_fault_resilience.py",
     "benchmarks/compare_bench.py",
     "tests/test_bus_batching.py",
