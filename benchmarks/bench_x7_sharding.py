@@ -11,8 +11,6 @@ Measurement (simulated time, deterministic, gates exactly): ``S`` shards
 of ``K`` simultaneously violated scope-local invariants each, one serial
 engine per shard under a :class:`ShardCoordinator`, fixed-cost
 translator; time-to-quiesce is when every shard is healthy and idle.
-A second segment exercises the cross-shard path on the widest rig:
-footprint-locked two-phase commits plus the conflict-abort counters.
 
 Output: a rendered table artifact plus machine-readable
 ``out/BENCH_sharding.json``.  The acceptance gate asserts >= 3x
@@ -30,7 +28,6 @@ from repro.constraints.invariants import ConstraintChecker
 from repro.repair import (
     ArchitectureManager,
     FirstSuccessStrategy,
-    Footprint,
     PythonTactic,
     ShardCoordinator,
 )
@@ -95,9 +92,7 @@ def build_rig(shards: int):
         )
         managers.append(manager)
         checkers.append(checker)
-    coordinator = ShardCoordinator(
-        sim, model, managers, settle_time=SETTLE_TIME
-    )
+    coordinator = ShardCoordinator(managers)
     return sim, model, checkers, coordinator
 
 
@@ -134,42 +129,12 @@ def run_sweep_point(shards: int):
     }
 
 
-def run_cross_segment(shards: int = 4):
-    """Two-phase cross-shard commits + conflict aborts on a quiesced rig."""
-    sim, model, checkers, coordinator = build_rig(shards)
-    for comp in model.components:
-        comp.set_property("latency", 1.0)  # start healthy: isolate the path
-
-    committed = coordinator.submit_cross(
-        Footprint.of(["n0", "n1"]),
-        lambda target: target.component("n0").set_property("latency", 1.5),
-    )
-    # second submission hits the settle lock on shard 1: conflict reject
-    rejected = coordinator.submit_cross(
-        Footprint.of(["n1", "n2"]), lambda target: None
-    )
-    sim.run(until=SETTLE_TIME + 1.0)  # locks expire
-    retried = coordinator.submit_cross(
-        Footprint.of(["n1", "n2"]), lambda target: None
-    )
-    assert committed.committed
-    assert not rejected.committed
-    assert retried.committed
-    return {
-        "shards": shards,
-        "cross_commits": coordinator.cross_commits,
-        "cross_rejects": coordinator.cross_rejects,
-        "cross_aborts": coordinator.cross_aborts,
-    }
-
-
 def test_x7_sharding(artifact):
     sweep = [run_sweep_point(shards) for shards in SWEEP]
     by_shards = {point["shards"]: point for point in sweep}
     ratio_4v1 = by_shards[4]["throughput"] / by_shards[1]["throughput"]
     # 1.0 = perfectly linear scaling at fixed per-shard load
     linearity = ratio_4v1 / 4.0
-    cross = run_cross_segment()
 
     rows = [
         [
@@ -192,11 +157,7 @@ def test_x7_sharding(artifact):
         ),
     )
     print(text)
-    print(
-        f"4v1 throughput ratio {ratio_4v1:.2f}x (linearity {linearity:.2f}); "
-        f"cross-shard: {cross['cross_commits']} commits, "
-        f"{cross['cross_rejects']} conflict rejects"
-    )
+    print(f"4v1 throughput ratio {ratio_4v1:.2f}x (linearity {linearity:.2f})")
     artifact("x7_sharding", text)
     OUT_DIR.mkdir(exist_ok=True)
     (OUT_DIR / "BENCH_sharding.json").write_text(
@@ -212,7 +173,6 @@ def test_x7_sharding(artifact):
                     "ratio_4v1": ratio_4v1,
                     "linearity": linearity,
                 },
-                "cross": cross,
             },
             indent=2,
         )
@@ -227,5 +187,3 @@ def test_x7_sharding(artifact):
     assert ratio_4v1 >= GATE_RATIO, (
         f"throughput only {ratio_4v1:.2f}x at 4 shards vs 1"
     )
-    assert cross["cross_commits"] == 2
-    assert cross["cross_rejects"] == 1

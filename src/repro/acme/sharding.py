@@ -14,19 +14,18 @@ function over their (sorted) names; a connector lands on the shard of
 its first attached component (in the system's sorted attachment order).
 Attachments materialize only when both endpoints share a shard;
 attachments that would span shards are recorded in :attr:`cross_links`
-— the narrow cross-ensemble coupling the coordinator has to respect —
-and dropped from the per-shard graphs.
+— the narrow cross-ensemble coupling between shards — and dropped from
+the per-shard graphs.
 
 The facade keeps a global name -> shard :attr:`assignment` plus
 delegating lookups (``component`` / ``has_component`` / ...), which is
-what the runtime's buses and the coordinator's footprint admission test
-consume; a name it does not know (added after the partition) is looked
-up on shard 0, where the buses route it.
+what the runtime's buses consume; a name it does not know (added after
+the partition) is looked up on shard 0, where the buses route it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.acme.elements import Component, Connector
 from repro.acme.system import ArchSystem
@@ -138,22 +137,6 @@ class ShardedArchSystem:
     def shard_of(self, name: str) -> Optional[int]:
         """Owning shard of a component/connector name (None = unknown)."""
         return self.assignment.get(name)
-
-    def shards_of_elements(self, qualified_names) -> Set[int]:
-        """Shards owning the given qualified element names.
-
-        Port/role qualified names (``comp.port``) resolve through their
-        owner; names the assignment does not know map to *every* shard —
-        the conservative answer for footprint admission.
-        """
-        out: Set[int] = set()
-        for qname in qualified_names:
-            owner = qname.split(".", 1)[0]
-            shard = self.assignment.get(owner)
-            if shard is None:
-                return set(range(len(self._shards)))
-            out.add(shard)
-        return out
 
     # -- delegating lookups ------------------------------------------------
     def _home(self, name: str) -> ArchSystem:

@@ -10,7 +10,6 @@ paper's §5.3 observation that monitoring shares the network).
 from repro.bus.messages import Message
 from repro.bus.filters import AttributeFilter, subject_matches, validate_pattern
 from repro.bus.index import SubjectTrie
-from repro.bus.queues import QueuePolicy, SubscriberQueue
 from repro.bus.bus import (
     EventBus,
     Subscription,
@@ -28,8 +27,6 @@ __all__ = [
     "subject_matches",
     "validate_pattern",
     "SubjectTrie",
-    "QueuePolicy",
-    "SubscriberQueue",
     "EventBus",
     "Subscription",
     "DeliveryModel",

@@ -22,13 +22,12 @@ message once, because the publish side never broadcasts.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.bus.bus import DeliveryModel, EventBus, Subscription
 from repro.bus.filters import AttributeFilter
 from repro.bus.index import ROUTE_MEMO_CAP
 from repro.bus.messages import Message, routed_message, subject_segments
-from repro.bus.queues import QueuePolicy
 from repro.sim.kernel import Simulator
 
 __all__ = ["ShardedEventBus", "ShardedSubscription"]
@@ -77,25 +76,15 @@ class ShardedEventBus:
         shard_of: Callable[[str], Optional[int]],
         delivery: Optional[DeliveryModel] = None,
         name: str = "bus",
-        batched: bool = False,
-        queue_policy: Optional[QueuePolicy] = None,
     ):
         if shards < 1:
             raise ValueError(f"shard count must be >= 1, got {shards}")
         self.sim = sim
         self.name = name
-        self.batched = batched
         self._shard_of = shard_of
         self._routes: Dict[str, EventBus] = {}  # subject -> child bus
         self._buses = [
-            EventBus(
-                sim,
-                delivery,
-                name=f"{name}[{k}]",
-                batched=batched,
-                queue_policy=queue_policy,
-            )
-            for k in range(shards)
+            EventBus(sim, delivery, name=f"{name}[{k}]") for k in range(shards)
         ]
 
     # -- routing -----------------------------------------------------------
@@ -123,8 +112,6 @@ class ShardedEventBus:
         pattern: str,
         handler: Callable[[Message], None],
         attr_filter: Optional[AttributeFilter] = None,
-        batched: Optional[bool] = None,
-        queue_policy: Optional[QueuePolicy] = None,
     ) -> Union[Subscription, ShardedSubscription]:
         """Register on the child bus(es) ``pattern`` can match.
 
@@ -137,16 +124,7 @@ class ShardedEventBus:
         buses = self._buses
         if len(buses) > 1 and not _has_wildcard(pattern):
             buses = [self._routes.get(pattern) or self._route(pattern)]
-        parts = [
-            bus.subscribe(
-                pattern,
-                handler,
-                attr_filter=attr_filter,
-                batched=batched,
-                queue_policy=queue_policy,
-            )
-            for bus in buses
-        ]
+        parts = [bus.subscribe(pattern, handler, attr_filter) for bus in buses]
         if len(parts) == 1:
             return parts[0]
         return ShardedSubscription(pattern, parts, list(buses))
@@ -235,25 +213,8 @@ class ShardedEventBus:
             data["dead_letters"] = sum(
                 child.get("dead_letters", 0) for child in children
             )
-        if any("batches" in child for child in children):
-            for key in (
-                "batched_subscriptions",
-                "batches",
-                "dropped",
-                "stalled",
-                "queued_now",
-            ):
-                data[key] = sum(child.get(key, 0) for child in children)
-            for key in ("peak_depth", "max_batch"):
-                data[key] = max(child.get(key, 0) for child in children)
         return data
 
     def shard_stats(self) -> List[Dict[str, float]]:
         """Per-child counters, index-aligned with shard numbers."""
         return [bus.stats() for bus in self._buses]
-
-    def queue_stats(self) -> Dict[str, Dict[str, Any]]:
-        out: Dict[str, Dict[str, Any]] = {}
-        for bus in self._buses:
-            out.update(bus.queue_stats())
-        return out

@@ -26,7 +26,7 @@
   per-tenant fairness invariants, the concurrent-repair showcase
   (``concurrency="disjoint"`` by default), plus its sharded variant;
 * :mod:`repro.experiment.map_reduce_scenario` — shuffle skew (split
-  partitions, steal work), the batched-bus / batched-probe showcase;
+  partitions, steal work), the monitoring fan-in / batched-probe showcase;
 * :mod:`repro.experiment.grid_site_scenario` — failing grid sites under
   the fault plane, the resilient-repair showcase;
 * :mod:`repro.experiment.metrics` — the client/server sampler and the §5

@@ -1,4 +1,4 @@
-"""The ``map_reduce`` scenario: shuffle skew, and the batched-bus showcase.
+"""The ``map_reduce`` scenario: shuffle skew, and the monitoring fan-in showcase.
 
 Like :mod:`repro.experiment.master_worker_scenario` (the template), this
 module registers a whole application family **purely through the public
@@ -17,12 +17,11 @@ colder half of the keyspace — the structural fix) and falls back to
 ``stealWork`` (migrate queued records to the least-loaded reducer) once
 the partition is a single irreducibly hot key-group.
 
-The scenario doubles as the **bus-batching stress showcase**: three
+The scenario doubles as the **monitoring fan-in showcase**: three
 probe/gauge pairs per reducer (backlog, share, keys) produce the
-heaviest monitoring fan-in of any built-in scenario, so its
-:class:`~repro.runtime.spec.AdaptationSpec` defaults to
-``bus_batching=True`` — publishes append to per-subscriber queues and
-each gauge drains its probe backlog in one burst per delivery period.
+heaviest monitoring fan-in of any built-in scenario, all on the bus's
+one delivery path (the deliveries due at one instant are one kernel
+run).
 
 Its probes buffer one gauge period's worth of samples and flush them as
 a single batch message, which each backlog gauge folds into its sliding
@@ -39,7 +38,6 @@ from typing import Any, Dict, List
 
 from repro.app.map_reduce_app import MapReduceApplication
 from repro.bus.bus import FixedDelay
-from repro.bus.queues import QUEUE_MODES
 from repro.experiment.base import (
     CostedIntentExecutor,
     PeriodicSampler,
@@ -112,11 +110,6 @@ class MapReduceParams(ScenarioParams):
     steal_cost: float = 2.0       # s to migrate half a queue
     redeploy_window: float = 10.0  # gauge blindness after a split
 
-    # bus delivery (the batching showcase; see repro.bus.queues)
-    bus_batching: bool = True
-    bus_queue_policy: str = "unbounded"
-    bus_queue_capacity: int = 0
-
     # repair machinery
     gauge_caching: bool = False
     settle_time: float = 20.0
@@ -141,14 +134,6 @@ class MapReduceParams(ScenarioParams):
         self._require(self.probe_period > 0, "probe_period must be positive")
         self._require(self.gauge_period > 0, "gauge_period must be positive")
         self._require(self.wake_band >= 0, "wake_band must be >= 0")
-        self._require(
-            self.bus_queue_policy in QUEUE_MODES,
-            f"bus_queue_policy must be one of {', '.join(QUEUE_MODES)}",
-        )
-        self._require(
-            self.bus_queue_policy == "unbounded" or self.bus_queue_capacity >= 1,
-            "bounded bus_queue_policy needs bus_queue_capacity >= 1",
-        )
         self._check_policy(self.violation_policy)
 
 
@@ -410,9 +395,6 @@ class MapReduceExperiment(ScenarioExperiment):
             instruments=instruments,
             gauge_property_map={"backlog": "backlog", "share": "share", "keys": "keys"},
             delivery=FixedDelay(0.05),
-            bus_batching=params.bus_batching,
-            bus_queue_policy=params.bus_queue_policy,
-            bus_queue_capacity=params.bus_queue_capacity,
             gauge_caching=params.gauge_caching,
             settle_time=params.settle_time,
             failed_repair_cost=params.failed_repair_cost,

@@ -440,7 +440,25 @@ class FlowNetwork:
                 for crossing in f._crossings:
                     crossing.filling -= 1
             if len(still) == len(filling):
-                break  # numerically stuck; accept current allocation
+                # Nothing saturated, yet the increment was below
+                # resolution because some link's residual, split over its
+                # filling flows, is.  Freeze those flows so their peers
+                # keep filling; if there are none, accept the allocation.
+                tight = {
+                    crossing
+                    for crossing in links
+                    if crossing.filling
+                    and crossing.residual <= _EPS_BW * crossing.filling
+                }
+                still = []
+                for f in filling:
+                    if any(crossing in tight for crossing in f._crossings):
+                        for crossing in f._crossings:
+                            crossing.filling -= 1
+                    else:
+                        still.append(f)
+                if len(still) == len(filling):
+                    break  # numerically stuck; accept current allocation
             filling = still
 
     # ------------------------------------------------------------------

@@ -27,12 +27,11 @@ from repro.repair.resilience import (
     QuarantinePolicy,
     RetryPolicy,
 )
-from repro.repair.sharding import CrossRepairOutcome, ShardCoordinator
+from repro.repair.sharding import ShardCoordinator
 from repro.repair.dsl import parse_repair_dsl, DslStrategy, DslTactic
 
 __all__ = [
     "ShardCoordinator",
-    "CrossRepairOutcome",
     "RepairContext",
     "RuntimeIntent",
     "Footprint",

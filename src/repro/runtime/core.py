@@ -41,7 +41,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.acme.sharding import ShardedArchSystem
-from repro.bus.bus import QueuePolicy
 from repro.bus.sharding import ShardedEventBus
 from repro.constraints.invariants import ConstraintChecker
 from repro.faults.plane import FaultPlane
@@ -145,26 +144,13 @@ class AdaptationRuntime:
             for strategy in build_strategies(document).values():
                 manager.register_strategy(strategy)
             self.managers.append(manager)
-        self.manager = ShardCoordinator(
-            sim,
-            self.model,
-            self.managers,
-            trace=self.trace,
-            settle_time=spec.settle_time,
-            max_lock_shards=sharding.max_lock_shards,
-        )
+        self.manager = ShardCoordinator(self.managers)
 
         # 6-7: monitoring infrastructure
-        queue_policy = None
-        if spec.bus_batching:
-            queue_policy = QueuePolicy(
-                mode=spec.bus_queue_policy, capacity=spec.bus_queue_capacity
-            )
         self.probe_bus, self.gauge_bus = (
             ShardedEventBus(
                 sim, sharding.shards, self.model.shard_of,
                 delivery=spec.delivery, name=name,
-                batched=spec.bus_batching, queue_policy=queue_policy,
             )
             for name in ("probe-bus", "gauge-bus")
         )
@@ -243,31 +229,13 @@ class AdaptationRuntime:
         return self.manager.history
 
     def _bus_section(self) -> Dict[str, float]:
-        """Monitoring-overhead numbers for the experiment harness.
-
-        Batching counters (batches, drops, stalls, queue depths) appear
-        only when a bus actually runs the queued delivery path, so
-        unbatched scenarios keep their historical stats shape.
-        """
-        stats = {
+        """Monitoring-overhead numbers for the experiment harness."""
+        return {
             "probe_published": self.probe_bus.published,
             "probe_mean_transit": self.probe_bus.mean_transit,
             "gauge_published": self.gauge_bus.published,
             "gauge_mean_transit": self.gauge_bus.mean_transit,
         }
-        for prefix, bus in (("probe", self.probe_bus), ("gauge", self.gauge_bus)):
-            bus_stats = bus.stats()
-            if "batches" in bus_stats:
-                for key in (
-                    "batched_subscriptions",
-                    "batches",
-                    "dropped",
-                    "stalled",
-                    "peak_depth",
-                    "max_batch",
-                ):
-                    stats[f"{prefix}_{key}"] = bus_stats[key]
-        return stats
 
     def _gauge_section(self) -> Dict[str, int]:
         return {

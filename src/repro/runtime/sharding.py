@@ -1,10 +1,10 @@
 """Frozen sharding configuration + the pluggable shard-key registry.
 
 A :class:`ShardingSpec` says *how the control plane is partitioned* —
-how many shards, which named key function assigns model elements to
-them, and the coordinator's cross-shard lock limit — without wiring any
-of it.  Like :class:`~repro.faults.spec.FaultSpec` it is a frozen,
-hashable dataclass, but it is additionally validated **on construction**
+how many shards, and which named key function assigns model elements
+to them — without wiring any of it.  Like
+:class:`~repro.faults.spec.FaultSpec` it is a frozen, hashable
+dataclass, but it is additionally validated **on construction**
 (``__post_init__``): a spec object that exists is a spec object that is
 internally consistent, so config plumbing (``--set sharding.shards=4``)
 fails at parse time, not mid-build.
@@ -51,13 +51,11 @@ class ShardingSpec:
     ``shards`` is the partition count: 1, the default, is the off
     position — one shard holds the whole model and runs the
     fingerprint-pinned single loop.  ``key`` names a registered
-    shard-key function; ``max_lock_shards`` caps how many shards a
-    single cross-shard repair may lock at once (0 = unlimited).
+    shard-key function.
     """
 
     shards: int = 1
     key: str = "hash"
-    max_lock_shards: int = 0
 
     def __post_init__(self) -> None:
         self.validate()
@@ -68,10 +66,6 @@ class ShardingSpec:
         _require(
             isinstance(self.key, str) and bool(self.key),
             "key must name a registered shard key function",
-        )
-        _require(
-            isinstance(self.max_lock_shards, int) and self.max_lock_shards >= 0,
-            f"max_lock_shards must be >= 0, got {self.max_lock_shards}",
         )
 
 

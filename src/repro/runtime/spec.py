@@ -112,13 +112,6 @@ class AdaptationSpec:
     )
     delivery: Optional[DeliveryModel] = None
 
-    # bus delivery path: per-subscriber queued batch delivery (opt-in;
-    # the default unbatched path is pinned bit-for-bit by the serial
-    # fingerprints).  ``bus_queue_capacity=0`` means unbounded.
-    bus_batching: bool = False
-    bus_queue_policy: str = "unbounded"
-    bus_queue_capacity: int = 0
-
     # gauge lifecycle (paper §4: creation charges a deployment delay)
     gauge_create_delay: float = 14.0
     gauge_caching: bool = False

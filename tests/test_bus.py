@@ -159,6 +159,28 @@ class TestEventBus:
         sim.run()
         assert got == []
 
+    def test_transit_accrues_at_delivery(self):
+        sim, bus = self._bus(delay=0.5)
+        bus.subscribe("a.b", lambda m: None)
+        bus.publish_subject("a.b")
+        # nothing accrues at publish: the mean is never skewed by a
+        # scheduled-but-undelivered message
+        assert bus.total_transit == 0.0
+        assert bus.mean_transit == 0.0
+        sim.run()
+        assert bus.delivered == 1
+        assert bus.mean_transit == pytest.approx(0.5)
+
+    def test_unsubscribed_in_flight_never_accrues(self):
+        sim, bus = self._bus(delay=1.0)
+        sub = bus.subscribe("a.>", lambda m: None)
+        bus.publish_subject("a.b")
+        bus.unsubscribe(sub)  # delivery cancelled while in flight
+        sim.run()
+        assert bus.delivered == 0
+        assert bus.total_transit == 0.0
+        assert bus.mean_transit == 0.0
+
     def test_callable_delay_model(self):
         sim = Simulator()
         bus = EventBus(sim, delivery=CallableDelay(lambda m: m.get("pri", 1.0)))

@@ -16,7 +16,6 @@ from repro.bus import (
     AttributeFilter,
     EventBus,
     FixedDelay,
-    QueuePolicy,
     SubjectTrie,
     subject_matches,
     validate_pattern,
@@ -228,11 +227,11 @@ class TestTrieLinearEquivalence:
         assert indexed.total_transit == linear.total_transit
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_buses_deliver_identically_through_faults_and_queues(self, seed):
+    def test_buses_deliver_identically_through_faults_and_filters(self, seed):
         """The rest of the delivery loop: a subscription switched off but
         still indexed, attribute filters, a fault injector that draws from
-        an RNG once per wanted delivery, bounded batched subscribers and a
-        subject two literal subscribers share."""
+        an RNG once per wanted delivery, and a subject two literal
+        subscribers share."""
         rng = random.Random(3000 + seed)
         sim = Simulator()
         buses = [
@@ -253,22 +252,12 @@ class TestTrieLinearEquivalence:
 
         for side, bus in enumerate(buses):
             bus.fault_injector = injector(side)
-        policies = [
-            None,
-            None,
-            QueuePolicy(),
-            QueuePolicy("drop-oldest", 2),
-            QueuePolicy("block", 1),
-        ]
         for k in range(40):
             pattern = shared if k < 2 else _random_pattern(rng)
             attr = AttributeFilter([("v", ">", 0.5)]) if rng.random() < 0.3 else None
-            policy = rng.choice(policies)
             switched_off = k >= 2 and rng.random() < 0.15
             for side, bus in enumerate(buses):
-                sub = bus.subscribe(
-                    pattern, _recorder(got[side], k), attr, queue_policy=policy
-                )
+                sub = bus.subscribe(pattern, _recorder(got[side], k), attr)
                 if switched_off:
                     sub.active = False
         for _ in range(300):
@@ -278,18 +267,18 @@ class TestTrieLinearEquivalence:
             assert counts[0] == counts[1]
             if subject == shared:
                 assert counts[0] >= 2  # two-way fan-out of one message
-            if rng.random() < 0.03:  # rarely, so that bounded queues fill
+            if rng.random() < 0.03:  # rarely: deliveries interleave publishes
                 sim.run(until=sim.now + 0.01)
         sim.run()
         assert got[0] == got[1]
         assert got[0]
         assert draws[0] == draws[1] > 300
         assert fault_rngs[0].getstate() == fault_rngs[1].getstate()
-        for key in ("published", "delivered", "dead_letters", "dropped", "stalled"):
+        for key in ("published", "delivered", "dead_letters"):
             assert buses[0].stats()[key] == buses[1].stats()[key]
         assert buses[0].stats() == buses[1].stats()
         assert buses[0].dead_letters_by_sid == buses[1].dead_letters_by_sid
-        assert buses[0].dead_letters and buses[0].dropped and buses[0].stalled
+        assert buses[0].dead_letters
 
     @pytest.mark.parametrize("indexed", [True, False])
     def test_malformed_subject_never_gets_through_the_publish_door(self, indexed):

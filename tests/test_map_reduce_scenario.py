@@ -1,4 +1,4 @@
-"""The ``map_reduce`` scenario: registration, skew repairs, batched bus."""
+"""The ``map_reduce`` scenario: registration, skew repairs, monitoring fan-in."""
 
 import pytest
 
@@ -42,15 +42,6 @@ class TestRegistration:
             RunConfig.adapted(
                 "map_reduce", params=MapReduceParams(max_share=1.5)
             ).resolved()
-        with pytest.raises(ReproError, match="bus_queue_policy"):
-            RunConfig.adapted(
-                "map_reduce", params=MapReduceParams(bus_queue_policy="nope")
-            ).resolved()
-        with pytest.raises(ReproError, match="capacity"):
-            RunConfig.adapted(
-                "map_reduce",
-                params=MapReduceParams(bus_queue_policy="drop-oldest"),
-            ).resolved()
 
     def test_build_exposes_the_control_plane(self):
         exp = MapReduceExperiment(RunConfig.adapted("map_reduce", horizon=60.0))
@@ -58,8 +49,6 @@ class TestRegistration:
         assert runtime is not None
         # three probe/gauge pairs per reducer: the fan-in showcase
         assert len(runtime.gauges) == 3 * exp.params.reducers
-        assert runtime.probe_bus.batched
-        assert runtime.gauge_bus.batched
 
 
 class TestApplication:
@@ -145,20 +134,3 @@ class TestEndToEnd:
 
     def test_identical_seeded_record_stream(self, pair):
         assert pair["adapted"].issued == pair["control"].issued
-
-    def test_batched_bus_counters_surface_in_result(self, pair):
-        bus = pair["adapted"].bus_stats
-        assert bus["probe_batched_subscriptions"] == 24
-        assert bus["gauge_batches"] > 0
-        # the whole gauge fan-in coalesces into single updater bursts
-        assert bus["gauge_max_batch"] == 24
-        assert bus["probe_dropped"] == bus["gauge_dropped"] == 0
-        counters = pair["adapted"].summary()["counters"]["bus"]
-        assert counters["gauge_max_batch"] == 24
-
-    def test_unbatched_override_still_works(self):
-        result = api.run(
-            RunConfig.adapted("map_reduce", horizon=120.0).but(bus_batching=False)
-        )
-        assert "probe_batches" not in result.bus_stats
-        assert result.issued > 0

@@ -20,6 +20,12 @@ Sizes, capacities and the clock stay small enough that no projected
 completion leaves a float sliver behind (``PerFlowNetwork.slivers`` is
 asserted to be 0): the sliver branch is the one place the two engines may
 differ in the last ulp, and it has its own scripted test below.
+
+One deliberate difference: when a fill round saturates nothing because a
+link's residual, split over its filling flows, is below resolution, the
+engine freezes those flows and keeps filling the rest, where the oracle
+stops.  The scripts here never reach that case;
+``tests/test_properties_net.py`` pins it with an explicit example.
 """
 
 import math

@@ -13,9 +13,27 @@ removed on purpose and are left out of the captured ``summary()``:
 ``params.sharding.enabled`` of ``multi_tenant_sharded`` (``ShardingSpec``
 has no ``enabled`` field any more), and ``params.telemetry`` of
 ``map_reduce``, ``multi_tenant`` and ``multi_tenant_sharded`` (there is
-one telemetry plane, so their params have no switch for it).  The tests
-after the digests name what a one-shard plane has to look like for them
-to hold.
+one telemetry plane, so their params have no switch for it).
+
+When the bus's queued delivery path and the coordinator's cross-shard
+commit path were deleted, the digests were captured again on the commit
+before the deletion, with only the keys that deletion removed left out:
+
+* ``map_reduce``: ``params.bus_batching``, ``params.bus_queue_policy``
+  and ``params.bus_queue_capacity`` of ``summary()``, and the queue
+  counters ``{probe,gauge}_batched_subscriptions``, ``_batches``,
+  ``_dropped``, ``_stalled``, ``_peak_depth`` and ``_max_batch`` of
+  ``counters.bus`` in ``summary()`` and of ``bus`` in ``stats()``;
+* ``multi_tenant_sharded``: ``params.sharding.max_lock_shards`` of
+  ``summary()``, and ``cross_commits``, ``cross_aborts``,
+  ``cross_rejects`` and ``deferrals`` of ``repairs`` in ``stats()``.
+
+``map_reduce``'s two ``*_mean_transit`` values are left out of its
+digests as well: the queued path accrued transit as drain time minus
+publish time, the one path accrues the scheduled delay, so the means
+differ in the last bits.  They are pinned on their own instead, to the
+scenario's 0.05 s delivery delay.  The tests after the digests name what
+a one-shard plane has to look like for them to hold.
 """
 
 import dataclasses
@@ -44,9 +62,9 @@ CAPTURED = {
         "fault_stats": "4275034667c996e9",
     },
     "map_reduce": {
-        "summary": "0622dcfe5f205c4d",
+        "summary": "0146a50e06821398",
         "history": "2c101643977d93a8",
-        "stats": "ae5677784f6242a6",
+        "stats": "8c3c88de5bcfdc18",
         "fault_stats": "44136fa355b3678a",
     },
     "master_worker": {
@@ -62,9 +80,9 @@ CAPTURED = {
         "fault_stats": "44136fa355b3678a",
     },
     "multi_tenant_sharded": {
-        "summary": "49e5767e9702861a",
+        "summary": "aa7e6e56ce847af0",
         "history": "8e143e94f88dd4af",
-        "stats": "8d2e1a3b501c1b72",
+        "stats": "62303c83b1fe2e24",
         "fault_stats": "44136fa355b3678a",
     },
     "pipeline": {
@@ -76,6 +94,10 @@ CAPTURED = {
 }
 
 ONE_SHARD = sorted(set(CAPTURED) - {"multi_tenant_sharded"})
+
+#: bus means left out of ``map_reduce``'s digests and pinned on their own
+TRANSIT_KEYS = ("probe_mean_transit", "gauge_mean_transit")
+MAP_REDUCE_DELAY = 0.05
 
 
 def digest(value) -> str:
@@ -104,6 +126,10 @@ def test_surfaces_equal_the_two_path_runtime(scenario):
         "stats": result.stats.to_dict(),
         "fault_stats": result.fault_stats,
     }
+    if scenario == "map_reduce":
+        for bus in (surfaces["summary"]["counters"]["bus"], surfaces["stats"]["bus"]):
+            for key in TRANSIT_KEYS:
+                assert abs(bus.pop(key) - MAP_REDUCE_DELAY) <= 1e-12
     assert {k: digest(v) for k, v in surfaces.items()} == CAPTURED[scenario]
 
 
@@ -113,8 +139,7 @@ class TestOneShard:
         result = adapted(scenario)
         assert result.stats.shards == ()
         assert "shards" not in result.summary()["counters"]
-        rollup_only = {"shards", "cross_commits", "cross_aborts", "deferrals"}
-        assert not rollup_only & set(result.stats.repairs)
+        assert "shards" not in result.stats.repairs
 
     def test_a_busy_serial_engine_keeps_its_own_peak_inflight(self):
         result = adapted("pipeline")

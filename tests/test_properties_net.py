@@ -12,7 +12,7 @@ Invariants checked on randomized topologies/flow sets:
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.net import FlowNetwork, Topology
 from repro.sim import Simulator
@@ -78,6 +78,17 @@ def test_no_link_oversubscribed(scenario):
 
 @settings(max_examples=60, deadline=None)
 @given(star_scenarios())
+# h0's link keeps ~2e-9 bit/s after the priority flow: above the
+# saturation threshold, but split over two flows below it.  A fill that
+# stops there leaves h3 -> h1 at zero.
+@example(
+    scenario=(
+        4,
+        [10000000.0, 100000.0, 9999999.999999998, 100000.0],
+        [("h0", "h1"), ("h0", "h1"), ("h3", "h1")],
+        [("h0", "h2", 10000000.0)],
+    )
+)
 def test_every_elastic_flow_gets_positive_rate_when_feasible(scenario):
     net = build(scenario)
     for flow in net.active_transfers:

@@ -192,7 +192,10 @@ class TestServeHTTP:
     def server(self, built_runtime):
         app = ServeApp(runtime=built_runtime, clock=FakeClock())
         server = ReproHTTPServer("127.0.0.1", 0, app)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        # a short poll: shutdown() waits up to one poll interval
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         thread.start()
         yield server
         server.shutdown()

@@ -1,7 +1,5 @@
 """Sharded control plane: spec validation, model partition, bus routing,
-and the cross-shard coordinator's two-phase commit/abort paths."""
-
-import tracemalloc
+and the coordinator's aggregate view over shard-local repairs."""
 
 import pytest
 
@@ -15,7 +13,6 @@ from repro.errors import UnknownElementError
 from repro.repair import (
     ArchitectureManager,
     FirstSuccessStrategy,
-    Footprint,
     PythonTactic,
     ShardCoordinator,
 )
@@ -40,7 +37,7 @@ SETTLE_TIME = 20.0
 # ---------------------------------------------------------------------------
 class TestShardingSpec:
     def test_defaults_are_one_shard(self):
-        assert ShardingSpec() == ShardingSpec(shards=1, key="hash", max_lock_shards=0)
+        assert ShardingSpec() == ShardingSpec(shards=1, key="hash")
 
     def test_one_shard_is_the_off_position(self):
         # no kill switch beside the count: shards=1 is how sharding is off
@@ -55,7 +52,6 @@ class TestShardingSpec:
             {"shards": 2.5},
             {"key": ""},
             {"key": 7},
-            {"max_lock_shards": -1},
         ],
     )
     def test_invalid_specs_fail_on_construction(self, kwargs):
@@ -216,16 +212,6 @@ class TestPartition:
         with pytest.raises(UnknownElementError):
             model.connector("T1")
 
-    def test_shards_of_elements(self):
-        model = ShardedArchSystem.partition(
-            tenancy_model(), 3, resolve_shard_key("numeric_suffix")
-        )
-        assert model.shards_of_elements(["T1"]) == {1}
-        # qualified port names resolve through their owner
-        assert model.shards_of_elements(["T2.ingest", "gateway"]) == {0, 2}
-        # unknown names map to every shard: conservative for admission
-        assert model.shards_of_elements(["mystery"]) == {0, 1, 2}
-
     def test_invalid_shard_count(self):
         with pytest.raises(ValueError, match="shard count"):
             ShardedArchSystem.partition(
@@ -315,23 +301,20 @@ class TestShardedBus:
         sim.run(until=2.0)
         assert len(got) == 1
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_unsubscribe_leaves_sibling_shards_alone(self, batched):
+    def test_unsubscribe_leaves_sibling_shards_alone(self):
         """Child buses number subscriptions independently, so both
         literals below are ``sub-1`` on their own shard: dropping one
-        must not touch the other's registration or queue."""
+        must not touch the other's registration or in-flight delivery."""
         sim = Simulator()
-        bus = ShardedEventBus(sim, 2, {"T0": 0, "T1": 1}.get, batched=batched)
+        bus = ShardedEventBus(sim, 2, {"T0": 0, "T1": 1}.get)
         got0, got1 = [], []
         sub0 = bus.subscribe("probe.x.T0", got0.append)
         sub1 = bus.subscribe("probe.x.T1", got1.append)
         assert sub0.sid == sub1.sid
-        bus.publish_subject("probe.x.T1", value=1.0)  # in flight / queued
+        bus.publish_subject("probe.x.T1", value=1.0)  # in flight
         bus.unsubscribe(sub0)
         assert not sub0.active and sub1.active
         assert bus.subscriptions == [sub1]
-        if batched:
-            assert bus.stats()["batched_subscriptions"] == 1
         bus.publish_subject("probe.x.T0", value=2.0)
         bus.publish_subject("probe.x.T1", value=3.0)
         sim.run(until=1.0)
@@ -414,7 +397,6 @@ def build_coordinator(
     per_shard=2,
     violated=True,
     settle_time=SETTLE_TIME,
-    max_lock_shards=0,
 ):
     """bench_x5-style rig: ``shards * per_shard`` NodeT components sharded
     by numeric suffix, one serial engine per shard, one coordinator."""
@@ -444,13 +426,7 @@ def build_coordinator(
         )
         managers.append(manager)
         checkers.append(checker)
-    coordinator = ShardCoordinator(
-        sim,
-        model,
-        managers,
-        settle_time=settle_time,
-        max_lock_shards=max_lock_shards,
-    )
+    coordinator = ShardCoordinator(managers)
     return sim, model, checkers, coordinator
 
 
@@ -501,8 +477,6 @@ class TestCoordinatorLocalRepairs:
         stats = coordinator.repair_stats()
         assert stats["shards"] == shards
         assert stats["peak_inflight"] == coordinator.peak_inflight
-        assert stats["cross_commits"] == 0
-        assert stats["deferrals"] == 0
         assert coordinator.evaluations == sum(
             manager.evaluations for manager in coordinator.managers
         )
@@ -527,176 +501,6 @@ class TestCoordinatorLocalRepairs:
         assert coordinator.peak_inflight == 1  # the rollup's own count differs
         assert coordinator.breakers is engine.breakers
 
-
-class TestCoordinatorCrossShard:
-    def test_cross_shard_commit_matches_unsharded_serial_schedule(self):
-        """Property: a fully cross-shard workload leaves the sharded model
-        in the same final state as the identical serial schedule applied
-        to the unsharded system."""
-        shards, per_shard = 3, 2
-        reference = ArchSystem("Synthetic")
-        for i in range(shards * per_shard):
-            reference.new_component(f"n{i}", ["NodeT"]).set_property(
-                "latency", 5.0
-            )
-        sim, model, checkers, coordinator = build_coordinator(
-            shards=shards, per_shard=per_shard, violated=True
-        )
-
-        # each step writes one component in every shard; values are a
-        # deterministic function of (step, component) so any lost or
-        # misrouted write changes the final state
-        def mutation(step, names):
-            def mutate(target):
-                for j, comp_name in enumerate(names):
-                    target.component(comp_name).set_property(
-                        "latency", float(10 * step + j)
-                    )
-            return mutate
-
-        schedule = [
-            ("n0", "n1", "n2"),
-            ("n3", "n4", "n5"),
-            ("n2", "n3", "n4"),
-        ]
-        for step, names in enumerate(schedule):
-            outcome = coordinator.submit_cross(
-                Footprint.of(names), mutation(step, names)
-            )
-            assert outcome.committed, outcome.reason
-            assert outcome.shards == (0, 1, 2)
-            mutation(step, names)(reference)
-            sim.run(until=sim.now + SETTLE_TIME + 1.0)  # let locks expire
-
-        assert coordinator.cross_commits == len(schedule)
-        assert coordinator.cross_aborts == 0
-        for comp in reference.components:
-            assert model.component(comp.name).get_property(
-                "latency"
-            ) == comp.get_property("latency")
-
-    def test_escaped_write_aborts_and_rolls_back_every_shard(self):
-        sim, model, checkers, coordinator = build_coordinator(violated=False)
-
-        def sloppy(target):
-            target.component("n0").set_property("latency", 99.0)  # declared
-            target.component("n1").set_property("latency", 99.0)  # escaped!
-
-        outcome = coordinator.submit_cross(Footprint.of(["n0"]), sloppy)
-        assert not outcome.committed
-        assert "escaped" in outcome.reason
-        assert coordinator.cross_aborts == 1
-        # both writes rolled back, including the one inside the footprint
-        assert model.component("n0").get_property("latency") == 1.0
-        assert model.component("n1").get_property("latency") == 1.0
-
-    def test_exception_aborts_and_rolls_back(self):
-        sim, model, checkers, coordinator = build_coordinator(violated=False)
-
-        def broken(target):
-            target.component("n0").set_property("latency", 99.0)
-            raise RuntimeError("mid-repair crash")
-
-        outcome = coordinator.submit_cross(Footprint.of(["n0", "n1"]), broken)
-        assert not outcome.committed
-        assert "exception" in outcome.reason
-        assert model.component("n0").get_property("latency") == 1.0
-
-    def test_universal_footprint_locks_every_shard(self):
-        sim, model, checkers, coordinator = build_coordinator(violated=False)
-        outcome = coordinator.submit_cross(
-            Footprint.UNIVERSAL, lambda target: None
-        )
-        assert outcome.committed
-        assert outcome.shards == (0, 1, 2)
-
-    def test_lock_defers_local_loops_then_expires(self):
-        sim, model, checkers, coordinator = build_coordinator(violated=False)
-        outcome = coordinator.submit_cross(
-            Footprint.of(["n0", "n1"]), lambda target: None
-        )
-        assert outcome.committed and outcome.shards == (0, 1)
-        assert coordinator.busy  # lock-settling counts as busy
-        coordinator.evaluate()
-        assert coordinator.deferrals == 2  # shards 0 and 1 skipped
-        # a second cross-shard repair into a locked shard is rejected
-        denied = coordinator.submit_cross(
-            Footprint.of(["n1"]), lambda target: None
-        )
-        assert not denied.committed
-        assert "lock-settling" in denied.reason
-        assert coordinator.cross_rejects == 1
-        # ...until the settle window expires
-        sim.run(until=SETTLE_TIME + 1.0)
-        assert not coordinator.busy
-        retried = coordinator.submit_cross(
-            Footprint.of(["n1"]), lambda target: None
-        )
-        assert retried.committed
-
-    def test_a_lock_ends_exactly_at_its_until_instant(self):
-        sim, model, checkers, coordinator = build_coordinator(violated=False)
-        assert coordinator.submit_cross(Footprint.of(["n0"]), lambda t: None).committed
-        sim.run(until=SETTLE_TIME - 0.5)
-        assert coordinator.busy
-        coordinator.evaluate_shard(0)
-        assert coordinator.deferrals == 1
-        sim.run(until=SETTLE_TIME)  # the until instant itself: unlocked
-        assert not coordinator.busy
-        coordinator.evaluate_shard(0)
-        assert coordinator.deferrals == 1
-        assert coordinator.submit_cross(Footprint.of(["n0"]), lambda t: None).committed
-
-    def test_lock_checks_allocate_nothing_while_no_lock_is_held(self):
-        sim, model, checkers, coordinator = build_coordinator(violated=False)
-        coordinator.submit_cross(Footprint.of(["n0"]), lambda t: None)
-        sim.run(until=SETTLE_TIME + 1.0)
-        assert not coordinator.busy  # expired, and dropped
-
-        def peak(check):
-            """Peak traced bytes over 60 calls of ``check``."""
-            tracemalloc.start()
-            try:
-                tracemalloc.reset_peak()
-                for _ in range(60):
-                    check()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        loop = peak(lambda: None)  # what the loop itself costs
-        assert peak(lambda: coordinator.busy) == loop
-        assert peak(lambda: coordinator._locked(1)) == loop
-
-    def test_max_lock_shards_caps_admission(self):
-        sim, model, checkers, coordinator = build_coordinator(
-            violated=False, max_lock_shards=1
-        )
-        denied = coordinator.submit_cross(
-            Footprint.of(["n0", "n1"]), lambda target: None
-        )
-        assert not denied.committed
-        assert "max_lock_shards" in denied.reason
-        allowed = coordinator.submit_cross(
-            Footprint.of(["n0"]), lambda target: None
-        )
-        assert allowed.committed
-
-    def test_busy_shard_rejects_cross_repair(self):
-        sim, model, checkers, coordinator = build_coordinator(violated=True)
-        coordinator.evaluate_shard(0)  # shard 0 now mid-repair
-        assert coordinator.managers[0].busy
-        denied = coordinator.submit_cross(
-            Footprint.of(["n0", "n1"]), lambda target: None
-        )
-        assert not denied.committed
-        assert "busy" in denied.reason
-        # a cross repair avoiding the busy shard is unaffected
-        allowed = coordinator.submit_cross(
-            Footprint.of(["n1", "n2"]), lambda target: None
-        )
-        assert allowed.committed
-
     def test_empty_manager_list_rejected(self):
         with pytest.raises(ValueError, match="at least one manager"):
-            ShardCoordinator(Simulator(), None, [])
+            ShardCoordinator([])

@@ -64,7 +64,6 @@ RATCHETED = [
     "src/repro/util/windows.py",
     "benchmarks/bench_x9_fault_resilience.py",
     "benchmarks/compare_bench.py",
-    "tests/test_bus_batching.py",
     "tests/test_map_reduce_scenario.py",
     "tests/test_columnar_telemetry.py",
     "tests/test_telemetry_gate.py",
