@@ -134,3 +134,18 @@ class TestEndToEnd:
 
     def test_identical_seeded_record_stream(self, pair):
         assert pair["adapted"].issued == pair["control"].issued
+
+    def test_bus_counters_surface_in_result(self, pair):
+        adapted = pair["adapted"]
+        bus = adapted.bus_stats
+        assert set(bus) == {
+            "probe_published",
+            "probe_mean_transit",
+            "gauge_published",
+            "gauge_mean_transit",
+        }
+        assert bus["probe_published"] > bus["gauge_published"] > 0
+        # every delivery takes the one 0.05 s delivery delay
+        assert bus["probe_mean_transit"] == pytest.approx(0.05, abs=1e-12)
+        assert bus["gauge_mean_transit"] == pytest.approx(0.05, abs=1e-12)
+        assert adapted.summary()["counters"]["bus"] == bus

@@ -504,3 +504,89 @@ class TestCoordinatorLocalRepairs:
     def test_empty_manager_list_rejected(self):
         with pytest.raises(ValueError, match="at least one manager"):
             ShardCoordinator([])
+
+
+class TestCoordinatorBusyAndPeak:
+    """``busy`` is "any engine busy"; ``evaluate_shard`` evaluates that
+    shard's engine, then notes the peak in flight across shards."""
+
+    def test_busy_is_any_engine_busy(self):
+        sim, model, checkers, coordinator = build_coordinator(shards=3)
+        assert not coordinator.busy
+        coordinator.evaluate_shard(1)
+        assert [m.busy for m in coordinator.managers] == [False, True, False]
+        assert coordinator.busy
+        sim.run(until=TRANSLATE_COST + SETTLE_TIME + 1.0)
+        assert not any(m.busy for m in coordinator.managers)
+        assert not coordinator.busy
+
+    def test_evaluate_shard_notes_the_peak_in_flight(self):
+        sim, model, checkers, coordinator = build_coordinator(shards=3)
+        assert coordinator.peak_inflight == 0
+        coordinator.evaluate_shard(0)
+        assert coordinator.peak_inflight == 1
+        coordinator.evaluate_shard(2)
+        assert coordinator.peak_inflight == 2
+        sim.run(until=TRANSLATE_COST + SETTLE_TIME + 1.0)
+        coordinator.evaluate_shard(0)  # the next repair: one in flight
+        assert coordinator.peak_inflight == 2  # a peak, never lowered
+
+    def test_evaluate_sweeps_every_shard_and_returns_the_first_record(self):
+        sim, model, checkers, coordinator = build_coordinator(shards=3)
+        first = coordinator.evaluate()
+        assert first is not None
+        assert [m.evaluations for m in coordinator.managers] == [1, 1, 1]
+        assert all(m.busy for m in coordinator.managers)
+        assert coordinator.peak_inflight == 3
+        # the record is shard 0's: its repair is the one it started
+        assert model.shard_of(first.scope) == 0
+
+    def test_a_busy_shard_never_holds_back_its_siblings(self):
+        sim, model, checkers, coordinator = build_coordinator(shards=3)
+        coordinator.evaluate_shard(0)
+        assert coordinator.managers[0].busy
+        assert coordinator.evaluate_shard(1) is not None
+        assert coordinator.managers[1].busy
+        sim.run(until=TRANSLATE_COST + SETTLE_TIME + 1.0)
+        committed = [record.scope for record in coordinator.history]
+        assert sorted(model.shard_of(name) for name in committed) == [0, 1]
+
+    def test_shard_proxy_evaluates_only_its_shard(self):
+        sim, model, checkers, coordinator = build_coordinator(shards=3)
+        coordinator.shard_proxy(2).evaluate()
+        assert [m.evaluations for m in coordinator.managers] == [0, 0, 1]
+        assert coordinator.busy
+        assert coordinator.peak_inflight == 1
+
+    @pytest.mark.parametrize("shards", [2, 3, 6])
+    def test_final_model_matches_the_one_shard_run(self, shards):
+        """Shard-local repairs leave the model as one engine over the
+        whole model does: every violation repaired, nothing else written."""
+        per_shard = 6 // shards
+        reference = build_coordinator(shards=1, per_shard=6)
+        sharded = build_coordinator(shards=shards, per_shard=per_shard)
+        for sim, model, checkers, coordinator in (reference, sharded):
+            run_to_quiesce(sim, model, checkers, coordinator)
+        (_, ref_model, _, ref_coordinator) = reference
+        (_, model, _, coordinator) = sharded
+        for i in range(6):
+            assert model.component(f"n{i}").get_property(
+                "latency"
+            ) == ref_model.component(f"n{i}").get_property("latency")
+        assert sorted(r.scope for r in coordinator.history.committed) == sorted(
+            r.scope for r in ref_coordinator.history.committed
+        )
+        assert len(coordinator.history) == len(ref_coordinator.history) == 6
+
+    def test_several_shards_have_no_breaker_rollup(self):
+        sim, model, checkers, coordinator = build_coordinator(shards=2)
+        assert coordinator.breakers is None
+
+    def test_constraint_stats_sum_over_shards(self):
+        sim, model, checkers, coordinator = build_coordinator(shards=3)
+        run_to_quiesce(sim, model, checkers, coordinator)
+        per_engine = [m.constraint_stats for m in coordinator.managers]
+        assert coordinator.constraint_stats == {
+            key: sum(stats.get(key, 0) for stats in per_engine)
+            for key in set().union(*per_engine)
+        }

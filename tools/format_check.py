@@ -89,6 +89,7 @@ RATCHETED = [
     "tests/test_partition_oracle.py",
     "tests/test_updater_fanout_oracle.py",
     "tests/test_one_plane.py",
+    "tests/test_one_delivery_path.py",
     "tests/test_format_gate_lists.py",
     "tests/reference/",
 ]
