@@ -8,7 +8,7 @@ application you write four small pieces:
 1. a style family + architectural model for its configuration;
 2. a repair DSL (invariant + strategy + tactic) and one style operator;
 3. a ``ManagedApplication`` adapter (model snapshot + intent executor);
-4. an ``AdaptationSpec`` naming the thresholds and probe/gauge bindings.
+4. an ``AdaptationSpec`` naming the thresholds and a monitoring table.
 
 Step 5 then plugs the whole thing into the scenario-neutral experiment
 API: a typed frozen params block + ``register_scenario`` on a
@@ -39,14 +39,12 @@ from repro.experiment import (
     ScenarioParams,
     register_scenario,
 )
-from repro.monitoring.gauges import BacklogGauge
-from repro.monitoring.probes import StageBacklogProbe
+from repro.monitoring.gauges import WindowedMeanGauge
 from repro.runtime import (
     AdaptationRuntime,
     AdaptationSpec,
-    GaugeBinding,
     ManagedApplication,
-    ProbeBinding,
+    monitoring_table,
 )
 from repro.sim import Process
 
@@ -67,9 +65,6 @@ class JobQueueApp:
         self.busy = 0
         self.completed = 0
         Process(sim, self._arrivals(), name="jobs")
-
-    def backlog(self, _name: str) -> int:   # probe-compatible query
-        return self.depth
 
     def _arrivals(self):
         while True:
@@ -178,7 +173,7 @@ class ManagedJobQueue(ManagedApplication):
 
 
 # ---------------------------------------------------------------------------
-# 4. The spec (thresholds + probe/gauge bindings), built per run
+# 4. The spec (thresholds + a monitoring table), built per run
 # ---------------------------------------------------------------------------
 
 
@@ -189,18 +184,14 @@ def queue_spec(app: JobQueueApp, params: "JobQueueParams") -> AdaptationSpec:
         invariant_scopes={"q": "WorkerPoolT"},
         bindings={"maxDepth": params.max_depth},
         operators=lambda rt: queue_operators(worker_cap=params.worker_cap),
-        instruments=[
-            ProbeBinding(
-                lambda rt: StageBacklogProbe(rt.sim, rt.probe_bus, app, "pool",
-                                             period=0.5),
-                periodic=True,
-            ),
-            GaugeBinding(
-                lambda rt: BacklogGauge(rt.sim, rt.probe_bus, rt.gauge_bus,
-                                        "pool", period=1.0, horizon=5.0),
-                entities=["pool"],
-            ),
-        ],
+        # per target, (kind, read, gauge, gauge args): the pool's depth,
+        # sampled every 0.5 s, averaged over 5 s, reported every 1 s
+        instruments=monitoring_table(
+            ["pool"],
+            [("backlog", lambda _: app.depth, WindowedMeanGauge,
+              {"period": 1.0, "horizon": 5.0})],
+            period=0.5,
+        ),
         gauge_property_map={"backlog": "depth"},
         gauge_create_delay=1.0,
         settle_time=4.0,

@@ -11,11 +11,10 @@ Run:  python examples/monitoring_demo.py
 from repro.app import Client, GridApplication, Server
 from repro.bus import EventBus, FixedDelay
 from repro.monitoring import (
-    AverageLatencyGauge,
+    CallbackProbe,
     ClientLatencyProbe,
     GaugeManager,
-    LoadGauge,
-    QueueLengthProbe,
+    WindowedMeanGauge,
 )
 from repro.net import FlowNetwork, Topology
 from repro.sim import Simulator
@@ -51,19 +50,19 @@ def main() -> None:
     # --- probes, gauges, consumer ----------------------------------------
     probe_bus = EventBus(sim, FixedDelay(0.01), name="probe-bus")
     gauge_bus = EventBus(sim, FixedDelay(0.01), name="gauge-bus")
-    ClientLatencyProbe(sim, probe_bus, app.client("C1"))
-    queue_probe = QueueLengthProbe(sim, probe_bus, app, "SG1", period=1.0)
-    queue_probe.start()
+    # every probe publishes target + value on probe.<kind>.<target>; a
+    # gauge of the same (kind, target) folds them into a model property
+    ClientLatencyProbe(sim, probe_bus, app, "C1")
+    CallbackProbe(sim, probe_bus, "load", "SG1", lambda: app.group_load("SG1")).start()
 
     manager = GaugeManager(sim, create_delay=5.0)
-    latency_gauge = manager.create(
-        AverageLatencyGauge(sim, probe_bus, gauge_bus, "C1", period=5.0),
-        entities=["C1"],
-    )
-    manager.create(
-        LoadGauge(sim, probe_bus, gauge_bus, "SG1", period=5.0),
-        entities=["SG1"],
-    )
+    gauges = {
+        kind: manager.create(
+            WindowedMeanGauge(sim, probe_bus, gauge_bus, kind, target, period=5.0),
+            entities=[target],
+        )
+        for kind, target in (("latency", "C1"), ("load", "SG1"))
+    }
 
     reports = []
     gauge_bus.subscribe(
@@ -88,7 +87,7 @@ def main() -> None:
     print(f"\ngauge manager stats: created={manager.created}, "
           f"redeployments={manager.redeployments}")
     print(f"probe bus delivered {probe_bus.delivered} observations; "
-          f"latency gauge produced {latency_gauge.reports} reports")
+          f"latency gauge produced {gauges['latency'].reports} reports")
 
 
 if __name__ == "__main__":

@@ -45,6 +45,7 @@ from repro.runtime import (
     ManagedApplication,
     ProbeBinding,
     PropertyUpdater,
+    monitoring_table,
 )
 from repro.sim import Process, Simulator
 from repro.styles import (
@@ -101,6 +102,7 @@ __all__ = [
     "GaugeBinding",
     "ManagedApplication",
     "ProbeBinding",
+    "monitoring_table",
     # analysis + experiments
     "MMcQueue",
     "required_servers",

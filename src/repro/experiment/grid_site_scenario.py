@@ -47,18 +47,12 @@ from repro.faults import (
     OutageSpec,
     ProbeDropoutSpec,
 )
+from repro.experiment.workload import Arrivals
 from repro.monitoring.gauges import LatestValueGauge
-from repro.monitoring.probes import CallbackProbe
 from repro.repair.resilience import BreakerPolicy, QuarantinePolicy, RetryPolicy
-from repro.runtime import (
-    AdaptationRuntime,
-    AdaptationSpec,
-    GaugeBinding,
-    ManagedApplication,
-    ProbeBinding,
-)
-from repro.sim.kernel import Simulator
-from repro.sim.process import Process
+from repro.runtime import AdaptationRuntime, AdaptationSpec, ManagedApplication
+from repro.runtime.spec import monitoring_table
+from repro.util.windows import StepFunction
 from repro.styles.grid_site import (
     GRID_SITE_DSL,
     build_grid_site_family,
@@ -162,7 +156,7 @@ class GridSiteParams(ScenarioParams):
         self._require(self.slots_per_pool >= 1, "slots_per_pool must be >= 1")
         self._require(self.slot_spread >= 1, "slot_spread must be >= 1")
         self._require(self.service_mean > 0, "service_mean must be positive")
-        self._require(self.arrival_rate > 0, "arrival_rate must be positive")
+        self._check_rates("arrival_rate")
         self._require(
             0 <= self.flaky_sites <= self.sites,
             "flaky_sites must be in [0, sites] (0 = all)",
@@ -248,24 +242,6 @@ class GridSiteResult(RunResult):
             "resilience": dict(self.resilience),
             "breaker_states": dict(self.breaker_states),
         }
-
-
-class PoissonArrivals:
-    """The grid's single Poisson pilot-job stream (constant rate)."""
-
-    def __init__(self, sim: Simulator, rate: float, rng, submit):
-        self.sim = sim
-        self.rate = float(rate)
-        self._rng = rng
-        self._submit = submit
-
-    def start(self) -> Process:
-        return Process(self.sim, self._run(), name="grid-arrivals")
-
-    def _run(self):
-        while True:
-            yield self.sim.timeout(float(self._rng.exponential(1.0 / self.rate)))
-            self._submit()
 
 
 class GridSiteTranslator(CostedIntentExecutor):
@@ -369,11 +345,12 @@ class GridSiteExperiment(ScenarioExperiment):
             trace=self.trace,
         )
         self.sources.append(
-            PoissonArrivals(
+            Arrivals(
                 self.sim,
-                rate=params.arrival_rate,
+                StepFunction([(0.0, params.arrival_rate)]),
                 rng=self.seeds.rng("grid_site.arrivals"),
                 submit=self.app.submit,
+                name="grid-arrivals",
             )
         )
 
@@ -451,31 +428,15 @@ class GridSiteExperiment(ScenarioExperiment):
         # the model claiming ``drained=1`` while the runtime still
         # routes into the dead site — the divergence only monitoring
         # can re-detect (and the repair then re-fires).
-        instruments: List = []
-        for name in params.site_names():
-            for kind, fn in (
-                ("healthy", app.healthy),
-                ("drained", app.drained_flag),
-            ):
-                instruments.extend(
-                    [
-                        ProbeBinding(
-                            lambda rt, s=name, k=kind, f=fn: CallbackProbe(
-                                rt.sim, rt.probe_bus, k, s,
-                                lambda s=s, f=f: f(s),
-                                period=params.probe_period,
-                            ),
-                            periodic=True,
-                        ),
-                        GaugeBinding(
-                            lambda rt, s=name, k=kind: LatestValueGauge(
-                                rt.sim, rt.probe_bus, rt.gauge_bus, k, s,
-                                period=params.gauge_period,
-                            ),
-                            entities=[name],
-                        ),
-                    ]
-                )
+        report = {"period": params.gauge_period}
+        instruments = monitoring_table(
+            params.site_names(),
+            [
+                ("healthy", app.healthy, LatestValueGauge, report),
+                ("drained", app.drained_flag, LatestValueGauge, report),
+            ],
+            period=params.probe_period,
+        )
         return AdaptationSpec(
             style="GridSiteFam",
             dsl_source=GRID_SITE_DSL,

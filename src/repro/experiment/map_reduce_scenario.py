@@ -3,8 +3,8 @@
 Like :mod:`repro.experiment.master_worker_scenario` (the template), this
 module registers a whole application family **purely through the public
 API** — ``register_scenario(name, params=...)``, a typed frozen
-:class:`MapReduceParams` block, the generic
-:class:`~repro.monitoring.probes.CallbackProbe` / value gauges, the
+:class:`MapReduceParams` block, a monitoring table
+(:func:`~repro.runtime.spec.monitoring_table`), the
 generic :class:`~repro.runtime.updater.PropertyUpdater`, and a
 :class:`~repro.experiment.result.RunResult` subclass.
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from repro.app.map_reduce_app import MapReduceApplication
 from repro.bus.bus import FixedDelay
@@ -47,17 +47,11 @@ from repro.experiment.config import RunConfig
 from repro.experiment.params import ScenarioParams
 from repro.experiment.result import RunResult
 from repro.experiment.scenarios import register_scenario
-from repro.experiment.workload import BurstArrivals
+from repro.experiment.workload import Arrivals, burst
 from repro.monitoring.gauges import LatestValueGauge, WindowedMeanGauge
 from repro.monitoring.manager import WakeThreshold
-from repro.monitoring.probes import CallbackProbe
-from repro.runtime import (
-    AdaptationRuntime,
-    AdaptationSpec,
-    GaugeBinding,
-    ManagedApplication,
-    ProbeBinding,
-)
+from repro.runtime import AdaptationRuntime, AdaptationSpec, ManagedApplication
+from repro.runtime.spec import monitoring_table
 from repro.styles.map_reduce import (
     MAP_REDUCE_DSL,
     build_map_reduce_family,
@@ -127,8 +121,7 @@ class MapReduceParams(ScenarioParams):
         self._require(self.map_service > 0, "map_service must be positive")
         self._require(self.reduce_service > 0, "reduce_service must be positive")
         self._require(self.reducer_width >= 1, "reducer_width must be >= 1")
-        self._require(self.baseline_rate > 0, "baseline_rate must be positive")
-        self._require(self.burst_rate > 0, "burst_rate must be positive")
+        self._check_rates("baseline_rate", "burst_rate")
         self._require(0.0 < self.max_share <= 1.0, "max_share must be in (0, 1]")
         self._require(self.low_backlog >= 0, "low_backlog must be >= 0")
         self._require(self.probe_period > 0, "probe_period must be positive")
@@ -277,12 +270,12 @@ class MapReduceExperiment(ScenarioExperiment):
             record_rng=self.seeds.rng("map_reduce.records"),
             trace=self.trace,
         )
+        horizon = self.config.horizon
+        rate = burst(params.baseline_rate, params.burst_rate, horizon / 6, horizon / 2)
         self.sources.append(
-            BurstArrivals(
+            Arrivals(
                 self.sim,
-                horizon=self.config.horizon,
-                baseline_rate=params.baseline_rate,
-                burst_rate=params.burst_rate,
+                rate,
                 rng=self.seeds.rng("map_reduce.source"),
                 submit=self.app.submit,
                 name="map-reduce-source",
@@ -298,82 +291,22 @@ class MapReduceExperiment(ScenarioExperiment):
         # One probe flush per gauge period: the gauge takes one delivery
         # per report interval instead of one per sample.
         batch = max(1, int(round(params.gauge_period / params.probe_period)))
-        instruments: List = []
-        for reducer in app.reducer_names:
-            instruments.extend(
-                [
-                    ProbeBinding(
-                        lambda rt, r=reducer: CallbackProbe(
-                            rt.sim,
-                            rt.probe_bus,
-                            "backlog",
-                            r,
-                            lambda r=r: app.backlog(r),
-                            period=params.probe_period,
-                            batch=batch,
-                        ),
-                        periodic=True,
-                    ),
-                    GaugeBinding(
-                        lambda rt, r=reducer: WindowedMeanGauge(
-                            rt.sim,
-                            rt.probe_bus,
-                            rt.gauge_bus,
-                            "backlog",
-                            r,
-                            period=params.gauge_period,
-                            horizon=params.backlog_horizon,
-                        ),
-                        entities=[reducer],
-                    ),
-                    ProbeBinding(
-                        lambda rt, r=reducer: CallbackProbe(
-                            rt.sim,
-                            rt.probe_bus,
-                            "share",
-                            r,
-                            lambda r=r: app.share(r),
-                            period=params.probe_period,
-                            batch=batch,
-                        ),
-                        periodic=True,
-                    ),
-                    GaugeBinding(
-                        lambda rt, r=reducer: LatestValueGauge(
-                            rt.sim,
-                            rt.probe_bus,
-                            rt.gauge_bus,
-                            "share",
-                            r,
-                            period=params.gauge_period,
-                        ),
-                        entities=[reducer],
-                    ),
-                    ProbeBinding(
-                        lambda rt, r=reducer: CallbackProbe(
-                            rt.sim,
-                            rt.probe_bus,
-                            "keys",
-                            r,
-                            lambda r=r: app.key_count(r),
-                            period=params.probe_period,
-                            batch=batch,
-                        ),
-                        periodic=True,
-                    ),
-                    GaugeBinding(
-                        lambda rt, r=reducer: LatestValueGauge(
-                            rt.sim,
-                            rt.probe_bus,
-                            rt.gauge_bus,
-                            "keys",
-                            r,
-                            period=params.gauge_period,
-                        ),
-                        entities=[reducer],
-                    ),
-                ]
-            )
+        report = {"period": params.gauge_period}
+        instruments = monitoring_table(
+            app.reducer_names,
+            [
+                (
+                    "backlog",
+                    app.backlog,
+                    WindowedMeanGauge,
+                    {**report, "horizon": params.backlog_horizon},
+                ),
+                ("share", app.share, LatestValueGauge, report),
+                ("keys", app.key_count, LatestValueGauge, report),
+            ],
+            period=params.probe_period,
+            batch=batch,
+        )
         # Wake the checker only on threshold crossings.  "keys" reports
         # are informational — a math.inf threshold never crosses, so they
         # update the model without waking the checker.

@@ -31,7 +31,7 @@ more work and ends back at its designed pool size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from repro.app.master_worker_app import MasterWorkerApplication
 from repro.bus.bus import FixedDelay
@@ -44,16 +44,10 @@ from repro.experiment.config import RunConfig
 from repro.experiment.params import ScenarioParams
 from repro.experiment.result import RunResult
 from repro.experiment.scenarios import register_scenario
-from repro.experiment.workload import BurstArrivals
+from repro.experiment.workload import Arrivals, burst
 from repro.monitoring.gauges import EwmaGauge, LatestValueGauge, WindowedMeanGauge
-from repro.monitoring.probes import CallbackProbe
-from repro.runtime import (
-    AdaptationRuntime,
-    AdaptationSpec,
-    GaugeBinding,
-    ManagedApplication,
-    ProbeBinding,
-)
+from repro.runtime import AdaptationRuntime, AdaptationSpec, ManagedApplication
+from repro.runtime.spec import monitoring_table
 from repro.styles.master_worker import (
     MASTER_WORKER_DSL,
     build_master_worker_family,
@@ -121,11 +115,8 @@ class MasterWorkerParams(ScenarioParams):
         self._require(
             0.0 <= self.straggler_prob < 1.0, "straggler_prob must be in [0, 1)"
         )
-        self._require(
-            self.straggler_factor >= 1.0, "straggler_factor must be >= 1"
-        )
-        self._require(self.baseline_rate > 0, "baseline_rate must be positive")
-        self._require(self.burst_rate > 0, "burst_rate must be positive")
+        self._require(self.straggler_factor >= 1.0, "straggler_factor must be >= 1")
+        self._check_rates("baseline_rate", "burst_rate")
         self._require(self.probe_period > 0, "probe_period must be positive")
         self._require(self.gauge_period > 0, "gauge_period must be positive")
         self._check_policy(self.violation_policy)
@@ -252,12 +243,12 @@ class MasterWorkerExperiment(ScenarioExperiment):
             rescue_rng=self.seeds.rng("master_worker.rescue"),
             trace=self.trace,
         )
+        horizon = self.config.horizon
+        rate = burst(params.baseline_rate, params.burst_rate, horizon / 6, horizon / 2)
         self.sources.append(
-            BurstArrivals(
+            Arrivals(
                 self.sim,
-                horizon=self.config.horizon,
-                baseline_rate=params.baseline_rate,
-                burst_rate=params.burst_rate,
+                rate,
                 rng=self.seeds.rng("master_worker.source"),
                 submit=self.app.submit,
                 name="master-worker-source",
@@ -271,56 +262,37 @@ class MasterWorkerExperiment(ScenarioExperiment):
         params = self.params
         app = self.app
         sim = self.sim
-        instruments: List = [
-            ProbeBinding(
-                lambda rt: CallbackProbe(
-                    rt.sim, rt.probe_bus, "backlog", "pool",
-                    lambda: app.queue_length, period=params.probe_period,
+        instruments = monitoring_table(
+            ["pool"],
+            [
+                (
+                    "backlog",
+                    lambda _: app.queue_length,
+                    WindowedMeanGauge,
+                    {"period": params.gauge_period, "horizon": params.load_horizon},
                 ),
-                periodic=True,
-            ),
-            GaugeBinding(
-                lambda rt: WindowedMeanGauge(
-                    rt.sim, rt.probe_bus, rt.gauge_bus, "backlog", "pool",
-                    period=params.gauge_period, horizon=params.load_horizon,
+                (
+                    "utilization",
+                    lambda _: app.utilization(),
+                    EwmaGauge,
+                    {"period": params.gauge_period, "tau": params.utilization_tau},
                 ),
-                entities=["pool"],
-            ),
-            ProbeBinding(
-                lambda rt: CallbackProbe(
-                    rt.sim, rt.probe_bus, "utilization", "pool",
-                    app.utilization, period=params.probe_period,
+                (
+                    "age",
+                    lambda _: app.oldest_age(sim.now),
+                    LatestValueGauge,
+                    {"period": params.gauge_period},
                 ),
-                periodic=True,
-            ),
-            GaugeBinding(
-                lambda rt: EwmaGauge(
-                    rt.sim, rt.probe_bus, rt.gauge_bus, "utilization", "pool",
-                    period=params.gauge_period, tau=params.utilization_tau,
-                ),
-                entities=["pool"],
-            ),
-            ProbeBinding(
-                lambda rt: CallbackProbe(
-                    rt.sim, rt.probe_bus, "age", "pool",
-                    lambda: app.oldest_age(sim.now),
-                    period=params.probe_period,
-                ),
-                periodic=True,
-            ),
-            GaugeBinding(
-                lambda rt: LatestValueGauge(
-                    rt.sim, rt.probe_bus, rt.gauge_bus, "age", "pool",
-                    period=params.gauge_period,
-                ),
-                entities=["pool"],
-            ),
-        ]
+            ],
+            period=params.probe_period,
+        )
         return AdaptationSpec(
             style="MasterWorkerFam",
             dsl_source=MASTER_WORKER_DSL,
             invariant_scopes={
-                "q": "WorkerPoolT", "s": "WorkerPoolT", "u": "WorkerPoolT",
+                "q": "WorkerPoolT",
+                "s": "WorkerPoolT",
+                "u": "WorkerPoolT",
             },
             bindings={
                 "maxBacklog": params.max_backlog,

@@ -3,8 +3,8 @@
 Like :mod:`repro.experiment.master_worker_scenario` (the template), this
 module registers a whole application family **purely through the public
 API** — ``register_scenario(name, params=...)``, a typed frozen
-:class:`MultiTenantParams` block, the generic
-:class:`~repro.monitoring.probes.CallbackProbe` / value gauges, the
+:class:`MultiTenantParams` block, a monitoring table
+(:func:`~repro.runtime.spec.monitoring_table`), the
 generic :class:`~repro.runtime.updater.PropertyUpdater`, and a
 :class:`~repro.experiment.result.RunResult` subclass.
 
@@ -28,6 +28,7 @@ invariant threshold (hysteresis band ``wake_band``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, ClassVar, Dict, List, Optional
 
 from repro.app.multi_tenant_app import MultiTenantApplication
@@ -41,26 +42,18 @@ from repro.experiment.config import RunConfig
 from repro.experiment.params import ScenarioParams
 from repro.experiment.result import RunResult
 from repro.experiment.scenarios import register_scenario
+from repro.experiment.workload import Arrivals, burst
 from repro.monitoring.gauges import EwmaGauge, LatestValueGauge
 from repro.monitoring.manager import WakeThreshold
-from repro.monitoring.probes import CallbackProbe
-from repro.runtime import (
-    AdaptationRuntime,
-    AdaptationSpec,
-    GaugeBinding,
-    ManagedApplication,
-    ProbeBinding,
-)
+from repro.runtime import AdaptationRuntime, AdaptationSpec, ManagedApplication
 from repro.runtime.sharding import ShardingSpec, shard_key_names
-from repro.sim.kernel import Simulator
-from repro.sim.process import Process
+from repro.runtime.spec import monitoring_table
 from repro.styles.multi_tenant import (
     MULTI_TENANT_DSL,
     build_multi_tenant_family,
     build_multi_tenant_model,
     multi_tenant_operators,
 )
-from repro.util.windows import StepFunction
 
 __all__ = [
     "MultiTenantParams",
@@ -69,7 +62,6 @@ __all__ = [
     "MultiTenantExperiment",
     "MultiTenantManagedApplication",
     "MultiTenantTranslator",
-    "SurgeArrivals",
 ]
 
 
@@ -141,8 +133,7 @@ class MultiTenantParams(ScenarioParams):
             "max_workers",
         )
         self._require(self.service_mean > 0, "service_mean must be positive")
-        self._require(self.baseline_rate > 0, "baseline_rate must be positive")
-        self._require(self.surge_rate > 0, "surge_rate must be positive")
+        self._check_rates("baseline_rate", "surge_rate")
         self._require(
             0.0 <= self.surge_start < self.surge_end,
             "surge window must satisfy 0 <= surge_start < surge_end",
@@ -187,9 +178,7 @@ class MultiTenantShardedParams(MultiTenantParams):
     """
 
     concurrency: str = "serial"
-    sharding: Optional[ShardingSpec] = ShardingSpec(
-        shards=3, key="numeric_suffix"
-    )
+    sharding: Optional[ShardingSpec] = ShardingSpec(shards=3, key="numeric_suffix")
 
 
 @dataclass
@@ -244,48 +233,6 @@ class MultiTenantResult(RunResult):
             "peak_inflight": self.peak_inflight,
             "final_sizes": self.final_sizes(),
         }
-
-
-class SurgeArrivals:
-    """One tenant's Poisson task stream with an explicit surge window.
-
-    Unlike :class:`~repro.experiment.workload.BurstArrivals` (whose burst
-    rides fixed fractions of the horizon), the surge window is explicit —
-    the scenario's point is *several* tenants violating in the same
-    window, so all streams share one schedule.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        tenant: str,
-        baseline_rate: float,
-        surge_rate: float,
-        surge_start: float,
-        surge_end: float,
-        rng,
-        submit,
-    ):
-        self.sim = sim
-        self.tenant = tenant
-        self.rate = StepFunction(
-            [
-                (0.0, baseline_rate),
-                (surge_start, surge_rate),
-                (surge_end, baseline_rate),
-            ]
-        )
-        self._rng = rng
-        self._submit = submit
-
-    def start(self) -> Process:
-        return Process(self.sim, self._run(), name=f"arrivals-{self.tenant}")
-
-    def _run(self):
-        while True:
-            rate = self.rate(self.sim.now)
-            yield self.sim.timeout(float(self._rng.exponential(1.0 / rate)))
-            self._submit(self.tenant)
 
 
 class MultiTenantTranslator(CostedIntentExecutor):
@@ -392,18 +339,17 @@ class MultiTenantExperiment(ScenarioExperiment):
         )
         surged = set(params.surged())
         self.sources = [
-            SurgeArrivals(
+            Arrivals(
                 self.sim,
-                tenant,
-                baseline_rate=params.baseline_rate,
-                surge_rate=(
-                    params.surge_rate if tenant in surged
-                    else params.baseline_rate
+                burst(
+                    params.baseline_rate,
+                    params.surge_rate if tenant in surged else params.baseline_rate,
+                    params.surge_start,
+                    params.surge_end,
                 ),
-                surge_start=params.surge_start,
-                surge_end=params.surge_end,
                 rng=self.seeds.rng(f"multi_tenant.{tenant}.source"),
-                submit=self.app.submit,
+                submit=partial(self.app.submit, tenant),
+                name=f"arrivals-{tenant}",
             )
             for tenant in params.tenant_names()
         ]
@@ -416,46 +362,25 @@ class MultiTenantExperiment(ScenarioExperiment):
         app = self.app
         # One probe flush per gauge period (see map_reduce_scenario).
         batch = max(1, int(round(params.gauge_period / params.probe_period)))
-        instruments: List = []
-        for tenant in app.tenants:
-            instruments.extend(
-                [
-                    ProbeBinding(
-                        lambda rt, t=tenant: CallbackProbe(
-                            rt.sim, rt.probe_bus, "latency", t,
-                            lambda t=t: app.latency(t),
-                            period=params.probe_period,
-                            batch=batch,
-                        ),
-                        periodic=True,
-                    ),
-                    GaugeBinding(
-                        lambda rt, t=tenant: LatestValueGauge(
-                            rt.sim, rt.probe_bus, rt.gauge_bus, "latency", t,
-                            period=params.gauge_period,
-                        ),
-                        entities=[tenant],
-                    ),
-                    ProbeBinding(
-                        lambda rt, t=tenant: CallbackProbe(
-                            rt.sim, rt.probe_bus, "utilization", t,
-                            lambda t=t: app.utilization(t),
-                            period=params.probe_period,
-                            batch=batch,
-                        ),
-                        periodic=True,
-                    ),
-                    GaugeBinding(
-                        lambda rt, t=tenant: EwmaGauge(
-                            rt.sim, rt.probe_bus, rt.gauge_bus,
-                            "utilization", t,
-                            period=params.gauge_period,
-                            tau=params.utilization_tau,
-                        ),
-                        entities=[tenant],
-                    ),
-                ]
-            )
+        instruments = monitoring_table(
+            app.tenants,
+            [
+                (
+                    "latency",
+                    app.latency,
+                    LatestValueGauge,
+                    {"period": params.gauge_period},
+                ),
+                (
+                    "utilization",
+                    app.utilization,
+                    EwmaGauge,
+                    {"period": params.gauge_period, "tau": params.utilization_tau},
+                ),
+            ],
+            period=params.probe_period,
+            batch=batch,
+        )
         # Wake the checker only on threshold crossings: latency threatens
         # fairLatency from above, utilization threatens idlePool from below.
         wake_thresholds = {

@@ -16,6 +16,7 @@ resolved, before any simulation is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass, replace
+from math import isfinite
 from typing import TYPE_CHECKING, Any, ClassVar, Dict, Tuple
 
 from repro.errors import ReproError
@@ -125,6 +126,18 @@ class ScenarioParams:
         if not condition:
             raise ReproError(f"{type(self).__name__}: {message}")
 
+    def _check_rates(self, *names: str) -> None:
+        """Shared check for arrival rates: finite and positive.
+
+        An infinite rate draws zero gaps, so simulated time never leaves
+        the instant its arrival process runs at.
+        """
+        for name in names:
+            rate = getattr(self, name)
+            self._require(
+                isfinite(rate) and rate > 0, f"{name} must be finite and positive"
+            )
+
     def _check_policy(self, policy: str) -> None:
         """Shared check for the repair engine's ``violation_policy`` knob."""
         if policy not in ("first", "worst"):
@@ -179,6 +192,10 @@ class ClientServerParams(ScenarioParams):
 
     def validate(self, config: "RunConfig") -> None:
         self._check_policy(self.violation_policy)
+        self._require(
+            isfinite(self.baseline_rate) and isfinite(self.stress_rate),
+            "baseline_rate and stress_rate must be finite",
+        )
         self._require(self.gauge_period > 0, "gauge_period must be positive")
         self._require(
             self.load_probe_period > 0, "load_probe_period must be positive"
@@ -237,8 +254,7 @@ class PipelineParams(ScenarioParams):
     def validate(self, config: "RunConfig") -> None:
         self._check_policy(self.violation_policy)
         self._require(len(self.stages) >= 2, "a pipeline needs >= 2 stages")
-        self._require(self.baseline_rate > 0, "baseline_rate must be positive")
-        self._require(self.burst_rate > 0, "burst_rate must be positive")
+        self._check_rates("baseline_rate", "burst_rate")
         self._require(self.worker_budget >= 1, "worker_budget must be >= 1")
         self._require(self.gauge_period > 0, "gauge_period must be positive")
         self._require(

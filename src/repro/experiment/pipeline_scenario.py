@@ -9,8 +9,8 @@ translator, but zero new control-plane machinery:
 
 * workload: a Poisson item stream that bursts above the bottleneck
   stage's capacity mid-run (analogous to the Figure 7 stress phase);
-* monitoring: per-stage backlog probes -> windowed backlog gauges, plus
-  worker-occupancy probes -> EWMA utilization gauges, both through the
+* monitoring: a table of per-stage backlog reads -> windowed-mean
+  gauges, plus worker-occupancy reads -> EWMA gauges, both through the
   generic :class:`~repro.runtime.updater.PropertyUpdater`;
 * constraints: the style's ``backlog <= maxBacklog`` invariant plus the
   ``idleWidth`` underutilization invariant, both scoped to ``FilterT``;
@@ -35,7 +35,7 @@ the horizon, while the adapted run widens the stage and recovers.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.app.pipeline_app import PipelineApplication
 from repro.bus.bus import FixedDelay
@@ -47,16 +47,10 @@ from repro.experiment.base import (
 from repro.experiment.params import PipelineParams
 from repro.experiment.result import PipelineResult
 from repro.experiment.scenarios import register_scenario
-from repro.experiment.workload import BurstArrivals
-from repro.monitoring.gauges import BacklogGauge, UtilizationGauge
-from repro.monitoring.probes import StageBacklogProbe, StageUtilizationProbe
-from repro.runtime import (
-    AdaptationRuntime,
-    AdaptationSpec,
-    GaugeBinding,
-    ManagedApplication,
-    ProbeBinding,
-)
+from repro.experiment.workload import Arrivals, burst
+from repro.monitoring.gauges import EwmaGauge, WindowedMeanGauge
+from repro.runtime import AdaptationRuntime, AdaptationSpec, ManagedApplication
+from repro.runtime.spec import monitoring_table
 from repro.styles.pipeline import (
     PIPELINE_DSL,
     build_pipeline_family,
@@ -95,8 +89,9 @@ class PipelineManagedApplication(ManagedApplication):
 
     name = "batch-pipeline"
 
-    def __init__(self, app: PipelineApplication,
-                 params: Optional[PipelineParams] = None):
+    def __init__(
+        self, app: PipelineApplication, params: Optional[PipelineParams] = None
+    ):
         self.app = app
         self.params = params if params is not None else PipelineParams()
 
@@ -158,12 +153,12 @@ class PipelineExperiment(ScenarioExperiment):
     def setup(self) -> None:
         params = self.params
         self.app = PipelineApplication(self.sim, params.stages, trace=self.trace)
+        horizon = self.config.horizon
+        rate = burst(params.baseline_rate, params.burst_rate, horizon / 6, horizon / 2)
         self.sources.append(
-            BurstArrivals(
+            Arrivals(
                 self.sim,
-                horizon=self.config.horizon,
-                baseline_rate=params.baseline_rate,
-                burst_rate=params.burst_rate,
+                rate,
                 rng=self.seeds.rng("pipeline.source"),
                 submit=self.app.submit,
                 name="pipeline-source",
@@ -176,34 +171,25 @@ class PipelineExperiment(ScenarioExperiment):
     def _adaptation_spec(self) -> AdaptationSpec:
         params = self.params
         app = self.app
-        instruments: List = []
-        for stage in app.stage_order:
-            instruments.append(ProbeBinding(
-                lambda rt, s=stage: StageBacklogProbe(
-                    rt.sim, rt.probe_bus, app, s, period=params.load_probe_period,
+
+        def occupancy(name: str) -> float:
+            stage = app.stage(name)
+            return stage.busy / max(1, stage.width)
+
+        report = {"period": params.gauge_period}
+        instruments = monitoring_table(
+            app.stage_order,
+            [
+                (
+                    "backlog",
+                    app.backlog,
+                    WindowedMeanGauge,
+                    {**report, "horizon": params.load_horizon},
                 ),
-                periodic=True,
-            ))
-            instruments.append(GaugeBinding(
-                lambda rt, s=stage: BacklogGauge(
-                    rt.sim, rt.probe_bus, rt.gauge_bus, s,
-                    period=params.gauge_period, horizon=params.load_horizon,
-                ),
-                entities=[stage],
-            ))
-            instruments.append(ProbeBinding(
-                lambda rt, s=stage: StageUtilizationProbe(
-                    rt.sim, rt.probe_bus, app, s, period=params.load_probe_period,
-                ),
-                periodic=True,
-            ))
-            instruments.append(GaugeBinding(
-                lambda rt, s=stage: UtilizationGauge(
-                    rt.sim, rt.probe_bus, rt.gauge_bus, s,
-                    period=params.gauge_period,
-                ),
-                entities=[stage],
-            ))
+                ("utilization", occupancy, EwmaGauge, report),
+            ],
+            period=params.load_probe_period,
+        )
         return AdaptationSpec(
             style="PipelineFam",
             dsl_source=PIPELINE_DSL,

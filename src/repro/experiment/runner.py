@@ -21,7 +21,8 @@ no matter who asked for it.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Dict, Optional, Tuple
 
 from repro.app.client import Client
 from repro.app.env_manager import EnvironmentManager
@@ -36,29 +37,14 @@ from repro.experiment.result import ClientServerResult, RunResult
 from repro.experiment.scenarios import register_scenario, scenario_entry
 from repro.experiment.testbed import Testbed, build_testbed
 from repro.experiment.workload import Workload, build_workload
-from repro.monitoring.gauges import (
-    AverageLatencyGauge,
-    BandwidthGauge,
-    LoadGauge,
-    UtilizationGauge,
-)
-from repro.monitoring.probes import (
-    BandwidthProbe,
-    ClientLatencyProbe,
-    QueueLengthProbe,
-    UtilizationProbe,
-)
+from repro.monitoring.gauges import EwmaGauge, LatestValueGauge, WindowedMeanGauge
+from repro.monitoring.probes import BandwidthProbe, ClientLatencyProbe, UtilizationProbe
 from repro.net.flows import FlowNetwork
 from repro.net.remos import RemosService
 from repro.net.traffic import CrossTrafficGenerator
 from repro.repair.context import AppRuntimeView, RuntimeView
-from repro.runtime import (
-    AdaptationRuntime,
-    AdaptationSpec,
-    GaugeBinding,
-    ManagedApplication,
-    ProbeBinding,
-)
+from repro.runtime import AdaptationRuntime, AdaptationSpec, ManagedApplication
+from repro.runtime.spec import monitoring_table
 from repro.runtime.updater import component
 from repro.styles.client_server import (
     FIGURE5_DSL,
@@ -102,8 +88,9 @@ class ClientServerApplication(ManagedApplication):
 
     name = "client-server-grid"
 
-    def __init__(self, env: EnvironmentManager, testbed: Testbed,
-                 params: ClientServerParams):
+    def __init__(
+        self, env: EnvironmentManager, testbed: Testbed, params: ClientServerParams
+    ):
         self.env = env
         self.testbed = testbed
         self.params = params
@@ -119,8 +106,10 @@ class ClientServerApplication(ManagedApplication):
     def intent_executor(self, runtime: AdaptationRuntime) -> Translator:
         costs = TranslationCosts(cached_gauges=self.params.gauge_caching)
         return Translator(
-            self.env, costs,
-            gauge_manager=runtime.gauge_manager, trace=runtime.trace,
+            self.env,
+            costs,
+            gauge_manager=runtime.gauge_manager,
+            trace=runtime.trace,
         )
 
     def runtime_view(self) -> RuntimeView:
@@ -149,7 +138,8 @@ class Experiment(ScenarioExperiment):
         self.testbed: Testbed = build_testbed()
         self.network = FlowNetwork(self.sim, self.testbed.topology)
         self.remos = RemosService(
-            self.sim, self.network,
+            self.sim,
+            self.network,
             cold_delay=params.remos_cold_delay,
             warm_delay=params.remos_warm_delay,
         )
@@ -180,8 +170,10 @@ class Experiment(ScenarioExperiment):
         params = self.params
         tb = self.testbed
         self.app = GridApplication(
-            self.sim, self.network,
-            rq_machine=tb.machine_of["RQ"], trace=self.trace,
+            self.sim,
+            self.network,
+            rq_machine=tb.machine_of["RQ"],
+            trace=self.trace,
         )
         self.env = EnvironmentManager(self.app, self.remos)
         size_fn = self.workload.size_fn()
@@ -221,14 +213,22 @@ class Experiment(ScenarioExperiment):
         tb, wl = self.testbed, self.workload
         self.sources = [
             CrossTrafficGenerator(
-                self.sim, self.network, "comp_A",
-                tb.competition_a[0], tb.competition_a[1],
-                wl.competition_a, horizon=wl.horizon,
+                self.sim,
+                self.network,
+                "comp_A",
+                tb.competition_a[0],
+                tb.competition_a[1],
+                wl.competition_a,
+                horizon=wl.horizon,
             ),
             CrossTrafficGenerator(
-                self.sim, self.network, "comp_B",
-                tb.competition_b[0], tb.competition_b[1],
-                wl.competition_b, horizon=wl.horizon,
+                self.sim,
+                self.network,
+                "comp_B",
+                tb.competition_b[0],
+                tb.competition_b[1],
+                wl.competition_b,
+                horizon=wl.horizon,
             ),
         ]
 
@@ -264,9 +264,10 @@ class Experiment(ScenarioExperiment):
 
         Instrument order matters (gauge activations are scheduled at
         creation; ties break in scheduling order) and mirrors the paper's
-        deployment: per client a latency event probe, a bandwidth probe,
-        and the two matching gauges; per group a queue-length probe and
-        load gauge, plus the utilization pair when the shrink repair is on.
+        deployment: per client a latency event probe and its gauge, then
+        a bandwidth probe and its gauge; per group a queue-length probe
+        and load gauge, plus the utilization pair when the shrink repair
+        is on.
         """
         params = self.params
         app, remos = self.app, self.remos
@@ -284,72 +285,54 @@ class Experiment(ScenarioExperiment):
             },
         )
 
-        instruments: List[Any] = []
-        for client in self.testbed.clients:
-            instruments.append(ProbeBinding(
-                lambda rt, c=client: ClientLatencyProbe(
-                    rt.sim, rt.probe_bus, app.client(c)
+        report = {"period": params.gauge_period}
+        client_rows = [
+            (
+                "latency",
+                partial(ClientLatencyProbe, app=app),
+                WindowedMeanGauge,
+                {**report, "horizon": params.latency_horizon},
+            ),
+            (
+                "bandwidth",
+                partial(
+                    BandwidthProbe,
+                    app=app,
+                    remos=remos,
+                    period=params.bandwidth_probe_period,
+                ),
+                LatestValueGauge,
+                report,
+            ),
+        ]
+        group_rows = [
+            (
+                "load",
+                app.group_load,
+                WindowedMeanGauge,
+                {**report, "horizon": params.load_horizon},
+            ),
+        ]
+        if params.underutilization_repair:
+            group_rows.append(
+                (
+                    "utilization",
+                    partial(UtilizationProbe, app=app, period=params.gauge_period),
+                    EwmaGauge,
+                    report,
                 )
-            ))
-            instruments.append(ProbeBinding(
-                lambda rt, c=client: BandwidthProbe(
-                    rt.sim, rt.probe_bus, app, remos,
-                    c, period=params.bandwidth_probe_period,
-                ),
-                periodic=True,
-            ))
-            instruments.append(GaugeBinding(
-                lambda rt, c=client: AverageLatencyGauge(
-                    rt.sim, rt.probe_bus, rt.gauge_bus, c,
-                    period=params.gauge_period, horizon=params.latency_horizon,
-                ),
-                entities=[client],
-            ))
-            instruments.append(GaugeBinding(
-                lambda rt, c=client: BandwidthGauge(
-                    rt.sim, rt.probe_bus, rt.gauge_bus, c,
-                    period=params.gauge_period,
-                ),
-                entities=[client],
-            ))
-        for group in self.testbed.initial_groups:
-            instruments.append(ProbeBinding(
-                lambda rt, g=group: QueueLengthProbe(
-                    rt.sim, rt.probe_bus, app, g,
-                    period=params.load_probe_period,
-                ),
-                periodic=True,
-            ))
-            instruments.append(GaugeBinding(
-                lambda rt, g=group: LoadGauge(
-                    rt.sim, rt.probe_bus, rt.gauge_bus, g,
-                    period=params.gauge_period, horizon=params.load_horizon,
-                ),
-                entities=[group],
-            ))
-            if params.underutilization_repair:
-                instruments.append(ProbeBinding(
-                    lambda rt, g=group: UtilizationProbe(
-                        rt.sim, rt.probe_bus, app, g,
-                        period=params.gauge_period,
-                    ),
-                    periodic=True,
-                ))
-                instruments.append(GaugeBinding(
-                    lambda rt, g=group: UtilizationGauge(
-                        rt.sim, rt.probe_bus, rt.gauge_bus, g,
-                        period=params.gauge_period,
-                    ),
-                    entities=[group],
-                ))
-
+            )
+        clients = monitoring_table(self.testbed.clients, client_rows)
+        groups = monitoring_table(
+            self.testbed.initial_groups, group_rows, period=params.load_probe_period
+        )
         return AdaptationSpec(
             style="ClientServerFam",
             dsl_source=dsl_source,
             invariant_scopes=_INVARIANT_SCOPES,
             bindings=TaskManager(profile).profile.bindings(),
             operators=lambda rt: style_operators(lambda: rt.sim.now),
-            instruments=instruments,
+            instruments=clients + groups,
             gauge_property_map=GAUGE_PROPERTY_MAP,
             delivery=self._monitoring_delay(),
             gauge_create_delay=14.0,
@@ -379,6 +362,7 @@ class Experiment(ScenarioExperiment):
 # ---------------------------------------------------------------------------
 # Result cache (benches share the two 30-minute headline runs)
 # ---------------------------------------------------------------------------
+
 
 class _ResultCache:
     """Bounded LRU keyed by :meth:`RunConfig.cache_key`.

@@ -31,54 +31,49 @@ Period       C3&C4 <-> SG1 path   C3&C4 <-> SG2 path   Client requests
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable, Dict, List
 
 import numpy as np
 
+from repro.sim.process import Process
 from repro.util.windows import StepFunction
 
-__all__ = ["Workload", "build_workload", "BurstArrivals"]
+__all__ = ["Workload", "build_workload", "Arrivals", "burst"]
 
 
-class BurstArrivals:
-    """Poisson arrivals whose rate bursts mid-run (the stress-phase shape).
+class Arrivals:
+    """Poisson arrivals at a piecewise-constant rate (one step: constant).
 
-    The shared workload scaffold for the non-client/server scenarios
-    (``pipeline``, ``master_worker``): a baseline arrival rate, a burst
-    occupying the same fractions of the horizon as the paper's stress
-    phase occupies the 30-minute run (1/6 .. 1/2), then baseline again.
-    ``submit`` is called once per arrival; the rate is sampled *before*
-    each exponential gap is drawn, so the schedule is reproducible for a
-    given rng regardless of what ``submit`` does.
+    The arrival process of every scenario but the paper's (whose clients
+    draw their own).  ``submit`` is called once per arrival; the rate is
+    read *before* each exponential gap is drawn, so the schedule is
+    reproducible for a given rng regardless of what ``submit`` does.
+    Every rate the step function takes must be finite and positive: an
+    infinite rate draws zero gaps and the process never leaves its
+    instant, so it is refused here, at construction.
     """
 
     def __init__(
         self,
         sim,
-        horizon: float,
-        baseline_rate: float,
-        burst_rate: float,
+        rate: StepFunction,
         rng,
         submit: Callable[[], object],
-        name: str = "burst-arrivals",
+        name: str,
     ):
+        for value in [rate(0.0), *(value for _, value in rate.breakpoints)]:
+            if not (isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name}: arrival rates must be finite and positive, got {value}"
+                )
         self.sim = sim
-        self.burst_start = horizon / 6.0
-        self.burst_end = horizon / 2.0
-        self.rate = StepFunction(
-            [
-                (0.0, baseline_rate),
-                (self.burst_start, burst_rate),
-                (self.burst_end, baseline_rate),
-            ]
-        )
+        self.rate = rate
         self._rng = rng
         self._submit = submit
         self.name = name
 
-    def start(self):
-        from repro.sim.process import Process
-
+    def start(self) -> Process:
         return Process(self.sim, self._run(), name=self.name)
 
     def _run(self):
@@ -86,6 +81,19 @@ class BurstArrivals:
             rate = self.rate(self.sim.now)
             yield self.sim.timeout(float(self._rng.exponential(1.0 / rate)))
             self._submit()
+
+
+def burst(baseline: float, peak: float, start: float, end: float) -> StepFunction:
+    """``baseline``, then ``peak`` over ``[start, end)``, then ``baseline``.
+
+    The mid-run scenarios burst over the fractions of the horizon the
+    paper's stress phase takes of its 30-minute run: ``[h/6, h/2)``.
+    """
+    steps = [(start, peak), (end, baseline)]
+    if start > 0:
+        steps.insert(0, (0.0, baseline))
+    return StepFunction(steps)
+
 
 STARVE = 9.992e6  # leaves ~8 Kbps  (below the 10 Kbps threshold)
 MODERATE = 7.0e6  # leaves ~3 Mbps  (the paper's "moderate bandwidth")

@@ -20,19 +20,13 @@ the paper's dominant repair cost and monitoring blind spot.
 
 from repro.monitoring.probes import (
     ClientLatencyProbe,
-    QueueLengthProbe,
     BandwidthProbe,
     UtilizationProbe,
-    StageBacklogProbe,
     CallbackProbe,
+    IngestProbe,
 )
 from repro.monitoring.gauges import (
     Gauge,
-    AverageLatencyGauge,
-    LoadGauge,
-    BandwidthGauge,
-    UtilizationGauge,
-    BacklogGauge,
     WindowedMeanGauge,
     EwmaGauge,
     LatestValueGauge,
@@ -41,17 +35,11 @@ from repro.monitoring.manager import GaugeManager, ThresholdGate, WakeThreshold
 
 __all__ = [
     "ClientLatencyProbe",
-    "QueueLengthProbe",
     "BandwidthProbe",
     "UtilizationProbe",
-    "StageBacklogProbe",
-    "Gauge",
-    "AverageLatencyGauge",
-    "LoadGauge",
-    "BandwidthGauge",
-    "UtilizationGauge",
-    "BacklogGauge",
     "CallbackProbe",
+    "IngestProbe",
+    "Gauge",
     "WindowedMeanGauge",
     "EwmaGauge",
     "LatestValueGauge",

@@ -7,13 +7,18 @@ loop its detection lag (a latency spike must persist long enough to drag
 the window mean over the threshold), matching the paper's observed delay
 between cause and repair.
 
-Probe messages arrive in two shapes.  Per-sample messages carry one
-scalar attribute and are fed to ``_consume``; batch messages carry
-parallel ``times``/``values`` tuples of floats (one per probe flush,
-``batch > 1``) and are routed to ``_consume_batch`` — one delivery per
-burst instead of per sample.  Every gauge reads the floats as they came:
-a :class:`WindowedMeanGauge` folds a batch into its
-:class:`~repro.util.windows.SlidingWindow` with one ``add_many`` call.
+Every probe publishes one message shape on ``probe.<kind>.<target>``
+(:mod:`repro.monitoring.probes`), so three gauges cover every style:
+:class:`WindowedMeanGauge` (a sliding-window mean), :class:`EwmaGauge`
+(an exponentially weighted mean) and :class:`LatestValueGauge` (the
+last value).  A gauge is ``(kind, target)``: it subscribes to
+``probe.<kind>.<target>`` and reports ``gauge.<kind>.<target>``.  A
+per-sample message's float ``value`` is fed to ``_consume``; a batch
+message's parallel ``times``/``values`` tuples (one per probe flush,
+``batch > 1``) go to ``_consume_batch`` — one delivery per burst
+instead of per sample.  A :class:`WindowedMeanGauge` folds a batch into
+its :class:`~repro.util.windows.SlidingWindow` with one ``add_many``
+call.
 """
 
 from __future__ import annotations
@@ -25,40 +30,26 @@ from repro.bus.messages import Message
 from repro.sim.kernel import Simulator
 from repro.util.windows import EWMA, SlidingWindow
 
-__all__ = [
-    "Gauge",
-    "AverageLatencyGauge",
-    "LoadGauge",
-    "BandwidthGauge",
-    "UtilizationGauge",
-    "BacklogGauge",
-    "WindowedMeanGauge",
-    "EwmaGauge",
-    "LatestValueGauge",
-]
+__all__ = ["Gauge", "WindowedMeanGauge", "EwmaGauge", "LatestValueGauge"]
 
 
 class Gauge:
-    """Base gauge: consumes one probe subject, reports one model property.
+    """Base gauge: consumes ``probe.<kind>.<target>``, reports one property.
 
-    Subclasses define ``_consume(message)`` and ``_value()``; the base
-    runs the report tick and handles activation state.  A gauge reports
-    ``gauge.<kind>.<target>`` messages with a ``value`` attribute plus
-    ``mapping`` hints for the model updater.  Subclasses that pair with
-    batching probes additionally implement ``_consume_batch(times,
-    values)``; the base routes any message carrying a ``values`` column
-    there.
+    Subclasses define ``_consume(message)``, ``_consume_batch(times,
+    values)``, ``_value()`` and ``_clear()``; the base runs the report
+    tick and handles activation state, and routes any message carrying a
+    ``values`` column to ``_consume_batch``.  A gauge reports
+    ``gauge.<kind>.<target>`` messages with ``target`` and ``value``.
     """
-
-    kind: str = "gauge"
 
     def __init__(
         self,
         sim: Simulator,
         probe_bus: EventBus,
         gauge_bus: EventBus,
+        kind: str,
         target: str,
-        probe_subject: str,
         period: float = 5.0,
     ):
         if period <= 0:
@@ -66,12 +57,13 @@ class Gauge:
         self.sim = sim
         self.probe_bus = probe_bus
         self.gauge_bus = gauge_bus
+        self.kind = kind
         self.target = target
         self.period = float(period)
         self.active = False
         self.reports = 0
         self._sub: Optional[Subscription] = probe_bus.subscribe(
-            probe_subject, self._on_probe
+            f"probe.{kind}.{target}", self._on_probe
         )
         #: identity of the live tick chain (None: not ticking); a pending
         #: tick that carries another token belongs to a disposed chain
@@ -88,7 +80,6 @@ class Gauge:
             return
         self.active = True
         if self._ticker is None:
-            # ``kind`` is final only after the subclass constructors ran
             self._subject = self.name
             self._ticker = ticker = object()
             # start hop: the first wait begins via the scheduler, never
@@ -152,9 +143,7 @@ class Gauge:
         raise NotImplementedError
 
     def _consume_batch(self, times, values) -> None:  # pragma: no cover
-        raise NotImplementedError(
-            f"{type(self).__name__} does not consume batched probe messages"
-        )
+        raise NotImplementedError
 
     def _value(self) -> Optional[float]:  # pragma: no cover
         raise NotImplementedError
@@ -163,160 +152,8 @@ class Gauge:
         raise NotImplementedError
 
 
-class AverageLatencyGauge(Gauge):
-    """Windowed mean of completed-request latencies for one client."""
-
-    kind = "latency"
-
-    def __init__(
-        self,
-        sim,
-        probe_bus,
-        gauge_bus,
-        client: str,
-        period: float = 5.0,
-        horizon: float = 30.0,
-    ):
-        super().__init__(
-            sim,
-            probe_bus,
-            gauge_bus,
-            client,
-            probe_subject=f"probe.latency.{client}",
-            period=period,
-        )
-        self.window = SlidingWindow(horizon)
-
-    def _consume(self, message: Message) -> None:
-        self.window.add(self.sim.now, float(message["latency"]))
-
-    def _value(self) -> Optional[float]:
-        return self.window.mean(self.sim.now)
-
-    def _clear(self) -> None:
-        self.window.clear()
-
-
-class LoadGauge(Gauge):
-    """Windowed mean queue length for one server group."""
-
-    kind = "load"
-
-    def __init__(
-        self,
-        sim,
-        probe_bus,
-        gauge_bus,
-        group: str,
-        period: float = 5.0,
-        horizon: float = 30.0,
-    ):
-        super().__init__(
-            sim,
-            probe_bus,
-            gauge_bus,
-            group,
-            probe_subject=f"probe.load.{group}",
-            period=period,
-        )
-        self.window = SlidingWindow(horizon)
-
-    def _consume(self, message: Message) -> None:
-        self.window.add(self.sim.now, float(message["length"]))
-
-    def _value(self) -> Optional[float]:
-        return self.window.mean(self.sim.now)
-
-    def _clear(self) -> None:
-        self.window.clear()
-
-
-class BacklogGauge(Gauge):
-    """Windowed mean waiting-item count for one pipeline stage."""
-
-    kind = "backlog"
-
-    def __init__(
-        self,
-        sim,
-        probe_bus,
-        gauge_bus,
-        stage: str,
-        period: float = 5.0,
-        horizon: float = 30.0,
-    ):
-        super().__init__(
-            sim,
-            probe_bus,
-            gauge_bus,
-            stage,
-            probe_subject=f"probe.backlog.{stage}",
-            period=period,
-        )
-        self.window = SlidingWindow(horizon)
-
-    def _consume(self, message: Message) -> None:
-        self.window.add(self.sim.now, float(message["length"]))
-
-    def _value(self) -> Optional[float]:
-        return self.window.mean(self.sim.now)
-
-    def _clear(self) -> None:
-        self.window.clear()
-
-
-class BandwidthGauge(Gauge):
-    """Latest Remos-predicted client <-> group bandwidth for one client."""
-
-    kind = "bandwidth"
-
-    def __init__(self, sim, probe_bus, gauge_bus, client: str, period: float = 5.0):
-        super().__init__(
-            sim,
-            probe_bus,
-            gauge_bus,
-            client,
-            probe_subject=f"probe.bandwidth.{client}",
-            period=period,
-        )
-        self._last: Optional[float] = None
-
-    def _consume(self, message: Message) -> None:
-        self._last = float(message["bandwidth"])
-
-    def _value(self) -> Optional[float]:
-        return self._last
-
-    def _clear(self) -> None:
-        self._last = None
-
-
-class _ValueGauge(Gauge):
-    """Base for the generic gauges: per-instance kind, consumes ``value``.
-
-    The application-specific gauges above each bind a probe subject and
-    attribute name; these generic ones pair with
-    :class:`~repro.monitoring.probes.CallbackProbe`, which always
-    publishes a ``value`` attribute on ``probe.<kind>.<target>`` (or
-    ``times``/``values`` float tuples when batching).
-    """
-
-    def __init__(
-        self, sim, probe_bus, gauge_bus, kind: str, target: str, period: float = 5.0
-    ):
-        super().__init__(
-            sim,
-            probe_bus,
-            gauge_bus,
-            target,
-            probe_subject=f"probe.{kind}.{target}",
-            period=period,
-        )
-        self.kind = kind  # instance attribute shadows the class default
-
-
-class WindowedMeanGauge(_ValueGauge):
-    """Sliding-window mean of a CallbackProbe's reported values.
+class WindowedMeanGauge(Gauge):
+    """Sliding-window mean of the reported values (latency, load, backlog).
 
     A batched probe flush is one ``add_many`` call on the window.  The two
     message shapes timestamp differently: a per-sample message is stamped
@@ -349,8 +186,8 @@ class WindowedMeanGauge(_ValueGauge):
         self.window.clear()
 
 
-class EwmaGauge(_ValueGauge):
-    """Exponentially-weighted mean of a CallbackProbe's reported values."""
+class EwmaGauge(Gauge):
+    """Exponentially-weighted mean of the reported values (utilization)."""
 
     def __init__(
         self,
@@ -383,8 +220,8 @@ class EwmaGauge(_ValueGauge):
         self._ewma = EWMA(self.tau)
 
 
-class LatestValueGauge(_ValueGauge):
-    """Most recent value reported by a CallbackProbe (no smoothing)."""
+class LatestValueGauge(Gauge):
+    """Most recent reported value, no smoothing (bandwidth, flags, age)."""
 
     def __init__(
         self, sim, probe_bus, gauge_bus, kind: str, target: str, period: float = 5.0
@@ -403,38 +240,3 @@ class LatestValueGauge(_ValueGauge):
 
     def _clear(self) -> None:
         self._last = None
-
-
-class UtilizationGauge(Gauge):
-    """EWMA of a group's compute utilization (drives the shrink repair)."""
-
-    kind = "utilization"
-
-    def __init__(
-        self,
-        sim,
-        probe_bus,
-        gauge_bus,
-        group: str,
-        period: float = 5.0,
-        tau: float = 60.0,
-    ):
-        super().__init__(
-            sim,
-            probe_bus,
-            gauge_bus,
-            group,
-            probe_subject=f"probe.utilization.{group}",
-            period=period,
-        )
-        self.tau = tau
-        self._ewma = EWMA(tau)
-
-    def _consume(self, message: Message) -> None:
-        self._ewma.add(self.sim.now, float(message["utilization"]))
-
-    def _value(self) -> Optional[float]:
-        return self._ewma.value
-
-    def _clear(self) -> None:
-        self._ewma = EWMA(self.tau)

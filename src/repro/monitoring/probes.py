@@ -4,20 +4,23 @@ Probes are "deployed in the target system or physical environment" and
 "announce observations via a probe bus".  The paper used AIDE-instrumented
 application code (method-call events) plus Remos; our equivalents:
 
+* :class:`CallbackProbe` — samples any ``fn() -> float`` every period (a
+  queue length, a stage backlog, a busy fraction, ...);
+* :class:`IngestProbe` — pushed samples from outside the plane;
 * :class:`ClientLatencyProbe` — hooks the client's response-delivery path
   (the instrumented method) and reports each completed request's latency;
-* :class:`QueueLengthProbe` — samples a server group's request-queue
-  length periodically;
 * :class:`BandwidthProbe` — periodically asks Remos for the predicted
   bandwidth between a client and its *current* server group;
-* :class:`UtilizationProbe` — samples a group's mean compute utilization.
+* :class:`UtilizationProbe` — a group's compute utilization over the
+  last period, from its members' busy time.
 
-All probes publish ``probe.<kind>.<target>`` messages.  A probe normally
-publishes one message per observation; the two ``value`` probes
+Every probe publishes one message shape on ``probe.<kind>.<target>``:
+``target`` plus a float ``value``.  The two value probes
 (:class:`CallbackProbe`, :class:`IngestProbe`) can instead buffer
 ``batch`` observations and publish them as **one** message carrying
-parallel ``times``/``values`` tuples of the floats they buffered, which
-the generic gauges consume through ``_consume_batch`` in one delivery.
+``target`` and parallel ``times``/``values`` tuples of the floats they
+buffered, which the gauges consume through ``_consume_batch`` in one
+delivery.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from __future__ import annotations
 from math import inf, isfinite
 from typing import Callable, List, Optional
 
-from repro.app.client import Client
 from repro.app.system import GridApplication
 from repro.bus.bus import EventBus
 from repro.net.remos import RemosService
@@ -33,11 +35,8 @@ from repro.sim.kernel import Simulator
 
 __all__ = [
     "ClientLatencyProbe",
-    "QueueLengthProbe",
     "BandwidthProbe",
     "UtilizationProbe",
-    "StageBacklogProbe",
-    "StageUtilizationProbe",
     "CallbackProbe",
     "IngestProbe",
 ]
@@ -46,24 +45,32 @@ __all__ = [
 class _Probe:
     """Shared probe plumbing: identity, bus, enable/disable, counters.
 
-    ``reports`` counts published messages, ``samples`` the observations
-    they carried (equal unless the probe batches), and ``batches`` the
-    column-carrying messages among them — the inputs to the ``telemetry``
-    section of :meth:`~repro.runtime.core.AdaptationRuntime.stats`.
+    A probe is ``(kind, target)`` and publishes on ``probe.<kind>.<target>``
+    (its ``name``).  ``reports`` counts published messages, ``samples``
+    the observations they carried (equal unless the probe batches), and
+    ``batches`` the column-carrying messages among them — the inputs to
+    the ``telemetry`` section of
+    :meth:`~repro.runtime.core.AdaptationRuntime.stats`.
 
-    The two ``value`` probes (:class:`CallbackProbe`,
-    :class:`IngestProbe`) share the batch emission mode kept here:
-    with ``batch > 1`` they buffer each observation with its capture
-    time, and :meth:`flush` publishes the buffer as one ``times`` /
-    ``values`` message about ``self.target``.
+    The two value probes (:class:`CallbackProbe`, :class:`IngestProbe`)
+    share the batch emission mode kept here: with ``batch > 1`` they
+    buffer each observation with its capture time, and :meth:`flush`
+    publishes the buffer as one ``times`` / ``values`` message.
     """
 
-    def __init__(self, sim: Simulator, bus: EventBus, name: str, batch: int = 1):
+    #: True: the runtime starts it and stops it (it samples on a period)
+    periodic = False
+
+    def __init__(
+        self, sim: Simulator, bus: EventBus, kind: str, target: str, batch: int = 1
+    ):
         if batch < 1:
             raise ValueError(f"probe batch must be >= 1, got {batch}")
         self.sim = sim
         self.bus = bus
-        self.name = name
+        self.kind = kind
+        self.target = target
+        self.name = f"probe.{kind}.{target}"
         self.batch = int(batch)
         self.enabled = True
         self.reports = 0
@@ -75,12 +82,15 @@ class _Probe:
         #: capture time of the newest observation a flush took
         self._flushed_to = -inf
 
-    def publish(self, subject: str, **attributes) -> None:
+    def publish(self, value: float, **context) -> None:
+        """Publish one observation (``context``: informational extras)."""
         if not self.enabled:
             return
         self.reports += 1
         self.samples += 1
-        self.bus.publish_subject(subject, sender=self.name, **attributes)
+        self.bus.publish_subject(
+            self.name, sender=self.name, target=self.target, value=value, **context
+        )
 
     def flush(self) -> None:
         """Publish any buffered observations as one batch message."""
@@ -105,32 +115,43 @@ class _Probe:
             times.clear()
             values.clear()
 
+    def stop(self) -> None:
+        """Flush the buffered tail (the runtime and driver call this)."""
+        self.flush()
+
 
 class ClientLatencyProbe(_Probe):
-    """Event probe on a client's response path (AIDE-style instrumentation)."""
+    """Event probe on a client's response path (AIDE-style instrumentation).
 
-    def __init__(self, sim: Simulator, bus: EventBus, client: Client):
-        super().__init__(sim, bus, f"probe.latency.{client.name}")
-        self.client = client
-        client.on_response(self._on_response)
+    Publishes each completed request's latency as ``value``, with the
+    request id and the group that served it as context.
+    """
+
+    def __init__(
+        self, sim: Simulator, bus: EventBus, app: GridApplication, target: str
+    ):
+        super().__init__(sim, bus, "latency", target)
+        app.client(target).on_response(self._on_response)
 
     def _on_response(self, req) -> None:
-        self.publish(
-            f"probe.latency.{self.client.name}",
-            client=self.client.name,
-            rid=req.rid,
-            latency=req.latency,
-            group=req.group,
-        )
+        self.publish(float(req.latency), rid=req.rid, group=req.group)
 
 
 class _PeriodicProbe(_Probe):
     """A probe that samples every ``period`` seconds once started."""
 
+    periodic = True
+
     def __init__(
-        self, sim: Simulator, bus: EventBus, name: str, period: float, batch: int = 1
+        self,
+        sim: Simulator,
+        bus: EventBus,
+        kind: str,
+        target: str,
+        period: float,
+        batch: int = 1,
     ):
-        super().__init__(sim, bus, name, batch)
+        super().__init__(sim, bus, kind, target, batch)
         if period <= 0:
             raise ValueError(f"probe period must be positive, got {period}")
         self.period = float(period)
@@ -146,6 +167,7 @@ class _PeriodicProbe(_Probe):
         self.sim.schedule(0.0, self._tick, ticker)
 
     def stop(self) -> None:
+        super().stop()
         self._ticker = None
 
     def _tick(self, ticker: object) -> None:
@@ -158,29 +180,6 @@ class _PeriodicProbe(_Probe):
         raise NotImplementedError
 
 
-class QueueLengthProbe(_PeriodicProbe):
-    """Samples a group's waiting-request count (the paper's server load)."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        bus: EventBus,
-        app: GridApplication,
-        group: str,
-        period: float = 1.0,
-    ):
-        super().__init__(sim, bus, f"probe.load.{group}", period)
-        self.app = app
-        self.group = group
-
-    def sample(self) -> None:
-        self.publish(
-            f"probe.load.{self.group}",
-            group=self.group,
-            length=float(self.app.group(self.group).load),
-        )
-
-
 class BandwidthProbe(_PeriodicProbe):
     """Asks Remos for client <-> current-group bandwidth every period.
 
@@ -189,7 +188,7 @@ class BandwidthProbe(_PeriodicProbe):
     any member, so that is the bandwidth a client can count on.  The Remos
     query itself is asynchronous; the observation is published when the
     answer arrives (warm queries: ~0.5 s; cold: the paper's minutes —
-    which is why the experiment pre-queries).
+    which is why the experiment pre-queries), with the group as context.
     """
 
     def __init__(
@@ -198,20 +197,19 @@ class BandwidthProbe(_PeriodicProbe):
         bus: EventBus,
         app: GridApplication,
         remos: RemosService,
-        client: str,
+        target: str,
         period: float = 5.0,
     ):
-        super().__init__(sim, bus, f"probe.bandwidth.{client}", period)
+        super().__init__(sim, bus, "bandwidth", target, period)
         self.app = app
         self.remos = remos
-        self.client = client
 
     def sample(self) -> None:
-        group = self.app.rq.assignment_of(self.client)
+        group = self.app.rq.assignment_of(self.target)
         members = self.app.group(group).active_members
         if not members:
             return
-        client_machine = self.app.client(self.client).machine
+        client_machine = self.app.client(self.target).machine
         # Worst member path: one Remos query per member, publish the min.
         pending = {"n": len(members), "min": float("inf")}
         for member in members:
@@ -222,78 +220,49 @@ class BandwidthProbe(_PeriodicProbe):
         pending["min"] = min(pending["min"], bw)
         pending["n"] -= 1
         if pending["n"] == 0:
-            self.publish(
-                f"probe.bandwidth.{self.client}",
-                client=self.client,
-                group=group,
-                bandwidth=pending["min"],
-            )
+            self.publish(float(pending["min"]), group=group)
 
 
-class StageBacklogProbe(_PeriodicProbe):
-    """Samples a pipeline stage's waiting-item count.
+class UtilizationProbe(_PeriodicProbe):
+    """A group's compute utilization over the last period (shrink repair).
 
-    The pipeline scenario's analogue of :class:`QueueLengthProbe`; the
-    observed application only needs ``backlog(stage) -> int``.
+    The busy-time delta of the group's members over the elapsed time
+    times its replication, clamped to ``[0, 1]``; the first sample only
+    sets the baseline.
     """
 
     def __init__(
         self,
         sim: Simulator,
         bus: EventBus,
-        app,
-        stage: str,
-        period: float = 1.0,
+        app: GridApplication,
+        target: str,
+        period: float = 5.0,
     ):
-        super().__init__(sim, bus, f"probe.backlog.{stage}", period)
+        super().__init__(sim, bus, "utilization", target, period)
         self.app = app
-        self.stage = stage
+        self._last_busy = 0.0
+        self._last_time: Optional[float] = None
 
     def sample(self) -> None:
-        self.publish(
-            f"probe.backlog.{self.stage}",
-            stage=self.stage,
-            length=float(self.app.backlog(self.stage)),
-        )
-
-
-class StageUtilizationProbe(_PeriodicProbe):
-    """Samples a pipeline stage's worker occupancy (busy / width).
-
-    Feeds the pipeline style's shrink repair the same way
-    :class:`UtilizationProbe` feeds the server-group one: an instantaneous
-    snapshot the utilization gauge's EWMA smooths into a trend.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        bus: EventBus,
-        app,
-        stage: str,
-        period: float = 1.0,
-    ):
-        super().__init__(sim, bus, f"probe.utilization.{stage}", period)
-        self.app = app
-        self.stage = stage
-
-    def sample(self) -> None:
-        stage = self.app.stage(self.stage)
-        self.publish(
-            f"probe.utilization.{self.stage}",
-            stage=self.stage,
-            utilization=stage.busy / max(1, stage.width),
-        )
+        group = self.app.group(self.target)
+        busy = sum(s.busy_time for s in group.members)
+        now = self.sim.now
+        if self._last_time is not None and now > self._last_time:
+            capacity = max(1, group.replication) * (now - self._last_time)
+            self.publish(max(0.0, min(1.0, (busy - self._last_busy) / capacity)))
+        self._last_busy = busy
+        self._last_time = now
 
 
 class CallbackProbe(_PeriodicProbe):
     """Generic periodic probe: publishes ``float(fn())`` as ``value``.
 
     The zero-boilerplate way to instrument a new application: pair it
-    with one of the generic value gauges (:class:`WindowedMeanGauge`,
-    :class:`EwmaGauge`, :class:`LatestValueGauge`), which consume the
-    ``value`` attribute from ``probe.<kind>.<target>`` subjects.  The
-    master/worker scenario is built entirely from these.
+    with one of the gauges (:class:`WindowedMeanGauge`,
+    :class:`EwmaGauge`, :class:`LatestValueGauge`) in a monitoring table
+    (:func:`~repro.runtime.spec.monitoring_table`), which builds one per
+    row whose source is a read function.
 
     With ``batch > 1`` the probe runs in batch emission mode: each
     observation is buffered with its capture time and every ``batch``-th
@@ -314,23 +283,17 @@ class CallbackProbe(_PeriodicProbe):
         period: float = 1.0,
         batch: int = 1,
     ):
-        super().__init__(sim, bus, f"probe.{kind}.{target}", period, batch)
-        self.kind = kind
-        self.target = target
+        super().__init__(sim, bus, kind, target, period, batch)
         self.fn = fn
 
     def sample(self) -> None:
         if self.batch == 1:
-            self.publish(self.name, target=self.target, value=float(self.fn()))
+            self.publish(float(self.fn()))
             return
         self._pending_times.append(self.sim.now)
         self._pending_values.append(float(self.fn()))
         if len(self._pending_values) >= self.batch:
             self.flush()
-
-    def stop(self) -> None:
-        self.flush()
-        super().stop()
 
 
 class IngestProbe(_Probe):
@@ -361,9 +324,7 @@ class IngestProbe(_Probe):
         target: str,
         batch: int = 1,
     ):
-        super().__init__(sim, bus, f"probe.{kind}.{target}", batch)
-        self.kind = kind
-        self.target = target
+        super().__init__(sim, bus, kind, target, batch)
         #: samples dropped for a capture time out of order or in the future
         self.late = 0
 
@@ -391,7 +352,7 @@ class IngestProbe(_Probe):
         if self.batch == 1:
             if time is not None:
                 self._capture_time(time)
-            self.publish(self.name, target=self.target, value=value)
+            self.publish(value)
             return
         if time is None:
             self._pending_times.append(self.sim.now)
@@ -412,40 +373,3 @@ class IngestProbe(_Probe):
         if not isfinite(time):
             raise ValueError(f"{self.name}: capture time must be finite, got {time}")
         return time
-
-    def stop(self) -> None:
-        """Flush the buffered tail (the driver calls this on shutdown)."""
-        self.flush()
-
-
-class UtilizationProbe(_PeriodicProbe):
-    """Samples a group's mean compute utilization (for the shrink repair)."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        bus: EventBus,
-        app: GridApplication,
-        group: str,
-        period: float = 5.0,
-    ):
-        super().__init__(sim, bus, f"probe.utilization.{group}", period)
-        self.app = app
-        self.group = group
-        self._last_busy = 0.0
-        self._last_time: Optional[float] = None
-
-    def sample(self) -> None:
-        group = self.app.group(self.group)
-        busy = sum(s.busy_time for s in group.members)
-        now = self.sim.now
-        if self._last_time is not None and now > self._last_time:
-            capacity = max(1, group.replication) * (now - self._last_time)
-            utilization = max(0.0, min(1.0, (busy - self._last_busy) / capacity))
-            self.publish(
-                f"probe.utilization.{self.group}",
-                group=self.group,
-                utilization=utilization,
-            )
-        self._last_busy = busy
-        self._last_time = now

@@ -32,6 +32,7 @@ is the CLI front door; CI runs it with ``--check``.
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import Any, Dict, List, Optional
 
 from repro.acme.family import Family
@@ -40,17 +41,16 @@ from repro.app.async_pool_app import AsyncWorkerPoolApp, LoadGenerator, Phase
 from repro.bus.bus import FixedDelay
 from repro.errors import TranslationError
 from repro.monitoring.gauges import EwmaGauge, WindowedMeanGauge
-from repro.monitoring.probes import CallbackProbe, IngestProbe
+from repro.monitoring.probes import IngestProbe
 from repro.realtime.clock import Clock, WallClock
 from repro.realtime.driver import RealtimeDriver
 from repro.runtime import (
     AdaptationRuntime,
     AdaptationSpec,
-    GaugeBinding,
     IntentExecutor,
     ManagedApplication,
-    ProbeBinding,
 )
+from repro.runtime.spec import monitoring_table
 from repro.sim.process import Process
 from repro.styles.master_worker import master_worker_operators
 
@@ -225,49 +225,28 @@ def build_live_pool_spec(
     delay, and a bus-ingested ``latency`` probe fed by the load
     generator from outside the process.
     """
-    instruments: List[Any] = [
-        ProbeBinding(
-            lambda rt: CallbackProbe(
-                rt.sim, rt.probe_bus, "backlog", "pool",
-                lambda: float(app.queue_depth), period=probe_period,
+    window = {"period": gauge_period, "horizon": backlog_horizon}
+    instruments = monitoring_table(
+        ["pool"],
+        [
+            ("backlog", lambda _: app.queue_depth, WindowedMeanGauge, window),
+            (
+                "utilization",
+                lambda _: app.utilization(),
+                EwmaGauge,
+                {"period": gauge_period, "tau": 4 * gauge_period},
             ),
-            periodic=True,
-        ),
-        GaugeBinding(
-            lambda rt: WindowedMeanGauge(
-                rt.sim, rt.probe_bus, rt.gauge_bus, "backlog", "pool",
-                period=gauge_period, horizon=backlog_horizon,
+            # the push path: client-side latency enters over the bus via
+            # RealtimeDriver.ingest -> IngestProbe, nothing polls for it
+            (
+                "latency",
+                partial(IngestProbe, kind="latency"),
+                WindowedMeanGauge,
+                window,
             ),
-            entities=["pool"],
-        ),
-        ProbeBinding(
-            lambda rt: CallbackProbe(
-                rt.sim, rt.probe_bus, "utilization", "pool",
-                app.utilization, period=probe_period,
-            ),
-            periodic=True,
-        ),
-        GaugeBinding(
-            lambda rt: EwmaGauge(
-                rt.sim, rt.probe_bus, rt.gauge_bus, "utilization", "pool",
-                period=gauge_period, tau=4 * gauge_period,
-            ),
-            entities=["pool"],
-        ),
-        # the push path: client-side latency enters over the bus via
-        # RealtimeDriver.ingest -> IngestProbe, nothing polls for it
-        ProbeBinding(
-            lambda rt: IngestProbe(rt.sim, rt.probe_bus, "latency", "pool"),
-            periodic=False,
-        ),
-        GaugeBinding(
-            lambda rt: WindowedMeanGauge(
-                rt.sim, rt.probe_bus, rt.gauge_bus, "latency", "pool",
-                period=gauge_period, horizon=backlog_horizon,
-            ),
-            entities=["pool"],
-        ),
-    ]
+        ],
+        period=probe_period,
+    )
 
     def _operators(rt: AdaptationRuntime) -> Dict[str, Any]:
         ops = master_worker_operators(max_workers=max_workers)

@@ -4,7 +4,8 @@ Wraps the monitoring -> gauges -> model -> constraints -> repair ->
 translation loop behind two small surfaces:
 
 * :class:`AdaptationSpec` — declarative description of one scenario's
-  control plane (style, DSL, thresholds, probe/gauge bindings, policies);
+  control plane (style, DSL, thresholds, probe/gauge bindings, policies),
+  its monitoring written as a table :func:`monitoring_table` expands;
 * :class:`ManagedApplication` — the three-method protocol an application
   implements to become adaptable (model snapshot, intent executor,
   optional runtime view).
@@ -26,6 +27,7 @@ from repro.runtime.spec import (
     GaugeBinding,
     InstrumentBinding,
     ProbeBinding,
+    monitoring_table,
 )
 from repro.runtime.stats import RuntimeStats, ShardStats
 from repro.runtime.updater import PropertyUpdater
@@ -45,4 +47,5 @@ __all__ = [
     "register_shard_key",
     "resolve_shard_key",
     "shard_key_names",
+    "monitoring_table",
 ]

@@ -12,24 +12,30 @@ callback: each :class:`ProbeBinding`/:class:`GaugeBinding` contributes one
 probe or gauge, and the list order *is* the creation order.  Creation
 order matters in a deterministic simulator — gauge activations are
 scheduled at construction time and ties break in scheduling order — which
-is why the spec keeps it explicit.
+is why the spec keeps it explicit.  A scenario writes its monitoring as a
+table — per target, rows of ``(kind, read or probe class, gauge class,
+gauge args)`` — and :func:`monitoring_table` expands it into that list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    Iterable,
     List,
     Mapping,
     Optional,
     Sequence,
+    Tuple,
     Union,
 )
 
 from repro.bus.bus import DeliveryModel
+from repro.monitoring.probes import CallbackProbe
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.spec import FaultSpec
@@ -44,7 +50,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.sharding import ShardingSpec
     from repro.runtime.updater import Fanout
 
-__all__ = ["ProbeBinding", "GaugeBinding", "InstrumentBinding", "AdaptationSpec"]
+__all__ = [
+    "ProbeBinding",
+    "GaugeBinding",
+    "InstrumentBinding",
+    "MonitoringRow",
+    "monitoring_table",
+    "AdaptationSpec",
+]
 
 
 @dataclass(frozen=True)
@@ -74,6 +87,70 @@ class GaugeBinding:
 
 
 InstrumentBinding = Union[ProbeBinding, GaugeBinding]
+
+#: ``(kind, read or probe class, gauge class, gauge keyword args)``
+MonitoringRow = Tuple[str, Callable[..., Any], type, Mapping[str, Any]]
+
+
+def monitoring_table(
+    targets: Iterable[str],
+    rows: Sequence[MonitoringRow],
+    period: float = 1.0,
+    batch: int = 1,
+) -> List[InstrumentBinding]:
+    """Expand a monitoring table into probe/gauge bindings.
+
+    For each target, for each row ``(kind, source, gauge, gauge_args)``,
+    one probe binding then one gauge binding — target-major, kind-minor,
+    probe before gauge, which is the creation order the runtime keeps.
+    ``source`` is either
+
+    * a read ``(target) -> float``, sampled by a
+      :class:`~repro.monitoring.probes.CallbackProbe` every ``period``
+      seconds (``batch`` samples per message), or
+    * a probe class, bare or as a :func:`functools.partial` holding its
+      other arguments, built as ``source(sim, probe_bus, target=target)``
+      (event, asynchronous and push-fed probes).
+
+    The gauge is ``gauge(sim, probe_bus, gauge_bus, kind, target,
+    **gauge_args)``, redeployed with its target.  A probe is started by
+    the runtime when its class samples on a period; a probe class that
+    publishes under another kind than its row's is refused when built.
+    """
+    bindings: List[InstrumentBinding] = []
+    for target in targets:
+        for kind, source, gauge, gauge_args in rows:
+            probe_class = source.func if isinstance(source, partial) else source
+            if isinstance(probe_class, type):
+                make = partial(_build_probe, source, kind, target)
+            else:
+                make = partial(_sample_probe, kind, target, source, period, batch)
+                probe_class = CallbackProbe
+            bindings.append(ProbeBinding(make, periodic=probe_class.periodic))
+            bindings.append(
+                GaugeBinding(
+                    partial(_build_gauge, gauge, kind, target, gauge_args),
+                    entities=[target],
+                )
+            )
+    return bindings
+
+
+def _build_probe(source, kind, target, rt):
+    probe = source(rt.sim, rt.probe_bus, target=target)
+    if probe.name != f"probe.{kind}.{target}":
+        raise ValueError(f"monitoring row {kind!r}: its probe publishes {probe.name}")
+    return probe
+
+
+def _sample_probe(kind, target, read, period, batch, rt):
+    return CallbackProbe(
+        rt.sim, rt.probe_bus, kind, target, partial(read, target), period, batch
+    )
+
+
+def _build_gauge(gauge, kind, target, gauge_args, rt):
+    return gauge(rt.sim, rt.probe_bus, rt.gauge_bus, kind, target, **gauge_args)
 
 
 @dataclass

@@ -6,7 +6,7 @@ from repro.bus import EventBus, FixedDelay
 from repro.errors import GaugeError
 from repro.experiment.runner import GAUGE_PROPERTY_MAP
 from repro.monitoring import GaugeManager
-from repro.monitoring.gauges import AverageLatencyGauge, LoadGauge
+from repro.monitoring.gauges import WindowedMeanGauge
 from repro.runtime import PropertyUpdater
 from repro.sim import Simulator
 from repro.styles import build_client_server_model
@@ -23,7 +23,7 @@ def client_server_updater(model, gauge_bus, arch_manager=None):
 
 
 def latency_gauge(sim, probe_bus, gauge_bus, client="C1"):
-    return AverageLatencyGauge(sim, probe_bus, gauge_bus, client, period=5.0)
+    return WindowedMeanGauge(sim, probe_bus, gauge_bus, "latency", client, period=5.0)
 
 
 class TestGaugeManager:
@@ -68,7 +68,7 @@ class TestGaugeManager:
         g1 = mgr.create(latency_gauge(sim, pb, gb, "C1"),
                         entities=["C1"], immediate=True)
         g2 = mgr.create(
-            LoadGauge(sim, pb, gb, "SG1", period=5.0),
+            WindowedMeanGauge(sim, pb, gb, "load", "SG1", period=5.0),
             entities=["SG1"], immediate=True,
         )
         n = mgr.redeploy_for("C1", window=10.0)
@@ -89,7 +89,7 @@ class TestGaugeManager:
         mgr = GaugeManager(sim, cached=True)
         gauge = mgr.create(latency_gauge(sim, pb, gb), entities=["C1"],
                            immediate=True)
-        pb.publish_subject("probe.latency.C1", latency=1.5)
+        pb.publish_subject("probe.latency.C1", target="C1", value=1.5)
         sim.run(until=1.0)
         mgr.redeploy_for("C1", window=2.0)
         assert gauge._value() is not None  # state survived (cached mode)

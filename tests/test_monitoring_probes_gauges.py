@@ -1,17 +1,21 @@
-"""Unit tests for probes and gauges (the Figure 4 monitoring levels)."""
+"""Unit tests for probes and gauges (the Figure 4 monitoring levels).
+
+The client/server observations — latency, queue length, bandwidth,
+utilization — run through the one message shape (``target`` + float
+``value``) and the three gauges (windowed mean, EWMA, latest value).
+"""
 
 import pytest
 
 from repro.app import Client, GridApplication, Server
 from repro.bus import EventBus, FixedDelay
 from repro.monitoring import (
-    AverageLatencyGauge,
     BandwidthProbe,
+    CallbackProbe,
     ClientLatencyProbe,
-    LoadGauge,
-    QueueLengthProbe,
-    UtilizationGauge,
+    EwmaGauge,
     UtilizationProbe,
+    WindowedMeanGauge,
 )
 from repro.net import FlowNetwork, RemosService, Topology
 from repro.sim import Simulator
@@ -47,13 +51,24 @@ def buses(sim):
     return EventBus(sim, FixedDelay(0.0)), EventBus(sim, FixedDelay(0.0))
 
 
+def queue_probe(sim, probe_bus, app, period=1.0):
+    """The paper's server-load probe: a group's waiting-request count."""
+    return CallbackProbe(
+        sim, probe_bus, "load", "SG1", lambda: app.group_load("SG1"), period=period
+    )
+
+
+def latency_gauge(sim, probe_bus, gauge_bus, **kwargs):
+    return WindowedMeanGauge(sim, probe_bus, gauge_bus, "latency", "C1", **kwargs)
+
+
 class TestClientLatencyProbe:
     def test_reports_each_completion(self):
         sim, net, app = mini_app(rate=1.0)
         probe_bus, _ = buses(sim)
-        probe = ClientLatencyProbe(sim, probe_bus, app.client("C1"))
+        probe = ClientLatencyProbe(sim, probe_bus, app, "C1")
         seen = []
-        probe_bus.subscribe("probe.latency.C1", lambda m: seen.append(m["latency"]))
+        probe_bus.subscribe("probe.latency.C1", lambda m: seen.append(m["value"]))
         app.start_clients(20.0)
         sim.run(until=25.0)
         assert len(seen) == app.client("C1").received
@@ -63,7 +78,7 @@ class TestClientLatencyProbe:
     def test_disabled_probe_is_silent(self):
         sim, net, app = mini_app(rate=1.0)
         probe_bus, _ = buses(sim)
-        probe = ClientLatencyProbe(sim, probe_bus, app.client("C1"))
+        probe = ClientLatencyProbe(sim, probe_bus, app, "C1")
         probe.enabled = False
         app.start_clients(10.0)
         sim.run(until=15.0)
@@ -74,9 +89,9 @@ class TestPeriodicProbes:
     def test_queue_probe_samples_length(self):
         sim, net, app = mini_app(rate=0.0)
         probe_bus, _ = buses(sim)
-        probe = QueueLengthProbe(sim, probe_bus, app, "SG1", period=1.0)
+        probe = queue_probe(sim, probe_bus, app)
         lengths = []
-        probe_bus.subscribe("probe.load.SG1", lambda m: lengths.append(m["length"]))
+        probe_bus.subscribe("probe.load.SG1", lambda m: lengths.append(m["value"]))
         probe.start()
         sim.run(until=5.5)
         assert lengths == [0.0] * 6  # t = 0..5
@@ -84,7 +99,7 @@ class TestPeriodicProbes:
     def test_probe_start_twice_rejected(self):
         sim, net, app = mini_app()
         probe_bus, _ = buses(sim)
-        probe = QueueLengthProbe(sim, probe_bus, app, "SG1")
+        probe = queue_probe(sim, probe_bus, app)
         probe.start()
         with pytest.raises(RuntimeError):
             probe.start()
@@ -92,7 +107,7 @@ class TestPeriodicProbes:
     def test_probe_stop(self):
         sim, net, app = mini_app()
         probe_bus, _ = buses(sim)
-        probe = QueueLengthProbe(sim, probe_bus, app, "SG1", period=1.0)
+        probe = queue_probe(sim, probe_bus, app)
         probe.start()
         sim.run(until=3.0)
         probe.stop()
@@ -104,7 +119,7 @@ class TestPeriodicProbes:
         sim, net, app = mini_app()
         probe_bus, _ = buses(sim)
         with pytest.raises(ValueError):
-            QueueLengthProbe(sim, probe_bus, app, "SG1", period=0.0)
+            queue_probe(sim, probe_bus, app, period=0.0)
 
     def test_bandwidth_probe_publishes_worst_member_path(self):
         sim, net, app = mini_app()
@@ -113,7 +128,7 @@ class TestPeriodicProbes:
         probe = BandwidthProbe(sim, probe_bus, app, remos, "C1", period=5.0)
         seen = []
         probe_bus.subscribe("probe.bandwidth.C1",
-                            lambda m: seen.append((m["group"], m["bandwidth"])))
+                            lambda m: seen.append((m["group"], m["value"])))
         probe.start()
         sim.run(until=6.0)
         assert seen and seen[0][0] == "SG1"
@@ -126,7 +141,7 @@ class TestPeriodicProbes:
         probe = UtilizationProbe(sim, probe_bus, app, "SG1", period=5.0)
         seen = []
         probe_bus.subscribe("probe.utilization.SG1",
-                            lambda m: seen.append(m["utilization"]))
+                            lambda m: seen.append(m["value"]))
         probe.start()
         app.start_clients(60.0)
         sim.run(until=60.0)
@@ -138,9 +153,8 @@ class TestGauges:
     def test_latency_gauge_windowed_mean(self):
         sim, net, app = mini_app(rate=2.0)
         probe_bus, gauge_bus = buses(sim)
-        ClientLatencyProbe(sim, probe_bus, app.client("C1"))
-        gauge = AverageLatencyGauge(sim, probe_bus, gauge_bus, "C1",
-                                    period=5.0, horizon=30.0)
+        ClientLatencyProbe(sim, probe_bus, app, "C1")
+        gauge = latency_gauge(sim, probe_bus, gauge_bus, period=5.0, horizon=30.0)
         gauge.activate()
         reports = []
         gauge_bus.subscribe("gauge.latency.C1", lambda m: reports.append(m["value"]))
@@ -153,8 +167,8 @@ class TestGauges:
     def test_gauge_inactive_before_activation(self):
         sim, net, app = mini_app(rate=2.0)
         probe_bus, gauge_bus = buses(sim)
-        ClientLatencyProbe(sim, probe_bus, app.client("C1"))
-        gauge = AverageLatencyGauge(sim, probe_bus, gauge_bus, "C1", period=5.0)
+        ClientLatencyProbe(sim, probe_bus, app, "C1")
+        gauge = latency_gauge(sim, probe_bus, gauge_bus, period=5.0)
         app.start_clients(20.0)
         sim.run(until=20.0)
         assert gauge.reports == 0
@@ -162,8 +176,8 @@ class TestGauges:
     def test_gauge_empty_window_no_report(self):
         sim, net, app = mini_app(rate=0.0)  # no traffic at all
         probe_bus, gauge_bus = buses(sim)
-        ClientLatencyProbe(sim, probe_bus, app.client("C1"))
-        gauge = AverageLatencyGauge(sim, probe_bus, gauge_bus, "C1", period=5.0)
+        ClientLatencyProbe(sim, probe_bus, app, "C1")
+        gauge = latency_gauge(sim, probe_bus, gauge_bus, period=5.0)
         gauge.activate()
         sim.run(until=20.0)
         assert gauge.reports == 0
@@ -171,8 +185,8 @@ class TestGauges:
     def test_deactivate_clears_window_by_default(self):
         sim, net, app = mini_app(rate=2.0)
         probe_bus, gauge_bus = buses(sim)
-        ClientLatencyProbe(sim, probe_bus, app.client("C1"))
-        gauge = AverageLatencyGauge(sim, probe_bus, gauge_bus, "C1", period=5.0)
+        ClientLatencyProbe(sim, probe_bus, app, "C1")
+        gauge = latency_gauge(sim, probe_bus, gauge_bus, period=5.0)
         gauge.activate()
         app.start_clients(10.0)
         sim.run(until=10.0)
@@ -182,8 +196,8 @@ class TestGauges:
     def test_deactivate_cached_keeps_window(self):
         sim, net, app = mini_app(rate=2.0)
         probe_bus, gauge_bus = buses(sim)
-        ClientLatencyProbe(sim, probe_bus, app.client("C1"))
-        gauge = AverageLatencyGauge(sim, probe_bus, gauge_bus, "C1", period=5.0)
+        ClientLatencyProbe(sim, probe_bus, app, "C1")
+        gauge = latency_gauge(sim, probe_bus, gauge_bus, period=5.0)
         gauge.activate()
         app.start_clients(10.0)
         sim.run(until=10.0)
@@ -193,30 +207,30 @@ class TestGauges:
     def test_load_gauge_mean(self):
         sim, net, app = mini_app()
         probe_bus, gauge_bus = buses(sim)
-        gauge = LoadGauge(sim, probe_bus, gauge_bus, "SG1", period=5.0,
-                          horizon=30.0)
+        gauge = WindowedMeanGauge(sim, probe_bus, gauge_bus, "load", "SG1",
+                                  period=5.0, horizon=30.0)
         gauge.activate()
         values = []
         gauge_bus.subscribe("gauge.load.SG1", lambda m: values.append(m["value"]))
         # synthesize probe reports: queue length 4, then 8 -> mean 6
         sim.schedule(3.0, lambda: probe_bus.publish_subject(
-            "probe.load.SG1", length=4.0))
+            "probe.load.SG1", target="SG1", value=4.0))
         sim.schedule(4.0, lambda: probe_bus.publish_subject(
-            "probe.load.SG1", length=8.0))
+            "probe.load.SG1", target="SG1", value=8.0))
         sim.run(until=6.0)
         assert values and values[-1] == pytest.approx(6.0)
 
     def test_utilization_gauge_ewma(self):
         sim, net, app = mini_app()
         probe_bus, gauge_bus = buses(sim)
-        gauge = UtilizationGauge(sim, probe_bus, gauge_bus, "SG1", period=5.0)
+        gauge = EwmaGauge(sim, probe_bus, gauge_bus, "utilization", "SG1", period=5.0)
         gauge.activate()
         values = []
         gauge_bus.subscribe("gauge.utilization.SG1",
                             lambda m: values.append(m["value"]))
         for t in range(1, 5):
             sim.schedule(float(t), lambda: probe_bus.publish_subject(
-                "probe.utilization.SG1", utilization=0.5))
+                "probe.utilization.SG1", target="SG1", value=0.5))
         sim.run(until=6.0)
         assert values and values[-1] == pytest.approx(0.5)
 
@@ -224,4 +238,4 @@ class TestGauges:
         sim, net, app = mini_app()
         probe_bus, gauge_bus = buses(sim)
         with pytest.raises(ValueError):
-            LoadGauge(sim, probe_bus, gauge_bus, "SG1", period=0.0)
+            WindowedMeanGauge(sim, probe_bus, gauge_bus, "load", "SG1", period=0.0)

@@ -28,14 +28,12 @@ from repro.experiment.runner import (
     run_scenario,
     set_cache_capacity,
 )
-from repro.monitoring.gauges import BacklogGauge
-from repro.monitoring.probes import StageBacklogProbe
+from repro.monitoring.gauges import WindowedMeanGauge
 from repro.runtime import (
     AdaptationRuntime,
     AdaptationSpec,
-    GaugeBinding,
-    ProbeBinding,
     PropertyUpdater,
+    monitoring_table,
 )
 from repro.sim import Simulator
 from repro.sim.trace import Trace
@@ -48,20 +46,11 @@ def tiny_runtime(sim=None, max_backlog=4.0, settle_time=5.0):
     sim = sim if sim is not None else Simulator()
     trace = Trace()
     app = PipelineApplication(sim, STAGES, trace=trace)
-    instruments = []
-    for stage in app.stage_order:
-        instruments.append(ProbeBinding(
-            lambda rt, s=stage: StageBacklogProbe(
-                rt.sim, rt.probe_bus, app, s, period=0.5
-            ),
-            periodic=True,
-        ))
-        instruments.append(GaugeBinding(
-            lambda rt, s=stage: BacklogGauge(
-                rt.sim, rt.probe_bus, rt.gauge_bus, s, period=1.0, horizon=2.0
-            ),
-            entities=[stage],
-        ))
+    instruments = monitoring_table(
+        app.stage_order,
+        [("backlog", app.backlog, WindowedMeanGauge, {"period": 1.0, "horizon": 2.0})],
+        period=0.5,
+    )
     spec = AdaptationSpec(
         style="PipelineFam",
         dsl_source=PIPELINE_DSL,

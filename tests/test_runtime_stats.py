@@ -16,16 +16,14 @@ from repro.app.pipeline_app import PipelineApplication
 from repro.bus.bus import FixedDelay
 from repro.errors import ReproError
 from repro.experiment.pipeline_scenario import PipelineManagedApplication
-from repro.monitoring.gauges import BacklogGauge
-from repro.monitoring.probes import StageBacklogProbe
+from repro.monitoring.gauges import WindowedMeanGauge
 from repro.runtime import (
     AdaptationRuntime,
     AdaptationSpec,
-    GaugeBinding,
-    ProbeBinding,
     RuntimeStats,
     ShardingSpec,
     ShardStats,
+    monitoring_table,
 )
 from repro.sim import Simulator
 from repro.sim.trace import Trace
@@ -39,20 +37,11 @@ def busy_runtime():
     sim = Simulator()
     trace = Trace()
     app = PipelineApplication(sim, STAGES, trace=trace)
-    instruments = []
-    for stage in app.stage_order:
-        instruments.append(ProbeBinding(
-            lambda rt, s=stage: StageBacklogProbe(
-                rt.sim, rt.probe_bus, app, s, period=0.5
-            ),
-            periodic=True,
-        ))
-        instruments.append(GaugeBinding(
-            lambda rt, s=stage: BacklogGauge(
-                rt.sim, rt.probe_bus, rt.gauge_bus, s, period=1.0, horizon=2.0
-            ),
-            entities=[stage],
-        ))
+    instruments = monitoring_table(
+        app.stage_order,
+        [("backlog", app.backlog, WindowedMeanGauge, {"period": 1.0, "horizon": 2.0})],
+        period=0.5,
+    )
     spec = AdaptationSpec(
         style="PipelineFam",
         dsl_source=PIPELINE_DSL,

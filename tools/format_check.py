@@ -61,6 +61,12 @@ RATCHETED = [
     "src/repro/experiment/map_reduce_scenario.py",
     "src/repro/experiment/grid_site_scenario.py",
     "src/repro/experiment/base.py",
+    "src/repro/runtime/spec.py",
+    "src/repro/experiment/runner.py",
+    "src/repro/experiment/master_worker_scenario.py",
+    "src/repro/experiment/multi_tenant_scenario.py",
+    "src/repro/experiment/pipeline_scenario.py",
+    "src/repro/experiment/workload.py",
     "src/repro/util/windows.py",
     "benchmarks/bench_x9_fault_resilience.py",
     "benchmarks/compare_bench.py",
