@@ -7,7 +7,8 @@ application you write four small pieces:
 
 1. a style family + architectural model for its configuration;
 2. a repair DSL (invariant + strategy + tactic) and one style operator;
-3. a ``ManagedApplication`` adapter (model snapshot + intent executor);
+3. an intent table (op -> cost, runtime operation) and a
+   ``ManagedApplication`` adapter (model snapshot + the one executor);
 4. an ``AdaptationSpec`` naming the thresholds and a monitoring table.
 
 Step 5 then plugs the whole thing into the scenario-neutral experiment
@@ -32,7 +33,6 @@ from repro.acme.family import Family
 from repro.acme.system import ArchSystem
 from repro.errors import TacticFailure
 from repro.experiment import (
-    CostedIntentExecutor,
     PeriodicSampler,
     RunConfig,
     ScenarioExperiment,
@@ -47,6 +47,7 @@ from repro.runtime import (
     monitoring_table,
 )
 from repro.sim import Process
+from repro.translation import IntentRow, IntentTranslator
 
 # ---------------------------------------------------------------------------
 # 0. The application being adapted: a job queue with a worker pool
@@ -130,19 +131,14 @@ def queue_operators(worker_cap=8):
 # ---------------------------------------------------------------------------
 
 
-class GrowExecutor(CostedIntentExecutor):
-    """Cost-then-apply: charge the spin-up, then grow the real pool."""
+def queue_intents(app: JobQueueApp):
+    """The intent table: op -> (seconds charged first, runtime operation)."""
 
-    INTENT_OPS = frozenset({"addWorker"})
-    SPIN_UP = 3.0  # seconds to provision one worker
+    def grow(intent):
+        app.grow(intent.args["workers"])
+        return [intent.args["pool"]]  # whose gauges go blind while redeploying
 
-    def cost(self, intent) -> float:
-        return self.SPIN_UP
-
-    def apply(self, intent) -> None:
-        self.app.grow(intent.args["workers"])
-        # the pool's gauges are blind for 2 s while they redeploy
-        self.gauge_manager.redeploy_for(intent.args["pool"], 2.0)
+    return {"addWorker": IntentRow(3.0, grow)}  # 3 s to provision a worker
 
 
 class ManagedJobQueue(ManagedApplication):
@@ -165,10 +161,11 @@ class ManagedJobQueue(ManagedApplication):
         pool.set_property("workers", self.app.workers)
         return model
 
-    def intent_executor(self, runtime: AdaptationRuntime) -> GrowExecutor:
-        return GrowExecutor(
-            self.app, self.params,
-            gauge_manager=runtime.gauge_manager, trace=runtime.trace,
+    def intent_executor(self, runtime: AdaptationRuntime) -> IntentTranslator:
+        # one replay loop for every table; gauges go blind for 2 s
+        return IntentTranslator(
+            runtime.sim, queue_intents(self.app), runtime.trace,
+            gauge_manager=runtime.gauge_manager, redeploy_window=2.0,
         )
 
 

@@ -13,7 +13,7 @@ from typing import List
 
 from repro.errors import ParseError
 
-__all__ = ["Token", "tokenize"]
+__all__ = ["Token", "join_tokens", "tokenize"]
 
 _PUNCT2 = ("<=", ">=", "==", "!=", "->", "||", "&&", ":=")
 _PUNCT1 = "{}()[].,;:<>=!+-*/|&%"
@@ -158,6 +158,19 @@ def tokenize(source: str) -> List[Token]:
 
     tokens.append(Token("eof", "", line, col))
     return tokens
+
+
+def join_tokens(pieces: List[str]) -> str:
+    """Re-join raw tokens with minimal spacing (keeps '.' tight)."""
+    out: List[str] = []
+    for piece in pieces:
+        if piece == "." and out:
+            out[-1] = out[-1] + "."
+        elif out and out[-1].endswith("."):
+            out[-1] = out[-1] + piece
+        else:
+            out.append(piece)
+    return " ".join(out)
 
 
 class TokenStream:

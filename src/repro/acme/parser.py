@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.acme.elements import Component, Connector
 from repro.acme.family import ElementType, Family
-from repro.acme.lexer import Token, TokenStream, tokenize
+from repro.acme.lexer import Token, TokenStream, join_tokens, tokenize
 from repro.acme.system import ArchSystem
 from repro.errors import ParseError
 
@@ -318,20 +318,7 @@ class _AcmeParser:
                 depth -= 1
             pieces.append(tok.text if tok.kind != "string" else f'"{tok.text}"')
             self.ts.advance()
-        return name, _join_tokens(pieces)
-
-
-def _join_tokens(pieces: List[str]) -> str:
-    """Re-join raw tokens with minimal spacing (keeps '.' tight)."""
-    out: List[str] = []
-    for piece in pieces:
-        if piece == "." and out:
-            out[-1] = out[-1] + "."
-        elif out and out[-1].endswith("."):
-            out[-1] = out[-1] + piece
-        else:
-            out.append(piece)
-    return " ".join(out)
+        return name, join_tokens(pieces)
 
 
 def parse_acme(source: str) -> AcmeDocument:

@@ -45,8 +45,15 @@ class _Site:
     """One site's runtime state: slots, frozen/drained flags, backlog."""
 
     __slots__ = (
-        "name", "slots", "up", "drained", "queue", "running", "epoch",
-        "stranded", "completed",
+        "name",
+        "slots",
+        "up",
+        "drained",
+        "queue",
+        "running",
+        "epoch",
+        "stranded",
+        "completed",
     )
 
     def __init__(self, name: str, slots: int):
@@ -169,7 +176,10 @@ class GridSiteApplication:
         for _ in range(stranded):
             site.queue.appendleft(self._task_seq)
         self.trace.emit(
-            self.sim.now, "site.down", site=name, stranded=stranded,
+            self.sim.now,
+            "site.down",
+            site=name,
+            stranded=stranded,
             queued=len(site.queue),
         )
 
@@ -180,7 +190,10 @@ class GridSiteApplication:
             return
         site.up = True
         self.trace.emit(
-            self.sim.now, "site.up", site=name, queued=len(site.queue),
+            self.sim.now,
+            "site.up",
+            site=name,
+            queued=len(site.queue),
         )
         self._pump(site)
 

@@ -42,8 +42,18 @@ from repro.errors import ParseError
 __all__ = ["parse_expression", "ExpressionParser"]
 
 _KEYWORDS = {
-    "forall", "exists", "unique", "select", "one", "in",
-    "and", "or", "not", "true", "false", "nil",
+    "forall",
+    "exists",
+    "unique",
+    "select",
+    "one",
+    "in",
+    "and",
+    "or",
+    "not",
+    "true",
+    "false",
+    "nil",
 }
 
 

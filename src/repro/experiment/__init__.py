@@ -10,9 +10,8 @@
 * :mod:`repro.experiment.result` — the scenario-neutral
   :class:`RunResult` and its per-scenario subclasses;
 * :mod:`repro.experiment.base` — the one scenario skeleton
-  (:class:`ScenarioExperiment`, :class:`PeriodicSampler`,
-  :class:`CostedIntentExecutor`) every scenario below is a small set of
-  hooks over;
+  (:class:`ScenarioExperiment`, :class:`PeriodicSampler`) every scenario
+  below is a small set of hooks and an intent table over;
 * :mod:`repro.experiment.scenarios` — the scenario registry (the
   built-ins plus user-registered builders with their params types);
 * :mod:`repro.experiment.runner` — the paper's ``client_server``
@@ -48,11 +47,7 @@ from repro.experiment.result import (
     RunResult,
 )
 from repro.experiment.series import TimeSeries
-from repro.experiment.base import (
-    CostedIntentExecutor,
-    PeriodicSampler,
-    ScenarioExperiment,
-)
+from repro.experiment.base import PeriodicSampler, ScenarioExperiment
 from repro.experiment.runner import (
     Experiment,
     clear_cache,
@@ -103,7 +98,6 @@ __all__ = [
     "TimeSeries",
     "ScenarioExperiment",
     "PeriodicSampler",
-    "CostedIntentExecutor",
     "Experiment",
     "PipelineExperiment",
     "MasterWorkerExperiment",

@@ -4,7 +4,7 @@ The paper's claim is that the adaptation infrastructure is style-neutral
 and an application only supplies its style, operators, probes/gauges and
 translator (§3, Figure 1).  :mod:`repro.runtime` honours that for the
 control plane; this module does the same for the *experiment* around it.
-Three bases own everything the scenarios used to re-type:
+Two bases own everything the scenarios used to re-type:
 
 * :class:`ScenarioExperiment` — ``RunConfig`` in, simulator / trace /
   seed factory, "build an :class:`AdaptationRuntime` iff
@@ -12,23 +12,21 @@ Three bases own everything the scenarios used to re-type:
   sampler), result assembly from one ``runtime.stats()`` snapshot, and
   ``runtime.stop()`` on every exit path;
 * :class:`PeriodicSampler` — the out-of-band ground-truth sampling loop;
-  subclasses keep their series table and ``sample()``;
-* :class:`CostedIntentExecutor` — the cost-then-apply translator loop;
-  subclasses keep ``INTENT_OPS``, ``cost()`` and ``apply()``.
+  subclasses keep their series table and ``sample()``.
 
 A scenario module therefore holds only what is its own: a params block,
 a result subclass, the :class:`ManagedApplication` wrapper, the
-:class:`AdaptationSpec`, and the three small subclasses above.  Nothing
-in here branches on the scenario; per-scenario start order is expressed
-by which hook a scenario fills in.
+:class:`AdaptationSpec`, a sampler subclass, and an intent table
+(``op -> IntentRow(cost, apply)``) that the wrapper hands to the one
+replay loop, :class:`~repro.translation.IntentTranslator`.  Nothing in
+here branches on the scenario; per-scenario start order is expressed by
+which hook a scenario fills in.
 """
 
 from __future__ import annotations
 
-import abc
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Type
 
-from repro.errors import TranslationError
 from repro.experiment.config import RunConfig
 from repro.experiment.result import RunResult
 from repro.experiment.series import TimeSeries
@@ -36,7 +34,6 @@ from repro.repair.history import RepairHistory
 from repro.runtime import (
     AdaptationRuntime,
     AdaptationSpec,
-    IntentExecutor,
     ManagedApplication,
     RuntimeStats,
 )
@@ -45,63 +42,7 @@ from repro.sim.process import Process
 from repro.sim.trace import Trace
 from repro.util.rng import SeedSequenceFactory
 
-__all__ = ["ScenarioExperiment", "PeriodicSampler", "CostedIntentExecutor"]
-
-
-class CostedIntentExecutor(IntentExecutor):
-    """Replays committed intents one by one, charging each its cost first.
-
-    Every intent is traced (``translate.begin``), pays ``cost(intent)``
-    seconds of simulated time, and only then takes effect through
-    ``apply(intent)`` — the paper's repair duration is dominated by this
-    communication, not by the state change.  An ``op`` outside
-    ``INTENT_OPS`` raises :class:`TranslationError` when its turn comes.
-    Each ``execute`` call is its own process, so concurrent repairs'
-    translations overlap in simulated time.
-    """
-
-    def __init__(self, app, params, gauge_manager=None, trace: Optional[Trace] = None):
-        self.app = app
-        self.params = params
-        self.sim = app.sim
-        self.gauge_manager = gauge_manager
-        self.trace = trace if trace is not None else app.trace
-        self.executed: List = []
-
-    @abc.abstractmethod
-    def cost(self, intent) -> float:
-        """Seconds charged before ``intent`` takes effect."""
-
-    @abc.abstractmethod
-    def apply(self, intent) -> None:
-        """Perform ``intent`` on the running application."""
-
-    def redeploy(self, entity: str) -> None:
-        """Blank ``entity``'s gauges for ``params.redeploy_window``."""
-        if self.gauge_manager is not None:
-            self.gauge_manager.redeploy_for(entity, self.params.redeploy_window)
-
-    def execute(self, intents, on_done=None) -> Process:
-        return Process(
-            self.sim, self._run(list(intents), on_done), name=type(self).__name__
-        )
-
-    def _run(self, intents, on_done):
-        for intent in intents:
-            if intent.op not in self.INTENT_OPS:
-                raise TranslationError(
-                    f"{type(self).__name__} has no mapping for intent {intent.op!r}"
-                )
-            cost = self.cost(intent)
-            self.trace.emit(
-                self.sim.now, "translate.begin", op=intent.op, cost=cost, **intent.args
-            )
-            if cost > 0:
-                yield self.sim.timeout(cost)
-            self.apply(intent)
-            self.executed.append(intent)
-        if on_done is not None:
-            on_done()
+__all__ = ["ScenarioExperiment", "PeriodicSampler"]
 
 
 class PeriodicSampler:

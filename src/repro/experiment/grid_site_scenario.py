@@ -30,11 +30,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.app.grid_site_app import GridSiteApplication
 from repro.bus.bus import FixedDelay
-from repro.experiment.base import (
-    CostedIntentExecutor,
-    PeriodicSampler,
-    ScenarioExperiment,
-)
+from repro.experiment.base import PeriodicSampler, ScenarioExperiment
 from repro.experiment.config import RunConfig
 from repro.experiment.params import ScenarioParams
 from repro.experiment.result import RunResult
@@ -59,13 +55,14 @@ from repro.styles.grid_site import (
     build_grid_site_model,
     grid_site_operators,
 )
+from repro.translation import IntentRow, IntentTranslator
 
 __all__ = [
     "GridSiteParams",
     "GridSiteResult",
     "GridSiteExperiment",
     "GridSiteManagedApplication",
-    "GridSiteTranslator",
+    "grid_site_intents",
 ]
 
 
@@ -244,27 +241,26 @@ class GridSiteResult(RunResult):
         }
 
 
-class GridSiteTranslator(CostedIntentExecutor):
-    """Replays committed drain/resubmit intents onto the running grid.
+def grid_site_intents(
+    app: GridSiteApplication, params: GridSiteParams
+) -> Dict[str, IntentRow]:
+    """Site drains and pilot resubmissions, replayed onto the grid.
 
-    Each committed repair charges the effector cost before the runtime
-    operation lands.  When the scenario runs with faults, the fault
-    plane wraps this translator — so what the engine actually calls may
-    raise, silently no-op, or hang.
+    When the scenario runs with faults, the fault plane wraps the
+    executor — so what the engine actually calls may raise, silently
+    no-op, or hang.
     """
 
-    INTENT_OPS = frozenset({"drainSite", "resubmitPilots"})
+    def drain(intent):
+        app.drain_site(intent.args["site"])
 
-    def cost(self, intent) -> float:
-        if intent.op == "drainSite":
-            return self.params.drain_cost
-        return self.params.resubmit_cost
+    def resubmit(intent):
+        app.resubmit_pilots(intent.args["site"])
 
-    def apply(self, intent) -> None:
-        if intent.op == "drainSite":
-            self.app.drain_site(intent.args["site"])
-        else:
-            self.app.resubmit_pilots(intent.args["site"])
+    return {
+        "drainSite": IntentRow(params.drain_cost, drain),
+        "resubmitPilots": IntentRow(params.resubmit_cost, resubmit),
+    }
 
 
 class GridSiteManagedApplication(ManagedApplication):
@@ -283,8 +279,10 @@ class GridSiteManagedApplication(ManagedApplication):
             family=build_grid_site_family(),
         )
 
-    def intent_executor(self, runtime: AdaptationRuntime) -> GridSiteTranslator:
-        return GridSiteTranslator(self.app, self.params, trace=runtime.trace)
+    def intent_executor(self, runtime: AdaptationRuntime) -> IntentTranslator:
+        return IntentTranslator(
+            runtime.sim, grid_site_intents(self.app, self.params), runtime.trace
+        )
 
     def bind_faults(self, plane: FaultPlane) -> None:
         for name in self.app.sites:

@@ -38,11 +38,7 @@ from typing import Any, Dict
 
 from repro.app.map_reduce_app import MapReduceApplication
 from repro.bus.bus import FixedDelay
-from repro.experiment.base import (
-    CostedIntentExecutor,
-    PeriodicSampler,
-    ScenarioExperiment,
-)
+from repro.experiment.base import PeriodicSampler, ScenarioExperiment
 from repro.experiment.config import RunConfig
 from repro.experiment.params import ScenarioParams
 from repro.experiment.result import RunResult
@@ -58,13 +54,14 @@ from repro.styles.map_reduce import (
     build_map_reduce_model,
     map_reduce_operators,
 )
+from repro.translation import IntentRow, IntentTranslator
 
 __all__ = [
     "MapReduceParams",
     "MapReduceResult",
     "MapReduceExperiment",
     "MapReduceManagedApplication",
-    "MapReduceTranslator",
+    "map_reduce_intents",
 ]
 
 
@@ -170,30 +167,29 @@ class MapReduceResult(RunResult):
         }
 
 
-class MapReduceTranslator(CostedIntentExecutor):
-    """Replays committed keyspace splits and work steals on the job.
+def map_reduce_intents(
+    app: MapReduceApplication, params: MapReduceParams
+) -> Dict[str, IntentRow]:
+    """Keyspace splits and work steals, replayed onto the job.
 
-    Both operations pause for a coordination cost (re-partitioning the
-    shuffle, migrating queued records); a split additionally blanks the
-    two affected reducers' gauges for the redeployment window — the
-    shuffle routing changed under them, so their shares are stale.
+    Both pause for a coordination cost (re-partitioning the shuffle,
+    migrating queued records); a split also blinds the two reducers'
+    gauges — the shuffle routing changed under them, so their shares are
+    stale.
     """
 
-    INTENT_OPS = frozenset({"splitPartition", "stealWork"})
-
-    def cost(self, intent) -> float:
-        if intent.op == "splitPartition":
-            return self.params.split_cost
-        return self.params.steal_cost
-
-    def apply(self, intent) -> None:
+    def split(intent):
         hot, dest = intent.args["reducer"], intent.args["dest"]
-        if intent.op == "splitPartition":
-            self.app.split_keys(hot, dest)
-            self.redeploy(hot)
-            self.redeploy(dest)
-        else:
-            self.app.steal_queued(hot, dest)
+        app.split_keys(hot, dest)
+        return (hot, dest)
+
+    def steal(intent):
+        app.steal_queued(intent.args["reducer"], intent.args["dest"])
+
+    return {
+        "splitPartition": IntentRow(params.split_cost, split),
+        "stealWork": IntentRow(params.steal_cost, steal),
+    }
 
 
 class MapReduceManagedApplication(ManagedApplication):
@@ -214,12 +210,13 @@ class MapReduceManagedApplication(ManagedApplication):
             family=build_map_reduce_family(),
         )
 
-    def intent_executor(self, runtime: AdaptationRuntime) -> MapReduceTranslator:
-        return MapReduceTranslator(
-            self.app,
-            self.params,
-            gauge_manager=runtime.gauge_manager,
-            trace=runtime.trace,
+    def intent_executor(self, runtime: AdaptationRuntime) -> IntentTranslator:
+        return IntentTranslator(
+            runtime.sim,
+            map_reduce_intents(self.app, self.params),
+            runtime.trace,
+            runtime.gauge_manager,
+            self.params.redeploy_window,
         )
 
 

@@ -35,11 +35,7 @@ from typing import Any, Dict
 
 from repro.app.master_worker_app import MasterWorkerApplication
 from repro.bus.bus import FixedDelay
-from repro.experiment.base import (
-    CostedIntentExecutor,
-    PeriodicSampler,
-    ScenarioExperiment,
-)
+from repro.experiment.base import PeriodicSampler, ScenarioExperiment
 from repro.experiment.config import RunConfig
 from repro.experiment.params import ScenarioParams
 from repro.experiment.result import RunResult
@@ -54,13 +50,14 @@ from repro.styles.master_worker import (
     build_master_worker_model,
     master_worker_operators,
 )
+from repro.translation import IntentRow, IntentTranslator
 
 __all__ = [
     "MasterWorkerParams",
     "MasterWorkerResult",
     "MasterWorkerExperiment",
     "MasterWorkerManagedApplication",
-    "MasterWorkerTranslator",
+    "master_worker_intents",
 ]
 
 
@@ -146,30 +143,27 @@ class MasterWorkerResult(RunResult):
         }
 
 
-class MasterWorkerTranslator(CostedIntentExecutor):
-    """Replays committed pool-resize and re-dispatch intents.
+def master_worker_intents(
+    app: MasterWorkerApplication, params: MasterWorkerParams
+) -> Dict[str, IntentRow]:
+    """Pool resizes and re-dispatches, replayed onto the farm.
 
-    Pool resizes charge a per-step provisioning cost and blank the
-    pool's gauges for the redeployment window; a re-dispatch charges the
-    (small) task-move cost and leaves monitoring alone — the age probe
-    re-measures on its next sample.
+    A resize blinds the pool's gauges; a re-dispatch leaves monitoring
+    alone — the age probe re-measures on its next sample.
     """
 
-    INTENT_OPS = frozenset({"addWorkers", "removeWorkers", "redispatchOldest"})
+    def resize(intent):
+        app.set_pool_size(intent.args["size"])
+        return (intent.args["pool"],)
 
-    def cost(self, intent) -> float:
-        if intent.op == "addWorkers":
-            return self.params.spin_up_cost
-        if intent.op == "redispatchOldest":
-            return self.params.redispatch_cost
-        return 0.0  # removeWorkers: releasing a worker is free
+    def redispatch(intent):
+        app.redispatch_oldest()
 
-    def apply(self, intent) -> None:
-        if intent.op == "redispatchOldest":
-            self.app.redispatch_oldest()
-        else:
-            self.app.set_pool_size(intent.args["size"])
-            self.redeploy(intent.args["pool"])
+    return {
+        "addWorkers": IntentRow(params.spin_up_cost, resize),
+        "removeWorkers": IntentRow(0.0, resize),  # releasing a worker is free
+        "redispatchOldest": IntentRow(params.redispatch_cost, redispatch),
+    }
 
 
 class MasterWorkerManagedApplication(ManagedApplication):
@@ -189,12 +183,13 @@ class MasterWorkerManagedApplication(ManagedApplication):
             family=build_master_worker_family(),
         )
 
-    def intent_executor(self, runtime: AdaptationRuntime) -> MasterWorkerTranslator:
-        return MasterWorkerTranslator(
-            self.app,
-            self.params,
-            gauge_manager=runtime.gauge_manager,
-            trace=runtime.trace,
+    def intent_executor(self, runtime: AdaptationRuntime) -> IntentTranslator:
+        return IntentTranslator(
+            runtime.sim,
+            master_worker_intents(self.app, self.params),
+            runtime.trace,
+            runtime.gauge_manager,
+            self.params.redeploy_window,
         )
 
 

@@ -33,11 +33,7 @@ from typing import Any, ClassVar, Dict, List, Optional
 
 from repro.app.multi_tenant_app import MultiTenantApplication
 from repro.bus.bus import FixedDelay
-from repro.experiment.base import (
-    CostedIntentExecutor,
-    PeriodicSampler,
-    ScenarioExperiment,
-)
+from repro.experiment.base import PeriodicSampler, ScenarioExperiment
 from repro.experiment.config import RunConfig
 from repro.experiment.params import ScenarioParams
 from repro.experiment.result import RunResult
@@ -54,6 +50,7 @@ from repro.styles.multi_tenant import (
     build_multi_tenant_model,
     multi_tenant_operators,
 )
+from repro.translation import IntentRow, IntentTranslator
 
 __all__ = [
     "MultiTenantParams",
@@ -61,7 +58,7 @@ __all__ = [
     "MultiTenantResult",
     "MultiTenantExperiment",
     "MultiTenantManagedApplication",
-    "MultiTenantTranslator",
+    "multi_tenant_intents",
 ]
 
 
@@ -235,24 +232,25 @@ class MultiTenantResult(RunResult):
         }
 
 
-class MultiTenantTranslator(CostedIntentExecutor):
-    """Replays committed per-tenant pool resizes onto the running farms.
+def multi_tenant_intents(
+    app: MultiTenantApplication, params: MultiTenantParams
+) -> Dict[str, IntentRow]:
+    """Per-tenant pool resizes, replayed onto the running farms.
 
-    Growing charges the provisioning cost and blanks that tenant's gauges
-    for the redeployment window; shrinking releases workers immediately
-    (they retire lazily as their current tasks finish).
+    Growing charges the provisioning cost and blinds that tenant's
+    gauges; shrinking releases workers immediately (they retire lazily
+    as their current tasks finish).
     """
 
-    INTENT_OPS = frozenset({"resizeTenant"})
-
-    def cost(self, intent) -> float:
-        return self.params.spin_up_cost if intent.args.get("grew") else 0.0
-
-    def apply(self, intent) -> None:
+    def resize(intent):
         tenant = intent.args["tenant"]
-        self.app.set_pool_size(tenant, intent.args["size"])
-        if intent.args.get("grew"):
-            self.redeploy(tenant)
+        app.set_pool_size(tenant, intent.args["size"])
+        return (tenant,) if intent.args.get("grew") else None
+
+    def cost(intent):
+        return params.spin_up_cost if intent.args.get("grew") else 0.0
+
+    return {"resizeTenant": IntentRow(cost, resize)}
 
 
 class MultiTenantManagedApplication(ManagedApplication):
@@ -273,12 +271,13 @@ class MultiTenantManagedApplication(ManagedApplication):
             family=build_multi_tenant_family(),
         )
 
-    def intent_executor(self, runtime: AdaptationRuntime) -> MultiTenantTranslator:
-        return MultiTenantTranslator(
-            self.app,
-            self.params,
-            gauge_manager=runtime.gauge_manager,
-            trace=runtime.trace,
+    def intent_executor(self, runtime: AdaptationRuntime) -> IntentTranslator:
+        return IntentTranslator(
+            runtime.sim,
+            multi_tenant_intents(self.app, self.params),
+            runtime.trace,
+            runtime.gauge_manager,
+            self.params.redeploy_window,
         )
 
 

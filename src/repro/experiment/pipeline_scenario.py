@@ -18,8 +18,8 @@ translator, but zero new control-plane machinery:
   widens the violating stage within a worker budget, and ``shrinkStage``
   narrows an idle stage back toward its designed ``minWidth`` once the
   burst passes (the scale-down mirror);
-* translation: :class:`PipelineTranslator` charges a worker spin-up cost,
-  applies ``setStageWidth``, and blanks the stage's gauges for the
+* translation: :func:`pipeline_intents` charges a worker spin-up cost,
+  applies the stage's new width, and blanks the stage's gauges for the
   redeployment window.
 
 Every knob lives in the typed
@@ -35,15 +35,11 @@ the horizon, while the adapted run widens the stage and recovers.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.app.pipeline_app import PipelineApplication
 from repro.bus.bus import FixedDelay
-from repro.experiment.base import (
-    CostedIntentExecutor,
-    PeriodicSampler,
-    ScenarioExperiment,
-)
+from repro.experiment.base import PeriodicSampler, ScenarioExperiment
 from repro.experiment.params import PipelineParams
 from repro.experiment.result import PipelineResult
 from repro.experiment.scenarios import register_scenario
@@ -57,31 +53,27 @@ from repro.styles.pipeline import (
     build_pipeline_model,
     pipeline_operators,
 )
+from repro.translation import IntentRow, IntentTranslator
 
 __all__ = [
     "PipelineExperiment",
     "PipelineManagedApplication",
-    "PipelineTranslator",
+    "pipeline_intents",
 ]
 
 
-class PipelineTranslator(CostedIntentExecutor):
-    """Replays committed ``widenStage``/``narrowStage`` intents.
+def pipeline_intents(
+    app: PipelineApplication, params: PipelineParams
+) -> Dict[str, IntentRow]:
+    """``widenStage``/``narrowStage``: charge the worker spin-up cost,
+    set the stage's width, and blind the stage's gauges."""
 
-    The pipeline analogue of :class:`~repro.translation.translator.Translator`:
-    each intent charges the worker spin-up cost *before* taking effect,
-    then triggers a gauge redeployment for the affected stage (the
-    monitoring blind spot).
-    """
+    def set_width(intent):
+        app.set_width(intent.args["stage"], intent.args["width"])
+        return (intent.args["stage"],)
 
-    INTENT_OPS = frozenset({"widenStage", "narrowStage"})
-
-    def cost(self, intent) -> float:
-        return self.params.widen_cost
-
-    def apply(self, intent) -> None:
-        self.app.set_width(intent.args["stage"], intent.args["width"])
-        self.redeploy(intent.args["stage"])
+    row = IntentRow(params.widen_cost, set_width)
+    return {"widenStage": row, "narrowStage": row}
 
 
 class PipelineManagedApplication(ManagedApplication):
@@ -108,12 +100,13 @@ class PipelineManagedApplication(ManagedApplication):
             comp.set_property("serviceRate", stage.service_rate)
         return model
 
-    def intent_executor(self, runtime: AdaptationRuntime) -> PipelineTranslator:
-        return PipelineTranslator(
-            self.app,
-            self.params,
-            gauge_manager=runtime.gauge_manager,
-            trace=runtime.trace,
+    def intent_executor(self, runtime: AdaptationRuntime) -> IntentTranslator:
+        return IntentTranslator(
+            runtime.sim,
+            pipeline_intents(self.app, self.params),
+            runtime.trace,
+            runtime.gauge_manager,
+            self.params.redeploy_window,
         )
 
 

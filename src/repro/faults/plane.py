@@ -265,14 +265,16 @@ class FaultPlane:
                 return
             self.counters["probe_dropouts"] += 1
             self.trace.emit(
-                self.sim.now, "fault.probe_dark",
+                self.sim.now,
+                "fault.probe_dark",
                 probe=getattr(probe, "name", ""),
             )
             probe.enabled = False
             yield self.sim.timeout(float(rng.exponential(dropout.dropout_mean)))
             self.counters["probe_recoveries"] += 1
             self.trace.emit(
-                self.sim.now, "fault.probe_restored",
+                self.sim.now,
+                "fault.probe_restored",
                 probe=getattr(probe, "name", ""),
             )
             probe.enabled = True

@@ -449,8 +449,14 @@ def _check_expressions(doc: RepairDocument, ctx: DocumentContext) -> List[LintFi
                 env.add(stmt.var)
         for expr, stmt in iter_expressions(body):
             findings += _expression_findings(
-                expr, env, where, kind == "strategy", doc, ctx,
-                stmt.line, stmt.column,
+                expr,
+                env,
+                where,
+                kind == "strategy",
+                doc,
+                ctx,
+                stmt.line,
+                stmt.column,
             )
     if ctx.names_known():
         for decl in doc.invariants:
@@ -459,8 +465,14 @@ def _check_expressions(doc: RepairDocument, ctx: DocumentContext) -> List[LintFi
             except ParseError:
                 continue  # already a DSL100 finding
             findings += _expression_findings(
-                expr, set(), f"invariant {decl.name!r}", False, doc, ctx,
-                decl.line, decl.column,
+                expr,
+                set(),
+                f"invariant {decl.name!r}",
+                False,
+                doc,
+                ctx,
+                decl.line,
+                decl.column,
             )
     return findings
 

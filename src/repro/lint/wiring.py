@@ -183,8 +183,8 @@ def _check_intent_ops(view: WiringView) -> List[LintFinding]:
                     f"(declared: {declared}): the repair commits on the "
                     "model and then fails in translation"
                 ),
-                hint="handle the op in the executor (and add it to the "
-                "executor's INTENT_OPS)",
+                hint="add a row for the op to the executor's intent table "
+                "(its keys are the executor's INTENT_OPS)",
             )
         )
     return findings

@@ -271,6 +271,11 @@ class CallbackProbe(_PeriodicProbe):
     per flush instead of one per sample; capture times ride in the
     message, so windowed aggregates see the observation times, not the
     delivery time.
+
+    A non-finite read is refused with ``ValueError`` before anything is
+    published or buffered, as :meth:`IngestProbe.ingest` refuses one:
+    past the probe, a NaN sits in the model where no threshold
+    comparison ever sees it, or raises inside a gauge's bus delivery.
     """
 
     def __init__(
@@ -287,11 +292,14 @@ class CallbackProbe(_PeriodicProbe):
         self.fn = fn
 
     def sample(self) -> None:
+        value = float(self.fn())
+        if not isfinite(value):
+            raise ValueError(f"{self.name}: read must be finite, got {value}")
         if self.batch == 1:
-            self.publish(float(self.fn()))
+            self.publish(value)
             return
         self._pending_times.append(self.sim.now)
-        self._pending_values.append(float(self.fn()))
+        self._pending_values.append(value)
         if len(self._pending_values) >= self.batch:
             self.flush()
 

@@ -39,32 +39,29 @@ from repro.acme.family import Family
 from repro.acme.system import ArchSystem
 from repro.app.async_pool_app import AsyncWorkerPoolApp, LoadGenerator, Phase
 from repro.bus.bus import FixedDelay
-from repro.errors import TranslationError
 from repro.monitoring.gauges import EwmaGauge, WindowedMeanGauge
 from repro.monitoring.probes import IngestProbe
 from repro.realtime.clock import Clock, WallClock
 from repro.realtime.driver import RealtimeDriver
-from repro.runtime import (
-    AdaptationRuntime,
-    AdaptationSpec,
-    IntentExecutor,
-    ManagedApplication,
-)
+from repro.runtime import AdaptationRuntime, AdaptationSpec, ManagedApplication
 from repro.runtime.spec import monitoring_table
-from repro.sim.process import Process
 from repro.styles.master_worker import master_worker_operators
+from repro.translation import IntentRow, IntentTranslator
 
 __all__ = [
     "LIVE_POOL_DSL",
     "build_live_pool_family",
     "build_live_pool_model",
     "build_live_pool_spec",
-    "LivePoolTranslator",
+    "live_pool_intents",
     "LivePoolManagedApplication",
     "run_live_demo",
     "run_comparison",
     "main",
 ]
+
+#: seconds a committed resize waits before it reaches the application
+ACTUATION_DELAY = 0.05
 
 
 def build_live_pool_family() -> Family:
@@ -148,42 +145,20 @@ tactic removeWorker(pool : WorkerPoolT) : boolean = {
 """
 
 
-class LivePoolTranslator(IntentExecutor):
-    """Actuates committed resize intents into the running asyncio app.
+def live_pool_intents(app: AsyncWorkerPoolApp) -> Dict[str, IntentRow]:
+    """Committed resizes, actuated into the running asyncio app.
 
-    The translator runs on the scheduler thread; the application's
+    The executor runs on the scheduler thread; the application's
     :meth:`~repro.app.async_pool_app.AsyncWorkerPoolApp.request_resize`
     hops onto the asyncio loop itself, so the cross-thread boundary is
     crossed exactly once, inside the app's sanctioned seam.
     """
 
-    INTENT_OPS = frozenset({"addWorkers", "removeWorkers"})
+    def resize(intent):
+        app.request_resize(int(intent.args["size"]))
 
-    def __init__(self, app: AsyncWorkerPoolApp, sim, actuation_delay: float = 0.05):
-        self.app = app
-        self.sim = sim
-        self.actuation_delay = float(actuation_delay)
-        self.executed: List[Any] = []
-
-    def execute(self, intents, on_done=None) -> Process:
-        return Process(
-            self.sim,
-            self._run(list(intents), on_done),
-            name="live-pool-translator",
-        )
-
-    def _run(self, intents, on_done):
-        for intent in intents:
-            if intent.op not in ("addWorkers", "removeWorkers"):
-                raise TranslationError(
-                    f"no live-pool mapping for intent {intent.op!r}"
-                )
-            if self.actuation_delay > 0:
-                yield self.sim.timeout(self.actuation_delay)
-            self.app.request_resize(int(intent.args["size"]))
-            self.executed.append(intent)
-        if on_done is not None:
-            on_done()
+    row = IntentRow(ACTUATION_DELAY, resize)
+    return {"addWorkers": row, "removeWorkers": row}
 
 
 class LivePoolManagedApplication(ManagedApplication):
@@ -202,8 +177,8 @@ class LivePoolManagedApplication(ManagedApplication):
             min_size=self.min_workers,
         )
 
-    def intent_executor(self, runtime: AdaptationRuntime) -> LivePoolTranslator:
-        return LivePoolTranslator(self.app, runtime.sim)
+    def intent_executor(self, runtime: AdaptationRuntime) -> IntentTranslator:
+        return IntentTranslator(runtime.sim, live_pool_intents(self.app), runtime.trace)
 
 
 def build_live_pool_spec(

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.acme.lexer import TokenStream, tokenize
+from repro.acme.lexer import TokenStream, join_tokens, tokenize
 from repro.constraints.parser import ExpressionParser
 from repro.errors import ParseError
 from repro.repair.dsl.ast import (
@@ -151,11 +151,9 @@ class _DslParser:
             self.ts.expect_punct(";")
         except ParseError as exc:
             raise self._decl_error("invariant", name, exc) from None
-        from repro.acme.parser import _join_tokens
-
         return InvariantDecl(
             name,
-            _join_tokens(pieces),
+            join_tokens(pieces),
             strategy,
             argument,
             line=kw.line,

@@ -43,13 +43,15 @@ class IntentExecutor(abc.ABC):
     The architecture manager hands a committed repair's intents to
     ``execute`` and continues once ``on_done`` fires — the executor is
     free to spread the work over simulated time (the paper's ~30 s repair
-    duration lives here).  :class:`~repro.translation.translator.Translator`
-    is the client/server implementation.
+    duration lives here).  Every shipped application uses
+    :class:`~repro.translation.IntentTranslator` over its intent table
+    (``op -> IntentRow(cost, apply)``).
 
     ``INTENT_OPS`` declares the intent ``op`` names the executor can
-    replay; ``repro lint``'s wiring audit (WIR403) checks every op the
-    spec's style operators emit against it.  ``None`` (the default)
-    means "undeclared" and exempts the executor from the audit.
+    replay (an intent table's keys); ``repro lint``'s wiring audit
+    (WIR403) checks every op the spec's style operators emit against it.
+    ``None`` (the default) means "undeclared" and exempts the executor
+    from the audit.
     """
 
     INTENT_OPS: Optional[FrozenSet[str]] = None

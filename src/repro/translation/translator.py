@@ -1,13 +1,16 @@
-"""Executes committed runtime intents against the environment manager.
+"""Replays committed runtime intents: one loop over an intent table.
 
-Intents are executed sequentially in a simulated process; each charges its
-cost-model delay *before* taking effect (the paper's repair duration is
-dominated by this communication, not by the state change itself).  Gauge
-redeployment hooks let the monitoring layer blank out affected gauges for
-the corresponding window — during a repair the framework is partially
+An application's translation is a table ``op -> IntentRow(cost, apply)``.
+:class:`IntentTranslator` runs every table the same way: intents execute
+sequentially in a simulated process; each is traced (``translate.begin``)
+and charges its cost *before* taking effect (the paper's repair duration
+is dominated by this communication, not by the state change itself).
+What ``apply`` returns names the entities whose gauges are redeployed for
+the executor's window — during a repair the framework is partially
 blind, exactly as the authors describe.
 
-Supported intents (produced by the client/server style operators):
+:class:`Translator` is the paper's table (the client/server style
+operators' intents over an :class:`EnvironmentManager`):
 
 * ``moveClient(client, frm, to)``
 * ``addServer(client, group, bw_thresh, server?)`` — ``server`` may be
@@ -18,23 +21,152 @@ Supported intents (produced by the client/server style operators):
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from repro.app.env_manager import EnvironmentManager
 from repro.errors import EnvironmentError_, TranslationError
 from repro.repair.context import RuntimeIntent
 from repro.runtime.app import IntentExecutor
+from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.trace import Trace
 from repro.translation.costs import TranslationCosts
 
-__all__ = ["Translator"]
+__all__ = ["IntentRow", "IntentTranslator", "Translator", "paper_intents"]
 
 
-class Translator(IntentExecutor):
-    """Model-operator to runtime-operation mapping and execution engine."""
+class IntentRow(NamedTuple):
+    """How one intent ``op`` reaches the running system.
 
-    INTENT_OPS = frozenset({"moveClient", "addServer", "removeServer"})
+    ``cost`` is the seconds charged before the op takes effect: a number,
+    or a function of the intent.  ``apply(intent)`` performs the runtime
+    operation and returns the names of the entities whose gauges it
+    blinds (None when it blinds none).  ``untraced`` names intent args
+    the ``translate.begin`` record leaves out.
+    """
+
+    cost: Union[float, Callable[[RuntimeIntent], float]]
+    apply: Callable[[RuntimeIntent], Optional[Iterable[str]]]
+    untraced: Tuple[str, ...] = ()
+
+
+class IntentTranslator(IntentExecutor):
+    """Replays committed intents one by one through an intent table.
+
+    An ``op`` with no row raises :class:`TranslationError` when its turn
+    comes.  An :class:`EnvironmentError_` from a row's ``apply`` is
+    recorded in :attr:`failures`, traced ``translate.failed``, and the
+    remaining intents still run (the model was already committed; the
+    framework discovers runtime drift through subsequent monitoring
+    rather than unwinding the model).  Each ``execute`` call is its own
+    process, so concurrent repairs' translations overlap in simulated
+    time.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        table: Dict[str, IntentRow],
+        trace: Trace,
+        gauge_manager=None,
+        redeploy_window: float = 0.0,
+    ):
+        self.sim = sim
+        self.table = dict(table)
+        self.trace = trace
+        self.gauge_manager = gauge_manager  # optional: .redeploy_for(entity, delay)
+        self.redeploy_window = redeploy_window
+        self.executed: List[RuntimeIntent] = []
+        self.failures: List[str] = []
+
+    @property
+    def INTENT_OPS(self) -> frozenset:
+        return frozenset(self.table)
+
+    def execute(self, intents: Iterable[RuntimeIntent], on_done=None) -> Process:
+        """Run all intents in order; invoke ``on_done`` when finished."""
+        return Process(self.sim, self._run(list(intents), on_done), name="translator")
+
+    def estimate_duration(self, intents: Iterable[RuntimeIntent]) -> float:
+        return sum(self._cost(self._row(intent), intent) for intent in intents)
+
+    def _row(self, intent: RuntimeIntent) -> IntentRow:
+        row = self.table.get(intent.op)
+        if row is None:
+            raise TranslationError(f"no runtime mapping for intent {intent.op!r}")
+        return row
+
+    @staticmethod
+    def _cost(row: IntentRow, intent: RuntimeIntent) -> float:
+        return row.cost(intent) if callable(row.cost) else row.cost
+
+    def _run(self, intents: List[RuntimeIntent], on_done):
+        for intent in intents:
+            row = self._row(intent)
+            cost = self._cost(row, intent)
+            args = intent.args
+            if row.untraced:
+                args = {k: v for k, v in args.items() if k not in row.untraced}
+            self.trace.emit(
+                self.sim.now, "translate.begin", op=intent.op, cost=cost, **args
+            )
+            if cost > 0:
+                yield self.sim.timeout(cost)
+            try:
+                blinded = row.apply(intent)
+            except EnvironmentError_ as exc:
+                self.failures.append(f"{intent}: {exc}")
+                self.trace.emit(
+                    self.sim.now, "translate.failed", op=intent.op, error=str(exc)
+                )
+                continue
+            if blinded and self.gauge_manager is not None:
+                for entity in blinded:
+                    self.gauge_manager.redeploy_for(entity, self.redeploy_window)
+            self.executed.append(intent)
+        if on_done is not None:
+            on_done()
+
+
+def paper_intents(
+    env: EnvironmentManager, costs: TranslationCosts
+) -> Dict[str, IntentRow]:
+    """The client/server style's intent table (§5.3's cost model)."""
+
+    def move_client(intent):
+        env.move_client(intent.args["client"], intent.args["to"])
+        return (intent.args["client"],)
+
+    def add_server(intent):
+        args = intent.args
+        server = args.get("server")
+        if server is not None and any(s.name == server for s in env.app.spare_servers):
+            env.connect_server(server, args["group"])
+            env.activate_server(server)
+        else:
+            server = env.recruit_server(
+                args["client"], args["group"], args.get("bw_thresh", 0.0)
+            )
+        return (server,)
+
+    def remove_server(intent):
+        env.deactivate_server(intent.args["server"])
+        return (intent.args["server"],)
+
+    return {
+        "moveClient": IntentRow(costs.move_client_cost(), move_client),
+        "addServer": IntentRow(
+            costs.add_server_cost(), add_server, untraced=("bw_thresh",)
+        ),
+        "removeServer": IntentRow(costs.remove_server_cost(), remove_server),
+    }
+
+
+class Translator(IntentTranslator):
+    """The paper's translator: :func:`paper_intents` over ``env``.
+
+    Affected gauges go blind for a gauge teardown plus a setup.
+    """
 
     def __init__(
         self,
@@ -44,90 +176,11 @@ class Translator(IntentExecutor):
         trace: Optional[Trace] = None,
     ):
         self.env = env
-        self.sim = env.sim
-        self.costs = costs if costs is not None else TranslationCosts()
-        self.gauge_manager = gauge_manager  # optional: .redeploy_for(entity, delay)
-        self.trace = trace if trace is not None else env.trace
-        self.executed: List[RuntimeIntent] = []
-        self.failures: List[str] = []
-
-    # -- public API ----------------------------------------------------------
-    def execute(
-        self,
-        intents: Sequence[RuntimeIntent],
-        on_done: Optional[Callable[[], None]] = None,
-    ) -> Process:
-        """Run all intents in order; invoke ``on_done`` when finished.
-
-        A failing intent is recorded and skipped (the model was already
-        committed; the paper's framework likewise discovers runtime drift
-        through subsequent monitoring rather than unwinding the model).
-        """
-        return Process(
-            self.sim, self._run(list(intents), on_done), name="translator"
+        self.costs = costs = costs if costs is not None else TranslationCosts()
+        super().__init__(
+            env.sim,
+            paper_intents(env, costs),
+            trace if trace is not None else env.trace,
+            gauge_manager,
+            costs.effective_gauge_destroy + costs.effective_gauge_create,
         )
-
-    def estimate_duration(self, intents: Sequence[RuntimeIntent]) -> float:
-        return sum(self._cost_of(i) for i in intents)
-
-    # -- internals -------------------------------------------------------------
-    def _cost_of(self, intent: RuntimeIntent) -> float:
-        if intent.op == "moveClient":
-            return self.costs.move_client_cost()
-        if intent.op == "addServer":
-            return self.costs.add_server_cost()
-        if intent.op == "removeServer":
-            return self.costs.remove_server_cost()
-        raise TranslationError(f"no runtime mapping for intent {intent.op!r}")
-
-    def _run(self, intents: List[RuntimeIntent], on_done):
-        for intent in intents:
-            cost = self._cost_of(intent)  # raises early on unknown ops
-            self.trace.emit(
-                self.sim.now, "translate.begin", op=intent.op, cost=cost,
-                **{k: v for k, v in intent.args.items() if k != "bw_thresh"},
-            )
-            if cost > 0:
-                yield self.sim.timeout(cost)
-            try:
-                self._apply(intent)
-                self.executed.append(intent)
-            except EnvironmentError_ as exc:
-                self.failures.append(f"{intent}: {exc}")
-                self.trace.emit(
-                    self.sim.now, "translate.failed", op=intent.op, error=str(exc)
-                )
-        if on_done is not None:
-            on_done()
-
-    def _apply(self, intent: RuntimeIntent) -> None:
-        args = intent.args
-        if intent.op == "moveClient":
-            self.env.move_client(args["client"], args["to"])
-            self._redeploy(args["client"])
-        elif intent.op == "addServer":
-            server = args.get("server")
-            if server is not None and any(
-                s.name == server for s in self.env.app.spare_servers
-            ):
-                self.env.connect_server(server, args["group"])
-                self.env.activate_server(server)
-            else:
-                server = self.env.recruit_server(
-                    args["client"], args["group"], args.get("bw_thresh", 0.0)
-                )
-            self._redeploy(server)
-        elif intent.op == "removeServer":
-            self.env.deactivate_server(args["server"])
-            self._redeploy(args["server"])
-        else:  # pragma: no cover - _cost_of already rejected it
-            raise TranslationError(f"no runtime mapping for intent {intent.op!r}")
-
-    def _redeploy(self, entity: str) -> None:
-        """Tell the monitoring layer to redeploy gauges for ``entity``."""
-        if self.gauge_manager is not None:
-            window = (
-                self.costs.effective_gauge_destroy
-                + self.costs.effective_gauge_create
-            )
-            self.gauge_manager.redeploy_for(entity, window)

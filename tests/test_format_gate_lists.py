@@ -46,3 +46,37 @@ def test_ci_format_gate_and_local_mirror_list_the_same_paths():
     assert len(set(ci)) == len(ci)
     missing = [path for path in ci if not (ROOT / path).exists()]
     assert not missing, f"format gate names paths that do not exist: {missing}"
+
+
+def format_problems(tmp_path, source):
+    spec = importlib.util.spec_from_file_location(
+        "format_check", ROOT / "tools" / "format_check.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    path = tmp_path / "sample.py"
+    path.write_text(source)
+    return [message for _line, message in module.check_file(path)]
+
+
+def test_magic_trailing_comma_wants_one_element_per_line(tmp_path):
+    source = "CALL = f(\n    a, b,\n    c,\n)\n"
+    assert format_problems(tmp_path, source) == [
+        "magic trailing comma: elements must be one per line"
+    ]
+    exploded = "CALL = f(\n    a,\n    b,\n    c,\n)\n"
+    assert format_problems(tmp_path, exploded) == []
+
+
+def test_lambda_parameters_and_returned_tuples_are_not_elements(tmp_path):
+    source = (
+        "OPS = {\n"
+        '    "prefix": lambda a, b: a.startswith(b),\n'
+        '    "any": lambda: True,\n'
+        "}\n"
+        "\n"
+        "\n"
+        "def one(x):\n"
+        "    return (x,)\n"
+    )
+    assert format_problems(tmp_path, source) == []

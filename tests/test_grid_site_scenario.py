@@ -263,9 +263,15 @@ class TestDeterminism:
         def key(run):
             return [
                 (
-                    r.started, r.strategy, r.scope, r.attempt,
-                    r.retry_backoff, r.timed_out, r.committed,
-                    r.abort_reason, r.ended,
+                    r.started,
+                    r.strategy,
+                    r.scope,
+                    r.attempt,
+                    r.retry_backoff,
+                    r.timed_out,
+                    r.committed,
+                    r.abort_reason,
+                    r.ended,
                 )
                 for r in run.history
             ]

@@ -5,6 +5,9 @@ utilization — run through the one message shape (``target`` + float
 ``value``) and the three gauges (windowed mean, EWMA, latest value).
 """
 
+from itertools import chain, repeat
+from math import isfinite
+
 import pytest
 
 from repro.app import Client, GridApplication, Server
@@ -14,6 +17,7 @@ from repro.monitoring import (
     CallbackProbe,
     ClientLatencyProbe,
     EwmaGauge,
+    LatestValueGauge,
     UtilizationProbe,
     WindowedMeanGauge,
 )
@@ -239,3 +243,30 @@ class TestGauges:
         probe_bus, gauge_bus = buses(sim)
         with pytest.raises(ValueError):
             WindowedMeanGauge(sim, probe_bus, gauge_bus, "load", "SG1", period=0.0)
+
+
+class TestNonFiniteReads:
+    """A read that is not a number is refused at the probe, batched or
+    not: nothing is published or buffered, and no gauge ever holds it."""
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize(
+        "gauge_class", [WindowedMeanGauge, EwmaGauge, LatestValueGauge]
+    )
+    def test_a_nan_read_raises_naming_the_probe(self, gauge_class, batch):
+        sim = Simulator()
+        probe_bus, gauge_bus = buses(sim)
+        reads = chain([1.0, 2.0, float("nan")], repeat(3.0))
+        probe = CallbackProbe(
+            sim, probe_bus, "load", "SG1", lambda: next(reads), batch=batch
+        )
+        gauge = gauge_class(sim, probe_bus, gauge_bus, "load", "SG1", period=1.0)
+        gauge.activate()
+        probe.start()
+        with pytest.raises(ValueError, match=r"probe\.load\.SG1: read must be finite"):
+            sim.run(until=10.0)
+        assert probe.samples == (2 if batch == 1 else 0)
+        assert probe._pending_values == ([] if batch == 1 else [1.0, 2.0])
+        sim.run(until=sim.now + 0.5)  # deliveries already on the bus land
+        value = gauge._value()
+        assert value is None or isfinite(value)

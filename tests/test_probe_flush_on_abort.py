@@ -56,8 +56,13 @@ class ExplodingExperiment:
             instruments=[
                 ProbeBinding(
                     lambda rt: CallbackProbe(
-                        rt.sim, rt.probe_bus, "load", "extract",
-                        lambda: 1.0, period=1.0, batch=10,
+                        rt.sim,
+                        rt.probe_bus,
+                        "load",
+                        "extract",
+                        lambda: 1.0,
+                        period=1.0,
+                        batch=10,
                     ),
                     periodic=True,
                 )

@@ -40,8 +40,10 @@ def make_system(load=0.0, latency=5.0):
 def make_checker():
     checker = ConstraintChecker(bindings={"maxLatency": 2.0})
     checker.add_source(
-        "r", "averageLatency <= maxLatency",
-        scope_type="ClientRoleT", repair="fix",
+        "r",
+        "averageLatency <= maxLatency",
+        scope_type="ClientRoleT",
+        repair="fix",
     )
     return checker
 
@@ -108,8 +110,12 @@ def engine_concurrency(request, monkeypatch):
 def make_engine(system, sim, translator=None, settle=0.0, **opts):
     opts.setdefault("concurrency", CONCURRENCY)
     return ArchitectureManager(
-        sim, system, make_checker(), translator=translator,
-        settle_time=settle, **opts,
+        sim,
+        system,
+        make_checker(),
+        translator=translator,
+        settle_time=settle,
+        **opts,
     )
 
 
@@ -197,7 +203,9 @@ class TestTimeout:
         sim = Simulator()
         system = make_system()
         mgr = make_engine(
-            system, sim, HangTranslator(),
+            system,
+            sim,
+            HangTranslator(),
             repair_timeout=10.0,
             retry_policy=RetryPolicy(
                 max_attempts=3, backoff=5.0, multiplier=2.0, jitter=0.0
@@ -226,7 +234,9 @@ class TestRetry:
         system = make_system()
         translator = FlakyTranslator(sim, delay=1.0, failures=2)
         mgr = make_engine(
-            system, sim, translator,
+            system,
+            sim,
+            translator,
             retry_policy=RetryPolicy(
                 max_attempts=3, backoff=5.0, multiplier=2.0, jitter=0.0
             ),
@@ -252,7 +262,9 @@ class TestRetry:
         def backoffs():
             sim = Simulator()
             mgr = make_engine(
-                make_system(), sim, FlakyTranslator(sim, failures=2),
+                make_system(),
+                sim,
+                FlakyTranslator(sim, failures=2),
                 retry_policy=RetryPolicy(
                     max_attempts=3, backoff=5.0, jitter=0.5, seed=9
                 ),
@@ -272,7 +284,9 @@ class TestRetry:
         sim = Simulator()
         system = make_system()
         mgr = make_engine(
-            system, sim, FlakyTranslator(sim, delay=1.0, failures=5),
+            system,
+            sim,
+            FlakyTranslator(sim, delay=1.0, failures=5),
             retry_policy=RetryPolicy(max_attempts=3, backoff=5.0, jitter=0.0),
         )
         mgr.register_strategy(FirstSuccessStrategy("fix", [touching_tactic()]))
@@ -292,7 +306,9 @@ class TestRetry:
     def test_retry_exhaustion_concludes_the_repair(self):
         sim = Simulator()
         mgr = make_engine(
-            make_system(), sim, FlakyTranslator(sim, failures=99),
+            make_system(),
+            sim,
+            FlakyTranslator(sim, failures=99),
             retry_policy=RetryPolicy(max_attempts=2, backoff=5.0, jitter=0.0),
         )
         mgr.register_strategy(FirstSuccessStrategy("fix", [touching_tactic()]))
@@ -315,7 +331,9 @@ class TestBreaker:
         system = make_system()
         translator = FlakyTranslator(sim, delay=1.0, failures=99)
         mgr = make_engine(
-            system, sim, translator,
+            system,
+            sim,
+            translator,
             breaker_policy=BreakerPolicy(failure_threshold=2, reset_timeout=50.0),
         )
         mgr.register_strategy(
@@ -343,7 +361,9 @@ class TestBreaker:
         system = make_system()
         translator = FlakyTranslator(sim, delay=1.0, failures=99)
         mgr = make_engine(
-            system, sim, translator,
+            system,
+            sim,
+            translator,
             breaker_policy=BreakerPolicy(failure_threshold=1, reset_timeout=50.0),
         )
         mgr.register_strategy(
@@ -369,15 +389,19 @@ class TestBreaker:
             if r.category.startswith("repair.breaker")
         ]
         assert categories == [
-            "repair.breaker_open", "repair.breaker_half_open",
-            "repair.breaker_open", "repair.breaker_half_open",
+            "repair.breaker_open",
+            "repair.breaker_half_open",
+            "repair.breaker_open",
+            "repair.breaker_half_open",
             "repair.breaker_closed",
         ]
 
     def test_open_breaker_with_no_fallback_escalates_to_human_alert(self):
         sim = Simulator()
         mgr = make_engine(
-            make_system(), sim, FlakyTranslator(sim, delay=1.0, failures=99),
+            make_system(),
+            sim,
+            FlakyTranslator(sim, delay=1.0, failures=99),
             breaker_policy=BreakerPolicy(failure_threshold=1, reset_timeout=500.0),
             alert_after_aborts=2,
         )
@@ -403,7 +427,9 @@ class TestQuarantine:
         sim = Simulator()
         system = make_system()
         mgr = make_engine(
-            system, sim, FlakyTranslator(sim, delay=1.0, failures=99),
+            system,
+            sim,
+            FlakyTranslator(sim, delay=1.0, failures=99),
             quarantine_policy=QuarantinePolicy(
                 after_failures=1, period=50.0, multiplier=2.0, max_period=900.0
             ),
@@ -427,7 +453,9 @@ class TestQuarantine:
     def test_successful_repair_clears_the_failure_count(self):
         sim = Simulator()
         mgr = make_engine(
-            make_system(), sim, FlakyTranslator(sim, delay=1.0, failures=1),
+            make_system(),
+            sim,
+            FlakyTranslator(sim, delay=1.0, failures=1),
             quarantine_policy=QuarantinePolicy(after_failures=2, period=50.0),
         )
         mgr.register_strategy(FirstSuccessStrategy("fix", [touching_tactic()]))
@@ -444,7 +472,9 @@ class TestQuarantine:
         sim = Simulator()
         system = make_system()
         mgr = make_engine(
-            system, sim, FlakyTranslator(sim, delay=1.0, failures=99),
+            system,
+            sim,
+            FlakyTranslator(sim, delay=1.0, failures=99),
             quarantine_policy=QuarantinePolicy(after_failures=1, period=50.0),
         )
         mgr.register_strategy(FirstSuccessStrategy("fix", [touching_tactic()]))
@@ -525,17 +555,20 @@ class TestValidation:
             make_engine(make_system(), sim, repair_timeout=0.0)
         with pytest.raises(ValueError, match="max_attempts"):
             make_engine(
-                make_system(), Simulator(),
+                make_system(),
+                Simulator(),
                 retry_policy=RetryPolicy(max_attempts=0),
             )
         with pytest.raises(ValueError, match="failure_threshold"):
             make_engine(
-                make_system(), Simulator(),
+                make_system(),
+                Simulator(),
                 breaker_policy=BreakerPolicy(failure_threshold=0),
             )
         with pytest.raises(ValueError, match="after_failures"):
             make_engine(
-                make_system(), Simulator(),
+                make_system(),
+                Simulator(),
                 quarantine_policy=QuarantinePolicy(after_failures=0),
             )
 

@@ -19,7 +19,7 @@ from repro.experiment import (
 )
 from repro.experiment.pipeline_scenario import (
     PipelineManagedApplication,
-    PipelineTranslator,
+    pipeline_intents,
 )
 from repro.experiment.runner import (
     Experiment,
@@ -38,6 +38,7 @@ from repro.runtime import (
 from repro.sim import Simulator
 from repro.sim.trace import Trace
 from repro.styles.pipeline import PIPELINE_DSL, pipeline_operators
+from repro.translation import IntentTranslator
 
 STAGES = (("extract", 1, 0.5), ("load", 1, 0.25))
 
@@ -83,7 +84,8 @@ class TestAdaptationRuntimeBuild:
         (checker,) = rt.checkers
         assert [i.name for i in checker.invariants] == ["b", "u"]
         assert checker.bindings["maxBacklog"] == 4.0
-        assert isinstance(rt.translator, PipelineTranslator)
+        assert isinstance(rt.translator, IntentTranslator)
+        assert rt.translator.INTENT_OPS == {"widenStage", "narrowStage"}
         (updater,) = rt.updaters
         assert isinstance(updater, PropertyUpdater)
         assert len(rt.gauges) == 2
@@ -163,13 +165,18 @@ class TestAdaptationRuntimeLoop:
         assert rt.model.component("extract").get_property("backlog") > 0.0
 
 
-class TestPipelineTranslator:
+def pipeline_translator(sim, app, widen_cost):
+    table = pipeline_intents(app, PipelineParams(widen_cost=widen_cost))
+    return IntentTranslator(sim, table, Trace())
+
+
+class TestPipelineIntents:
     def test_rejects_unknown_intent(self):
         from repro.repair.context import RuntimeIntent
 
         sim = Simulator()
         app = PipelineApplication(sim, STAGES)
-        translator = PipelineTranslator(app, PipelineParams(widen_cost=0.0))
+        translator = pipeline_translator(sim, app, widen_cost=0.0)
         translator.execute([RuntimeIntent("teleport", {"stage": "extract"})])
         with pytest.raises(ReproError):
             sim.run()
@@ -179,7 +186,7 @@ class TestPipelineTranslator:
 
         sim = Simulator()
         app = PipelineApplication(sim, STAGES)
-        translator = PipelineTranslator(app, PipelineParams(widen_cost=2.0))
+        translator = pipeline_translator(sim, app, widen_cost=2.0)
         done = []
         translator.execute(
             [RuntimeIntent("widenStage", {"stage": "load", "width": 3})],

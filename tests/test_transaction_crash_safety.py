@@ -188,8 +188,13 @@ def make_script(seed, steps=STEPS):
         return f"detach #{index}", fn
 
     makers = [
-        step_set_known, step_set_new, step_set_role, step_remove_prop,
-        step_add_component, step_remove_component, step_attach_pair,
+        step_set_known,
+        step_set_new,
+        step_set_role,
+        step_remove_prop,
+        step_add_component,
+        step_remove_component,
+        step_attach_pair,
         step_detach,
     ]
     for _ in range(steps):
