@@ -41,8 +41,8 @@ def test_a1_gauge_caching(benchmark, artifact):
          round(sum(cached.s(f"latency.{c}").fraction_above(2.0, start=120)
                    for c in ("C3", "C4")) / 2, 3)],
         ["gauge redeployments",
-         base.gauge_stats.get("redeployments", 0),
-         cached.gauge_stats.get("redeployments", 0)],
+         base.stats.gauges.get("redeployments", 0),
+         cached.stats.gauges.get("redeployments", 0)],
     ]
     text = render_table(
         ["metric", "destroy+create (paper)", "cached gauges (proposed)"],

@@ -38,11 +38,11 @@ def test_a2_monitoring_qos(benchmark, artifact):
     rows = [
         ["first repair dispatched (s)", round(t_inband, 1), round(t_qos, 1)],
         ["probe-bus mean transit (s)",
-         round(inband.bus_stats["probe_mean_transit"], 3),
-         round(qos.bus_stats["probe_mean_transit"], 3)],
+         round(inband.stats.bus["probe_mean_transit"], 3),
+         round(qos.stats.bus["probe_mean_transit"], 3)],
         ["gauge-bus mean transit (s)",
-         round(inband.bus_stats["gauge_mean_transit"], 3),
-         round(qos.bus_stats["gauge_mean_transit"], 3)],
+         round(inband.stats.bus["gauge_mean_transit"], 3),
+         round(qos.stats.bus["gauge_mean_transit"], 3)],
         ["repairs committed", len(inband.history.committed),
          len(qos.history.committed)],
     ]
@@ -54,8 +54,8 @@ def test_a2_monitoring_qos(benchmark, artifact):
     artifact("ablation_a2_monitoring_qos", text)
 
     # Congestion delays in-band observations, so detection lags.
-    assert inband.bus_stats["probe_mean_transit"] > \
-        qos.bus_stats["probe_mean_transit"]
+    assert inband.stats.bus["probe_mean_transit"] > \
+        qos.stats.bus["probe_mean_transit"]
     # With QoS the first repair fires no later (usually earlier).
     assert t_qos <= t_inband
     # Both configurations still repair the phase-A squeeze.

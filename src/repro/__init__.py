@@ -21,7 +21,7 @@ the system inventory.  Subpackages:
   ``python -m repro`` command line on top of it.
 """
 
-from repro.acme import ArchSystem, Component, Connector, Family, parse_acme
+from repro.acme import ArchSystem, Component, Connector, Family
 from repro.analysis import MMcQueue, required_servers
 from repro.app import EnvironmentManager, GridApplication
 from repro.bus import EventBus, Message
@@ -68,7 +68,6 @@ __all__ = [
     "Component",
     "Connector",
     "Family",
-    "parse_acme",
     "ConstraintChecker",
     "Invariant",
     "parse_expression",

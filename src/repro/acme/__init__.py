@@ -3,10 +3,13 @@
 A lightweight reimplementation of the AcmeLib core the paper builds on
 [11, 21]: systems are graphs of **components** (with **ports**) and
 **connectors** (with **roles**) joined by **attachments**; every element
-carries a property list; **families** (architectural styles) declare
-element types, required properties, invariants, and style-specific
-operators.  A textual parser/unparser round-trips an Acme-ish surface
-syntax so models can be written as design-time artifacts (paper §2).
+carries a property list; **families** (architectural styles) declare the
+element types and their typed, defaulted properties.  Models are built
+with the Python API (each style's ``build_*_model``);
+:func:`unparse_system` renders one as Acme surface text, and
+:func:`validate_system` checks a system against its family (no runtime
+path calls it yet).  A style's invariants live in its repair script and
+its operators in ``AdaptationSpec.operators``, not in the family.
 """
 
 from repro.acme.properties import PROPERTY_ABSENT, Property, PropertyBag
@@ -15,8 +18,7 @@ from repro.acme.system import ArchSystem
 from repro.acme.sharding import ShardedArchSystem
 from repro.acme.family import ElementType, Family
 from repro.acme.validation import validate_system, ValidationIssue
-from repro.acme.parser import parse_acme
-from repro.acme.unparser import unparse_system, unparse_family
+from repro.acme.unparser import unparse_system
 
 __all__ = [
     "PROPERTY_ABSENT",
@@ -34,7 +36,5 @@ __all__ = [
     "Family",
     "validate_system",
     "ValidationIssue",
-    "parse_acme",
     "unparse_system",
-    "unparse_family",
 ]

@@ -1,16 +1,17 @@
-"""Families (architectural styles): element types, rules, and operators.
+"""Families (architectural styles): element types.
 
 "These operators will be specific to the structure of the architecture
-(this is called an architecture style)" (§3.3).  A family declares:
+(this is called an architecture style)" (§3.3).  A family declares
+component/connector/port/role **types** with typed properties, defaults
+and optional structural rules; :meth:`Family.initialize` gives a new
+element its types' defaults, and :func:`repro.acme.validation.validate_system`
+checks a system's elements against the types.
 
-* component/connector/port/role **types** with required properties and
-  defaults;
-* **invariants** — constraint expressions every conforming system must
-  satisfy (checked by :func:`repro.acme.validation.validate_system` and at
-  runtime by the architecture manager);
-* **operators** — named style-specific adaptation operations (``addServer``,
-  ``move``, ``remove``, ``findGoodSGroup``) bound to Python callables that
-  receive ``(system, target_element, *args)``.
+A family holds nothing else.  A style's invariants and their repairs are
+written in its repair script (the Figure 5 DSL), which the runtime
+compiles into its constraint checkers; its operators (``addServer``,
+``move``, ``remove``, ...) are the table ``AdaptationSpec.operators``
+builds for repair contexts.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ class ElementType:
     def __post_init__(self) -> None:
         if self.kind not in self.VALID_KINDS:
             raise TypeViolationError(
-                f"element type kind must be one of {self.VALID_KINDS}, got {self.kind!r}"
+                f"element type kind must be one of {self.VALID_KINDS}, "
+                f"got {self.kind!r}"
             )
 
     def declare_property(
@@ -72,7 +74,8 @@ class ElementType:
         problems: List[str] = []
         if element.kind != self.kind:
             problems.append(
-                f"{element.qualified_name}: declared {self.name} but is a {element.kind}"
+                f"{element.qualified_name}: declared {self.name} "
+                f"but is a {element.kind}"
             )
             return problems
         for pname, (_ptype, _default) in self.properties.items():
@@ -87,13 +90,11 @@ class ElementType:
 
 
 class Family:
-    """A named style: types, invariants, and adaptation operators."""
+    """A named style: the element types its systems are built from."""
 
     def __init__(self, name: str):
         self.name = name
         self._types: Dict[str, ElementType] = {}
-        self.invariant_sources: List[Tuple[str, str]] = []  # (name, expression)
-        self._operators: Dict[str, Callable[..., Any]] = {}
 
     # -- types ------------------------------------------------------------------
     def declare_type(self, etype: ElementType) -> ElementType:
@@ -126,39 +127,6 @@ class Family:
 
     def has_type(self, name: str) -> bool:
         return name in self._types
-
-    @property
-    def types(self) -> List[ElementType]:
-        return [self._types[k] for k in sorted(self._types)]
-
-    # -- invariants ----------------------------------------------------------------
-    def add_invariant(self, name: str, expression: str) -> None:
-        self.invariant_sources.append((name, expression))
-
-    # -- operators -----------------------------------------------------------------
-    def register_operator(self, name: str, fn: Callable[..., Any]) -> None:
-        """Bind a style operator; callable signature ``fn(system, target, *args)``."""
-        if name in self._operators:
-            raise DuplicateElementError(
-                f"operator {name!r} already registered in family {self.name}"
-            )
-        self._operators[name] = fn
-
-    def operator(self, name: str) -> Callable[..., Any]:
-        try:
-            return self._operators[name]
-        except KeyError:
-            raise UnknownElementError(
-                f"family {self.name} has no operator {name!r}; "
-                f"available: {sorted(self._operators)}"
-            ) from None
-
-    def has_operator(self, name: str) -> bool:
-        return name in self._operators
-
-    @property
-    def operator_names(self) -> List[str]:
-        return sorted(self._operators)
 
     # -- element initialization --------------------------------------------------------
     def initialize(self, element: Element) -> None:

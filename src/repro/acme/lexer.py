@@ -1,9 +1,9 @@
-"""Tokenizer shared by the Acme, constraint, and repair-DSL parsers.
+"""Tokenizer shared by the constraint and repair-DSL parsers.
 
 Produces a flat token list with line/column information.  Comments (``//``
 and ``/* */``) and whitespace are skipped.  Keywords are *not* distinguished
 here — each parser treats the identifiers it cares about as keywords, which
-keeps one lexer serving three small languages.
+keeps one lexer serving both small languages.
 """
 
 from __future__ import annotations

@@ -110,7 +110,6 @@ class ShardedArchSystem:
                 port_qname, role_qname = att.key
                 cross.append((port_qname, role_qname, port_shard, role_shard))
         for part in parts:
-            part.invariant_sources = list(system.invariant_sources)
             part._touch_structure()  # the attachments just bound
 
         system._components.clear()

@@ -53,7 +53,6 @@ class ArchSystem:
         self._role_attachment: Dict[Role, Attachment] = {}
         self._mutation_listeners: List[MutationListener] = []
         self._property_listeners: List[PropertyListener] = []
-        self.invariant_sources: List[Tuple[str, str]] = []  # (name, expression text)
         #: monotone change counter: bumped by every property/structural
         #: mutation (including transaction undo); the incremental
         #: constraint checker keys its result cache on this
@@ -414,12 +413,6 @@ class ArchSystem:
                 if other is not component:
                     out[other.name] = other
         return [out[k] for k in sorted(out)]
-
-    # ------------------------------------------------------------------
-    # Invariants (source text; evaluated by repro.constraints)
-    # ------------------------------------------------------------------
-    def add_invariant(self, name: str, expression: str) -> None:
-        self.invariant_sources.append((name, expression))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,7 +1,11 @@
-"""Unparser: render families/systems back to Acme surface text.
+"""Unparser: render a system as Acme surface text.
 
-``parse_acme(unparse_system(s))`` reconstructs an equivalent system —
-checked by round-trip tests.
+Every component, connector, port, role, type name, non-``None`` property
+value and attachment appears in the text, representations nested in
+their component, so two systems that differ in any of these render
+differently (``tests/test_properties_model.py``).  Differential suites
+compare models through it, and ``examples/load_balancing_experiment.py``
+prints it.  Nothing parses it back.
 """
 
 from __future__ import annotations
@@ -9,10 +13,9 @@ from __future__ import annotations
 from typing import Any, List
 
 from repro.acme.elements import Component, Connector
-from repro.acme.family import Family
 from repro.acme.system import ArchSystem
 
-__all__ = ["unparse_family", "unparse_system"]
+__all__ = ["unparse_system"]
 
 
 def _literal(value: Any) -> str:
@@ -25,26 +28,6 @@ def _literal(value: Any) -> str:
 
 def _types_suffix(types) -> str:
     return f" : {', '.join(sorted(types))}" if types else ""
-
-
-def unparse_family(family: Family) -> str:
-    """Render a family declaration."""
-    lines: List[str] = [f"Family {family.name} = {{"]
-    kind_word = {"component": "Component", "connector": "Connector",
-                 "port": "Port", "role": "Role"}
-    for etype in family.types:
-        lines.append(f"    {kind_word[etype.kind]} Type {etype.name} = {{")
-        for pname in sorted(etype.properties):
-            ptype, default = etype.properties[pname]
-            if default is None:
-                lines.append(f"        Property {pname} : {ptype};")
-            else:
-                lines.append(f"        Property {pname} : {ptype} = {_literal(default)};")
-        lines.append("    };")
-    for iname, expr in family.invariant_sources:
-        lines.append(f"    invariant {iname} : {expr};")
-    lines.append("};")
-    return "\n".join(lines)
 
 
 def _unparse_properties(element, indent: str, lines: List[str]) -> None:
@@ -90,7 +73,7 @@ def _unparse_connector(conn: Connector, lines: List[str], indent: str) -> None:
 
 
 def _unparse_members(system: ArchSystem, lines: List[str], indent: str) -> None:
-    """System members (components, connectors, attachments, invariants)."""
+    """System members (components, connectors, attachments)."""
     for comp in system.components:
         _unparse_component(comp, lines, indent)
     for conn in system.connectors:
@@ -100,8 +83,6 @@ def _unparse_members(system: ArchSystem, lines: List[str], indent: str) -> None:
             f"{indent}Attachment {att.port.qualified_name} "
             f"to {att.role.qualified_name};"
         )
-    for iname, expr in system.invariant_sources:
-        lines.append(f"{indent}invariant {iname} : {expr};")
 
 
 def unparse_system(system: ArchSystem) -> str:

@@ -1,9 +1,11 @@
 """Structural validation of systems against their family.
 
 "Architectural models can make integrity constraints explicit, helping to
-ensure the validity of any change" (§1).  The repair operators call this
-after editing the model so a structurally-invalid repair aborts instead of
-being propagated to the running system.
+ensure the validity of any change" (§1).  :func:`validate_system` reports
+where a system departs from its family's types and where its attachments
+or roles dangle.  No runtime path calls it yet: the tests check the style
+builders' models with it, and a repair that validates the model before
+commit would be its first caller.
 """
 
 from __future__ import annotations

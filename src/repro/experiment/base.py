@@ -188,13 +188,7 @@ class ScenarioExperiment:
         rt = self.runtime
         snapshot = rt.stats() if rt is not None else None
         stats = snapshot if snapshot is not None else RuntimeStats()
-        fields: Dict[str, Any] = {
-            "bus_stats": dict(stats.bus),
-            "gauge_stats": dict(stats.gauges),
-            "constraint_stats": dict(stats.constraints),
-            "telemetry_stats": dict(stats.telemetry),
-            "fault_stats": dict(stats.faults or {}),
-        }
+        fields: Dict[str, Any] = {"fault_stats": dict(stats.faults or {})}
         fields.update(self.outcome(stats))
         return self.RESULT(
             config=self.config,

@@ -57,15 +57,12 @@ class RunResult:
     issued: int
     completed: int
     dropped: int = 0
-    bus_stats: Dict[str, float] = field(default_factory=dict)
-    gauge_stats: Dict[str, int] = field(default_factory=dict)
-    constraint_stats: Dict[str, int] = field(default_factory=dict)
-    telemetry_stats: Dict[str, int] = field(default_factory=dict)
-    #: fault-plane injection counters; {} on runs without a fault plane
+    #: fault-plane injection counters; {} on runs without a fault plane.
+    #: Not a view of ``stats``: a control run has no runtime, and its
+    #: outage plane's counters live only here
     fault_stats: Dict[str, Any] = field(default_factory=dict)
     #: the runtime's full typed counter snapshot (None on control runs
-    #: that never built a runtime); the dict sections above are retained
-    #: views into it for existing consumers
+    #: that never built a runtime)
     stats: Optional[RuntimeStats] = None
 
     # -- structured access ---------------------------------------------------
@@ -114,6 +111,7 @@ class RunResult:
     def summary(self) -> Dict[str, Any]:
         """One JSON-serializable dict describing the run."""
         config = self.config
+        stats = self.stats if self.stats is not None else RuntimeStats()
         intervals = self.repair_intervals()
         params = config.params
         data: Dict[str, Any] = {
@@ -136,18 +134,16 @@ class RunResult:
             },
             "series": self._series_summary(),
             "counters": {
-                "bus": dict(self.bus_stats),
-                "gauges": dict(self.gauge_stats),
-                "constraints": dict(self.constraint_stats),
-                "telemetry": dict(self.telemetry_stats),
+                "bus": dict(stats.bus),
+                "gauges": dict(stats.gauges),
+                "constraints": dict(stats.constraints),
+                "telemetry": dict(stats.telemetry),
             },
         }
         if self.fault_stats:
             data["counters"]["faults"] = dict(self.fault_stats)
-        if self.stats is not None and self.stats.shards:
-            data["counters"]["shards"] = [
-                shard.to_dict() for shard in self.stats.shards
-            ]
+        if stats.shards:
+            data["counters"]["shards"] = [shard.to_dict() for shard in stats.shards]
         extras = self.extras()
         if extras:
             data["details"] = extras

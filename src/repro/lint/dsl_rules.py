@@ -57,8 +57,6 @@ from repro.repair.dsl.ast import (
     LetStmt,
     ReturnStmt,
     Stmt,
-    StrategyDecl,
-    TacticDecl,
 )
 from repro.repair.dsl.parser import RepairDocument, parse_repair_dsl
 

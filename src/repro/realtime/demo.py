@@ -80,8 +80,6 @@ def build_live_pool_family() -> Family:
         .declare_property("utilization", "float", 1.0)
         .declare_property("latency", "float", 0.0)
     )
-    fam.add_invariant("queueBound", "backlog <= maxBacklog")
-    fam.add_invariant("idlePool", "size <= minSize or utilization >= minUtilization")
     return fam
 
 

@@ -49,6 +49,7 @@ __all__ = [
 # Family
 # ---------------------------------------------------------------------------
 
+
 def build_client_server_family() -> Family:
     """The ClientServerFam style family."""
     fam = Family("ClientServerFam")
@@ -69,7 +70,6 @@ def build_client_server_family() -> Family:
         .declare_property("bandwidth", "float", 1e9)
     )
     fam.role_type("GroupRoleT")
-    fam.add_invariant("latencyThreshold", "averageLatency <= maxLatency")
     return fam
 
 
@@ -92,6 +92,7 @@ def client_role(system: ArchSystem, client: str) -> Role:
 # ---------------------------------------------------------------------------
 # Model builder
 # ---------------------------------------------------------------------------
+
 
 def build_client_server_model(
     name: str,
@@ -153,6 +154,7 @@ def _add_rep_server(
 # Model-level helpers shared by operators
 # ---------------------------------------------------------------------------
 
+
 def client_group(system: ArchSystem, client: Component) -> Component:
     """The server group a client is currently attached to (via its link)."""
     for conn in system.connectors_of(client):
@@ -178,6 +180,7 @@ def _violating_client(ctx: RepairContext) -> Optional[Component]:
 # ---------------------------------------------------------------------------
 # Style operators (§3.3)
 # ---------------------------------------------------------------------------
+
 
 def style_operators(now_fn: Callable[[], float]) -> Dict[str, Callable[..., Any]]:
     """Build the operator table injected into repair contexts.
@@ -207,8 +210,8 @@ def style_operators(now_fn: Callable[[], float]) -> Dict[str, Callable[..., Any]
         bw_thresh = float(ctx.bindings.get("minBandwidth", 0.0))
         if ctx.runtime is None:
             raise EvaluationError("addServer requires a runtime view")
-        client_name = client.name if client is not None else _first_client_of(
-            ctx.system, grp
+        client_name = (
+            client.name if client is not None else _first_client_of(ctx.system, grp)
         )
         server = ctx.runtime.find_server(client_name, bw_thresh)
         if server is None:
@@ -230,8 +233,11 @@ def style_operators(now_fn: Callable[[], float]) -> Dict[str, Callable[..., Any]
             )
         grp.set_property("replication", int(grp.get_property("replication")) + 1)
         ctx.intend(
-            "addServer", client=client_name, group=grp.name,
-            server=server, bw_thresh=bw_thresh,
+            "addServer",
+            client=client_name,
+            group=grp.name,
+            server=server,
+            bw_thresh=bw_thresh,
         )
         return server
 
@@ -302,9 +308,7 @@ def style_operators(now_fn: Callable[[], float]) -> Dict[str, Callable[..., Any]
 
 
 def _first_client_of(system: ArchSystem, group: Component) -> str:
-    clients = [
-        c.name for c in system.neighbors(group) if c.declares_type("ClientT")
-    ]
+    clients = [c.name for c in system.neighbors(group) if c.declares_type("ClientT")]
     if not clients:
         raise TacticFailure(f"addServer: group {group.name} serves no clients")
     return clients[0]

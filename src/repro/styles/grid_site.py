@@ -70,8 +70,6 @@ def build_grid_site_family() -> Family:
     fam.role_type("GatewayRoleT")
     fam.role_type("SiteRoleT")
     fam.role_type("PoolRoleT")
-    fam.add_invariant("siteUp", "healthy >= 1 or drained >= 1")
-    fam.add_invariant("rejoin", "healthy <= 0 or drained <= 0")
     return fam
 
 

@@ -59,7 +59,6 @@ def build_map_reduce_family() -> Family:
     fam.port_type("PartitionT")
     fam.role_type("MapperRoleT")
     fam.role_type("ReducerRoleT")
-    fam.add_invariant("skewedShuffle", "share <= maxShare or backlog <= lowBacklog")
     return fam
 
 

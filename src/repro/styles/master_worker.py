@@ -56,11 +56,6 @@ def build_master_worker_family() -> Family:
     fam.port_type("CollectT")
     fam.role_type("MasterRoleT")
     fam.role_type("PoolRoleT")
-    fam.add_invariant("queueBound", "backlog <= maxBacklog")
-    fam.add_invariant("stragglerBound", "oldestAge <= maxTaskAge")
-    fam.add_invariant(
-        "idlePool", "size <= minSize or utilization >= minUtilization"
-    )
     return fam
 
 
@@ -96,9 +91,7 @@ def master_worker_operators(
     """Style operators: ``grow``/``shrink`` the pool, ``redispatch`` work."""
 
     def _pool(value: Any, op: str) -> Component:
-        if not isinstance(value, Component) or not value.declares_type(
-            "WorkerPoolT"
-        ):
+        if not isinstance(value, Component) or not value.declares_type("WorkerPoolT"):
             raise EvaluationError(f"{op} must target a WorkerPoolT component")
         return value
 
@@ -106,9 +99,7 @@ def master_worker_operators(
         comp = _pool(pool, "grow")
         new_size = int(comp.get_property("size")) + int(amount)
         if new_size > max_workers:
-            raise TacticFailure(
-                f"grow: worker budget {max_workers} exhausted"
-            )
+            raise TacticFailure(f"grow: worker budget {max_workers} exhausted")
         comp.set_property("size", new_size)
         ctx.intend("addWorkers", pool=comp.name, size=new_size)
         return new_size

@@ -57,10 +57,6 @@ def build_multi_tenant_family() -> Family:
     fam.port_type("IngestT")
     fam.role_type("GatewayRoleT")
     fam.role_type("TenantRoleT")
-    fam.add_invariant("fairLatency", "latency <= maxLatency")
-    fam.add_invariant(
-        "idlePool", "size <= minSize or utilization >= minUtilization"
-    )
     return fam
 
 
@@ -104,21 +100,15 @@ def multi_tenant_operators(
     """Style operators: ``grow``/``shrink`` one tenant's pool."""
 
     def _pool(value: Any, op: str) -> Component:
-        if not isinstance(value, Component) or not value.declares_type(
-            "TenantPoolT"
-        ):
+        if not isinstance(value, Component) or not value.declares_type("TenantPoolT"):
             raise EvaluationError(f"{op} must target a TenantPoolT component")
         return value
 
     def op_grow(ctx: RepairContext, pool: Any, amount: Any = 1) -> int:
         comp = _pool(pool, "grow")
-        new_size = min(
-            int(comp.get_property("size")) + int(amount), max_workers
-        )
+        new_size = min(int(comp.get_property("size")) + int(amount), max_workers)
         if new_size <= int(comp.get_property("size")):
-            raise TacticFailure(
-                f"grow: tenant budget {max_workers} exhausted"
-            )
+            raise TacticFailure(f"grow: tenant budget {max_workers} exhausted")
         comp.set_property("size", new_size)
         ctx.intend("resizeTenant", tenant=comp.name, size=new_size, grew=True)
         return new_size

@@ -49,15 +49,12 @@ def build_pipeline_family() -> Family:
     fam.port_type("OutT")
     fam.role_type("SourceRoleT")
     fam.role_type("SinkRoleT")
-    fam.add_invariant("backlogBound", "backlog <= maxBacklog")
-    fam.add_invariant(
-        "idleWidth", "width <= minWidth or utilization >= minUtilization"
-    )
     return fam
 
 
-def build_pipeline_model(name: str, stages: Iterable[str],
-                         family: Family = None) -> ArchSystem:
+def build_pipeline_model(
+    name: str, stages: Iterable[str], family: Family = None
+) -> ArchSystem:
     """A linear pipeline ``stage1 -> stage2 -> ...`` with PipeT connectors."""
     fam = family if family is not None else build_pipeline_family()
     system = ArchSystem(name, family=fam.name)
@@ -96,9 +93,7 @@ def pipeline_operators(worker_budget: int = 8) -> Dict[str, Callable[..., Any]]:
     def op_widen(ctx: RepairContext, stage: Any, amount: Any = 1) -> int:
         comp = _stage(stage, "widen")
         if total_width(ctx.system) + int(amount) > worker_budget:
-            raise TacticFailure(
-                f"widen: worker budget {worker_budget} exhausted"
-            )
+            raise TacticFailure(f"widen: worker budget {worker_budget} exhausted")
         new_width = int(comp.get_property("width")) + int(amount)
         comp.set_property("width", new_width)
         ctx.intend("widenStage", stage=comp.name, width=new_width)

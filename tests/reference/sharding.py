@@ -4,7 +4,8 @@
 fresh ``Component`` / ``Connector`` objects carrying the originals'
 types and copies of their ports, roles, and properties; it now moves the
 source's own elements.  The rebuild is kept here, its body unchanged
-but for ``cls`` spelled ``ShardedArchSystem``, so a test partitions two
+but for ``cls`` spelled ``ShardedArchSystem`` and the per-shard copy of
+the invariant texts the model no longer carries, so a test partitions two
 equal models — one each way — and compares assignment, cross links,
 per-shard graphs, properties and unparsed text.
 """
@@ -87,8 +88,6 @@ def rebuild_partition(
                     role_shard,
                 )
             )
-    for part in parts:
-        part.invariant_sources = list(system.invariant_sources)
     return ShardedArchSystem(
         system.name, parts, assignment, tuple(cross), family=system.family
     )

@@ -1,5 +1,10 @@
 """Unit tests for families (styles) and structural validation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.acme import ArchSystem, ElementType, Family, validate_system
@@ -50,16 +55,6 @@ class TestFamily:
         c.declare_property("averageLatency", 9.0, "float")
         fam.initialize(c)
         assert c.get_property("averageLatency") == 9.0
-
-    def test_operators(self):
-        fam = make_family()
-        fam.register_operator("addServer", lambda system, target: "added")
-        assert fam.operator("addServer")(None, None) == "added"
-        assert fam.operator_names == ["addServer"]
-        with pytest.raises(DuplicateElementError):
-            fam.register_operator("addServer", lambda s, t: None)
-        with pytest.raises(UnknownElementError):
-            fam.operator("nope")
 
 
 class TestValidation:
@@ -135,3 +130,18 @@ class TestValidation:
         s = ArchSystem("S", family="OtherFam")
         issues = validate_system(s, fam)
         assert any("declares family" in str(i) for i in issues)
+
+
+def test_import_repro_leaves_the_acme_text_parser_out():
+    """Models are built with the Python API; no Acme text front end is
+    loaded with the package."""
+    root = Path(__file__).parent.parent
+    code = "import sys, repro; print('repro.acme.parser' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"

@@ -14,8 +14,8 @@ Two suites:
   gauges.
 
 Plus scenario-level checks that the one telemetry plane actually batches
-and suppresses wakeups, and that ``telemetry_stats`` reaches
-:class:`RunResult`.
+and suppresses wakeups, and that the ``telemetry`` section reaches
+:class:`RunResult`'s ``stats``.
 """
 
 import random
@@ -172,7 +172,7 @@ class TestScenarioTelemetryStats:
 
     def test_map_reduce_batches_and_suppresses_wakeups(self):
         result = api.run(api.RunConfig.adapted("map_reduce", horizon=400.0))
-        stats = result.telemetry_stats
+        stats = result.stats.telemetry
         # one flush per gauge period: five samples a batch message
         assert stats["batches"] > 0
         assert stats["samples"] == 5 * stats["batches"]

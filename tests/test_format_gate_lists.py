@@ -80,3 +80,20 @@ def test_lambda_parameters_and_returned_tuples_are_not_elements(tmp_path):
         "    return (x,)\n"
     )
     assert format_problems(tmp_path, source) == []
+
+
+def test_tuple_target_opening_a_statement_keeps_its_comma(tmp_path):
+    """A one-element tuple that starts a statement has no previous token:
+    the token before it belongs to the statement before."""
+    source = (
+        "def one(items):\n"
+        "    count = len(items)\n"
+        "    (first,) = items\n"
+        "    return first, count\n"
+        "\n"
+        "\n"
+        "(last,) = [one([1])]\n"
+    )
+    assert format_problems(tmp_path, source) == []
+    call = "x = f(a,)\n"
+    assert format_problems(tmp_path, call) == ["one-line group keeps trailing comma"]

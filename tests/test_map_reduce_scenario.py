@@ -137,7 +137,7 @@ class TestEndToEnd:
 
     def test_bus_counters_surface_in_result(self, pair):
         adapted = pair["adapted"]
-        bus = adapted.bus_stats
+        bus = adapted.stats.bus
         assert set(bus) == {
             "probe_published",
             "probe_mean_transit",

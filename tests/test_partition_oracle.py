@@ -7,11 +7,11 @@ agree on everything a reader of a sharded model can see: the
 ``assignment``, the ``cross_links``, and per shard its name and family,
 its components, connectors and attachments (in insertion order, which
 ``attached_role`` can observe), every element's types and property
-values and types (ports and roles included), the ``invariant_sources``
-and the unparsed text.  Inputs are ``multi_tenant`` models of several
-sizes and hypothesis graphs with unattached connectors, ports on several
-roles and attachments that end up spanning shards, under both registered
-shard keys and one to five shards.  One shard is the one deliberate
+values and types (ports and roles included) and the unparsed text.
+Inputs are ``multi_tenant`` models of several sizes and hypothesis
+graphs with unattached connectors, ports on several roles and
+attachments that end up spanning shards, under both registered shard
+keys and one to five shards.  One shard is the one deliberate
 difference: the source itself, not a system named ``<source>[0]``.
 """
 
@@ -51,7 +51,6 @@ def shard_view(part):
         "components": [element_view(c, c.ports) for c in part._components.values()],
         "connectors": [element_view(c, c.roles) for c in part._connectors.values()],
         "attachments": list(part._attachments),
-        "invariant_sources": part.invariant_sources,
         "text": unparse_system(part),
     }
 
@@ -98,9 +97,7 @@ def test_multi_tenant_models(tenants, shards, key):
     names = [f"T{i}" for i in range(tenants)]
 
     def build():
-        model = build_multi_tenant_model("Tenancy", names, 3, 2, family=family)
-        model.add_invariant("extra", "size >= minSize")
-        return model
+        return build_multi_tenant_model("Tenancy", names, 3, 2, family=family)
 
     moved = agree(build, shards, key)
     assert sum(len(part.components) for part in moved.shards) == tenants + 1
@@ -167,7 +164,6 @@ def build_graph(recipe):
         system.attach(
             system.component(comp).port(port), system.connector(conn).role(role)
         )
-    system.add_invariant("bounded", "size <= 40")
     return system
 
 

@@ -1,16 +1,19 @@
-"""Property-based tests (hypothesis): model transactions and Acme round-trips.
+"""Property-based tests (hypothesis): model transactions and model text.
 
 * abort-restores-everything: after arbitrary random edit sequences inside a
   transaction, abort returns the model to a state indistinguishable from
   the original snapshot;
-* parse/unparse round-trip: generated systems survive text serialization.
+* the text tells states apart: two states of a system whose snapshots
+  differ get different ``unparse_system`` text, and equal snapshots the
+  same text — what the forwarding, partition and DSL differential suites
+  rely on when they compare models by their text.
 """
 
 import string
 
 from hypothesis import given, settings, strategies as st
 
-from repro.acme import ArchSystem, parse_acme, unparse_system
+from repro.acme import ArchSystem, unparse_system
 from repro.repair import ModelTransaction
 
 _names = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=6)
@@ -54,14 +57,18 @@ def base_systems(draw):
     return system
 
 
+EDITS = ["set_prop", "add_comp", "remove_comp", "detach", "add_conn"]
+#: a port or role added inside a transaction is not undone by abort, so
+#: only the text properties draw these
+SLOT_EDITS = EDITS + ["add_port", "add_role"]
+
+
 @st.composite
-def edit_scripts(draw):
+def edit_scripts(draw, kinds=EDITS):
     """A list of abstract edit operations applied inside the transaction."""
     ops = []
     for _ in range(draw(st.integers(min_value=1, max_value=10))):
-        kind = draw(st.sampled_from(
-            ["set_prop", "add_comp", "remove_comp", "detach", "add_conn"]
-        ))
+        kind = draw(st.sampled_from(kinds))
         ops.append((kind, draw(st.integers(min_value=0, max_value=10))))
     return ops
 
@@ -87,6 +94,15 @@ def apply_edits(system: ArchSystem, ops) -> None:
             if not system.has_connector(name) and not system.has_component(name):
                 conn = system.new_connector(name, ["EdgeT"])
                 conn.add_role("r0")
+        elif kind in ("add_port", "add_role"):
+            owners = comps if kind == "add_port" else system.connectors
+            if owners:
+                owner = owners[arg % len(owners)]
+                slot = f"s{arg}"
+                if kind == "add_port" and not owner.has_port(slot):
+                    owner.add_port(slot)
+                elif kind == "add_role" and not owner.has_role(slot):
+                    owner.add_role(slot)
 
 
 @settings(max_examples=80, deadline=None)
@@ -113,20 +129,60 @@ def test_savepoint_rollback_keeps_prefix(system, prefix_ops, suffix_ops):
     assert snapshot(system) == mid
 
 
-@settings(max_examples=60, deadline=None)
-@given(base_systems())
-def test_unparse_parse_round_trip(system):
-    text = unparse_system(system)
-    reparsed = parse_acme(text).system("S")
-    assert snapshot(reparsed) == snapshot(system)
+def states_tell_apart(states):
+    """For every pair of (snapshot, text) states: equal text iff equal
+    snapshot."""
+    for i, (snap_a, text_a) in enumerate(states):
+        for snap_b, text_b in states[i + 1:]:
+            assert (snap_a == snap_b) == (text_a == text_b), (text_a, text_b)
+
+
+@settings(max_examples=120, deadline=None)
+@given(base_systems(), edit_scripts(SLOT_EDITS))
+def test_text_differs_where_snapshot_differs(system, ops):
+    """Every state an edit script passes through, compared pairwise."""
+    states = [(snapshot(system), unparse_system(system))]
+    for op in ops:
+        apply_edits(system, [op])
+        states.append((snapshot(system), unparse_system(system)))
+    states_tell_apart(states)
 
 
 @settings(max_examples=60, deadline=None)
-@given(base_systems(), edit_scripts())
-def test_committed_edits_round_trip(system, ops):
-    txn = ModelTransaction(system).begin()
-    apply_edits(system, ops)
-    txn.commit()
-    text = unparse_system(system)
-    reparsed = parse_acme(text).system("S")
-    assert snapshot(reparsed) == snapshot(system)
+@given(
+    base_systems(), edit_scripts(SLOT_EDITS), base_systems(), edit_scripts(SLOT_EDITS)
+)
+def test_text_differs_between_systems(first, first_ops, second, second_ops):
+    """Two independently generated and edited systems, committed edits."""
+    states = []
+    for system, ops in ((first, first_ops), (second, second_ops)):
+        txn = ModelTransaction(system).begin()
+        apply_edits(system, ops)
+        txn.commit()
+        states.append((snapshot(system), unparse_system(system)))
+    states_tell_apart(states)
+
+
+def test_text_differs_in_types_alone():
+    """No edit changes a type, so the properties above never see two
+    states apart only there: a component, port, connector or role type
+    changed alone still changes the text."""
+
+    def build(comp_t="NodeT", port_t=(), conn_t="EdgeT", role_t=()):
+        system = ArchSystem("S")
+        comp = system.new_component("c0", [comp_t])
+        comp.add_port("p", port_t)
+        conn = system.new_connector("k0", [conn_t])
+        conn.add_role("r0", role_t)
+        system.attach(comp.port("p"), conn.role("r0"))
+        return system
+
+    variants = [
+        {},
+        {"comp_t": "HubT"},
+        {"port_t": ["InT"]},
+        {"conn_t": "LinkT"},
+        {"role_t": ["SinkT"]},
+    ]
+    texts = {unparse_system(build(**variant)) for variant in variants}
+    assert len(texts) == len(variants)

@@ -132,9 +132,10 @@ class TestRunResultStats:
         result = api.run(api.make_config("pipeline", fast=True))
         stats = result.stats
         assert isinstance(stats, RuntimeStats)
-        # the legacy per-section dict views stay consistent with it
-        assert result.bus_stats == dict(stats.bus)
-        assert result.constraint_stats == dict(stats.constraints)
+        # the summary's counter sections are read from the snapshot
+        counters = result.summary()["counters"]
+        assert counters["bus"] == dict(stats.bus)
+        assert counters["constraints"] == dict(stats.constraints)
         assert RuntimeStats.from_dict(json.loads(stats.to_json())) == stats
 
     def test_control_run_has_no_snapshot(self):
@@ -142,6 +143,7 @@ class TestRunResultStats:
             api.make_config("pipeline", adaptation=False, fast=True)
         )
         assert result.stats is None
+        assert result.summary()["counters"]["bus"] == {}
 
     def test_fault_plane_section_flows_through(self):
         result = api.run(api.make_config("grid_site", fast=True))

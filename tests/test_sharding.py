@@ -150,7 +150,7 @@ class TestPartition:
             model.connector("route_T1").role("tenant"),
         )
 
-    def test_partition_copies_properties_and_invariants(self):
+    def test_partition_keeps_properties_and_family(self):
         source = tenancy_model()
         model = ShardedArchSystem.partition(
             source, 3, resolve_shard_key("numeric_suffix")
@@ -162,7 +162,6 @@ class TestPartition:
             assert pool.declares_type("TenantPoolT")
         assert model.component("gateway").get_property("tenants") == 4
         for part in model.shards:
-            assert part.invariant_sources == source.invariant_sources
             assert part.family == source.family
 
     def test_partition_moves_elements(self):

@@ -2,7 +2,7 @@
 
 Covers the :class:`ThresholdGate` state machine — crossing, staying
 crossed, un-crossing, and the hysteresis band that stops
-boundary-hugging values from flapping — plus the ``telemetry_stats()``
+boundary-hugging values from flapping — plus the ``telemetry``
 counter contract and the gate's integration with the generic
 :class:`PropertyUpdater` (suppressed reports still update the model;
 they just don't wake the architecture manager).  Every runtime has a
@@ -196,4 +196,4 @@ class TestTheRuntimeGate:
             "wakeups": applied,
             "suppressed_reports": 0,
         }
-        assert result.telemetry_stats["wakeups"] == applied
+        assert result.stats.telemetry["wakeups"] == applied

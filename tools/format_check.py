@@ -47,6 +47,9 @@ RATCHETED = [
     "src/repro/acme/properties.py",
     "src/repro/acme/sharding.py",
     "src/repro/acme/system.py",
+    "src/repro/acme/__init__.py",
+    "src/repro/acme/family.py",
+    "src/repro/acme/unparser.py",
     "src/repro/repair/footprint.py",
     "src/repro/repair/history.py",
     "src/repro/repair/resilience.py",
@@ -56,6 +59,10 @@ RATCHETED = [
     "src/repro/runtime/stats.py",
     "src/repro/styles/map_reduce.py",
     "src/repro/styles/grid_site.py",
+    "src/repro/styles/client_server.py",
+    "src/repro/styles/master_worker.py",
+    "src/repro/styles/multi_tenant.py",
+    "src/repro/styles/pipeline.py",
     "src/repro/app/async_pool_app.py",
     "src/repro/app/map_reduce_app.py",
     "src/repro/app/grid_site_app.py",
@@ -189,15 +196,16 @@ def check_file(path: Path) -> list:
                     expecting_elem[depth] = True
                 last_real[depth] = tok
 
-    significant = [
-        t
-        for t in tokens
-        if t.type
-        not in (tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT)
-    ]
+    # the token before each token of its statement; the first token of a
+    # statement has none (a NEWLINE/INDENT/DEDENT is a statement boundary)
     prev_of = {}
-    for i, t in enumerate(significant[1:], start=1):
-        prev_of[(t.start, t.string)] = significant[i - 1]
+    prev = None
+    for t in tokens:
+        if t.type in (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT):
+            prev = None
+        elif t.type not in (tokenize.NL, tokenize.COMMENT):
+            prev_of[(t.start, t.string)] = prev
+            prev = t
 
     for open_tok, close_tok, starts, magic in groups:
         if open_tok.start[0] == close_tok.start[0]:
