@@ -136,8 +136,9 @@ def test_x5_concurrent_repairs(artifact):
         for mode, result in scenario_results.items()
     }
     scenario_speedup = scenario["serial"] / scenario["disjoint"]
-    peak_inflight = scenario_results["disjoint"].peak_inflight
-    conflicts = scenario_results["disjoint"].conflicts
+    disjoint_repairs = scenario_results["disjoint"].stats.repairs
+    peak_inflight = disjoint_repairs["peak_inflight"]
+    conflicts = disjoint_repairs["conflicts"]
 
     rows = [
         [

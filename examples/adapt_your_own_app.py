@@ -3,22 +3,23 @@
 
 The control plane (buses, gauges, constraint checking, repair dispatch,
 translation scheduling) is application-independent; to adapt a new
-application you write four small pieces:
+application you write two small pieces and one class:
 
-1. a style family + architectural model for its configuration;
-2. a repair DSL (invariant + strategy + tactic) and one style operator;
-3. an intent table (op -> cost, runtime operation) and a
-   ``ManagedApplication`` adapter (model snapshot + the one executor);
-4. an ``AdaptationSpec`` naming the thresholds and a monitoring table.
+1. a repair DSL (invariant + strategy + tactic) and one style operator;
+2. an intent table (op -> cost, runtime operation);
+3. one ``ScenarioExperiment`` subclass, registered with a typed frozen
+   params block.  The experiment *is* the ``ManagedApplication`` its
+   runtime adapts: it builds the app, snapshots it as a style family's
+   model, wraps the intent table in the one executor, names the
+   thresholds and a monitoring table in an ``AdaptationSpec``, and lists
+   the ground truth to sample.
 
-Step 5 then plugs the whole thing into the scenario-neutral experiment
-API: a typed frozen params block + ``register_scenario`` on a
-``ScenarioExperiment`` subclass make the app drivable through
+``register_scenario`` makes the app drivable through
 ``repro.api.run(RunConfig(...))``, the shared result cache, and the
 ``python -m repro`` CLI — exactly how the built-in scenarios are
 registered.  The shared skeleton owns the simulator, the "build a
-runtime iff adaptation" rule, the run order, result assembly and
-``runtime.stop()``; you supply hooks.
+runtime iff adaptation" rule, the run order, the sampling loop, result
+assembly and ``runtime.stop()``; you supply hooks.
 
 Everything here is self-contained: a toy job queue whose worker pool is
 grown whenever its depth gauge crosses the threshold.
@@ -33,19 +34,13 @@ from repro.acme.family import Family
 from repro.acme.system import ArchSystem
 from repro.errors import TacticFailure
 from repro.experiment import (
-    PeriodicSampler,
     RunConfig,
     ScenarioExperiment,
     ScenarioParams,
     register_scenario,
 )
 from repro.monitoring.gauges import WindowedMeanGauge
-from repro.runtime import (
-    AdaptationRuntime,
-    AdaptationSpec,
-    ManagedApplication,
-    monitoring_table,
-)
+from repro.runtime import AdaptationRuntime, AdaptationSpec, monitoring_table
 from repro.sim import Process
 from repro.translation import IntentRow, IntentTranslator
 
@@ -62,7 +57,7 @@ class JobQueueApp:
         self.workers = workers
         self.service_time = service_time
         self.arrival_interval = arrival_interval
-        self.depth = 0          # waiting jobs
+        self.depth = 0  # waiting jobs
         self.busy = 0
         self.completed = 0
         Process(sim, self._arrivals(), name="jobs")
@@ -84,13 +79,13 @@ class JobQueueApp:
         self.completed += 1
         self._pump()
 
-    def grow(self, workers: int) -> None:   # the one runtime change operator
+    def grow(self, workers: int) -> None:  # the one runtime change operator
         self.workers = workers
         self._pump()
 
 
 # ---------------------------------------------------------------------------
-# 1. Style: family, model; 2. repair DSL + operator
+# 1. Repair DSL + style operator
 # ---------------------------------------------------------------------------
 
 QUEUE_DSL = """
@@ -127,13 +122,11 @@ def queue_operators(worker_cap=8):
 
 
 # ---------------------------------------------------------------------------
-# 3. The ManagedApplication adapter
+# 2. The intent table: op -> (seconds charged first, runtime operation)
 # ---------------------------------------------------------------------------
 
 
 def queue_intents(app: JobQueueApp):
-    """The intent table: op -> (seconds charged first, runtime operation)."""
-
     def grow(intent):
         app.grow(intent.args["workers"])
         return [intent.args["pool"]]  # whose gauges go blind while redeploying
@@ -141,12 +134,39 @@ def queue_intents(app: JobQueueApp):
     return {"addWorker": IntentRow(3.0, grow)}  # 3 s to provision a worker
 
 
-class ManagedJobQueue(ManagedApplication):
-    name = "job-queue"
+# ---------------------------------------------------------------------------
+# 3. One scenario class: typed params + the experiment, which is also the
+#    ManagedApplication its runtime adapts
+# ---------------------------------------------------------------------------
 
-    def __init__(self, app: JobQueueApp, params: "JobQueueParams"):
-        self.app = app
-        self.params = params
+
+@dataclass(frozen=True)
+class JobQueueParams(ScenarioParams):
+    """The job queue's typed knob block (frozen -> cacheable)."""
+
+    workers: int = 2
+    service_time: float = 1.0
+    arrival_interval: float = 0.25
+    max_depth: float = 10.0
+    worker_cap: int = 8
+
+
+@register_scenario(
+    "job_queue",
+    params=JobQueueParams,
+    description="toy job queue (examples/adapt_your_own_app.py)",
+)
+class JobQueueExperiment(ScenarioExperiment):
+    """One wired job-queue run: the app, its model, executor, spec, truth."""
+
+    def setup(self) -> None:
+        params = self.params
+        self.app = JobQueueApp(
+            self.sim,
+            workers=params.workers,
+            service_time=params.service_time,
+            arrival_interval=params.arrival_interval,
+        )
 
     def architecture(self) -> ArchSystem:
         fam = Family("QueueFam")
@@ -164,85 +184,43 @@ class ManagedJobQueue(ManagedApplication):
     def intent_executor(self, runtime: AdaptationRuntime) -> IntentTranslator:
         # one replay loop for every table; gauges go blind for 2 s
         return IntentTranslator(
-            runtime.sim, queue_intents(self.app), runtime.trace,
-            gauge_manager=runtime.gauge_manager, redeploy_window=2.0,
+            runtime.sim,
+            queue_intents(self.app),
+            runtime.trace,
+            gauge_manager=runtime.gauge_manager,
+            redeploy_window=2.0,
         )
-
-
-# ---------------------------------------------------------------------------
-# 4. The spec (thresholds + a monitoring table), built per run
-# ---------------------------------------------------------------------------
-
-
-def queue_spec(app: JobQueueApp, params: "JobQueueParams") -> AdaptationSpec:
-    return AdaptationSpec(
-        style="QueueFam",
-        dsl_source=QUEUE_DSL,
-        invariant_scopes={"q": "WorkerPoolT"},
-        bindings={"maxDepth": params.max_depth},
-        operators=lambda rt: queue_operators(worker_cap=params.worker_cap),
-        # per target, (kind, read, gauge, gauge args): the pool's depth,
-        # sampled every 0.5 s, averaged over 5 s, reported every 1 s
-        instruments=monitoring_table(
-            ["pool"],
-            [("backlog", lambda _: app.depth, WindowedMeanGauge,
-              {"period": 1.0, "horizon": 5.0})],
-            period=0.5,
-        ),
-        gauge_property_map={"backlog": "depth"},
-        gauge_create_delay=1.0,
-        settle_time=4.0,
-    )
-
-
-# ---------------------------------------------------------------------------
-# 5. Register it as a scenario: typed params + builder -> repro.api
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class JobQueueParams(ScenarioParams):
-    """The job queue's typed knob block (frozen -> cacheable)."""
-
-    workers: int = 2
-    service_time: float = 1.0
-    arrival_interval: float = 0.25
-    max_depth: float = 10.0
-    worker_cap: int = 8
-
-
-class DepthSampler(PeriodicSampler):
-    """Ground truth the adaptation loop never sees: the real queue depth."""
-
-    def series_table(self):
-        return [("depth", "jobs")]
-
-    def sample(self) -> None:
-        self.record("depth", float(self.experiment.app.depth))
-
-
-@register_scenario(
-    "job_queue", params=JobQueueParams,
-    description="toy job queue (examples/adapt_your_own_app.py)",
-)
-class JobQueueExperiment(ScenarioExperiment):
-    """One wired job-queue run: four hooks over the shared skeleton."""
-
-    SAMPLER = DepthSampler
-
-    def setup(self) -> None:
-        params = self.params
-        self.app = JobQueueApp(
-            self.sim, workers=params.workers,
-            service_time=params.service_time,
-            arrival_interval=params.arrival_interval,
-        )
-
-    def managed_application(self) -> ManagedJobQueue:
-        return ManagedJobQueue(self.app, self.params)
 
     def _adaptation_spec(self) -> AdaptationSpec:
-        return queue_spec(self.app, self.params)
+        app, params = self.app, self.params
+        return AdaptationSpec(
+            style="QueueFam",
+            dsl_source=QUEUE_DSL,
+            invariant_scopes={"q": "WorkerPoolT"},
+            bindings={"maxDepth": params.max_depth},
+            operators=lambda rt: queue_operators(worker_cap=params.worker_cap),
+            # per target, (kind, read, gauge, gauge args): the pool's depth,
+            # sampled every 0.5 s, averaged over 5 s, reported every 1 s
+            instruments=monitoring_table(
+                ["pool"],
+                [
+                    (
+                        "backlog",
+                        lambda _: app.depth,
+                        WindowedMeanGauge,
+                        {"period": 1.0, "horizon": 5.0},
+                    )
+                ],
+                period=0.5,
+            ),
+            gauge_property_map={"backlog": "depth"},
+            gauge_create_delay=1.0,
+            settle_time=4.0,
+        )
+
+    def series(self):
+        # ground truth the adaptation loop never sees: the real queue depth
+        return [("depth", "jobs", lambda: self.app.depth)]
 
     def outcome(self, stats):
         app = self.app
@@ -253,7 +231,7 @@ class JobQueueExperiment(ScenarioExperiment):
 
 
 def main() -> None:
-    # Step 6: validate before running.  `repro lint` builds the control
+    # Step 4: validate before running.  `repro lint` builds the control
     # plane without executing a single event and checks everything the
     # spec wires — DSL semantics, static footprints, probe/gauge/effector
     # wiring.  A typo'd subject or an intent the executor can't replay
@@ -270,18 +248,24 @@ def main() -> None:
     # 2 workers at 1 s/job drain 2 jobs/s; arrivals come at 4 jobs/s.
     result = api.run(RunConfig.adapted("job_queue", horizon=120.0))
     app_workers = result.config.params.workers
-    print(f"workers: {app_workers} -> grown by "
-          f"{len(result.history.committed)} repairs")
-    print(f"completed jobs: {result.completed}, "
-          f"final depth: {result.s('depth').values[-1]:.0f}")
+    print(
+        f"workers: {app_workers} -> grown by "
+        f"{len(result.history.committed)} repairs"
+    )
+    print(
+        f"completed jobs: {result.completed}, "
+        f"final depth: {result.s('depth').values[-1]:.0f}"
+    )
     for record in result.history.committed:
         intents = ", ".join(str(i) for i in record.intents)
         print(f"  t={record.started:6.1f}s {record.strategy}: {intents}")
 
     # ...and the control comparison comes free from the shared front door:
     control = api.run(RunConfig.control("job_queue", horizon=120.0))
-    print(f"without adaptation the queue ends {control.s('depth').values[-1]:.0f} "
-          f"jobs deep (adapted: {result.s('depth').values[-1]:.0f})")
+    print(
+        f"without adaptation the queue ends {control.s('depth').values[-1]:.0f} "
+        f"jobs deep (adapted: {result.s('depth').values[-1]:.0f})"
+    )
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ the system inventory.  Subpackages:
   models, the constraint language, and the client/server style;
 * ``repro.monitoring`` — probes and gauges;
 * ``repro.repair`` — strategies, tactics, the Figure 5 DSL, the engine;
-* ``repro.translation`` / ``repro.task`` — model/runtime bridge, profiles;
+* ``repro.translation`` — the model/runtime bridge;
 * ``repro.runtime`` — the reusable adaptation control plane
   (AdaptationRuntime built from a declarative AdaptationSpec around a
   ManagedApplication);
@@ -54,7 +54,6 @@ from repro.styles import (
     build_client_server_model,
     style_operators,
 )
-from repro.task import PerformanceProfile, TaskManager
 from repro.translation import TranslationCosts, Translator
 from repro import api
 
@@ -93,8 +92,6 @@ __all__ = [
     "PropertyUpdater",
     "Translator",
     "TranslationCosts",
-    "PerformanceProfile",
-    "TaskManager",
     # adaptation control plane
     "AdaptationRuntime",
     "AdaptationSpec",

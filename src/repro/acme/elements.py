@@ -37,6 +37,20 @@ def _check_name(name: str) -> str:
 _TYPE_SETS: Dict[FrozenSet[str], FrozenSet[str]] = {}
 
 
+def _slot_edited(system: "ArchSystem", what: str, table, name, element) -> None:
+    """Report one port or role edit with its undo, which puts ``element``
+    back under ``name`` in ``table`` (``None``: takes ``name`` out)."""
+
+    def undo() -> None:
+        if element is None:
+            table.pop(name, None)
+        else:
+            table[name] = element
+        system._touch_structure()
+
+    system._mutated(what, undo)
+
+
 class Element(PropertyBag):
     """Base: a named, typed, property-carrying model object.
 
@@ -156,6 +170,9 @@ class Component(Element):
         if self.system is not None:
             self.system._adopt(port)  # late port: owned from now on
             self.system._touch_structure()
+            if self.system._mutation_listeners:
+                what = f"add port {port.qualified_name}"
+                _slot_edited(self.system, what, self._ports, name, None)
         return port
 
     def remove_port(self, name: str) -> Port:
@@ -164,6 +181,9 @@ class Component(Element):
         port = self._ports.pop(name)
         if self.system is not None:
             self.system._touch_structure()
+            if self.system._mutation_listeners:
+                what = f"remove port {port.qualified_name}"
+                _slot_edited(self.system, what, self._ports, name, port)
         return port
 
     def port(self, name: str) -> Port:
@@ -200,6 +220,9 @@ class Connector(Element):
         if self.system is not None:
             self.system._adopt(role)  # late role: owned from now on
             self.system._touch_structure()
+            if self.system._mutation_listeners:
+                what = f"add role {role.qualified_name}"
+                _slot_edited(self.system, what, self._roles, name, None)
         return role
 
     def remove_role(self, name: str) -> Role:
@@ -208,6 +231,9 @@ class Connector(Element):
         role = self._roles.pop(name)
         if self.system is not None:
             self.system._touch_structure()
+            if self.system._mutation_listeners:
+                what = f"remove role {role.qualified_name}"
+                _slot_edited(self.system, what, self._roles, name, role)
         return role
 
     def role(self, name: str) -> Role:

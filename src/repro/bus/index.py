@@ -43,9 +43,9 @@ class _Node:
 
     def __init__(self) -> None:
         self.children: Dict[str, _Node] = {}
-        self.star: Optional[_Node] = None       # "*" branch
-        self.terminal: Dict[str, object] = {}   # sid -> sub; patterns ending here
-        self.tail: Dict[str, object] = {}       # sid -> sub; ">" patterns
+        self.star: Optional[_Node] = None  # "*" branch
+        self.terminal: Dict[str, object] = {}  # sid -> sub; patterns ending here
+        self.tail: Dict[str, object] = {}  # sid -> sub; ">" patterns
 
     def is_empty(self) -> bool:
         return not (self.children or self.star or self.terminal or self.tail)

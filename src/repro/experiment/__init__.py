@@ -10,8 +10,10 @@
 * :mod:`repro.experiment.result` — the scenario-neutral
   :class:`RunResult` and its per-scenario subclasses;
 * :mod:`repro.experiment.base` — the one scenario skeleton
-  (:class:`ScenarioExperiment`, :class:`PeriodicSampler`) every scenario
-  below is a small set of hooks and an intent table over;
+  (:class:`ScenarioExperiment`, itself the
+  :class:`~repro.runtime.ManagedApplication` its runtime adapts): every
+  scenario below is one subclass, a small set of hooks over an intent
+  table and a ground-truth table;
 * :mod:`repro.experiment.scenarios` — the scenario registry (the
   built-ins plus user-registered builders with their params types);
 * :mod:`repro.experiment.runner` — the paper's ``client_server``
@@ -28,8 +30,7 @@
   partitions, steal work), the monitoring fan-in / batched-probe showcase;
 * :mod:`repro.experiment.grid_site_scenario` — failing grid sites under
   the fault plane, the resilient-repair showcase;
-* :mod:`repro.experiment.metrics` — the client/server sampler and the §5
-  scalar claims;
+* :mod:`repro.experiment.metrics` — the §5 scalar claims;
 * :mod:`repro.experiment.reporting` — text rendering of each figure.
 """
 
@@ -47,7 +48,7 @@ from repro.experiment.result import (
     RunResult,
 )
 from repro.experiment.series import TimeSeries
-from repro.experiment.base import PeriodicSampler, ScenarioExperiment
+from repro.experiment.base import ScenarioExperiment
 from repro.experiment.runner import (
     Experiment,
     clear_cache,
@@ -75,7 +76,7 @@ from repro.experiment.multi_tenant_scenario import (
     MultiTenantParams,
     MultiTenantResult,
 )
-from repro.experiment.metrics import MetricsSampler, ClaimReport, extract_claims
+from repro.experiment.metrics import ClaimReport, extract_claims
 from repro.experiment import reporting
 
 __all__ = [
@@ -97,7 +98,6 @@ __all__ = [
     "MultiTenantResult",
     "TimeSeries",
     "ScenarioExperiment",
-    "PeriodicSampler",
     "Experiment",
     "PipelineExperiment",
     "MasterWorkerExperiment",
@@ -113,7 +113,6 @@ __all__ = [
     "scenario_entry",
     "scenario_entries",
     "scenario_names",
-    "MetricsSampler",
     "ClaimReport",
     "extract_claims",
     "reporting",

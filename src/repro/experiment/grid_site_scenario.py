@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.app.grid_site_app import GridSiteApplication
 from repro.bus.bus import FixedDelay
-from repro.experiment.base import PeriodicSampler, ScenarioExperiment
+from repro.experiment.base import ScenarioExperiment
 from repro.experiment.config import RunConfig
 from repro.experiment.params import ScenarioParams
 from repro.experiment.result import RunResult
@@ -46,7 +46,7 @@ from repro.faults import (
 from repro.experiment.workload import Arrivals
 from repro.monitoring.gauges import LatestValueGauge
 from repro.repair.resilience import BreakerPolicy, QuarantinePolicy, RetryPolicy
-from repro.runtime import AdaptationRuntime, AdaptationSpec, ManagedApplication
+from repro.runtime import AdaptationRuntime, AdaptationSpec
 from repro.runtime.spec import monitoring_table
 from repro.util.windows import StepFunction
 from repro.styles.grid_site import (
@@ -61,7 +61,6 @@ __all__ = [
     "GridSiteParams",
     "GridSiteResult",
     "GridSiteExperiment",
-    "GridSiteManagedApplication",
     "grid_site_intents",
 ]
 
@@ -94,9 +93,9 @@ class GridSiteParams(ScenarioParams):
     effector_fail_prob: float = 0.2
     effector_noop_prob: float = 0.1
     effector_hang_prob: float = 0.05
-    probe_dropout_mtbd: float = 0.0   # 0 = no probe dropout windows
+    probe_dropout_mtbd: float = 0.0  # 0 = no probe dropout windows
     probe_dropout_mean: float = 20.0
-    bus_drop_prob: float = 0.0        # per-delivery probe/gauge drop
+    bus_drop_prob: float = 0.0  # per-delivery probe/gauge drop
 
     # monitoring
     probe_period: float = 1.0
@@ -116,7 +115,7 @@ class GridSiteParams(ScenarioParams):
     breaker_reset: float = 60.0
     quarantine_after: int = 4
     quarantine_period: float = 90.0
-    history_capacity: int = 0         # 0 = unbounded
+    history_capacity: int = 0  # 0 = unbounded
 
     # repair machinery
     settle_time: float = 5.0
@@ -263,57 +262,6 @@ def grid_site_intents(
     }
 
 
-class GridSiteManagedApplication(ManagedApplication):
-    """The failing grid wrapped for the adaptation runtime."""
-
-    name = "grid-site-service"
-
-    def __init__(self, app: GridSiteApplication, params: GridSiteParams):
-        self.app = app
-        self.params = params
-
-    def architecture(self):
-        return build_grid_site_model(
-            "GridModel",
-            sites=self.params.site_specs(),
-            family=build_grid_site_family(),
-        )
-
-    def intent_executor(self, runtime: AdaptationRuntime) -> IntentTranslator:
-        return IntentTranslator(
-            runtime.sim, grid_site_intents(self.app, self.params), runtime.trace
-        )
-
-    def bind_faults(self, plane: FaultPlane) -> None:
-        for name in self.app.sites:
-            plane.bind_component(
-                name,
-                on_fail=partial(self.app.fail, name),
-                on_recover=partial(self.app.recover, name),
-            )
-
-
-class GridSiteMetricsSampler(PeriodicSampler):
-    """Ground-truth sampling: throughput, backlog, site states."""
-
-    def series_table(self):
-        yield "completed.total", "tasks"
-        yield "backlog.total", "tasks"
-        yield "sites.down", "sites"
-        yield "sites.drained", "sites"
-        for name in self.experiment.app.sites:
-            yield f"queue.{name}", "tasks"
-
-    def sample(self) -> None:
-        app = self.experiment.app
-        self.record("completed.total", float(app.completed))
-        self.record("backlog.total", float(app.backlog()))
-        self.record("sites.down", float(app.sites_down()))
-        self.record("sites.drained", float(app.sites_drained()))
-        for name in app.sites:
-            self.record(f"queue.{name}", float(app.queue_length(name)))
-
-
 @register_scenario(
     "grid_site",
     params=GridSiteParams,
@@ -330,7 +278,6 @@ class GridSiteExperiment(ScenarioExperiment):
     """
 
     RESULT = GridSiteResult
-    SAMPLER = GridSiteMetricsSampler
     params: GridSiteParams
 
     def setup(self) -> None:
@@ -352,8 +299,35 @@ class GridSiteExperiment(ScenarioExperiment):
             )
         )
 
-    def managed_application(self) -> GridSiteManagedApplication:
-        return GridSiteManagedApplication(self.app, self.params)
+    def architecture(self):
+        return build_grid_site_model(
+            "GridModel",
+            sites=self.params.site_specs(),
+            family=build_grid_site_family(),
+        )
+
+    def intent_executor(self, runtime: AdaptationRuntime) -> IntentTranslator:
+        return IntentTranslator(
+            runtime.sim, grid_site_intents(self.app, self.params), runtime.trace
+        )
+
+    def bind_faults(self, plane: FaultPlane) -> None:
+        for name in self.app.sites:
+            plane.bind_component(
+                name,
+                on_fail=partial(self.app.fail, name),
+                on_recover=partial(self.app.recover, name),
+            )
+
+    def series(self):
+        """Ground truth: throughput, backlog, site states."""
+        app = self.app
+        yield "completed.total", "tasks", lambda: app.completed
+        yield "backlog.total", "tasks", app.backlog
+        yield "sites.down", "sites", app.sites_down
+        yield "sites.drained", "sites", app.sites_drained
+        for name in app.sites:
+            yield f"queue.{name}", "tasks", partial(app.queue_length, name)
 
     def _build_runtime(self) -> Optional[AdaptationRuntime]:
         runtime = super()._build_runtime()
@@ -362,7 +336,7 @@ class GridSiteExperiment(ScenarioExperiment):
             self.control_plane = FaultPlane(
                 self.sim, self._fault_spec(outages_only=True), trace=self.trace
             )
-            self.managed_application().bind_faults(self.control_plane)
+            self.bind_faults(self.control_plane)
         return runtime
 
     def start_extras(self) -> None:

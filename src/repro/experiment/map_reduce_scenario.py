@@ -34,11 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict
 
 from repro.app.map_reduce_app import MapReduceApplication
 from repro.bus.bus import FixedDelay
-from repro.experiment.base import PeriodicSampler, ScenarioExperiment
+from repro.experiment.base import ScenarioExperiment
 from repro.experiment.config import RunConfig
 from repro.experiment.params import ScenarioParams
 from repro.experiment.result import RunResult
@@ -46,7 +47,7 @@ from repro.experiment.scenarios import register_scenario
 from repro.experiment.workload import Arrivals, burst
 from repro.monitoring.gauges import LatestValueGauge, WindowedMeanGauge
 from repro.monitoring.manager import WakeThreshold
-from repro.runtime import AdaptationRuntime, AdaptationSpec, ManagedApplication
+from repro.runtime import AdaptationRuntime, AdaptationSpec
 from repro.runtime.spec import monitoring_table
 from repro.styles.map_reduce import (
     MAP_REDUCE_DSL,
@@ -60,7 +61,6 @@ __all__ = [
     "MapReduceParams",
     "MapReduceResult",
     "MapReduceExperiment",
-    "MapReduceManagedApplication",
     "map_reduce_intents",
 ]
 
@@ -70,22 +70,22 @@ class MapReduceParams(ScenarioParams):
     """The shuffle-skew scenario's typed knob block."""
 
     # job shape
-    mappers: int = 2          # mapper pool width
-    reducers: int = 8         # shuffle partitions (R0..R{n-1})
-    keys: int = 32            # key-groups, round-robin assigned initially
-    zipf_s: float = 1.1       # key-distribution exponent (heavier = hotter)
+    mappers: int = 2  # mapper pool width
+    reducers: int = 8  # shuffle partitions (R0..R{n-1})
+    keys: int = 32  # key-groups, round-robin assigned initially
+    zipf_s: float = 1.1  # key-distribution exponent (heavier = hotter)
 
     # record service model
-    map_service: float = 0.05     # s per record in a mapper (exponential)
-    reduce_service: float = 0.8   # s per record in a reducer (exponential)
-    reducer_width: int = 2        # workers per reducer partition
+    map_service: float = 0.05  # s per record in a mapper (exponential)
+    reduce_service: float = 0.8  # s per record in a reducer (exponential)
+    reducer_width: int = 2  # workers per reducer partition
 
     # workload: Poisson record stream bursting mid-run
-    baseline_rate: float = 4.0   # records/s (hot partition stays afloat)
-    burst_rate: float = 12.0     # records/s (hot partition saturates)
+    baseline_rate: float = 4.0  # records/s (hot partition stays afloat)
+    burst_rate: float = 12.0  # records/s (hot partition saturates)
 
     # thresholds
-    max_share: float = 0.25    # skewedShuffle bound on the backlog share
+    max_share: float = 0.25  # skewedShuffle bound on the backlog share
     low_backlog: float = 10.0  # skew below this backlog is not actionable
 
     # monitoring
@@ -97,8 +97,8 @@ class MapReduceParams(ScenarioParams):
     wake_band: float = 0.1  # band, as a fraction of each threshold
 
     # translation costs
-    split_cost: float = 3.0       # s to re-partition the keyspace
-    steal_cost: float = 2.0       # s to migrate half a queue
+    split_cost: float = 3.0  # s to re-partition the keyspace
+    steal_cost: float = 2.0  # s to migrate half a queue
     redeploy_window: float = 10.0  # gauge blindness after a split
 
     # repair machinery
@@ -192,55 +192,6 @@ def map_reduce_intents(
     }
 
 
-class MapReduceManagedApplication(ManagedApplication):
-    """The map/reduce job wrapped for the adaptation runtime."""
-
-    name = "map-reduce-job"
-
-    def __init__(self, app: MapReduceApplication, params: MapReduceParams):
-        self.app = app
-        self.params = params
-
-    def architecture(self):
-        reducers = self.app.reducer_names
-        return build_map_reduce_model(
-            "ShuffleModel",
-            reducers=reducers,
-            keys_per_reducer=[self.app.key_count(r) for r in reducers],
-            family=build_map_reduce_family(),
-        )
-
-    def intent_executor(self, runtime: AdaptationRuntime) -> IntentTranslator:
-        return IntentTranslator(
-            runtime.sim,
-            map_reduce_intents(self.app, self.params),
-            runtime.trace,
-            runtime.gauge_manager,
-            self.params.redeploy_window,
-        )
-
-
-class MapReduceMetricsSampler(PeriodicSampler):
-    """Ground truth: per-reducer backlog, max share, mapper queue."""
-
-    def series_table(self):
-        yield "mapper.backlog", "records"
-        yield "share.max", ""
-        yield "completed.total", "records"
-        yield "repair.active", ""
-        for reducer in self.experiment.app.reducer_names:
-            yield f"backlog.{reducer}", "records"
-
-    def sample(self) -> None:
-        app = self.experiment.app
-        for reducer in app.reducer_names:
-            self.record(f"backlog.{reducer}", float(app.backlog(reducer)))
-        self.record("mapper.backlog", float(app.mapper_backlog()))
-        self.record("share.max", max(app.share(r) for r in app.reducer_names))
-        self.record("completed.total", float(app.completed))
-        self.record("repair.active", self.repair_active())
-
-
 @register_scenario(
     "map_reduce",
     params=MapReduceParams,
@@ -250,7 +201,6 @@ class MapReduceExperiment(ScenarioExperiment):
     """One wired shuffle-skew run (control or adapted), ready to run."""
 
     RESULT = MapReduceResult
-    SAMPLER = MapReduceMetricsSampler
     params: MapReduceParams
 
     def setup(self) -> None:
@@ -279,8 +229,33 @@ class MapReduceExperiment(ScenarioExperiment):
             )
         )
 
-    def managed_application(self) -> MapReduceManagedApplication:
-        return MapReduceManagedApplication(self.app, self.params)
+    def architecture(self):
+        reducers = self.app.reducer_names
+        return build_map_reduce_model(
+            "ShuffleModel",
+            reducers=reducers,
+            keys_per_reducer=[self.app.key_count(r) for r in reducers],
+            family=build_map_reduce_family(),
+        )
+
+    def intent_executor(self, runtime: AdaptationRuntime) -> IntentTranslator:
+        return IntentTranslator(
+            runtime.sim,
+            map_reduce_intents(self.app, self.params),
+            runtime.trace,
+            runtime.gauge_manager,
+            self.params.redeploy_window,
+        )
+
+    def series(self):
+        """Ground truth: per-reducer backlog, max share, mapper queue."""
+        app = self.app
+        yield "mapper.backlog", "records", app.mapper_backlog
+        yield "share.max", "", lambda: max(map(app.share, app.reducer_names))
+        yield "completed.total", "records", lambda: app.completed
+        yield "repair.active", "", self.repair_active
+        for reducer in app.reducer_names:
+            yield f"backlog.{reducer}", "records", partial(app.backlog, reducer)
 
     def _adaptation_spec(self) -> AdaptationSpec:
         params = self.params

@@ -35,14 +35,14 @@ from typing import Any, Dict
 
 from repro.app.master_worker_app import MasterWorkerApplication
 from repro.bus.bus import FixedDelay
-from repro.experiment.base import PeriodicSampler, ScenarioExperiment
+from repro.experiment.base import ScenarioExperiment
 from repro.experiment.config import RunConfig
 from repro.experiment.params import ScenarioParams
 from repro.experiment.result import RunResult
 from repro.experiment.scenarios import register_scenario
 from repro.experiment.workload import Arrivals, burst
 from repro.monitoring.gauges import EwmaGauge, LatestValueGauge, WindowedMeanGauge
-from repro.runtime import AdaptationRuntime, AdaptationSpec, ManagedApplication
+from repro.runtime import AdaptationRuntime, AdaptationSpec
 from repro.runtime.spec import monitoring_table
 from repro.styles.master_worker import (
     MASTER_WORKER_DSL,
@@ -56,7 +56,6 @@ __all__ = [
     "MasterWorkerParams",
     "MasterWorkerResult",
     "MasterWorkerExperiment",
-    "MasterWorkerManagedApplication",
     "master_worker_intents",
 ]
 
@@ -66,24 +65,24 @@ class MasterWorkerParams(ScenarioParams):
     """The task-farm scenario's typed knob block."""
 
     # pool shape
-    workers: int = 4          # initial (and designed minimum) pool size
+    workers: int = 4  # initial (and designed minimum) pool size
     min_workers: int = 4
-    max_workers: int = 12     # the grow repair's budget
+    max_workers: int = 12  # the grow repair's budget
 
     # task service model
-    service_mean: float = 2.0       # s per task (exponential)
-    straggler_prob: float = 0.02    # fraction of tasks that straggle
+    service_mean: float = 2.0  # s per task (exponential)
+    straggler_prob: float = 0.02  # fraction of tasks that straggle
     straggler_factor: float = 25.0  # demand multiplier for stragglers
 
     # workload: Poisson arrivals bursting above pool capacity mid-run
     baseline_rate: float = 1.0  # tasks/s (capacity: workers/service_mean)
-    burst_rate: float = 4.5     # tasks/s, needs ~9 workers
+    burst_rate: float = 4.5  # tasks/s, needs ~9 workers
 
     # thresholds
-    max_backlog: float = 20.0      # queueBound invariant
-    max_task_age: float = 15.0     # stragglerBound invariant (>> p99 service)
+    max_backlog: float = 20.0  # queueBound invariant
+    max_task_age: float = 15.0  # stragglerBound invariant (>> p99 service)
     min_utilization: float = 0.55  # idlePool invariant
-    low_water: float = 2.0         # never shrink while work still queues
+    low_water: float = 2.0  # never shrink while work still queues
 
     # monitoring
     probe_period: float = 1.0
@@ -92,8 +91,8 @@ class MasterWorkerParams(ScenarioParams):
     utilization_tau: float = 60.0
 
     # translation costs
-    spin_up_cost: float = 6.0      # s to provision one worker
-    redispatch_cost: float = 1.0   # s to move a task to another worker
+    spin_up_cost: float = 6.0  # s to provision one worker
+    redispatch_cost: float = 1.0  # s to move a task to another worker
     redeploy_window: float = 10.0  # gauge blindness after a pool resize
 
     # repair machinery
@@ -166,54 +165,6 @@ def master_worker_intents(
     }
 
 
-class MasterWorkerManagedApplication(ManagedApplication):
-    """The task farm wrapped for the adaptation runtime."""
-
-    name = "master-worker-farm"
-
-    def __init__(self, app: MasterWorkerApplication, params: MasterWorkerParams):
-        self.app = app
-        self.params = params
-
-    def architecture(self):
-        return build_master_worker_model(
-            "FarmModel",
-            pool_size=self.app.pool_size,
-            min_size=self.params.min_workers,
-            family=build_master_worker_family(),
-        )
-
-    def intent_executor(self, runtime: AdaptationRuntime) -> IntentTranslator:
-        return IntentTranslator(
-            runtime.sim,
-            master_worker_intents(self.app, self.params),
-            runtime.trace,
-            runtime.gauge_manager,
-            self.params.redeploy_window,
-        )
-
-
-class MasterWorkerMetricsSampler(PeriodicSampler):
-    """Ground-truth sampling: queue depth, pool size, occupancy, age."""
-
-    def series_table(self):
-        return (
-            ("queue.length", "tasks"),
-            ("pool.size", "workers"),
-            ("pool.utilization", ""),
-            ("oldest.age", "s"),
-            ("repair.active", ""),
-        )
-
-    def sample(self) -> None:
-        app = self.experiment.app
-        self.record("queue.length", float(app.queue_length))
-        self.record("pool.size", float(app.pool_size))
-        self.record("pool.utilization", app.utilization())
-        self.record("oldest.age", app.oldest_age(self.experiment.sim.now))
-        self.record("repair.active", self.repair_active())
-
-
 @register_scenario(
     "master_worker",
     params=MasterWorkerParams,
@@ -223,7 +174,6 @@ class MasterWorkerExperiment(ScenarioExperiment):
     """One wired task-farm run (control or adapted), ready to run."""
 
     RESULT = MasterWorkerResult
-    SAMPLER = MasterWorkerMetricsSampler
     params: MasterWorkerParams
 
     def setup(self) -> None:
@@ -250,8 +200,33 @@ class MasterWorkerExperiment(ScenarioExperiment):
             )
         )
 
-    def managed_application(self) -> MasterWorkerManagedApplication:
-        return MasterWorkerManagedApplication(self.app, self.params)
+    def architecture(self):
+        return build_master_worker_model(
+            "FarmModel",
+            pool_size=self.app.pool_size,
+            min_size=self.params.min_workers,
+            family=build_master_worker_family(),
+        )
+
+    def intent_executor(self, runtime: AdaptationRuntime) -> IntentTranslator:
+        return IntentTranslator(
+            runtime.sim,
+            master_worker_intents(self.app, self.params),
+            runtime.trace,
+            runtime.gauge_manager,
+            self.params.redeploy_window,
+        )
+
+    def series(self):
+        """Ground truth: queue depth, pool size, occupancy, oldest task."""
+        app, sim = self.app, self.sim
+        return (
+            ("queue.length", "tasks", lambda: app.queue_length),
+            ("pool.size", "workers", lambda: app.pool_size),
+            ("pool.utilization", "", app.utilization),
+            ("oldest.age", "s", lambda: app.oldest_age(sim.now)),
+            ("repair.active", "", self.repair_active),
+        )
 
     def _adaptation_spec(self) -> AdaptationSpec:
         params = self.params

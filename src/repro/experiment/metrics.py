@@ -1,10 +1,8 @@
-"""Metric sampling and the paper's §5 scalar claims.
+"""The paper's §5 scalar claims, read off one client/server run.
 
-The sampler is the *experimenter's* out-of-band instrumentation (the
-paper's measurement scripts): it reads ground truth (client windows, queue
-lengths, flow-engine bandwidth) every ``sample_period`` seconds.  The
-adaptation loop never sees these series — it only sees gauge reports with
-their delays and windows.
+The series they read are the experiment's out-of-band ground truth
+(:meth:`repro.experiment.runner.Experiment.series`: client windows, queue
+lengths, flow-engine bandwidth, sampled every ``sample_period`` seconds).
 """
 
 from __future__ import annotations
@@ -12,63 +10,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.experiment.base import PeriodicSampler
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiment.result import ClientServerResult
 
-__all__ = ["MetricsSampler", "ClaimReport", "extract_claims"]
+__all__ = ["BANDWIDTH_CLIENTS", "ClaimReport", "extract_claims"]
 
-
-class MetricsSampler(PeriodicSampler):
-    """Samples the running client/server experiment into named series.
-
-    Series:
-
-    * ``latency.<client>``   — windowed mean latency (Figures 8/11);
-    * ``load.<group>``       — request-queue length (Figures 9/13);
-    * ``bandwidth.<client>`` — predicted bandwidth to the client's current
-      group, worst active member (Figures 10/12; sampled for C3 and C4,
-      the clients the competition targets);
-    * ``replication.<group>`` — active replicas (spare activations);
-    * ``repair.active``      — 1 while a repair is in flight (the interval
-      marks at the top of Figures 11-13).
-    """
-
-    BANDWIDTH_CLIENTS = ("C3", "C4")
-
-    def series_table(self):
-        testbed = self.experiment.testbed
-        for client in testbed.clients:
-            yield f"latency.{client}", "s"
-        for group in testbed.initial_groups:
-            yield f"load.{group}", "requests"
-            yield f"replication.{group}", "servers"
-            yield f"utilization.{group}", ""
-        for client in self.BANDWIDTH_CLIENTS:
-            yield f"bandwidth.{client}", "bps"
-        yield "repair.active", ""
-
-    def sample(self) -> None:
-        app = self.experiment.app
-        now = self.experiment.sim.now
-        for name, client in sorted(app.clients.items()):
-            self.record(f"latency.{name}", client.latency_window.mean(now))
-        for name, group in sorted(app.groups.items()):
-            self.record(f"load.{name}", float(group.load))
-            self.record(f"replication.{name}", float(group.replication))
-            self.record(f"utilization.{name}", group.utilization(now))
-        for client in self.BANDWIDTH_CLIENTS:
-            group = app.rq.assignment_of(client)
-            self.record(
-                f"bandwidth.{client}", app.bandwidth_between(client, group)
-            )
-        self.record("repair.active", self.repair_active())
+#: the clients whose bandwidth is sampled: the ones the competition targets
+BANDWIDTH_CLIENTS = ("C3", "C4")
 
 
 # ---------------------------------------------------------------------------
 # Scalar claims (§5.2 / §5.3)
 # ---------------------------------------------------------------------------
+
 
 @dataclass
 class ClaimReport:
@@ -76,9 +30,9 @@ class ClaimReport:
 
     name: str
     # latency behaviour
-    first_violation: Optional[float] = None       # earliest client crossing 2 s
-    violation_fraction: float = 0.0               # fraction of samples > 2 s
-    final_window_fraction: float = 0.0            # > 2 s within last 5 minutes
+    first_violation: Optional[float] = None  # earliest client crossing 2 s
+    violation_fraction: float = 0.0  # fraction of samples > 2 s
+    final_window_fraction: float = 0.0  # > 2 s within last 5 minutes
     worst_latency: Optional[float] = None
     # load behaviour
     max_load: Optional[float] = None
@@ -105,8 +59,14 @@ class ClaimReport:
             ["fraction > 2 s in final 5 min", round(self.final_window_fraction, 4)],
             ["worst windowed latency (s)", fmt(self.worst_latency)],
             ["max queue length", fmt(self.max_load)],
-            ["load > 6 outside stress (frac)", round(self.load_over_limit_outside_stress, 4)],
-            ["load > 6 inside stress (frac)", round(self.load_over_limit_inside_stress, 4)],
+            [
+                "load > 6 outside stress (frac)",
+                round(self.load_over_limit_outside_stress, 4),
+            ],
+            [
+                "load > 6 inside stress (frac)",
+                round(self.load_over_limit_inside_stress, 4),
+            ],
             ["min observed bandwidth (bps)", fmt(self.min_bandwidth_observed)],
             ["repairs committed", self.repairs_committed],
             ["repairs aborted", self.repairs_aborted],
@@ -169,7 +129,7 @@ def extract_claims(result: "ClientServerResult") -> ClaimReport:
 
     bw_mins = [
         result.s(f"bandwidth.{c}").min()
-        for c in MetricsSampler.BANDWIDTH_CLIENTS
+        for c in BANDWIDTH_CLIENTS
         if f"bandwidth.{c}" in result.series
     ]
     bw_mins = [b for b in bw_mins if b is not None]
@@ -184,8 +144,6 @@ def extract_claims(result: "ClientServerResult") -> ClaimReport:
         for t, server, group in history.server_activations()
     ]
     report.client_moves = len(history.client_moves())
-    report.oscillations = sum(
-        history.oscillation_count(c) for c in result.clients
-    )
+    report.oscillations = sum(history.oscillation_count(c) for c in result.clients)
     report.dropped_responses = result.dropped
     return report

@@ -33,7 +33,7 @@ from typing import Any, ClassVar, Dict, List, Optional
 
 from repro.app.multi_tenant_app import MultiTenantApplication
 from repro.bus.bus import FixedDelay
-from repro.experiment.base import PeriodicSampler, ScenarioExperiment
+from repro.experiment.base import ScenarioExperiment
 from repro.experiment.config import RunConfig
 from repro.experiment.params import ScenarioParams
 from repro.experiment.result import RunResult
@@ -41,7 +41,7 @@ from repro.experiment.scenarios import register_scenario
 from repro.experiment.workload import Arrivals, burst
 from repro.monitoring.gauges import EwmaGauge, LatestValueGauge
 from repro.monitoring.manager import WakeThreshold
-from repro.runtime import AdaptationRuntime, AdaptationSpec, ManagedApplication
+from repro.runtime import AdaptationRuntime, AdaptationSpec, RuntimeStats
 from repro.runtime.sharding import ShardingSpec, shard_key_names
 from repro.runtime.spec import monitoring_table
 from repro.styles.multi_tenant import (
@@ -57,7 +57,6 @@ __all__ = [
     "MultiTenantShardedParams",
     "MultiTenantResult",
     "MultiTenantExperiment",
-    "MultiTenantManagedApplication",
     "multi_tenant_intents",
 ]
 
@@ -67,27 +66,27 @@ class MultiTenantParams(ScenarioParams):
     """The multi-tenant scenario's typed knob block."""
 
     # tenancy shape
-    tenants: int = 6            # tenant count (pools are named T0..T{n-1})
-    workers: int = 2            # initial (and designed minimum) pool width
+    tenants: int = 6  # tenant count (pools are named T0..T{n-1})
+    workers: int = 2  # initial (and designed minimum) pool width
     min_workers: int = 2
-    max_workers: int = 12       # per-tenant grow budget
+    max_workers: int = 12  # per-tenant grow budget
 
     # task service model (per tenant)
-    service_mean: float = 2.0   # s per task (exponential)
+    service_mean: float = 2.0  # s per task (exponential)
 
     # workload: per-tenant Poisson streams; a surge window drives several
     # tenants above capacity at once
     baseline_rate: float = 0.4  # tasks/s per tenant (capacity: 1.0/s)
-    surge_rate: float = 2.5     # tasks/s per surged tenant (needs ~5 workers)
+    surge_rate: float = 2.5  # tasks/s per surged tenant (needs ~5 workers)
     surge_start: float = 150.0
     surge_end: float = 600.0
-    surged_tenants: int = 0     # how many tenants surge; 0 = all of them
+    surged_tenants: int = 0  # how many tenants surge; 0 = all of them
 
     # thresholds
-    max_latency: float = 4.0       # fairLatency bound on estimated wait, s
+    max_latency: float = 4.0  # fairLatency bound on estimated wait, s
     min_utilization: float = 0.35  # idlePool scale-down threshold
-    low_water: float = 1.0         # never shrink a tenant still queueing
-    grow_step: int = 4             # workers added per boostTenant repair
+    low_water: float = 1.0  # never shrink a tenant still queueing
+    grow_step: int = 4  # workers added per boostTenant repair
 
     # monitoring
     probe_period: float = 1.0
@@ -98,7 +97,7 @@ class MultiTenantParams(ScenarioParams):
     wake_band: float = 0.1  # band, as a fraction of each threshold
 
     # translation costs
-    spin_up_cost: float = 6.0      # s to provision a pool resize
+    spin_up_cost: float = 6.0  # s to provision a pool resize
     redeploy_window: float = 10.0  # gauge blindness after a resize
 
     # repair machinery
@@ -182,9 +181,6 @@ class MultiTenantShardedParams(MultiTenantParams):
 class MultiTenantResult(RunResult):
     """The multi-tenant run, plus its per-tenant and scheduling views."""
 
-    conflicts: int = 0
-    peak_inflight: int = 0
-
     @property
     def tenants(self) -> List[str]:
         """Tenant names, parsed from the ``latency.T*`` series."""
@@ -223,11 +219,13 @@ class MultiTenantResult(RunResult):
         }
 
     def extras(self) -> Dict[str, Any]:
+        stats = self.stats if self.stats is not None else RuntimeStats()
+        repairs = stats.repairs
         return {
             "tenants": self.tenants,
             "time_to_all_repaired": self.time_to_all_repaired(),
-            "conflicts": self.conflicts,
-            "peak_inflight": self.peak_inflight,
+            "conflicts": repairs.get("conflicts", 0),
+            "peak_inflight": repairs.get("peak_inflight", 0),
             "final_sizes": self.final_sizes(),
         }
 
@@ -253,62 +251,6 @@ def multi_tenant_intents(
     return {"resizeTenant": IntentRow(cost, resize)}
 
 
-class MultiTenantManagedApplication(ManagedApplication):
-    """The tenant farms wrapped for the adaptation runtime."""
-
-    name = "multi-tenant-service"
-
-    def __init__(self, app: MultiTenantApplication, params: MultiTenantParams):
-        self.app = app
-        self.params = params
-
-    def architecture(self):
-        return build_multi_tenant_model(
-            "TenancyModel",
-            tenants=self.app.tenants,
-            pool_size=self.params.workers,
-            min_size=self.params.min_workers,
-            family=build_multi_tenant_family(),
-        )
-
-    def intent_executor(self, runtime: AdaptationRuntime) -> IntentTranslator:
-        return IntentTranslator(
-            runtime.sim,
-            multi_tenant_intents(self.app, self.params),
-            runtime.trace,
-            runtime.gauge_manager,
-            self.params.redeploy_window,
-        )
-
-
-class MultiTenantMetricsSampler(PeriodicSampler):
-    """Ground-truth sampling: per-tenant latency/size, violation count."""
-
-    def series_table(self):
-        yield "violating.count", "tenants"
-        yield "repairs.inflight", ""
-        for tenant in self.experiment.app.tenants:
-            yield f"latency.{tenant}", "s"
-            yield f"size.{tenant}", "workers"
-
-    def sample(self) -> None:
-        exp = self.experiment
-        app = exp.app
-        violating = 0
-        for tenant in app.tenants:
-            latency = app.latency(tenant)
-            if latency > exp.params.max_latency:
-                violating += 1
-            self.record(f"latency.{tenant}", latency)
-            self.record(f"size.{tenant}", float(app.pool_size(tenant)))
-        self.record("violating.count", float(violating))
-        manager = exp.manager
-        inflight = 0.0
-        if manager is not None:
-            inflight = float(manager.inflight) or self.repair_active()
-        self.record("repairs.inflight", inflight)
-
-
 @register_scenario(
     "multi_tenant",
     params=MultiTenantParams,
@@ -323,7 +265,6 @@ class MultiTenantExperiment(ScenarioExperiment):
     """One wired multi-tenant run (control or adapted), ready to run."""
 
     RESULT = MultiTenantResult
-    SAMPLER = MultiTenantMetricsSampler
     params: MultiTenantParams
 
     def setup(self) -> None:
@@ -353,8 +294,40 @@ class MultiTenantExperiment(ScenarioExperiment):
             for tenant in params.tenant_names()
         ]
 
-    def managed_application(self) -> MultiTenantManagedApplication:
-        return MultiTenantManagedApplication(self.app, self.params)
+    def architecture(self):
+        return build_multi_tenant_model(
+            "TenancyModel",
+            tenants=self.app.tenants,
+            pool_size=self.params.workers,
+            min_size=self.params.min_workers,
+            family=build_multi_tenant_family(),
+        )
+
+    def intent_executor(self, runtime: AdaptationRuntime) -> IntentTranslator:
+        return IntentTranslator(
+            runtime.sim,
+            multi_tenant_intents(self.app, self.params),
+            runtime.trace,
+            runtime.gauge_manager,
+            self.params.redeploy_window,
+        )
+
+    def series(self):
+        """Ground truth: per-tenant latency and size, violation count."""
+        app, max_latency = self.app, self.params.max_latency
+
+        def inflight() -> float:
+            # a serial engine's one repair in flight counts as 1
+            manager = self.manager
+            if manager is None:
+                return 0.0
+            return float(manager.inflight) or self.repair_active()
+
+        yield "violating.count", "tenants", lambda: len(app.violating(max_latency))
+        yield "repairs.inflight", "", inflight
+        for tenant in app.tenants:
+            yield f"latency.{tenant}", "s", partial(app.latency, tenant)
+            yield f"size.{tenant}", "workers", partial(app.pool_size, tenant)
 
     def _adaptation_spec(self) -> AdaptationSpec:
         params = self.params
@@ -421,10 +394,3 @@ class MultiTenantExperiment(ScenarioExperiment):
             wake_thresholds=wake_thresholds,
             sharding=params.sharding,
         )
-
-    def outcome(self, stats) -> Dict[str, Any]:
-        return {
-            **super().outcome(stats),
-            "conflicts": stats.repairs.get("conflicts", 0),
-            "peak_inflight": stats.repairs.get("peak_inflight", 0),
-        }

@@ -108,9 +108,7 @@ class ScenarioParams:
         for name in self.field_names():
             value = getattr(self, name)
             if is_dataclass(value) and not isinstance(value, type):
-                value = {
-                    f.name: getattr(value, f.name) for f in fields(value)
-                }
+                value = {f.name: getattr(value, f.name) for f in fields(value)}
             out[name] = value
         return out
 
@@ -154,7 +152,7 @@ class ClientServerParams(ScenarioParams):
     # adaptation stack
     underutilization_repair: bool = True
 
-    # task-layer profile (paper §5 thresholds)
+    # performance objectives (paper §5 thresholds): s, queued requests, bps
     max_latency: float = 2.0
     max_server_load: float = 6.0
     min_bandwidth: float = 10e3
@@ -169,7 +167,7 @@ class ClientServerParams(ScenarioParams):
     stress_end: float = 1200.0
 
     # application service model
-    service_base: float = 0.10        # s per request
+    service_base: float = 0.10  # s per request
     service_per_byte: float = 7.5e-6  # s per response byte (20 KB -> +0.15 s)
 
     # monitoring
@@ -178,28 +176,29 @@ class ClientServerParams(ScenarioParams):
     load_horizon: float = 30.0
     load_probe_period: float = 1.0
     bandwidth_probe_period: float = 10.0
-    monitoring_qos: bool = False      # A2: prioritize monitoring traffic
-    congestion_penalty: float = 8.0   # extra bus delay at full congestion, s
+    monitoring_qos: bool = False  # A2: prioritize monitoring traffic
+    congestion_penalty: float = 8.0  # extra bus delay at full congestion, s
 
     # repair machinery
     settle_time: float = 20.0
     failed_repair_cost: float = 2.0
-    violation_policy: str = "first"   # or "worst" (the paper's §7 proposal)
-    gauge_caching: bool = False       # A1: cache gauges instead of recreate
-    remos_prewarm: bool = True        # A3: pre-query Remos (paper's fix)
+    violation_policy: str = "first"  # or "worst" (the paper's §7 proposal)
+    gauge_caching: bool = False  # A1: cache gauges instead of recreate
+    remos_prewarm: bool = True  # A3: pre-query Remos (paper's fix)
     remos_cold_delay: float = 90.0
     remos_warm_delay: float = 0.5
 
     def validate(self, config: "RunConfig") -> None:
         self._check_policy(self.violation_policy)
+        self._require(self.max_latency > 0, "max_latency must be positive")
+        self._require(self.max_server_load >= 0, "max_server_load must be >= 0")
+        self._require(self.min_bandwidth >= 0, "min_bandwidth must be >= 0")
         self._require(
             isfinite(self.baseline_rate) and isfinite(self.stress_rate),
             "baseline_rate and stress_rate must be finite",
         )
         self._require(self.gauge_period > 0, "gauge_period must be positive")
-        self._require(
-            self.load_probe_period > 0, "load_probe_period must be positive"
-        )
+        self._require(self.load_probe_period > 0, "load_probe_period must be positive")
         self._require(
             self.bandwidth_probe_period > 0,
             "bandwidth_probe_period must be positive",
@@ -229,17 +228,17 @@ class PipelineParams(ScenarioParams):
     stages: Tuple[Tuple[str, int, float], ...] = PIPELINE_STAGES
 
     # workload: Poisson item stream bursting above the bottleneck capacity
-    baseline_rate: float = 0.8   # items/s, below the bottleneck's capacity
-    burst_rate: float = 3.0      # items/s, needs transform width >= 3
+    baseline_rate: float = 0.8  # items/s, below the bottleneck's capacity
+    burst_rate: float = 3.0  # items/s, needs transform width >= 3
 
     # thresholds and budgets
-    max_backlog: float = 25.0    # backlogBound invariant
-    low_water: float = 2.0       # never narrow a stage still queueing
+    max_backlog: float = 25.0  # backlogBound invariant
+    low_water: float = 2.0  # never narrow a stage still queueing
     min_utilization: float = 0.5  # occupancy under which width is idle
-    worker_budget: int = 8       # total workers across stages
+    worker_budget: int = 8  # total workers across stages
 
     # translation costs
-    widen_cost: float = 8.0      # s to spin up one worker
+    widen_cost: float = 8.0  # s to spin up one worker
     redeploy_window: float = 10.0  # s of gauge blindness after a repair
 
     # monitoring + repair machinery (shared shape with the other blocks)
@@ -257,9 +256,7 @@ class PipelineParams(ScenarioParams):
         self._check_rates("baseline_rate", "burst_rate")
         self._require(self.worker_budget >= 1, "worker_budget must be >= 1")
         self._require(self.gauge_period > 0, "gauge_period must be positive")
-        self._require(
-            self.load_probe_period > 0, "load_probe_period must be positive"
-        )
+        self._require(self.load_probe_period > 0, "load_probe_period must be positive")
         initial = sum(width for _, width, _ in self.stages)
         self._require(
             initial <= self.worker_budget,

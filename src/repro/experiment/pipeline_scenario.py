@@ -2,10 +2,9 @@
 
 This is the style-generality claim made runnable end to end.  A simulated
 batch pipeline (:class:`~repro.app.pipeline_app.PipelineApplication`) is
-wrapped in :class:`ManagedApplication` and adapted by the *same*
-:class:`~repro.runtime.core.AdaptationRuntime` the client/server
-experiment uses — different family, invariant, operators, probes, and
-translator, but zero new control-plane machinery:
+adapted by the *same* :class:`~repro.runtime.core.AdaptationRuntime`
+the client/server experiment uses — different family, invariant,
+operators, probes, and translator, but zero new control-plane machinery:
 
 * workload: a Poisson item stream that bursts above the bottleneck
   stage's capacity mid-run (analogous to the Figure 7 stress phase);
@@ -35,17 +34,17 @@ the horizon, while the adapted run widens the stage and recovers.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.app.pipeline_app import PipelineApplication
 from repro.bus.bus import FixedDelay
-from repro.experiment.base import PeriodicSampler, ScenarioExperiment
+from repro.experiment.base import ScenarioExperiment
 from repro.experiment.params import PipelineParams
 from repro.experiment.result import PipelineResult
 from repro.experiment.scenarios import register_scenario
 from repro.experiment.workload import Arrivals, burst
 from repro.monitoring.gauges import EwmaGauge, WindowedMeanGauge
-from repro.runtime import AdaptationRuntime, AdaptationSpec, ManagedApplication
+from repro.runtime import AdaptationRuntime, AdaptationSpec
 from repro.runtime.spec import monitoring_table
 from repro.styles.pipeline import (
     PIPELINE_DSL,
@@ -57,7 +56,6 @@ from repro.translation import IntentRow, IntentTranslator
 
 __all__ = [
     "PipelineExperiment",
-    "PipelineManagedApplication",
     "pipeline_intents",
 ]
 
@@ -76,16 +74,31 @@ def pipeline_intents(
     return {"widenStage": row, "narrowStage": row}
 
 
-class PipelineManagedApplication(ManagedApplication):
-    """The batch pipeline wrapped for the adaptation runtime."""
+@register_scenario(
+    "pipeline",
+    params=PipelineParams,
+    description="batch pipeline: widen on backlog, narrow when idle",
+)
+class PipelineExperiment(ScenarioExperiment):
+    """One wired pipeline run (control or adapted), ready to run."""
 
-    name = "batch-pipeline"
+    RESULT = PipelineResult
+    params: PipelineParams
 
-    def __init__(
-        self, app: PipelineApplication, params: Optional[PipelineParams] = None
-    ):
-        self.app = app
-        self.params = params if params is not None else PipelineParams()
+    def setup(self) -> None:
+        params = self.params
+        self.app = PipelineApplication(self.sim, params.stages, trace=self.trace)
+        horizon = self.config.horizon
+        rate = burst(params.baseline_rate, params.burst_rate, horizon / 6, horizon / 2)
+        self.sources.append(
+            Arrivals(
+                self.sim,
+                rate,
+                rng=self.seeds.rng("pipeline.source"),
+                submit=self.app.submit,
+                name="pipeline-source",
+            )
+        )
 
     def architecture(self):
         model = build_pipeline_model(
@@ -109,57 +122,12 @@ class PipelineManagedApplication(ManagedApplication):
             self.params.redeploy_window,
         )
 
-
-class PipelineMetricsSampler(PeriodicSampler):
-    """Out-of-band ground-truth sampling for the pipeline scenario.
-
-    Series: ``backlog.<stage>``, ``width.<stage>``, and ``repair.active``
-    (mirroring the client/server sampler's shape so reporting helpers and
-    result consumers work unchanged).
-    """
-
-    def series_table(self):
-        for stage in self.experiment.app.stage_order:
-            yield f"backlog.{stage}", "items"
-            yield f"width.{stage}", "workers"
-        yield "repair.active", ""
-
-    def sample(self) -> None:
-        for stage in self.experiment.app.stages:
-            self.record(f"backlog.{stage.name}", float(stage.backlog))
-            self.record(f"width.{stage.name}", float(stage.width))
-        self.record("repair.active", self.repair_active())
-
-
-@register_scenario(
-    "pipeline",
-    params=PipelineParams,
-    description="batch pipeline: widen on backlog, narrow when idle",
-)
-class PipelineExperiment(ScenarioExperiment):
-    """One wired pipeline run (control or adapted), ready to run."""
-
-    RESULT = PipelineResult
-    SAMPLER = PipelineMetricsSampler
-    params: PipelineParams
-
-    def setup(self) -> None:
-        params = self.params
-        self.app = PipelineApplication(self.sim, params.stages, trace=self.trace)
-        horizon = self.config.horizon
-        rate = burst(params.baseline_rate, params.burst_rate, horizon / 6, horizon / 2)
-        self.sources.append(
-            Arrivals(
-                self.sim,
-                rate,
-                rng=self.seeds.rng("pipeline.source"),
-                submit=self.app.submit,
-                name="pipeline-source",
-            )
-        )
-
-    def managed_application(self) -> PipelineManagedApplication:
-        return PipelineManagedApplication(self.app, self.params)
+    def series(self):
+        """``backlog.<stage>``, ``width.<stage>`` and ``repair.active``."""
+        for stage in self.app.stages:
+            yield f"backlog.{stage.name}", "items", lambda s=stage: s.backlog
+            yield f"width.{stage.name}", "workers", lambda s=stage: s.width
+        yield "repair.active", "", self.repair_active
 
     def _adaptation_spec(self) -> AdaptationSpec:
         params = self.params

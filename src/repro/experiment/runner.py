@@ -31,7 +31,7 @@ from repro.app.system import GridApplication
 from repro.bus.bus import CallableDelay, FixedDelay
 from repro.experiment.base import ScenarioExperiment
 from repro.experiment.config import RunConfig, as_run_config
-from repro.experiment.metrics import MetricsSampler
+from repro.experiment.metrics import BANDWIDTH_CLIENTS
 from repro.experiment.params import ClientServerParams
 from repro.experiment.result import ClientServerResult, RunResult
 from repro.experiment.scenarios import register_scenario, scenario_entry
@@ -43,7 +43,7 @@ from repro.net.flows import FlowNetwork
 from repro.net.remos import RemosService
 from repro.net.traffic import CrossTrafficGenerator
 from repro.repair.context import AppRuntimeView, RuntimeView
-from repro.runtime import AdaptationRuntime, AdaptationSpec, ManagedApplication
+from repro.runtime import AdaptationRuntime, AdaptationSpec
 from repro.runtime.spec import monitoring_table
 from repro.runtime.updater import component
 from repro.styles.client_server import (
@@ -55,14 +55,11 @@ from repro.styles.client_server import (
     client_role,
     style_operators,
 )
-from repro.task.manager import TaskManager
-from repro.task.profiles import PerformanceProfile
 from repro.translation.costs import TranslationCosts
 from repro.translation.translator import Translator
 
 __all__ = [
     "Experiment",
-    "ClientServerApplication",
     "run_scenario",
     "clear_cache",
     "set_cache_capacity",
@@ -83,39 +80,6 @@ GAUGE_PROPERTY_MAP = {
 }
 
 
-class ClientServerApplication(ManagedApplication):
-    """The paper's grid application, wrapped for the adaptation runtime."""
-
-    name = "client-server-grid"
-
-    def __init__(
-        self, env: EnvironmentManager, testbed: Testbed, params: ClientServerParams
-    ):
-        self.env = env
-        self.testbed = testbed
-        self.params = params
-
-    def architecture(self):
-        return build_client_server_model(
-            "GridModel",
-            assignments=self.testbed.initial_assignments,
-            groups=self.testbed.initial_groups,
-            family=build_client_server_family(),
-        )
-
-    def intent_executor(self, runtime: AdaptationRuntime) -> Translator:
-        costs = TranslationCosts(cached_gauges=self.params.gauge_caching)
-        return Translator(
-            self.env,
-            costs,
-            gauge_manager=runtime.gauge_manager,
-            trace=runtime.trace,
-        )
-
-    def runtime_view(self) -> RuntimeView:
-        return AppRuntimeView(self.env)
-
-
 @register_scenario(
     "client_server",
     params=ClientServerParams,
@@ -130,7 +94,6 @@ class Experiment(ScenarioExperiment):
     """
 
     RESULT = ClientServerResult
-    SAMPLER = MetricsSampler
     params: ClientServerParams
 
     def setup(self) -> None:
@@ -153,9 +116,6 @@ class Experiment(ScenarioExperiment):
         )
         self._build_application()
         self._build_competition()
-
-    def managed_application(self) -> ClientServerApplication:
-        return ClientServerApplication(self.env, self.testbed, self.params)
 
     def _build_runtime(self) -> Optional[AdaptationRuntime]:
         runtime = super()._build_runtime()
@@ -233,8 +193,28 @@ class Experiment(ScenarioExperiment):
         ]
 
     # ------------------------------------------------------------------
-    # Control-plane configuration (consumed by AdaptationRuntime)
+    # The managed application (consumed by AdaptationRuntime)
     # ------------------------------------------------------------------
+    def architecture(self):
+        return build_client_server_model(
+            "GridModel",
+            assignments=self.testbed.initial_assignments,
+            groups=self.testbed.initial_groups,
+            family=build_client_server_family(),
+        )
+
+    def intent_executor(self, runtime: AdaptationRuntime) -> Translator:
+        costs = TranslationCosts(cached_gauges=self.params.gauge_caching)
+        return Translator(
+            self.env,
+            costs,
+            gauge_manager=runtime.gauge_manager,
+            trace=runtime.trace,
+        )
+
+    def runtime_view(self) -> RuntimeView:
+        return AppRuntimeView(self.env)
+
     def _monitoring_delay(self) -> Any:
         """Bus delivery model: in-band monitoring slows under congestion.
 
@@ -275,15 +255,6 @@ class Experiment(ScenarioExperiment):
         dsl_source = FIGURE5_DSL
         if params.underutilization_repair:
             dsl_source = dsl_source + "\n" + UNDERUTILIZATION_DSL
-        profile = PerformanceProfile(
-            max_latency=params.max_latency,
-            max_server_load=params.max_server_load,
-            min_bandwidth=params.min_bandwidth,
-            extras={
-                "minServers": params.min_servers,
-                "minUtilization": params.min_utilization,
-            },
-        )
 
         report = {"period": params.gauge_period}
         client_rows = [
@@ -330,7 +301,13 @@ class Experiment(ScenarioExperiment):
             style="ClientServerFam",
             dsl_source=dsl_source,
             invariant_scopes=_INVARIANT_SCOPES,
-            bindings=TaskManager(profile).profile.bindings(),
+            bindings={
+                "maxLatency": params.max_latency,
+                "maxServerLoad": params.max_server_load,
+                "minBandwidth": params.min_bandwidth,
+                "minServers": params.min_servers,
+                "minUtilization": params.min_utilization,
+            },
             operators=lambda rt: style_operators(lambda: rt.sim.now),
             instruments=clients + groups,
             gauge_property_map=GAUGE_PROPERTY_MAP,
@@ -345,6 +322,37 @@ class Experiment(ScenarioExperiment):
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def series(self):
+        """The paper's measurement scripts, one row per series.
+
+        * ``latency.<client>``    — windowed mean latency (Figures 8/11);
+        * ``load.<group>``        — request-queue length (Figures 9/13);
+        * ``replication.<group>`` — active replicas (spare activations);
+        * ``utilization.<group>`` — the group's busy fraction;
+        * ``bandwidth.<client>``  — predicted bandwidth to the client's
+          current group, worst active member (Figures 10/12; sampled for
+          :data:`~repro.experiment.metrics.BANDWIDTH_CLIENTS`, the clients
+          the competition targets);
+        * ``repair.active``       — 1 while a repair is in flight (the
+          interval marks at the top of Figures 11-13).
+        """
+        app, sim = self.app, self.sim
+        for name in self.testbed.clients:
+            window = app.clients[name].latency_window
+            yield f"latency.{name}", "s", lambda w=window: w.mean(sim.now)
+        for name in self.testbed.initial_groups:
+            group = app.groups[name]
+            yield f"load.{name}", "requests", lambda g=group: g.load
+            yield f"replication.{name}", "servers", lambda g=group: g.replication
+            yield f"utilization.{name}", "", lambda g=group: g.utilization(sim.now)
+        for name in BANDWIDTH_CLIENTS:
+            yield (
+                f"bandwidth.{name}",
+                "bps",
+                lambda c=name: app.bandwidth_between(c, app.rq.assignment_of(c)),
+            )
+        yield "repair.active", "", self.repair_active
+
     def start_extras(self) -> None:
         # clients start after the control plane's probes (ties break in
         # scheduling order; the fingerprints pin this)

@@ -97,7 +97,7 @@ def burst(baseline: float, peak: float, start: float, end: float) -> StepFunctio
 
 STARVE = 9.992e6  # leaves ~8 Kbps  (below the 10 Kbps threshold)
 MODERATE = 7.0e6  # leaves ~3 Mbps  (the paper's "moderate bandwidth")
-LIGHT = 0.5e6     # leaves ~9.5 Mbps (final-period boost toward SG2)
+LIGHT = 0.5e6  # leaves ~9.5 Mbps (final-period boost toward SG2)
 
 
 @dataclass
@@ -173,7 +173,7 @@ def build_workload(
     stress_end: float = 1200.0,
 ) -> Workload:
     """The paper's Figure 7 schedule (our concrete reading)."""
-    flip1 = stress_start + (stress_end - stress_start) / 2.0   # 900 s
+    flip1 = stress_start + (stress_end - stress_start) / 2.0  # 900 s
     flip2 = stress_start + 3 * (stress_end - stress_start) / 4.0  # 1050 s
     return Workload(
         horizon=horizon,

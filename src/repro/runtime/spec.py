@@ -163,7 +163,7 @@ class AdaptationSpec:
     * ``dsl_source`` — repair DSL text: invariants, strategies, tactics;
     * ``invariant_scopes`` — invariant name -> scope element type (how the
       checker fans each invariant out over model elements);
-    * ``bindings`` — constraint-language globals (the task layer's
+    * ``bindings`` — constraint-language globals (the scenario's
       thresholds, e.g. ``maxLatency``);
     * ``operators`` — builds the style-operator table for repair contexts
       (receives the runtime so operators can read the simulation clock);

@@ -118,8 +118,8 @@ class TestEndToEnd:
         adapted = pair["adapted"]
         assert isinstance(adapted, MapReduceResult)
         assert len(adapted.history.committed) >= 3
-        assert adapted.splits >= 1      # structural fix fired
-        assert adapted.steals >= 1      # palliative fired too
+        assert adapted.splits >= 1  # structural fix fired
+        assert adapted.steals >= 1  # palliative fired too
         assert adapted.stolen_records > 0
         strategies = {r.strategy for r in adapted.history.committed}
         assert strategies == {"rebalanceShuffle"}

@@ -125,7 +125,7 @@ class TestEndToEnd:
         assert grown == {"T0", "T1", "T2", "T3"}
 
     def test_repairs_actually_overlap(self, adapted):
-        assert adapted.peak_inflight >= 2
+        assert adapted.stats.repairs["peak_inflight"] >= 2
         assert float(adapted.s("repairs.inflight").values.max()) >= 2
 
     def test_repair_intervals_are_the_history_records(self, adapted):

@@ -171,9 +171,7 @@ class TestOneBuildPath:
         spec = dataclasses.replace(
             experiment.runtime.spec, sharding=ShardingSpec(shards=1)
         )
-        runtime = AdaptationRuntime(
-            Simulator(), experiment.managed_application(), spec
-        )
+        runtime = AdaptationRuntime(Simulator(), experiment, spec)
         assert runtime.fault_plane is not None
 
     def test_faults_on_several_shards_are_refused(self):
@@ -182,7 +180,7 @@ class TestOneBuildPath:
             experiment.runtime.spec, sharding=ShardingSpec(shards=2)
         )
         with pytest.raises(ValueError, match="not shard-aware"):
-            AdaptationRuntime(Simulator(), experiment.managed_application(), spec)
+            AdaptationRuntime(Simulator(), experiment, spec)
 
     def test_the_model_is_always_a_partition(self):
         # a caller written against the two-path runtime asks this

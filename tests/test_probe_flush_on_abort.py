@@ -16,9 +16,8 @@ has to call it.  Two doors are covered:
 import pytest
 
 from repro.api import RunConfig
-from repro.app.pipeline_app import PipelineApplication
 from repro.bus.bus import FixedDelay
-from repro.experiment.pipeline_scenario import PipelineManagedApplication
+from repro.experiment.pipeline_scenario import PipelineExperiment
 from repro.experiment.runner import clear_cache, run_scenario
 from repro.experiment.scenarios import (
     register_scenario,
@@ -28,7 +27,6 @@ from repro.experiment.scenarios import (
 )
 from repro.monitoring.probes import CallbackProbe
 from repro.runtime import AdaptationRuntime, AdaptationSpec, ProbeBinding
-from repro.sim import Simulator
 from repro.styles.pipeline import PIPELINE_DSL, pipeline_operators
 
 STAGES = (("extract", 1, 0.5), ("load", 1, 0.25))
@@ -44,8 +42,9 @@ class ExplodingExperiment:
 
     def __init__(self, config):
         self.config = config
-        self.sim = Simulator()
-        app = PipelineApplication(self.sim, STAGES)
+        # the pipeline, built by a control-run experiment with no runtime
+        managed = PipelineExperiment(RunConfig.control("pipeline", stages=STAGES))
+        self.sim = managed.sim
         spec = AdaptationSpec(
             style="PipelineFam",
             dsl_source=PIPELINE_DSL,
@@ -69,9 +68,7 @@ class ExplodingExperiment:
             ],
             delivery=FixedDelay(0.01),
         )
-        self.runtime = AdaptationRuntime(
-            self.sim, PipelineManagedApplication(app), spec
-        )
+        self.runtime = AdaptationRuntime(self.sim, managed, spec)
 
     def build(self):
         return self.runtime
@@ -105,8 +102,8 @@ def test_buffered_tail_flushes_when_run_dies_mid_burst(exploding):
     with pytest.raises(MidRunExplosion):
         run_scenario(RunConfig.adapted(SCENARIO, horizon=100.0))
     probe = exploding[0].runtime.periodic_probes[0]
-    assert probe.batches == 1    # the partial batch went out anyway
-    assert probe.samples == 5    # all five buffered observations
+    assert probe.batches == 1  # the partial batch went out anyway
+    assert probe.samples == 5  # all five buffered observations
     assert probe._pending_values == []
     assert exploding[0].runtime.probe_bus.published == 1
 

@@ -57,18 +57,25 @@ def base_systems(draw):
     return system
 
 
-EDITS = ["set_prop", "add_comp", "remove_comp", "detach", "add_conn"]
-#: a port or role added inside a transaction is not undone by abort, so
-#: only the text properties draw these
-SLOT_EDITS = EDITS + ["add_port", "add_role"]
+EDITS = [
+    "set_prop",
+    "add_comp",
+    "remove_comp",
+    "detach",
+    "add_conn",
+    "add_port",
+    "add_role",
+    "remove_port",
+    "remove_role",
+]
 
 
 @st.composite
-def edit_scripts(draw, kinds=EDITS):
+def edit_scripts(draw):
     """A list of abstract edit operations applied inside the transaction."""
     ops = []
     for _ in range(draw(st.integers(min_value=1, max_value=10))):
-        kind = draw(st.sampled_from(kinds))
+        kind = draw(st.sampled_from(EDITS))
         ops.append((kind, draw(st.integers(min_value=0, max_value=10))))
     return ops
 
@@ -103,6 +110,14 @@ def apply_edits(system: ArchSystem, ops) -> None:
                     owner.add_port(slot)
                 elif kind == "add_role" and not owner.has_role(slot):
                     owner.add_role(slot)
+        elif kind in ("remove_port", "remove_role"):
+            owners = comps if kind == "remove_port" else system.connectors
+            if owners:
+                owner = owners[arg % len(owners)]
+                if kind == "remove_port" and owner.ports:
+                    owner.remove_port(owner.ports[arg % len(owner.ports)].name)
+                elif kind == "remove_role" and owner.roles:
+                    owner.remove_role(owner.roles[arg % len(owner.roles)].name)
 
 
 @settings(max_examples=80, deadline=None)
@@ -138,7 +153,7 @@ def states_tell_apart(states):
 
 
 @settings(max_examples=120, deadline=None)
-@given(base_systems(), edit_scripts(SLOT_EDITS))
+@given(base_systems(), edit_scripts())
 def test_text_differs_where_snapshot_differs(system, ops):
     """Every state an edit script passes through, compared pairwise."""
     states = [(snapshot(system), unparse_system(system))]
@@ -149,9 +164,7 @@ def test_text_differs_where_snapshot_differs(system, ops):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    base_systems(), edit_scripts(SLOT_EDITS), base_systems(), edit_scripts(SLOT_EDITS)
-)
+@given(base_systems(), edit_scripts(), base_systems(), edit_scripts())
 def test_text_differs_between_systems(first, first_ops, second, second_ops):
     """Two independently generated and edited systems, committed edits."""
     states = []

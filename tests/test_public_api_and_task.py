@@ -1,10 +1,7 @@
-"""Public API surface and task-layer tests."""
-
-import pytest
+"""Public API surface and the paper's performance objectives."""
 
 import repro
-from repro.constraints import ConstraintChecker
-from repro.task import PerformanceProfile, TaskManager
+from repro.experiment import ClientServerParams, RunConfig, scenario_builder
 
 
 class TestPublicApi:
@@ -29,50 +26,27 @@ class TestPublicApi:
             assert issubclass(exc, errors.ReproError) or exc is errors.ReproError
 
 
-class TestPerformanceProfile:
+class TestClientServerObjectives:
+    """The paper's §5 objectives are ``ClientServerParams`` fields, published
+    to the checker as the Figure 5 DSL's bindings."""
+
     def test_paper_defaults(self):
-        p = PerformanceProfile()
+        p = ClientServerParams()
         assert p.max_latency == 2.0
         assert p.max_server_load == 6.0
         assert p.min_bandwidth == 10e3
 
     def test_bindings_names_match_figure5(self):
-        b = PerformanceProfile().bindings()
-        assert set(b) == {"maxLatency", "maxServerLoad", "minBandwidth"}
+        config = RunConfig.adapted(max_latency=3.5, min_servers=4)
+        (checker,) = scenario_builder("client_server")(config).build().checkers
+        assert checker.bindings == {
+            "maxLatency": 3.5,
+            "maxServerLoad": 6.0,
+            "minBandwidth": 10e3,
+            "minServers": 4,
+            "minUtilization": 0.35,
+        }
 
-    def test_extras_flow_into_bindings(self):
-        p = PerformanceProfile(extras={"minServers": 3})
-        assert p.bindings()["minServers"] == 3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PerformanceProfile(max_latency=0.0)
-        with pytest.raises(ValueError):
-            PerformanceProfile(max_server_load=-1.0)
-        with pytest.raises(ValueError):
-            PerformanceProfile(min_bandwidth=-5.0)
-
-
-class TestTaskManager:
-    def test_configure_publishes_bindings(self):
-        checker = ConstraintChecker()
-        TaskManager(PerformanceProfile(max_latency=3.5)).configure(checker)
-        assert checker.bindings["maxLatency"] == 3.5
-
-    def test_install_invariants(self):
-        checker = ConstraintChecker(bindings={"maxLatency": 2.0})
-        tm = TaskManager()
-        tm.install_invariants(checker, [
-            ("r", "averageLatency <= maxLatency", "ClientRoleT", "fixLatency"),
-            ("sane", "true", None, None),
-        ])
-        assert len(checker.invariants) == 2
-        assert checker.invariant("r").repair == "fixLatency"
-
-    def test_update_profile_retargets(self):
-        checker = ConstraintChecker()
-        tm = TaskManager()
-        tm.configure(checker)
-        tm.update_profile(PerformanceProfile(max_latency=1.0), checker)
-        assert checker.bindings["maxLatency"] == 1.0
-        assert tm.profile.max_latency == 1.0
+    def test_zero_load_and_bandwidth_bounds_are_accepted(self):
+        config = RunConfig.control(max_server_load=0.0, min_bandwidth=0.0)
+        assert config.resolved().params.min_bandwidth == 0.0

@@ -341,9 +341,9 @@ class TestBreaker:
                 "fix", [touching_tactic("primary"), intentless_tactic()]
             )
         )
-        mgr.evaluate()          # failure 1 at t=1
+        mgr.evaluate()  # failure 1 at t=1
         sim.run(until=1.5)
-        mgr.evaluate()          # failure 2 at t=2.5 -> breaker opens
+        mgr.evaluate()  # failure 2 at t=2.5 -> breaker opens
         sim.run(until=3.0)
         assert mgr.trace.select("repair.breaker_open")
         assert mgr.breakers.states() == {f"primary@{SCOPE}": "open"}
@@ -369,14 +369,14 @@ class TestBreaker:
         mgr.register_strategy(
             FirstSuccessStrategy("fix", [touching_tactic("primary")])
         )
-        mgr.evaluate()           # failure at t=1 -> open until 51
+        mgr.evaluate()  # failure at t=1 -> open until 51
         sim.run(until=60.0)
-        mgr.evaluate()           # half-open probe; still failing -> reopen
+        mgr.evaluate()  # half-open probe; still failing -> reopen
         sim.run(until=62.0)
         assert mgr.breakers.states() == {f"primary@{SCOPE}": "open"}
         assert mgr.repair_stats()["breaker_opened"] == 2
         translator.failures = 0  # the effector comes back
-        sim.run(until=120.0)     # past the second reset window (61+50)
+        sim.run(until=120.0)  # past the second reset window (61+50)
         record = mgr.evaluate()  # half-open probe succeeds -> closed
         sim.run(until=125.0)
         assert record.committed
@@ -408,9 +408,9 @@ class TestBreaker:
         mgr.register_strategy(
             FirstSuccessStrategy("fix", [touching_tactic("primary")])
         )
-        mgr.evaluate()   # failure at t=1 opens the breaker (abort 1)
+        mgr.evaluate()  # failure at t=1 opens the breaker (abort 1)
         sim.run(until=2.0)
-        mgr.evaluate()   # only tactic rejected -> ModelError abort (abort 2)
+        mgr.evaluate()  # only tactic rejected -> ModelError abort (abort 2)
         sim.run(until=10.0)
         assert mgr.human_alerts == 1
         assert mgr.trace.select("repair.human_alert")
@@ -435,15 +435,15 @@ class TestQuarantine:
             ),
         )
         mgr.register_strategy(FirstSuccessStrategy("fix", [touching_tactic()]))
-        mgr.evaluate()            # failure at t=1 -> quarantined until 51
+        mgr.evaluate()  # failure at t=1 -> quarantined until 51
         sim.run(until=2.0)
         assert mgr.quarantined_scopes() == {SCOPE: pytest.approx(51.0)}
         assert mgr.evaluate() is None  # skipped while quarantined
         assert mgr.repair_stats()["quarantine_skips"] == 1
         sim.run(until=60.0)
-        record = mgr.evaluate()   # period lapsed: re-admitted
+        record = mgr.evaluate()  # period lapsed: re-admitted
         assert record is not None
-        sim.run(until=62.0)       # fails again -> round 2, period doubles
+        sim.run(until=62.0)  # fails again -> round 2, period doubles
         assert mgr.quarantined_scopes() == {SCOPE: pytest.approx(161.0)}
         stats = mgr.repair_stats()
         assert stats["quarantines"] == 2
@@ -459,11 +459,11 @@ class TestQuarantine:
             quarantine_policy=QuarantinePolicy(after_failures=2, period=50.0),
         )
         mgr.register_strategy(FirstSuccessStrategy("fix", [touching_tactic()]))
-        mgr.evaluate()   # failure 1 at t=1
+        mgr.evaluate()  # failure 1 at t=1
         sim.run(until=2.0)
-        mgr.evaluate()   # succeeds: the ledger resets
+        mgr.evaluate()  # succeeds: the ledger resets
         sim.run(until=4.0)
-        mgr.evaluate()   # were the count sticky, this failure would trip it
+        mgr.evaluate()  # were the count sticky, this failure would trip it
         sim.run(until=6.0)
         assert mgr.repair_stats()["quarantines"] == 0
         assert mgr.quarantined_scopes() == {}

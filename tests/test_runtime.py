@@ -17,10 +17,7 @@ from repro.experiment import (
     scenario_builder,
     scenario_names,
 )
-from repro.experiment.pipeline_scenario import (
-    PipelineManagedApplication,
-    pipeline_intents,
-)
+from repro.experiment.pipeline_scenario import PipelineExperiment, pipeline_intents
 from repro.experiment.runner import (
     Experiment,
     _ResultCache,
@@ -43,10 +40,14 @@ from repro.translation import IntentTranslator
 STAGES = (("extract", 1, 0.5), ("load", 1, 0.25))
 
 
-def tiny_runtime(sim=None, max_backlog=4.0, settle_time=5.0):
-    sim = sim if sim is not None else Simulator()
-    trace = Trace()
-    app = PipelineApplication(sim, STAGES, trace=trace)
+def tiny_pipeline():
+    """A control-run experiment: the pipeline built, no runtime of its own."""
+    return PipelineExperiment(RunConfig.control("pipeline", stages=STAGES))
+
+
+def tiny_runtime(max_backlog=4.0, settle_time=5.0):
+    experiment = tiny_pipeline()
+    sim, app = experiment.sim, experiment.app
     instruments = monitoring_table(
         app.stage_order,
         [("backlog", app.backlog, WindowedMeanGauge, {"period": 1.0, "horizon": 2.0})],
@@ -68,9 +69,7 @@ def tiny_runtime(sim=None, max_backlog=4.0, settle_time=5.0):
         gauge_create_delay=0.5,
         settle_time=settle_time,
     )
-    runtime = AdaptationRuntime(
-        sim, PipelineManagedApplication(app), spec, trace=trace
-    )
+    runtime = AdaptationRuntime(sim, experiment, spec, trace=experiment.trace)
     return sim, app, runtime
 
 
@@ -99,8 +98,7 @@ class TestAdaptationRuntimeBuild:
         )
 
     def test_invalid_violation_policy_surfaces(self):
-        sim = Simulator()
-        app = PipelineApplication(sim, STAGES)
+        experiment = tiny_pipeline()
         spec = AdaptationSpec(
             style="PipelineFam",
             dsl_source=PIPELINE_DSL,
@@ -110,7 +108,7 @@ class TestAdaptationRuntimeBuild:
             violation_policy="bogus",
         )
         with pytest.raises(RepairError):
-            AdaptationRuntime(sim, PipelineManagedApplication(app), spec)
+            AdaptationRuntime(experiment.sim, experiment, spec)
 
 
 class TestAdaptationRuntimeLoop:

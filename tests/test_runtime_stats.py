@@ -12,10 +12,9 @@ import json
 import pytest
 
 from repro import api
-from repro.app.pipeline_app import PipelineApplication
 from repro.bus.bus import FixedDelay
 from repro.errors import ReproError
-from repro.experiment.pipeline_scenario import PipelineManagedApplication
+from repro.experiment.pipeline_scenario import PipelineExperiment
 from repro.monitoring.gauges import WindowedMeanGauge
 from repro.runtime import (
     AdaptationRuntime,
@@ -25,8 +24,6 @@ from repro.runtime import (
     ShardStats,
     monitoring_table,
 )
-from repro.sim import Simulator
-from repro.sim.trace import Trace
 from repro.styles.pipeline import PIPELINE_DSL, pipeline_operators
 
 STAGES = (("extract", 1, 0.5), ("load", 1, 0.25))
@@ -34,9 +31,9 @@ STAGES = (("extract", 1, 0.5), ("load", 1, 0.25))
 
 def busy_runtime():
     """A tiny pipeline runtime driven long enough to populate counters."""
-    sim = Simulator()
-    trace = Trace()
-    app = PipelineApplication(sim, STAGES, trace=trace)
+    # a control-run experiment: the pipeline built, no runtime of its own
+    experiment = PipelineExperiment(api.RunConfig.control("pipeline", stages=STAGES))
+    sim, app = experiment.sim, experiment.app
     instruments = monitoring_table(
         app.stage_order,
         [("backlog", app.backlog, WindowedMeanGauge, {"period": 1.0, "horizon": 2.0})],
@@ -54,9 +51,7 @@ def busy_runtime():
         gauge_create_delay=0.5,
         settle_time=1.0,
     )
-    runtime = AdaptationRuntime(
-        sim, PipelineManagedApplication(app), spec, trace=trace
-    )
+    runtime = AdaptationRuntime(sim, experiment, spec, trace=experiment.trace)
     runtime.start()
     for _ in range(30):
         app.submit()

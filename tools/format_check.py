@@ -7,6 +7,7 @@ files onto the CI format gate when ruff cannot be installed locally:
 
 * lines longer than 88 columns;
 * single-quoted strings (quote-style = "double");
+* an inline comment not set off from its code by exactly two spaces;
 * a multi-line bracket group WITHOUT a magic trailing comma whose
   one-line form would fit in 88 columns (black collapses it);
 * a multi-line bracket group WITH a magic trailing comma where two
@@ -75,8 +76,14 @@ RATCHETED = [
     "src/repro/experiment/multi_tenant_scenario.py",
     "src/repro/experiment/pipeline_scenario.py",
     "src/repro/experiment/workload.py",
+    "src/repro/experiment/metrics.py",
+    "src/repro/experiment/params.py",
+    "src/repro/experiment/result.py",
+    "src/repro/experiment/config.py",
+    "src/repro/experiment/__init__.py",
     "src/repro/util/windows.py",
     "src/repro/translation/",
+    "examples/adapt_your_own_app.py",
     "benchmarks/bench_x9_fault_resilience.py",
     "benchmarks/compare_bench.py",
     "tests/test_map_reduce_scenario.py",
@@ -107,6 +114,7 @@ RATCHETED = [
     "tests/test_one_delivery_path.py",
     "tests/test_format_gate_lists.py",
     "tests/test_one_intent_loop.py",
+    "tests/test_one_scenario_class.py",
     "tests/reference/",
 ]
 
@@ -140,6 +148,10 @@ def check_file(path: Path) -> list:
                     problems.append(
                         (tok.start[0], f"single-quoted string: {text[:40]!r}")
                     )
+        elif tok.type == tokenize.COMMENT:
+            code = lines[tok.start[0] - 1][: tok.start[1]]
+            if code.strip() and len(code) - len(code.rstrip()) != 2:
+                problems.append((tok.start[0], "inline comment: two spaces before #"))
 
     # bracket-group analysis
     stack = []  # (open_tok_index, open_char)
