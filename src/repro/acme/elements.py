@@ -176,14 +176,19 @@ class Component(Element):
         return port
 
     def remove_port(self, name: str) -> Port:
-        if name not in self._ports:
-            raise UnknownElementError(f"no port {name!r} on {self.name!r}")
-        port = self._ports.pop(name)
-        if self.system is not None:
-            self.system._touch_structure()
-            if self.system._mutation_listeners:
+        """Remove a port and every attachment that names it."""
+        port = self.port(name)
+        system = self.system
+        if system is not None:
+            for att in system.attachments:
+                if att.port is port:
+                    system.detach(port, att.role)
+        del self._ports[name]
+        if system is not None:
+            system._touch_structure()
+            if system._mutation_listeners:
                 what = f"remove port {port.qualified_name}"
-                _slot_edited(self.system, what, self._ports, name, port)
+                _slot_edited(system, what, self._ports, name, port)
         return port
 
     def port(self, name: str) -> Port:
@@ -226,14 +231,19 @@ class Connector(Element):
         return role
 
     def remove_role(self, name: str) -> Role:
-        if name not in self._roles:
-            raise UnknownElementError(f"no role {name!r} on {self.name!r}")
-        role = self._roles.pop(name)
-        if self.system is not None:
-            self.system._touch_structure()
-            if self.system._mutation_listeners:
+        """Remove a role and every attachment that names it."""
+        role = self.role(name)
+        system = self.system
+        if system is not None:
+            for att in system.attachments:
+                if att.role is role:
+                    system.detach(att.port, role)
+        del self._roles[name]
+        if system is not None:
+            system._touch_structure()
+            if system._mutation_listeners:
                 what = f"remove role {role.qualified_name}"
-                _slot_edited(self.system, what, self._roles, name, role)
+                _slot_edited(system, what, self._roles, name, role)
         return role
 
     def role(self, name: str) -> Role:

@@ -216,15 +216,7 @@ def _cmd_live_demo(args, out) -> int:
     # imported lazily: the demo pulls the realtime plane + asyncio app in
     from repro.realtime.demo import main as demo_main
 
-    argv: List[str] = []
-    if args.check:
-        argv.append("--check")
-    if args.json:
-        argv.append("--json")
-    if args.fast:
-        argv.append("--fast")
-    argv += ["--factor", str(args.factor)]
-    return demo_main(argv, out=out)
+    return demo_main(args, out)
 
 
 # -- parser ------------------------------------------------------------------

@@ -266,6 +266,7 @@ class MasterWorkerExperiment(ScenarioExperiment):
             },
             bindings={
                 "maxBacklog": params.max_backlog,
+                "growStep": 1,
                 "maxTaskAge": params.max_task_age,
                 "minUtilization": params.min_utilization,
                 "lowWater": params.low_water,

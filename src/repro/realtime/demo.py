@@ -10,13 +10,15 @@ The cast:
 
 * the application — :class:`~repro.app.async_pool_app.AsyncWorkerPoolApp`,
   an asyncio HTTP server whose concurrency is gated by a resizable
-  worker pool (starts at ``pool_size``, budget ``max_workers``);
+  worker pool (starts at ``POOL_SIZE``, budget ``MAX_WORKERS``);
 * the load — a closed-loop ``wrk``-style generator driving three
   phases: a calm ``warmup``, a ``burst`` of many concurrent
   connections that swamps the initial pool, and a small ``cooldown``;
-* the control plane — the same style machinery the simulated task farm
-  uses (a ``WorkerPoolT`` with ``grow``/``shrink`` operators), mounted
-  on a :class:`~repro.realtime.driver.RealtimeDriver`: periodic probes
+* the control plane — the simulated task farm's style,
+  :mod:`repro.styles.master_worker`: its model, its ``grow``/``shrink``
+  operators and its pool-sizing script (``POOL_SIZING_DSL``) under the
+  demo's own bindings, mounted on a
+  :class:`~repro.realtime.driver.RealtimeDriver`: periodic probes
   sample the live queue depth and occupancy, a bus-ingested probe
   receives *client-side* latency pushed in from the load generator, and
   the translator actuates committed resizes back into the asyncio loop.
@@ -26,7 +28,7 @@ The cast:
 no control plane) back to back and gates on the burst-phase p95:
 adaptation must grow the pool during the burst, shrink it after, and
 beat the control run's p95 by the required factor.  ``repro live-demo``
-is the CLI front door; CI runs it with ``--check``.
+(:func:`main`) is the CLI front door; CI runs it with ``--check``.
 """
 
 from __future__ import annotations
@@ -35,23 +37,23 @@ import json
 from functools import partial
 from typing import Any, Dict, List, Optional
 
-from repro.acme.family import Family
 from repro.acme.system import ArchSystem
 from repro.app.async_pool_app import AsyncWorkerPoolApp, LoadGenerator, Phase
 from repro.bus.bus import FixedDelay
 from repro.monitoring.gauges import EwmaGauge, WindowedMeanGauge
 from repro.monitoring.probes import IngestProbe
-from repro.realtime.clock import Clock, WallClock
+from repro.realtime.clock import WallClock
 from repro.realtime.driver import RealtimeDriver
 from repro.runtime import AdaptationRuntime, AdaptationSpec, ManagedApplication
 from repro.runtime.spec import monitoring_table
-from repro.styles.master_worker import master_worker_operators
+from repro.styles.master_worker import (
+    POOL_SIZING_DSL,
+    build_master_worker_model,
+    master_worker_operators,
+)
 from repro.translation import IntentRow, IntentTranslator
 
 __all__ = [
-    "LIVE_POOL_DSL",
-    "build_live_pool_family",
-    "build_live_pool_model",
     "build_live_pool_spec",
     "live_pool_intents",
     "LivePoolManagedApplication",
@@ -63,84 +65,25 @@ __all__ = [
 #: seconds a committed resize waits before it reaches the application
 ACTUATION_DELAY = 0.05
 
+#: the application: seconds of service per request, the initial (and
+#: designed minimum) pool width, and the grow repair's worker budget
+SERVICE_TIME = 0.05
+POOL_SIZE = 2
+MAX_WORKERS = 12
 
-def build_live_pool_family() -> Family:
-    """``LivePoolFam``: one ``WorkerPoolT`` component, live-pool properties.
+#: the sizing script's bindings.  Grow two workers per committed repair:
+#: wall-clock bursts move faster than the simulated farm's, so single
+#: steps would spend the burst still provisioning.
+MAX_BACKLOG = 10.0
+MIN_UTILIZATION = 0.75
+LOW_WATER = 2.0
+GROW_STEP = 2
 
-    The component type keeps the task-farm style's name so its
-    ``grow``/``shrink`` operators apply unchanged; ``latency`` carries
-    the bus-ingested client-side measurement onto the model.
-    """
-    fam = Family("LivePoolFam")
-    (
-        fam.component_type("WorkerPoolT")
-        .declare_property("backlog", "float", 0.0)
-        .declare_property("size", "int", 1)
-        .declare_property("minSize", "int", 1)
-        .declare_property("utilization", "float", 1.0)
-        .declare_property("latency", "float", 0.0)
-    )
-    return fam
-
-
-def build_live_pool_model(
-    name: str, pool_size: int, min_size: int, family: Optional[Family] = None
-) -> ArchSystem:
-    fam = family if family is not None else build_live_pool_family()
-    system = ArchSystem(name, family=fam.name)
-    pool = system.new_component("pool", ["WorkerPoolT"])
-    fam.initialize(pool)
-    pool.set_property("size", int(pool_size))
-    pool.set_property("minSize", int(min_size))
-    return system
-
-
-LIVE_POOL_DSL = """
-invariant q : backlog <= maxBacklog ! -> growPool(q);
-invariant u : size <= minSize or utilization >= minUtilization
-    ! -> shrinkPool(u);
-
-strategy growPool(busyPool : WorkerPoolT) = {
-    if (addWorkers(busyPool)) {
-        commit repair;
-    } else {
-        abort NoWorkersLeft;
-    }
-}
-
-// Grow two workers per committed repair: wall-clock bursts move faster
-// than the simulated farm's, so single steps would spend the burst
-// still provisioning.
-tactic addWorkers(pool : WorkerPoolT) : boolean = {
-    if (pool.backlog <= maxBacklog) {
-        return false;
-    }
-    pool.grow(2);
-    return true;
-}
-
-strategy shrinkPool(idlePool : WorkerPoolT) = {
-    if (removeWorker(idlePool)) {
-        commit repair;
-    } else {
-        abort ModelError;
-    }
-}
-
-tactic removeWorker(pool : WorkerPoolT) : boolean = {
-    if (pool.size <= pool.minSize) {
-        return false;
-    }
-    if (pool.utilization >= minUtilization) {
-        return false;
-    }
-    if (pool.backlog >= lowWater) {
-        return false;
-    }
-    pool.shrink(1);
-    return true;
-}
-"""
+#: monitoring and settle periods, in wall-clock seconds
+PROBE_PERIOD = 0.1
+GAUGE_PERIOD = 0.25
+BACKLOG_HORIZON = 1.0
+SETTLE_TIME = 0.4
 
 
 def live_pool_intents(app: AsyncWorkerPoolApp) -> Dict[str, IntentRow]:
@@ -162,14 +105,12 @@ def live_pool_intents(app: AsyncWorkerPoolApp) -> Dict[str, IntentRow]:
 class LivePoolManagedApplication(ManagedApplication):
     """The asyncio worker pool wrapped for the adaptation runtime."""
 
-    name = "live-worker-pool"
-
     def __init__(self, app: AsyncWorkerPoolApp, min_workers: int):
         self.app = app
         self.min_workers = int(min_workers)
 
     def architecture(self) -> ArchSystem:
-        return build_live_pool_model(
+        return build_master_worker_model(
             "LivePoolModel",
             pool_size=self.app.pool_size,
             min_size=self.min_workers,
@@ -180,25 +121,20 @@ class LivePoolManagedApplication(ManagedApplication):
 
 
 def build_live_pool_spec(
-    app: AsyncWorkerPoolApp,
-    max_workers: int = 12,
-    max_backlog: float = 10.0,
-    min_utilization: float = 0.75,
-    low_water: float = 2.0,
-    probe_period: float = 0.1,
-    gauge_period: float = 0.25,
-    backlog_horizon: float = 1.0,
-    settle_time: float = 0.4,
+    app: AsyncWorkerPoolApp, max_workers: int = MAX_WORKERS
 ) -> AdaptationSpec:
-    """The live demo's control plane, tuned for wall-clock timescales.
+    """The live demo's control plane: the master_worker style, live.
 
-    Same shape as the simulated task farm's spec, with three deltas:
-    sub-second monitoring/settle periods (a wall-clock burst lasts
-    seconds, not simulated minutes), a near-zero gauge deployment
-    delay, and a bus-ingested ``latency`` probe fed by the load
-    generator from outside the process.
+    The model, the ``grow``/``shrink`` operators and the pool-sizing
+    script are the task-farm style's own; the demo brings its bindings
+    and instruments, tuned for wall-clock timescales: sub-second
+    monitoring/settle periods (a wall-clock burst lasts seconds, not
+    simulated minutes), a near-zero gauge deployment delay, and a
+    bus-ingested ``latency`` probe fed by the load generator from
+    outside the process.  ``latency`` is not a property the style
+    declares; the first gauge report adds it to the pool.
     """
-    window = {"period": gauge_period, "horizon": backlog_horizon}
+    window = {"period": GAUGE_PERIOD, "horizon": BACKLOG_HORIZON}
     instruments = monitoring_table(
         ["pool"],
         [
@@ -207,7 +143,7 @@ def build_live_pool_spec(
                 "utilization",
                 lambda _: app.utilization(),
                 EwmaGauge,
-                {"period": gauge_period, "tau": 4 * gauge_period},
+                {"period": GAUGE_PERIOD, "tau": 4 * GAUGE_PERIOD},
             ),
             # the push path: client-side latency enters over the bus via
             # RealtimeDriver.ingest -> IngestProbe, nothing polls for it
@@ -218,7 +154,7 @@ def build_live_pool_spec(
                 window,
             ),
         ],
-        period=probe_period,
+        period=PROBE_PERIOD,
     )
 
     def _operators(rt: AdaptationRuntime) -> Dict[str, Any]:
@@ -226,13 +162,14 @@ def build_live_pool_spec(
         return {"grow": ops["grow"], "shrink": ops["shrink"]}
 
     return AdaptationSpec(
-        style="LivePoolFam",
-        dsl_source=LIVE_POOL_DSL,
+        style="MasterWorkerFam",
+        dsl_source=POOL_SIZING_DSL,
         invariant_scopes={"q": "WorkerPoolT", "u": "WorkerPoolT"},
         bindings={
-            "maxBacklog": max_backlog,
-            "minUtilization": min_utilization,
-            "lowWater": low_water,
+            "maxBacklog": MAX_BACKLOG,
+            "growStep": GROW_STEP,
+            "minUtilization": MIN_UTILIZATION,
+            "lowWater": LOW_WATER,
         },
         operators=_operators,
         instruments=instruments,
@@ -243,7 +180,7 @@ def build_live_pool_spec(
         },
         delivery=FixedDelay(0.01),
         gauge_create_delay=0.05,
-        settle_time=settle_time,
+        settle_time=SETTLE_TIME,
         failed_repair_cost=0.1,
         violation_policy="first",
     )
@@ -268,12 +205,7 @@ def _percentile(values: List[float], q: float) -> float:
 
 
 def run_live_demo(
-    adapted: bool = True,
-    service_time: float = 0.05,
-    pool_size: int = 2,
-    max_workers: int = 12,
-    phases: Optional[List[Phase]] = None,
-    clock: Optional[Clock] = None,
+    adapted: bool = True, phases: Optional[List[Phase]] = None
 ) -> Dict[str, Any]:
     """One live episode: start the app, drive the load, tear down.
 
@@ -283,16 +215,16 @@ def run_live_demo(
     app takes the identical load with no plane attached.
     """
     phases = phases if phases is not None else default_phases()
-    clock = clock if clock is not None else WallClock()
-    app = AsyncWorkerPoolApp(service_time=service_time, pool_size=pool_size)
+    clock = WallClock()
+    app = AsyncWorkerPoolApp(service_time=SERVICE_TIME, pool_size=POOL_SIZE)
     app.start()
     driver: Optional[RealtimeDriver] = None
     try:
         on_latency = None
         if adapted:
             driver = RealtimeDriver(
-                LivePoolManagedApplication(app, min_workers=pool_size),
-                build_live_pool_spec(app, max_workers=max_workers),
+                LivePoolManagedApplication(app, min_workers=POOL_SIZE),
+                build_live_pool_spec(app),
                 clock=clock,
             )
             driver.start()
@@ -311,7 +243,7 @@ def run_live_demo(
         "adapted": bool(adapted),
         "requests": len(load.samples),
         "connection_errors": load.errors,
-        "pool_initial": pool_size,
+        "pool_initial": POOL_SIZE,
         "pool_peak": app.peak_pool_size,
         "pool_final": app.pool_size,
         "phases": {
@@ -343,11 +275,7 @@ def run_live_demo(
 
 
 def run_comparison(
-    factor: float = 0.75,
-    service_time: float = 0.05,
-    pool_size: int = 2,
-    max_workers: int = 12,
-    phases: Optional[List[Phase]] = None,
+    factor: float = 0.75, phases: Optional[List[Phase]] = None
 ) -> Dict[str, Any]:
     """Control vs adapted under identical load; gate on burst p95.
 
@@ -355,20 +283,8 @@ def run_comparison(
     burst, shrank it again afterwards, and its burst-phase p95 beat the
     control run's by at least ``factor``.
     """
-    control = run_live_demo(
-        adapted=False,
-        service_time=service_time,
-        pool_size=pool_size,
-        max_workers=max_workers,
-        phases=phases,
-    )
-    adapted = run_live_demo(
-        adapted=True,
-        service_time=service_time,
-        pool_size=pool_size,
-        max_workers=max_workers,
-        phases=phases,
-    )
+    control = run_live_demo(adapted=False, phases=phases)
+    adapted = run_live_demo(adapted=True, phases=phases)
     control_p95 = control["phases"]["burst"]["p95"]
     adapted_p95 = adapted["phases"]["burst"]["p95"]
     checks = {
@@ -389,36 +305,12 @@ def run_comparison(
     }
 
 
-def main(argv: Optional[List[str]] = None, out=None) -> int:
-    """``python -m repro.realtime.demo`` / ``repro live-demo``."""
-    import argparse
-    import sys
+def main(args, out) -> int:
+    """``repro live-demo``: compare, print, and gate on the comparison.
 
-    out = out if out is not None else sys.stdout
-    parser = argparse.ArgumentParser(
-        prog="repro live-demo",
-        description="adapt a live asyncio worker pool under burst load",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit 1 unless the adapted run beats control on burst p95",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="emit the full comparison as JSON"
-    )
-    parser.add_argument(
-        "--factor",
-        type=float,
-        default=0.75,
-        help="required adapted/control burst-p95 ratio (default 0.75)",
-    )
-    parser.add_argument(
-        "--fast",
-        action="store_true",
-        help="shorter phases (for local smoke runs; gates get noisier)",
-    )
-    args = parser.parse_args(argv)
+    ``args`` carries the subcommand's parsed ``check``, ``json``,
+    ``fast`` and ``factor`` options (:func:`repro.cli.build_parser`).
+    """
     phases = default_phases(1.0, 5.0, 2.0) if args.fast else None
     report = run_comparison(factor=args.factor, phases=phases)
     if args.json:
@@ -445,7 +337,3 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     if args.check and not report["ok"]:
         return 1
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -64,9 +64,6 @@ class IntentExecutor(abc.ABC):
 class ManagedApplication(abc.ABC):
     """Adapter making one application adaptable by an AdaptationRuntime."""
 
-    #: human-readable identity, used in traces and reporting
-    name: str = "app"
-
     @abc.abstractmethod
     def architecture(self) -> ArchSystem:
         """Architectural model of the current runtime configuration.

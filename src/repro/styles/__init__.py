@@ -20,6 +20,7 @@ from repro.styles.client_server import (
 )
 from repro.styles.master_worker import (
     MASTER_WORKER_DSL,
+    POOL_SIZING_DSL,
     build_master_worker_family,
     build_master_worker_model,
     master_worker_operators,
@@ -38,6 +39,7 @@ __all__ = [
     "build_client_server_model",
     "style_operators",
     "MASTER_WORKER_DSL",
+    "POOL_SIZING_DSL",
     "build_master_worker_family",
     "build_master_worker_model",
     "master_worker_operators",

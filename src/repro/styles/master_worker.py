@@ -20,6 +20,11 @@ transposed to the farm:
   (the farm's ``move``: same work, better placement);
 * ``idlePool`` -> ``shrinkPool`` — the §3.2-style underutilization
   scale-down, guarded so it never fires mid-burst.
+
+:data:`MASTER_WORKER_DSL` is :data:`POOL_SIZING_DSL` (grow by the
+``growStep`` binding, shrink) plus the straggler repair.  The live demo
+(:mod:`repro.realtime.demo`) shares :data:`POOL_SIZING_DSL`, with
+bindings of its own.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ __all__ = [
     "build_master_worker_model",
     "master_worker_operators",
     "MASTER_WORKER_DSL",
+    "POOL_SIZING_DSL",
 ]
 
 
@@ -124,9 +130,8 @@ def master_worker_operators(
     return {"grow": op_grow, "shrink": op_shrink, "redispatch": op_redispatch}
 
 
-MASTER_WORKER_DSL = """
+POOL_SIZING_DSL = """
 invariant q : backlog <= maxBacklog ! -> growPool(q);
-invariant s : oldestAge <= maxTaskAge ! -> rescueStraggler(s);
 invariant u : size <= minSize or utilization >= minUtilization
     ! -> shrinkPool(u);
 
@@ -142,26 +147,7 @@ tactic addWorker(pool : WorkerPoolT) : boolean = {
     if (pool.backlog <= maxBacklog) {
         return false;
     }
-    pool.grow(1);
-    return true;
-}
-
-// The farm's analogue of the paper's `move`: the work unit, not the
-// topology, is what relocates.  Guarded on the model's straggler signal
-// so a just-rescued pool does not re-fire before fresh gauge reports.
-strategy rescueStraggler(stuckPool : WorkerPoolT) = {
-    if (redispatchOldest(stuckPool)) {
-        commit repair;
-    } else {
-        abort ModelError;
-    }
-}
-
-tactic redispatchOldest(pool : WorkerPoolT) : boolean = {
-    if (pool.oldestAge <= maxTaskAge) {
-        return false;
-    }
-    pool.redispatch();
+    pool.grow(growStep);
     return true;
 }
 
@@ -187,6 +173,29 @@ tactic removeWorker(pool : WorkerPoolT) : boolean = {
         return false;
     }
     pool.shrink(1);
+    return true;
+}
+"""
+
+MASTER_WORKER_DSL = POOL_SIZING_DSL + """
+invariant s : oldestAge <= maxTaskAge ! -> rescueStraggler(s);
+
+// The farm's analogue of the paper's `move`: the work unit, not the
+// topology, is what relocates.  Guarded on the model's straggler signal
+// so a just-rescued pool does not re-fire before fresh gauge reports.
+strategy rescueStraggler(stuckPool : WorkerPoolT) = {
+    if (redispatchOldest(stuckPool)) {
+        commit repair;
+    } else {
+        abort ModelError;
+    }
+}
+
+tactic redispatchOldest(pool : WorkerPoolT) : boolean = {
+    if (pool.oldestAge <= maxTaskAge) {
+        return false;
+    }
+    pool.redispatch();
     return true;
 }
 """

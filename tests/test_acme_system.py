@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.acme import ArchSystem, Component
+from repro.acme import ArchSystem, Component, unparse_system
 from repro.errors import AttachmentError, DuplicateElementError, UnknownElementError
 from repro.repair.transactions import ModelTransaction
 
@@ -97,6 +97,26 @@ class TestStructure:
         s.remove_connector("link1")
         assert not s.has_connector("link1")
         assert len(s.attachments) == 2
+
+    @pytest.mark.parametrize("removed", ["port", "role"])
+    def test_remove_port_or_role_detaches_and_abort_restores(self, removed):
+        s = ArchSystem("S")
+        c = s.new_component("c")
+        c.add_port("p")
+        k = s.new_connector("k")
+        k.add_role("r")
+        s.attach(c.port("p"), k.role("r"))
+        before = unparse_system(s)
+        txn = ModelTransaction(s).begin()
+        if removed == "port":
+            c.remove_port("p")
+        else:
+            k.remove_role("r")
+        assert s.attachments == []
+        txn.abort()
+        assert c.has_port("p") and k.has_role("r")
+        assert s.is_attached(c.port("p"), k.role("r"))
+        assert unparse_system(s) == before
 
 
 class TestQueries:

@@ -14,6 +14,7 @@ import threading
 
 import pytest
 
+from repro.lint.api import lint_runtime
 from repro.monitoring.probes import IngestProbe
 from repro.realtime import FakeClock, RealtimeDriver, RealtimeScheduler, WallClock
 from repro.realtime.demo import (
@@ -382,3 +383,18 @@ class TestRealtimeDriver:
         driver, _ = _scripted_driver()
         driver.stop()  # no thread was ever started; must not raise
         driver.stop()  # and it is idempotent
+
+    def test_live_demo_lints_clean(self):
+        """``repro lint`` sees registered scenarios only; this is the demo's.
+
+        A sizing-script binding the demo forgets (``growStep``) or an
+        operator whose intent has no row in the demo's table shows here.
+        """
+        app = ScriptedPoolApp()
+        driver = RealtimeDriver(
+            LivePoolManagedApplication(app, min_workers=2),
+            build_live_pool_spec(app),
+            clock=FakeClock(),
+        )
+        report = lint_runtime(driver.runtime, "live-demo")
+        assert report.findings == []

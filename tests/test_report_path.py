@@ -74,8 +74,6 @@ class _NullEffector(IntentExecutor):
 
 
 class _PlaneApp(ManagedApplication):
-    name = "report-path-plane"
-
     def __init__(self, pools):
         self.tenants = [f"T{i}" for i in range(pools)]
 

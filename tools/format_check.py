@@ -58,6 +58,7 @@ RATCHETED = [
     "src/repro/repair/dsl/",
     "src/repro/runtime/sharding.py",
     "src/repro/runtime/stats.py",
+    "src/repro/runtime/app.py",
     "src/repro/styles/map_reduce.py",
     "src/repro/styles/grid_site.py",
     "src/repro/styles/client_server.py",
@@ -115,6 +116,7 @@ RATCHETED = [
     "tests/test_format_gate_lists.py",
     "tests/test_one_intent_loop.py",
     "tests/test_one_scenario_class.py",
+    "tests/test_one_kernel.py",
     "tests/reference/",
 ]
 
