@@ -202,7 +202,7 @@ class ArchSystem:
         comp = self.component(name)
         dropped = [a for a in self.attachments if a.port.component is comp]
         for att in dropped:
-            self.detach(att.port, att.role)
+            self._unbind(att)  # the undo below binds each back, once
         del self._components[name]
         self._touch_structure()
         if self._mutation_listeners:
@@ -247,7 +247,7 @@ class ArchSystem:
         conn = self.connector(name)
         dropped = [a for a in self.attachments if a.role.connector is conn]
         for att in dropped:
-            self.detach(att.port, att.role)
+            self._unbind(att)  # the undo below binds each back, once
         del self._connectors[name]
         self._touch_structure()
         if self._mutation_listeners:

@@ -38,6 +38,11 @@ control-loop wake-up costs O(moved scopes + violated scopes);
 :meth:`ConstraintChecker.check_all` returns every result and is the one
 remaining O(model) read (a list copy).  A re-evaluated scope whose
 verdict did not move keeps its cached :class:`ConstraintResult` object.
+Each slot whose result did move is also entered in the session's
+*journal*, so a reader that keeps state per slot — the repair engine's
+admission (:mod:`repro.repair.engine`) — visits only what moved since it
+last drained the journal; a new session (:meth:`ConstraintChecker.session`
+returns another object) means every slot number changed.
 
 ``tests/test_constraints_compile.py`` holds the equivalence suite for
 both axes: compiled programs against the tree-walking reference
@@ -114,22 +119,6 @@ class Invariant:
         #: element + bindings (the incremental checker's fast lane)
         self.scope_local: bool = is_scope_local(self.ast)
 
-    def read_footprint(self, scope: Optional[Element]):
-        """What re-checking this invariant for ``scope`` may read.
-
-        A scope-local, type-scoped invariant reads exactly its scope
-        element; everything else (system-scoped, quantified, graph-reading)
-        conservatively reads the whole model.  Returns a
-        :class:`~repro.repair.footprint.Footprint`; the concurrent repair
-        engine unions this with a candidate repair's write set to decide
-        admission and conflicts.
-        """
-        from repro.repair.footprint import Footprint
-
-        if self.scope_local and self.scope_type is not None and scope is not None:
-            return Footprint.of((scope.qualified_name,))
-        return Footprint.UNIVERSAL
-
     def _scopes(self, system: ArchSystem) -> List[Optional[Element]]:
         if self.scope_type is None:
             return [None]
@@ -165,6 +154,7 @@ class _CheckSession:
         "violated",
         "scope_index",
         "global_slots",
+        "journal",
     )
 
     def __init__(self, system: ArchSystem):
@@ -181,6 +171,8 @@ class _CheckSession:
         self.scope_index: Dict[Element, List[int]] = {}
         #: slots re-evaluated whenever anything changed (conservative lane)
         self.global_slots: List[int] = []
+        #: slots whose result moved since a reader last cleared this
+        self.journal: Set[int] = set()
 
 
 class ConstraintChecker:
@@ -248,7 +240,7 @@ class ConstraintChecker:
         ``full=True`` is the escape hatch: one unconditional full pass
         (the cache is rebuilt, so later calls stay incremental).
         """
-        return list(self._refresh(system, full).results)
+        return list(self.session(system, full).results)
 
     def violations(
         self, system: ArchSystem, full: bool = False
@@ -256,16 +248,14 @@ class ConstraintChecker:
         """The violated results of :meth:`check_all`, in its order, after
         the same refresh — read from the live violation set, so the cost
         is O(moved scopes + violated scopes), not O(model)."""
-        sess = self._refresh(system, full)
+        sess = self.session(system, full)
         results = sess.results
         return [results[slot] for slot in sorted(sess.violated)]
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _refresh(self, system: ArchSystem, full: bool) -> _CheckSession:
+    def session(self, system: ArchSystem, full: bool = False) -> _CheckSession:
         """Bring the cached session up to date with ``system`` (or build
-        a new one) and return it."""
+        a new one) and return it: ``results`` by slot, the ``violated``
+        slots, and the ``journal`` of slots whose result moved."""
         self._ensure_programs()
         sess = self._session
         if (
@@ -288,6 +278,9 @@ class ConstraintChecker:
             self.stats["scopes_reused"] += len(sess.results)
         return sess
 
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
     def _ensure_programs(self) -> None:
         """(Re)compile when first used or when the function table moved."""
         if self._program_table != self.functions or not all(
@@ -366,6 +359,7 @@ class ConstraintChecker:
             results = sess.results
             invariants = self._invariants
             violated = sess.violated
+            journal = sess.journal
             for slot in redo:
                 prior = results[slot]
                 ok, error = self._verdict(
@@ -376,6 +370,7 @@ class ConstraintChecker:
                 results[slot] = ConstraintResult(
                     prior.invariant, ok, prior.scope, prior.element, error
                 )
+                journal.add(slot)
                 if ok:
                     violated.discard(slot)
                 else:

@@ -32,7 +32,7 @@ in-flight *token* that reserves a footprint
 1. **admit** — a violation starts repairing only when a slot is free and
    its admission footprint overlaps no in-flight repair's footprint and
    no footprint still inside its settle window (settle timers are per
-   footprint); otherwise it stays pending for the next evaluation;
+   footprint); otherwise it waits on what blocks it (below);
 2. **attempt, then conflict check** — the strategy runs inside a fresh
    model transaction; the admission footprint, widened by its actual
    write set, is re-checked against the other in-flight and settling
@@ -52,6 +52,7 @@ policy point          ``"serial"`` (default)    ``"disjoint"``
 capacity              1                         ``max_concurrent_repairs``
 admission footprint   ``Footprint.UNIVERSAL``   the invariant's read scope
 taken or settling     ``evaluate`` is a no-op   other scopes still admitted
+admitted violation    stays a candidate         parked on its reservation
 ``record.footprint``  the write set             read scope ∪ write set
 ``inflight`` / peak   reported as 0             live count / high-water
 ====================  ========================  ==========================
@@ -60,20 +61,29 @@ So the paper's exact scheduling — one repair at a time, then a settle
 time before anything is re-checked (§5.3, §7) — is the capacity-1,
 whole-model case, bit for bit: a universal settle entry blocks everything.
 
-**What one evaluation costs.**  ``evaluate`` reads the checker's live
-violation set (:meth:`ConstraintChecker.violations`), so it visits the
-scopes that changed and the scopes that are violated, never the whole
-model.  Every reservation — in flight or settling — is also entered in a
-ledger (element name → live reservations, plus a count of universal
-ones), kept at the four places a reservation moves: launch, the release
-before a retry, finish (in flight → settling, or dropped when
-``settle_time`` is 0) and settle expiry.  Admission and the post-attempt
-conflict check ask the ledger in O(|footprint|); the scan over the
-reservations runs only after a hit, to name the collision in the
+**What one evaluation costs.**  ``evaluate`` visits *candidates*, not
+the violation set: the slots (one per invariant and scope) that the
+checker session's journal says newly entered it, and the waiters the
+reservation ledger (:mod:`repro.repair.ledger`) released.  The ledger
+holds every reservation, kept where a reservation moves: launch, the
+release before a retry, finish (in flight → settling, or dropped when
+``settle_time`` is 0) and settle expiry.  A violation it blocks is
+parked there on its blocker, and so is one just admitted, on its own
+reservation; a parked slot whose result moved, or whose scope is put in
+quarantine, is a candidate again, and a new session (a structural
+change, say) makes every violated slot one.  Violations deferred by
+capacity, quarantined, erring or unhandled stay candidates, so
+``quarantine_skips`` and the ``constraint.error`` /
+``constraint.violation.unhandled`` traces keep their per-evaluation
+meaning; candidates are visited in checker order (severity order under
+``worst``), as the whole scan visited them.  Admission footprints are
+built once while their violation stays violated.  The scan over the
+reservations runs only after a ledger hit, to name the collision in the
 ``repair.conflict`` trace.  Settle windows expire from the head of a
-deque: one ``settle_time`` per engine and a monotonic clock put entries
-in expiry order (asserted on append).  Under the serial policy the same
-ledger simply holds universal entries.
+deque: one ``settle_time`` per engine and a monotonic clock keep it in
+expiry order (asserted on append).  Under the serial policy the ledger
+holds universal entries and nothing parks: ``evaluate`` runs only when
+it is empty.
 
 **Resilient execution.**  With the fault plane able to make effectors
 raise, no-op, or hang, the engine optionally runs repairs *two-phase*:
@@ -112,6 +122,7 @@ from repro.errors import RepairAborted, RepairError
 from repro.repair.context import RepairContext, RuntimeView
 from repro.repair.footprint import Footprint
 from repro.repair.history import RepairHistory, RepairRecord
+from repro.repair.ledger import ReservationLedger
 from repro.repair.resilience import (
     BreakerPolicy,
     CircuitBreakerBank,
@@ -135,55 +146,6 @@ class _InflightRepair:
     def __init__(self, record: RepairRecord, footprint: Footprint):
         self.record = record
         self.footprint = footprint
-
-
-class _ReservationLedger:
-    """The footprints reserved right now, indexed by element name.
-
-    ``is_free`` answers "does this footprint overlap any reservation?"
-    in O(|footprint|) with :meth:`Footprint.overlaps` semantics: a
-    universal footprint on either side overlaps everything (an empty
-    reservation included), an empty footprint overlaps only universal
-    reservations.
-    """
-
-    __slots__ = ("by_element", "universal", "total")
-
-    def __init__(self) -> None:
-        #: element name -> live reservations naming it
-        self.by_element: Dict[str, int] = {}
-        #: live universal reservations / live reservations of any kind
-        self.universal = 0
-        self.total = 0
-
-    def add(self, footprint: Footprint) -> None:
-        self.total += 1
-        if footprint.universal:
-            self.universal += 1
-            return
-        by_element = self.by_element
-        for name in footprint.elements:
-            by_element[name] = by_element.get(name, 0) + 1
-
-    def remove(self, footprint: Footprint) -> None:
-        self.total -= 1
-        if footprint.universal:
-            self.universal -= 1
-            return
-        by_element = self.by_element
-        for name in footprint.elements:
-            left = by_element[name] - 1
-            if left:
-                by_element[name] = left
-            else:
-                del by_element[name]
-
-    def is_free(self, footprint: Footprint) -> bool:
-        if self.universal:
-            return False
-        if footprint.universal:
-            return not self.total
-        return self.by_element.keys().isdisjoint(footprint.elements)
 
 
 class ArchitectureManager:
@@ -290,10 +252,11 @@ class ArchitectureManager:
 
         # scheduler state: in-flight repairs by token, the footprints still
         # inside their settle window as (until, footprint) in expiry order,
-        # and the ledger over the footprints of both
+        # and the ledger over the footprints of both (which also holds the
+        # admission candidates and the violations parked on a reservation)
         self._inflight: Dict[int, _InflightRepair] = {}
         self._settling: Deque[Tuple[float, Footprint]] = deque()
-        self._reserved = _ReservationLedger()
+        self._reserved = ReservationLedger()
         self._next_token = 0
         self.conflicts = 0
         self.peak_inflight = 0
@@ -365,9 +328,9 @@ class ArchitectureManager:
         Constraint evaluation rides the checker's compiled-incremental
         fast path: gauge updates between evaluations dirty only the
         elements they touch, so the periodic check re-evaluates O(changed)
-        scopes and reads O(violated) results, not O(model).  ``full=True``
-        forces one full re-check (the escape hatch for out-of-band model
-        surgery).
+        scopes, and admission visits the violations that moved or were
+        released, not O(model).  ``full=True`` forces one full re-check
+        (the escape hatch for out-of-band model surgery).
 
         One call admits every actionable violation that passes the
         admission rule (module doc), up to the capacity, and returns the
@@ -380,46 +343,89 @@ class ArchitectureManager:
         if self._serial and self._settling:
             return None
         self.evaluations += 1
+        self._sync(full)
         # A whole-model admission takes everything, so under "first" the
         # scan can stop at the violation it is about to admit.
         actionable = self._actionable(
-            full,
             stop_after_first=self._serial and self.violation_policy == "first",
         )
         if self.violation_policy == "worst":
-            actionable.sort(key=self._severity, reverse=True)
+            actionable.sort(key=lambda pair: self._severity(pair[1]), reverse=True)
         started: List[RepairRecord] = []
-        for violation in actionable:
+        for slot, violation in actionable:
             if len(self._inflight) >= self._capacity:
                 break
-            admission = self._admission_footprint(violation)
+            admission = self._admission_footprint(slot, violation)
             if not self._reserved.is_free(admission):
+                self._park(slot, violation, admission)
                 continue
             invariant = self.checker.invariant(violation.invariant)
             strategy = self._strategies[invariant.repair]
             started.append(self._start_repair(violation, strategy, admission))
+            if not self._serial:
+                # its own reservation blocks it now
+                self._park(slot, violation, admission)
         return started[0] if started else None
 
-    def _admission_footprint(self, violation: ConstraintResult) -> Footprint:
+    def _sync(self, full: bool = False):
+        """Refresh the checker session; the ledger follows its journal."""
+        sess = self.checker.session(self.system, full)
+        self._reserved.follow(sess)
+        return sess
+
+    def _park(
+        self, slot: int, violation: ConstraintResult, admission: Footprint
+    ) -> None:
+        """Park a blocked slot on its blocker.  A violation of a quarantined
+        scope stays a candidate: each evaluation counts it as skipped."""
+        if (violation.scope or "") not in self._quarantined:
+            self._reserved.park(slot, admission)
+
+    def _admission_footprint(
+        self, slot: int, violation: ConstraintResult
+    ) -> Footprint:
         """What a violation must find free to be admitted: the whole model
-        under the serial policy, else its invariant's read scope."""
+        under the serial policy, else its invariant's read scope.
+
+        A scope-local, type-scoped invariant reads exactly its scope
+        element; any other (system-scoped, quantified, graph-reading)
+        conservatively reads the whole model.  Built once while the slot
+        stays violated.
+        """
         if self._serial:
             return Footprint.UNIVERSAL
-        invariant = self.checker.invariant(violation.invariant)
-        return invariant.read_footprint(violation.element)
+        footprints = self._reserved.footprints
+        footprint = footprints.get(slot)
+        if footprint is None:
+            invariant = self.checker.invariant(violation.invariant)
+            if (
+                invariant.scope_local
+                and invariant.scope_type is not None
+                and violation.element is not None
+            ):
+                footprint = Footprint.of((violation.scope,))
+            else:
+                footprint = Footprint.UNIVERSAL
+            footprints[slot] = footprint
+        return footprint
 
     def _actionable(
-        self, full: bool, stop_after_first: bool
-    ) -> List[ConstraintResult]:
-        """Violations with a registered strategy, in checker order.
+        self, stop_after_first: bool
+    ) -> List[Tuple[int, ConstraintResult]]:
+        """Candidate violations with a registered strategy, as
+        ``(slot, result)`` in checker order.
 
         Errors and unhandled violations are traced and skipped; with
         ``stop_after_first`` the scan stops at the first actionable one
         (the serial policy's ``violation_policy="first"`` short-circuit).
+        Skipped violations stay candidates.
         """
-        actionable: List[ConstraintResult] = []
+        actionable: List[Tuple[int, ConstraintResult]] = []
         quarantined = self._live_quarantines()
-        for result in self.checker.violations(self.system, full=full):
+        ledger = self._reserved
+        results = ledger.session.results
+        for slot in sorted(ledger.candidates):
+            result = results[slot]
             if result.error is not None:
                 self.trace.emit(
                     self.sim.now, "constraint.error",
@@ -437,7 +443,7 @@ class ArchitectureManager:
                     invariant=result.invariant, scope=result.scope,
                 )
                 continue
-            actionable.append(result)
+            actionable.append((slot, result))
             if stop_after_first:
                 break
         return actionable
@@ -690,15 +696,19 @@ class ArchitectureManager:
 
     def _violation_still_active(
         self, violation: ConstraintResult
-    ) -> Optional[ConstraintResult]:
-        """Re-check one (invariant, scope) before a retry attempt runs."""
-        for result in self.checker.violations(self.system, full=True):
+    ) -> Optional[Tuple[int, ConstraintResult]]:
+        """Re-check one (invariant, scope) before a retry attempt runs:
+        its ``(slot, result)`` among the incremental session's violated
+        slots, or None when it holds no more (or errs)."""
+        sess = self._sync()
+        results = sess.results
+        for slot in sess.violated:
+            result = results[slot]
             if (
-                result.error is None
-                and result.invariant == violation.invariant
+                result.invariant == violation.invariant
                 and result.scope == violation.scope
             ):
-                return result
+                return (slot, result) if result.error is None else None
         return None
 
     def _retry(
@@ -710,15 +720,17 @@ class ArchitectureManager:
         # (this call comes from the scheduler, not through ``evaluate``).
         self._reserved.remove(self._inflight.pop(token).footprint)
         self._expire_settles()
-        fresh = self._violation_still_active(violation)
-        if fresh is None:
+        found = self._violation_still_active(violation)
+        if found is None:
             self.trace.emit(
                 self.sim.now, "repair.retry_skip",
                 invariant=violation.invariant, scope=violation.scope,
             )
             return
+        slot, fresh = found
         self._start_repair(
-            fresh, strategy, self._admission_footprint(fresh), attempt=attempt
+            fresh, strategy, self._admission_footprint(slot, fresh),
+            attempt=attempt,
         )
 
     def _scope_failure(self, violation: ConstraintResult) -> None:
@@ -740,6 +752,8 @@ class ArchitectureManager:
                 self.sim.now, "repair.quarantine",
                 scope=scope, until=self.sim.now + period, round=rounds + 1,
             )
+            # its parked violations are counted as skipped from now on
+            self._reserved.unpark_scope(scope)
 
     # -- footprint scheduling ---------------------------------------------------
     def _expire_settles(self) -> None:

@@ -16,7 +16,7 @@ Two producers feed the engine's footprints:
   derives the elements a repair's tactics actually wrote from the
   system's change epochs (the same dirty-scope machinery the incremental
   constraint checker rides);
-* **read scopes** — :meth:`~repro.constraints.invariants.Invariant.read_footprint`
+* **read scopes** — the engine's admission footprint of a violation
   bounds what re-checking the triggering invariant will read
   (:func:`~repro.constraints.compile.is_scope_local` proves scope-local
   invariants read nothing but their scope element and global bindings).

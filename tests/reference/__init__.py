@@ -3,6 +3,9 @@ as the oracle the production path is compared against (ROADMAP item 2).
 
 Residents:
 
+* :mod:`reference.admission` — the repair engine's scan-every-violation
+  admission (``ScanAdmissionManager``), oracle of the candidate-driven
+  :meth:`repro.repair.engine.ArchitectureManager.evaluate`;
 * :mod:`reference.evaluator` — the tree-walking constraint interpreter
   (``Evaluator``), oracle of :mod:`repro.constraints.compile`;
 * :mod:`reference.bus` — the linear subscription scan (``LinearIndex``),
@@ -22,6 +25,7 @@ Residents:
 as ``reference``.
 """
 
+from reference.admission import ScanAdmissionManager
 from reference.bus import LinearIndex, linear_bus
 from reference.evaluator import (
     Evaluator,
@@ -40,6 +44,7 @@ __all__ = [
     "ModelUpdater",
     "PacedHeapKernel",
     "ReferenceProgram",
+    "ScanAdmissionManager",
     "evaluate_agreed",
     "linear_bus",
     "rebuild_partition",

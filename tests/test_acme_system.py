@@ -119,6 +119,90 @@ class TestStructure:
         assert unparse_system(s) == before
 
 
+def shared_port_model():
+    """``grp.serve`` attached to two roles, the later key first."""
+    s = ArchSystem("S")
+    c1 = s.new_component("c1")
+    grp = s.new_component("grp")
+    c1.add_port("req")
+    grp.add_port("serve")
+    for name in ("link1", "link2"):
+        link = s.new_connector(name)
+        link.add_role("client")
+        link.add_role("group")
+    s.attach(c1.port("req"), s.connector("link1").role("client"))
+    s.attach(grp.port("serve"), s.connector("link2").role("group"))
+    s.attach(grp.port("serve"), s.connector("link1").role("group"))
+    s.attach(c1.port("req"), s.connector("link2").role("client"))
+    return s
+
+
+class TestAbortedRemoval:
+    """An aborted ``remove_component`` / ``remove_connector`` puts each
+    dropped attachment back once, in key order, after the ones it kept;
+    ``attached_role`` answers from that order."""
+
+    @pytest.mark.parametrize(
+        "removed, order, role",
+        [
+            (
+                "component grp",
+                [
+                    ("c1.req", "link1.client"),
+                    ("c1.req", "link2.client"),
+                    ("grp.serve", "link1.group"),
+                    ("grp.serve", "link2.group"),
+                ],
+                "link1.group",
+            ),
+            (
+                "connector link2",
+                [
+                    ("c1.req", "link1.client"),
+                    ("grp.serve", "link1.group"),
+                    ("c1.req", "link2.client"),
+                    ("grp.serve", "link2.group"),
+                ],
+                "link1.group",
+            ),
+            (
+                "connector link1",
+                [
+                    ("grp.serve", "link2.group"),
+                    ("c1.req", "link2.client"),
+                    ("c1.req", "link1.client"),
+                    ("grp.serve", "link1.group"),
+                ],
+                "link2.group",
+            ),
+        ],
+    )
+    def test_abort_rebinds_each_dropped_attachment_once(
+        self, removed, order, role, monkeypatch
+    ):
+        s = shared_port_model()
+        kind, name = removed.split()
+        dropped = len(s.attachments) - 2
+        bound = []
+        bind = ArchSystem._bind
+
+        def counted(system, att):
+            bound.append(att.key)
+            bind(system, att)
+
+        txn = ModelTransaction(s).begin()
+        getattr(s, f"remove_{kind}")(name)
+        assert len(s.attachments) == 2
+        monkeypatch.setattr(ArchSystem, "_bind", counted)
+        txn.abort()
+        assert list(s._attachments) == order
+        assert s.attached_role(s.component("grp").port("serve")).qualified_name == role
+        assert s.attached_port(s.connector("link1").role("group")).qualified_name == (
+            "grp.serve"
+        )
+        assert sorted(bound) == sorted(order[-dropped:])
+
+
 class TestQueries:
     def test_connected(self):
         s = client_server_model()

@@ -9,7 +9,11 @@ listened.  ``ClosureSystem`` below is that system where the two differ,
 its methods kept verbatim; the only adjustment is that ``_adopt``
 registers ``forward`` through ``PropertyBag.on_property_change`` (the
 parent's plain append), because today's ``Element.on_property_change``
-would put the back-pointer route in front of it.
+would put the back-pointer route in front of it.  ``remove_component``
+and ``remove_connector`` are today's: since they unbind their
+attachments themselves (one undo record, which binds each dropped
+attachment back once), the old ones — a ``detach`` per attachment —
+differ in epochs and descriptions for a reason that is not forwarding.
 
 Random scripts run on both in lockstep: declare / set / remove property
 on components, ports, roles and connectors (same value again, ``1`` ->
@@ -129,24 +133,6 @@ class ClosureSystem(ArchSystem):
         )
         return component
 
-    def remove_component(self, name: str) -> Component:
-        """Remove a component and every attachment touching its ports."""
-        comp = self.component(name)
-        dropped = [a for a in self.attachments if a.port.component is comp]
-        for att in dropped:
-            self.detach(att.port, att.role)
-        del self._components[name]
-        self._touch_structure()
-
-        def undo() -> None:
-            self._components[name] = comp
-            for att in dropped:
-                self._bind(att)
-            self._touch_structure()
-
-        self._mutated(f"remove component {name}", undo)
-        return comp
-
     def add_connector(self, connector: Connector) -> Connector:
         if connector.name in self._connectors or connector.name in self._components:
             raise DuplicateElementError(f"element {connector.name!r} already in system")
@@ -158,23 +144,6 @@ class ClosureSystem(ArchSystem):
             lambda: self._silent_remove_connector(connector.name),
         )
         return connector
-
-    def remove_connector(self, name: str) -> Connector:
-        conn = self.connector(name)
-        dropped = [a for a in self.attachments if a.role.connector is conn]
-        for att in dropped:
-            self.detach(att.port, att.role)
-        del self._connectors[name]
-        self._touch_structure()
-
-        def undo() -> None:
-            self._connectors[name] = conn
-            for att in dropped:
-                self._bind(att)
-            self._touch_structure()
-
-        self._mutated(f"remove connector {name}", undo)
-        return conn
 
     def attach(self, port: Port, role: Role) -> Attachment:
         """Bind ``port`` to ``role``; each role holds at most one port."""
