@@ -42,7 +42,8 @@ Each slot whose result did move is also entered in the session's
 *journal*, so a reader that keeps state per slot — the repair engine's
 admission (:mod:`repro.repair.engine`) — visits only what moved since it
 last drained the journal; a new session (:meth:`ConstraintChecker.session`
-returns another object) means every slot number changed.
+returns another object) means every slot number changed.  Draining is
+destructive, so a journal has one reader and a checker feeds one engine.
 
 ``tests/test_constraints_compile.py`` holds the equivalence suite for
 both axes: compiled programs against the tree-walking reference
@@ -155,6 +156,7 @@ class _CheckSession:
         "scope_index",
         "global_slots",
         "journal",
+        "reader",
     )
 
     def __init__(self, system: ArchSystem):
@@ -171,8 +173,11 @@ class _CheckSession:
         self.scope_index: Dict[Element, List[int]] = {}
         #: slots re-evaluated whenever anything changed (conservative lane)
         self.global_slots: List[int] = []
-        #: slots whose result moved since a reader last cleared this
+        #: slots whose result moved since its reader last cleared this
         self.journal: Set[int] = set()
+        #: the one reader that drains ``journal`` (a repair engine's
+        #: reservation ledger), once one has claimed it
+        self.reader: Optional[object] = None
 
 
 class ConstraintChecker:

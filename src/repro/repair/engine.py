@@ -76,8 +76,7 @@ capacity, quarantined, erring or unhandled stay candidates, so
 ``quarantine_skips`` and the ``constraint.error`` /
 ``constraint.violation.unhandled`` traces keep their per-evaluation
 meaning; candidates are visited in checker order (severity order under
-``worst``), as the whole scan visited them.  Admission footprints are
-built once while their violation stays violated.  The scan over the
+``worst``), as the whole scan visited them.  The scan over the
 reservations runs only after a ledger hit, to name the collision in the
 ``repair.conflict`` trace.  Settle windows expire from the head of a
 deque: one ``settle_time`` per engine and a monotonic clock keep it in
@@ -355,7 +354,7 @@ class ArchitectureManager:
         for slot, violation in actionable:
             if len(self._inflight) >= self._capacity:
                 break
-            admission = self._admission_footprint(slot, violation)
+            admission = self._admission_footprint(violation)
             if not self._reserved.is_free(admission):
                 self._park(slot, violation, admission)
                 continue
@@ -376,38 +375,28 @@ class ArchitectureManager:
     def _park(
         self, slot: int, violation: ConstraintResult, admission: Footprint
     ) -> None:
-        """Park a blocked slot on its blocker.  A violation of a quarantined
-        scope stays a candidate: each evaluation counts it as skipped."""
-        if (violation.scope or "") not in self._quarantined:
-            self._reserved.park(slot, admission)
+        self._reserved.park(
+            slot, admission, (violation.scope or "") in self._quarantined
+        )
 
-    def _admission_footprint(
-        self, slot: int, violation: ConstraintResult
-    ) -> Footprint:
+    def _admission_footprint(self, violation: ConstraintResult) -> Footprint:
         """What a violation must find free to be admitted: the whole model
         under the serial policy, else its invariant's read scope.
 
         A scope-local, type-scoped invariant reads exactly its scope
         element; any other (system-scoped, quantified, graph-reading)
-        conservatively reads the whole model.  Built once while the slot
-        stays violated.
+        conservatively reads the whole model.
         """
         if self._serial:
             return Footprint.UNIVERSAL
-        footprints = self._reserved.footprints
-        footprint = footprints.get(slot)
-        if footprint is None:
-            invariant = self.checker.invariant(violation.invariant)
-            if (
-                invariant.scope_local
-                and invariant.scope_type is not None
-                and violation.element is not None
-            ):
-                footprint = Footprint.of((violation.scope,))
-            else:
-                footprint = Footprint.UNIVERSAL
-            footprints[slot] = footprint
-        return footprint
+        invariant = self.checker.invariant(violation.invariant)
+        if (
+            invariant.scope_local
+            and invariant.scope_type is not None
+            and violation.element is not None
+        ):
+            return Footprint.of((violation.scope,))
+        return Footprint.UNIVERSAL
 
     def _actionable(
         self, stop_after_first: bool
@@ -422,10 +411,7 @@ class ArchitectureManager:
         """
         actionable: List[Tuple[int, ConstraintResult]] = []
         quarantined = self._live_quarantines()
-        ledger = self._reserved
-        results = ledger.session.results
-        for slot in sorted(ledger.candidates):
-            result = results[slot]
+        for slot, result in self._reserved.candidates_in_order():
             if result.error is not None:
                 self.trace.emit(
                     self.sim.now, "constraint.error",
@@ -696,10 +682,10 @@ class ArchitectureManager:
 
     def _violation_still_active(
         self, violation: ConstraintResult
-    ) -> Optional[Tuple[int, ConstraintResult]]:
+    ) -> Optional[ConstraintResult]:
         """Re-check one (invariant, scope) before a retry attempt runs:
-        its ``(slot, result)`` among the incremental session's violated
-        slots, or None when it holds no more (or errs)."""
+        its result among the incremental session's violated slots, or
+        None when it holds no more (or errs)."""
         sess = self._sync()
         results = sess.results
         for slot in sess.violated:
@@ -708,7 +694,7 @@ class ArchitectureManager:
                 result.invariant == violation.invariant
                 and result.scope == violation.scope
             ):
-                return (slot, result) if result.error is None else None
+                return result if result.error is None else None
         return None
 
     def _retry(
@@ -727,10 +713,8 @@ class ArchitectureManager:
                 invariant=violation.invariant, scope=violation.scope,
             )
             return
-        slot, fresh = found
         self._start_repair(
-            fresh, strategy, self._admission_footprint(slot, fresh),
-            attempt=attempt,
+            found, strategy, self._admission_footprint(found), attempt=attempt
         )
 
     def _scope_failure(self, violation: ConstraintResult) -> None:

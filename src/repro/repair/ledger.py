@@ -14,12 +14,19 @@ released into the candidates.  A blocker is the least element name the
 footprint shares with a reservation — never one chosen by string
 hashing — or, when no element names it, any universal reservation, or
 (for a universal footprint) any reservation at all.
+
+A session's journal has one reader: :meth:`ReservationLedger.follow`
+drains it, so the first ledger to follow a session claims it, and a
+second ledger following the same session (two engines sharing one
+checker) is refused with :class:`~repro.errors.RepairError` rather than
+left to miss the slots the first one drained.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.errors import RepairError
 from repro.repair.footprint import Footprint
 
 __all__ = ["ReservationLedger"]
@@ -49,7 +56,6 @@ class ReservationLedger:
         "candidates",
         "waiters",
         "parked",
-        "footprints",
     )
 
     def __init__(self) -> None:
@@ -65,8 +71,6 @@ class ReservationLedger:
         #: blocker -> slots parked on it / slot -> its blocker
         self.waiters: Dict[object, Set[int]] = {}
         self.parked: Dict[int, object] = {}
-        #: violated slot -> its admission footprint, once built
-        self.footprints: Dict[int, Footprint] = {}
 
     # -- reservations ----------------------------------------------------------
     def add(self, footprint: Footprint) -> None:
@@ -112,14 +116,21 @@ class ReservationLedger:
         A new session renumbers every slot: each violated one is a
         candidate and nothing is parked.  Otherwise each slot in the
         session's journal (its result moved) is unparked, and is a
-        candidate exactly while it is violated.
+        candidate exactly while it is violated.  Raises
+        :class:`~repro.errors.RepairError` when another ledger already
+        follows ``session`` (module doc).
         """
         candidates = self.candidates
         if session is not self.session:
+            if session.reader is not None and session.reader is not self:
+                raise RepairError(
+                    "a checker session feeds one repair engine; give each "
+                    "ArchitectureManager its own ConstraintChecker"
+                )
+            session.reader = self
             self.session = session
             self.waiters.clear()
             self.parked.clear()
-            self.footprints.clear()
             candidates.clear()
             candidates.update(session.violated)
         elif session.journal:
@@ -130,13 +141,21 @@ class ReservationLedger:
                     candidates.add(slot)
                 else:
                     candidates.discard(slot)
-                    self.footprints.pop(slot, None)
         session.journal.clear()
 
-    def park(self, slot: int, footprint: Footprint) -> bool:
+    def candidates_in_order(self) -> List[Tuple[int, Any]]:
+        """The candidates as ``(slot, result)``, in checker order."""
+        results = self.session.results
+        return [(slot, results[slot]) for slot in sorted(self.candidates)]
+
+    def park(self, slot: int, footprint: Footprint, quarantined: bool) -> bool:
         """Take ``slot`` off the candidates and park it on one reservation
         ``footprint`` overlaps; False, and nothing parked, when
-        ``footprint`` is free."""
+        ``footprint`` is free or the slot's scope is ``quarantined`` (a
+        quarantined violation stays a candidate, so each evaluation
+        counts it as skipped)."""
+        if quarantined:
+            return False
         if self.universal:
             blocker: object = _UNIVERSAL_HELD
         elif footprint.universal:

@@ -15,7 +15,7 @@ forced full constraint pass the production engine replaced too.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.constraints.invariants import ConstraintResult
 from repro.repair.engine import ArchitectureManager, RepairRecord
@@ -53,7 +53,7 @@ class ScanAdmissionManager(ArchitectureManager):
         for violation in actionable:
             if len(self._inflight) >= self._capacity:
                 break
-            admission = self._admission_footprint(None, violation)
+            admission = self._admission_footprint(violation)
             if not self._reserved.is_free(admission):
                 continue
             invariant = self.checker.invariant(violation.invariant)
@@ -61,7 +61,7 @@ class ScanAdmissionManager(ArchitectureManager):
             started.append(self._start_repair(violation, strategy, admission))
         return started[0] if started else None
 
-    def _admission_footprint(self, slot, violation: ConstraintResult) -> Footprint:
+    def _admission_footprint(self, violation: ConstraintResult) -> Footprint:
         if self._serial:
             return Footprint.UNIVERSAL
         invariant = self.checker.invariant(violation.invariant)
@@ -99,12 +99,12 @@ class ScanAdmissionManager(ArchitectureManager):
 
     def _violation_still_active(
         self, violation: ConstraintResult
-    ) -> Optional[Tuple[None, ConstraintResult]]:
+    ) -> Optional[ConstraintResult]:
         for result in self.checker.violations(self.system, full=True):
             if (
                 result.error is None
                 and result.invariant == violation.invariant
                 and result.scope == violation.scope
             ):
-                return None, result
+                return result
         return None

@@ -13,6 +13,9 @@ wake-up.  Two consequences are pinned here:
 * *state* — over full-horizon adapted runs, the checker's journal, the
   parked slots and the candidate set never hold more than the violated
   slots plus the live reservations; the serial engine never parks.
+
+Draining the journal is destructive, so a checker feeds one engine: a
+second engine on the same checker is refused when it first evaluates.
 """
 
 import dataclasses
@@ -22,7 +25,9 @@ from pathlib import Path
 import pytest
 
 from repro import api
+from repro.acme.system import ArchSystem
 from repro.constraints.invariants import ConstraintChecker
+from repro.errors import RepairError
 from repro.experiment.scenarios import scenario_builder
 from repro.repair.engine import ArchitectureManager
 from repro.repair.ledger import ReservationLedger
@@ -47,9 +52,9 @@ class TestAdmissionWork:
 
         admission_footprint = ArchitectureManager._admission_footprint
 
-        def checked(manager, slot, violation):
+        def checked(manager, violation):
             work["checks"] += 1
-            return admission_footprint(manager, slot, violation)
+            return admission_footprint(manager, violation)
 
         session = ConstraintChecker.session
 
@@ -137,3 +142,21 @@ def test_admission_state_stays_bounded(name, concurrency, monkeypatch):
         assert parked[0] == 0  # the serial engine never parks
     else:
         assert parked[0] > 0
+
+
+def test_a_checker_feeds_one_engine():
+    system = ArchSystem("S")
+    system.new_component("a", ["NodeT"]).set_property("load", 3.0)
+    checker = ConstraintChecker()
+    checker.add_source("low", "load <= 1.0", scope_type="NodeT")
+    sim = Simulator()
+    first = ArchitectureManager(sim, system, checker, concurrency="disjoint")
+    second = ArchitectureManager(sim, system, checker, concurrency="disjoint")
+    first.evaluate()
+    with pytest.raises(RepairError, match="one repair engine"):
+        second.evaluate()
+    first.evaluate()  # the first engine keeps its claim
+    checker.add_source("high", "load >= 0.0", scope_type="NodeT")
+    first.evaluate()  # and claims the new session a rebuild makes
+    with pytest.raises(RepairError, match="one repair engine"):
+        second.evaluate()
