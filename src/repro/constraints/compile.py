@@ -252,8 +252,11 @@ def _compile_name(node: Name, locals_: Tuple[str, ...]) -> CompiledFn:
             if value is not _UNBOUND:
                 return value
         scope = ctx.scope
-        if scope is not None and scope.has_property(ident):
-            return scope.get_property(ident)
+        if scope is not None:
+            # one dict probe, as _compile_property_access reads a property
+            prop = scope._props.get(ident)
+            if prop is not None:
+                return prop.value
         bindings = ctx.bindings
         if ident in bindings:
             return bindings[ident]

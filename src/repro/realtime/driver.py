@@ -70,7 +70,10 @@ class RealtimeDriver:
         self._thread: Optional[threading.Thread] = None
         self._started = False
         self._runtime_started = False
+        self._stopped = False
         self.ingested = 0
+        #: accepted samples a stop() that timed out could not run
+        self.dropped = 0
         #: what ended the loop thread, if it raised (``/health`` reports it)
         self.error: Optional[BaseException] = None
 
@@ -92,7 +95,8 @@ class RealtimeDriver:
         nobody to raise to but the loop every other sample depends on.
         Whether a finite ``time`` is in order only the loop can tell: a
         late sample is dropped and counted there
-        (:attr:`IngestProbe.late`, ``stats().telemetry["late"]``).
+        (:attr:`IngestProbe.late`, ``stats().telemetry["late"]``).  After
+        :meth:`stop` nothing would run the sample: ``RuntimeError``.
         """
         probe = self._ingest_probes.get((kind, target))
         if probe is None:
@@ -109,8 +113,13 @@ class RealtimeDriver:
             raise ValueError(
                 f"capture time for ({kind!r}, {target!r}) must be finite, got {time}"
             )
+        if self._stopped:
+            raise RuntimeError("the driver is stopped: no loop would run this sample")
         self.ingested += 1
-        self.scheduler.call_soon_threadsafe(probe.ingest, value, time)
+        # the class's function, not a bound method: one function for every
+        # probe, so a drain of samples is one kernel run (and a wrapper
+        # set on the class after the build is the one that runs)
+        self.scheduler.call_soon_threadsafe(type(probe).ingest, probe, value, time)
 
     # -- lifecycle ---------------------------------------------------------
     def _start_runtime_once(self) -> None:
@@ -151,11 +160,32 @@ class RealtimeDriver:
         self.scheduler.run(until=horizon)
 
     def stop(self, join_timeout: float = 5.0) -> None:
-        """Stop the loop, join the thread, and flush buffered telemetry."""
+        """Stop the loop, join the thread, and flush buffered telemetry.
+
+        The loop checks for the stop between two actions, and a kernel
+        run (a drain's samples of one probe class) is one action.
+        Samples :meth:`ingest` accepted that the loop never took in run
+        here, on the calling thread, at the loop's last instant, so each
+        accepted sample is published or counted late.  If the loop is
+        still inside an action after ``join_timeout``, it returns from
+        that action without another drain, and what it left queued is
+        counted in :attr:`dropped` instead.  The hand-over takes no lock,
+        so a sample another thread hands over while this runs may land
+        after it: stop the producers first.
+        """
+        self._stopped = True
         self.scheduler.stop()
+        loop_ended = True
         if self._thread is not None:
             self._thread.join(timeout=join_timeout)
+            loop_ended = not self._thread.is_alive()
             self._thread = None
+        leftover = self.scheduler.take_injected()
+        if loop_ended:
+            for fn, args in leftover:
+                fn(*args)
+        else:
+            self.dropped += len(leftover)
         self.runtime.stop()
         for probe in self._ingest_probes.values():
             probe.flush()

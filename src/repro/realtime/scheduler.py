@@ -19,22 +19,29 @@ is where the lag is largest); only the check for :meth:`stop` happens
 between actions, and a kernel run (a thousand same-instant deliveries
 or gauge ticks, see :meth:`~repro.sim.kernel.Simulator.schedule_run`)
 is one action.  A thousand gauge ticks due together, or a thousand
-samples injected together, cost one pass.
+samples injected together, cost one pass; the samples are one action
+too (one run, see below), so a :meth:`stop` waits for at most one
+drain's samples.
 
 Two additions over the simulated kernel:
 
 * :meth:`call_soon_threadsafe` — the *only* sanctioned way to hand work
   to the scheduler from another thread (an HTTP handler, an asyncio
   loop).  Injected callbacks run in injection order; the sleeping loop
-  wakes immediately.  They are stamped with the clock's elapsed time
+  wakes immediately.  Consecutive calls of one function and item width
+  (``RealtimeDriver.ingest`` injects ``IngestProbe.ingest`` with the
+  probe as a field) join one kernel run; a zero-argument call is a
+  plain action.  They are stamped with the clock's elapsed time
   when the loop next takes them in, which is between two instants, not
   between two actions: under a wall clock that is later than "on
   arrival" by at most the run time of the instant in progress, and
   everything taken in together shares one stamp.  The hand-over takes
   no lock (see the method): what an injection costs must not depend on
   how the producer and the loop happen to interleave.
-* :meth:`stop` — ends :meth:`run` from any thread.  A realtime run with
-  no horizon is a service: an empty agenda means *idle*, not *done*.
+* :meth:`stop` — ends :meth:`run` from any thread, between two
+  actions, without a last drain: :meth:`take_injected` hands over what
+  the loop never took in.  A realtime run with no horizon is a service:
+  an empty agenda means *idle*, not *done*.
 
 Determinism: with a :class:`~repro.realtime.clock.FakeClock` the waits
 advance logical time instantly and running an action takes no time, so
@@ -49,8 +56,8 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from itertools import chain
-from typing import Any, Callable, Deque, Optional, Tuple
+from itertools import islice
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.realtime.clock import Clock, WallClock
 from repro.sim.kernel import Simulator
@@ -108,18 +115,31 @@ class RealtimeScheduler(Simulator):
     def stopped(self) -> bool:
         return self._stop_requested
 
+    def take_injected(self) -> List[Tuple[Callable[..., Any], Tuple[Any, ...]]]:
+        """Take what was injected and never taken in, as ``(fn, args)``
+        pairs in injection order.
+
+        For after a :meth:`stop`: it ends :meth:`run` without a last
+        drain, and a stopped scheduler never runs again.
+        """
+        injected = self._injected
+        taken = []
+        while injected:
+            taken.append(injected.popleft())
+        return taken
+
     # -- paced execution ---------------------------------------------------
     def _drain_injected(self) -> int:
         injected = self._injected
         count = len(injected)  # later arrivals wait for the next drain's stamp
         if count:
-            take = injected.popleft
-            # one arrival stamp for the lot: they join one instant's line,
-            # flattened to the line's layout (fn, args, fn, args, ...).  A
-            # producer's append has to stay one atomic (fn, args) pair —
-            # two appends from two threads could interleave
-            self._fifo(max(self._now, self.clock.elapsed())).extend(
-                chain.from_iterable([take() for _ in range(count)])
+            # one arrival stamp for the lot: they join one instant's line
+            # as schedule_run items, so a flood of one function is one
+            # run.  A producer's append has to stay one atomic (fn, args)
+            # pair — two appends from two threads could interleave
+            self._line_up(
+                self._fifo(max(self.now, self.clock.elapsed())),
+                islice(iter(injected.popleft, None), count),
             )
         return count
 
@@ -169,10 +189,10 @@ class RealtimeScheduler(Simulator):
                         break
                 # ``now`` held still and the clock only moves forward, so
                 # this is the largest lag any action of the instant saw
-                lag = self.clock.elapsed() - self._now
+                lag = self.clock.elapsed() - self.now
                 if lag > self.max_lag:
                     self.max_lag = lag
             if until is not None and not self._stop_requested:
-                self._now = float(until)
+                self.now = float(until)
         finally:
             self._running = False

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush
 from itertools import islice
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 
@@ -17,6 +17,9 @@ __all__ = ["Simulator", "Event", "Timeout", "AnyOf", "AllOf"]
 #: tracks for every message in flight.  A *run* is the action ``_RUN``,
 #: then the list ``[fn, width, fields of item 1, fields of item 2, ...]``.
 _Fifo = Deque[Any]
+
+#: a call to queue: ``(fn, args)``
+_Call = Tuple[Callable[..., Any], Tuple[Any, ...]]
 
 #: the kernel's own tag for a run: no caller's function is ever taken for one
 _RUN = object()
@@ -174,27 +177,27 @@ class Simulator:
     * ``run(until)`` executes all work up to and including ``until`` and
       leaves ``now == until``.
 
+    ``now`` is a plain attribute, read on every probe stamp and message:
+    only the kernel (and its subclasses' run loops) assigns it.
+
     Every FIFO in the agenda is non-empty: an instant is forgotten the
     moment its last action is taken off, so a long-running service
     retains nothing for the instants it has passed.
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: the current simulated time (see the class docstring)
+        self.now = 0.0
         self._times: List[float] = []
         self._agenda: Dict[float, _Fifo] = {}
         self._running = False
-
-    @property
-    def now(self) -> float:
-        return self._now
 
     # -- scheduling -------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` seconds of simulated time."""
         if not delay >= 0:  # negative, or NaN (which no comparison admits)
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = float(self._now + delay)
+        time = float(self.now + delay)
         # the plane's most-called method: a crowded instant's line is
         # found with one dict hit and no call
         fifo = self._agenda.get(time)
@@ -216,23 +219,49 @@ class Simulator:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         if not item:
             raise TypeError("schedule_run needs at least one item field")
-        time = float(self._now + delay)
+        time = float(self.now + delay)
         fifo = self._agenda.get(time)
         if fifo is None:
             fifo = self._fifo(time)
         elif fifo[-2] is _RUN:
+            # _line_up's join, inlined: a crowded instant's item joins
+            # its run with no call (the plane's most frequent schedule)
             run = fifo[-1]
             if run[0] is fn and run[1] == len(item):
                 run.extend(item)
                 return
-        fifo.append(_RUN)
-        fifo.append([fn, len(item), *item])
+        self._line_up(fifo, [(fn, item)])
+
+    @staticmethod
+    def _line_up(fifo: _Fifo, calls: Iterable[_Call]) -> None:
+        """Queue ``calls``, ``(fn, item)`` pairs, at the back of ``fifo``
+        in order, each as :meth:`schedule_run` would: an item joins the
+        run of ``fn`` that ends the line when that run has the item's
+        width, and opens a new run otherwise; a call with no fields is a
+        plain action.  The one place a run is laid out (see ``_Fifo``)."""
+        append = fifo.append
+        run_fn = width = extend = None  # the run that ends the line
+        if fifo and fifo[-2] is _RUN:
+            run = fifo[-1]
+            run_fn, width, extend = run[0], run[1], run.extend
+        for fn, item in calls:
+            if fn is run_fn and len(item) == width:
+                extend(item)
+            elif not item:
+                append(fn)
+                append(item)
+                run_fn = None
+            else:
+                run = [fn, len(item), *item]
+                append(_RUN)
+                append(run)
+                run_fn, width, extend = fn, len(item), run.extend
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` at absolute simulated ``time``."""
-        if not time >= self._now:  # earlier, or NaN: a key no lookup finds again
+        if not time >= self.now:  # earlier, or NaN: a key no lookup finds again
             raise SimulationError(
-                f"cannot schedule into the past (time={time}, now={self._now})"
+                f"cannot schedule into the past (time={time}, now={self.now})"
             )
         fifo = self._fifo(float(time))
         fifo.append(fn)
@@ -267,7 +296,7 @@ class Simulator:
         if not fifo:
             heappop(times)
             del self._agenda[time]
-        self._now = time
+        self.now = time
         if fn is _RUN:
             self._play(time, args)
         else:
@@ -315,13 +344,13 @@ class Simulator:
                 while self.step():
                     pass
                 return
-            if not until >= self._now:  # earlier, or NaN
+            if not until >= self.now:  # earlier, or NaN
                 raise SimulationError(
-                    f"run(until={until}) is in the past (now={self._now})"
+                    f"run(until={until}) is in the past (now={self.now})"
                 )
             times = self._times
             while times and times[0] <= until:
                 self.step()
-            self._now = float(until)
+            self.now = float(until)
         finally:
             self._running = False

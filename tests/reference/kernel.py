@@ -61,7 +61,10 @@ class HeapKernel:
         self._push(float(time), fn, args, None)
 
     def schedule_run(self, delay, fn, *item):
-        time = float(self.now + delay)
+        self.schedule_run_at(self.now + delay, fn, *item)
+
+    def schedule_run_at(self, time, fn, *item):
+        time = float(time)
         last = self._last.get(time)
         run = last[4] if last is not None else None
         if run is not None and run.open and run.fn is fn and run.width == len(item):
@@ -111,6 +114,9 @@ class PacedHeapKernel(HeapKernel):
     """The pacing contract over the oracle heap.
 
     Between two instants: take what was injected, stamped at the clock.
+    A drain's calls are scheduled in injection order as ``schedule_run``
+    would at the arrival instant — consecutive calls of one function and
+    item width join one run — and zero-argument calls as plain actions.
     Then wait for the head and run the actions sharing its time, looking
     for ``stop()`` after each one (a run is one); after the instant's
     last action, sample the lag.  A raise leaves ``run`` at once.
@@ -123,6 +129,8 @@ class PacedHeapKernel(HeapKernel):
         self.stopped = False
         self.executed = 0
         self.max_lag = 0.0
+        #: injected calls that joined a run
+        self.injected_joined = 0
 
     def call_soon_threadsafe(self, fn, *args):
         self.injected.append((fn, args))
@@ -136,8 +144,13 @@ class PacedHeapKernel(HeapKernel):
             if self.injected:
                 arrival = max(self.now, clock.elapsed())
                 pending, self.injected = self.injected, []
+                joined = self.joined
                 for fn, args in pending:
-                    self.schedule_at(arrival, fn, *args)
+                    if args:
+                        self.schedule_run_at(arrival, fn, *args)
+                    else:
+                        self.schedule_at(arrival, fn)
+                self.injected_joined += self.joined - joined
                 continue
             due = self.peek()
             if due is None or due > until:

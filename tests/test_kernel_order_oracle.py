@@ -25,6 +25,7 @@ float comparisons are equalities.
 import itertools
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 from reference import HeapKernel, PacedHeapKernel
@@ -85,7 +86,14 @@ class Program:
         if route < self.inject_share:
             self.seen["injected"] += 1
             self.seen["injected from a callback"] += depth > 0
-            self.k.call_soon_threadsafe(self.act, label, depth)
+            how = self.rng.random()
+            if how < 0.5:  # one function for all: a drain's calls join a run
+                self.k.call_soon_threadsafe(Program.act, self, label, depth)
+            elif how < 0.75:  # a new bound method each time: never joins
+                self.k.call_soon_threadsafe(self.act, label, depth)
+            else:  # no fields: a plain action
+                self.seen["injected with no fields"] += 1
+                self.k.call_soon_threadsafe(partial(self.act, label, depth))
         elif route < self.inject_share + 0.2:
             self.seen["schedule_at(now)"] += delay == 0.0
             self.k.schedule_at(self.k.now + delay, self.act, label, depth)
@@ -239,8 +247,11 @@ def test_realtime_scheduler_paces_like_the_contract_loop(block):
             assert real.k.max_lag == max(real.lags), f"seed {seed}"
         seen += real.seen
         _runs_seen(seen, want.k)
+        seen["an injection joined a run"] += want.k.injected_joined
         seen["lagged"] += real.k.max_lag > 0
     assert seen["injected"] > 5 * SEEDS_PER_BLOCK
+    assert seen["an injection joined a run"] > SEEDS_PER_BLOCK
+    assert seen["injected with no fields"] > SEEDS_PER_BLOCK
     assert seen["injected from a callback"] > SEEDS_PER_BLOCK
     assert seen["stop() mid-instant"] >= 2
     assert seen["lagged"] > SEEDS_PER_BLOCK // 2
@@ -314,7 +325,43 @@ class TestAgendaShape:
             sched.call_soon_threadsafe(seen.append, i)
         sched.run(until=3.0)
         assert seen == list(range(500))
+        # a bound method is a new object per access: no two calls join
         assert sched.executed == 500 and sched.max_lag == 0.0
+
+    def test_injections_of_one_function_are_one_run(self):
+        sched = RealtimeScheduler(FakeClock(3.0))
+        seen = []
+
+        def note(i):
+            seen.append(i)
+
+        for i in range(2000):
+            sched.call_soon_threadsafe(note, i)
+        sched.run(until=3.0)
+        assert seen == list(range(2000))
+        assert sched.executed == 1
+
+    def test_a_raise_in_an_injected_run_leaves_its_tail_in_order(self):
+        sched = RealtimeScheduler(FakeClock(3.0))
+        seen = []
+
+        def note(i):
+            if i == 700 and 700 not in seen:
+                seen.append(i)
+                raise Boom(i)
+            seen.append(i)
+
+        for i in range(2000):
+            sched.call_soon_threadsafe(note, i)
+        with pytest.raises(Boom):
+            sched.run(until=3.0)
+        assert seen == list(range(701))
+        [fifo] = sched._agenda.values()
+        assert len(fifo) == 2  # the tail is one run at the head of 3.0
+        assert fifo[1][2:] == list(range(701, 2000))
+        sched.run(until=3.0)
+        assert seen == list(range(2000))
+        assert sched.executed == 1 and sched.peek() is None
 
 
 class TestNanTimes:

@@ -384,6 +384,52 @@ class TestRealtimeDriver:
         driver.stop()  # no thread was ever started; must not raise
         driver.stop()  # and it is idempotent
 
+    def test_stop_runs_the_samples_the_loop_never_took_in(self):
+        """A stop ends the loop without a last drain: what ``ingest``
+        accepted after the loop's last pass runs in ``stop()`` itself."""
+        app = ScriptedPoolApp()
+        driver = RealtimeDriver(
+            LivePoolManagedApplication(app, min_workers=2),
+            build_live_pool_spec(app),
+            clock=FakeClock(),
+        )
+        driver.run_until(1.0)
+        before = driver.stats().telemetry.get("samples", 0)
+        for _ in range(7):
+            driver.ingest("latency", "pool", 1.0)
+        driver.stop()
+        telemetry = driver.stats().telemetry
+        assert driver.ingested == 7
+        assert telemetry["samples"] - before + telemetry.get("late", 0) == 7
+        assert not driver.scheduler._injected and driver.dropped == 0
+        with pytest.raises(RuntimeError):  # nothing would run it now
+            driver.ingest("latency", "pool", 1.0)
+        assert driver.ingested == 7 and not driver.scheduler._injected
+
+    def test_stop_counts_what_a_stuck_loop_left_queued(self):
+        app = ScriptedPoolApp()
+        driver = RealtimeDriver(
+            LivePoolManagedApplication(app, min_workers=2),
+            build_live_pool_spec(app),
+        )
+        inside, release = threading.Event(), threading.Event()
+
+        def stuck():
+            inside.set()
+            release.wait(10.0)
+
+        driver.start()
+        thread = driver._thread
+        driver.scheduler.call_soon_threadsafe(stuck)
+        assert inside.wait(10.0)
+        for _ in range(7):
+            driver.ingest("latency", "pool", 1.0)
+        driver.stop(join_timeout=0.05)
+        release.set()
+        thread.join(10.0)
+        assert not thread.is_alive()
+        assert driver.dropped == 7 and not driver.scheduler._injected
+
     def test_live_demo_lints_clean(self):
         """``repro lint`` sees registered scenarios only; this is the demo's.
 

@@ -10,12 +10,19 @@ Python call.  Each call is charged to the layer of its nearest enclosing
 entry point of the e2e tracer's table (``e2e.trace.ENTRY_POINTS``);
 calls under no entry point are charged to ``other``.
 
-Workloads, both after the benchmark's warm-up periods:
+Workloads, all after the benchmark's warm-up periods:
 
 * ``steady`` — every pool healthy: ingest, bus, gauges and model writes;
 * ``storm`` — the ``storm_1k`` schedule: each period a cohort of 1/50 of
   the pools goes hot and is repaired, two periods later it idles and is
-  shrunk back.
+  shrunk back;
+* ``react`` — the ``react_1k`` round, counted from the first violating
+  ``ingest`` to the 10th effector call: report path, checker, engine;
+* ``live`` — the online plane (``e2e.plane.LIVE_PLANE``) on a
+  ``FakeClock`` in one thread, flooded in chunks of 2 048 samples as
+  ``live_ingest``'s closed loop floods it: each sample enters through
+  ``RealtimeDriver.ingest`` and crosses ``call_soon_threadsafe`` to the
+  paced loop, which runs it to the gauge fold.
 
 The adaptation part is ``storm`` minus ``steady`` calls per period, and
 its scaling exponent between two sizes is ``log(a2 / a1) / log(n2 / n1)``.
@@ -24,19 +31,23 @@ Usage::
 
     python tools/callcount.py                    # N = 250, 1000, 4000
     python tools/callcount.py --pools 250 1000 --periods 6
+    python tools/callcount.py --pools 1000 --workloads live
 
-The output is strict JSON on stdout (sorted keys, no NaN), the same bytes
-under any ``PYTHONHASHSEED``.  The default run takes about 16 s on a
-2-core host, most of it at N = 4000.
+The ``live`` row's flood is the same size at every N, so its gauge work
+per sample grows with N.  The output is strict JSON on stdout (sorted
+keys, no NaN), the same bytes under any ``PYTHONHASHSEED``.  The default
+run takes about a minute on a 2-core host, most of it at N = 4000.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import importlib
 import json
 import math
+import random
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -47,10 +58,14 @@ for entry in (ROOT / "src", ROOT / "benchmarks"):
         sys.path.insert(0, str(entry))
 
 from e2e import workloads  # noqa: E402
-from e2e.plane import SIM_PLANE  # noqa: E402
+from e2e.plane import BATCH, LIVE_PLANE, SIM_PLANE, BenchApp, build_spec  # noqa: E402
 from e2e.trace import ENTRY_POINTS, _bus_kind  # noqa: E402
+from repro.realtime import FakeClock, RealtimeDriver  # noqa: E402
 
 OTHER = "other"
+WORKLOADS = ("steady", "storm", "react", "live")
+#: flood chunks per gauge period in the ``live`` row
+LIVE_CHUNKS = 10
 
 
 def _entry_codes() -> Dict[object, tuple]:
@@ -96,14 +111,33 @@ class CallCounter:
                 self.stack.pop()
 
     def run(self, function) -> None:
-        """Call ``function()`` with the hook installed."""
+        """Call ``function()`` with the hook installed.
+
+        The garbage collector's callbacks are detached meanwhile: they
+        are the process's (a test library may have added one), and a
+        collection pass would charge them to whatever layer it lands in.
+        """
         self.stack.clear()
+        callbacks = gc.callbacks[:]
+        gc.callbacks.clear()
         sys.setprofile(self.hook)
         try:
             function()
         finally:
             sys.setprofile(None)
+            gc.callbacks[:] = callbacks
         self.stack.clear()
+
+
+def _per_sample(counter: CallCounter, samples: int) -> Dict[str, object]:
+    calls = dict(sorted(counter.calls.items()))
+    total = sum(calls.values())
+    return {
+        "samples": samples,
+        "calls": total,
+        "calls_per_sample": round(total / samples, 6),
+        "layers_per_sample": {k: round(v / samples, 6) for k, v in calls.items()},
+    }
 
 
 def count(pools: int, storm: bool, periods: int, seed: int) -> Dict[str, object]:
@@ -122,14 +156,91 @@ def count(pools: int, storm: bool, periods: int, seed: int) -> Dict[str, object]
         counter.run(run.period)
     samples = run.samples - samples_before
     run.plane.runtime.stop()
-    calls = dict(sorted(counter.calls.items()))
-    total = sum(calls.values())
-    return {
-        "samples": samples,
-        "calls": total,
-        "calls_per_sample": round(total / samples, 6),
-        "layers_per_sample": {k: round(v / samples, 6) for k, v in calls.items()},
-    }
+    return _per_sample(counter, samples)
+
+
+def count_react(pools: int, rounds: int, seed: int) -> Dict[str, object]:
+    """Calls per layer over ``rounds`` rounds of ``react_1k``, each
+    counted from its violating batch to its ``REACT_K``-th effector call
+    (the rest of the round, as there, runs uncounted)."""
+    config = dataclasses.replace(SIM_PLANE, pools=pools)
+    run = workloads.SimPlane(config, seed, workloads.WARMUP_PERIODS + 2 * rounds)
+    order, calls = run.telemetry.order, run.plane.effector.calls
+    react_k = min(workloads.REACT_K, pools)
+    for _ in range(workloads.WARMUP_PERIODS):
+        run.period()
+    counter = CallCounter()
+    samples = 0
+    for r in range(rounds):
+        chosen = [int(order[(r * react_k + j) % pools]) for j in range(react_k)]
+        run.app.demand[chosen] = run.app.size[chosen] + 1
+        now = run.now
+        latency, utilization = run.telemetry.rows(run.app, run.feeds)
+        run.feeds += 1
+        target, step = len(calls) + react_k, run.sim.step
+
+        def react() -> None:
+            for tick in range(BATCH):
+                run.ingest(chosen, latency[tick], utilization[tick])
+            while len(calls) < target and step():
+                pass
+
+        before = run.samples
+        counter.run(react)
+        samples += run.samples - before
+        run.sim.run(until=now + config.gauge_period)
+        run.period(chosen)
+    run.plane.runtime.stop()
+    return _per_sample(counter, samples)
+
+
+def count_live(pools: int, periods: int, seed: int) -> Dict[str, object]:
+    """Calls per layer over ``periods`` gauge periods of the online
+    plane flooded as ``live_ingest``'s closed loop floods it: per
+    period ``LIVE_CHUNKS`` chunks of ``2 * LIVE_CHUNK`` samples, each
+    handed to ``RealtimeDriver.ingest`` and then run by the paced loop
+    over its share of the period."""
+    config = dataclasses.replace(LIVE_PLANE, pools=pools)
+    driver = RealtimeDriver(BenchApp(config), build_spec(config), clock=FakeClock())
+    app, ingest = driver.app, driver.ingest
+    chunk = 2 * workloads.LIVE_CHUNK
+    slice_s = config.gauge_period / LIVE_CHUNKS
+    rng = random.Random(seed)
+    driver.run_until(config.gauge_period)
+
+    def flood(first: int) -> None:
+        latency, utilization = app.latency(), app.utilization()
+        for c in range(first, first + LIVE_CHUNKS):
+            for j in range(c * chunk, (c + 1) * chunk):
+                pool = (j // 2) % pools
+                noise = 0.95 + 0.05 * rng.random()
+                if j % 2:
+                    ingest("utilization", app.tenants[pool], utilization[pool] * noise)
+                else:
+                    ingest("latency", app.tenants[pool], latency[pool] * noise)
+            driver.run_until(config.gauge_period + (c + 1) * slice_s)
+
+    for k in range(workloads.WARMUP_PERIODS):
+        flood(k * LIVE_CHUNKS)
+    counter = CallCounter()
+    before = driver.ingested
+    for k in range(workloads.WARMUP_PERIODS, workloads.WARMUP_PERIODS + periods):
+        counter.run(lambda: flood(k * LIVE_CHUNKS))
+    samples = driver.ingested - before
+    driver.stop()
+    return _per_sample(counter, samples)
+
+
+def measure(kind: str, pools: int, periods: int, seed: int) -> Dict[str, object]:
+    """One row of the report: ``kind`` (one of ``WORKLOADS``) at ``pools``.
+
+    ``react`` rounds and ``live`` periods each carry a whole plane's
+    work, so those rows count a third as many of them."""
+    if kind == "react":
+        return count_react(pools, max(1, periods // 3), seed)
+    if kind == "live":
+        return count_live(pools, max(1, periods // 3), seed)
+    return count(pools, kind == "storm", periods, seed)
 
 
 def exponent(small: float, large: float, n_small: int, n_large: int) -> Optional[float]:
@@ -143,22 +254,29 @@ def main(argv=None) -> int:
     parser.add_argument("--pools", type=int, nargs="+", default=[250, 1000, 4000])
     parser.add_argument("--periods", type=int, default=12)
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument(
+        "--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS)
+    )
     args = parser.parse_args(argv)
     sizes = sorted(set(args.pools))
     report: Dict[str, object] = {"seed": args.seed, "periods": args.periods}
-    adaptation: Dict[str, float] = {}
-    for kind in ("steady", "storm"):
-        report[kind] = {
-            str(n): count(n, kind == "storm", args.periods, args.seed) for n in sizes
+    for kind in WORKLOADS:
+        if kind in args.workloads:
+            report[kind] = {
+                str(n): measure(kind, n, args.periods, args.seed) for n in sizes
+            }
+    if "steady" in report and "storm" in report:
+        adaptation: Dict[str, float] = {}
+        for n in sizes:
+            steady, storm = report["steady"][str(n)], report["storm"][str(n)]
+            adaptation[str(n)] = round(
+                (storm["calls"] - steady["calls"]) / args.periods, 3
+            )
+        report["adaptation_calls_per_period"] = adaptation
+        report["adaptation_exponent"] = {
+            f"{a}-{b}": exponent(adaptation[str(a)], adaptation[str(b)], a, b)
+            for a, b in zip(sizes, sizes[1:])
         }
-    for n in sizes:
-        steady, storm = report["steady"][str(n)], report["storm"][str(n)]
-        adaptation[str(n)] = round((storm["calls"] - steady["calls"]) / args.periods, 3)
-    report["adaptation_calls_per_period"] = adaptation
-    report["adaptation_exponent"] = {
-        f"{a}-{b}": exponent(adaptation[str(a)], adaptation[str(b)], a, b)
-        for a, b in zip(sizes, sizes[1:])
-    }
     json.dump(report, sys.stdout, sort_keys=True, indent=1, allow_nan=False)
     sys.stdout.write("\n")
     return 0
