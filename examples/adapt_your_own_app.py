@@ -10,9 +10,15 @@ application you write two small pieces and one class:
 3. one ``ScenarioExperiment`` subclass, registered with a typed frozen
    params block.  The experiment *is* the ``ManagedApplication`` its
    runtime adapts: it builds the app, snapshots it as a style family's
-   model, wraps the intent table in the one executor, names the
+   model, hands its intent table to the shared executor (``intents()``;
+   gauges go blind for the block's ``redeploy_window``), names the
    thresholds and a monitoring table in an ``AdaptationSpec``, and lists
    the ground truth to sample.
+
+Bounds are checked once, when the config resolves: the engine checks
+its policy knobs, a value object (a retry policy, a wake threshold) its
+own fields, and the block's ``validate`` only what no one else owns;
+``**params.spec_settings(seed)`` hands a block's engine knobs to the spec.
 
 ``register_scenario`` makes the app drivable through
 ``repro.api.run(RunConfig(...))``, the shared result cache, and the
@@ -28,6 +34,7 @@ Run:  python examples/adapt_your_own_app.py
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro import api
 from repro.acme.family import Family
@@ -40,9 +47,9 @@ from repro.experiment import (
     register_scenario,
 )
 from repro.monitoring.gauges import WindowedMeanGauge
-from repro.runtime import AdaptationRuntime, AdaptationSpec, monitoring_table
+from repro.runtime import AdaptationSpec, monitoring_table
 from repro.sim import Process
-from repro.translation import IntentRow, IntentTranslator
+from repro.translation import IntentRow
 
 # ---------------------------------------------------------------------------
 # 0. The application being adapted: a job queue with a worker pool
@@ -149,6 +156,8 @@ class JobQueueParams(ScenarioParams):
     arrival_interval: float = 0.25
     max_depth: float = 10.0
     worker_cap: int = 8
+    #: s of gauge blindness after a grow (a constant, not a knob)
+    redeploy_window: ClassVar[float] = 2.0
 
 
 @register_scenario(
@@ -181,15 +190,9 @@ class JobQueueExperiment(ScenarioExperiment):
         pool.set_property("workers", self.app.workers)
         return model
 
-    def intent_executor(self, runtime: AdaptationRuntime) -> IntentTranslator:
-        # one replay loop for every table; gauges go blind for 2 s
-        return IntentTranslator(
-            runtime.sim,
-            queue_intents(self.app),
-            runtime.trace,
-            gauge_manager=runtime.gauge_manager,
-            redeploy_window=2.0,
-        )
+    def intents(self):
+        # replayed by the one executor the base class builds
+        return queue_intents(self.app)
 
     def _adaptation_spec(self) -> AdaptationSpec:
         app, params = self.app, self.params

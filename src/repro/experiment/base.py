@@ -13,9 +13,9 @@ sampling loop, result assembly from one ``runtime.stats()`` snapshot, and
 
 An experiment *is* the :class:`ManagedApplication` its runtime adapts, so
 a scenario is one class: a params block and a result subclass beside it,
-and on it the model (``architecture()``), the executor over an intent
-table (``op -> IntentRow(cost, apply)``, replayed by
-:class:`~repro.translation.IntentTranslator`), the
+and on it the model (``architecture()``), an intent table
+(``intents()``: ``op -> IntentRow(cost, apply)``, replayed by the one
+:class:`~repro.translation.IntentTranslator` built here), the
 :class:`AdaptationSpec`, and a ground-truth table (``series()``).
 Nothing in here branches on the scenario; per-scenario start order is
 expressed by which hook a scenario fills in.
@@ -38,6 +38,7 @@ from repro.runtime import (
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.trace import Trace
+from repro.translation import IntentRow, IntentTranslator
 from repro.util.rng import SeedSequenceFactory
 
 __all__ = ["ScenarioExperiment"]
@@ -53,8 +54,9 @@ class ScenarioExperiment(ManagedApplication):
     Subclasses fill in :meth:`setup` (``self.app`` + workload, appending
     whatever must start first to ``self.sources``), the
     :class:`ManagedApplication` methods (:meth:`architecture`,
-    :meth:`intent_executor`, optionally :meth:`runtime_view` /
-    :meth:`bind_faults`), :meth:`_adaptation_spec` and :meth:`series`,
+    :meth:`intents` — or all of :meth:`intent_executor` — optionally
+    :meth:`runtime_view` / :meth:`bind_faults`), :meth:`_adaptation_spec`
+    and :meth:`series`,
     extend :meth:`outcome`, and name their ``RESULT`` type.
     ``start_extras`` is the hook for anything that must start *after*
     the control plane but before the sampler.
@@ -81,6 +83,18 @@ class ScenarioExperiment(ManagedApplication):
     def setup(self) -> None:
         """Build the application and its workload (nothing starts yet)."""
         raise NotImplementedError
+
+    def intents(self) -> Dict[str, IntentRow]:
+        """The intent table ``op -> IntentRow(cost, apply)``; an ``apply``
+        returns the entities its gauges go blind for (redeploy window)."""
+        raise NotImplementedError
+
+    def intent_executor(self, runtime: AdaptationRuntime) -> IntentTranslator:
+        """The one replay loop over :meth:`intents`."""
+        window = getattr(self.params, "redeploy_window", 0.0)
+        return IntentTranslator(
+            runtime.sim, self.intents(), runtime.trace, runtime.gauge_manager, window
+        )
 
     def _adaptation_spec(self) -> AdaptationSpec:
         """The scenario's control plane, declaratively."""

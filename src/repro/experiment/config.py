@@ -105,6 +105,7 @@ class RunConfig:
         config = self if params is self.params else replace(self, params=params)
         config._validate_neutral()
         params.validate(config)
+        params.spec_settings(config.seed)
         return config
 
     def _validate_neutral(self) -> None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 from repro.app.grid_site_app import GridSiteApplication
 from repro.bus.bus import FixedDelay
@@ -55,7 +55,7 @@ from repro.styles.grid_site import (
     build_grid_site_model,
     grid_site_operators,
 )
-from repro.translation import IntentRow, IntentTranslator
+from repro.translation import IntentRow
 
 __all__ = [
     "GridSiteParams",
@@ -146,56 +146,128 @@ class GridSiteParams(ScenarioParams):
     def total_slots(self) -> int:
         return sum(pools * slots for _, pools, slots in self.site_specs())
 
+    #: the fault spec's fields (as its messages name them) -> their knobs
+    FAULT_KNOBS: ClassVar[Dict[str, str]] = {
+        "mtbf": "site_mtbf",
+        "outage_mean": "site_outage_mean",
+        "start": "fault_start",
+        "fail_prob": "effector_fail_prob",
+        "noop_prob": "effector_noop_prob",
+        "hang_prob": "effector_hang_prob",
+        "mtbd": "probe_dropout_mtbd",
+        "dropout_mean": "probe_dropout_mean",
+        "drop_prob": "bus_drop_prob",
+    }
+
     def validate(self, config: "RunConfig") -> None:
-        self._require(self.sites >= 1, "sites must be >= 1")
-        self._require(self.pools_per_site >= 1, "pools_per_site must be >= 1")
-        self._require(self.slots_per_pool >= 1, "slots_per_pool must be >= 1")
-        self._require(self.slot_spread >= 1, "slot_spread must be >= 1")
-        self._require(self.service_mean > 0, "service_mean must be positive")
+        self._at_least(1, "sites", "pools_per_site", "slots_per_pool", "slot_spread")
+        self._positive("service_mean")
         self._check_rates("arrival_rate")
         self._require(
             0 <= self.flaky_sites <= self.sites,
             "flaky_sites must be in [0, sites] (0 = all)",
         )
-        self._require(self.site_mtbf > 0, "site_mtbf must be positive")
-        self._require(self.site_outage_mean > 0, "site_outage_mean must be positive")
-        self._require(self.fault_start >= 0, "fault_start must be >= 0")
-        for name in ("fail", "noop", "hang"):
-            prob = getattr(self, f"effector_{name}_prob")
-            self._require(
-                0.0 <= prob <= 1.0, f"effector_{name}_prob must be in [0, 1]"
+        self._positive("probe_period", "gauge_period")
+        self._at_least(
+            0, "drain_cost", "resubmit_cost", "repair_timeout", "history_capacity"
+        )
+
+    # -- the value objects the run uses, checked by their owners ------------
+    def fault_spec(self, seed: int, outages_only: bool = False) -> Optional[FaultSpec]:
+        """The run's fault configuration, seeded off the run seed.
+
+        Outage draws come from per-site streams keyed only by the seed
+        and site name, so the control (outages-only) and adapted (full)
+        specs produce byte-identical up/down timelines.  None when
+        ``faults_enabled`` is off; a zero knob leaves its section out.
+        """
+        if not self.faults_enabled:
+            return None
+        effector = probe_dropouts = bus = None
+        if not outages_only:
+            probs = (
+                self.effector_fail_prob,
+                self.effector_noop_prob,
+                self.effector_hang_prob,
             )
-        self._require(
-            self.effector_fail_prob
-            + self.effector_noop_prob
-            + self.effector_hang_prob
-            <= 1.0,
-            "effector fault probabilities must sum to <= 1",
+            if any(probs):
+                effector = EffectorFaultSpec(*probs)
+            if self.probe_dropout_mtbd:
+                probe_dropouts = ProbeDropoutSpec(
+                    mtbd=self.probe_dropout_mtbd,
+                    dropout_mean=self.probe_dropout_mean,
+                    start=self.fault_start,
+                )
+            if self.bus_drop_prob:
+                bus = BusFaultSpec(drop_prob=self.bus_drop_prob)
+        outages = OutageSpec(
+            targets=tuple(self.flaky_names()),
+            mtbf=self.site_mtbf,
+            outage_mean=self.site_outage_mean,
+            start=self.fault_start,
         )
-        self._require(self.probe_dropout_mtbd >= 0, "probe_dropout_mtbd must be >= 0")
-        self._require(
-            0.0 <= self.bus_drop_prob < 1.0, "bus_drop_prob must be in [0, 1)"
+        spec = FaultSpec(
+            seed=seed,
+            outages=(outages,),
+            effector=effector,
+            probe_dropouts=probe_dropouts,
+            bus=bus,
         )
-        self._require(self.probe_period > 0, "probe_period must be positive")
-        self._require(self.gauge_period > 0, "gauge_period must be positive")
-        self._require(self.drain_cost >= 0, "drain_cost must be >= 0")
-        self._require(self.resubmit_cost >= 0, "resubmit_cost must be >= 0")
-        self._require(self.repair_timeout >= 0, "repair_timeout must be >= 0")
-        self._require(self.retry_attempts >= 1, "retry_attempts must be >= 1")
-        self._require(self.retry_backoff > 0, "retry_backoff must be positive")
-        self._require(self.retry_multiplier >= 1.0, "retry_multiplier must be >= 1")
-        self._require(self.retry_jitter >= 0, "retry_jitter must be >= 0")
-        self._require(self.breaker_threshold >= 0, "breaker_threshold must be >= 0")
-        self._require(self.breaker_reset > 0, "breaker_reset must be positive")
-        self._require(self.quarantine_after >= 0, "quarantine_after must be >= 0")
-        self._require(self.quarantine_period > 0, "quarantine_period must be positive")
-        self._require(self.history_capacity >= 0, "history_capacity must be >= 0")
-        self._check_policy(self.violation_policy)
-        self._require(
-            self.concurrency in ("serial", "disjoint"),
-            f"concurrency must be 'serial' or 'disjoint', "
-            f"got {self.concurrency!r}",
+        self._owned(spec.validate, **self.FAULT_KNOBS)
+        return spec
+
+    def retry_policy(self, seed: int) -> Optional[RetryPolicy]:
+        """Seeded backoff retries; None at one attempt (no retry)."""
+        policy = RetryPolicy(
+            max_attempts=self.retry_attempts,
+            backoff=self.retry_backoff,
+            multiplier=self.retry_multiplier,
+            jitter=self.retry_jitter,
+            seed=seed,
         )
+        self._owned(
+            policy.validate,
+            max_attempts="retry_attempts",
+            backoff="retry_backoff",
+            multiplier="retry_multiplier",
+            jitter="retry_jitter",
+        )
+        return policy if self.retry_attempts > 1 else None
+
+    def breaker_policy(self) -> Optional[BreakerPolicy]:
+        """Per-(tactic, scope) circuit breakers; None at threshold 0."""
+        if not self.breaker_threshold:
+            return None
+        policy = BreakerPolicy(self.breaker_threshold, self.breaker_reset)
+        self._owned(
+            policy.validate,
+            failure_threshold="breaker_threshold",
+            reset_timeout="breaker_reset",
+        )
+        return policy
+
+    def quarantine_policy(self) -> Optional[QuarantinePolicy]:
+        """Quarantine for scopes that keep failing; None at 0 failures."""
+        if not self.quarantine_after:
+            return None
+        policy = QuarantinePolicy(self.quarantine_after, self.quarantine_period)
+        self._owned(
+            policy.validate,
+            after_failures="quarantine_after",
+            period="quarantine_period",
+        )
+        return policy
+
+    def spec_settings(self, seed: int) -> Dict[str, Any]:
+        return {
+            **super().spec_settings(seed),
+            "faults": self.fault_spec(seed),
+            "repair_timeout": self.repair_timeout or None,
+            "retry_policy": self.retry_policy(seed),
+            "breaker_policy": self.breaker_policy(),
+            "quarantine_policy": self.quarantine_policy(),
+            "history_capacity": self.history_capacity or None,
+        }
 
 
 #: the repair engine's counters GridSiteResult.resilience carries
@@ -306,10 +378,8 @@ class GridSiteExperiment(ScenarioExperiment):
             family=build_grid_site_family(),
         )
 
-    def intent_executor(self, runtime: AdaptationRuntime) -> IntentTranslator:
-        return IntentTranslator(
-            runtime.sim, grid_site_intents(self.app, self.params), runtime.trace
-        )
+    def intents(self) -> Dict[str, IntentRow]:
+        return grid_site_intents(self.app, self.params)
 
     def bind_faults(self, plane: FaultPlane) -> None:
         for name in self.app.sites:
@@ -334,7 +404,9 @@ class GridSiteExperiment(ScenarioExperiment):
         self.control_plane: Optional[FaultPlane] = None
         if runtime is None and self.params.faults_enabled:
             self.control_plane = FaultPlane(
-                self.sim, self._fault_spec(outages_only=True), trace=self.trace
+                self.sim,
+                self.params.fault_spec(self.config.seed, outages_only=True),
+                trace=self.trace,
             )
             self.bind_faults(self.control_plane)
         return runtime
@@ -342,54 +414,6 @@ class GridSiteExperiment(ScenarioExperiment):
     def start_extras(self) -> None:
         if self.control_plane is not None:
             self.control_plane.start()
-
-    # -- spec assembly -----------------------------------------------------
-    def _fault_spec(self, outages_only: bool = False) -> Optional[FaultSpec]:
-        """The run's fault configuration, seeded off the run seed.
-
-        Outage draws come from per-site streams keyed only by the seed
-        and site name, so the control (outages-only) and adapted (full)
-        specs produce byte-identical up/down timelines.
-        """
-        params = self.params
-        if not params.faults_enabled:
-            return None
-        effector = None
-        probe_dropouts = None
-        bus = None
-        if not outages_only:
-            if (
-                params.effector_fail_prob
-                or params.effector_noop_prob
-                or params.effector_hang_prob
-            ):
-                effector = EffectorFaultSpec(
-                    fail_prob=params.effector_fail_prob,
-                    noop_prob=params.effector_noop_prob,
-                    hang_prob=params.effector_hang_prob,
-                )
-            if params.probe_dropout_mtbd > 0:
-                probe_dropouts = ProbeDropoutSpec(
-                    mtbd=params.probe_dropout_mtbd,
-                    dropout_mean=params.probe_dropout_mean,
-                    start=params.fault_start,
-                )
-            if params.bus_drop_prob > 0:
-                bus = BusFaultSpec(drop_prob=params.bus_drop_prob)
-        return FaultSpec(
-            seed=self.config.seed,
-            outages=(
-                OutageSpec(
-                    targets=tuple(params.flaky_names()),
-                    mtbf=params.site_mtbf,
-                    outage_mean=params.site_outage_mean,
-                    start=params.fault_start,
-                ),
-            ),
-            effector=effector,
-            probe_dropouts=probe_dropouts,
-            bus=bus,
-        )
 
     def _adaptation_spec(self) -> AdaptationSpec:
         params = self.params
@@ -418,40 +442,7 @@ class GridSiteExperiment(ScenarioExperiment):
             instruments=instruments,
             gauge_property_map={"healthy": "healthy", "drained": "drained"},
             delivery=FixedDelay(0.05),
-            settle_time=params.settle_time,
-            failed_repair_cost=params.failed_repair_cost,
-            violation_policy=params.violation_policy,
-            concurrency=params.concurrency,
-            faults=self._fault_spec(),
-            repair_timeout=params.repair_timeout or None,
-            retry_policy=(
-                RetryPolicy(
-                    max_attempts=params.retry_attempts,
-                    backoff=params.retry_backoff,
-                    multiplier=params.retry_multiplier,
-                    jitter=params.retry_jitter,
-                    seed=self.config.seed,
-                )
-                if params.retry_attempts > 1
-                else None
-            ),
-            breaker_policy=(
-                BreakerPolicy(
-                    failure_threshold=params.breaker_threshold,
-                    reset_timeout=params.breaker_reset,
-                )
-                if params.breaker_threshold > 0
-                else None
-            ),
-            quarantine_policy=(
-                QuarantinePolicy(
-                    after_failures=params.quarantine_after,
-                    period=params.quarantine_period,
-                )
-                if params.quarantine_after > 0
-                else None
-            ),
-            history_capacity=params.history_capacity or None,
+            **params.spec_settings(self.config.seed),
         )
 
     def outcome(self, stats) -> Dict[str, Any]:

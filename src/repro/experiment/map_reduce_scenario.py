@@ -47,7 +47,7 @@ from repro.experiment.scenarios import register_scenario
 from repro.experiment.workload import Arrivals, burst
 from repro.monitoring.gauges import LatestValueGauge, WindowedMeanGauge
 from repro.monitoring.manager import WakeThreshold
-from repro.runtime import AdaptationRuntime, AdaptationSpec
+from repro.runtime import AdaptationSpec
 from repro.runtime.spec import monitoring_table
 from repro.styles.map_reduce import (
     MAP_REDUCE_DSL,
@@ -55,7 +55,7 @@ from repro.styles.map_reduce import (
     build_map_reduce_model,
     map_reduce_operators,
 )
-from repro.translation import IntentRow, IntentTranslator
+from repro.translation import IntentRow
 
 __all__ = [
     "MapReduceParams",
@@ -111,20 +111,28 @@ class MapReduceParams(ScenarioParams):
         return [f"R{i}" for i in range(self.reducers)]
 
     def validate(self, config: "RunConfig") -> None:
-        self._require(self.mappers >= 1, "mappers must be >= 1")
-        self._require(self.reducers >= 2, "reducers must be >= 2")
-        self._require(self.keys >= self.reducers, "need at least one key per reducer")
-        self._require(self.zipf_s > 0, "zipf_s must be positive")
-        self._require(self.map_service > 0, "map_service must be positive")
-        self._require(self.reduce_service > 0, "reduce_service must be positive")
-        self._require(self.reducer_width >= 1, "reducer_width must be >= 1")
+        self._at_least(1, "mappers")
+        self._at_least(2, "reducers")
+        self._require(
+            self.keys >= self.reducers,
+            "keys must be >= reducers (need at least one key per reducer)",
+        )
+        self._positive("zipf_s", "map_service", "reduce_service")
+        self._at_least(1, "reducer_width")
         self._check_rates("baseline_rate", "burst_rate")
         self._require(0.0 < self.max_share <= 1.0, "max_share must be in (0, 1]")
-        self._require(self.low_backlog >= 0, "low_backlog must be >= 0")
-        self._require(self.probe_period > 0, "probe_period must be positive")
-        self._require(self.gauge_period > 0, "gauge_period must be positive")
-        self._require(self.wake_band >= 0, "wake_band must be >= 0")
-        self._check_policy(self.violation_policy)
+        self._at_least(0, "low_backlog")
+        self._positive("probe_period", "gauge_period", "backlog_horizon")
+
+    def wake_thresholds(self) -> Dict[str, WakeThreshold]:
+        """Share and backlog wake the checker on their invariant
+        thresholds; a math.inf threshold never crosses, so "keys"
+        reports update the model without waking it."""
+        return {
+            "share": self._wake_threshold("max_share"),
+            "backlog": self._wake_threshold("low_backlog"),
+            "keys": WakeThreshold(math.inf),
+        }
 
 
 @dataclass
@@ -238,14 +246,8 @@ class MapReduceExperiment(ScenarioExperiment):
             family=build_map_reduce_family(),
         )
 
-    def intent_executor(self, runtime: AdaptationRuntime) -> IntentTranslator:
-        return IntentTranslator(
-            runtime.sim,
-            map_reduce_intents(self.app, self.params),
-            runtime.trace,
-            runtime.gauge_manager,
-            self.params.redeploy_window,
-        )
+    def intents(self) -> Dict[str, IntentRow]:
+        return map_reduce_intents(self.app, self.params)
 
     def series(self):
         """Ground truth: per-reducer backlog, max share, mapper queue."""
@@ -279,18 +281,6 @@ class MapReduceExperiment(ScenarioExperiment):
             period=params.probe_period,
             batch=batch,
         )
-        # Wake the checker only on threshold crossings.  "keys" reports
-        # are informational — a math.inf threshold never crosses, so they
-        # update the model without waking the checker.
-        wake_thresholds = {
-            "share": WakeThreshold(
-                params.max_share, band=params.wake_band * params.max_share
-            ),
-            "backlog": WakeThreshold(
-                params.low_backlog, band=params.wake_band * params.low_backlog
-            ),
-            "keys": WakeThreshold(math.inf),
-        }
         return AdaptationSpec(
             style="MapReduceFam",
             dsl_source=MAP_REDUCE_DSL,
@@ -300,11 +290,7 @@ class MapReduceExperiment(ScenarioExperiment):
             instruments=instruments,
             gauge_property_map={"backlog": "backlog", "share": "share", "keys": "keys"},
             delivery=FixedDelay(0.05),
-            gauge_caching=params.gauge_caching,
-            settle_time=params.settle_time,
-            failed_repair_cost=params.failed_repair_cost,
-            violation_policy=params.violation_policy,
-            wake_thresholds=wake_thresholds,
+            **params.spec_settings(self.config.seed),
         )
 
     def outcome(self, stats) -> Dict[str, Any]:

@@ -42,7 +42,7 @@ from repro.experiment.result import RunResult
 from repro.experiment.scenarios import register_scenario
 from repro.experiment.workload import Arrivals, burst
 from repro.monitoring.gauges import EwmaGauge, LatestValueGauge, WindowedMeanGauge
-from repro.runtime import AdaptationRuntime, AdaptationSpec
+from repro.runtime import AdaptationSpec
 from repro.runtime.spec import monitoring_table
 from repro.styles.master_worker import (
     MASTER_WORKER_DSL,
@@ -50,7 +50,7 @@ from repro.styles.master_worker import (
     build_master_worker_model,
     master_worker_operators,
 )
-from repro.translation import IntentRow, IntentTranslator
+from repro.translation import IntentRow
 
 __all__ = [
     "MasterWorkerParams",
@@ -107,15 +107,15 @@ class MasterWorkerParams(ScenarioParams):
             "pool sizes must satisfy 1 <= min_workers <= workers <= "
             "max_workers",
         )
-        self._require(self.service_mean > 0, "service_mean must be positive")
+        self._positive("service_mean")
         self._require(
             0.0 <= self.straggler_prob < 1.0, "straggler_prob must be in [0, 1)"
         )
-        self._require(self.straggler_factor >= 1.0, "straggler_factor must be >= 1")
+        self._at_least(1, "straggler_factor")
         self._check_rates("baseline_rate", "burst_rate")
-        self._require(self.probe_period > 0, "probe_period must be positive")
-        self._require(self.gauge_period > 0, "gauge_period must be positive")
-        self._check_policy(self.violation_policy)
+        self._positive(
+            "probe_period", "gauge_period", "load_horizon", "utilization_tau"
+        )
 
 
 @dataclass
@@ -208,14 +208,8 @@ class MasterWorkerExperiment(ScenarioExperiment):
             family=build_master_worker_family(),
         )
 
-    def intent_executor(self, runtime: AdaptationRuntime) -> IntentTranslator:
-        return IntentTranslator(
-            runtime.sim,
-            master_worker_intents(self.app, self.params),
-            runtime.trace,
-            runtime.gauge_manager,
-            self.params.redeploy_window,
-        )
+    def intents(self) -> Dict[str, IntentRow]:
+        return master_worker_intents(self.app, self.params)
 
     def series(self):
         """Ground truth: queue depth, pool size, occupancy, oldest task."""
@@ -281,10 +275,7 @@ class MasterWorkerExperiment(ScenarioExperiment):
                 "age": "oldestAge",
             },
             delivery=FixedDelay(0.05),
-            gauge_caching=params.gauge_caching,
-            settle_time=params.settle_time,
-            failed_repair_cost=params.failed_repair_cost,
-            violation_policy=params.violation_policy,
+            **params.spec_settings(self.config.seed),
         )
 
     def outcome(self, stats) -> Dict[str, Any]:

@@ -41,8 +41,8 @@ from repro.experiment.scenarios import register_scenario
 from repro.experiment.workload import Arrivals, burst
 from repro.monitoring.gauges import EwmaGauge, LatestValueGauge
 from repro.monitoring.manager import WakeThreshold
-from repro.runtime import AdaptationRuntime, AdaptationSpec, RuntimeStats
-from repro.runtime.sharding import ShardingSpec, shard_key_names
+from repro.runtime import AdaptationSpec, RuntimeStats
+from repro.runtime.sharding import ShardingSpec, resolve_shard_key
 from repro.runtime.spec import monitoring_table
 from repro.styles.multi_tenant import (
     MULTI_TENANT_DSL,
@@ -50,7 +50,7 @@ from repro.styles.multi_tenant import (
     build_multi_tenant_model,
     multi_tenant_operators,
 )
-from repro.translation import IntentRow, IntentTranslator
+from repro.translation import IntentRow
 
 __all__ = [
     "MultiTenantParams",
@@ -122,13 +122,13 @@ class MultiTenantParams(ScenarioParams):
         return self.tenant_names()[:count]
 
     def validate(self, config: "RunConfig") -> None:
-        self._require(self.tenants >= 1, "tenants must be >= 1")
+        self._at_least(1, "tenants")
         self._require(
             1 <= self.min_workers <= self.workers <= self.max_workers,
             "pool sizes must satisfy 1 <= min_workers <= workers <= "
             "max_workers",
         )
-        self._require(self.service_mean > 0, "service_mean must be positive")
+        self._positive("service_mean")
         self._check_rates("baseline_rate", "surge_rate")
         self._require(
             0.0 <= self.surge_start < self.surge_end,
@@ -138,28 +138,20 @@ class MultiTenantParams(ScenarioParams):
             0 <= self.surged_tenants <= self.tenants,
             "surged_tenants must be in [0, tenants] (0 = all)",
         )
-        self._require(self.grow_step >= 1, "grow_step must be >= 1")
-        self._require(self.probe_period > 0, "probe_period must be positive")
-        self._require(self.gauge_period > 0, "gauge_period must be positive")
-        self._require(self.wake_band >= 0, "wake_band must be >= 0")
-        self._require(
-            self.max_concurrent_repairs >= 1,
-            "max_concurrent_repairs must be >= 1",
-        )
-        self._check_policy(self.violation_policy)
-        self._require(
-            self.concurrency in ("serial", "disjoint"),
-            f"concurrency must be 'serial' or 'disjoint', "
-            f"got {self.concurrency!r}",
-        )
+        self._at_least(1, "grow_step")
+        self._positive("probe_period", "gauge_period", "utilization_tau")
         if self.sharding is not None:
-            # the spec already validated its own shape on construction;
-            # check the cross-cutting bit (the key must be registered)
-            self._require(
-                self.sharding.key in shard_key_names(),
-                f"sharding.key {self.sharding.key!r} is not registered; "
-                f"known keys: {shard_key_names()}",
+            self._owned(
+                partial(resolve_shard_key, self.sharding.key), key="sharding.key"
             )
+
+    def wake_thresholds(self) -> Dict[str, WakeThreshold]:
+        """Latency threatens fairLatency from above, utilization idlePool
+        from below."""
+        return {
+            "latency": self._wake_threshold("max_latency"),
+            "utilization": self._wake_threshold("min_utilization", "below"),
+        }
 
 
 @dataclass(frozen=True)
@@ -303,14 +295,8 @@ class MultiTenantExperiment(ScenarioExperiment):
             family=build_multi_tenant_family(),
         )
 
-    def intent_executor(self, runtime: AdaptationRuntime) -> IntentTranslator:
-        return IntentTranslator(
-            runtime.sim,
-            multi_tenant_intents(self.app, self.params),
-            runtime.trace,
-            runtime.gauge_manager,
-            self.params.redeploy_window,
-        )
+    def intents(self) -> Dict[str, IntentRow]:
+        return multi_tenant_intents(self.app, self.params)
 
     def series(self):
         """Ground truth: per-tenant latency and size, violation count."""
@@ -353,19 +339,6 @@ class MultiTenantExperiment(ScenarioExperiment):
             period=params.probe_period,
             batch=batch,
         )
-        # Wake the checker only on threshold crossings: latency threatens
-        # fairLatency from above, utilization threatens idlePool from below.
-        wake_thresholds = {
-            "latency": WakeThreshold(
-                params.max_latency,
-                band=params.wake_band * params.max_latency,
-            ),
-            "utilization": WakeThreshold(
-                params.min_utilization,
-                band=params.wake_band * params.min_utilization,
-                direction="below",
-            ),
-        }
         return AdaptationSpec(
             style="MultiTenantFam",
             dsl_source=MULTI_TENANT_DSL,
@@ -385,12 +358,5 @@ class MultiTenantExperiment(ScenarioExperiment):
                 "utilization": "utilization",
             },
             delivery=FixedDelay(0.05),
-            gauge_caching=params.gauge_caching,
-            settle_time=params.settle_time,
-            failed_repair_cost=params.failed_repair_cost,
-            violation_policy=params.violation_policy,
-            concurrency=params.concurrency,
-            max_concurrent_repairs=params.max_concurrent_repairs,
-            wake_thresholds=wake_thresholds,
-            sharding=params.sharding,
+            **params.spec_settings(self.config.seed),
         )

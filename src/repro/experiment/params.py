@@ -9,20 +9,33 @@ alongside the scenario's builder::
     register_scenario("pipeline", params=PipelineParams)
 
 Param blocks are frozen dataclasses, so they hash and compose into the
-result cache's key; :meth:`ScenarioParams.validate` runs when a config is
-resolved, before any simulation is built.
+result cache's key; :meth:`ScenarioParams.validate` and
+:meth:`ScenarioParams.spec_settings` run when a config is resolved, before
+any simulation is built.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields, is_dataclass, replace
 from math import isfinite
-from typing import TYPE_CHECKING, Any, ClassVar, Dict, Tuple
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Dict, Tuple
 
 from repro.errors import ReproError
+from repro.monitoring.manager import WakeThreshold
+from repro.repair.engine import check_engine_policy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiment.config import RunConfig
+
+#: the knobs :func:`~repro.repair.engine.check_engine_policy` checks
+ENGINE_POLICY = ("violation_policy", "concurrency", "max_concurrent_repairs")
+
+#: the AdaptationSpec fields a block hands on as they are, if it declares
+#: them (see :meth:`ScenarioParams.spec_settings`)
+SPEC_FIELDS = ENGINE_POLICY + (
+    "gauge_caching", "settle_time", "failed_repair_cost", "sharding"
+)
 
 __all__ = [
     "ScenarioParams",
@@ -114,15 +127,64 @@ class ScenarioParams:
 
     # -- validation hooks ---------------------------------------------------
     def validate(self, config: "RunConfig") -> None:
-        """Raise :class:`ReproError` on inconsistent values.
-
-        Receives the enclosing (resolved) config so blocks can check
-        cross-cutting consistency, e.g. phase times against the horizon.
+        """Raise :class:`ReproError`, naming the knob, on a value that
+        cannot build.  Each bound is checked in one place: the engine
+        policy (:data:`ENGINE_POLICY`) by the engine's own
+        :func:`~repro.repair.engine.check_engine_policy`; a value object
+        (fault spec, resilience policy, wake threshold) by its owner,
+        when :meth:`spec_settings` builds it; the rest (shapes, rates,
+        periods, phase order against the resolved ``config``) here.
+        ``RunConfig.resolved`` calls this, then :meth:`spec_settings`.
         """
+
+    def spec_settings(self, seed: int) -> Dict[str, Any]:
+        """The ``AdaptationSpec`` keywords this block decides, checked.
+
+        The :data:`SPEC_FIELDS` it declares and the wake thresholds, plus
+        the value objects a block adds; ``_adaptation_spec`` passes them as
+        ``**params.spec_settings(seed)``.
+        """
+        names = set(self.field_names())
+        settings = {n: getattr(self, n) for n in SPEC_FIELDS if n in names}
+        check_engine_policy(**{n: settings[n] for n in ENGINE_POLICY if n in names})
+        return {**settings, "wake_thresholds": self.wake_thresholds()}
+
+    def wake_thresholds(self) -> Dict[str, WakeThreshold]:
+        """Gauge kind -> when its reports wake the checker (none: always)."""
+        return {}
+
+    def _owned(self, build: Callable[[], Any], **knobs: str) -> Any:
+        """``build()``, an owner's ``ValueError`` made a :class:`ReproError`
+        naming the knobs of the fields the owner's message names
+        (``knobs`` maps field names to the knobs they are built from)."""
+        try:
+            return build()
+        except ValueError as exc:
+            named = [k for f, k in knobs.items() if re.search(rf"\b{f}\b", str(exc))]
+            knobs_named = ", ".join(named or knobs.values())
+            raise ReproError(f"{type(self).__name__}: {knobs_named}: {exc}") from None
+
+    def _wake_threshold(self, knob: str, direction: str = "above") -> WakeThreshold:
+        """Wake the checker on crossing ``knob``'s value, banded by the
+        ``wake_band`` fraction of it."""
+        value = getattr(self, knob)
+        return self._owned(
+            lambda: WakeThreshold(value, self.wake_band * value, direction),
+            threshold=knob,
+            band=f"{knob}, wake_band",
+        )
 
     def _require(self, condition: bool, message: str) -> None:
         if not condition:
             raise ReproError(f"{type(self).__name__}: {message}")
+
+    def _positive(self, *names: str) -> None:
+        for name in names:
+            self._require(getattr(self, name) > 0, f"{name} must be positive")
+
+    def _at_least(self, bound: int, *names: str) -> None:
+        for name in names:
+            self._require(getattr(self, name) >= bound, f"{name} must be >= {bound}")
 
     def _check_rates(self, *names: str) -> None:
         """Shared check for arrival rates: finite and positive.
@@ -134,14 +196,6 @@ class ScenarioParams:
             rate = getattr(self, name)
             self._require(
                 isfinite(rate) and rate > 0, f"{name} must be finite and positive"
-            )
-
-    def _check_policy(self, policy: str) -> None:
-        """Shared check for the repair engine's ``violation_policy`` knob."""
-        if policy not in ("first", "worst"):
-            raise ReproError(
-                f"{type(self).__name__}: violation_policy must be "
-                f"'first' or 'worst', got {policy!r}"
             )
 
 
@@ -189,25 +243,20 @@ class ClientServerParams(ScenarioParams):
     remos_warm_delay: float = 0.5
 
     def validate(self, config: "RunConfig") -> None:
-        self._check_policy(self.violation_policy)
-        self._require(self.max_latency > 0, "max_latency must be positive")
-        self._require(self.max_server_load >= 0, "max_server_load must be >= 0")
-        self._require(self.min_bandwidth >= 0, "min_bandwidth must be >= 0")
+        self._positive("max_latency")
+        self._at_least(0, "max_server_load", "min_bandwidth")
         self._require(
             isfinite(self.baseline_rate) and isfinite(self.stress_rate),
             "baseline_rate and stress_rate must be finite",
         )
-        self._require(self.gauge_period > 0, "gauge_period must be positive")
-        self._require(self.load_probe_period > 0, "load_probe_period must be positive")
+        self._positive("gauge_period", "load_probe_period", "bandwidth_probe_period")
+        self._positive("latency_horizon", "load_horizon")
+        self._at_least(0, "settle_time", "service_base", "service_per_byte")
+        self._at_least(0, "remos_cold_delay", "remos_warm_delay")
         self._require(
-            self.bandwidth_probe_period > 0,
-            "bandwidth_probe_period must be positive",
-        )
-        self._require(self.settle_time >= 0, "settle_time must be >= 0")
-        self._require(
-            self.quiescent_end <= self.stress_start <= self.stress_end,
+            0 <= self.quiescent_end <= self.stress_start <= self.stress_end,
             "workload phases must be ordered "
-            "(quiescent_end <= stress_start <= stress_end)",
+            "(0 <= quiescent_end <= stress_start <= stress_end)",
         )
 
 
@@ -251,12 +300,10 @@ class PipelineParams(ScenarioParams):
     violation_policy: str = "first"
 
     def validate(self, config: "RunConfig") -> None:
-        self._check_policy(self.violation_policy)
         self._require(len(self.stages) >= 2, "a pipeline needs >= 2 stages")
         self._check_rates("baseline_rate", "burst_rate")
-        self._require(self.worker_budget >= 1, "worker_budget must be >= 1")
-        self._require(self.gauge_period > 0, "gauge_period must be positive")
-        self._require(self.load_probe_period > 0, "load_probe_period must be positive")
+        self._at_least(1, "worker_budget")
+        self._positive("gauge_period", "load_probe_period", "load_horizon")
         initial = sum(width for _, width, _ in self.stages)
         self._require(
             initial <= self.worker_budget,

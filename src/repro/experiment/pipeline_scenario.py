@@ -44,7 +44,7 @@ from repro.experiment.result import PipelineResult
 from repro.experiment.scenarios import register_scenario
 from repro.experiment.workload import Arrivals, burst
 from repro.monitoring.gauges import EwmaGauge, WindowedMeanGauge
-from repro.runtime import AdaptationRuntime, AdaptationSpec
+from repro.runtime import AdaptationSpec
 from repro.runtime.spec import monitoring_table
 from repro.styles.pipeline import (
     PIPELINE_DSL,
@@ -52,7 +52,7 @@ from repro.styles.pipeline import (
     build_pipeline_model,
     pipeline_operators,
 )
-from repro.translation import IntentRow, IntentTranslator
+from repro.translation import IntentRow
 
 __all__ = [
     "PipelineExperiment",
@@ -113,14 +113,8 @@ class PipelineExperiment(ScenarioExperiment):
             comp.set_property("serviceRate", stage.service_rate)
         return model
 
-    def intent_executor(self, runtime: AdaptationRuntime) -> IntentTranslator:
-        return IntentTranslator(
-            runtime.sim,
-            pipeline_intents(self.app, self.params),
-            runtime.trace,
-            runtime.gauge_manager,
-            self.params.redeploy_window,
-        )
+    def intents(self) -> Dict[str, IntentRow]:
+        return pipeline_intents(self.app, self.params)
 
     def series(self):
         """``backlog.<stage>``, ``width.<stage>`` and ``repair.active``."""
@@ -166,8 +160,5 @@ class PipelineExperiment(ScenarioExperiment):
             instruments=instruments,
             gauge_property_map={"backlog": "backlog", "utilization": "utilization"},
             delivery=FixedDelay(0.05),
-            gauge_caching=params.gauge_caching,
-            settle_time=params.settle_time,
-            failed_repair_cost=params.failed_repair_cost,
-            violation_policy=params.violation_policy,
+            **params.spec_settings(self.config.seed),
         )

@@ -313,10 +313,7 @@ class Experiment(ScenarioExperiment):
             gauge_property_map=GAUGE_PROPERTY_MAP,
             delivery=self._monitoring_delay(),
             gauge_create_delay=14.0,
-            gauge_caching=params.gauge_caching,
-            settle_time=params.settle_time,
-            failed_repair_cost=params.failed_repair_cost,
-            violation_policy=params.violation_policy,
+            **params.spec_settings(self.config.seed),
         )
 
     # ------------------------------------------------------------------

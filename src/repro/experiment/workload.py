@@ -172,37 +172,36 @@ def build_workload(
     stress_start: float = 600.0,
     stress_end: float = 1200.0,
 ) -> Workload:
-    """The paper's Figure 7 schedule (our concrete reading)."""
+    """The paper's Figure 7 schedule (our concrete reading); a phase of
+    zero length is left out (the later of two steps at one time holds)."""
     flip1 = stress_start + (stress_end - stress_start) / 2.0  # 900 s
     flip2 = stress_start + 3 * (stress_end - stress_start) / 4.0  # 1050 s
+
+    def steps(*points) -> StepFunction:
+        return StepFunction(dict(points).items())
+
     return Workload(
         horizon=horizon,
-        request_rate=StepFunction(
-            [
-                (0.0, baseline_rate),
-                (stress_start, stress_rate),
-                (stress_end, baseline_rate),
-            ]
+        request_rate=steps(
+            (0.0, baseline_rate),
+            (stress_start, stress_rate),
+            (stress_end, baseline_rate),
         ),
-        competition_a=StepFunction(
-            [
-                (0.0, 0.0),
-                (quiescent_end, STARVE),
-                (stress_start, MODERATE),
-                (flip1, STARVE),
-                (flip2, MODERATE),
-                (stress_end, MODERATE),
-            ]
+        competition_a=steps(
+            (0.0, 0.0),
+            (quiescent_end, STARVE),
+            (stress_start, MODERATE),
+            (flip1, STARVE),
+            (flip2, MODERATE),
+            (stress_end, MODERATE),
         ),
-        competition_b=StepFunction(
-            [
-                (0.0, 0.0),
-                (quiescent_end, MODERATE),
-                (stress_start, STARVE),
-                (flip1, MODERATE),
-                (flip2, STARVE),
-                (stress_end, LIGHT),
-            ]
+        competition_b=steps(
+            (0.0, 0.0),
+            (quiescent_end, MODERATE),
+            (stress_start, STARVE),
+            (flip1, MODERATE),
+            (flip2, STARVE),
+            (stress_end, LIGHT),
         ),
         stress_start=stress_start,
         stress_end=stress_end,

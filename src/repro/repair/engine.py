@@ -134,7 +134,25 @@ from repro.sim.kernel import Simulator
 from repro.sim.trace import Trace
 from repro.util.rng import derive_rng
 
-__all__ = ["ArchitectureManager", "RepairRecord"]
+__all__ = ["ArchitectureManager", "RepairRecord", "check_engine_policy"]
+
+
+def check_engine_policy(
+    violation_policy="first", concurrency="serial", max_concurrent_repairs=1
+) -> None:
+    """The engine's policy checks; a scenario's params block runs them too."""
+    if violation_policy not in ("first", "worst"):
+        raise RepairError(
+            f"violation_policy must be 'first' or 'worst', got {violation_policy!r}"
+        )
+    if concurrency not in ("serial", "disjoint"):
+        raise RepairError(
+            f"concurrency must be 'serial' or 'disjoint', got {concurrency!r}"
+        )
+    if max_concurrent_repairs < 1:
+        raise RepairError(
+            f"max_concurrent_repairs must be >= 1, got {max_concurrent_repairs}"
+        )
 
 
 class _InflightRepair:
@@ -171,21 +189,7 @@ class ArchitectureManager:
         quarantine_policy: Optional[QuarantinePolicy] = None,
         history_capacity: Optional[int] = None,
     ):
-        if violation_policy not in ("first", "worst"):
-            raise RepairError(
-                f"violation_policy must be 'first' or 'worst', "
-                f"got {violation_policy!r}"
-            )
-        if concurrency not in ("serial", "disjoint"):
-            raise RepairError(
-                f"concurrency must be 'serial' or 'disjoint', "
-                f"got {concurrency!r}"
-            )
-        if max_concurrent_repairs < 1:
-            raise RepairError(
-                f"max_concurrent_repairs must be >= 1, "
-                f"got {max_concurrent_repairs}"
-            )
+        check_engine_policy(violation_policy, concurrency, max_concurrent_repairs)
         self.sim = sim
         self.system = system
         self.checker = checker
@@ -323,13 +327,8 @@ class ArchitectureManager:
 
         Returns the started :class:`RepairRecord`, or None when the model
         is healthy, the manager is busy/settling, or no strategy applies.
-
-        Constraint evaluation rides the checker's compiled-incremental
-        fast path: gauge updates between evaluations dirty only the
-        elements they touch, so the periodic check re-evaluates O(changed)
-        scopes, and admission visits the violations that moved or were
-        released, not O(model).  ``full=True`` forces one full re-check
-        (the escape hatch for out-of-band model surgery).
+        What a call visits is in the module doc; ``full=True`` forces one
+        full re-check (the escape hatch for out-of-band model surgery).
 
         One call admits every actionable violation that passes the
         admission rule (module doc), up to the capacity, and returns the

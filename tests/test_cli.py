@@ -108,6 +108,15 @@ class TestErrorPaths:
         code, _ = _run(["run", "pipeline", "--set", "no-equals-sign"])
         assert code == 1
 
+    def test_value_an_owner_refuses_is_one_error_line(self, capsys):
+        # the retry policy refuses a jitter above 1: the config must
+        # refuse it when it resolves, not the build with a ValueError
+        code, _ = _run(["run", "grid_site", "--fast", "--set", "retry_jitter=2.0"])
+        assert code == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith("error:") and "retry_jitter" in errors[0]
+
     def test_missing_command_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             main([])

@@ -44,7 +44,7 @@ class TestRegistration:
                     "effector_noop_prob": 0.5,
                     "effector_hang_prob": 0.5,
                 },
-                "sum to",
+                "effector_noop_prob, effector_hang_prob: .* must be <= 1",
             ),
             ({"retry_attempts": 0}, "retry_attempts"),
             ({"breaker_reset": 0.0}, "breaker_reset"),

@@ -210,7 +210,7 @@ class TestShardingOverridePlumbing:
         assert "ShardingSpec has no parameter(s) ['enabled']" in error
 
     def test_unknown_shard_key_rejected_by_params_validate(self):
-        with pytest.raises(ReproError, match="not registered"):
+        with pytest.raises(ReproError, match="sharding.key: unknown shard key"):
             api.make_config(
                 "multi_tenant", overrides={"sharding.key": "no_such_key"}
             ).resolved()
