@@ -42,9 +42,6 @@ class Token:
     def is_ident(self, text: str) -> bool:
         return self.kind == "ident" and self.text == text
 
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{self.kind}({self.text!r})@{self.line}:{self.column}"
-
 
 def tokenize(source: str) -> List[Token]:
     """Lex ``source`` into tokens, ending with a single ``eof`` token."""

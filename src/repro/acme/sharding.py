@@ -171,10 +171,3 @@ class ShardedArchSystem:
 
     def components_of_type(self, type_name: str) -> List[Component]:
         return [c for c in self.components if c.declares_type(type_name)]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        sizes = ", ".join(str(len(part.components)) for part in self._shards)
-        return (
-            f"<ShardedArchSystem {self.name}: {len(self._shards)} shards "
-            f"({sizes} components), {len(self.cross_links)} cross links>"
-        )

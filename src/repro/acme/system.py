@@ -361,9 +361,6 @@ class ArchSystem:
     def components_of_type(self, type_name: str) -> List[Component]:
         return [c for c in self.components if c.declares_type(type_name)]
 
-    def connectors_of_type(self, type_name: str) -> List[Connector]:
-        return [c for c in self.connectors if c.declares_type(type_name)]
-
     def attached_role(self, port: Port) -> Optional[Role]:
         for att in self._attachments.values():
             if att.port is port:
@@ -413,9 +410,3 @@ class ArchSystem:
                 if other is not component:
                     out[other.name] = other
         return [out[k] for k in sorted(out)]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<ArchSystem {self.name}: {len(self._components)} components, "
-            f"{len(self._connectors)} connectors, {len(self._attachments)} attachments>"
-        )

@@ -33,7 +33,6 @@ from repro.experiment.result import ClientServerResult, PipelineResult, RunResul
 from repro.experiment.runner import (
     clear_cache,
     run_scenario,
-    set_cache_capacity,
 )
 from repro.experiment.scenarios import (
     Scenario,
@@ -72,7 +71,6 @@ __all__ = [
     "scenario_entries",
     "scenario_names",
     "clear_cache",
-    "set_cache_capacity",
 ]
 
 #: horizon used by ``fast=True`` / the CLI's ``--fast`` smoke mode

@@ -45,24 +45,5 @@ class Request:
         return self.completed_at - self.issued_at
 
     @property
-    def queue_delay(self) -> Optional[float]:
-        if self.enqueued_at is None or self.dequeued_at is None:
-            return None
-        return self.dequeued_at - self.enqueued_at
-
-    @property
-    def service_delay(self) -> Optional[float]:
-        if self.dequeued_at is None or self.service_done_at is None:
-            return None
-        return self.service_done_at - self.dequeued_at
-
-    @property
-    def transfer_delay(self) -> Optional[float]:
-        """Send-stage delay: service completion -> client receipt."""
-        if self.service_done_at is None or self.completed_at is None:
-            return None
-        return self.completed_at - self.service_done_at
-
-    @property
     def completed(self) -> bool:
         return self.completed_at is not None

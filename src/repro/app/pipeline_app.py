@@ -146,9 +146,6 @@ class PipelineApplication:
         """Items inside the pipeline (queued or being processed)."""
         return self.issued - self.completed
 
-    def total_width(self) -> int:
-        return sum(s.width for s in self.stages)
-
     # -- runtime change operator (the pipeline's Table 1) ------------------
     def set_width(self, name: str, width: int) -> int:
         """Resize a stage's worker pool; returns the old width."""

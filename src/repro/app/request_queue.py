@@ -76,13 +76,6 @@ class RequestQueueService:
         self._assignment[client] = group
         return old
 
-    @property
-    def assignments(self) -> Dict[str, str]:
-        return dict(self._assignment)
-
-    def clients_of(self, group: str) -> List[str]:
-        return sorted(c for c, g in self._assignment.items() if g == group)
-
     # -- routing -----------------------------------------------------------------
     def on_route(self, listener: Callable[[Request], None]) -> None:
         """Probe hook: called whenever a request is enqueued."""

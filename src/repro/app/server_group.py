@@ -58,12 +58,6 @@ class ServerGroupRuntime:
         """Waiting requests — the paper's measured server load (Figure 9/13)."""
         return len(self.queue)
 
-    def service_rate(self, response_size: float = 20e3) -> float:
-        """Aggregate requests/second at the given response size."""
-        return sum(
-            1.0 / s.service_time(response_size) for s in self.active_members
-        )
-
     def utilization(self, now: Optional[float] = None) -> float:
         """Mean compute utilization across active members (0 when empty)."""
         members = self.active_members

@@ -97,9 +97,6 @@ class GridApplication:
                 return g
         return None
 
-    def group_of_client(self, client_name: str) -> ServerGroupRuntime:
-        return self.group(self.rq.assignment_of(client_name))
-
     def machine_of(self, entity: str) -> str:
         """Machine hosting a client, server, or the RQ service."""
         if entity in self.clients:

@@ -1,14 +1,14 @@
-"""Content-based publish/subscribe event bus (substrate S2).
+"""Subject-based publish/subscribe event bus (substrate S2).
 
 Stands in for the Siena wide-area event notification service the paper used
 to carry probe and gauge traffic.  Supports hierarchical subjects with
-wildcards, Siena-style attribute filters, and an optional delivery-latency
-model so monitoring traffic can contend with application traffic (the
-paper's §5.3 observation that monitoring shares the network).
+wildcards and an optional delivery-latency model so monitoring traffic can
+contend with application traffic (the paper's §5.3 observation that
+monitoring shares the network).
 """
 
 from repro.bus.messages import Message
-from repro.bus.filters import AttributeFilter, subject_matches, validate_pattern
+from repro.bus.filters import subject_matches, validate_pattern
 from repro.bus.index import SubjectTrie
 from repro.bus.bus import (
     EventBus,
@@ -23,7 +23,6 @@ __all__ = [
     "ShardedEventBus",
     "ShardedSubscription",
     "Message",
-    "AttributeFilter",
     "subject_matches",
     "validate_pattern",
     "SubjectTrie",

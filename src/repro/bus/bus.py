@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.bus.filters import AttributeFilter, validate_pattern
+from repro.bus.filters import validate_pattern
 from repro.bus.index import SubjectTrie
 from repro.bus.messages import Message, routed_message
 from repro.sim.kernel import Simulator
@@ -37,10 +37,8 @@ __all__ = [
 
 
 class DeliveryModel:
-    """Strategy returning the bus transit delay for a message."""
-
-    def delay(self, message: Message) -> float:  # pragma: no cover - interface
-        raise NotImplementedError
+    """Strategy returning the bus transit delay for a message: a subclass
+    defines ``delay(message) -> seconds``."""
 
 
 @dataclass
@@ -79,7 +77,7 @@ def _deliver(bus: "EventBus", sub: "Subscription", msg: Message, delay: float) -
 
 @dataclass
 class Subscription:
-    """A registered interest: subject pattern + optional attribute filter.
+    """A registered interest: a subject pattern and its handler.
 
     ``seq`` is the bus-assigned subscription order; delivery order follows
     it regardless of how candidates were looked up.
@@ -88,7 +86,6 @@ class Subscription:
     sid: str
     pattern: str
     handler: Callable[[Message], None]
-    attr_filter: Optional[AttributeFilter] = None
     active: bool = True
     seq: int = 0
 
@@ -125,17 +122,12 @@ class EventBus:
 
     # -- subscription management -------------------------------------------
     def subscribe(
-        self,
-        pattern: str,
-        handler: Callable[[Message], None],
-        attr_filter: Optional[AttributeFilter] = None,
+        self, pattern: str, handler: Callable[[Message], None]
     ) -> Subscription:
-        """Register ``handler`` for messages matching ``pattern`` (+filter)."""
+        """Register ``handler`` for messages matching ``pattern``."""
         validate_pattern(pattern)
         self._seq += 1
-        sub = Subscription(
-            self._ids.next("sub"), pattern, handler, attr_filter, seq=self._seq
-        )
+        sub = Subscription(self._ids.next("sub"), pattern, handler, seq=self._seq)
         self._subs[sub.sid] = sub
         self._index.add_validated(sub)
         return sub
@@ -173,7 +165,7 @@ class EventBus:
         return self._dispatch(routed_message(subject, attributes, self.sim.now, sender))
 
     def _dispatch(self, msg: Message) -> int:
-        """Route, filter, fault-check and schedule one bus-owned
+        """Route, fault-check and schedule one bus-owned
         message; ``ValueError`` (nothing published) for a malformed subject.
 
         The index returns candidates in subscription order, and handlers
@@ -182,13 +174,9 @@ class EventBus:
         candidates = self._index.match(msg.subject)
         self.published += 1
         matched = 0
-        attributes = msg.attributes
         inject = self.fault_injector
         for sub in candidates:
             if not sub.active:
-                continue
-            attr_filter = sub.attr_filter
-            if attr_filter is not None and not attr_filter.matches(attributes):
                 continue
             matched += 1
             if inject is not None and inject(sub, msg):

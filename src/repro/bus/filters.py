@@ -1,20 +1,14 @@
-"""Subject patterns and Siena-style attribute filters.
+"""Subject patterns.
 
 Subject patterns are dotted, with two wildcards:
 
 * ``*`` matches exactly one segment (``probe.*.C3``);
 * ``>`` matches one or more trailing segments (``probe.>``).
-
-Attribute filters are conjunctions of ``(name, op, value)`` constraints,
-mirroring Siena's covering model closely enough for this reproduction.
 """
 
 from __future__ import annotations
 
-import operator
-from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
-
-__all__ = ["subject_matches", "validate_pattern", "AttributeFilter"]
+__all__ = ["subject_matches", "validate_pattern"]
 
 
 def validate_pattern(pattern: str) -> str:
@@ -53,56 +47,3 @@ def subject_matches(pattern: str, subject: str) -> bool:
         if p != s_parts[i]:
             return False
     return len(s_parts) == len(p_parts)
-
-
-_OPS: Dict[str, Callable[[Any, Any], bool]] = {
-    "==": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-    "prefix": lambda a, b: isinstance(a, str) and a.startswith(b),
-    "exists": lambda a, b: True,  # presence is checked before dispatch
-}
-
-
-class AttributeFilter:
-    """Conjunction of attribute constraints.
-
-    >>> f = AttributeFilter([("latency", ">", 2.0), ("client", "==", "C3")])
-    >>> f.matches({"latency": 3.1, "client": "C3"})
-    True
-
-    A constraint on a missing attribute fails the filter (except ``exists``,
-    which *requires* presence and is satisfied by it).
-    """
-
-    def __init__(self, constraints: Sequence[Tuple[str, str, Any]] = ()):
-        self.constraints: List[Tuple[str, str, Any]] = []
-        for name, op, value in constraints:
-            if op not in _OPS:
-                raise ValueError(
-                    f"unknown filter operator {op!r}; valid: {sorted(_OPS)}"
-                )
-            self.constraints.append((name, op, value))
-
-    def matches(self, attributes: Mapping[str, Any]) -> bool:
-        for name, op, value in self.constraints:
-            if name not in attributes:
-                return False
-            if op == "exists":
-                continue
-            try:
-                if not _OPS[op](attributes[name], value):
-                    return False
-            except TypeError:
-                return False  # incomparable types never match
-        return True
-
-    def __and__(self, other: "AttributeFilter") -> "AttributeFilter":
-        return AttributeFilter(self.constraints + other.constraints)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        parts = ", ".join(f"{n}{op}{v!r}" for n, op, v in self.constraints)
-        return f"AttributeFilter({parts})"

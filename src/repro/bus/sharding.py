@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.bus.bus import DeliveryModel, EventBus, Subscription
-from repro.bus.filters import AttributeFilter
 from repro.bus.index import ROUTE_MEMO_CAP
 from repro.bus.messages import Message, routed_message, subject_segments
 from repro.sim.kernel import Simulator
@@ -108,10 +107,7 @@ class ShardedEventBus:
 
     # -- subscription management -------------------------------------------
     def subscribe(
-        self,
-        pattern: str,
-        handler: Callable[[Message], None],
-        attr_filter: Optional[AttributeFilter] = None,
+        self, pattern: str, handler: Callable[[Message], None]
     ) -> Union[Subscription, ShardedSubscription]:
         """Register on the child bus(es) ``pattern`` can match.
 
@@ -124,7 +120,7 @@ class ShardedEventBus:
         buses = self._buses
         if len(buses) > 1 and not _has_wildcard(pattern):
             buses = [self._routes.get(pattern) or self._route(pattern)]
-        parts = [bus.subscribe(pattern, handler, attr_filter) for bus in buses]
+        parts = [bus.subscribe(pattern, handler) for bus in buses]
         if len(parts) == 1:
             return parts[0]
         return ShardedSubscription(pattern, parts, list(buses))

@@ -86,13 +86,6 @@ class ConstraintResult:
     def violated(self) -> bool:
         return not self.ok
 
-    def __str__(self) -> str:
-        state = (
-            "OK" if self.ok else ("ERROR: " + self.error if self.error else "VIOLATED")
-        )
-        where = f" @ {self.scope}" if self.scope else ""
-        return f"[{self.invariant}{where}] {state}"
-
 
 class Invariant:
     """One named constraint with an optional type scope.

@@ -25,7 +25,6 @@ __all__ = [
     "RepairError",
     "TacticFailure",
     "RepairAborted",
-    "NoServerGroupFound",
     "TransactionError",
     "TranslationError",
     "MonitoringError",
@@ -142,14 +141,6 @@ class RepairAborted(RepairError):
     def __init__(self, reason: str = "ModelError"):
         super().__init__(f"repair aborted: {reason}")
         self.reason = reason
-
-
-class NoServerGroupFound(RepairAborted):
-    """Figure 5's ``abort NoServerGroupFound``."""
-
-    def __init__(self) -> None:
-        RepairError.__init__(self, "repair aborted: NoServerGroupFound")
-        self.reason = "NoServerGroupFound"
 
 
 class TransactionError(RepairError):

@@ -53,7 +53,6 @@ from repro.experiment.runner import (
     Experiment,
     clear_cache,
     run_scenario,
-    set_cache_capacity,
 )
 from repro.experiment.pipeline_scenario import PipelineExperiment
 from repro.experiment.scenarios import (
@@ -104,7 +103,6 @@ __all__ = [
     "MultiTenantExperiment",
     "run_scenario",
     "clear_cache",
-    "set_cache_capacity",
     "Scenario",
     "ScenarioEntry",
     "register_scenario",

@@ -143,9 +143,6 @@ class GridSiteParams(ScenarioParams):
             return names
         return names[-self.flaky_sites:]
 
-    def total_slots(self) -> int:
-        return sum(pools * slots for _, pools, slots in self.site_specs())
-
     #: the fault spec's fields (as its messages name them) -> their knobs
     FAULT_KNOBS: ClassVar[Dict[str, str]] = {
         "mtbf": "site_mtbf",

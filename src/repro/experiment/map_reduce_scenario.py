@@ -107,9 +107,6 @@ class MapReduceParams(ScenarioParams):
     failed_repair_cost: float = 2.0
     violation_policy: str = "first"
 
-    def reducer_names(self) -> List[str]:
-        return [f"R{i}" for i in range(self.reducers)]
-
     def validate(self, config: "RunConfig") -> None:
         self._at_least(1, "mappers")
         self._at_least(2, "reducers")

@@ -29,13 +29,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.experiment.config import RunConfig
 
 #: the knobs :func:`~repro.repair.engine.check_engine_policy` checks
-ENGINE_POLICY = ("violation_policy", "concurrency", "max_concurrent_repairs")
+ENGINE_POLICY = (
+    "violation_policy",
+    "concurrency",
+    "max_concurrent_repairs",
+    "settle_time",
+    "failed_repair_cost",
+)
 
 #: the AdaptationSpec fields a block hands on as they are, if it declares
 #: them (see :meth:`ScenarioParams.spec_settings`)
-SPEC_FIELDS = ENGINE_POLICY + (
-    "gauge_caching", "settle_time", "failed_repair_cost", "sharding"
-)
+SPEC_FIELDS = ENGINE_POLICY + ("gauge_caching", "sharding")
 
 __all__ = [
     "ScenarioParams",
@@ -251,7 +255,7 @@ class ClientServerParams(ScenarioParams):
         )
         self._positive("gauge_period", "load_probe_period", "bandwidth_probe_period")
         self._positive("latency_horizon", "load_horizon")
-        self._at_least(0, "settle_time", "service_base", "service_per_byte")
+        self._at_least(0, "service_base", "service_per_byte")
         self._at_least(0, "remos_cold_delay", "remos_warm_delay")
         self._require(
             0 <= self.quiescent_end <= self.stress_start <= self.stress_end,

@@ -62,7 +62,6 @@ __all__ = [
     "Experiment",
     "run_scenario",
     "clear_cache",
-    "set_cache_capacity",
 ]
 
 #: invariant name (from the DSL) -> scope element type
@@ -402,13 +401,6 @@ class _ResultCache:
         while len(self._data) > self.capacity:
             self._data.popitem(last=False)
 
-    def resize(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"cache capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        while len(self._data) > self.capacity:
-            self._data.popitem(last=False)
-
     def clear(self) -> None:
         self._data.clear()
 
@@ -446,8 +438,3 @@ def run_scenario(config: RunConfig, fresh: bool = False) -> RunResult:
 
 def clear_cache() -> None:
     _CACHE.clear()
-
-
-def set_cache_capacity(capacity: int) -> None:
-    """Bound the result cache (evicting least-recently-used overflow)."""
-    _CACHE.resize(capacity)

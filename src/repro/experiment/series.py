@@ -70,12 +70,6 @@ class TimeSeries:
         above = np.nonzero(v > threshold)[0]
         return float(t[above[0]]) if above.size else None
 
-    def last_crossing(self, threshold: float) -> Optional[float]:
-        """Last sample time with value > threshold."""
-        t, v = self.window()
-        above = np.nonzero(v > threshold)[0]
-        return float(t[above[-1]]) if above.size else None
-
     def max(self, start: Optional[float] = None, end: Optional[float] = None
             ) -> Optional[float]:
         _, v = self.window(start, end)

@@ -280,9 +280,6 @@ class FaultPlane:
             probe.enabled = True
 
     # -- reporting ----------------------------------------------------------
-    def is_down(self, name: str) -> bool:
-        return name in self.down
-
     def stats(self) -> Dict[str, Any]:
         """All fault counters, ready for ``RunResult.fault_stats``."""
         stats: Dict[str, Any] = dict(self.counters)

@@ -107,13 +107,6 @@ class Flow:
     def finished(self) -> bool:
         return not self.persistent and self.remaining_bits <= _EPS_BITS
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "xtraffic" if self.persistent else "xfer"
-        return (
-            f"<Flow {self.fid} {kind} {self.src}->{self.dst} "
-            f"rate={self.rate:.0f}bps remaining={self.remaining_bits:.0f}b>"
-        )
-
 
 class _Crossing:
     """One link's entry in the standing index.

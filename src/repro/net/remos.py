@@ -95,15 +95,6 @@ class RemosService:
     def _answer(self, ev: Event, src: str, dst: str) -> None:
         ev.succeed(self.network.predicted_bandwidth(src, dst))
 
-    def measure_now(self, src: str, dst: str) -> float:
-        """Instantaneous prediction without protocol delay.
-
-        Used by the metrics sampler (the experimenter's out-of-band view for
-        Figures 10/12) — *not* by the adaptation loop, which must pay
-        :meth:`get_flow`'s latency like the paper's framework did.
-        """
-        return self.network.predicted_bandwidth(src, dst)
-
     # -- pre-querying (§5.3) ---------------------------------------------------
     def prewarm(self, pairs: Iterable[Tuple[str, str]]) -> int:
         """Mark host pairs warm without paying the cold delay in-run.

@@ -57,19 +57,6 @@ class Link:
         self.key = _canon(self.a, self.b)  # not a dataclass field: ==, repr unchanged
         self.a, self.b = self.key
 
-    def other(self, node: str) -> str:
-        if node == self.a:
-            return self.b
-        if node == self.b:
-            return self.a
-        raise NetworkError(f"{node!r} is not an endpoint of link {self.key}")
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Link({self.a}--{self.b} @ {self.capacity:.0f}bps)"
-
 
 class Topology:
     """A mutable undirected graph of :class:`Node` and :class:`Link`."""
@@ -146,16 +133,10 @@ class Topology:
         except KeyError:
             raise NetworkError(f"no link between {a!r} and {b!r}") from None
 
-    def has_link(self, a: str, b: str) -> bool:
-        return _canon(a, b) in self._links
-
     def neighbors(self, name: str) -> List[str]:
         if name not in self._adj:
             raise NetworkError(f"unknown node {name!r}")
         return list(self._adj[name])
-
-    def degree(self, name: str) -> int:
-        return len(self._adj.get(name, ()))
 
     def validate(self) -> None:
         """Check structural sanity: connected, hosts have degree >= 1."""

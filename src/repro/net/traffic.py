@@ -63,6 +63,3 @@ class CrossTrafficGenerator:
     def _apply(self, rate: float) -> None:
         self.network.set_cross_traffic(self.name, self.src, self.dst, rate)
         self.applied.append((self.sim.now, rate))
-
-    def current_rate(self) -> float:
-        return self.network.cross_traffic_rate(self.name)

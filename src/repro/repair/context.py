@@ -48,12 +48,6 @@ class RuntimeView:
     def bandwidth_between(self, client_name: str, group_name: str) -> float:
         raise NotImplementedError
 
-    def group_utilization(self, group_name: str) -> float:
-        raise NotImplementedError
-
-    def replication(self, group_name: str) -> int:
-        raise NotImplementedError
-
 
 class AppRuntimeView(RuntimeView):
     """RuntimeView over the simulated grid application."""
@@ -66,12 +60,6 @@ class AppRuntimeView(RuntimeView):
 
     def bandwidth_between(self, client_name: str, group_name: str) -> float:
         return self.env.app.bandwidth_between(client_name, group_name)
-
-    def group_utilization(self, group_name: str) -> float:
-        return self.env.app.group(group_name).utilization()
-
-    def replication(self, group_name: str) -> int:
-        return self.env.app.group(group_name).replication
 
 
 class RepairContext(EvalContext):

@@ -138,7 +138,11 @@ __all__ = ["ArchitectureManager", "RepairRecord", "check_engine_policy"]
 
 
 def check_engine_policy(
-    violation_policy="first", concurrency="serial", max_concurrent_repairs=1
+    violation_policy="first",
+    concurrency="serial",
+    max_concurrent_repairs=1,
+    settle_time=0.0,
+    failed_repair_cost=0.0,
 ) -> None:
     """The engine's policy checks; a scenario's params block runs them too."""
     if violation_policy not in ("first", "worst"):
@@ -153,6 +157,13 @@ def check_engine_policy(
         raise RepairError(
             f"max_concurrent_repairs must be >= 1, got {max_concurrent_repairs}"
         )
+    # both are waits the engine schedules: a negative one would be in the past
+    for name, seconds in (
+        ("settle_time", settle_time),
+        ("failed_repair_cost", failed_repair_cost),
+    ):
+        if not seconds >= 0:
+            raise RepairError(f"{name} must be >= 0, got {seconds}")
 
 
 class _InflightRepair:
@@ -189,7 +200,13 @@ class ArchitectureManager:
         quarantine_policy: Optional[QuarantinePolicy] = None,
         history_capacity: Optional[int] = None,
     ):
-        check_engine_policy(violation_policy, concurrency, max_concurrent_repairs)
+        check_engine_policy(
+            violation_policy,
+            concurrency,
+            max_concurrent_repairs,
+            settle_time,
+            failed_repair_cost,
+        )
         self.sim = sim
         self.system = system
         self.checker = checker

@@ -63,10 +63,6 @@ class ModelTransaction:
 
     # -- lifecycle ----------------------------------------------------------
     @property
-    def active(self) -> bool:
-        return self._active
-
-    @property
     def recorded(self) -> int:
         return len(self._undo)
 

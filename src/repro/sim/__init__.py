@@ -9,21 +9,18 @@ instant, which keeps that order by construction and makes the cost of a
 crowded instant one heap entry.
 """
 
-from repro.sim.kernel import Simulator, Event, Timeout, AnyOf, AllOf
+from repro.sim.kernel import Simulator, Event, Timeout
 from repro.sim.process import Process, Interrupted
-from repro.sim.primitives import Store, Resource
+from repro.sim.primitives import Store
 from repro.sim.trace import Trace, TraceRecord
 
 __all__ = [
     "Simulator",
     "Event",
     "Timeout",
-    "AnyOf",
-    "AllOf",
     "Process",
     "Interrupted",
     "Store",
-    "Resource",
     "Trace",
     "TraceRecord",
 ]

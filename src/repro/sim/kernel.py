@@ -5,11 +5,11 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush
 from itertools import islice
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
-__all__ = ["Simulator", "Event", "Timeout", "AnyOf", "AllOf"]
+__all__ = ["Simulator", "Event", "Timeout"]
 
 #: one instant's line of pending actions, in scheduling order.  An action
 #: is two consecutive items — ``fn``, then its ``args`` tuple — not a pair
@@ -103,58 +103,6 @@ class Timeout(Event):
         super().__init__(sim)
         self.delay = float(delay)
         sim.schedule(self.delay, self.succeed, value)
-
-
-class _Condition(Event):
-    """Base for AnyOf/AllOf composite events."""
-
-    __slots__ = ("events", "_pending")
-
-    def __init__(self, sim: "Simulator", events: Sequence[Event]):
-        super().__init__(sim)
-        self.events = list(events)
-        self._pending = len(self.events)
-        if not self.events:
-            self.succeed([])
-            return
-        for ev in self.events:
-            ev.add_callback(self._on_child)
-
-    def _on_child(self, ev: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Succeeds as soon as any child event triggers; value = that event.
-
-    A failing child fails the condition (failure is significant).
-    """
-
-    __slots__ = ()
-
-    def _on_child(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if ev.ok:
-            self.succeed(ev)
-        else:
-            self.fail(ev.value)
-
-
-class AllOf(_Condition):
-    """Succeeds once every child has triggered; value = list of child values."""
-
-    __slots__ = ()
-
-    def _on_child(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if not ev.ok:
-            self.fail(ev.value)
-            return
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed([e.value for e in self.events])
 
 
 class Simulator:

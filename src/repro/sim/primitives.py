@@ -1,4 +1,4 @@
-"""Waitable FIFO stores and counted resources.
+"""Waitable FIFO stores.
 
 :class:`Store` models the paper's request queues: requests are ``put`` by
 the request-queue splitter and ``get`` by servers in FIFO order — both the
@@ -10,10 +10,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, List
 
-from repro.errors import SimulationError
 from repro.sim.kernel import Event, Simulator
 
-__all__ = ["Store", "Resource"]
+__all__ = ["Store"]
 
 
 class Store:
@@ -38,10 +37,6 @@ class Store:
     def items(self) -> List[Any]:
         """Snapshot of queued items, oldest first."""
         return list(self._items)
-
-    @property
-    def waiting_getters(self) -> int:
-        return len(self._getters)
 
     # -- operations ----------------------------------------------------------
     def put(self, item: Any) -> None:
@@ -71,65 +66,3 @@ class Store:
             return True
         except ValueError:
             return False
-
-    def drain(self) -> List[Any]:
-        """Remove and return all queued items (used by moveClient)."""
-        items = list(self._items)
-        self._items.clear()
-        return items
-
-    def transfer_to(self, other: "Store") -> int:
-        """Move every queued item to ``other`` preserving order.
-
-        Returns the number of items moved.  Used when a client is migrated:
-        its in-queue requests follow it to the new request queue.
-        """
-        moved = 0
-        for item in self.drain():
-            other.put(item)
-            moved += 1
-        return moved
-
-
-class Resource:
-    """A counted resource with FIFO acquisition.
-
-    Not used by the headline experiment (servers own their queue directly)
-    but provided for example applications and the pipeline style demo.
-    """
-
-    def __init__(self, sim: Simulator, capacity: int, name: str = "resource"):
-        if capacity < 1:
-            raise SimulationError(f"resource capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.name = name
-        self.capacity = int(capacity)
-        self._in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self._in_use
-
-    def acquire(self) -> Event:
-        """Event that succeeds once a unit is held by the caller."""
-        ev = Event(self.sim)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            ev.succeed(self)
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        if self._in_use <= 0:
-            raise SimulationError(f"release of idle resource {self.name!r}")
-        if self._waiters:
-            waiter = self._waiters.popleft()
-            waiter.succeed(self)  # unit passes directly to the waiter
-        else:
-            self._in_use -= 1

@@ -61,12 +61,6 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self._finished
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = (
-            "done" if self._finished else ("waiting" if self._waiting_on else "ready")
-        )
-        return f"<Process {self.name} {state}>"
-
     # -- control -----------------------------------------------------------
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupted` into the process at its yield point.

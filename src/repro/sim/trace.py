@@ -27,10 +27,6 @@ class TraceRecord:
     category: str
     data: Dict[str, Any] = field(default_factory=dict)
 
-    def __str__(self) -> str:
-        details = " ".join(f"{k}={v}" for k, v in sorted(self.data.items()))
-        return f"[{self.time:10.3f}] {self.category:<28} {details}".rstrip()
-
 
 class Trace:
     """Append-only record list with category filtering and subscriptions."""
@@ -78,6 +74,3 @@ class Trace:
                 continue
             out.append(r)
         return out
-
-    def dump(self, prefix: str = "") -> str:
-        return "\n".join(str(r) for r in self.select(prefix))

@@ -1,7 +1,7 @@
 """Shared utilities: id generation, deterministic RNG, sliding windows,
 units, and plain-text table rendering."""
 
-from repro.util.ids import IdGenerator, fresh_name
+from repro.util.ids import IdGenerator
 from repro.util.rng import SeedSequenceFactory, derive_rng
 from repro.util.windows import SlidingWindow, EWMA, StepFunction
 from repro.util.units import (
@@ -10,17 +10,11 @@ from repro.util.units import (
     BYTE,
     KB,
     MB,
-    bits,
-    kilobytes,
-    megabits_per_second,
-    format_bandwidth,
-    format_duration,
 )
 from repro.util.tables import render_table, render_series
 
 __all__ = [
     "IdGenerator",
-    "fresh_name",
     "SeedSequenceFactory",
     "derive_rng",
     "SlidingWindow",
@@ -31,11 +25,6 @@ __all__ = [
     "BYTE",
     "KB",
     "MB",
-    "bits",
-    "kilobytes",
-    "megabits_per_second",
-    "format_bandwidth",
-    "format_duration",
     "render_table",
     "render_series",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict
 
-__all__ = ["IdGenerator", "fresh_name"]
+__all__ = ["IdGenerator"]
 
 
 class IdGenerator:
@@ -31,19 +31,3 @@ class IdGenerator:
     def peek(self, prefix: str) -> int:
         """Return how many names have been issued for ``prefix``."""
         return self._counters[prefix]
-
-    def reset(self) -> None:
-        """Forget all counters (fresh numbering)."""
-        self._counters.clear()
-
-
-_GLOBAL = IdGenerator()
-
-
-def fresh_name(prefix: str) -> str:
-    """Module-level convenience using a process-global generator.
-
-    Only suitable for throwaway scripts and tests; library code should own
-    an :class:`IdGenerator` so that runs are reproducible in isolation.
-    """
-    return _GLOBAL.next(prefix)

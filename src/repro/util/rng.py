@@ -12,7 +12,6 @@ adaptation machinery perturbs event interleaving.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
 
 import numpy as np
 
@@ -54,15 +53,3 @@ class SeedSequenceFactory:
     def rng(self, key: str) -> np.random.Generator:
         """Return a fresh generator for stream ``key``."""
         return derive_rng(self.root_seed, key)
-
-    def spawn(self, key: str) -> "SeedSequenceFactory":
-        """Derive a child factory (for nested subsystems)."""
-        return SeedSequenceFactory(_key_to_int(f"{self.root_seed}/{key}") % (2**63))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SeedSequenceFactory(root_seed={self.root_seed})"
-
-
-def optional_rng(rng: Optional[np.random.Generator]) -> np.random.Generator:
-    """Return ``rng`` or a default-seeded generator if ``None``."""
-    return rng if rng is not None else np.random.default_rng(0)

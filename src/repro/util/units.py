@@ -1,4 +1,4 @@
-"""Unit conventions and formatting helpers.
+"""Unit conventions.
 
 Internal conventions used throughout the library:
 
@@ -16,11 +16,6 @@ __all__ = [
     "MB",
     "KBPS",
     "MBPS",
-    "bits",
-    "kilobytes",
-    "megabits_per_second",
-    "format_bandwidth",
-    "format_duration",
 ]
 
 BYTE = 1
@@ -29,36 +24,3 @@ MB = 1000 * 1000
 
 KBPS = 1_000.0  # bits per second
 MBPS = 1_000_000.0
-
-
-def bits(nbytes: float) -> float:
-    """Bytes -> bits."""
-    return nbytes * 8.0
-
-
-def kilobytes(n: float) -> float:
-    """KB -> bytes."""
-    return n * KB
-
-
-def megabits_per_second(mbps: float) -> float:
-    """Mbps -> bits/second."""
-    return mbps * MBPS
-
-
-def format_bandwidth(bps: float) -> str:
-    """Human-readable bandwidth: '9.50 Mbps', '10.0 Kbps', '512 bps'."""
-    if bps >= MBPS:
-        return f"{bps / MBPS:.2f} Mbps"
-    if bps >= KBPS:
-        return f"{bps / KBPS:.1f} Kbps"
-    return f"{bps:.0f} bps"
-
-
-def format_duration(seconds: float) -> str:
-    """Human-readable duration: '30.0 s', '2.5 min', '125 ms'."""
-    if seconds >= 60:
-        return f"{seconds / 60:.1f} min"
-    if seconds >= 1:
-        return f"{seconds:.1f} s"
-    return f"{seconds * 1000:.0f} ms"

@@ -401,7 +401,3 @@ class StepFunction:
     def change_times(self, start: float, end: float) -> List[float]:
         """Breakpoint times within ``(start, end]`` (for event scheduling)."""
         return [t for t in self._times if start < t <= end]
-
-    def sample(self, times: Iterable[float]) -> List[float]:
-        """Vector-evaluate at each time (useful for plotting series)."""
-        return [self(t) for t in times]

@@ -172,13 +172,6 @@ class TestRequestQueueService:
         with pytest.raises(EnvironmentError_):
             rq.accept(self._req())
 
-    def test_clients_of(self):
-        _, rq = self._rq()
-        rq.assign("C2", "SG1")
-        rq.assign("C1", "SG1")
-        rq.assign("C3", "SG2")
-        assert rq.clients_of("SG1") == ["C1", "C2"]
-
     def test_enqueue_timestamp_and_listener(self):
         sim, rq = self._rq()
         rq.assign("C1", "SG1")

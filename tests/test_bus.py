@@ -1,9 +1,8 @@
-"""Unit tests for the event bus, subjects, and filters."""
+"""Unit tests for the event bus and subjects."""
 
 import pytest
 
 from repro.bus import (
-    AttributeFilter,
     CallableDelay,
     EventBus,
     FixedDelay,
@@ -54,41 +53,6 @@ class TestMessage:
         assert m.with_time(9.0).time == 9.0
 
 
-class TestAttributeFilter:
-    def test_conjunction(self):
-        f = AttributeFilter([("latency", ">", 2.0), ("client", "==", "C3")])
-        assert f.matches({"latency": 3.0, "client": "C3"})
-        assert not f.matches({"latency": 1.0, "client": "C3"})
-        assert not f.matches({"latency": 3.0, "client": "C1"})
-
-    def test_missing_attribute_fails(self):
-        f = AttributeFilter([("x", "==", 1)])
-        assert not f.matches({})
-
-    def test_exists(self):
-        f = AttributeFilter([("x", "exists", None)])
-        assert f.matches({"x": 0})
-        assert not f.matches({"y": 0})
-
-    def test_prefix(self):
-        f = AttributeFilter([("name", "prefix", "Server")])
-        assert f.matches({"name": "ServerGrp1"})
-        assert not f.matches({"name": "Client1"})
-
-    def test_incomparable_types_do_not_match(self):
-        f = AttributeFilter([("x", "<", 5)])
-        assert not f.matches({"x": "string"})
-
-    def test_unknown_operator_rejected(self):
-        with pytest.raises(ValueError):
-            AttributeFilter([("x", "~=", 1)])
-
-    def test_and_composition(self):
-        f = AttributeFilter([("a", "==", 1)]) & AttributeFilter([("b", "==", 2)])
-        assert f.matches({"a": 1, "b": 2})
-        assert not f.matches({"a": 1, "b": 3})
-
-
 class TestEventBus:
     def _bus(self, delay=0.0):
         sim = Simulator()
@@ -110,19 +74,6 @@ class TestEventBus:
         bus.publish_subject("probe.x")
         sim.run()
         assert got == []
-
-    def test_attribute_filter_applied(self):
-        sim, bus = self._bus()
-        got = []
-        bus.subscribe(
-            "probe.>",
-            lambda m: got.append(m["v"]),
-            attr_filter=AttributeFilter([("v", ">", 10)]),
-        )
-        bus.publish_subject("probe.x", v=5)
-        bus.publish_subject("probe.x", v=15)
-        sim.run()
-        assert got == [15]
 
     def test_delivery_delay(self):
         sim, bus = self._bus(delay=0.5)

@@ -13,7 +13,6 @@ import pytest
 from reference import linear_bus
 
 from repro.bus import (
-    AttributeFilter,
     EventBus,
     FixedDelay,
     SubjectTrie,
@@ -207,10 +206,9 @@ class TestTrieLinearEquivalence:
         subs_indexed, subs_linear = [], []
         for k in range(60):
             pattern = _random_pattern(rng)
-            attr = AttributeFilter([("v", ">", 0.5)]) if rng.random() < 0.3 else None
             on_indexed, on_linear = _recorder(got_indexed, k), _recorder(got_linear, k)
-            subs_indexed.append(indexed.subscribe(pattern, on_indexed, attr))
-            subs_linear.append(linear.subscribe(pattern, on_linear, attr))
+            subs_indexed.append(indexed.subscribe(pattern, on_indexed))
+            subs_linear.append(linear.subscribe(pattern, on_linear))
         for idx in rng.sample(range(60), 12):
             indexed.unsubscribe(subs_indexed[idx])
             linear.unsubscribe(subs_linear[idx])
@@ -227,11 +225,10 @@ class TestTrieLinearEquivalence:
         assert indexed.total_transit == linear.total_transit
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_buses_deliver_identically_through_faults_and_filters(self, seed):
+    def test_buses_deliver_identically_through_faults(self, seed):
         """The rest of the delivery loop: a subscription switched off but
-        still indexed, attribute filters, a fault injector that draws from
-        an RNG once per wanted delivery, and a subject two literal
-        subscribers share."""
+        still indexed, a fault injector that draws from an RNG once per
+        wanted delivery, and a subject two literal subscribers share."""
         rng = random.Random(3000 + seed)
         sim = Simulator()
         buses = [
@@ -254,10 +251,9 @@ class TestTrieLinearEquivalence:
             bus.fault_injector = injector(side)
         for k in range(40):
             pattern = shared if k < 2 else _random_pattern(rng)
-            attr = AttributeFilter([("v", ">", 0.5)]) if rng.random() < 0.3 else None
             switched_off = k >= 2 and rng.random() < 0.15
             for side, bus in enumerate(buses):
-                sub = bus.subscribe(pattern, _recorder(got[side], k), attr)
+                sub = bus.subscribe(pattern, _recorder(got[side], k))
                 if switched_off:
                     sub.active = False
         for _ in range(300):
@@ -347,12 +343,9 @@ class TestTrieLinearEquivalence:
             roll = rng.random()
             if roll < 0.15:
                 pattern = rng.choice([_random_pattern(rng), rng.choice(subjects)])
-                attr = (
-                    AttributeFilter([("v", ">", 0.5)]) if rng.random() < 0.3 else None
-                )
                 serial += 1
                 for side, bus in enumerate(buses):
-                    sub = bus.subscribe(pattern, _recorder(got[side], serial), attr)
+                    sub = bus.subscribe(pattern, _recorder(got[side], serial))
                     live[side].append(sub)
             elif roll < 0.25 and live[0]:
                 idx = rng.randrange(len(live[0]))

@@ -1,12 +1,8 @@
 """Runner wiring tests: configuration knobs reach the right components."""
 
 from repro.experiment import RunConfig
-from repro.experiment.runner import (
-    Experiment,
-    clear_cache,
-    run_scenario,
-    set_cache_capacity,
-)
+from repro.experiment import runner
+from repro.experiment.runner import Experiment, clear_cache, run_scenario
 
 
 class TestRunConfig:
@@ -110,10 +106,11 @@ class TestFreshLruInterplay:
 
     def setup_method(self):
         clear_cache()
-        set_cache_capacity(2)
+        self.capacity = runner._CACHE.capacity
+        runner._CACHE.capacity = 2  # a third config evicts the oldest
 
     def teardown_method(self):
-        set_cache_capacity(32)
+        runner._CACHE.capacity = self.capacity
         clear_cache()
 
     def test_fresh_result_replaces_cached_entry(self):

@@ -28,11 +28,10 @@ class TestTimeSeries:
         assert ts.fraction_above(2.0) == pytest.approx(0.5)  # 3.0, 9.0 of 4
         assert ts.fraction_above(100.0) == 0.0
 
-    def test_first_and_last_crossing(self):
+    def test_first_crossing(self):
         ts = self._ts()
         assert ts.first_crossing(2.0) == 10.0
         assert ts.first_crossing(2.0, after=12.0) == 20.0
-        assert ts.last_crossing(2.0) == 20.0
         assert ts.first_crossing(99.0) is None
 
     def test_min_max_mean(self):

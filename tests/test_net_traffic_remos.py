@@ -126,12 +126,6 @@ class TestRemos:
         sim.run()
         assert answered[0] == pytest.approx(1e6)
 
-    def test_measure_now_has_no_delay(self):
-        sim, net = simple_net()
-        remos = RemosService(sim, net)
-        assert remos.measure_now("a", "b") == pytest.approx(10e6)
-        assert remos.stats.queries == 0
-
     def test_invalid_parameters(self):
         sim, net = simple_net()
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 #: lines in tools/reach_allow.txt; lower it when the list shrinks, never raise it
-CEILING = 247
+CEILING = 246
 
 
 def _load_reach():
@@ -58,6 +58,7 @@ def test_every_entry_has_a_known_category_and_a_reason():
         "src/repro/api.py  public  no qualname",
         "src/repro/api.py:run  public  one\nsrc/repro/api.py:run  bench  twice",
     ],
+    ids=["unknown-category", "empty-reason", "no-qualname", "listed-twice"],
 )
 def test_a_malformed_line_is_refused(line):
     with pytest.raises(ValueError):

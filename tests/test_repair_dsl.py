@@ -33,12 +33,6 @@ class StubRuntime(RuntimeView):
     def bandwidth_between(self, client_name, group_name):
         return self.bandwidths.get((client_name, group_name), 1e6)
 
-    def group_utilization(self, group_name):
-        return 0.5
-
-    def replication(self, group_name):
-        return 2
-
 
 def make_model():
     return build_client_server_model(

@@ -4,7 +4,8 @@
 import pytest
 
 from repro.constraints import ConstraintChecker
-from repro.errors import RepairAborted, RepairError
+from repro.errors import RepairAborted, RepairError, ReproError
+from repro.experiment import RunConfig
 from repro.repair import ArchitectureManager, FirstSuccessStrategy, PythonTactic
 from repro.sim import Simulator
 from repro.styles import build_client_server_model
@@ -156,3 +157,22 @@ class TestHumanAlert:
             mgr.evaluate()
             sim.run()
         assert mgr.human_alerts == 2  # alerts at abort 2 and abort 4
+
+
+class TestScheduledWaits:
+    """``settle_time`` and ``failed_repair_cost`` are waits the engine
+    schedules: a negative one would land in the past at the first repair
+    that settles or aborts, so the engine and the config refuse it."""
+
+    @pytest.mark.parametrize("knob", ["settle_time", "failed_repair_cost"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan")])
+    def test_the_engine_refuses_a_negative_wait(self, knob, value):
+        s = system_with_latencies({"C1": 9.0})
+        with pytest.raises(RepairError, match=knob):
+            ArchitectureManager(Simulator(), s, checker(), **{knob: value})
+
+    @pytest.mark.parametrize("knob", ["settle_time", "failed_repair_cost"])
+    @pytest.mark.parametrize("name", ["master_worker", "pipeline", "client_server"])
+    def test_the_config_refuses_a_negative_wait(self, knob, name):
+        with pytest.raises(ReproError, match=knob):
+            RunConfig.adapted(name).but(**{knob: -1.0}).resolved()

@@ -35,11 +35,6 @@ class TestErrors:
         assert err.reason == "NoServerGroupFound"
         assert "NoServerGroupFound" in str(err)
 
-    def test_no_server_group_found_is_repair_aborted(self):
-        err = errors.NoServerGroupFound()
-        assert isinstance(err, errors.RepairAborted)
-        assert err.reason == "NoServerGroupFound"
-
     def test_catching_base_catches_everything(self):
         for name in errors.__all__:
             exc_type = getattr(errors, name)
@@ -48,8 +43,6 @@ class TestErrors:
                     raise exc_type("x", 1, 1)
                 elif name == "RepairAborted":
                     raise exc_type("y")
-                elif name == "NoServerGroupFound":
-                    raise exc_type()
                 else:
                     raise exc_type("boom")
             except errors.ReproError:

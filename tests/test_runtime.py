@@ -21,9 +21,7 @@ from repro.experiment.pipeline_scenario import PipelineExperiment, pipeline_inte
 from repro.experiment.runner import (
     Experiment,
     _ResultCache,
-    clear_cache,
     run_scenario,
-    set_cache_capacity,
 )
 from repro.monitoring.gauges import WindowedMeanGauge
 from repro.runtime import (
@@ -296,27 +294,3 @@ class TestResultCacheLRU:
         cache.get(("a",))
         cache.get(("x",))
         assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_resize_trims(self):
-        cache = _ResultCache(capacity=4)
-        for i in range(4):
-            cache.put((i,), i)
-        cache.resize(2)
-        assert len(cache) == 2
-        assert cache.get((3,)) == 3  # newest survive
-        with pytest.raises(ValueError):
-            cache.resize(0)
-
-    def test_run_scenario_respects_capacity(self):
-        clear_cache()
-        set_cache_capacity(1)
-        try:
-            cfg_a = RunConfig.control().but(horizon=5.0)
-            cfg_b = RunConfig.control().but(horizon=6.0)
-            r_a = run_scenario(cfg_a)
-            r_b = run_scenario(cfg_b)           # evicts cfg_a
-            assert run_scenario(cfg_b) is r_b   # still cached
-            assert run_scenario(cfg_a) is not r_a  # re-run after eviction
-        finally:
-            set_cache_capacity(32)
-            clear_cache()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Simulator
+from repro.sim import Simulator
 
 
 class TestScheduling:
@@ -144,36 +144,3 @@ class TestEvents:
     def test_negative_timeout_rejected(self):
         with pytest.raises(SimulationError):
             Simulator().timeout(-0.1)
-
-
-class TestConditions:
-    def test_anyof_first_wins(self):
-        sim = Simulator()
-        a, b = sim.timeout(5.0, "a"), sim.timeout(2.0, "b")
-        any_ev = AnyOf(sim, [a, b])
-        sim.run()
-        assert any_ev.triggered
-        assert any_ev.value is b
-
-    def test_allof_collects_values(self):
-        sim = Simulator()
-        a, b = sim.timeout(5.0, "a"), sim.timeout(2.0, "b")
-        all_ev = AllOf(sim, [a, b])
-        sim.run()
-        assert all_ev.value == ["a", "b"]
-
-    def test_allof_empty_succeeds_immediately(self):
-        sim = Simulator()
-        assert AllOf(sim, []).triggered
-
-    def test_allof_failure_propagates(self):
-        sim = Simulator()
-        a = sim.event()
-        b = sim.event()
-        all_ev = AllOf(sim, [a, b])
-        err = RuntimeError("child failed")
-        a.fail(err)
-        assert all_ev.triggered and not all_ev.ok
-        assert all_ev.value is err
-        b.succeed()  # late sibling success must not re-trigger
-        assert not all_ev.ok

@@ -1,9 +1,6 @@
-"""Unit tests for Store and Resource."""
+"""Unit tests for Store."""
 
-import pytest
-
-from repro.errors import SimulationError
-from repro.sim import Process, Resource, Simulator, Store
+from repro.sim import Simulator, Store
 
 
 class TestStore:
@@ -49,77 +46,7 @@ class TestStore:
         sim = Simulator()
         s = Store(sim)
         ev = s.get()
-        assert s.waiting_getters == 1
         assert s.cancel_get(ev) is True
-        assert s.waiting_getters == 0
         assert s.cancel_get(ev) is False
         s.put("a")  # must not be stolen by the cancelled getter
         assert len(s) == 1
-
-    def test_drain(self):
-        sim = Simulator()
-        s = Store(sim)
-        s.put(1)
-        s.put(2)
-        assert s.drain() == [1, 2]
-        assert len(s) == 0
-
-    def test_transfer_to_preserves_order(self):
-        sim = Simulator()
-        a, b = Store(sim), Store(sim)
-        a.put(1)
-        a.put(2)
-        b.put(0)
-        moved = a.transfer_to(b)
-        assert moved == 2
-        assert b.items == [0, 1, 2]
-        assert len(a) == 0
-
-    def test_transfer_wakes_waiting_getter(self):
-        sim = Simulator()
-        a, b = Store(sim), Store(sim)
-        got = []
-        b.get().add_callback(lambda e: got.append(e.value))
-        a.put("x")
-        a.transfer_to(b)
-        assert got == ["x"]
-
-
-class TestResource:
-    def test_acquire_release(self):
-        sim = Simulator()
-        r = Resource(sim, capacity=2)
-        log = []
-
-        def user(name, hold):
-            yield r.acquire()
-            log.append((sim.now, name, "in"))
-            yield sim.timeout(hold)
-            r.release()
-            log.append((sim.now, name, "out"))
-
-        Process(sim, user("a", 5.0))
-        Process(sim, user("b", 5.0))
-        Process(sim, user("c", 1.0))
-        sim.run()
-        # c waits for a or b to release at t=5, leaves at t=6
-        assert (6.0, "c", "out") in log
-        assert log[0][0] == 0.0
-
-    def test_available_accounting(self):
-        sim = Simulator()
-        r = Resource(sim, capacity=1)
-        r.acquire()
-        assert r.available == 0
-        r.release()
-        assert r.available == 1
-
-    def test_release_idle_rejected(self):
-        sim = Simulator()
-        r = Resource(sim, capacity=1)
-        with pytest.raises(SimulationError):
-            r.release()
-
-    def test_capacity_validation(self):
-        with pytest.raises(SimulationError):
-            Resource(Simulator(), capacity=0)

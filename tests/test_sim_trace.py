@@ -26,17 +26,3 @@ def test_subscription():
     t.subscribe(lambda r: seen.append(r.category))
     t.emit(0.0, "a.b")
     assert seen == ["a.b"]
-
-
-def test_str_rendering():
-    t = Trace()
-    rec = t.emit(1.5, "cat.x", foo=1, bar="z")
-    s = str(rec)
-    assert "cat.x" in s and "foo=1" in s and "bar=z" in s
-
-
-def test_dump_filters_by_prefix():
-    t = Trace()
-    t.emit(0.0, "a.one")
-    t.emit(1.0, "b.two")
-    assert "b.two" not in t.dump("a.")

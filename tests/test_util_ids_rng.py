@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.ids import IdGenerator, fresh_name
+from repro.util.ids import IdGenerator
 from repro.util.rng import SeedSequenceFactory, derive_rng
 
 
@@ -21,22 +21,10 @@ class TestIdGenerator:
         ids.next("x")
         assert ids.peek("x") == 2
 
-    def test_reset_restarts_numbering(self):
-        ids = IdGenerator()
-        ids.next("a")
-        ids.reset()
-        assert ids.next("a") == "a-1"
-
     def test_independent_instances(self):
         a, b = IdGenerator(), IdGenerator()
         a.next("p")
         assert b.next("p") == "p-1"
-
-    def test_fresh_name_global(self):
-        n1 = fresh_name("zz-test")
-        n2 = fresh_name("zz-test")
-        assert n1 != n2
-        assert n1.startswith("zz-test-")
 
 
 class TestRng:
@@ -61,12 +49,6 @@ class TestRng:
         assert np.allclose(
             derive_rng(7, "x").random(4), SeedSequenceFactory(7).rng("x").random(4)
         )
-
-    def test_spawn_is_deterministic(self):
-        f1 = SeedSequenceFactory(9).spawn("sub")
-        f2 = SeedSequenceFactory(9).spawn("sub")
-        assert f1.root_seed == f2.root_seed
-        assert f1.root_seed != 9
 
     def test_rejects_non_int_seed(self):
         with pytest.raises(TypeError):

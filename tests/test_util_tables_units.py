@@ -1,36 +1,8 @@
-"""Unit tests for unit helpers and text rendering."""
+"""Unit tests for plain-text rendering."""
 
 import pytest
 
 from repro.util.tables import ascii_sparkline, render_series, render_table
-from repro.util.units import (
-    bits,
-    format_bandwidth,
-    format_duration,
-    kilobytes,
-    megabits_per_second,
-)
-
-
-class TestUnits:
-    def test_bits(self):
-        assert bits(1) == 8.0
-
-    def test_kilobytes(self):
-        assert kilobytes(20) == 20000
-
-    def test_mbps(self):
-        assert megabits_per_second(10) == 10e6
-
-    def test_format_bandwidth(self):
-        assert format_bandwidth(10e6) == "10.00 Mbps"
-        assert format_bandwidth(10e3) == "10.0 Kbps"
-        assert format_bandwidth(512) == "512 bps"
-
-    def test_format_duration(self):
-        assert format_duration(120) == "2.0 min"
-        assert format_duration(30) == "30.0 s"
-        assert format_duration(0.125) == "125 ms"
 
 
 class TestRenderTable:

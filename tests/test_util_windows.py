@@ -313,7 +313,3 @@ class TestStepFunction:
         f = StepFunction([(0.0, 1.0), (10.0, 2.0), (20.0, 3.0)])
         assert f.change_times(0.0, 20.0) == [10.0, 20.0]
         assert f.change_times(10.0, 15.0) == []
-
-    def test_sample(self):
-        f = StepFunction([(0.0, 5.0)])
-        assert f.sample([-1.0, 0.0, 1.0]) == [0.0, 5.0, 5.0]
