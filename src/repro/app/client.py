@@ -147,7 +147,3 @@ class Client:
     def average_latency(self, now: Optional[float] = None) -> Optional[float]:
         """Windowed mean latency of recently completed requests."""
         return self.latency_window.mean(self.sim.now if now is None else now)
-
-    @property
-    def in_flight(self) -> int:
-        return self.issued - self.received

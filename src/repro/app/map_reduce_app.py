@@ -188,10 +188,6 @@ class MapReduceApplication:
         index = self.reducer_index(name)
         return [k for k, owner in self.assignment.items() if owner == index]
 
-    @property
-    def in_flight(self) -> int:
-        return self.issued - self.completed
-
     # -- runtime change operators (this application's Table 1) -------------
     def split_keys(self, hot: str, dest: str) -> int:
         """Reassign the colder half of ``hot``'s key-groups to ``dest``.

@@ -64,10 +64,6 @@ class LintReport:
     def ok(self) -> bool:
         return not self.findings
 
-    @property
-    def errors(self) -> List[LintFinding]:
-        return [f for f in self.findings if f.severity == ERROR]
-
     def as_dict(self) -> Dict[str, Any]:
         return {
             "source": self.source,

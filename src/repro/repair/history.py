@@ -118,10 +118,6 @@ class RepairHistory:
         return iter(self._records)
 
     @property
-    def records(self) -> List[RepairRecord]:
-        return list(self._records)
-
-    @property
     def committed(self) -> List[RepairRecord]:
         return [r for r in self._records if r.committed]
 

@@ -40,6 +40,7 @@ from repro.constraints.evaluator import EvalContext
 from repro.constraints.invariants import ConstraintChecker
 from repro.constraints.parser import parse_expression
 from repro.constraints.stdlib import STDLIB
+from repro.errors import EvaluationError
 from repro.repair.transactions import ModelTransaction
 
 # ---------------------------------------------------------------------------
@@ -446,6 +447,33 @@ class TestDynamicFrames:
             errors += want[0] == "err"
             hits += any(frames)
         assert 0 < errors < 300 and hits > 200
+
+
+class _UnknownNode(Literal):
+    """A node kind the compiler has no case for."""
+
+
+class TestDeferredErrors:
+    """A node the compiler cannot lower still compiles: its error surfaces
+    when the expression is evaluated, with the interpreter's message, so
+    an invariant set with one bad expression keeps its good ones."""
+
+    @pytest.mark.parametrize(
+        "node",
+        [
+            Unary("~", Literal(1)),
+            Binary("<>", Literal(1), Literal(2)),
+            _UnknownNode(1),
+        ],
+        ids=["unary-operator", "binary-operator", "node-kind"],
+    )
+    def test_error_is_raised_at_evaluation(self, node):
+        program = compile_expression(node, {**STDLIB})
+        ctx = EvalContext(ArchSystem("S"), bindings=BINDINGS)
+        got = outcome(lambda: program.evaluate(ctx))
+        want = outcome(lambda: Evaluator().evaluate(node, ctx))
+        assert got == want
+        assert got[1] is EvaluationError
 
 
 class TestScopeLocality:

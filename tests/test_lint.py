@@ -171,6 +171,24 @@ class TestRuleBehavior:
         assert report.ok, [str(f) for f in report.findings]
 
 
+@pytest.mark.parametrize(
+    "finding, line",
+    [
+        (
+            LintFinding("DSL106", "error", "a.dsl", "no commit", "add one", 3, 1),
+            "a.dsl:3:1: error DSL106: no commit [add one]",
+        ),
+        (
+            LintFinding("FP203", "warning", "pipeline", "ping-pong"),
+            "pipeline: warning FP203: ping-pong",
+        ),
+    ],
+    ids=["anchored-with-hint", "unanchored"],
+)
+def test_a_finding_reads_as_one_line(finding, line):
+    assert str(finding) == line
+
+
 # ---------------------------------------------------------------------------
 # Waivers
 # ---------------------------------------------------------------------------
@@ -278,6 +296,14 @@ class TestLintCli:
         assert main(["lint", "--dsl", path, "--json"], out=out) == 1
         payload = json.loads(out.getvalue())
         assert payload[0]["findings"][0]["rule"] == "DSL106"
+
+    def test_dsl_file_findings_in_text_mode(self):
+        out = io.StringIO()
+        path = str(FIXTURES / "dsl106_no_commit.dsl")
+        assert main(["lint", "--dsl", path], out=out) == 1
+        head, finding = out.getvalue().splitlines()
+        assert head == f"{path}: 1 finding(s)"
+        assert finding.startswith(f"  {path}:3:1: error DSL106: ")
 
     def test_missing_dsl_file_exits_two(self):
         out = io.StringIO()

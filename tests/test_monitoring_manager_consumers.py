@@ -61,6 +61,18 @@ class TestGaugeManager:
         with pytest.raises(GaugeError):
             mgr.delete(gauge.name)
 
+    def test_gauge_by_name(self):
+        sim = Simulator()
+        pb, gb = buses(sim)
+        mgr = GaugeManager(sim)
+        gauge = mgr.create(latency_gauge(sim, pb, gb), immediate=True)
+        assert mgr.gauge("gauge.latency.C1") is gauge
+
+    def test_unknown_gauge_name_raises(self):
+        mgr = GaugeManager(Simulator())
+        with pytest.raises(GaugeError, match="gauge.latency.C9"):
+            mgr.gauge("gauge.latency.C9")
+
     def test_entity_index_and_redeploy(self):
         sim = Simulator()
         pb, gb = buses(sim)

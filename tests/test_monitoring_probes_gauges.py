@@ -17,6 +17,7 @@ from repro.monitoring import (
     CallbackProbe,
     ClientLatencyProbe,
     EwmaGauge,
+    Gauge,
     LatestValueGauge,
     UtilizationProbe,
     WindowedMeanGauge,
@@ -243,6 +244,45 @@ class TestGauges:
         probe_bus, gauge_bus = buses(sim)
         with pytest.raises(ValueError):
             WindowedMeanGauge(sim, probe_bus, gauge_bus, "load", "SG1", period=0.0)
+
+
+class PeakGauge(Gauge):
+    """A gauge written against the base's four hooks: the peak value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.peak = None
+
+    def _consume(self, message):
+        self._consume_batch(None, [message["value"]])
+
+    def _consume_batch(self, times, values):
+        self.peak = max(values if self.peak is None else [self.peak, *values])
+
+    def _value(self):
+        return self.peak
+
+    def _clear(self):
+        self.peak = None
+
+
+def test_a_gauge_subclass_supplies_only_the_four_hooks():
+    sim = Simulator()
+    probe_bus, gauge_bus = buses(sim)
+    gauge = PeakGauge(sim, probe_bus, gauge_bus, "load", "SG1", period=5.0)
+    reports = []
+    gauge_bus.subscribe("gauge.load.SG1", lambda m: reports.append(m["value"]))
+    gauge.activate()
+    probe_bus.publish_subject("probe.load.SG1", target="SG1", value=3.0)
+    probe_bus.publish_subject(
+        "probe.load.SG1", target="SG1", times=[0.0, 0.0], values=[1.0, 7.0]
+    )
+    sim.run(until=5.0)
+    assert reports == [7.0]
+    gauge.deactivate()
+    assert gauge.peak is None
+    sim.run(until=10.0)
+    assert reports == [7.0]
 
 
 class TestNonFiniteReads:

@@ -91,6 +91,23 @@ class TestRemos:
         assert times == [pytest.approx(0.5)]
         assert remos.stats.warm_queries == 1
 
+    def test_mean_latency_is_zero_before_any_query(self):
+        _, net = simple_net()
+        assert RemosService(Simulator(), net).stats.mean_latency == 0.0
+
+    def test_mean_latency_averages_cold_and_warm_queries(self):
+        sim, net = simple_net()
+        remos = RemosService(sim, net, cold_delay=90.0, warm_delay=0.5)
+
+        def proc():
+            yield remos.get_flow("a", "b")
+            yield remos.get_flow("b", "a")
+
+        Process(sim, proc())
+        sim.run()
+        assert remos.stats.queries == 2
+        assert remos.stats.mean_latency == pytest.approx((90.0 + 0.5) / 2)
+
     def test_pair_symmetry(self):
         sim, net = simple_net()
         remos = RemosService(sim, net)

@@ -19,6 +19,7 @@ from repro.monitoring.probes import IngestProbe
 from repro.realtime import FakeClock, RealtimeDriver, RealtimeScheduler, WallClock
 from repro.realtime.demo import (
     LivePoolManagedApplication,
+    _percentile,
     build_live_pool_spec,
 )
 from repro.sim.kernel import Simulator
@@ -444,3 +445,11 @@ class TestRealtimeDriver:
         )
         report = lint_runtime(driver.runtime, "live-demo")
         assert report.findings == []
+
+
+def test_live_demo_percentiles_pick_the_nearest_rank():
+    """The demo reports p50 / p95 of the measured latencies; a phase that
+    recorded none reads 0.0 rather than failing the report."""
+    assert _percentile([], 0.95) == 0.0
+    assert _percentile([3.0, 1.0, 2.0], 0.50) == 2.0
+    assert _percentile([float(v) for v in range(1, 21)], 0.95) == 19.0

@@ -11,6 +11,8 @@ from repro.repair import (
     RepairContext,
 )
 from repro.repair.history import RepairHistory, RepairRecord
+from repro.repair.strategy import AllApplicableStrategy, RepairOutcome
+from repro.repair.transactions import ModelTransaction
 from repro.sim import Simulator
 from repro.styles import build_client_server_model
 
@@ -155,6 +157,67 @@ class TestEngine:
         mgr.register_strategy(FirstSuccessStrategy("fix", []))
         with pytest.raises(RepairError):
             mgr.register_strategy(FirstSuccessStrategy("fix", []))
+
+
+def set_tactic(name, prop, value, applies=True):
+    def script(ctx: RepairContext) -> bool:
+        ctx.system.component("SG1").set_property(prop, value)
+        return applies
+
+    return PythonTactic(name, script)
+
+
+def transactional_context(system):
+    """A context over an open transaction, as the engine builds one."""
+    return RepairContext(system, transaction=ModelTransaction(system).begin())
+
+
+class TestAllApplicableStrategy:
+    def test_commits_every_tactic_that_applied(self):
+        s = make_system(load=0.5)
+        strategy = AllApplicableStrategy(
+            "fixAll",
+            [set_tactic("a", "load", 1.0),
+             set_tactic("b", "load", 9.0, applies=False),
+             set_tactic("c", "replication", 3)],
+        )
+        outcome = strategy.run(transactional_context(s))
+        assert outcome.committed
+        assert outcome.tactics_tried == ["a", "b", "c"]
+        assert outcome.tactic_applied == "a+c"
+        group = s.component("SG1")
+        # b did not apply, so its edit is undone and a's stays
+        assert group.get_property("load") == 1.0
+        assert group.get_property("replication") == 3
+
+    def test_aborts_with_its_reason_when_no_tactic_applied(self):
+        s = make_system(load=0.5)
+        strategy = AllApplicableStrategy(
+            "fixAll",
+            [set_tactic("a", "load", 1.0, applies=False),
+             set_tactic("b", "load", 2.0, applies=False)],
+            abort_reason="NoServerGroupFound",
+        )
+        ctx = transactional_context(s)
+        with pytest.raises(RepairAborted) as info:
+            strategy.run(ctx)
+        assert info.value.reason == "NoServerGroupFound"
+        assert ctx.tactic_footprints == []
+        assert s.component("SG1").get_property("load") == 0.5
+
+
+@pytest.mark.parametrize(
+    "outcome, line",
+    [
+        (RepairOutcome(True, "fix", tactic_applied="moveClient"),
+         "fix: committed via moveClient"),
+        (RepairOutcome(False, "fix", abort_reason="NoServerGroupFound"),
+         "fix: aborted (NoServerGroupFound)"),
+    ],
+    ids=["committed", "aborted"],
+)
+def test_repair_outcome_reads_as_one_line(outcome, line):
+    assert str(outcome) == line
 
 
 class TestHistory:

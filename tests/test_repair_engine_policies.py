@@ -176,3 +176,28 @@ class TestScheduledWaits:
     def test_the_config_refuses_a_negative_wait(self, knob, name):
         with pytest.raises(ReproError, match=knob):
             RunConfig.adapted(name).but(**{knob: -1.0}).resolved()
+
+    @pytest.mark.parametrize("cost", [0.0, 4.0])
+    def test_an_aborted_repair_ends_after_its_cost(self, cost):
+        s = system_with_latencies({"C1": 9.0})
+        sim = Simulator()
+
+        def always_abort(ctx):
+            raise RepairAborted("NoServerGroupFound")
+
+        mgr = ArchitectureManager(sim, s, checker(), settle_time=0.0,
+                                  failed_repair_cost=cost)
+        mgr.register_strategy(
+            FirstSuccessStrategy("fix", [PythonTactic("t", always_abort)])
+        )
+        mgr.evaluate()
+        sim.run()
+        [record] = list(mgr.history)
+        assert not record.committed
+        assert (record.started, record.ended) == (0.0, cost)
+
+    @pytest.mark.parametrize("name", ["master_worker", "pipeline", "client_server"])
+    def test_the_config_accepts_zero_waits(self, name):
+        config = RunConfig.adapted(name).but(settle_time=0.0, failed_repair_cost=0.0)
+        params = config.resolved().params
+        assert (params.settle_time, params.failed_repair_cost) == (0.0, 0.0)

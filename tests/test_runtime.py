@@ -14,6 +14,7 @@ from repro.errors import EnvironmentError_, RepairError, ReproError
 from repro.experiment import (
     PipelineParams,
     RunConfig,
+    runner,
     scenario_builder,
     scenario_names,
 )
@@ -21,6 +22,7 @@ from repro.experiment.pipeline_scenario import PipelineExperiment, pipeline_inte
 from repro.experiment.runner import (
     Experiment,
     _ResultCache,
+    clear_cache,
     run_scenario,
 )
 from repro.monitoring.gauges import WindowedMeanGauge
@@ -294,3 +296,18 @@ class TestResultCacheLRU:
         cache.get(("a",))
         cache.get(("x",))
         assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_run_scenario_respects_capacity(self):
+        clear_cache()
+        capacity = runner._CACHE.capacity
+        runner._CACHE.capacity = 1
+        try:
+            cfg_a = RunConfig.control().but(horizon=5.0)
+            cfg_b = RunConfig.control().but(horizon=6.0)
+            r_a = run_scenario(cfg_a)
+            r_b = run_scenario(cfg_b)           # evicts cfg_a
+            assert run_scenario(cfg_b) is r_b   # still cached
+            assert run_scenario(cfg_a) is not r_a  # re-run after eviction
+        finally:
+            runner._CACHE.capacity = capacity
+            clear_cache()
