@@ -74,16 +74,11 @@ class Client:
         self._ids = IdGenerator()
         self._process: Optional[Process] = None
         self._response_listeners: List[Callable[[Request], None]] = []
-        self._request_listeners: List[Callable[[Request], None]] = []
 
     # -- wiring ---------------------------------------------------------------
     def connect(self, router: Callable[[Request], None]) -> None:
         """Attach the request-queue service that accepts this client's requests."""
         self._router = router
-
-    def on_request(self, listener: Callable[[Request], None]) -> None:
-        """Probe hook: called at every request issue."""
-        self._request_listeners.append(listener)
 
     def on_response(self, listener: Callable[[Request], None]) -> None:
         """Probe hook: called at every completed response."""
@@ -126,8 +121,6 @@ class Client:
             issued_at=now,
         )
         self.issued += 1
-        for listener in self._request_listeners:
-            listener(req)
         self.sim.schedule(self.request_latency, self._router, req)
 
     # -- response delivery (called by servers) -----------------------------------

@@ -8,7 +8,7 @@ used by ``moveClient``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 from repro.app.messages import Request
 from repro.errors import EnvironmentError_
@@ -27,7 +27,6 @@ class RequestQueueService:
         self._queues: Dict[str, Store] = {}
         self._assignment: Dict[str, str] = {}
         self.routed = 0
-        self._route_listeners: List[Callable[[Request], None]] = []
 
     # -- queue management (Table 1: createReqQueue) -----------------------------
     def create_queue(self, group: str) -> Store:
@@ -77,10 +76,6 @@ class RequestQueueService:
         return old
 
     # -- routing -----------------------------------------------------------------
-    def on_route(self, listener: Callable[[Request], None]) -> None:
-        """Probe hook: called whenever a request is enqueued."""
-        self._route_listeners.append(listener)
-
     def accept(self, req: Request) -> None:
         """Enqueue an arriving request onto its client's group queue."""
         group = self.assignment_of(req.client)
@@ -88,5 +83,3 @@ class RequestQueueService:
         req.enqueued_at = self.sim.now
         self.routed += 1
         self._queues[group].put(req)
-        for listener in self._route_listeners:
-            listener(req)

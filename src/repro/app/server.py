@@ -23,7 +23,7 @@ outgoing responses still drain, but nothing new is pulled.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set
+from typing import Callable, Deque, Dict, Optional, Set
 
 from repro.app.messages import Request
 from repro.errors import EnvironmentError_
@@ -72,7 +72,6 @@ class Server:
         self._sending: Set[str] = set()
         self._inflight: Dict[str, object] = {}
         self.dropped = 0
-        self._serve_listeners: List[Callable[[Request], None]] = []
 
     # -- wiring -----------------------------------------------------------------
     def bind_client_resolver(self, resolver: Callable[[str], "object"]) -> None:
@@ -92,10 +91,6 @@ class Server:
             )
         self.group = group
         self._queue = queue
-
-    def on_serve(self, listener: Callable[[Request], None]) -> None:
-        """Probe hook: called when a response is fully delivered."""
-        self._serve_listeners.append(listener)
 
     # -- Table 1 activate/deactivate -------------------------------------------------
     def activate(self) -> None:
@@ -207,8 +202,6 @@ class Server:
             self._inflight.pop(dest, None)
             if e.ok:
                 client.deliver(req)
-                for listener in self._serve_listeners:
-                    listener(req)
             else:
                 self.dropped += 1
             self._send_next(dest)

@@ -10,6 +10,10 @@ at one instant, back to back, are one action, and each
 underlying simulator breaks ties in scheduling order, delivery is
 deterministic.
 
+Gauge reports enter through :meth:`EventBus.publish_reports`, one
+call per gauge tick instant with a flat ``subject, target, value``
+list (see :func:`queue_reports`).
+
 The delivery model is the hook for the paper's in-band-monitoring
 effect: the experiment harness installs a model whose delay grows when
 the network path carrying monitoring traffic is congested, and the A2
@@ -73,6 +77,65 @@ def _deliver(bus: "EventBus", sub: "Subscription", msg: Message, delay: float) -
     # unsubscribe-cancelled deliveries contribute nothing.
     bus.total_transit += delay
     sub.handler(msg)
+
+
+def queue_reports(
+    sim: Simulator,
+    reports: List[object],
+    owner: Optional["EventBus"],
+    routes: Optional[Dict[str, "EventBus"]],
+    route: Optional[Callable[[str], "EventBus"]],
+) -> None:
+    """Route, fault-check and queue a flat ``subject, target, value``
+    report list: on ``owner``, or, with ``owner`` None, on the bus
+    ``routes`` memoises per subject (``route(subject)`` on a miss).
+
+    Per report this is :meth:`EventBus._dispatch`'s work, in its order
+    and with its message (``sender`` is the subject), except that a
+    :class:`FixedDelay`'s ``seconds`` is read, not called for, and the
+    deliveries are queued flat, in publish order across buses, with
+    one ``schedule_items`` call per stretch of equal delays.
+    """
+    now = sim.now
+    fields = iter(reports)
+    pending: List[object] = []  # bus, sub, msg, delay per delivery
+    pending_delay = None
+    bus = owner
+    try:
+        for subject, target, value in zip(fields, fields, fields):
+            if owner is None:
+                bus = routes.get(subject) or route(subject)
+            attributes = {"target": target, "value": value}
+            msg = routed_message(subject, attributes, now, subject)
+            candidates = bus._index.match(subject)
+            bus.published += 1
+            inject = bus.fault_injector
+            for sub in candidates:
+                if not sub.active:
+                    continue
+                if inject is not None and inject(sub, msg):
+                    bus.dead_letters += 1
+                    by_sid = bus.dead_letters_by_sid
+                    by_sid[sub.sid] = by_sid.get(sub.sid, 0) + 1
+                    continue
+                model = bus.delivery  # a FixedDelay is read, never called
+                delay = float(
+                    model.seconds if type(model) is FixedDelay else model.delay(msg)
+                )
+                if delay < 0:
+                    delay = 0.0
+                if delay != pending_delay:
+                    if pending:
+                        sim.schedule_items(pending_delay, _deliver, 4, pending)
+                        pending.clear()
+                    pending_delay = delay
+                pending.append(bus)
+                pending.append(sub)
+                pending.append(msg)
+                pending.append(delay)
+    finally:  # what was routed before a raise is still delivered
+        if pending:
+            sim.schedule_items(pending_delay, _deliver, 4, pending)
 
 
 @dataclass
@@ -190,6 +253,12 @@ class EventBus:
                 delay = 0.0
             self.sim.schedule_run(delay, _deliver, self, sub, msg, delay)
         return matched
+
+    def publish_reports(self, reports: List[object]) -> None:
+        """Publish each ``subject, target, value`` of the flat list
+        ``reports`` as ``publish_subject(subject, sender=subject,
+        target=target, value=value)`` would (see :func:`queue_reports`)."""
+        queue_reports(self.sim, reports, self, None, None)
 
     # -- reporting -------------------------------------------------------------
     @property

@@ -24,7 +24,13 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Union
 
-from repro.bus.bus import DeliveryModel, EventBus, Subscription
+from repro.bus.bus import (
+    DeliveryModel,
+    EventBus,
+    FixedDelay,
+    Subscription,
+    queue_reports,
+)
 from repro.bus.index import ROUTE_MEMO_CAP
 from repro.bus.messages import Message, routed_message, subject_segments
 from repro.sim.kernel import Simulator
@@ -82,8 +88,10 @@ class ShardedEventBus:
         self.name = name
         self._shard_of = shard_of
         self._routes: Dict[str, EventBus] = {}  # subject -> child bus
+        #: the delivery model every child shares
+        self.delivery = delivery or FixedDelay()
         self._buses = [
-            EventBus(sim, delivery, name=f"{name}[{k}]") for k in range(shards)
+            EventBus(sim, self.delivery, name=f"{name}[{k}]") for k in range(shards)
         ]
 
     # -- routing -----------------------------------------------------------
@@ -152,6 +160,15 @@ class ShardedEventBus:
         child = self._routes.get(subject) or self._route(subject)
         message = routed_message(subject, attributes, self.sim.now, sender)
         return child._dispatch(message)
+
+    def publish_reports(self, reports: List[object]) -> None:
+        """As :meth:`EventBus.publish_reports`, each report on the child
+        its subject routes to, the deliveries queued in publish order
+        across children."""
+        if len(self._buses) == 1:
+            queue_reports(self.sim, reports, self._buses[0], None, None)
+        else:
+            queue_reports(self.sim, reports, None, self._routes, self._route)
 
     # -- fault plane -------------------------------------------------------
     @property

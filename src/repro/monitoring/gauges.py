@@ -19,15 +19,24 @@ message's parallel ``times``/``values`` tuples (one per probe flush,
 instead of per sample.  A :class:`WindowedMeanGauge` folds a batch into
 its :class:`~repro.util.windows.SlidingWindow` with one ``add_many``
 call.
+
+A gauge reports on a tick chain, one kernel-run item ``(gauge,
+ticker)`` per period.  The gauges due at one instant are one run, which
+the kernel hands to :meth:`Gauge._tick` *whole*
+(:func:`~repro.sim.kernel.takes_whole_runs`): one call reads every due
+value in item order, then publishes the reports as one flat list
+(:meth:`~repro.bus.bus.EventBus.publish_reports`) and queues the
+re-arms as one run — the line each tick's own publish and re-arm would
+have built, item for item.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.bus.bus import EventBus, Subscription
+from repro.bus.bus import EventBus, FixedDelay, Subscription
 from repro.bus.messages import Message
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Simulator, takes_whole_runs
 from repro.util.windows import EWMA, SlidingWindow
 
 __all__ = ["Gauge", "WindowedMeanGauge", "EwmaGauge", "LatestValueGauge"]
@@ -104,30 +113,66 @@ class Gauge:
         self._ticker = None
 
     # -- machinery ------------------------------------------------------------
-    # Ticks are scheduled as ``Gauge._tick(gauge, ticker)`` kernel-run
-    # items: one function for every gauge, so the gauges due at one
+    # Ticks are scheduled as ``Gauge._tick`` kernel-run items ``(gauge,
+    # ticker)``: one function for every gauge, so the gauges due at one
     # instant are one action and no method object is bound per tick.
     def _arm(self, ticker: object) -> None:
         if ticker is self._ticker:
             self.sim.schedule_run(self.period, Gauge._tick, self, ticker)
 
-    def _tick(self, ticker: object) -> None:
-        """One period: report (when active and there is a value), re-arm.
+    @staticmethod
+    @takes_whole_runs
+    def _tick(fields) -> None:
+        """One period of every gauge in the run: report (when active and
+        there is a value), re-arm.
 
         An inactive gauge keeps ticking silently, so re-activation stays
-        on the original report grid.
+        on the original report grid; a disposed chain's tick stops.
+        Reports and re-arms are handed on per stretch of items sharing a
+        gauge bus and a period, or per item when a delivery could land
+        on the re-arm instant (a per-message delivery model, or a fixed
+        delay equal to the period): there the line interleaves the two
+        item by item.  If ``_value`` raises, the items before it are
+        handed on first and the kernel puts back the items after it.
         """
-        if ticker is not self._ticker:
-            return
-        if self.active:
-            value = self._value()
-            if value is not None:
-                self.reports += 1
-                subject = self._subject
-                self.gauge_bus.publish_subject(
-                    subject, sender=subject, target=self.target, value=value
-                )
-        self.sim.schedule_run(self.period, Gauge._tick, self, ticker)
+        reports: list = []  # subject, target, value per report
+        arms: list = []  # gauge, ticker per re-arm
+        bus = period = sim = delay = None
+        each = False  # hand on per item
+        try:
+            for gauge, ticker in zip(fields, fields):
+                if ticker is not gauge._ticker:
+                    continue
+                if gauge.period != period or gauge.gauge_bus is not bus:
+                    if arms:
+                        _hand_on(sim, bus, period, reports, arms)
+                    if gauge.gauge_bus is not bus:
+                        bus, sim = gauge.gauge_bus, gauge.sim
+                        # what every delivery takes, clamped as the bus
+                        # clamps it; None: the model decides per message
+                        model = bus.delivery
+                        delay = None
+                        if type(model) is FixedDelay:
+                            delay = max(float(model.seconds), 0.0)
+                    period = gauge.period
+                    each = delay is None or sim.now + delay == sim.now + period
+                if gauge.active:
+                    value = gauge._value()
+                    if value is not None:
+                        gauge.reports += 1
+                        reports.append(gauge._subject)
+                        reports.append(gauge.target)
+                        reports.append(value)
+                arms.append(gauge)
+                arms.append(ticker)
+                if each:
+                    _hand_on(sim, bus, period, reports, arms)
+        except BaseException:
+            if arms:
+                _hand_on(sim, bus, period, reports, arms)
+            raise
+        if arms:
+            _hand_on(sim, bus, period, reports, arms)
 
     def _on_probe(self, message: Message) -> None:
         if not self.active:
@@ -150,6 +195,20 @@ class Gauge:
 
     def _clear(self) -> None:  # pragma: no cover
         raise NotImplementedError
+
+
+def _hand_on(sim: Simulator, bus, period: float, reports: list, arms: list) -> None:
+    """Publish a stretch's reports, then queue its re-arms; empty both.
+    A bus that raises (a malformed subject, a raising delivery model or
+    injector) still gets the stretch re-armed: its chains keep their
+    grid, and nothing is handed on twice."""
+    try:
+        if reports:
+            bus.publish_reports(reports)
+    finally:
+        reports.clear()
+        sim.schedule_items(period, Gauge._tick, 2, arms)
+        arms.clear()
 
 
 class WindowedMeanGauge(Gauge):

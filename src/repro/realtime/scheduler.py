@@ -75,6 +75,9 @@ class RealtimeScheduler(Simulator):
         super().__init__()
         self.clock: Clock = clock if clock is not None else WallClock()
         self._wakeup = threading.Event()
+        #: True from a producer's wakeup until the loop's next drain (see
+        #: call_soon_threadsafe); a plain attribute, read without a call
+        self._wake_pending = False
         self._stop_requested = False
         # crossed without a lock, see call_soon_threadsafe
         self._injected: Deque[Tuple[Callable[..., Any], Tuple[Any, ...]]] = deque()
@@ -98,12 +101,26 @@ class RealtimeScheduler(Simulator):
         threads fall into step on it — one hand-over of the interpreter
         lock per sample, the loop's passes shrunk to a sample or two —
         in some runs and not in others.  For the same reason the wakeup
-        event (a lock of its own) is set only when it is not: the loop
-        clears it *before* it drains, so a set flag means a drain is
-        still to come that will find this entry.
+        event (a lock of its own) is set only by the first producer
+        after a drain, and what says "already signalled" is a plain
+        flag, ``_wake_pending``, not the event's ``is_set()`` (a call
+        per sample).
+
+        Why no entry waits past a drain.  A producer appends, *then*
+        reads the flag; on False it sets the flag, *then* the event.
+        The loop clears the flag, *then* the event, *then* drains, and
+        passes again without waiting when a drain took anything in.  A
+        producer that reads True reads it before the loop's next clear,
+        so the drain after that clear counts its entry.  That drain
+        comes: the flag's setter set the event after its own append, so
+        either the event is still set when the loop next waits, or the
+        loop cleared it afterwards and its drain took the setter's entry
+        in and passed again.  A producer that reads False sets the event
+        itself, after its append.
         """
         self._injected.append((fn, args))
-        if not self._wakeup.is_set():
+        if not self._wake_pending:
+            self._wake_pending = True
             self._wakeup.set()
 
     def stop(self) -> None:
@@ -135,12 +152,23 @@ class RealtimeScheduler(Simulator):
         if count:
             # one arrival stamp for the lot: they join one instant's line
             # as schedule_run items, so a flood of one function is one
-            # run.  A producer's append has to stay one atomic (fn, args)
-            # pair — two appends from two threads could interleave
-            self._line_up(
-                self._fifo(max(self.now, self.clock.elapsed())),
-                islice(iter(injected.popleft, None), count),
-            )
+            # run, handed to _line_up as one flat field list per stretch
+            # of one function and width.  A producer's append has to stay
+            # one atomic (fn, args) pair — two appends from two threads
+            # could interleave
+            fifo = self._fifo(max(self.now, self.clock.elapsed()))
+            line_up = self._line_up
+            taken = iter(injected.popleft, None)
+            fn, args = next(taken)
+            fields = [*args]
+            for next_fn, next_args in islice(taken, count - 1):
+                if next_fn is fn and len(next_args) == len(args) and args:
+                    fields += next_args
+                else:
+                    line_up(fifo, fn, len(args), fields)
+                    fn, args = next_fn, next_args
+                    fields = [*args]
+            line_up(fifo, fn, len(args), fields)
         return count
 
     def run(self, until: Optional[float] = None) -> None:
@@ -163,6 +191,7 @@ class RealtimeScheduler(Simulator):
         try:
             while not self._stop_requested:
                 # clear, then drain: call_soon_threadsafe relies on the order
+                self._wake_pending = False
                 self._wakeup.clear()
                 if self._drain_injected():
                     continue  # re-evaluate the head with injections queued

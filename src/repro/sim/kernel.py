@@ -1,15 +1,27 @@
-"""The event loop: simulation clock, agenda of instants, and waitable events."""
+"""The event loop: simulation clock, agenda of instants, and waitable events.
+
+Same-instant items of one function are one *run* (see
+:meth:`Simulator.schedule_run`): one action, its items' fields stored
+flat.  Most runs are played an item at a time, ``fn(*item)``.  A
+function marked with :func:`takes_whole_runs` is handed the run *whole*
+instead: called once, with an iterator over the run's fields, which it
+takes an item at a time (``zip(fields, fields)`` for width two) — so a
+thousand gauge ticks due together are one call that reads every value
+and hands the reports and the re-arms on in one call each.  Either way
+the tail rule is the kernel's: if the call raises, whatever the
+iterator has not yet yielded goes back to the head of the instant.
+"""
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
 from itertools import islice
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set
 
 from repro.errors import SimulationError
 
-__all__ = ["Simulator", "Event", "Timeout"]
+__all__ = ["Simulator", "Event", "Timeout", "takes_whole_runs"]
 
 #: one instant's line of pending actions, in scheduling order.  An action
 #: is two consecutive items — ``fn``, then its ``args`` tuple — not a pair
@@ -18,11 +30,19 @@ __all__ = ["Simulator", "Event", "Timeout"]
 #: then the list ``[fn, width, fields of item 1, fields of item 2, ...]``.
 _Fifo = Deque[Any]
 
-#: a call to queue: ``(fn, args)``
-_Call = Tuple[Callable[..., Any], Tuple[Any, ...]]
-
 #: the kernel's own tag for a run: no caller's function is ever taken for one
 _RUN = object()
+
+#: the functions :func:`takes_whole_runs` marked
+_WHOLE: Set[Callable[..., Any]] = set()
+
+
+def takes_whole_runs(fn: Callable[..., Any]) -> Callable[..., Any]:
+    """Mark ``fn`` as taking its runs whole (see the module docstring):
+    played, it gets one argument, an iterator over every item's fields
+    in order, and takes them an item at a time."""
+    _WHOLE.add(fn)
+    return fn
 
 
 class Event:
@@ -118,10 +138,12 @@ class Simulator:
       ``now + delay`` in the same order, but an item joins the *run* of
       ``fn`` when that run is the last action already queued at its
       instant: a thousand same-instant deliveries are one action whose
-      items are stored flat, with no ``args`` tuple each.  One
-      :meth:`step` executes a whole run; a handler that raises mid-run
-      leaves the unrun tail at the head of the instant, where the next
-      step resumes it;
+      items are stored flat, with no ``args`` tuple each, and
+      ``schedule_items`` queues many items of one function in one call.
+      One :meth:`step` executes a whole run (see the module docstring
+      for the functions that take it whole); a handler that raises
+      mid-run leaves the unrun tail at the head of the instant, where
+      the next step resumes it;
     * ``run(until)`` executes all work up to and including ``until`` and
       leaves ``now == until``.
 
@@ -178,32 +200,51 @@ class Simulator:
             if run[0] is fn and run[1] == len(item):
                 run.extend(item)
                 return
-        self._line_up(fifo, [(fn, item)])
+        self._line_up(fifo, fn, len(item), item)
+
+    def schedule_items(
+        self, delay: float, fn: Callable[..., Any], width: int, fields: Sequence[Any]
+    ) -> None:
+        """Queue the items of ``fn`` stored flat in ``fields``, ``width``
+        fields each, after ``delay`` seconds: exactly what one
+        :meth:`schedule_run` per item, in order, would queue, in one
+        call and with no tuple per item."""
+        if not delay >= 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        if width < 1 or len(fields) % width:
+            raise TypeError(f"{len(fields)} fields are no items of width {width}")
+        time = float(self.now + delay)
+        fifo = self._agenda.get(time)
+        if fifo is None:
+            fifo = self._fifo(time)
+        elif fifo[-2] is _RUN:  # the join inlined, as in schedule_run
+            run = fifo[-1]
+            if run[0] is fn and run[1] == width:
+                run.extend(fields)
+                return
+        self._line_up(fifo, fn, width, fields)
 
     @staticmethod
-    def _line_up(fifo: _Fifo, calls: Iterable[_Call]) -> None:
-        """Queue ``calls``, ``(fn, item)`` pairs, at the back of ``fifo``
-        in order, each as :meth:`schedule_run` would: an item joins the
-        run of ``fn`` that ends the line when that run has the item's
-        width, and opens a new run otherwise; a call with no fields is a
-        plain action.  The one place a run is laid out (see ``_Fifo``)."""
-        append = fifo.append
-        run_fn = width = extend = None  # the run that ends the line
+    def _line_up(
+        fifo: _Fifo, fn: Callable[..., Any], width: int, fields: Sequence[Any]
+    ) -> None:
+        """Queue the items of ``fn`` in ``fields``, ``width`` fields each,
+        at the back of ``fifo``, as :meth:`schedule_run` would one by
+        one: they join the run of ``fn`` that ends the line when that
+        run has their width, and open a new run otherwise; width 0 is
+        one plain action ``fn()``.  The one place a run is laid out
+        (see ``_Fifo``)."""
+        if not width:
+            fifo.append(fn)
+            fifo.append(())
+            return
         if fifo and fifo[-2] is _RUN:
             run = fifo[-1]
-            run_fn, width, extend = run[0], run[1], run.extend
-        for fn, item in calls:
-            if fn is run_fn and len(item) == width:
-                extend(item)
-            elif not item:
-                append(fn)
-                append(item)
-                run_fn = None
-            else:
-                run = [fn, len(item), *item]
-                append(_RUN)
-                append(run)
-                run_fn, width, extend = fn, len(item), run.extend
+            if run[0] is fn and run[1] == width:
+                run.extend(fields)
+                return
+        fifo.append(_RUN)
+        fifo.append([fn, width, *fields])
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` at absolute simulated ``time``."""
@@ -252,18 +293,25 @@ class Simulator:
         return True
 
     def _play(self, time: float, run: List[Any]) -> None:
-        """Execute a run's items in order.  The run left the line when it
-        started, so nothing joins it now; if an item raises, the unrun
-        tail goes back to the head of the instant before the re-raise."""
+        """Execute a run: its items in order, or, for a function marked
+        :func:`takes_whole_runs`, one call with an iterator over the
+        fields.  The run left the line when it started, so nothing
+        joins it now; if the call raises, what the iterator has not
+        yielded — the unrun tail — goes back to the head of the instant
+        before the re-raise."""
         fn = run[0]
+        whole = fn in _WHOLE
         width = run[1]
-        if len(run) == 2 + width:  # one item: no tail to put back
+        if not whole and len(run) == 2 + width:  # one item: no tail
             fn(*run[2:])
             return
         items = islice(run, 2, None)
         try:
-            for item in zip(*(items,) * width):
-                fn(*item)
+            if whole:
+                fn(items)
+            else:
+                for item in zip(*(items,) * width):
+                    fn(*item)
         except BaseException:
             tail = list(items)
             if tail:

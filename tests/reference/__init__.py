@@ -10,6 +10,9 @@ Residents:
   (``Evaluator``), oracle of :mod:`repro.constraints.compile`;
 * :mod:`reference.bus` — the linear subscription scan (``LinearIndex``),
   oracle of :class:`repro.bus.index.SubjectTrie`;
+* :mod:`reference.gauges` — the per-item gauge tick (``per_item_tick``,
+  installed by ``per_item_ticks``), oracle of the whole-run
+  :meth:`repro.monitoring.gauges.Gauge._tick`;
 * :mod:`reference.kernel` — the ``(time, seq)`` event heap
   (``HeapKernel``) and the pacing loop over it (``PacedHeapKernel``),
   oracles of :class:`repro.sim.kernel.Simulator` and
@@ -33,6 +36,7 @@ from reference.evaluator import (
     evaluate_agreed,
     reference_check_all,
 )
+from reference.gauges import per_item_tick, per_item_ticks
 from reference.kernel import HeapKernel, PacedHeapKernel
 from reference.sharding import rebuild_partition
 from reference.updater import ModelUpdater
@@ -47,6 +51,8 @@ __all__ = [
     "ScanAdmissionManager",
     "evaluate_agreed",
     "linear_bus",
+    "per_item_tick",
+    "per_item_ticks",
     "rebuild_partition",
     "reference_check_all",
 ]

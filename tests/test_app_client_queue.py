@@ -102,16 +102,6 @@ class TestClient:
         assert c.completions[-1][1] == pytest.approx(before - req.issued_at)
         assert c.average_latency() == pytest.approx(before - req.issued_at)
 
-    def test_request_listener_fires(self):
-        sim = Simulator()
-        c = make_client(sim)
-        c.connect(lambda r: None)
-        seen = []
-        c.on_request(lambda r: seen.append(r.rid))
-        c.start(10.0)
-        sim.run(until=10.0)
-        assert len(seen) == c.issued
-
     def test_request_latency_delays_routing(self):
         sim = Simulator()
         c = make_client(sim)
@@ -172,12 +162,10 @@ class TestRequestQueueService:
         with pytest.raises(EnvironmentError_):
             rq.accept(self._req())
 
-    def test_enqueue_timestamp_and_listener(self):
+    def test_enqueue_timestamp_and_group(self):
         sim, rq = self._rq()
         rq.assign("C1", "SG1")
-        seen = []
-        rq.on_route(lambda r: seen.append(r.group))
         sim.schedule(4.0, rq.accept, self._req())
         sim.run()
-        assert seen == ["SG1"]
-        assert rq.queue("SG1").items[0].enqueued_at == 4.0
+        queued = rq.queue("SG1").items[0]
+        assert (queued.group, queued.enqueued_at) == ("SG1", 4.0)

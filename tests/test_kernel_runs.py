@@ -4,13 +4,20 @@ An unbatched bus delivery and a gauge tick are items of a kernel run
 (``Simulator.schedule_run``): the items due at one instant, back to
 back, execute as one action.  Order is pinned by
 ``tests/test_kernel_order_oracle.py``; these are the cases where an
-item changes what a later item of the *same* run must do.
+item changes what a later item of the *same* run must do, and the two
+ways into and out of a run the gauge tick uses: ``schedule_items``
+(many items in one call) and a function that takes its run whole
+(``takes_whole_runs``), with the tail rule when it raises.
 """
+
+import pytest
 
 from repro.bus.bus import EventBus, FixedDelay
 from repro.bus.sharding import ShardedEventBus
+from repro.errors import SimulationError
 from repro.monitoring.gauges import LatestValueGauge
 from repro.sim import Simulator
+from repro.sim.kernel import takes_whole_runs
 
 DELAY = 0.25
 
@@ -82,3 +89,111 @@ def test_a_sharded_bus_alternating_publishes_form_one_run_per_instant():
         assert [m.subject for m in got[-8:]] == [f"probe.x.T{p}" for p in range(8)]
     assert [shard.published for shard in bus._buses] == [6, 6, 6, 6]
     assert [shard.delivered for shard in bus._buses] == [6, 6, 6, 6]
+
+
+class Boom(Exception):
+    pass
+
+
+def test_a_whole_run_is_one_call_over_every_items_fields():
+    sim = Simulator()
+    calls = []
+
+    @takes_whole_runs
+    def whole(fields):
+        calls.append(list(zip(fields, fields)))
+
+    for i in range(3):
+        sim.schedule_run(1.0, whole, i, f"x{i}")
+    assert actions_at(sim, 1.0) == 1
+    assert sim.step() and sim.peek() is None
+    assert calls == [[(0, "x0"), (1, "x1"), (2, "x2")]]
+
+
+def test_a_whole_run_that_raises_puts_back_what_it_did_not_take():
+    sim = Simulator()
+    seen = []
+
+    @takes_whole_runs
+    def whole(fields):
+        for i, tag in zip(fields, fields):
+            if tag == "boom":
+                raise Boom(i)
+            seen.append(i)
+
+    for i in range(5):
+        sim.schedule_run(1.0, whole, i, "boom" if i in (1, 3) else "ok")
+    sim.schedule(1.0, seen.append, "after")
+    with pytest.raises(Boom, match="1"):
+        sim.step()
+    assert seen == [0]
+    # items 2..4 wait at the head of the instant, before the plain action
+    assert sim._agenda[1.0][1] == [whole, 2, 2, "ok", 3, "boom", 4, "ok"]
+    with pytest.raises(Boom, match="3"):
+        sim.step()
+    sim.run()
+    assert seen == [0, 2, 4, "after"]
+
+
+def test_a_whole_run_that_raises_before_taking_anything_is_put_back_whole():
+    sim = Simulator()
+    taken = []
+
+    @takes_whole_runs
+    def whole(fields):
+        if not taken:
+            taken.append(None)
+            raise Boom()
+        taken.append(list(fields))
+
+    sim.schedule_run(1.0, whole, "a")
+    sim.schedule_run(1.0, whole, "b")
+    with pytest.raises(Boom):
+        sim.step()
+    assert sim.step() and taken == [None, ["a", "b"]]
+
+
+def line(sim):
+    return {time: list(fifo) for time, fifo in sim._agenda.items()}
+
+
+def test_schedule_items_queues_what_schedule_run_per_item_would():
+    def fn(*item):
+        pass
+
+    def other(*item):
+        pass
+
+    programs = [
+        [(fn, (1, 2)), (fn, (3, 4))],  # opens a run, then joins it
+        [(other, ("x",)), (fn, (5, 6)), (fn, (7, 8))],  # opens after another run
+        [(fn, ("w",))],  # same function, other width: a run of its own
+        [(fn, (9, 10))],
+    ]
+    flat, per_item = Simulator(), Simulator()
+    for sim in (flat, per_item):
+        sim.schedule(1.0, print)  # a plain action first
+    for program in programs:
+        for fn_, item in program:
+            per_item.schedule_run(1.0, fn_, *item)
+        # the flat form: one call per stretch of one function and width
+        stretch = []
+        for k, (fn_, item) in enumerate(program):
+            stretch.extend(item)
+            last = k + 1 == len(program)
+            if last or program[k + 1][0] is not fn_:
+                flat.schedule_items(1.0, fn_, len(item), stretch)
+                stretch = []
+        assert line(flat) == line(per_item)
+    assert len(flat._agenda[1.0]) // 2 == 6  # print, fn, other, fn, fn(w), fn
+
+
+def test_schedule_items_refuses_the_past_and_partial_items():
+    sim = Simulator()
+    for delay in (-1.0, float("nan")):
+        with pytest.raises(SimulationError, match="past"):
+            sim.schedule_items(delay, print, 1, ["x"])
+    for width, fields in ((2, [1, 2, 3]), (0, [])):
+        with pytest.raises(TypeError):
+            sim.schedule_items(1.0, print, width, fields)
+    assert sim.peek() is None

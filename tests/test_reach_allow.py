@@ -15,7 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 #: lines in tools/reach_allow.txt; lower it when the list shrinks, never raise it
-CEILING = 242
+CEILING = 239
 
 
 def _load_reach():

@@ -10,10 +10,12 @@ ingest seam end to end (external sample -> bus -> gauge -> model ->
 committed repair -> effector callback).
 """
 
+import random
 import threading
 
 import pytest
 
+import repro.realtime.scheduler as scheduler_module
 from repro.lint.api import lint_runtime
 from repro.monitoring.probes import IngestProbe
 from repro.realtime import FakeClock, RealtimeDriver, RealtimeScheduler, WallClock
@@ -187,6 +189,39 @@ class TestRealtimeScheduler:
         for p in range(producers):
             assert [i for q, i in seen if q == p] == list(range(each))
         assert sched.executed == producers * each + 1
+
+    def test_no_injected_sample_waits_past_a_drain(self, monkeypatch):
+        # the loop idles on the wakeup event for a long timeout, and a
+        # producer thread injects in bursts with pauses, so the loop
+        # falls asleep between bursts again and again: a sample whose
+        # wakeup went missing would sit out the whole idle wait
+        idle = 5.0
+        monkeypatch.setattr(scheduler_module, "_IDLE_WAIT", idle)
+        sched = RealtimeScheduler(WallClock())
+        injected, ran = [], []
+        clock = WallClock()
+        loop = threading.Thread(target=sched.run)
+        loop.start()
+        rng = random.Random(3)
+        try:
+            for burst in range(200):
+                for _ in range(rng.choice((1, 2, 3, 17))):
+                    injected.append(clock.elapsed())
+                    sched.call_soon_threadsafe(lambda: ran.append(clock.elapsed()))
+                if burst % 4 == 0:
+                    threading.Event().wait(0.001)  # let the loop fall asleep
+            done = threading.Event()
+            sched.call_soon_threadsafe(done.set)
+            assert done.wait(timeout=3 * idle)
+        finally:
+            sched.stop()
+            loop.join(timeout=5.0)
+        assert not loop.is_alive()
+        assert len(ran) == len(injected)
+        waits = [r - i for i, r in zip(injected, ran)]
+        assert max(waits) < idle / 2, max(waits)
+        # the flag is cleared before every drain: none outlives the flood
+        assert not sched._wake_pending
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,14 @@
 Wall clock on a shared host spreads widely; the number of Python calls
 a control period makes repeats to the call.  ``tools/callcount.py``
 counts them with the stdlib profiler hook, charged to the layers of the
-e2e tracer's table, and this pins two of its rows as ceilings:
+e2e tracer's table, and this pins four of its rows as ceilings:
 
 * ``steady`` at N = 50 — the simulated plane with every pool healthy
   (ingest, probe bus, gauges, model writes);
+* ``storm`` at N = 50 — the same plane while a cohort is grown and
+  shrunk each period (checker, engine, DSL, effector on top);
+* ``react`` at N = 50 — two ``react_1k`` rounds after an uncounted
+  first: the gauge reports of a whole plane, the checker and the engine;
 * ``live`` at 20 pools — the online plane on a ``FakeClock``, flooded
   through ``RealtimeDriver.ingest`` and the paced loop's drains.
 
@@ -24,8 +28,10 @@ import pytest
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "callcount.py"
 
 #: calls per sample, as measured when the ceiling was last moved
-STEADY_50 = 7.27
-LIVE_20 = 6.977832
+STEADY_50 = 6.086
+STORM_50 = 8.78
+REACT_50 = 31.27
+LIVE_20 = 5.966504
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +50,18 @@ def test_steady_plane_at_50_pools(callcount):
     row = callcount.count(50, storm=False, periods=2, seed=7)
     assert row["samples"] == 2 * 2 * 5 * 50
     _within(row, STEADY_50)
+
+
+def test_storm_plane_at_50_pools(callcount):
+    row = callcount.count(50, storm=True, periods=2, seed=7)
+    assert row["samples"] == 2 * 2 * 5 * 50
+    _within(row, STORM_50)
+
+
+def test_react_rounds_at_50_pools(callcount):
+    row = callcount.count_react(50, rounds=2, seed=7)
+    assert row["samples"] == 2 * 5 * 10 * 2  # rounds x ticks x pools x kinds
+    _within(row, REACT_50)
 
 
 def test_live_plane_at_20_pools(callcount):
