@@ -6,9 +6,15 @@ by the bus's :class:`DeliveryModel` (default: a small fixed latency),
 as one item of a kernel run
 (:meth:`~repro.sim.kernel.Simulator.schedule_run`): the deliveries due
 at one instant, back to back, are one action, and each
-(subscription, message) pair is four fields in it.  Because the
-underlying simulator breaks ties in scheduling order, delivery is
-deterministic.
+(subscription, message) pair is four fields in it.  The kernel hands
+that run to :func:`_deliver` *whole*
+(:func:`~repro.sim.kernel.takes_whole_runs`): one call makes every
+delivery of the instant, in order.  Because the underlying simulator
+breaks ties in scheduling order, delivery is deterministic.
+
+A :class:`~repro.bus.messages.Message` is a tuple of its four fields
+(``subject``, ``attributes``, ``time``, ``sender``); the publish doors
+build it with one ``tuple.__new__``.
 
 Gauge reports enter through :meth:`EventBus.publish_reports`, one
 call per gauge tick instant with a flat ``subject, target, value``
@@ -28,7 +34,7 @@ from typing import Callable, Dict, List, Optional
 from repro.bus.filters import validate_pattern
 from repro.bus.index import SubjectTrie
 from repro.bus.messages import Message, routed_message
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Simulator, takes_whole_runs
 from repro.util.ids import IdGenerator
 
 __all__ = [
@@ -65,18 +71,22 @@ class CallableDelay(DeliveryModel):
         return self._fn(message)
 
 
-def _deliver(bus: "EventBus", sub: "Subscription", msg: Message, delay: float) -> None:
-    """One delivery.  A module function, not a method, so every
-    bus's same-instant deliveries — the child buses of a sharded bus
-    alike — join one kernel run."""
-    if not sub.active:
-        return  # unsubscribed while in flight
-    bus.delivered += 1
-    # Transit accrues at delivery, not publish: the running mean is
-    # never skewed by scheduled-but-undelivered messages, and
-    # unsubscribe-cancelled deliveries contribute nothing.
-    bus.total_transit += delay
-    sub.handler(msg)
+@takes_whole_runs
+def _deliver(fields) -> None:
+    """Every delivery of one kernel run, items ``bus, sub, msg, delay``
+    in order.  A module function, not a method, so every bus's
+    same-instant deliveries — the child buses of a sharded bus alike —
+    join one run; if a handler raises, the kernel puts the deliveries
+    after it back at the head of the instant."""
+    for bus, sub, msg, delay in zip(fields, fields, fields, fields):
+        if not sub.active:
+            continue  # unsubscribed while in flight
+        bus.delivered += 1
+        # Transit accrues at delivery, not publish: the running mean is
+        # never skewed by scheduled-but-undelivered messages, and
+        # unsubscribe-cancelled deliveries contribute nothing.
+        bus.total_transit += delay
+        sub.handler(msg)
 
 
 def queue_reports(

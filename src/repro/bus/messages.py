@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from collections import namedtuple
+from typing import Any, Dict, List, Optional
 
 __all__ = ["Message", "subject_segments"]
+
+_new = tuple.__new__
 
 
 def subject_segments(subject: str) -> List[str]:
@@ -18,42 +20,40 @@ def subject_segments(subject: str) -> List[str]:
     return segments
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class Message(namedtuple("Message", ("subject", "attributes", "time", "sender"))):
     """An immutable notification.
 
     ``subject`` is a dotted hierarchy (``"probe.latency.C3"``); observers
     subscribe with wildcard patterns.  ``attributes`` carries the payload
     (Siena models notifications as attribute sets; we keep a dict).
     ``time`` is the publication time; delivery may happen later.
+
+    A message is a tuple of those four fields, read through the C-level
+    accessors :func:`~collections.namedtuple` builds, with its ``repr``
+    and pickling; ``message[key]`` reads an *attribute*, never a tuple
+    position.
     """
 
-    subject: str
-    attributes: Dict[str, Any] = field(default_factory=dict)
-    time: float = 0.0
-    sender: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        subject_segments(self.subject)
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self.attributes.get(key, default)
+    def __new__(
+        cls,
+        subject: str,
+        attributes: Optional[Dict[str, Any]] = None,
+        time: float = 0.0,
+        sender: str = "",
+    ) -> "Message":
+        subject_segments(subject)
+        if attributes is None:
+            attributes = {}
+        return _new(cls, (subject, attributes, time, sender))
 
     def __getitem__(self, key: str) -> Any:
         return self.attributes[key]
 
     def with_time(self, time: float) -> "Message":
         """Copy with a new publication timestamp."""
-        return Message(self.subject, dict(self.attributes), time, self.sender)
-
-
-_new = object.__new__
-#: the slots' member descriptors: a store through one skips the frozen
-#: ``__setattr__`` and the attribute lookup ``object.__setattr__`` makes
-_set_subject = Message.subject.__set__
-_set_attributes = Message.attributes.__set__
-_set_time = Message.time.__set__
-_set_sender = Message.sender.__set__
+        return _new(Message, (self.subject, dict(self.attributes), time, self.sender))
 
 
 def routed_message(
@@ -62,15 +62,8 @@ def routed_message(
     """A :class:`Message` whose subject the caller already validated.
 
     For the bus's publish door, whose next step is the route lookup that
-    rejects a malformed subject: the four slots are filled as the frozen
-    ``__init__`` fills them, minus its second validation pass.  The
-    result is an ordinary message — same ``==``, ``repr``, ``with_time``
-    and immutability.  (A message has no ``__dict__``: a dict object per
-    message is one more for the cyclic collector to count and track.)
+    rejects a malformed subject: one ``tuple.__new__``, minus the
+    constructor's validation pass.  The result is an ordinary message —
+    same ``==``, ``repr``, ``with_time`` and immutability.
     """
-    msg = _new(Message)
-    _set_subject(msg, subject)
-    _set_attributes(msg, attributes)
-    _set_time(msg, time)
-    _set_sender(msg, sender)
-    return msg
+    return _new(Message, (subject, attributes, time, sender))

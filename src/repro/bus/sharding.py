@@ -32,10 +32,12 @@ from repro.bus.bus import (
     queue_reports,
 )
 from repro.bus.index import ROUTE_MEMO_CAP
-from repro.bus.messages import Message, routed_message, subject_segments
+from repro.bus.messages import Message, subject_segments
 from repro.sim.kernel import Simulator
 
 __all__ = ["ShardedEventBus", "ShardedSubscription"]
+
+_new = tuple.__new__
 
 
 class ShardedSubscription:
@@ -156,9 +158,10 @@ class ShardedEventBus:
 
     def publish_subject(self, subject: str, sender: str = "", **attributes) -> int:
         """As :meth:`EventBus.publish_subject`: the message is built once,
-        here, and handed to the child's dispatch."""
+        here, as :func:`~repro.bus.messages.routed_message` builds it, and
+        handed to the child's dispatch."""
         child = self._routes.get(subject) or self._route(subject)
-        message = routed_message(subject, attributes, self.sim.now, sender)
+        message = _new(Message, (subject, attributes, self.sim.now, sender))
         return child._dispatch(message)
 
     def publish_reports(self, reports: List[object]) -> None:

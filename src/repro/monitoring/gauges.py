@@ -17,8 +17,8 @@ per-sample message's float ``value`` is fed to ``_consume``; a batch
 message's parallel ``times``/``values`` tuples (one per probe flush,
 ``batch > 1``) go to ``_consume_batch`` — one delivery per burst
 instead of per sample.  A :class:`WindowedMeanGauge` folds a batch into
-its :class:`~repro.util.windows.SlidingWindow` with one ``add_many``
-call.
+its :class:`~repro.util.windows.SlidingWindow`, an :class:`EwmaGauge`
+into its :class:`~repro.util.windows.EWMA`, with one ``add_many`` call.
 
 A gauge reports on a tick chain, one kernel-run item ``(gauge,
 ticker)`` per period.  The gauges due at one instant are one run, which
@@ -177,11 +177,12 @@ class Gauge:
     def _on_probe(self, message: Message) -> None:
         if not self.active:
             return
-        values = message.get("values")
+        attributes = message.attributes
+        values = attributes.get("values")
         if values is None:
             self._consume(message)
         else:
-            self._consume_batch(message.get("times"), values)
+            self._consume_batch(attributes.get("times"), values)
 
     # -- subclass API ----------------------------------------------------------
     def _consume(self, message: Message) -> None:  # pragma: no cover
@@ -266,11 +267,7 @@ class EwmaGauge(Gauge):
         self._ewma.add(self.sim.now, float(message["value"]))
 
     def _consume_batch(self, times, values) -> None:
-        # The EWMA fold is inherently sequential; batching still saves
-        # the per-sample bus/message overhead upstream.
-        add = self._ewma.add
-        for time, value in zip(times, values):
-            add(time, value)
+        self._ewma.add_many(times, values)
 
     def _value(self) -> Optional[float]:
         return self._ewma.value

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import GaugeError
@@ -63,36 +64,43 @@ class WakeThreshold:
 class ThresholdGate:
     """Decides, per gauge report, whether to wake the constraint checker.
 
-    Tracks a crossed/uncrossed state per ``(kind, target)``.  A report
+    Tracks a crossed/uncrossed state per ``(kind, target)``, as one
+    ``target -> crossed`` table per kind.  A report
     wakes the checker when its value is crossed *or was crossed before*
     (so the checker sees both the violation and the recovery); in-band
     healthy reports are suppressed.  Kinds with no registered
     :class:`WakeThreshold` always wake — unknown telemetry is never
-    silently dropped.
+    silently dropped.  ``thresholds`` is read once, at construction, and
+    kept as a read-only view.
     """
 
     def __init__(self, thresholds: Mapping[str, WakeThreshold]):
-        self.thresholds: Dict[str, WakeThreshold] = dict(thresholds)
-        self._crossed: Dict[Tuple[str, str], bool] = {}
+        self.thresholds: Mapping[str, WakeThreshold] = MappingProxyType(
+            dict(thresholds)
+        )
+        #: kind -> (above?, threshold, the limit a crossed value must
+        #: retreat past, target -> crossed)
+        self._rules: Dict[str, Tuple[bool, float, float, Dict[str, bool]]] = {}
+        for kind, spec in self.thresholds.items():
+            above = spec.direction == "above"
+            threshold, band = spec.threshold, spec.band
+            retreat = threshold - band if above else threshold + band
+            self._rules[kind] = (above, threshold, retreat, {})
         self.wakeups = 0
         self.suppressed = 0
 
     def should_wake(self, kind: str, target: str, value: float) -> bool:
-        spec = self.thresholds.get(kind)
-        if spec is None:
+        rule = self._rules.get(kind)
+        if rule is None:
             self.wakeups += 1
             return True
-        key = (kind, target)
-        was = self._crossed.get(key, False)
+        above, threshold, retreat, crossed_by = rule
+        was = crossed_by.get(target, False)
         # Hysteresis: once crossed, only a retreat past threshold ∓ band
         # clears the state.
-        if spec.direction == "above":
-            limit = spec.threshold - spec.band if was else spec.threshold
-            crossed = value > limit
-        else:
-            limit = spec.threshold + spec.band if was else spec.threshold
-            crossed = value < limit
-        self._crossed[key] = crossed
+        limit = retreat if was else threshold
+        crossed = value > limit if above else value < limit
+        crossed_by[target] = crossed
         if crossed or was:
             self.wakeups += 1
             return True

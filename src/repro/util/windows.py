@@ -362,6 +362,38 @@ class EWMA:
         self._time = time
         return self._value
 
+    def add_many(
+        self, times: Sequence[float], values: Sequence[float]
+    ) -> Optional[float]:
+        """Fold in a batch of observations, in order; returns the updated
+        average.
+
+        The fold is ``add``'s, sample by sample, bit for bit, in one call.
+        Unlike :meth:`SlidingWindow.add_many` it is not all or nothing: a
+        sample ``add`` would refuse raises ``add``'s error with the
+        samples before it folded in, the state exactly as an ``add`` loop
+        leaves it at its raise.
+        """
+        if len(times) != len(values):
+            raise ValueError("times and values must have equal length")
+        current, last, tau = self._value, self._time, self.tau
+        try:
+            for time, value in zip(times, values):
+                value = float(value)
+                if not math.isfinite(value):
+                    raise ValueError(f"sample value must be finite, got {value}")
+                if current is None or last is None:
+                    current = value
+                else:
+                    if time < last:
+                        raise ValueError("EWMA samples must be time-ordered")
+                    alpha = 1.0 - math.exp(-(time - last) / tau)
+                    current += alpha * (value - current)
+                last = time
+        finally:
+            self._value, self._time = current, last
+        return current
+
 
 class StepFunction:
     """Right-continuous piecewise-constant function of time.

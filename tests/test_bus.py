@@ -1,5 +1,7 @@
 """Unit tests for the event bus and subjects."""
 
+import pickle
+
 import pytest
 
 from repro.bus import (
@@ -9,6 +11,7 @@ from repro.bus import (
     Message,
     subject_matches,
 )
+from repro.bus.messages import routed_message
 from repro.sim import Simulator
 
 
@@ -38,7 +41,7 @@ class TestMessage:
     def test_attribute_access(self):
         m = Message("a.b", {"x": 1})
         assert m["x"] == 1
-        assert m.get("y", 5) == 5
+        assert m.attributes.get("y", 5) == 5
 
     def test_empty_subject_rejected(self):
         with pytest.raises(ValueError):
@@ -51,6 +54,73 @@ class TestMessage:
     def test_with_time(self):
         m = Message("a.b", {"x": 1}, time=0.0)
         assert m.with_time(9.0).time == 9.0
+
+    def test_with_time_copies_the_attribute_dict(self):
+        m = Message("a.b", {"x": 1}, 1.0, "s")
+        later = m.with_time(2.0)
+        assert later == Message("a.b", {"x": 1}, 2.0, "s")
+        assert later.attributes is not m.attributes
+        later.attributes["x"] = 2
+        assert m["x"] == 1
+
+    @pytest.mark.parametrize("field", ["subject", "attributes", "time", "sender"])
+    def test_every_field_refuses_assignment(self, field):
+        m = Message("a.b", {"x": 1}, 1.0, "s")
+        with pytest.raises(AttributeError):
+            setattr(m, field, None)
+        with pytest.raises(AttributeError):
+            delattr(m, field)
+        with pytest.raises(AttributeError):
+            m.extra = 1  # no __dict__ either
+        assert m == Message("a.b", {"x": 1}, 1.0, "s")
+
+    def test_routed_message_is_an_ordinary_message(self):
+        args = ("probe.latency.C1", {"target": "C1", "value": 0.5}, 3.0, "p")
+        routed = routed_message(*args)
+        assert routed == Message(*args)
+        assert type(routed) is Message
+        assert repr(routed) == repr(Message(*args))
+
+    def test_repr_is_the_dataclass_repr(self):
+        # captured from the frozen dataclass this record replaced
+        m = Message(
+            "probe.latency.C3", {"value": 1.5, "target": "C3"}, 2.5, "probe.latency.C3"
+        )
+        assert repr(m) == (
+            "Message(subject='probe.latency.C3', attributes={'value': 1.5, "
+            "'target': 'C3'}, time=2.5, sender='probe.latency.C3')"
+        )
+        assert repr(Message("a.b")) == (
+            "Message(subject='a.b', attributes={}, time=0.0, sender='')"
+        )
+
+    def test_pickling_round_trips(self):
+        m = Message("a.b", {"x": [1, 2]}, 1.5, "s")
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(m, protocol))
+            assert type(back) is Message
+            assert back == m
+            assert back.attributes == {"x": [1, 2]}
+
+    def test_a_key_reads_an_attribute_never_a_position(self):
+        m = Message("a.b", {0: "zero", "k": "v"}, 1.0, "s")
+        assert m["k"] == "v"
+        assert m[0] == "zero"  # attribute 0, not the subject
+        with pytest.raises(KeyError):
+            m[1]
+        with pytest.raises(KeyError):
+            Message("a.b")["subject"]
+
+    def test_keywords_and_defaults(self):
+        m = Message(subject="a.b", sender="s")
+        assert (m.subject, m.attributes, m.time, m.sender) == ("a.b", {}, 0.0, "s")
+        assert Message("a.b").attributes is not Message("a.b").attributes
+
+    def test_equality_is_by_fields(self):
+        m = Message("a.b", {"x": 1}, 1.0, "s")
+        assert m == Message("a.b", {"x": 1}, 1.0, "s")
+        assert m != Message("a.b", {"x": 1}, 1.0, "t")
+        assert m != Message("a.b", {"x": 2}, 1.0, "s")
 
 
 class TestEventBus:
@@ -134,7 +204,8 @@ class TestEventBus:
 
     def test_callable_delay_model(self):
         sim = Simulator()
-        bus = EventBus(sim, delivery=CallableDelay(lambda m: m.get("pri", 1.0)))
+        delay = CallableDelay(lambda m: m.attributes.get("pri", 1.0))
+        bus = EventBus(sim, delivery=delay)
         seen_at = {}
         bus.subscribe("x.*", lambda m: seen_at.setdefault(m.subject, sim.now))
         bus.publish_subject("x.slow", pri=5.0)

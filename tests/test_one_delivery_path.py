@@ -269,6 +269,80 @@ class TestTransitAccounting:
         }
 
 
+class TestWholeRunDelivery:
+    """The kernel hands an instant's deliveries to one ``_deliver`` call;
+    what each delivery does, and the tail a raise leaves, are per item."""
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_a_raise_on_the_kth_delivery_leaves_the_tail_for_the_next_step(self, k):
+        sim, bus = make_bus(delay=0.25)
+        got = []
+
+        def handler(m):
+            if m["i"] == k and "raised" not in got:
+                got.append("raised")
+                raise RuntimeError("kth delivery")
+            got.append(m["i"])
+
+        bus.subscribe("a.b", handler)
+        for i in range(5):
+            bus.publish_subject("a.b", i=i)
+        with pytest.raises(RuntimeError, match="kth delivery"):
+            sim.step()
+        assert got == list(range(k)) + ["raised"]
+        # the k-th delivery was made (and counted) before its handler raised
+        assert bus.delivered == k + 1
+        assert bus.total_transit == 0.25 * (k + 1)
+        assert sim.step() is (k < 4)  # one action: the whole tail
+        assert got == list(range(k)) + ["raised"] + list(range(k + 1, 5))
+        assert bus.delivered == 5
+        assert bus.total_transit == 0.25 * 5
+        assert sim.now == 0.25
+        assert sim.peek() is None
+
+    @pytest.mark.parametrize("kind", ["single", "sharded"])
+    def test_an_earlier_handler_unsubscribing_a_later_one_drops_its_delivery(
+        self, kind
+    ):
+        sim, bus = (make_bus if kind == "single" else make_sharded_bus)()
+        got = []
+        later = {}
+
+        def first(m):
+            got.append(("first", m["i"]))
+            if m["i"] == 0:
+                bus.unsubscribe(later["sub"])
+
+        bus.subscribe("probe.x.E1", first)
+        later["sub"] = bus.subscribe(
+            "probe.x.E1", lambda m: got.append(("later", m["i"]))
+        )
+        for i in range(2):
+            bus.publish_subject("probe.x.E1", i=i)
+        assert sim.step()  # both messages' four deliveries are one run
+        assert sim.peek() is None
+        assert got == [("first", 0), ("first", 1)]
+        assert bus.delivered == 2
+        assert bus.mean_transit == pytest.approx(0.01)
+
+    def test_a_one_delivery_run_delivers_as_before(self):
+        # paper_cs's shape: a per-message delay, so each delivery is
+        # alone at its instant
+        sim = Simulator()
+        bus = EventBus(sim, delivery=CallableDelay(lambda m: 0.1 * m["i"]))
+        got = []
+        bus.subscribe("a.b", lambda m: got.append((sim.now, m["i"], m.time)))
+        for i in (3, 1, 2):
+            bus.publish_subject("a.b", i=i)
+        steps = 0
+        while sim.step():
+            steps += 1
+            assert bus.delivered == steps
+        assert steps == 3
+        assert got == [(0.1 * i, i, 0.0) for i in (1, 2, 3)]
+        assert bus.total_transit == 0.1 * 1 + 0.1 * 2 + 0.1 * 3
+
+
 class TestRemovedKnobsAreRefused:
     """A caller still passing a knob of the removed paths gets an error."""
 

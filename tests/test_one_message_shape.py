@@ -134,7 +134,7 @@ def test_probe_publishes_target_and_float_value(variant):
     for message in messages:
         assert message.subject == probe.name
         assert message["target"] == target
-        values = message.get("values")
+        values = message.attributes.get("values")
         if values is None:
             assert type(message["value"]) is float
         else:

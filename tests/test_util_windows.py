@@ -1,6 +1,7 @@
 """Unit tests for sliding windows, EWMA, and step functions."""
 
 import math
+import random
 
 import pytest
 
@@ -290,6 +291,120 @@ class TestEWMA:
         e.add(5.0, 1.0)
         with pytest.raises(ValueError):
             e.add(4.0, 1.0)
+
+
+def _ewma_state(e):
+    """An EWMA's value and time, exactly (``float.hex`` tells -0.0 from 0.0)."""
+    return tuple(None if x is None else float(x).hex() for x in (e._value, e._time))
+
+
+def _fold(e, times, values, batched):
+    """Fold a batch one way; the error it raised (type and text) or None."""
+    try:
+        if batched:
+            e.add_many(times, values)
+        else:
+            for time, value in zip(times, values):
+                e.add(time, value)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestEwmaAddMany:
+    """``add_many`` is the ``add`` loop in one call, bit for bit — also
+    where it raises."""
+
+    @staticmethod
+    def _random_batches(rng, count):
+        """Batches of 1-8 samples: equal times, short steps and long gaps."""
+        t = rng.uniform(0.0, 5.0)
+        for _ in range(count):
+            times, values = [], []
+            for _ in range(rng.randint(1, 8)):
+                step = rng.choice([0.0, rng.uniform(0.0, 2.0), rng.uniform(50.0, 5e3)])
+                t += step if rng.random() < 0.7 else 0.0
+                times.append(t)
+                values.append(rng.choice([rng.uniform(-10.0, 10.0), 0.0, -0.0, 1e300]))
+            yield times, values
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("initial", [None, 3.25])
+    def test_random_batches_equal_the_add_loop(self, seed, initial):
+        rng = random.Random(seed)
+        tau = rng.choice([0.5, 10.0, 60.0])
+        batched, looped = EWMA(tau, initial), EWMA(tau, initial)
+        for times, values in self._random_batches(rng, 40):
+            assert _fold(batched, times, values, True) is None
+            assert _fold(looped, times, values, False) is None
+            assert _ewma_state(batched) == _ewma_state(looped)
+        assert batched.value is not None
+
+    def test_first_sample_into_an_empty_ewma(self):
+        batched, looped = EWMA(10.0), EWMA(10.0)
+        assert batched.add_many([4.0], [2.5]) == 2.5
+        looped.add(4.0, 2.5)
+        assert _ewma_state(batched) == _ewma_state(looped) == (
+            (2.5).hex(), (4.0).hex())
+
+    def test_an_empty_batch_changes_nothing(self):
+        e = EWMA(10.0)
+        assert e.add_many([], []) is None
+        e.add(1.0, 2.0)
+        assert e.add_many((), ()) == 2.0
+        assert _ewma_state(e) == ((2.0).hex(), (1.0).hex())
+
+    def test_equal_times_and_a_long_gap(self):
+        times = [1.0, 1.0, 1.0, 1e6, 1e6]
+        values = [1.0, 5.0, -3.0, 7.0, 2.0]
+        batched, looped = EWMA(60.0), EWMA(60.0)
+        batched.add_many(times, values)
+        _fold(looped, times, values, False)
+        assert _ewma_state(batched) == _ewma_state(looped)
+        # the gap forgets what came before it; a repeated time weighs nothing
+        assert batched.value == pytest.approx(7.0)
+
+    @pytest.mark.parametrize(
+        "times,values",
+        [
+            ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, math.nan, 4.0]),
+            ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, math.inf, 4.0]),
+            ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, -math.inf]),
+            ([1.0, 2.0, 3.0, 4.0], [math.nan, 2.0, 3.0, 4.0]),
+            ([1.0, 2.0, 1.5, 4.0], [1.0, 2.0, 3.0, 4.0]),
+        ],
+        ids=["nan-mid", "inf-mid", "neg-inf-last", "nan-first", "step-back"],
+    )
+    @pytest.mark.parametrize("held", [None, 1.0])
+    def test_a_refused_sample_raises_and_leaves_the_loops_state(
+        self, times, values, held
+    ):
+        batched, looped = EWMA(5.0), EWMA(5.0)
+        if held is not None:
+            batched.add(held, 9.0)
+            looped.add(held, 9.0)
+        error = _fold(batched, times, values, True)
+        assert error is not None
+        assert error == _fold(looped, times, values, False)
+        assert _ewma_state(batched) == _ewma_state(looped)
+        # both go on from the same state
+        assert batched.add(10.0, 1.0) == looped.add(10.0, 1.0)
+
+    def test_a_batch_older_than_the_held_time_is_refused_whole(self):
+        batched, looped = EWMA(5.0), EWMA(5.0)
+        for e in (batched, looped):
+            e.add(3.0, 9.0)
+        error = _fold(batched, [0.5, 4.0], [1.0, 2.0], True)
+        assert error == _fold(looped, [0.5, 4.0], [1.0, 2.0], False)
+        assert error == (ValueError, "EWMA samples must be time-ordered")
+        assert _ewma_state(batched) == _ewma_state(looped) == (
+            (9.0).hex(), (3.0).hex())
+
+    def test_unequal_lengths_are_refused_before_any_fold(self):
+        e = EWMA(5.0)
+        with pytest.raises(ValueError, match="equal length"):
+            e.add_many([1.0, 2.0], [1.0])
+        assert _ewma_state(e) == (None, None)
 
 
 class TestStepFunction:

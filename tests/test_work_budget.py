@@ -28,10 +28,10 @@ import pytest
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "callcount.py"
 
 #: calls per sample, as measured when the ceiling was last moved
-STEADY_50 = 6.086
-STORM_50 = 8.78
-REACT_50 = 31.27
-LIVE_20 = 5.966504
+STEADY_50 = 4.686
+STORM_50 = 7.38
+REACT_50 = 29.07
+LIVE_20 = 4.75791
 
 
 @pytest.fixture(scope="module")
