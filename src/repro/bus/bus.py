@@ -1,24 +1,31 @@
 """The event bus proper.
 
-Delivery semantics: ``publish`` never invokes handlers synchronously.
+Delivery semantics: a publish never invokes handlers synchronously.
 Each matching subscription receives the message after a delay chosen
 by the bus's :class:`DeliveryModel` (default: a small fixed latency),
 as one item of a kernel run
-(:meth:`~repro.sim.kernel.Simulator.schedule_run`): the deliveries due
-at one instant, back to back, are one action, and each
+(:meth:`~repro.sim.kernel.Simulator.schedule_items`): the deliveries
+due at one instant, back to back, are one action, and each
 (subscription, message) pair is four fields in it.  The kernel hands
 that run to :func:`_deliver` *whole*
 (:func:`~repro.sim.kernel.takes_whole_runs`): one call makes every
 delivery of the instant, in order.  Because the underlying simulator
 breaks ties in scheduling order, delivery is deterministic.
 
-A :class:`~repro.bus.messages.Message` is a tuple of its four fields
-(``subject``, ``attributes``, ``time``, ``sender``); the publish doors
-build it with one ``tuple.__new__``.
+The bus has one door, :func:`queue_messages`: the only place that
+routes, fault-checks, counts dead letters, chooses delays and queues
+deliveries.  Its input is a flat ``subject, attributes, sender``
+list, and each triple becomes a bus-owned
+:class:`~repro.bus.messages.Message` stamped ``sim.now``.  The three
+publish methods of :class:`EventBus` and of the sharded facade
+(:class:`~repro.bus.sharding.ShardedEventBus`) are one call into it:
+``publish`` (a caller's message, copied), ``publish_subject`` (one
+message built from its fields) and ``publish_reports`` (a gauge tick
+instant's reports, in one call).
 
-Gauge reports enter through :meth:`EventBus.publish_reports`, one
-call per gauge tick instant with a flat ``subject, target, value``
-list (see :func:`queue_reports`).
+A :class:`~repro.bus.messages.Message` is a tuple of its four fields
+(``subject``, ``attributes``, ``time``, ``sender``), built with one
+``tuple.__new__``.
 
 The delivery model is the hook for the paper's in-band-monitoring
 effect: the experiment harness installs a model whose delay grows when
@@ -29,13 +36,15 @@ ablation swaps in a fixed-latency (QoS-prioritized) model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.bus.filters import validate_pattern
 from repro.bus.index import SubjectTrie
-from repro.bus.messages import Message, routed_message
+from repro.bus.messages import Message
 from repro.sim.kernel import Simulator, takes_whole_runs
 from repro.util.ids import IdGenerator
+
+_new = tuple.__new__
 
 __all__ = [
     "DeliveryModel",
@@ -47,18 +56,17 @@ __all__ = [
 
 
 class DeliveryModel:
-    """Strategy returning the bus transit delay for a message: a subclass
-    defines ``delay(message) -> seconds``."""
+    """Strategy choosing the bus transit delay for a message: a subclass
+    defines ``delay(message) -> seconds``, except :class:`FixedDelay`,
+    whose ``seconds`` the bus reads (see :func:`fixed_delay`)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class FixedDelay(DeliveryModel):
-    """Constant transit delay (default 10 ms; a LAN-ish event bus)."""
+    """Constant transit delay (default 10 ms; a LAN-ish event bus);
+    immutable, so a bus may remember what it read."""
 
     seconds: float = 0.010
-
-    def delay(self, message: Message) -> float:
-        return self.seconds
 
 
 class CallableDelay(DeliveryModel):
@@ -69,6 +77,23 @@ class CallableDelay(DeliveryModel):
 
     def delay(self, message: Message) -> float:
         return self._fn(message)
+
+
+def fixed_delay(model: DeliveryModel) -> Optional[float]:
+    """The delay every delivery under ``model`` takes, or None when the
+    model is asked per message.
+
+    The delay rule, in one place: a :class:`FixedDelay`'s ``seconds``
+    is read, any other model's ``delay(message)`` is called for each
+    delivery, and a negative delay is taken as 0.  :func:`queue_messages`
+    (once per delivery model a bus is given) and the gauge tick, which
+    must know whether a report's delivery can land on its re-arm
+    instant, both ask here.
+    """
+    if type(model) is not FixedDelay:
+        return None
+    delay = float(model.seconds)
+    return 0.0 if delay < 0 else delay
 
 
 @takes_whole_runs
@@ -89,51 +114,69 @@ def _deliver(fields) -> None:
         sub.handler(msg)
 
 
-def queue_reports(
+def queue_messages(
     sim: Simulator,
-    reports: List[object],
+    fields: Iterable[object],
     owner: Optional["EventBus"],
     routes: Optional[Dict[str, "EventBus"]],
     route: Optional[Callable[[str], "EventBus"]],
-) -> None:
-    """Route, fault-check and queue a flat ``subject, target, value``
-    report list: on ``owner``, or, with ``owner`` None, on the bus
-    ``routes`` memoises per subject (``route(subject)`` on a miss).
+) -> int:
+    """The bus's one door: publish each ``subject, attributes, sender``
+    of the flat list ``fields``; returns how many active subscriptions
+    matched, dead-lettered ones included.
 
-    Per report this is :meth:`EventBus._dispatch`'s work, in its order
-    and with its message (``sender`` is the subject), except that a
-    :class:`FixedDelay`'s ``seconds`` is read, not called for, and the
-    deliveries are queued flat, in publish order across buses, with
-    one ``schedule_items`` call per stretch of equal delays.
+    Each triple is published on ``owner``, or, with ``owner`` None, on
+    the bus ``routes`` memoises per subject (``route(subject)`` on a
+    miss), as the message ``(subject, attributes, sim.now, sender)``,
+    which the bus owns: nobody else may hold ``attributes``.  The
+    subject is checked by the route lookup (``ValueError``; that
+    message is not published).  Per message, in order: ``published``
+    is counted, then each active subscription in subscription order is
+    counted as matched and either dead-lettered by the bus's
+    ``fault_injector`` or given a delivery after the delay
+    :func:`fixed_delay` states (asked once per model the bus is given,
+    the answer kept as ``bus._delay_rule``).  Handlers never run here,
+    so each candidate set is a snapshot.  The deliveries are queued in
+    publish order across buses, one ``schedule_items`` call per stretch
+    of equal delays; what was routed before a raise is still queued.
     """
     now = sim.now
-    fields = iter(reports)
+    fields = iter(fields)
     pending: List[object] = []  # bus, sub, msg, delay per delivery
     pending_delay = None
+    matched = 0
     bus = owner
+    model = fixed = None
     try:
-        for subject, target, value in zip(fields, fields, fields):
+        for subject in fields:  # a triple per message, with no tuple each
+            attributes = next(fields)
+            sender = next(fields)
             if owner is None:
                 bus = routes.get(subject) or route(subject)
-            attributes = {"target": target, "value": value}
-            msg = routed_message(subject, attributes, now, subject)
             candidates = bus._index.match(subject)
             bus.published += 1
+            msg = _new(Message, (subject, attributes, now, sender))
             inject = bus.fault_injector
+            if bus.delivery is not model:
+                model = bus.delivery
+                rule = bus._delay_rule
+                if rule[0] is not model:  # a model given since last asked
+                    rule = bus._delay_rule = (model, fixed_delay(model))
+                fixed = rule[1]
             for sub in candidates:
                 if not sub.active:
                     continue
+                matched += 1
                 if inject is not None and inject(sub, msg):
                     bus.dead_letters += 1
                     by_sid = bus.dead_letters_by_sid
                     by_sid[sub.sid] = by_sid.get(sub.sid, 0) + 1
                     continue
-                model = bus.delivery  # a FixedDelay is read, never called
-                delay = float(
-                    model.seconds if type(model) is FixedDelay else model.delay(msg)
-                )
-                if delay < 0:
-                    delay = 0.0
+                delay = fixed
+                if delay is None:
+                    delay = float(model.delay(msg))
+                    if delay < 0:
+                        delay = 0.0
                 if delay != pending_delay:
                     if pending:
                         sim.schedule_items(pending_delay, _deliver, 4, pending)
@@ -143,9 +186,10 @@ def queue_reports(
                 pending.append(sub)
                 pending.append(msg)
                 pending.append(delay)
-    finally:  # what was routed before a raise is still delivered
+    finally:
         if pending:
             sim.schedule_items(pending_delay, _deliver, 4, pending)
+    return matched
 
 
 @dataclass
@@ -180,6 +224,8 @@ class EventBus:
         self.sim = sim
         self.name = name
         self.delivery = delivery or FixedDelay()
+        #: ``(model, fixed_delay(model))`` for the last model published under
+        self._delay_rule = (None, None)
         self._subs: Dict[str, Subscription] = {}
         self._index = SubjectTrie()
         self._ids = IdGenerator()
@@ -222,53 +268,22 @@ class EventBus:
     def publish(self, message: Message) -> int:
         """Route ``message`` to matching subscribers; returns match count.
 
-        The caller keeps its message: what is delivered is a copy whose
-        timestamp is normalized to the current simulation time.
+        The caller keeps its message: what is delivered is a copy, with
+        its own attribute dict, stamped with the current simulation time.
         """
-        return self._dispatch(message.with_time(self.sim.now))
+        copy = (message.subject, dict(message.attributes), message.sender)
+        return queue_messages(self.sim, copy, self, None, None)
 
     def publish_subject(self, subject: str, sender: str = "", **attributes) -> int:
-        """Build and publish a message in one call, without the copy.
+        """Build and publish a message in one call, without the copy:
+        nobody else holds its attribute dict."""
+        return queue_messages(self.sim, (subject, attributes, sender), self, None, None)
 
-        The message is stamped ``sim.now`` at construction and nobody
-        else holds it or its attribute dict, so it is routed as is — and
-        built unchecked, because the route lookup it goes to next is
-        what rejects a malformed subject.
-        """
-        return self._dispatch(routed_message(subject, attributes, self.sim.now, sender))
-
-    def _dispatch(self, msg: Message) -> int:
-        """Route, fault-check and schedule one bus-owned
-        message; ``ValueError`` (nothing published) for a malformed subject.
-
-        The index returns candidates in subscription order, and handlers
-        never run synchronously, so the candidate set is a snapshot.
-        """
-        candidates = self._index.match(msg.subject)
-        self.published += 1
-        matched = 0
-        inject = self.fault_injector
-        for sub in candidates:
-            if not sub.active:
-                continue
-            matched += 1
-            if inject is not None and inject(sub, msg):
-                self.dead_letters += 1
-                self.dead_letters_by_sid[sub.sid] = (
-                    self.dead_letters_by_sid.get(sub.sid, 0) + 1
-                )
-                continue
-            delay = float(self.delivery.delay(msg))
-            if delay < 0:
-                delay = 0.0
-            self.sim.schedule_run(delay, _deliver, self, sub, msg, delay)
-        return matched
-
-    def publish_reports(self, reports: List[object]) -> None:
-        """Publish each ``subject, target, value`` of the flat list
-        ``reports`` as ``publish_subject(subject, sender=subject,
-        target=target, value=value)`` would (see :func:`queue_reports`)."""
-        queue_reports(self.sim, reports, self, None, None)
+    def publish_reports(self, reports: Iterable[object]) -> int:
+        """Publish each ``subject, attributes, sender`` of the flat list
+        ``reports`` (one gauge tick instant's reports), as
+        ``publish_subject`` would, in one call."""
+        return queue_messages(self.sim, reports, self, None, None)
 
     # -- reporting -------------------------------------------------------------
     @property

@@ -55,15 +55,3 @@ class Message(namedtuple("Message", ("subject", "attributes", "time", "sender"))
         """Copy with a new publication timestamp."""
         return _new(Message, (self.subject, dict(self.attributes), time, self.sender))
 
-
-def routed_message(
-    subject: str, attributes: Dict[str, Any], time: float, sender: str
-) -> Message:
-    """A :class:`Message` whose subject the caller already validated.
-
-    For the bus's publish door, whose next step is the route lookup that
-    rejects a malformed subject: one ``tuple.__new__``, minus the
-    constructor's validation pass.  The result is an ordinary message —
-    same ``==``, ``repr``, ``with_time`` and immutability.
-    """
-    return _new(Message, (subject, attributes, time, sender))

@@ -22,22 +22,20 @@ message once, because the publish side never broadcasts.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from repro.bus.bus import (
     DeliveryModel,
     EventBus,
     FixedDelay,
     Subscription,
-    queue_reports,
+    queue_messages,
 )
 from repro.bus.index import ROUTE_MEMO_CAP
 from repro.bus.messages import Message, subject_segments
 from repro.sim.kernel import Simulator
 
 __all__ = ["ShardedEventBus", "ShardedSubscription"]
-
-_new = tuple.__new__
 
 
 class ShardedSubscription:
@@ -95,6 +93,8 @@ class ShardedEventBus:
         self._buses = [
             EventBus(sim, self.delivery, name=f"{name}[{k}]") for k in range(shards)
         ]
+        #: the one child every publish goes to, or None: route per subject
+        self._owner = self._buses[0] if shards == 1 else None
 
     # -- routing -----------------------------------------------------------
     def _route(self, subject: str) -> EventBus:
@@ -151,27 +151,19 @@ class ShardedEventBus:
         return [sub for bus in self._buses for sub in bus.subscriptions]
 
     # -- publication -------------------------------------------------------
+    # As EventBus's three doors, each message on the child its subject
+    # routes to (a one-child facade skips the route), the deliveries
+    # queued in publish order across children.
     def publish(self, message: Message) -> int:
-        subject = message.subject
-        child = self._routes.get(subject) or self._route(subject)
-        return child.publish(message)
+        copy = (message.subject, dict(message.attributes), message.sender)
+        return queue_messages(self.sim, copy, self._owner, self._routes, self._route)
 
     def publish_subject(self, subject: str, sender: str = "", **attributes) -> int:
-        """As :meth:`EventBus.publish_subject`: the message is built once,
-        here, as :func:`~repro.bus.messages.routed_message` builds it, and
-        handed to the child's dispatch."""
-        child = self._routes.get(subject) or self._route(subject)
-        message = _new(Message, (subject, attributes, self.sim.now, sender))
-        return child._dispatch(message)
+        one = (subject, attributes, sender)
+        return queue_messages(self.sim, one, self._owner, self._routes, self._route)
 
-    def publish_reports(self, reports: List[object]) -> None:
-        """As :meth:`EventBus.publish_reports`, each report on the child
-        its subject routes to, the deliveries queued in publish order
-        across children."""
-        if len(self._buses) == 1:
-            queue_reports(self.sim, reports, self._buses[0], None, None)
-        else:
-            queue_reports(self.sim, reports, None, self._routes, self._route)
+    def publish_reports(self, reports: Iterable[object]) -> int:
+        return queue_messages(self.sim, reports, self._owner, self._routes, self._route)
 
     # -- fault plane -------------------------------------------------------
     @property

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.bus.bus import EventBus, FixedDelay, Subscription
+from repro.bus.bus import EventBus, Subscription, fixed_delay
 from repro.bus.messages import Message
 from repro.sim.kernel import Simulator, takes_whole_runs
 from repro.util.windows import EWMA, SlidingWindow
@@ -93,7 +93,7 @@ class Gauge:
             self._ticker = ticker = object()
             # start hop: the first wait begins via the scheduler, never
             # synchronously inside activate()
-            self.sim.schedule_run(0.0, Gauge._arm, self, ticker)
+            self.sim.schedule_items(0.0, Gauge._arm, 2, (self, ticker))
 
     def deactivate(self, clear: bool = True) -> None:
         """Stop reporting; optionally drop accumulated window state.
@@ -118,7 +118,7 @@ class Gauge:
     # instant are one action and no method object is bound per tick.
     def _arm(self, ticker: object) -> None:
         if ticker is self._ticker:
-            self.sim.schedule_run(self.period, Gauge._tick, self, ticker)
+            self.sim.schedule_items(self.period, Gauge._tick, 2, (self, ticker))
 
     @staticmethod
     @takes_whole_runs
@@ -135,7 +135,7 @@ class Gauge:
         item by item.  If ``_value`` raises, the items before it are
         handed on first and the kernel puts back the items after it.
         """
-        reports: list = []  # subject, target, value per report
+        reports: list = []  # subject, attributes, sender per report
         arms: list = []  # gauge, ticker per re-arm
         bus = period = sim = delay = None
         each = False  # hand on per item
@@ -148,21 +148,19 @@ class Gauge:
                         _hand_on(sim, bus, period, reports, arms)
                     if gauge.gauge_bus is not bus:
                         bus, sim = gauge.gauge_bus, gauge.sim
-                        # what every delivery takes, clamped as the bus
-                        # clamps it; None: the model decides per message
-                        model = bus.delivery
-                        delay = None
-                        if type(model) is FixedDelay:
-                            delay = max(float(model.seconds), 0.0)
+                        # what every delivery takes; None: the model
+                        # decides per message
+                        delay = fixed_delay(bus.delivery)
                     period = gauge.period
                     each = delay is None or sim.now + delay == sim.now + period
                 if gauge.active:
                     value = gauge._value()
                     if value is not None:
                         gauge.reports += 1
-                        reports.append(gauge._subject)
-                        reports.append(gauge.target)
-                        reports.append(value)
+                        subject = gauge._subject
+                        reports.append(subject)
+                        reports.append({"target": gauge.target, "value": value})
+                        reports.append(subject)
                 arms.append(gauge)
                 arms.append(ticker)
                 if each:

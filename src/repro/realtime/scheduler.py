@@ -17,7 +17,7 @@ takes in injected work once, decides once whether to wait, and samples
 the lag behind the clock once (after the instant's last action, which
 is where the lag is largest); only the check for :meth:`stop` happens
 between actions, and a kernel run (a thousand same-instant deliveries
-or gauge ticks, see :meth:`~repro.sim.kernel.Simulator.schedule_run`)
+or gauge ticks, see :meth:`~repro.sim.kernel.Simulator.schedule_items`)
 is one action.  A thousand gauge ticks due together, or a thousand
 samples injected together, cost one pass; the samples are one action
 too (one run, see below), so a :meth:`stop` waits for at most one
@@ -151,7 +151,7 @@ class RealtimeScheduler(Simulator):
         count = len(injected)  # later arrivals wait for the next drain's stamp
         if count:
             # one arrival stamp for the lot: they join one instant's line
-            # as schedule_run items, so a flood of one function is one
+            # as kernel-run items, so a flood of one function is one
             # run, handed to _line_up as one flat field list per stretch
             # of one function and width.  A producer's append has to stay
             # one atomic (fn, args) pair — two appends from two threads

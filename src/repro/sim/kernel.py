@@ -1,15 +1,18 @@
 """The event loop: simulation clock, agenda of instants, and waitable events.
 
-Same-instant items of one function are one *run* (see
-:meth:`Simulator.schedule_run`): one action, its items' fields stored
-flat.  Most runs are played an item at a time, ``fn(*item)``.  A
-function marked with :func:`takes_whole_runs` is handed the run *whole*
-instead: called once, with an iterator over the run's fields, which it
-takes an item at a time (``zip(fields, fields)`` for width two) — so a
-thousand gauge ticks due together are one call that reads every value
-and hands the reports and the re-arms on in one call each.  Either way
-the tail rule is the kernel's: if the call raises, whatever the
-iterator has not yet yielded goes back to the head of the instant.
+The kernel has two ways in: :meth:`Simulator.schedule` (and
+``schedule_at``) queues one plain action, ``fn(*args)``, and
+:meth:`Simulator.schedule_items` queues items of one function stored
+flat.  Same-instant items of one function are one *run*: one action,
+its items' fields stored flat.  Most runs are played an item at a time,
+``fn(*item)``.  A function marked with :func:`takes_whole_runs` is
+handed the run *whole* instead: called once, with an iterator over the
+run's fields, which it takes an item at a time (``zip(fields, fields)``
+for width two) — so a thousand gauge ticks due together are one call
+that reads every value and hands the reports and the re-arms on in one
+call each.  Either way the tail rule is the kernel's: if the call
+raises, whatever the iterator has not yet yielded goes back to the head
+of the instant.
 """
 
 from __future__ import annotations
@@ -134,13 +137,13 @@ class Simulator:
       so a thousand actions due at one time cost one heap entry, and an
       action scheduled for ``now`` while ``now`` is running joins the
       back of the line;
-    * ``schedule_run(delay, fn, *item)`` runs ``fn(*item)`` at
-      ``now + delay`` in the same order, but an item joins the *run* of
-      ``fn`` when that run is the last action already queued at its
-      instant: a thousand same-instant deliveries are one action whose
-      items are stored flat, with no ``args`` tuple each, and
-      ``schedule_items`` queues many items of one function in one call.
-      One :meth:`step` executes a whole run (see the module docstring
+    * ``schedule_items(delay, fn, width, fields)`` runs ``fn(*item)``
+      for each ``width``-field item of ``fields`` at ``now + delay`` in
+      the same order, but an item joins the *run* of ``fn`` when that
+      run is the last action already queued at its instant: a thousand
+      same-instant deliveries are one action whose items are stored
+      flat, with no ``args`` tuple each.  One :meth:`step` executes a
+      whole run (see the module docstring
       for the functions that take it whole); a handler that raises
       mid-run leaves the unrun tail at the head of the instant, where
       the next step resumes it;
@@ -176,40 +179,21 @@ class Simulator:
         fifo.append(fn)
         fifo.append(args)
 
-    def schedule_run(self, delay: float, fn: Callable[..., Any], *item: Any) -> None:
-        """Run ``fn(*item)`` after ``delay`` seconds, as :meth:`schedule`
-        would, joining the run of ``fn`` that ends its instant's line.
-
-        Only a run of the same ``fn`` and item width, queued last and
-        not yet started, is joined; anything else queued after it (or a
-        run already executing) starts a new one, so execution order is
-        exactly that of one :meth:`schedule` per item.
-        """
-        if not delay >= 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        if not item:
-            raise TypeError("schedule_run needs at least one item field")
-        time = float(self.now + delay)
-        fifo = self._agenda.get(time)
-        if fifo is None:
-            fifo = self._fifo(time)
-        elif fifo[-2] is _RUN:
-            # _line_up's join, inlined: a crowded instant's item joins
-            # its run with no call (the plane's most frequent schedule)
-            run = fifo[-1]
-            if run[0] is fn and run[1] == len(item):
-                run.extend(item)
-                return
-        self._line_up(fifo, fn, len(item), item)
-
     def schedule_items(
         self, delay: float, fn: Callable[..., Any], width: int, fields: Sequence[Any]
     ) -> None:
-        """Queue the items of ``fn`` stored flat in ``fields``, ``width``
-        fields each, after ``delay`` seconds: exactly what one
-        :meth:`schedule_run` per item, in order, would queue, in one
-        call and with no tuple per item."""
-        if not delay >= 0:
+        """Run ``fn(*item)`` for each item stored flat in ``fields``,
+        ``width`` fields each, after ``delay`` seconds, as :meth:`schedule`
+        per item would, joining the run of ``fn`` that ends its instant's
+        line.
+
+        Only a run of the same ``fn`` and width, queued last and not yet
+        started, is joined; anything else queued after it (or a run
+        already executing) starts a new one, so execution order is
+        exactly that of one :meth:`schedule` per item.  A NaN or
+        negative delay is refused, and so is an item with no field.
+        """
+        if not delay >= 0:  # negative, or NaN
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         if width < 1 or len(fields) % width:
             raise TypeError(f"{len(fields)} fields are no items of width {width}")
@@ -217,7 +201,9 @@ class Simulator:
         fifo = self._agenda.get(time)
         if fifo is None:
             fifo = self._fifo(time)
-        elif fifo[-2] is _RUN:  # the join inlined, as in schedule_run
+        elif fifo[-2] is _RUN:
+            # _line_up's join, inlined: a crowded instant's items join
+            # its run with no call (the plane's most frequent schedule)
             run = fifo[-1]
             if run[0] is fn and run[1] == width:
                 run.extend(fields)
@@ -229,10 +215,10 @@ class Simulator:
         fifo: _Fifo, fn: Callable[..., Any], width: int, fields: Sequence[Any]
     ) -> None:
         """Queue the items of ``fn`` in ``fields``, ``width`` fields each,
-        at the back of ``fifo``, as :meth:`schedule_run` would one by
-        one: they join the run of ``fn`` that ends the line when that
-        run has their width, and open a new run otherwise; width 0 is
-        one plain action ``fn()``.  The one place a run is laid out
+        at the back of ``fifo``, as :meth:`schedule_items` would: they
+        join the run of ``fn`` that ends the line when that run has
+        their width, and open a new run otherwise; width 0 is one plain
+        action ``fn()``.  The one place a run is laid out
         (see ``_Fifo``)."""
         if not width:
             fifo.append(fn)

@@ -9,7 +9,9 @@ Residents:
 * :mod:`reference.evaluator` — the tree-walking constraint interpreter
   (``Evaluator``), oracle of :mod:`repro.constraints.compile`;
 * :mod:`reference.bus` — the linear subscription scan (``LinearIndex``),
-  oracle of :class:`repro.bus.index.SubjectTrie`;
+  oracle of :class:`repro.bus.index.SubjectTrie`, and the per-message
+  dispatch (``per_message_dispatch``, installed by
+  ``per_message_buses``), oracle of :func:`repro.bus.bus.queue_messages`;
 * :mod:`reference.gauges` — the per-item gauge tick (``per_item_tick``,
   installed by ``per_item_ticks``), oracle of the whole-run
   :meth:`repro.monitoring.gauges.Gauge._tick`;
@@ -29,7 +31,12 @@ as ``reference``.
 """
 
 from reference.admission import ScanAdmissionManager
-from reference.bus import LinearIndex, linear_bus
+from reference.bus import (
+    LinearIndex,
+    linear_bus,
+    per_message_buses,
+    per_message_dispatch,
+)
 from reference.evaluator import (
     Evaluator,
     ReferenceProgram,
@@ -51,6 +58,8 @@ __all__ = [
     "ScanAdmissionManager",
     "evaluate_agreed",
     "linear_bus",
+    "per_message_buses",
+    "per_message_dispatch",
     "per_item_tick",
     "per_item_ticks",
     "rebuild_partition",

@@ -4,9 +4,9 @@
 one instant in one call (the kernel plays the run whole) and hands the
 instant's reports to the gauge bus, and its re-arms to the kernel, in
 one call each.  What it replaced played each gauge's tick as its own
-item: a ``publish_subject`` per report and a ``schedule_run`` per
-re-arm.  That method is kept here verbatim, as the oracle of the
-whole-run play.
+item: a ``publish_subject`` per report and a one-item re-arm.  That
+method is kept here verbatim, its re-arm spelled with the kernel's one
+run door (``schedule_items``), as the oracle of the whole-run play.
 
 :func:`per_item_ticks` installs it as ``Gauge._tick`` for the length of
 a ``with`` block: ``Gauge._arm`` and every re-arm name ``Gauge._tick``,
@@ -40,7 +40,7 @@ def per_item_tick(self, ticker: object) -> None:
             self.gauge_bus.publish_subject(
                 subject, sender=subject, target=self.target, value=value
             )
-    self.sim.schedule_run(self.period, Gauge._tick, self, ticker)
+    self.sim.schedule_items(self.period, Gauge._tick, 2, (self, ticker))
 
 
 @contextmanager

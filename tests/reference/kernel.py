@@ -8,7 +8,9 @@ action.  The order it must keep is the heap's — actions run in
 statement of which items form one run (what one ``step()`` executes):
 
 * ``schedule_run(delay, fn, *item)`` is one heap entry per item, like
-  ``schedule``; the item joins the run of the entry scheduled last at
+  ``schedule`` (``schedule_items`` is one ``schedule_run`` per item of
+  its flat field list: the kernel's one run door, stated per item); the
+  item joins the run of the entry scheduled last at
   its instant when that entry is a run item of the same ``fn`` and
   width whose run has not started;
 * a step pops an entry and, for a run item, every entry of the same run
@@ -62,6 +64,10 @@ class HeapKernel:
 
     def schedule_run(self, delay, fn, *item):
         self.schedule_run_at(self.now + delay, fn, *item)
+
+    def schedule_items(self, delay, fn, width, fields):
+        for at in range(0, len(fields), width):
+            self.schedule_run(delay, fn, *fields[at : at + width])
 
     def schedule_run_at(self, time, fn, *item):
         time = float(time)

@@ -11,7 +11,6 @@ from repro.bus import (
     Message,
     subject_matches,
 )
-from repro.bus.messages import routed_message
 from repro.sim import Simulator
 
 
@@ -74,12 +73,20 @@ class TestMessage:
             m.extra = 1  # no __dict__ either
         assert m == Message("a.b", {"x": 1}, 1.0, "s")
 
-    def test_routed_message_is_an_ordinary_message(self):
-        args = ("probe.latency.C1", {"target": "C1", "value": 0.5}, 3.0, "p")
-        routed = routed_message(*args)
-        assert routed == Message(*args)
-        assert type(routed) is Message
-        assert repr(routed) == repr(Message(*args))
+    def test_a_bus_built_message_is_an_ordinary_message(self):
+        # the bus door builds its messages unchecked, with tuple.__new__
+        sim = Simulator()
+        bus = EventBus(sim, delivery=FixedDelay(0.0))
+        got = []
+        bus.subscribe("probe.>", got.append)
+        publish = bus.publish_subject
+        sim.schedule(3.0, lambda: publish("probe.latency.C1", "p", target="C1"))
+        sim.run()
+        args = ("probe.latency.C1", {"target": "C1"}, 3.0, "p")
+        [built] = got
+        assert built == Message(*args)
+        assert type(built) is Message
+        assert repr(built) == repr(Message(*args))
 
     def test_repr_is_the_dataclass_repr(self):
         # captured from the frozen dataclass this record replaced

@@ -5,8 +5,8 @@ every value in item order, hands the reports to the gauge bus in one
 ``publish_reports`` call and queues the re-arms in one
 ``schedule_items`` call.  The per-item tick it replaced
 (``reference.per_item_tick``, kept verbatim) published each report with
-``publish_subject`` and re-armed with ``schedule_run``.  Each case
-builds the same plane twice from one seed — one ticking whole runs, one
+``publish_subject`` and re-armed with a one-item ``schedule_items``.
+Each case builds the same plane twice from one seed — one ticking whole runs, one
 per item — and steps the two kernels in lockstep.  After every step the
 two must agree on:
 

@@ -5,8 +5,9 @@ and runs of same-instant items of one function.  The contract it must
 keep is the old one — actions run in ``(time, scheduling order)`` — so
 the oracle is the old kernel itself, ``reference.HeapKernel``: a
 ``(time, seq)`` heap plus the rule for which items one ``step()``
-executes.  Seeded random programs are run on both, with ``schedule_run``
-items interleaved with plain ``schedule`` / ``schedule_at`` on the same
+executes.  Seeded random programs are run on both, with ``schedule_items``
+bursts (one call for a burst's items; the heap takes them one entry per
+item) interleaved with plain ``schedule`` / ``schedule_at`` on the same
 instants and one action that raises — often an item in the middle of a
 run, which must resume where it stopped; the ``(now, label)`` logs and
 every ``peek()`` answer must be identical.
@@ -101,11 +102,12 @@ class Program:
             # a burst, as a publish fanning out to its subscribers
             fn = self.rng.choice(self.runners)
             pad = self.rng.choice(PADS)
-            self.k.schedule_run(delay, fn, label, depth, *pad)
+            fields = [label, depth, *pad]
             for _ in range(self.rng.choice((0, 1, 3))):
                 if self.scheduled < self.MAX_ACTIONS:
                     self.scheduled += 1
-                    self.k.schedule_run(delay, fn, next(self.labels), depth, *pad)
+                    fields += (next(self.labels), depth, *pad)
+            self.k.schedule_items(delay, fn, 2 + len(pad), fields)
         else:
             self.seen["delay-0 from a callback"] += delay == 0.0 and depth > 0
             # a run function scheduled plainly is a plain action
@@ -282,7 +284,7 @@ class TestAgendaShape:
             seen.append((i, tag))
 
         for i in range(2000):
-            sim.schedule_run(1.0, note, i, "x")
+            sim.schedule_items(1.0, note, 2, (i, "x"))
         [fifo] = sim._agenda.values()
         assert len(fifo) == 2  # one action: the marker, then one flat list
         assert len(fifo[1]) == 2 + 2 * 2000
@@ -292,7 +294,7 @@ class TestAgendaShape:
     def test_a_run_item_needs_a_field(self):
         sim = Simulator()
         with pytest.raises(TypeError):
-            sim.schedule_run(0.0, print)
+            sim.schedule_items(0.0, print, 0, ())
         assert sim.peek() is None
 
     def test_a_service_retains_nothing_for_the_instants_it_passed(self):
@@ -381,11 +383,11 @@ class TestNanTimes:
             sim.schedule_at(nan, lambda: None)
         assert sim.peek() is None
         with pytest.raises(SimulationError):
-            sim.schedule_run(nan, print, "item")
+            sim.schedule_items(nan, print, 1, ["item"])
         assert sim.peek() is None
         sim.schedule(float("inf"), lambda: None)
         sim.schedule_at(float("inf"), lambda: None)
-        sim.schedule_run(float("inf"), print, "item")
+        sim.schedule_items(float("inf"), print, 1, ["item"])
         assert sim.peek() == float("inf")
 
     def test_run_until_nan_is_rejected(self):

@@ -1,12 +1,12 @@
 """Kernel runs at the edges the telemetry path puts them through.
 
-An unbatched bus delivery and a gauge tick are items of a kernel run
-(``Simulator.schedule_run``): the items due at one instant, back to
-back, execute as one action.  Order is pinned by
-``tests/test_kernel_order_oracle.py``; these are the cases where an
-item changes what a later item of the *same* run must do, and the two
-ways into and out of a run the gauge tick uses: ``schedule_items``
-(many items in one call) and a function that takes its run whole
+A bus delivery and a gauge tick are items of a kernel run
+(``Simulator.schedule_items``, the kernel's one run door): the items
+due at one instant, back to back, execute as one action.  Order is
+pinned by ``tests/test_kernel_order_oracle.py``; these are the cases
+where an item changes what a later item of the *same* run must do, the
+door's two shapes (many items in one call, or one call per item) and
+its refusals, and a function that takes its run whole
 (``takes_whole_runs``), with the tail rule when it raises.
 """
 
@@ -104,7 +104,7 @@ def test_a_whole_run_is_one_call_over_every_items_fields():
         calls.append(list(zip(fields, fields)))
 
     for i in range(3):
-        sim.schedule_run(1.0, whole, i, f"x{i}")
+        sim.schedule_items(1.0, whole, 2, (i, f"x{i}"))
     assert actions_at(sim, 1.0) == 1
     assert sim.step() and sim.peek() is None
     assert calls == [[(0, "x0"), (1, "x1"), (2, "x2")]]
@@ -122,7 +122,7 @@ def test_a_whole_run_that_raises_puts_back_what_it_did_not_take():
             seen.append(i)
 
     for i in range(5):
-        sim.schedule_run(1.0, whole, i, "boom" if i in (1, 3) else "ok")
+        sim.schedule_items(1.0, whole, 2, (i, "boom" if i in (1, 3) else "ok"))
     sim.schedule(1.0, seen.append, "after")
     with pytest.raises(Boom, match="1"):
         sim.step()
@@ -146,8 +146,8 @@ def test_a_whole_run_that_raises_before_taking_anything_is_put_back_whole():
             raise Boom()
         taken.append(list(fields))
 
-    sim.schedule_run(1.0, whole, "a")
-    sim.schedule_run(1.0, whole, "b")
+    sim.schedule_items(1.0, whole, 1, ["a"])
+    sim.schedule_items(1.0, whole, 1, ["b"])
     with pytest.raises(Boom):
         sim.step()
     assert sim.step() and taken == [None, ["a", "b"]]
@@ -157,7 +157,7 @@ def line(sim):
     return {time: list(fifo) for time, fifo in sim._agenda.items()}
 
 
-def test_schedule_items_queues_what_schedule_run_per_item_would():
+def test_schedule_items_queues_what_one_call_per_item_would():
     def fn(*item):
         pass
 
@@ -175,7 +175,7 @@ def test_schedule_items_queues_what_schedule_run_per_item_would():
         sim.schedule(1.0, print)  # a plain action first
     for program in programs:
         for fn_, item in program:
-            per_item.schedule_run(1.0, fn_, *item)
+            per_item.schedule_items(1.0, fn_, len(item), item)
         # the flat form: one call per stretch of one function and width
         stretch = []
         for k, (fn_, item) in enumerate(program):
@@ -193,7 +193,8 @@ def test_schedule_items_refuses_the_past_and_partial_items():
     for delay in (-1.0, float("nan")):
         with pytest.raises(SimulationError, match="past"):
             sim.schedule_items(delay, print, 1, ["x"])
-    for width, fields in ((2, [1, 2, 3]), (0, [])):
+    # an empty item (width 0), however it is spelled, and a partial one
+    for width, fields in ((2, [1, 2, 3]), (0, []), (0, ["x"]), (-1, [])):
         with pytest.raises(TypeError):
             sim.schedule_items(1.0, print, width, fields)
     assert sim.peek() is None

@@ -28,10 +28,10 @@ import pytest
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "callcount.py"
 
 #: calls per sample, as measured when the ceiling was last moved
-STEADY_50 = 4.686
-STORM_50 = 7.38
-REACT_50 = 29.07
-LIVE_20 = 4.75791
+STEADY_50 = 4.288
+STORM_50 = 6.982
+REACT_50 = 27.88
+LIVE_20 = 4.554834
 
 
 @pytest.fixture(scope="module")
