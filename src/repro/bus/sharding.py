@@ -94,7 +94,9 @@ class ShardedEventBus:
             EventBus(sim, self.delivery, name=f"{name}[{k}]") for k in range(shards)
         ]
         #: the one child every publish goes to, or None: route per subject
+        #: through the memo, with ``_route`` bound once for a miss
         self._owner = self._buses[0] if shards == 1 else None
+        self._lookup = None if shards == 1 else self._route
 
     # -- routing -----------------------------------------------------------
     def _route(self, subject: str) -> EventBus:
@@ -156,14 +158,15 @@ class ShardedEventBus:
     # queued in publish order across children.
     def publish(self, message: Message) -> int:
         copy = (message.subject, dict(message.attributes), message.sender)
-        return queue_messages(self.sim, copy, self._owner, self._routes, self._route)
+        return queue_messages(self.sim, copy, self._owner, self._routes, self._lookup)
 
     def publish_subject(self, subject: str, sender: str = "", **attributes) -> int:
         one = (subject, attributes, sender)
-        return queue_messages(self.sim, one, self._owner, self._routes, self._route)
+        return queue_messages(self.sim, one, self._owner, self._routes, self._lookup)
 
     def publish_reports(self, reports: Iterable[object]) -> int:
-        return queue_messages(self.sim, reports, self._owner, self._routes, self._route)
+        owner, routes, lookup = self._owner, self._routes, self._lookup
+        return queue_messages(self.sim, reports, owner, routes, lookup)
 
     # -- fault plane -------------------------------------------------------
     @property
